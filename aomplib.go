@@ -99,14 +99,6 @@ type WovenMethod = weaver.WovenMethod
 // advice name, matching pointcut and current gate state.
 type AdviceInfo = weaver.AdviceInfo
 
-// ProgramOpt configures a Program at creation (see Ungated).
-type ProgramOpt = weaver.ProgramOpt
-
-// Ungated builds advice chains without per-advice enable gates — the
-// ablation baseline for measuring gate cost. Ungated programs cannot use
-// Program.SetAdviceEnabled.
-var Ungated = weaver.Ungated
-
 // StaticPlan is a frozen snapshot of a program's weave, embedded by the
 // static-weave backend (cmd/weavegen) and re-verified at bind time with
 // Program.VerifyPlan.
@@ -119,9 +111,7 @@ type PlannedMethod = weaver.PlannedMethod
 type PlannedAdvice = weaver.PlannedAdvice
 
 // NewProgram creates an empty program registry.
-func NewProgram(name string, opts ...ProgramOpt) *Program {
-	return weaver.NewProgram(name, opts...)
-}
+func NewProgram(name string) *Program { return weaver.NewProgram(name) }
 
 // Implements declares interfaces a class implements (class option).
 var Implements = weaver.Implements

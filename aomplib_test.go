@@ -1,8 +1,11 @@
 package aomplib_test
 
 import (
+	"bytes"
+	"runtime/pprof"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"aomplib"
 	"aomplib/internal/jgf/crypt"
@@ -143,5 +146,43 @@ func TestMolDynStrategiesIntegration(t *testing.T) {
 		if m.Err != nil {
 			t.Fatalf("strategy %v: %v", s, m.Err)
 		}
+	}
+}
+
+// TestProfilingWovenRegions is the regression test for a process crash:
+// the profiler reads a sampled goroutine's label slot as its own label
+// map, and inside a region that slot holds the runtime's worker binding.
+// 50 ms of CPU profile over open regions, plus a labelled goroutine dump
+// taken from inside one, must both come out well-formed.
+func TestProfilingWovenRegions(t *testing.T) {
+	prog := aomplib.NewProgram("profiled")
+	cls := prog.Class("P")
+	var dump bytes.Buffer
+	var spun atomic.Int64
+	region := cls.Proc("region", func() {
+		x := 1.0
+		for i := 0; i < 50_000; i++ {
+			x = x*1.0000001 + 1e-9
+		}
+		spun.Add(int64(x))
+		if aomplib.ThreadID() == 0 && dump.Len() == 0 {
+			if err := pprof.Lookup("goroutine").WriteTo(&dump, 1); err != nil {
+				t.Error(err)
+			}
+		}
+	})
+	prog.Use(aomplib.ParallelRegion("call(* P.region(..))").Threads(2))
+	prog.MustWeave()
+
+	var cpu bytes.Buffer
+	if err := pprof.StartCPUProfile(&cpu); err != nil {
+		t.Skipf("CPU profiling unavailable: %v", err)
+	}
+	for t0 := time.Now(); time.Since(t0) < 50*time.Millisecond; {
+		region()
+	}
+	pprof.StopCPUProfile()
+	if cpu.Len() == 0 || !bytes.Contains(dump.Bytes(), []byte("goroutine profile:")) {
+		t.Fatalf("profiles incomplete: %d bytes of CPU profile, goroutine dump %q", cpu.Len(), dump.String())
 	}
 }

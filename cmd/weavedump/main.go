@@ -19,6 +19,8 @@ package main
 import (
 	"flag"
 	"fmt"
+	"os"
+	"slices"
 	"strings"
 
 	"aomplib/internal/jgf/crypt"
@@ -61,6 +63,16 @@ func main() {
 		{"MolDyn", moldyn.NewAomp(moldyn.SizeTest, 2, moldyn.ThreadLocalStrategy).(weaveReporter)},
 		{"MonteCarlo", montecarlo.NewAomp(montecarlo.SizeTest, 2).(weaveReporter)},
 		{"RayTracer", raytracer.NewAomp(raytracer.SizeTest, 2).(weaveReporter)},
+	}
+	var known []string
+	for _, b := range benchmarks {
+		known = append(known, strings.ToLower(b.name))
+	}
+	for f := range filter {
+		if !slices.Contains(known, f) {
+			fmt.Fprintf(os.Stderr, "weavedump: unknown benchmark %q in -only (valid: %s)\n", f, strings.Join(known, ", "))
+			os.Exit(2)
+		}
 	}
 	for _, b := range benchmarks {
 		if len(filter) > 0 && !filter[strings.ToLower(b.name)] {

@@ -1,8 +1,9 @@
 // Command weavegen is the static-weave backend: it reads a program's
 // registered joinpoints and deployed aspects (by constructing the program
 // exactly as the target package does), freezes the current weave into a
-// weaver.StaticPlan, and emits Go source with direct-call entry points —
-// no Call reification for unadvised methods, no chain load and no gate
+// weaver.StaticPlan, and emits Go source with static entry points — the
+// registered body for methods the plan marks Direct (what the dynamic
+// entry point calls too, minus its chain load), no chain load and no gate
 // checks for advised ones. The generated Bind function re-verifies the
 // embedded plan against the live program, so configuration drift fails
 // loudly instead of silently running stale woven code.
@@ -156,17 +157,6 @@ func signature(k weaver.Kind) (params, call string) {
 	}
 }
 
-// enabledAdvice counts the advice stages a frozen handler would compose.
-func enabledAdvice(m weaver.PlannedMethod) int {
-	n := 0
-	for _, a := range m.Advice {
-		if a.Enabled {
-			n++
-		}
-	}
-	return n
-}
-
 // generate builds the target's program, freezes its plan and renders the
 // static-weave source file.
 func generate(name string) ([]byte, error) {
@@ -205,7 +195,7 @@ func generate(name string) ([]byte, error) {
 	fmt.Fprintf(&b, "// static entry points.\n")
 	fmt.Fprintf(&b, "var %s = weaver.StaticPlan{\n\tProgram: %q,\n\tMethods: []weaver.PlannedMethod{\n", t.planVar, plan.Program)
 	for _, m := range plan.Methods {
-		fmt.Fprintf(&b, "\t\t{FQN: %q, Kind: %s, NeedsWorker: %v", m.FQN, kindConst(m.Kind), m.NeedsWorker)
+		fmt.Fprintf(&b, "\t\t{FQN: %q, Kind: %s, Direct: %v, NeedsWorker: %v", m.FQN, kindConst(m.Kind), m.Direct, m.NeedsWorker)
 		if len(m.Advice) > 0 {
 			b.WriteString(", Advice: []weaver.PlannedAdvice{\n")
 			for _, a := range m.Advice {
@@ -237,7 +227,7 @@ func generate(name string) ([]byte, error) {
 	for _, m := range plan.Methods {
 		params, assign := signature(m.Kind)
 		field := entryName(m.FQN)
-		if enabledAdvice(m) == 0 {
+		if m.Direct {
 			fmt.Fprintf(&b, "\t{\n\t\tbody, ok := prog.Method(%q).BodyFunc().(%s)\n", m.FQN, params)
 			fmt.Fprintf(&b, "\t\tif !ok {\n\t\t\treturn nil, fmt.Errorf(\"weavegen: body of %s has unexpected type\")\n\t\t}\n", m.FQN)
 			fmt.Fprintf(&b, "\t\te.%s = body\n\t}\n", field)

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
 
 	"aomplib/internal/rt"
 	"aomplib/internal/weaver"
@@ -26,33 +25,14 @@ type ThreadLocalAspect struct {
 
 	fresh      func() any
 	fromGlobal func() any
-
-	mu      sync.Mutex
-	perTeam map[teamLease]map[int]any
 }
-
-// teamLease identifies one region entry served by a (possibly hot,
-// reused) team: recording values under the lease epoch guarantees that a
-// drain can never pick up copies left behind by an earlier region entry
-// of the same pooled team.
-type teamLease struct {
-	team  *rt.Team
-	epoch uint64
-}
-
-func leaseOf(t *rt.Team) teamLease { return teamLease{team: t, epoch: t.Epoch()} }
 
 // NewThreadLocal binds @ThreadLocalField with the given id to the accessor
 // methods selected by pc.
 func NewThreadLocal(pc, id string) *ThreadLocalAspect { return newThreadLocal(mustPC(pc), id) }
 
 func newThreadLocal(m weaver.Matcher, id string) *ThreadLocalAspect {
-	return &ThreadLocalAspect{
-		name:    "ThreadLocal(" + id + ")",
-		id:      id,
-		matcher: m,
-		perTeam: make(map[teamLease]map[int]any),
-	}
+	return &ThreadLocalAspect{name: "ThreadLocal(" + id + ")", id: id, matcher: m}
 }
 
 // Named renames the aspect module.
@@ -83,49 +63,28 @@ func (a *ThreadLocalAspect) newValue() any {
 	return a.fromGlobal()
 }
 
-func (a *ThreadLocalAspect) record(team *rt.Team, id int, v any) {
-	key := leaseOf(team)
-	a.mu.Lock()
-	byID := a.perTeam[key]
-	if byID == nil {
-		byID = make(map[int]any)
-		a.perTeam[key] = byID
-	}
-	byID[id] = v
-	a.mu.Unlock()
-}
-
 // Drain removes and returns all per-worker values created for the current
 // region entry of team, in worker-id order. It is the collection step of
-// a reduction.
+// a reduction: the caller runs on one worker while the rest of the team
+// waits at a barrier, which is what orders it against their writes.
 func (a *ThreadLocalAspect) Drain(team *rt.Team) []any {
-	key := leaseOf(team)
-	a.mu.Lock()
-	byID := a.perTeam[key]
-	delete(a.perTeam, key)
-	a.mu.Unlock()
-	out := make([]any, 0, len(byID))
-	for id := 0; id < team.Size; id++ {
-		if v, ok := byID[id]; ok {
-			out = append(out, v)
-		}
-	}
+	out := a.Values(team)
+	clear(team.Locals(a))
 	return out
 }
 
 // Values returns a snapshot of the per-worker values for the current
-// region entry of team without draining them (worker-id order).
+// region entry of team without draining them (worker-id order). Callers
+// read other workers' copies, so a team barrier must separate the call
+// from the accesses that created them.
 func (a *ThreadLocalAspect) Values(team *rt.Team) []any {
-	key := leaseOf(team)
-	a.mu.Lock()
-	byID := a.perTeam[key]
-	out := make([]any, 0, len(byID))
-	for id := 0; id < team.Size; id++ {
-		if v, ok := byID[id]; ok {
+	slots := team.Locals(a)
+	out := make([]any, 0, len(slots))
+	for _, v := range slots {
+		if v != nil {
 			out = append(out, v)
 		}
 	}
-	a.mu.Unlock()
 	return out
 }
 
@@ -156,7 +115,7 @@ func (a *ThreadLocalAspect) Bindings() []weaver.Binding {
 				}
 				c.Ret = w.TLS(a, func() any {
 					v := a.newValue()
-					a.record(w.Team, w.ID, v)
+					w.Team.Locals(a)[w.ID] = v
 					return v
 				})
 			}

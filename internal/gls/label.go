@@ -3,7 +3,6 @@
 package gls
 
 import (
-	"math/rand/v2"
 	"sync/atomic"
 	"unsafe"
 
@@ -25,34 +24,41 @@ func runtime_getProfLabel() unsafe.Pointer
 //go:linkname runtime_setProfLabel runtime/pprof.runtime_setProfLabel
 func runtime_setProfLabel(labels unsafe.Pointer)
 
-// nodeMagic distinguishes this package's nodes from foreign label maps
-// (runtime/pprof.labelMap) that the application may have installed. It is
-// randomised per process so a foreign allocation cannot collide with it by
-// construction; the low bit is set so it can never equal a small count or
-// a heap pointer pattern of all zeroes.
-var nodeMagic = rand.Uint64() | 1
+// noLabels is what a node's first word points at: zeroed memory as large
+// as the map header go1.23's profiler reads there. Its address doubles as
+// the ownership mark telling this package's nodes from foreign label maps
+// (runtime/pprof.labelMap) the application may have installed — a foreign
+// map's first word is a heap pointer or nil, never this package-level
+// address.
+var noLabels [8]uintptr
 
 // node is one goroutine-local binding. Nodes from different stores share a
 // single per-goroutine chain through prev (the label slot holds the head).
-// magic, store and val are immutable after publication; prev is atomic
-// because the owning goroutine may unlink an interior node (Pop of an
-// outer store) while goroutines that inherited the chain at spawn are
-// still traversing it.
+//
+// The profiler reads the slot of a sampled goroutine as its own *labelMap,
+// so the leading words must look like an empty label set on both layouts:
+// go1.23's map[string]string (word 0 is the map header pointer: noLabels
+// has count 0) and go1.24's struct{ list []label } (words 0–2 are the
+// slice: length and capacity 0). mark, store and val are immutable after
+// publication; prev is atomic because the owning goroutine may unlink an
+// interior node (Pop of an outer store) while goroutines that inherited
+// the chain at spawn are still traversing it.
 type node struct {
-	magic uint64
+	mark  *[8]uintptr // always &noLabels
+	_, _  uintptr     // always 0
 	store *Store
 	val   any
 	prev  atomic.Pointer[node]
 }
 
 // own interprets a label pointer as one of our nodes, or returns nil for
-// nil and foreign pointers. The first word is validated through a *uint64
-// view before the *node conversion: reading one word of a foreign label
-// map is safe (pprof label maps are word-aligned multi-word allocations),
-// and converting to the larger node type only after the magic matches
-// keeps the unsafe.Pointer rules (and -d=checkptr) satisfied.
+// nil and foreign pointers. The first word is validated through a
+// one-word view before the *node conversion: reading one word of a foreign
+// label map is safe (pprof label maps are word-aligned, at least one word
+// long), and converting to the larger node type only after the mark
+// matches keeps the unsafe.Pointer rules (and -d=checkptr) satisfied.
 func own(p unsafe.Pointer) *node {
-	if p == nil || *(*uint64)(p) != nodeMagic {
+	if p == nil || *(**[8]uintptr)(p) != &noLabels {
 		return nil
 	}
 	return (*node)(p)
@@ -73,7 +79,7 @@ func NewStore() *Store { return &Store{} }
 // previous association (nested regions). The binding is inherited by
 // goroutines spawned while it is active.
 func (s *Store) Push(v any) {
-	n := &node{magic: nodeMagic, store: s, val: v}
+	n := &node{mark: &noLabels, store: s, val: v}
 	n.prev.Store((*node)(runtime_getProfLabel()))
 	runtime_setProfLabel(unsafe.Pointer(n))
 }
@@ -92,7 +98,7 @@ type Token struct {
 // silently discards bindings pushed after the context they captured).
 func (s *Store) PushToken(v any) Token {
 	prev := (*node)(runtime_getProfLabel())
-	n := &node{magic: nodeMagic, store: s, val: v}
+	n := &node{mark: &noLabels, store: s, val: v}
 	n.prev.Store(prev)
 	runtime_setProfLabel(unsafe.Pointer(n))
 	return Token{prev: prev}
@@ -120,7 +126,7 @@ type Slot struct{ n node }
 // NewSlot returns a reusable binding of v for this store.
 func (s *Store) NewSlot(v any) *Slot {
 	sl := &Slot{}
-	sl.n.magic = nodeMagic
+	sl.n.mark = &noLabels
 	sl.n.store = s
 	sl.n.val = v
 	return sl

@@ -15,10 +15,10 @@ import (
 var staticPlan = weaver.StaticPlan{
 	Program: "Series",
 	Methods: []weaver.PlannedMethod{
-		{FQN: "Series.buildCoeffs", Kind: weaver.ForKind, NeedsWorker: true, Advice: []weaver.PlannedAdvice{
+		{FQN: "Series.buildCoeffs", Kind: weaver.ForKind, Direct: false, NeedsWorker: true, Advice: []weaver.PlannedAdvice{
 			{Aspect: "For", Name: "for(runtime)", Enabled: true},
 		}},
-		{FQN: "Series.run", Kind: weaver.ProcKind, NeedsWorker: false, Advice: []weaver.PlannedAdvice{
+		{FQN: "Series.run", Kind: weaver.ProcKind, Direct: false, NeedsWorker: false, Advice: []weaver.PlannedAdvice{
 			{Aspect: "ParallelRegion", Name: "parallel", Enabled: true},
 		}},
 	},

@@ -15,15 +15,15 @@ import (
 var staticPlan = weaver.StaticPlan{
 	Program: "SOR",
 	Methods: []weaver.PlannedMethod{
-		{FQN: "SOR.relaxBlack", Kind: weaver.ForKind, NeedsWorker: true, Advice: []weaver.PlannedAdvice{
+		{FQN: "SOR.relaxBlack", Kind: weaver.ForKind, Direct: false, NeedsWorker: true, Advice: []weaver.PlannedAdvice{
 			{Aspect: "BarrierAfter", Name: "barrier", Enabled: true},
 			{Aspect: "For", Name: "for(runtime)", Enabled: true},
 		}},
-		{FQN: "SOR.relaxRed", Kind: weaver.ForKind, NeedsWorker: true, Advice: []weaver.PlannedAdvice{
+		{FQN: "SOR.relaxRed", Kind: weaver.ForKind, Direct: false, NeedsWorker: true, Advice: []weaver.PlannedAdvice{
 			{Aspect: "BarrierAfter", Name: "barrier", Enabled: true},
 			{Aspect: "For", Name: "for(runtime)", Enabled: true},
 		}},
-		{FQN: "SOR.run", Kind: weaver.ProcKind, NeedsWorker: false, Advice: []weaver.PlannedAdvice{
+		{FQN: "SOR.run", Kind: weaver.ProcKind, Direct: false, NeedsWorker: false, Advice: []weaver.PlannedAdvice{
 			{Aspect: "ParallelRegion", Name: "parallel", Enabled: true},
 		}},
 	},

@@ -141,9 +141,8 @@ type Team struct {
 	// scope until the next lease begins.
 	completed atomic.Bool
 
-	// epoch counts leases served by this team. State recorded against a
-	// team during one region entry (e.g. thread-local drains) is keyed by
-	// (team, epoch) so reuse cannot conflate entries.
+	// epoch counts leases served by this team, so state recorded outside
+	// the team can be keyed by (team, epoch) and never conflate entries.
 	epoch atomic.Uint64
 
 	// Lease round state: body/arg are what every worker of the round
@@ -171,6 +170,7 @@ type Team struct {
 	tasks      *TaskGroup  // lazily created on first task spawn/wait
 	deps       *depTracker // lazily created on first @Depend spawn
 	constructs map[any]map[int64]*instanceSlot
+	locals     map[any][]any // per-construct worker slots (Locals); cleared per lease
 
 	// adapt is the per-construct adaptive scheduling state (adapt.go),
 	// keyed by the for construct's identity. Unlike constructs it is
@@ -465,6 +465,7 @@ func (t *Team) beginLease(parent *Worker, level int, body func(*Worker, any), ar
 	t.panicked, t.panicVal = false, nil
 	t.panicMu.Unlock()
 	t.wg.Add(t.Size - 1)
+	clear(t.locals)
 	for _, w := range t.workers {
 		clear(w.encounters)
 		clear(w.tls)

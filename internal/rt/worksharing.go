@@ -363,3 +363,23 @@ func (w *Worker) TLSIfPresent(key any) (any, bool) {
 // TLSDelete removes the worker-local value (used after reductions so a
 // subsequent access re-initialises from the global value).
 func (w *Worker) TLSDelete(key any) { delete(w.tls, key) }
+
+// Locals returns the current lease's per-worker slots for the construct
+// identified by key: Size entries indexed by worker id, nil until written.
+// It is where a construct publishes worker-private values the team must
+// later collect (thread-local copies awaiting a reduction). Only the table
+// is locked: each worker writes its own slot, and a reader of other
+// workers' slots must be ordered after those writes by a team barrier.
+func (t *Team) Locals(key any) []any {
+	t.mu.Lock()
+	s := t.locals[key]
+	if s == nil {
+		if t.locals == nil {
+			t.locals = make(map[any][]any)
+		}
+		s = make([]any, t.Size)
+		t.locals[key] = s
+	}
+	t.mu.Unlock()
+	return s
+}

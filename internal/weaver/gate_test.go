@@ -143,16 +143,7 @@ func TestAspectWideDisableStickyForLaterWeaves(t *testing.T) {
 }
 
 func TestSetAdviceEnabledErrors(t *testing.T) {
-	p := NewProgram("test", Ungated())
-	p.Class("A").Proc("m", func() {})
-	if err := p.SetAdviceEnabled("asp", false); err == nil {
-		t.Fatal("ungated program accepted SetAdviceEnabled")
-	}
-	if !p.AdviceEnabled("asp", "A.m") {
-		t.Fatal("ungated program must report advice enabled")
-	}
-
-	q := NewProgram("test2")
+	q := NewProgram("test")
 	q.Class("A").Proc("m", func() {})
 	q.Use(&SimpleAspect{Name: "asp", Bind: []Binding{
 		bind("call(* A.m(..))", passAdvice("pass", 1, false))}})
@@ -169,24 +160,6 @@ func TestSetAdviceEnabledErrors(t *testing.T) {
 	}
 	if !q.AdviceEnabled("asp", "A.m") {
 		t.Fatal("failed toggle flipped a gate")
-	}
-}
-
-func TestUngatedChainsHaveNoGates(t *testing.T) {
-	p := NewProgram("test", Ungated())
-	var adv atomic.Int32
-	m := p.Class("A").Proc("m", func() {})
-	p.Use(&SimpleAspect{Name: "asp", Bind: []Binding{
-		bind("call(* A.m(..))", countAdvice("count", 1, &adv))}})
-	p.MustWeave()
-	m()
-	if adv.Load() != 1 {
-		t.Fatal("ungated weave broken")
-	}
-	for _, ad := range p.Method("A.m").current.Load().applied {
-		if ad.gate != nil {
-			t.Fatal("ungated program composed a gated stage")
-		}
 	}
 }
 
@@ -482,19 +455,6 @@ func BenchmarkWovenCallDisabledAdvice(b *testing.B) {
 	if err := p.SetAdviceEnabled("asp", false); err != nil {
 		b.Fatal(err)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m()
-	}
-}
-
-func BenchmarkWovenCallUngatedChain(b *testing.B) {
-	p := NewProgram("bench", Ungated())
-	m := p.Class("A").Proc("m", func() {})
-	p.Use(&SimpleAspect{Name: "asp", Bind: []Binding{
-		bind("call(* A.m(..))", passAdvice("pass", 1, false))}})
-	p.MustWeave()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

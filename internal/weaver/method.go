@@ -57,8 +57,15 @@ func PutCall(c *Call) {
 // unweaving are safe while calls are in flight.
 type chain struct {
 	handler HandlerFunc
+	// direct marks a chain with no live stage — never woven, unwoven, no
+	// pointcut matched, or every gate off at composition. Entry points
+	// then call the registered body itself: no Call is reified, so an
+	// unplugged method costs one atomic load and a branch over a plain
+	// call. Only a chain swap turns a direct chain live again, which is
+	// why enabling advice takes effect at SetAdviceEnabled's re-swap.
+	direct bool
 	// needsWorker records whether any advice in the chain wants the
-	// current worker resolved; unwoven methods skip the lookup entirely.
+	// current worker resolved.
 	needsWorker bool
 	// applied lists the advice outermost-first, for weave reports.
 	applied []appliedAdvice
@@ -70,7 +77,7 @@ type appliedAdvice struct {
 	// pointcut is the source form of the matcher that selected the
 	// joinpoint, surfaced by Report for -explain tooling.
 	pointcut string
-	// gate is the advice's enable word; nil on ungated programs.
+	// gate is the advice's enable word.
 	gate *gate
 }
 
@@ -87,21 +94,28 @@ type Method struct {
 func (m *Method) JP() *Joinpoint { return m.jp }
 
 // BodyFunc returns the original function the method was registered with
-// (e.g. a func(lo, hi, step int) for ForKind). The static-weave backend
-// (cmd/weavegen) uses it to call unadvised bodies directly, with no Call
-// reification and no chain load.
+// (e.g. a func(lo, hi, step int) for ForKind) — what the entry points
+// call on a direct chain, and what the static-weave backend (cmd/weavegen)
+// binds for methods its plan marks Direct.
 func (m *Method) BodyFunc() any { return m.rawBody }
 
-func (m *Method) invoke(c *Call) {
-	ch := m.current.Load()
-	if ch.needsWorker && c.Worker == nil {
-		c.Worker = rt.Current()
+// run reifies one invocation and sends it through the live chain ch. The
+// entry points below all share this shape: one atomic chain load, the
+// typed body on a direct chain, run otherwise.
+func (m *Method) run(ch *chain, lo, hi, step, key int) any {
+	call := GetCall()
+	call.JP, call.Lo, call.Hi, call.Step, call.Key = m.jp, lo, hi, step, key
+	if ch.needsWorker {
+		call.Worker = rt.Current()
 	}
-	ch.handler(c)
+	ch.handler(call)
+	ret := call.Ret
+	PutCall(call)
+	return ret
 }
 
 func (m *Method) reset() {
-	m.current.Store(&chain{handler: m.body})
+	m.current.Store(&chain{handler: m.body, direct: true})
 }
 
 // Proc registers a plain method and returns its woven entry point. The
@@ -110,10 +124,11 @@ func (m *Method) reset() {
 func (c *Class) Proc(name string, body func()) func() {
 	m := c.register(name, ProcKind, func(*Call) { body() }, body)
 	return func() {
-		call := GetCall()
-		call.JP = m.jp
-		m.invoke(call)
-		PutCall(call)
+		if ch := m.current.Load(); ch.direct {
+			body()
+		} else {
+			m.run(ch, 0, 0, 0, 0)
+		}
 	}
 }
 
@@ -123,10 +138,11 @@ func (c *Class) Proc(name string, body func()) func() {
 func (c *Class) ForProc(name string, body func(lo, hi, step int)) func(lo, hi, step int) {
 	m := c.register(name, ForKind, func(call *Call) { body(call.Lo, call.Hi, call.Step) }, body)
 	return func(lo, hi, step int) {
-		call := GetCall()
-		call.JP, call.Lo, call.Hi, call.Step = m.jp, lo, hi, step
-		m.invoke(call)
-		PutCall(call)
+		if ch := m.current.Load(); ch.direct {
+			body(lo, hi, step)
+		} else {
+			m.run(ch, lo, hi, step, 0)
+		}
 	}
 }
 
@@ -134,10 +150,11 @@ func (c *Class) ForProc(name string, body func(lo, hi, step int)) func(lo, hi, s
 func (c *Class) KeyedProc(name string, body func(key int)) func(key int) {
 	m := c.register(name, KeyedKind, func(call *Call) { body(call.Key) }, body)
 	return func(key int) {
-		call := GetCall()
-		call.JP, call.Key = m.jp, key
-		m.invoke(call)
-		PutCall(call)
+		if ch := m.current.Load(); ch.direct {
+			body(key)
+		} else {
+			m.run(ch, 0, 0, 0, key)
+		}
 	}
 }
 
@@ -147,12 +164,10 @@ func (c *Class) KeyedProc(name string, body func(key int)) func(key int) {
 func (c *Class) ValueProc(name string, body func() any) func() any {
 	m := c.register(name, ValueKind, func(call *Call) { call.Ret = body() }, body)
 	return func() any {
-		call := GetCall()
-		call.JP = m.jp
-		m.invoke(call)
-		ret := call.Ret
-		PutCall(call)
-		return ret
+		if ch := m.current.Load(); !ch.direct {
+			return m.run(ch, 0, 0, 0, 0)
+		}
+		return body()
 	}
 }
 
@@ -160,15 +175,12 @@ func (c *Class) ValueProc(name string, body func() any) func() any {
 // Unwoven (or without a @FutureTask aspect) the future is resolved
 // synchronously, preserving sequential semantics; woven with @FutureTask
 // the body runs asynchronously and the future's getter is the
-// synchronisation point (@FutureResult).
+// synchronisation point (@FutureResult). The joinpoint is a value method
+// whose result is lifted into a Future.
 func (c *Class) FutureProc(name string, body func() any) func() *rt.Future {
-	m := c.register(name, ValueKind, func(call *Call) { call.Ret = body() }, body)
+	value := c.ValueProc(name, body)
 	return func() *rt.Future {
-		call := GetCall()
-		call.JP = m.jp
-		m.invoke(call)
-		ret := call.Ret
-		PutCall(call)
+		ret := value()
 		if f, ok := ret.(*rt.Future); ok {
 			return f
 		}

@@ -35,9 +35,6 @@ type Program struct {
 
 	aspects []Aspect
 
-	// ungated disables per-advice gates (see Ungated); gates then remain
-	// empty and chains compose exactly as plain nested wrappers.
-	ungated bool
 	// gates holds the per-(aspect, fqn) enable words; aspectOff records
 	// aspect-wide defaults so gates created by later weaves inherit them.
 	gates     map[gateKey]*gate
@@ -50,20 +47,9 @@ type Program struct {
 	rebuilds uint64
 }
 
-// ProgramOpt configures a Program at creation.
-type ProgramOpt func(*Program)
-
-// Ungated builds advice chains without per-advice enable gates: each stage
-// is the advice's Wrap output with no gate load in front. Such a program
-// cannot use SetAdviceEnabled; it exists as the ablation baseline for
-// measuring the gate's cost.
-func Ungated() ProgramOpt {
-	return func(p *Program) { p.ungated = true }
-}
-
 // NewProgram creates an empty program registry.
-func NewProgram(name string, opts ...ProgramOpt) *Program {
-	p := &Program{
+func NewProgram(name string) *Program {
+	return &Program{
 		name:      name,
 		classes:   make(map[string]*Class),
 		byFQN:     make(map[string]*Method),
@@ -73,10 +59,6 @@ func NewProgram(name string, opts ...ProgramOpt) *Program {
 		gates:     make(map[gateKey]*gate),
 		aspectOff: make(map[string]bool),
 	}
-	for _, o := range opts {
-		o(p)
-	}
-	return p
 }
 
 // Name returns the program name.
@@ -342,15 +324,12 @@ func (p *Program) matchLocked(m *Method) ([]appliedAdvice, error) {
 					return nil, fmt.Errorf("weaver: aspect %q: %w", a.AspectName(), err)
 				}
 			}
-			ad := appliedAdvice{
+			applied = append(applied, appliedAdvice{
 				aspect:   a.AspectName(),
 				advice:   b.Advice,
 				pointcut: b.Matcher.String(),
-			}
-			if !p.ungated {
-				ad.gate = p.gateLocked(a.AspectName(), m.jp.FQN())
-			}
-			applied = append(applied, ad)
+				gate:     p.gateLocked(a.AspectName(), m.jp.FQN()),
+			})
 		}
 	}
 	// Stable sort: outermost (highest precedence) first.
@@ -360,37 +339,32 @@ func (p *Program) matchLocked(m *Method) ([]appliedAdvice, error) {
 	return applied, nil
 }
 
-// composeChain builds the woven pipeline for m. Gated stages check their
-// enable word inline (one atomic load + branch) and fall through to the
+// composeChain builds the woven pipeline for m. Each stage checks its
+// enable word inline (one atomic load + branch) and falls through to the
 // next stage when off; stages whose gate is already off at composition
-// time are collapsed out entirely, so a fully disabled chain is the bare
-// body handler and needsWorker false.
+// time are collapsed out entirely, and a chain left with no stage at all
+// is direct: entry points bypass it for the registered body.
 func composeChain(m *Method, applied []appliedAdvice) *chain {
-	h := m.body
-	needsWorker := false
+	ch := &chain{handler: m.body, direct: true, applied: applied}
 	for i := len(applied) - 1; i >= 0; i-- { // wrap innermost-first
 		ad := applied[i]
-		if ad.gate == nil {
-			h = ad.advice.Wrap(m.jp, h)
-			needsWorker = needsWorker || ad.advice.NeedsWorker()
-			continue
-		}
 		if !ad.gate.on() {
 			continue
 		}
-		inner := h
+		inner := ch.handler
 		wrapped := ad.advice.Wrap(m.jp, inner)
 		g := ad.gate
-		h = func(c *Call) {
+		ch.handler = func(c *Call) {
 			if !g.on() {
 				inner(c)
 				return
 			}
 			wrapped(c)
 		}
-		needsWorker = needsWorker || ad.advice.NeedsWorker()
+		ch.direct = false
+		ch.needsWorker = ch.needsWorker || ad.advice.NeedsWorker()
 	}
-	return &chain{handler: h, needsWorker: needsWorker, applied: applied}
+	return ch
 }
 
 // reweaveLocked rebuilds one method's chain from the deployed aspects and
@@ -449,14 +423,11 @@ func (p *Program) Unweave() {
 // advice. Disabling is effective on the next call through each chain —
 // the gate word is flipped first — after which affected chains are
 // re-swapped so disabled stages collapse to a direct next-stage call;
-// enabling takes effect at that re-swap. Returns an error on ungated
-// programs, unknown methods, or methods the aspect is not applied to.
+// enabling takes effect at that re-swap. Returns an error on unknown
+// methods or methods the aspect is not applied to.
 func (p *Program) SetAdviceEnabled(aspect string, enabled bool, fqns ...string) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.ungated {
-		return fmt.Errorf("weaver: program %q is ungated; SetAdviceEnabled unavailable", p.name)
-	}
 	var affected []*Method
 	if len(fqns) == 0 {
 		p.aspectOff[aspect] = !enabled
@@ -496,14 +467,11 @@ func (p *Program) SetAdviceEnabled(aspect string, enabled bool, fqns ...string) 
 }
 
 // AdviceEnabled reports the gate state of one aspect on one joinpoint.
-// Ungated programs always report true; so do (aspect, method) pairs never
-// toggled, since gates default to enabled.
+// (aspect, method) pairs never toggled report true, since gates default
+// to enabled.
 func (p *Program) AdviceEnabled(aspect, fqn string) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.ungated {
-		return true
-	}
 	if g, ok := p.gates[gateKey{aspect: aspect, fqn: fqn}]; ok {
 		return g.on()
 	}
@@ -542,8 +510,7 @@ type AdviceInfo struct {
 	// Pointcut is the source form of the matcher that selected the
 	// joinpoint.
 	Pointcut string
-	// Enabled is the advice gate's current state (always true on ungated
-	// programs).
+	// Enabled is the advice gate's current state.
 	Enabled bool
 }
 
@@ -565,7 +532,7 @@ func (p *Program) Report() []WovenMethod {
 				Aspect:   ap.aspect,
 				Advice:   ap.advice.AdviceName(),
 				Pointcut: ap.pointcut,
-				Enabled:  ap.gate == nil || ap.gate.on(),
+				Enabled:  ap.gate.on(),
 			})
 		}
 		out = append(out, wm)

@@ -25,6 +25,10 @@ type PlannedMethod struct {
 	FQN string
 	// Kind is the joinpoint's signature kind.
 	Kind Kind
+	// Direct reports that no advice is live on the method — the dynamic
+	// entry point calls the registered body itself, and a generated one
+	// binds Method.BodyFunc.
+	Direct bool
 	// NeedsWorker reports whether any enabled advice resolves the current
 	// team worker; generated entry points only then pay the lookup.
 	NeedsWorker bool
@@ -49,17 +53,16 @@ func (p *Program) Plan() StaticPlan {
 	defer p.mu.Unlock()
 	sp := StaticPlan{Program: p.name}
 	for _, m := range p.methods {
-		pm := PlannedMethod{FQN: m.jp.FQN(), Kind: m.jp.kind}
-		for _, ad := range m.current.Load().applied {
-			enabled := ad.gate == nil || ad.gate.on()
+		// Gates flip and chains re-swap under p.mu, so the installed chain's
+		// own bits are the plan's.
+		ch := m.current.Load()
+		pm := PlannedMethod{FQN: m.jp.FQN(), Kind: m.jp.kind, Direct: ch.direct, NeedsWorker: ch.needsWorker}
+		for _, ad := range ch.applied {
 			pm.Advice = append(pm.Advice, PlannedAdvice{
 				Aspect:  ad.aspect,
 				Name:    ad.advice.AdviceName(),
-				Enabled: enabled,
+				Enabled: ad.gate.on(),
 			})
-			if enabled && ad.advice.NeedsWorker() {
-				pm.NeedsWorker = true
-			}
 		}
 		sp.Methods = append(sp.Methods, pm)
 	}
@@ -107,7 +110,7 @@ func (p *Program) FrozenHandler(fqn string) (HandlerFunc, bool) {
 	h := m.body
 	for i := len(ch.applied) - 1; i >= 0; i-- { // wrap innermost-first
 		ad := ch.applied[i]
-		if ad.gate != nil && !ad.gate.on() {
+		if !ad.gate.on() {
 			continue
 		}
 		h = ad.advice.Wrap(m.jp, h)

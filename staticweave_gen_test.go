@@ -30,10 +30,10 @@ func newStaticBenchProgram(threadCount int) *weaver.Program {
 var staticBenchPlan = weaver.StaticPlan{
 	Program: "staticbench",
 	Methods: []weaver.PlannedMethod{
-		{FQN: "A.m", Kind: weaver.ProcKind, NeedsWorker: false, Advice: []weaver.PlannedAdvice{
+		{FQN: "A.m", Kind: weaver.ProcKind, Direct: false, NeedsWorker: false, Advice: []weaver.PlannedAdvice{
 			{Aspect: "ParallelRegion", Name: "parallel", Enabled: true},
 		}},
-		{FQN: "A.plain", Kind: weaver.ProcKind, NeedsWorker: false},
+		{FQN: "A.plain", Kind: weaver.ProcKind, Direct: true, NeedsWorker: false},
 	},
 }
 
