@@ -441,15 +441,22 @@ func BenchmarkAblation_Barrier(b *testing.B) {
 }
 
 // BenchmarkAblation_ConstructInstance measures the per-encounter
-// bookkeeping of work-sharing constructs.
+// bookkeeping of work-sharing constructs: b.N encounters of one construct,
+// keyed by pointer as the aspects key theirs, each met by both workers of
+// the team. ns/op is the team's time per encounter (CI holds it within 3x
+// a barrier phase); ns/worker-encounter is one worker's side of it.
 func BenchmarkAblation_ConstructInstance(b *testing.B) {
-	rt.Region(2, func(w *rt.Worker) {
+	b.ReportAllocs()
+	const workers = 2
+	key := new(int)
+	rt.Region(workers, func(w *rt.Worker) {
 		sp := sched.Space{Lo: 0, Hi: 100, Step: 1}
 		for i := 0; i < b.N; i++ {
-			fc := rt.BeginFor(w, "bench", sp, sched.StaticBlock, 1)
+			fc := rt.BeginFor(w, key, sp, sched.StaticBlock, 1)
 			fc.EndFor()
 		}
 	})
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*workers), "ns/worker-encounter")
 }
 
 // ----------------------------------------- §VII extensions (E7/E8) -----

@@ -302,7 +302,7 @@ func TestThreadLocalValuesSnapshot(t *testing.T) {
 	p.Use(Around("snap", "call(* A.probe(..))", 50, true,
 		func(c *weaver.Call, proceed func(*weaver.Call)) {
 			if c.Worker != nil && c.Worker.ID == 0 {
-				snapshot.Store(int32(len(tl.Values(c.Worker.Team))))
+				snapshot.Store(int32(len(tl.Values(c.Worker))))
 			}
 			proceed(c)
 		}))

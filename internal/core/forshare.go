@@ -105,17 +105,17 @@ func (a *ForAspect) Bindings() []weaver.Binding {
 				// implicit barrier; every worker switches on fc.Kind.
 				fc := rt.BeginFor(w, a, sp, a.kind, a.chunk)
 				k := fc.Kind
-				// One pooled sub-call is reused for every sub-range this
-				// worker executes, so dynamic/guided chunking does not
-				// allocate per chunk.
+				// One pooled sub-call, copied from c once, is reused for every
+				// sub-range this worker executes: a chunk costs three stores,
+				// not an allocation or a Call-sized copy.
 				sc := weaver.GetCall()
+				*sc = *c
 				runSub := func(sub sched.Space) {
 					n := sub.Count()
 					if n == 0 {
 						return
 					}
 					rt.AsymDelay(w.ID, n)
-					*sc = *c
 					sc.Lo, sc.Hi, sc.Step = sub.Lo, sub.Hi, sub.Step
 					next(sc)
 				}

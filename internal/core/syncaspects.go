@@ -181,6 +181,33 @@ func (a *CriticalAspect) Bindings() []weaver.Binding {
 
 // ------------------------------------------------------ master/single --
 
+// claimWrap is the advice body of @Master and @Single: one worker of the
+// team — worker 0, or the encounter's first arriver — executes the method;
+// a value-returning method's result is broadcast to the rest.
+func claimWrap(key any, master bool) func(*weaver.Joinpoint, weaver.HandlerFunc) weaver.HandlerFunc {
+	begin := rt.SingleBegin
+	if master {
+		begin = rt.MasterBegin
+	}
+	return func(jp *weaver.Joinpoint, next weaver.HandlerFunc) weaver.HandlerFunc {
+		returns := jp.Kind() == weaver.ValueKind
+		return func(c *weaver.Call) {
+			w := c.Worker
+			if w == nil {
+				next(c)
+				return
+			}
+			claim, st := begin(w, key, returns)
+			if claim {
+				next(c)
+			}
+			if returns {
+				c.Ret = st.Broadcast(claim, c.Ret)
+			}
+		}
+	}
+}
+
 // MasterAspect restricts matched executions to the team's master thread
 // (@Master). On value-returning methods the master's result is propagated
 // to all workers, which therefore wait for it.
@@ -206,26 +233,7 @@ func (a *MasterAspect) Bindings() []weaver.Binding {
 		name:        "master",
 		prec:        PrecMaster,
 		needsWorker: true,
-		wrap: func(jp *weaver.Joinpoint, next weaver.HandlerFunc) weaver.HandlerFunc {
-			returns := jp.Kind() == weaver.ValueKind
-			return func(c *weaver.Call) {
-				w := c.Worker
-				if w == nil {
-					next(c)
-					return
-				}
-				claim, st := rt.MasterBegin(w, a, returns)
-				switch {
-				case claim && returns:
-					next(c)
-					st.Publish(c.Ret)
-				case claim:
-					next(c)
-				case returns:
-					c.Ret = st.Await()
-				}
-			}
-		},
+		wrap:        claimWrap(a, true),
 	}
 	return []weaver.Binding{{Matcher: a.matcher, Advice: adv}}
 }
@@ -255,26 +263,7 @@ func (a *SingleAspect) Bindings() []weaver.Binding {
 		name:        "single",
 		prec:        PrecSingle,
 		needsWorker: true,
-		wrap: func(jp *weaver.Joinpoint, next weaver.HandlerFunc) weaver.HandlerFunc {
-			returns := jp.Kind() == weaver.ValueKind
-			return func(c *weaver.Call) {
-				w := c.Worker
-				if w == nil {
-					next(c)
-					return
-				}
-				claim, st := rt.SingleBegin(w, a, returns)
-				switch {
-				case claim && returns:
-					next(c)
-					st.Publish(c.Ret)
-				case claim:
-					next(c)
-				case returns:
-					c.Ret = st.Await()
-				}
-			}
-		},
+		wrap:        claimWrap(a, false),
 	}
 	return []weaver.Binding{{Matcher: a.matcher, Advice: adv}}
 }

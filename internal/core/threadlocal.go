@@ -63,22 +63,27 @@ func (a *ThreadLocalAspect) newValue() any {
 	return a.fromGlobal()
 }
 
-// Drain removes and returns all per-worker values created for the current
-// region entry of team, in worker-id order. It is the collection step of
-// a reduction: the caller runs on one worker while the rest of the team
-// waits at a barrier, which is what orders it against their writes.
-func (a *ThreadLocalAspect) Drain(team *rt.Team) []any {
-	out := a.Values(team)
-	clear(team.Locals(a))
-	return out
+// Drain removes all per-worker values created for the current region entry
+// of w's team, handing each to merge in worker-id order. It is the
+// collection step of a reduction: the caller runs on one worker while the
+// rest of the team waits at a barrier, which is what orders it against
+// their writes.
+func (a *ThreadLocalAspect) Drain(w *rt.Worker, merge func(local any)) {
+	slots := w.Locals(a)
+	for i, v := range slots {
+		if v != nil {
+			slots[i] = nil
+			merge(v)
+		}
+	}
 }
 
 // Values returns a snapshot of the per-worker values for the current
-// region entry of team without draining them (worker-id order). Callers
-// read other workers' copies, so a team barrier must separate the call
-// from the accesses that created them.
-func (a *ThreadLocalAspect) Values(team *rt.Team) []any {
-	slots := team.Locals(a)
+// region entry of w's team without draining them (worker-id order).
+// Callers read other workers' copies, so a team barrier must separate the
+// call from the accesses that created them.
+func (a *ThreadLocalAspect) Values(w *rt.Worker) []any {
+	slots := w.Locals(a)
 	out := make([]any, 0, len(slots))
 	for _, v := range slots {
 		if v != nil {
@@ -113,11 +118,7 @@ func (a *ThreadLocalAspect) Bindings() []weaver.Binding {
 					next(c) // outside regions the global field is used
 					return
 				}
-				c.Ret = w.TLS(a, func() any {
-					v := a.newValue()
-					w.Team.Locals(a)[w.ID] = v
-					return v
-				})
+				c.Ret = w.TLS(a, a.newValue) // publishes into Locals(a)[w.ID]
 			}
 		},
 	}
@@ -168,9 +169,7 @@ func (a *ReduceAspect) Bindings() []weaver.Binding {
 				}
 				w.Team.Barrier().WaitWorker(w) // all producers done
 				if w.ID == 0 {
-					for _, v := range a.tl.Drain(w.Team) {
-						a.merge(v)
-					}
+					a.tl.Drain(w, a.merge)
 				}
 				w.TLSDelete(a.tl)              // next access re-initialises
 				w.Team.Barrier().WaitWorker(w) // merged value visible

@@ -258,7 +258,7 @@ func (in *aompInstance) Setup() {
 					proceed(c)
 					return
 				}
-				vals := forceTL.Values(c.Worker.Team)
+				vals := forceTL.Values(c.Worker)
 				bufs := make([]*Forces, 0, len(vals))
 				for _, v := range vals {
 					bufs = append(bufs, v.(*Forces))

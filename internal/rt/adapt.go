@@ -51,21 +51,20 @@ func (w *Worker) updateSpeed(iters, ns int64) {
 	w.speed.Store(math.Float64bits(r))
 }
 
-// speedWeightsLocked fills the team's scratch weight buffer with every
-// worker's speed estimate, for carving a weighted-steal partition. It
-// returns nil — meaning "carve uniformly" — when no worker is trained
-// yet. Workers without an estimate of their own (a worker whose whole
-// static share was stolen before it ran executes zero iterations and
-// learns nothing) are assumed average: they get the mean of the trained
-// speeds, not a near-zero weight that would starve them on their first
-// real encounter. Callers must hold t.mu (BeginFor's Instance factory
-// does); the buffer is reused across encounters and never retained by
-// the dispenser.
-func (t *Team) speedWeightsLocked() []float64 {
-	if cap(t.weights) < t.Size {
-		t.weights = make([]float64, t.Size)
+// speedWeights fills c's scratch weight buffer with every worker's speed
+// estimate, for carving a weighted-steal partition. It returns nil —
+// meaning "carve uniformly" — when no worker is trained yet. Workers
+// without an estimate of their own (a worker whose whole static share was
+// stolen before it ran executes zero iterations and learns nothing) are
+// assumed average: they get the mean of the trained speeds, not a
+// near-zero weight that would starve them on their first real encounter.
+// Called only while initialising an encounter of c (forShared.init); the
+// buffer is reused across encounters and never retained by the dispenser.
+func (t *Team) speedWeights(c *construct) []float64 {
+	if cap(c.weights) < t.Size {
+		c.weights = make([]float64, t.Size)
 	}
-	ws := t.weights[:t.Size]
+	ws := c.weights[:t.Size]
 	var sum float64
 	trained := 0
 	for i, w := range t.workers {
@@ -90,12 +89,6 @@ func (t *Team) speedWeightsLocked() []float64 {
 	return ws
 }
 
-// maxAdaptLoops bounds the per-team adaptive state table. A program with
-// more distinct for constructs than this per team is churning construct
-// identities (e.g. closures as keys); learning is impossible there, so the
-// table resets rather than growing without bound.
-const maxAdaptLoops = 128
-
 // Adaptation thresholds on the imbalance ratio (slowest worker's share
 // time over the mean). Above adaptImbHigh the encounter wasted >25% of the
 // team at the implicit barrier — rebalance harder; below adaptImbLow the
@@ -119,10 +112,11 @@ func adaptDefaultChunk(n, nthreads int) int {
 }
 
 // loopAdapt is the persistent adaptive state of one for construct on one
-// team: the schedule it resolved to last, and the imbalance that encounter
-// measured. kind/chunk/count/rounds are guarded by Team.mu (touched only
-// inside BeginFor's Instance factory); imb is written by the encounter's
-// last-finishing worker outside the lock, hence atomic.
+// team, held in the construct's record: the schedule it resolved to last,
+// and the imbalance that encounter measured. kind/chunk/count/rounds are
+// touched only while an encounter initialises (forShared.init, one at a
+// time per construct); imb is written by the encounter's last-finishing
+// worker, possibly while the next encounter initialises, hence atomic.
 type loopAdapt struct {
 	kind   sched.Kind // concrete kind the last encounter ran under
 	chunk  int
@@ -162,10 +156,9 @@ var adaptMeasurable = func(teamSize int) bool {
 	return runtime.GOMAXPROCS(0) >= teamSize
 }
 
-// adaptResolveLocked resolves one encounter of an Adaptive (or
-// re-encountered Auto) for construct to a concrete schedule, creating or
-// updating the construct's persistent state. declared is Adaptive or Auto
-// (Runtime already unwrapped). Callers must hold t.mu.
+// resolve resolves one encounter of an Adaptive (or re-encountered Auto)
+// for construct on a team of size workers to a concrete schedule, updating
+// the construct's persistent state.
 //
 // Policy: the first sight of a loop (or a reshaped trip count) gets the
 // shape heuristic — exactly Auto's static/guided choice — so an adaptive
@@ -179,29 +172,18 @@ var adaptMeasurable = func(teamSize int) bool {
 // currency); well balanced → drop back to static dispatch if the loop
 // never needed balancing, else coarsen the chunk (cheaper dispatch
 // either way); in between → keep what works.
-func (t *Team) adaptResolveLocked(key any, declared sched.Kind, n, chunk int) (sched.Kind, int, *loopAdapt) {
-	if t.adapt == nil {
-		t.adapt = make(map[any]*loopAdapt)
-	}
-	st := t.adapt[key]
-	if st == nil {
-		if len(t.adapt) >= maxAdaptLoops {
-			clear(t.adapt)
-		}
-		st = &loopAdapt{}
-		t.adapt[key] = st
-	}
+func (st *loopAdapt) resolve(size, n, chunk int) (sched.Kind, int) {
 	st.rounds++
 	k, c := st.kind, st.chunk
 	switch {
 	case st.rounds == 1 || st.count != n:
 		// First sight, or the loop changed shape: tune from shape alone.
-		if adaptMeasurable(t.Size) {
-			k, c = sched.Resolve(sched.Auto, n, t.Size), chunk
+		if adaptMeasurable(size) {
+			k, c = sched.Resolve(sched.Auto, n, size), chunk
 		} else {
 			k, c = sched.StaticBlock, chunk
 		}
-	case !adaptMeasurable(t.Size):
+	case !adaptMeasurable(size):
 		// Imbalance is unmeasurable here (see adaptMeasurable): keep the
 		// last resolution rather than re-tune on scheduler noise.
 	default:
@@ -210,7 +192,7 @@ func (t *Team) adaptResolveLocked(key any, declared sched.Kind, n, chunk int) (s
 			st.skewed = true
 			if k != sched.WeightedSteal && k != sched.Dynamic {
 				k = sched.WeightedSteal
-				c = adaptDefaultChunk(n, t.Size)
+				c = adaptDefaultChunk(n, size)
 			} else if c > 1 {
 				c /= 2
 			}
@@ -221,7 +203,7 @@ func (t *Team) adaptResolveLocked(key any, declared sched.Kind, n, chunk int) (s
 				// reconstructs static share counts), so the loop upgrades
 				// back the moment skew appears.
 				k = sched.StaticBlock
-			} else if next := c * 2; next <= n/(2*t.Size) {
+			} else if next := c * 2; next <= n/(2*size) {
 				// Balanced but once-skewed (or already static): coarsen
 				// dispatch instead, capped so every worker still sees two
 				// chunks' worth of rebalancing slack.
@@ -229,9 +211,9 @@ func (t *Team) adaptResolveLocked(key any, declared sched.Kind, n, chunk int) (s
 			}
 		}
 	}
-	k = sched.Resolve(k, n, t.Size) // WeightedSteal > 2^31 iters → Dynamic
+	k = sched.Resolve(k, n, size) // WeightedSteal > 2^31 iters → Dynamic
 	st.kind, st.chunk, st.count = k, c, n
-	return k, c, st
+	return k, c
 }
 
 // ------------------------------------------------- asymmetry simulation --
@@ -285,5 +267,5 @@ func AsymDelay(id, iters int) {
 	for i := uint64(0); i < n; i++ {
 		x = x*6364136223846793005 + 1442695040888963407
 	}
-	asymSink.Store(x)
+	asymSink.Add(x | 1) // accumulate: every spin moves the sink
 }

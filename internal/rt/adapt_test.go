@@ -9,12 +9,11 @@ import (
 	"aomplib/internal/sched"
 )
 
-// adaptResolve drives the locked resolver the way BeginFor's Instance
-// factory does.
-func adaptResolve(t *Team, key any, declared sched.Kind, n, chunk int) (sched.Kind, int, *loopAdapt) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.adaptResolveLocked(key, declared, n, chunk)
+// adaptResolve drives the resolver the way forShared.init does.
+func adaptResolve(t *Team, key any, _ sched.Kind, n, chunk int) (sched.Kind, int, *loopAdapt) {
+	st := &t.construct(key).adapt
+	k, c := st.resolve(t.Size, n, chunk)
+	return k, c, st
 }
 
 // forceMeasurable makes the resolver trust measured imbalance regardless
@@ -96,20 +95,33 @@ func TestAdaptResolveAutoUpgrades(t *testing.T) {
 	}
 }
 
-// TestAdaptStateTableBounded pins the runaway-key guard: more distinct
-// constructs than maxAdaptLoops reset the table instead of growing it
-// without bound.
-func TestAdaptStateTableBounded(t *testing.T) {
+// TestConstructTableBounded pins the runaway-key guard: a team that met
+// more distinct constructs than maxConstructs drops the table at its next
+// lease instead of growing (and scanning) it without bound — and still
+// serves constructs, old and new, afterwards.
+func TestConstructTableBounded(t *testing.T) {
 	defer resetPool(t)()
-	team := captureTeam(2)
-	for i := 0; i < maxAdaptLoops+10; i++ {
-		adaptResolve(team, i, sched.Adaptive, 256, 0)
+	var team *Team
+	for lease := 0; lease < 3; lease++ {
+		Region(2, func(w *Worker) {
+			if w.ID == 0 {
+				team = w.Team
+			}
+			for i := 0; i < maxConstructs; i++ {
+				SingleBegin(w, lease*maxConstructs+i, false)
+			}
+		})
+		if p := team.PendingInstances(); p != 0 {
+			t.Fatalf("lease %d: %d slots pending", lease, p)
+		}
 	}
-	team.mu.Lock()
-	size := len(team.adapt)
-	team.mu.Unlock()
-	if size > maxAdaptLoops {
-		t.Fatalf("adapt table grew to %d entries, bound is %d", size, maxAdaptLoops)
+	if size := len(team.records); size > 2*maxConstructs {
+		t.Fatalf("construct table grew to %d records, bound is %d per lease", size, maxConstructs)
+	}
+	for _, w := range team.workers {
+		if len(w.cursors) > 2*maxConstructs {
+			t.Fatalf("worker %d keeps %d cursors", w.ID, len(w.cursors))
+		}
 	}
 }
 
@@ -120,17 +132,14 @@ func TestAdaptStateTableBounded(t *testing.T) {
 func TestSpeedWeightsMeanFill(t *testing.T) {
 	defer resetPool(t)()
 	team := captureTeam(3)
-	team.mu.Lock()
-	ws := team.speedWeightsLocked()
-	team.mu.Unlock()
+	c := team.construct("weights")
+	ws := team.speedWeights(c)
 	if ws != nil {
 		t.Fatalf("untrained team produced weights %v, want nil (uniform carve)", ws)
 	}
 	team.workers[0].updateSpeed(2000, 1000) // 2.0 iters/ns
 	team.workers[2].updateSpeed(1000, 1000) // 1.0 iters/ns
-	team.mu.Lock()
-	ws = team.speedWeightsLocked()
-	team.mu.Unlock()
+	ws = team.speedWeights(c)
 	want := []float64{2.0, 1.5, 1.0} // untrained worker 1 gets the trained mean
 	for i, w := range want {
 		if ws[i] != w {
@@ -193,12 +202,7 @@ func TestHotTeamAdaptiveStatePersistsAcrossLeases(t *testing.T) {
 			}
 		}
 	}
-	team.mu.Lock()
-	st := team.adapt[key]
-	team.mu.Unlock()
-	if st == nil {
-		t.Fatal("no adaptive state survived on the hot team")
-	}
+	st := &team.construct(key).adapt
 	if st.rounds != rounds {
 		t.Fatalf("state observed %d rounds, want %d — leases dropped encounters", st.rounds, rounds)
 	}

@@ -405,9 +405,14 @@ func TestDependStress(t *testing.T) {
 // wake up and steal them — a @TaskLoop must not serialize on its caller.
 func TestTaskGroupScopeTasksAreStolen(t *testing.T) {
 	var byOthers atomic.Int32
+	spawned := make(chan struct{})
 	Region(4, func(w *Worker) {
 		if w.ID != 0 {
-			return // teammates proceed to the region-end join
+			// Teammates proceed to the region-end join once the tasks exist:
+			// on a fresh team an earlier arrival finds no task group at all
+			// and leaves, which is not the behaviour under test.
+			<-spawned
+			return
 		}
 		gate := make(chan struct{})
 		TaskGroupScope(func() {
@@ -419,6 +424,7 @@ func TestTaskGroupScopeTasksAreStolen(t *testing.T) {
 					<-gate
 				})
 			}
+			close(spawned)
 			// Teammates at the region-end join see the team group pending
 			// (scope counts propagate) and steal from our deque; wait for
 			// evidence before releasing the tasks.

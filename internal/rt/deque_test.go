@@ -136,6 +136,9 @@ func TestTaskStolenBySiblingAtTaskWait(t *testing.T) {
 
 func TestFindTaskPrefersOwnDeque(t *testing.T) {
 	Region(2, func(w *Worker) {
+		// Worker 1 waits at the barrier — not a scheduling point — so it
+		// cannot reach the region-end drain and steal while worker 0 runs.
+		defer w.Team.Barrier().WaitWorker(w)
 		if w.ID != 0 {
 			return
 		}
@@ -145,7 +148,7 @@ func TestFindTaskPrefersOwnDeque(t *testing.T) {
 		// The spawner drains its own deque LIFO at the scheduling point.
 		TaskWait()
 		if len(ran) != 2 || ran[0] != "second" {
-			t.Fatalf("own-deque order = %v, want LIFO", ran)
+			t.Errorf("own-deque order = %v, want LIFO", ran)
 		}
 	})
 }

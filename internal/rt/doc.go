@@ -15,9 +15,9 @@
 //     Deps (in/out/inout addresses) on the dependence tracker; task
 //     groups and futures provide the joining constructs.
 //   - Synchronisation. A tree barrier with adaptive spin-then-park,
-//     per-construct instance tracking (repeated work-sharing or single
-//     constructs inside one region stay matched across workers), and
-//     sharded named/per-object critical-lock registries.
+//     per-construct encounter rings (encounter.go: repeated constructs
+//     inside one region stay matched across workers with no lock, map or
+//     allocation), and sharded named/per-object critical-lock registries.
 //   - Loop dispatch. ForSpan runs one worker's share of an iteration
 //     space under any sched.Kind — pure arithmetic for the static
 //     kinds, the shared chunk dispenser (with steal-based dispensing)

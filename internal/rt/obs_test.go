@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"aomplib/internal/obs"
 )
@@ -28,6 +30,14 @@ func TestObsEmitCoverage(t *testing.T) {
 			}
 		}
 		w.Team.Barrier().Wait()
+		if w.ID == 0 {
+			// Hold the owner back until a team-mate has gone stealing, or it
+			// may drain its own deque before anyone gets to try.
+			deadline := time.Now().Add(10 * time.Second)
+			for obs.ReadStats().StealAttempts == before.StealAttempts && time.Now().Before(deadline) {
+				runtime.Gosched()
+			}
+		}
 		TaskWait()
 	})
 	// Out-of-region spawn: the inline-task path.

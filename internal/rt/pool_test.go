@@ -72,10 +72,10 @@ func TestHotTeamLeaseStateFresh(t *testing.T) {
 		var inits atomic.Int32
 		var claims atomic.Int32
 		Region(n, func(w *Worker) {
-			if enc := w.NextEncounter("lease-key"); enc != 0 {
-				t.Errorf("lease %d worker %d: first encounter index %d, want 0", lease, w.ID, enc)
+			if cu := w.cursor("lease-single"); cu.enc != 0 {
+				t.Errorf("lease %d worker %d: first encounter index %d, want 0", lease, w.ID, cu.enc)
 			}
-			if _, ok := w.TLSIfPresent("lease-tls"); ok {
+			if w.cursor("lease-tls").tls != nil {
 				t.Errorf("lease %d worker %d: thread-local leaked from previous lease", lease, w.ID)
 			}
 			w.TLS("lease-tls", func() any { inits.Add(1); return w.ID })

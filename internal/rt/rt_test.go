@@ -136,12 +136,14 @@ func TestSingleClaimedOnce(t *testing.T) {
 	Region(n, func(w *Worker) {
 		for e := 0; e < encounters; e++ {
 			claim, st := SingleBegin(w, key, true)
+			v := -1
 			if claim {
 				execs[e].Add(1)
-				st.Publish(e * 10)
+				v = e * 10
 			}
-			if got := st.Await().(int); got != e*10 {
-				t.Errorf("broadcast value = %d, want %d", got, e*10)
+			// Every worker — the claimer too — reads the claimer's value.
+			if got := st.Broadcast(claim, v).(int); got != e*10 {
+				t.Errorf("worker %d: broadcast value = %d, want %d", w.ID, got, e*10)
 			}
 		}
 	})
@@ -158,12 +160,13 @@ func TestMasterOnlyWorkerZero(t *testing.T) {
 	executor.Store(-1)
 	Region(4, func(w *Worker) {
 		claim, st := MasterBegin(w, key, true)
+		v := "not the master's"
 		if claim {
 			executor.Store(int32(w.ID))
-			st.Publish("v")
+			v = "v"
 		}
-		if st.Await() != "v" {
-			t.Errorf("master broadcast lost")
+		if st.Broadcast(claim, v) != "v" {
+			t.Errorf("worker %d: master broadcast lost", w.ID)
 		}
 	})
 	if executor.Load() != 0 {
@@ -388,7 +391,7 @@ func TestTLSInitialisedPerWorker(t *testing.T) {
 			t.Errorf("worker %d: tls %v/%v", w.ID, v1, v2)
 		}
 		w.TLSDelete(key)
-		if _, ok := w.TLSIfPresent(key); ok {
+		if w.cursor(key).tls != nil {
 			t.Errorf("tls survived delete")
 		}
 	})
@@ -442,7 +445,7 @@ func TestInstanceCleanup(t *testing.T) {
 			fc.EndFor()
 		}
 	})
-	if p := team.pendingInstances(); p != 0 {
+	if p := team.PendingInstances(); p != 0 {
 		t.Fatalf("%d construct instances leaked", p)
 	}
 }

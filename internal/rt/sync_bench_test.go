@@ -91,16 +91,15 @@ func BenchmarkDispenseContended(b *testing.B) {
 	b.ReportAllocs()
 	Region(workers, func(w *Worker) {
 		// Shared dispenser sized b.N * workers, so each worker performs
-		// ~b.N draws before exhaustion (the first arriver builds it).
-		dd := w.Team.Instance("bench-disp", 0, func() any {
-			return sched.NewDispenser(sched.Space{Lo: 0, Hi: b.N * workers, Step: 1}, 1, false, workers)
-		}).(*sched.Dispenser)
-		w.Team.Release("bench-disp", 0)
+		// ~b.N draws before exhaustion (the first arriver arms it); drawn
+		// raw, without ForContext's worker-local batch.
+		fc := BeginFor(w, "bench-disp", sched.Space{Lo: 0, Hi: b.N * workers, Step: 1}, sched.Dynamic, 1)
 		for {
-			if _, _, ok := dd.Next(); !ok {
+			if _, _, ok := fc.slot.fs.disp.Next(); !ok {
 				break
 			}
 		}
+		fc.EndFor()
 	})
 }
 

@@ -210,7 +210,7 @@ func TaskWait() {
 			g.helpWait(w)
 			return
 		}
-		if g := w.Team.tasksIfAny(); g != nil {
+		if g := w.Team.tasks.Load(); g != nil {
 			g.helpWait(w)
 		}
 		return

@@ -165,35 +165,22 @@ type Team struct {
 	panicMu  sync.Mutex
 	panicVal any
 	panicked bool
+	// failed: a worker left the lease by panic or Goexit, so a lapped
+	// team-mate must stop waiting for it (encounter.go). Such a team retires.
+	failed atomic.Bool
 
-	mu         sync.Mutex
-	tasks      *TaskGroup  // lazily created on first task spawn/wait
-	deps       *depTracker // lazily created on first @Depend spawn
-	constructs map[any]map[int64]*instanceSlot
-	locals     map[any][]any // per-construct worker slots (Locals); cleared per lease
+	tasks atomic.Pointer[TaskGroup]  // lazily created on first task spawn/wait
+	deps  atomic.Pointer[depTracker] // lazily created on first @Depend spawn
 
-	// adapt is the per-construct adaptive scheduling state (adapt.go),
-	// keyed by the for construct's identity. Unlike constructs it is
-	// deliberately NOT cleared by beginLease: hot teams make loop
-	// encounters persistent across region entries, and that persistence is
-	// exactly what lets a re-encountered loop re-tune its schedule from
-	// the previous encounter's measured imbalance. Guarded by mu (all
-	// access happens inside BeginFor's Instance factory, which runs under
-	// mu); bounded by maxAdaptLoops.
-	adapt map[any]*loopAdapt
-	// weights is the reusable scratch buffer speedWeightsLocked fills with
-	// worker speed estimates when carving a weighted-steal partition.
-	// Guarded by mu; never retained by the dispenser.
-	weights []float64
-}
-
-type instanceSlot struct {
-	state    any
-	released int
+	// records is the team's construct table (encounter.go), touched under
+	// mu only when a worker first meets a construct. Records persist across
+	// leases: their slots are lease-tagged, their adaptive state re-tunes.
+	mu      sync.Mutex
+	records []*construct
 }
 
 // Worker is one activity in a team. Exported fields are safe to read from
-// the worker's own goroutine; maps are worker-private and lazily created.
+// the worker's own goroutine.
 type Worker struct {
 	ID   int
 	Team *Team
@@ -213,10 +200,9 @@ type Worker struct {
 	// lease round; closing the channel retires the goroutine.
 	wake chan struct{}
 
-	encounters map[any]int64
-	activeFor  []*ForContext // stack: nested work-sharing contexts
-	tls        map[any]any   // thread-local values keyed by construct identity
-	fcFree     []*ForContext // recycled work-sharing contexts
+	cursors   []*cursor     // worker-private construct table (encounter.go)
+	activeFor []*ForContext // stack: nested work-sharing contexts
+	fcFree    []*ForContext // recycled work-sharing contexts
 
 	// curGroup is the innermost @TaskGroup scope active on this worker;
 	// spawned tasks join it instead of the team group, and executing a
@@ -248,21 +234,11 @@ func (t *Team) Epoch() uint64 { return t.epoch.Load() }
 // Tasks returns the team task group (joined by @TaskWait and at region
 // end), creating it on first use so task-free regions pay nothing.
 func (t *Team) Tasks() *TaskGroup {
-	t.mu.Lock()
-	if t.tasks == nil {
-		t.tasks = NewTaskGroup()
+	if g := t.tasks.Load(); g != nil {
+		return g
 	}
-	g := t.tasks
-	t.mu.Unlock()
-	return g
-}
-
-// tasksIfAny returns the team task group if any task activity created it.
-func (t *Team) tasksIfAny() *TaskGroup {
-	t.mu.Lock()
-	g := t.tasks
-	t.mu.Unlock()
-	return g
+	t.tasks.CompareAndSwap(nil, NewTaskGroup())
+	return t.tasks.Load()
 }
 
 // depTracker returns the team's dependence tracker (@Depend bookkeeping),
@@ -270,13 +246,11 @@ func (t *Team) tasksIfAny() *TaskGroup {
 // tracker — and its node/object free lists — carries across leases, one
 // of the reuse wins for region-per-iteration dataflow programs.
 func (t *Team) depTracker() *depTracker {
-	t.mu.Lock()
-	if t.deps == nil {
-		t.deps = newDepTracker()
+	if d := t.deps.Load(); d != nil {
+		return d
 	}
-	d := t.deps
-	t.mu.Unlock()
-	return d
+	t.deps.CompareAndSwap(nil, newDepTracker())
+	return t.deps.Load()
 }
 
 // Level reports the region nesting depth of the team's current lease
@@ -395,6 +369,7 @@ func RegionArg(n int, body func(w *Worker, arg any), arg any) {
 				t.endLease()
 				retireTeam(t)
 			}()
+			t.fail()
 			t.wg.Wait()
 			t.drainStragglers(t.workers[0])
 		}
@@ -444,17 +419,13 @@ func (t *Team) emitRegionJoin(level int) {
 // the spawned workers, and the master reads them on the entering
 // goroutine itself.
 //
-// The map clears assume no goroutine outside the lease touches
-// worker-private state. That is the standing work-sharing contract
-// (constructs are encountered by all workers of a team or by none, within
-// the region): a goroutine that outlived its region entry may still
-// Spawn — the deque and group paths are lock/atomic-protected; with the
-// team idle or retired the completed flag routes the task to the rescue
-// goroutine, and with the team re-leased (completed freshly false) the
-// task simply joins the current entry and is drained by its join — but
-// running work-sharing, single/master or thread-local constructs from
-// such a goroutine was already an encounter-contract violation on
-// throwaway teams and is undefined on reused ones.
+// Nothing here clears construct state: encounter slots carry the lease
+// epoch in their tag and worker cursors reset on first touch in a new
+// lease (encounter.go), so what an earlier lease left behind reads as
+// free. That assumes the standing work-sharing contract: a goroutine that
+// outlived its region entry may still Spawn (the task joins whichever entry
+// is current, or the rescue goroutine), but running work-sharing,
+// single/master or thread-local constructs from it is undefined.
 func (t *Team) beginLease(parent *Worker, level int, body func(*Worker, any), arg any) {
 	t.parent.Store(parent)
 	t.level.Store(int32(level))
@@ -465,16 +436,16 @@ func (t *Team) beginLease(parent *Worker, level int, body func(*Worker, any), ar
 	t.panicked, t.panicVal = false, nil
 	t.panicMu.Unlock()
 	t.wg.Add(t.Size - 1)
-	clear(t.locals)
+	if len(t.records) > maxConstructs {
+		t.records = nil
+		for _, w := range t.workers {
+			w.cursors = nil
+		}
+	}
 	for _, w := range t.workers {
-		clear(w.encounters)
-		clear(w.tls)
 		w.activeFor = w.activeFor[:0]
 		w.curGroup.Store(nil)
 	}
-	// t.adapt and the workers' speed estimates deliberately survive the
-	// reset: they are the cross-lease memory that adaptive scheduling and
-	// weighted stealing learn from (adapt.go).
 }
 
 // endLease drops the lease's references so a cached team pins neither the
@@ -491,6 +462,7 @@ func (t *Team) recordPanic(r any) {
 		t.panicked, t.panicVal = true, r
 	}
 	t.panicMu.Unlock()
+	t.fail()
 }
 
 // runWorker executes one lease round on w: establish the worker context,
@@ -500,7 +472,7 @@ func (t *Team) recordPanic(r any) {
 // worker goroutine survives to serve later leases.
 func (t *Team) runWorker(w *Worker) {
 	defer func() {
-		if r := recover(); r != nil {
+		if r := recover(); r != nil && r != any(teamFailed{}) {
 			t.recordPanic(r)
 		}
 	}()
@@ -524,7 +496,7 @@ func (t *Team) runWorker(w *Worker) {
 	// Implicit region-end join for deferred tasks: each worker helps
 	// execute queued tasks (its own, then stolen) until none remain
 	// anywhere in the team.
-	if g := t.tasksIfAny(); g != nil {
+	if g := t.tasks.Load(); g != nil {
 		g.helpWait(w)
 	}
 }
@@ -542,6 +514,7 @@ func (t *Team) workerLoop(w *Worker) {
 			defer func() {
 				if !roundDone {
 					t.poisoned.Store(true)
+					t.fail()
 				}
 				t.wg.Done()
 			}()
@@ -562,7 +535,7 @@ func (t *Team) workerLoop(w *Worker) {
 // a panicking task is recorded like a worker panic and the drain resumes,
 // so cleanup always completes and the first panic re-raises.
 func (t *Team) drainStragglers(master *Worker) {
-	g := t.tasksIfAny()
+	g := t.tasks.Load()
 	if g == nil {
 		return
 	}
@@ -635,78 +608,6 @@ func newWorker(id int, t *Team) *Worker {
 	w.rng.Store(uint64(id)*0x9e3779b97f4a7c15 + 0x1234567887654321)
 	w.slot = current.NewSlot(w)
 	return w
-}
-
-// NextEncounter returns this worker's encounter index for the construct
-// identified by key, incrementing it. Work-sharing and single constructs
-// use matching encounter indices across workers to share per-encounter
-// state; this requires — as in OpenMP — that such constructs are
-// encountered by all workers of the team or by none. Counters reset at
-// each lease, so every region entry starts from encounter 0 exactly as on
-// a fresh team.
-func (w *Worker) NextEncounter(key any) int64 {
-	if w.encounters == nil {
-		w.encounters = make(map[any]int64)
-	}
-	n := w.encounters[key]
-	w.encounters[key] = n + 1
-	return n
-}
-
-// Instance returns the shared state for encounter enc of construct key,
-// creating it with factory on first arrival. All workers of the team
-// observe the same state value for the same (key, enc) pair.
-func (t *Team) Instance(key any, enc int64, factory func() any) any {
-	t.mu.Lock()
-	if t.constructs == nil {
-		t.constructs = make(map[any]map[int64]*instanceSlot)
-	}
-	byEnc := t.constructs[key]
-	if byEnc == nil {
-		byEnc = make(map[int64]*instanceSlot)
-		t.constructs[key] = byEnc
-	}
-	slot := byEnc[enc]
-	if slot == nil {
-		slot = &instanceSlot{state: factory()}
-		byEnc[enc] = slot
-	}
-	st := slot.state
-	t.mu.Unlock()
-	return st
-}
-
-// Release marks the calling worker as done with encounter enc of construct
-// key; when all workers have released it the state is dropped, bounding
-// memory across the many encounters of long-running regions. Instance and
-// Release always pair within one lease (construct encounters cannot span
-// region entries), so reuse inherits an empty construct table.
-func (t *Team) Release(key any, enc int64) {
-	t.mu.Lock()
-	if byEnc := t.constructs[key]; byEnc != nil {
-		if slot := byEnc[enc]; slot != nil {
-			slot.released++
-			if slot.released >= t.Size {
-				delete(byEnc, enc)
-				if len(byEnc) == 0 {
-					delete(t.constructs, key)
-				}
-			}
-		}
-	}
-	t.mu.Unlock()
-}
-
-// pendingInstances reports construct instances not yet fully released
-// (diagnostics/tests only).
-func (t *Team) pendingInstances() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	n := 0
-	for _, byEnc := range t.constructs {
-		n += len(byEnc)
-	}
-	return n
 }
 
 // String implements fmt.Stringer for diagnostics.

@@ -18,7 +18,7 @@ type ForContext struct {
 	Space  sched.Space
 	Kind   sched.Kind
 	Worker *Worker
-	shared *forShared
+	slot   *encSlot // the encounter's slot, held until EndFor; slot.fs is the shared state
 
 	// batchLo/batchHi are the worker-locally claimed but not yet dispensed
 	// iteration indices of a dynamic batch: Dispense claims several chunks
@@ -41,7 +41,8 @@ type ForContext struct {
 // chunks so the last work still balances).
 const dispenseBatchChunks = 4
 
-// forShared is the team-shared state of one for-construct encounter.
+// forShared is the team-shared state of one for-construct encounter,
+// initialised in place in the encounter's slot by the first arriver.
 type forShared struct {
 	// kind is the schedule this encounter resolved to. Indirect kinds
 	// (sched.Runtime, sched.Auto) are resolved exactly once, by the first
@@ -49,19 +50,17 @@ type forShared struct {
 	// process-wide default can never split one encounter across two
 	// schedules (which would desynchronise the implicit barrier).
 	kind  sched.Kind
-	disp  *sched.Dispenser      // dynamic/guided only
+	disp  sched.Dispenser       // dynamic/guided only
 	sdisp *sched.StealDispenser // steal/weightedSteal only
 
 	// adapt links the encounter to its construct's persistent adaptive
 	// state; nil when the construct is not adaptively scheduled. The
 	// imbalance measurement below feeds it: each worker folds its share
-	// time into maxNs/sumNs at EndFor, and the last finisher (left hits
-	// zero) publishes max/mean — the ratio the next encounter re-tunes on.
-	adapt    *loopAdapt
-	nthreads int
-	maxNs    atomic.Int64
-	sumNs    atomic.Int64
-	left     atomic.Int32
+	// time into maxNs/sumNs at EndFor, and the last one to release the
+	// slot publishes max/mean — the ratio the next encounter re-tunes on.
+	adapt *loopAdapt
+	maxNs atomic.Int64
+	sumNs atomic.Int64
 
 	// ordered sequencing: next loop value whose ordered section may run.
 	omu   sync.Mutex
@@ -69,9 +68,36 @@ type forShared struct {
 	onext int
 }
 
+// init arms fs for one encounter of construct c, on the first arriver,
+// which owns the slot until it publishes. Encounters of one construct
+// initialise one after another, so c's adaptive state and scratch need no lock.
+func (fs *forShared) init(t *Team, c *construct, sp sched.Space, kind sched.Kind, chunk int) {
+	n := sp.Count()
+	if kind == sched.Runtime {
+		kind = sched.Default()
+	}
+	fs.adapt, fs.sdisp, fs.onext = nil, nil, sp.Lo
+	if (kind == sched.Adaptive || kind == sched.Auto) && t.Size > 1 {
+		kind, chunk = c.adapt.resolve(t.Size, n, chunk)
+		fs.adapt = &c.adapt
+		fs.maxNs.Store(0)
+		fs.sumNs.Store(0)
+	} else {
+		kind = sched.Resolve(kind, n, t.Size)
+	}
+	fs.kind = kind
+	switch kind {
+	case sched.Dynamic, sched.Guided:
+		fs.disp.Reset(sp, chunk, kind == sched.Guided, t.Size)
+	case sched.Steal:
+		fs.sdisp = sched.NewStealDispenser(sp, chunk, t.Size)
+	case sched.WeightedSteal:
+		fs.sdisp = sched.NewStealDispenserWeighted(sp, chunk, t.Size, t.speedWeights(c))
+	}
+}
+
 // noteDone folds one worker's share time into the encounter's imbalance
-// measurement, publishing to the adaptive state when the last worker
-// finishes.
+// measurement.
 func (fs *forShared) noteDone(elapsed int64) {
 	for {
 		cur := fs.maxNs.Load()
@@ -79,16 +105,15 @@ func (fs *forShared) noteDone(elapsed int64) {
 			break
 		}
 	}
-	sum := fs.sumNs.Add(elapsed)
-	if fs.left.Add(-1) == 0 {
-		if mean := sum / int64(fs.nthreads); mean > 0 {
-			fs.adapt.publish(float64(fs.maxNs.Load()) / float64(mean))
-		}
-	}
+	fs.sumNs.Add(elapsed)
 }
 
-type forKey struct {
-	key any
+// publishImbalance hands the finished encounter's max/mean share time to
+// the adaptive state; called by the last of the team's size workers out.
+func (fs *forShared) publishImbalance(size int) {
+	if mean := fs.sumNs.Load() / int64(size); mean > 0 {
+		fs.adapt.publish(float64(fs.maxNs.Load()) / float64(mean))
+	}
 }
 
 // BeginFor establishes the work-sharing context for one encounter of the
@@ -104,35 +129,13 @@ type forKey struct {
 // steady-state encounters of for constructs allocate nothing on the
 // worker side.
 func BeginFor(w *Worker, key any, sp sched.Space, kind sched.Kind, chunk int) *ForContext {
-	enc := w.NextEncounter(forKey{key})
 	t := w.Team
-	shared := t.Instance(forKey{key}, enc, func() any {
-		// Runs under t.mu (Instance), which also guards t.adapt/t.weights.
-		n := sp.Count()
-		declared := kind
-		if declared == sched.Runtime {
-			declared = sched.Default()
-		}
-		fs := &forShared{onext: sp.Lo, nthreads: t.Size}
-		k, c := declared, chunk
-		switch {
-		case (declared == sched.Adaptive || declared == sched.Auto) && t.Size > 1:
-			k, c, fs.adapt = t.adaptResolveLocked(key, declared, n, c)
-			fs.left.Store(int32(t.Size))
-		default:
-			k = sched.Resolve(k, n, t.Size)
-		}
-		fs.kind = k
-		switch k {
-		case sched.Dynamic, sched.Guided:
-			fs.disp = sched.NewDispenser(sp, c, k == sched.Guided, t.Size)
-		case sched.Steal:
-			fs.sdisp = sched.NewStealDispenser(sp, c, t.Size)
-		case sched.WeightedSteal:
-			fs.sdisp = sched.NewStealDispenserWeighted(sp, c, t.Size, t.speedWeightsLocked())
-		}
-		return fs
-	}).(*forShared)
+	s, c, first := w.encounter(key)
+	shared := &s.fs
+	if first {
+		shared.init(t, c, sp, kind, chunk)
+		s.setPhase(slotReady)
+	}
 	var fc *ForContext
 	if n := len(w.fcFree); n > 0 {
 		fc = w.fcFree[n-1]
@@ -140,9 +143,8 @@ func BeginFor(w *Worker, key any, sp sched.Space, kind sched.Kind, chunk int) *F
 	} else {
 		fc = &ForContext{}
 	}
-	*fc = ForContext{Space: sp, Kind: shared.kind, Worker: w, shared: shared, start: time.Now()}
+	*fc = ForContext{Space: sp, Kind: shared.kind, Worker: w, slot: s, start: time.Now()}
 	w.activeFor = append(w.activeFor, fc)
-	t.Release(forKey{key}, enc)
 	if h := obsHooks(); h != nil && h.WorkBegin != nil {
 		h.WorkBegin(w.gid, t.tid, uint8(shared.kind))
 	}
@@ -151,7 +153,7 @@ func BeginFor(w *Worker, key any, sp sched.Space, kind sched.Kind, chunk int) *F
 
 // EndFor pops the work-sharing context from the worker, folds the share's
 // measured throughput into the worker's speed estimate and the encounter's
-// imbalance measurement, and recycles the context.
+// imbalance measurement, hands the slot back and recycles the context.
 func (fc *ForContext) EndFor() {
 	w := fc.Worker
 	if n := len(w.activeFor); n > 0 && w.activeFor[n-1] == fc {
@@ -166,11 +168,17 @@ func (fc *ForContext) EndFor() {
 			iters = int64(sched.Cyclic(fc.Space, w.Team.Size, w.ID).Count())
 		}
 		w.updateSpeed(iters, elapsed)
-		fs := fc.shared
+		fs := &fc.slot.fs
 		if fs.adapt != nil {
 			fs.noteDone(elapsed)
 		}
-		fc.shared = nil
+		if fc.slot.unref() {
+			if fs.adapt != nil {
+				fs.publishImbalance(w.Team.Size)
+			}
+			fc.slot.free()
+		}
+		fc.slot = nil
 		w.fcFree = append(w.fcFree, fc)
 		if h := obsHooks(); h != nil {
 			if h.LoopRate != nil && iters > 0 {
@@ -199,7 +207,7 @@ func (w *Worker) ActiveFor() *ForContext {
 // ForContext); guided claims are served whole, as before, since guided
 // sizing self-batches.
 func (fc *ForContext) Dispense() (sched.Space, bool) {
-	d := fc.shared.disp
+	d := &fc.slot.fs.disp
 	if fc.batchLo >= fc.batchHi {
 		from, to, ok := d.NextBatch(dispenseBatchChunks)
 		if !ok {
@@ -209,7 +217,7 @@ func (fc *ForContext) Dispense() (sched.Space, bool) {
 	}
 	from := fc.batchLo
 	to := fc.batchHi
-	if fc.shared.kind != sched.Guided {
+	if fc.Kind != sched.Guided {
 		if c := from + d.ChunkSize(); c < to {
 			to = c
 		}
@@ -228,7 +236,7 @@ func (fc *ForContext) Dispense() (sched.Space, bool) {
 // probe count so victim-selection quality is observable.
 func (fc *ForContext) DispenseSteal() (sched.Space, bool) {
 	w := fc.Worker
-	from, to, victim, probes, ok := fc.shared.sdisp.Next(w.ID)
+	from, to, victim, probes, ok := fc.slot.fs.sdisp.Next(w.ID)
 	if victim >= 0 || !ok {
 		if h := obsHooks(); h != nil {
 			if h.StealAttempt != nil {
@@ -257,7 +265,7 @@ func (fc *ForContext) DispenseSteal() (sched.Space, bool) {
 // exactly once, otherwise later iterations deadlock — the same contract as
 // OpenMP's ordered clause.
 func (fc *ForContext) Ordered(iter int, section func()) {
-	fs := fc.shared
+	fs := &fc.slot.fs
 	fs.omu.Lock()
 	if fs.ocond == nil { // lazily allocated: most for constructs never order
 		fs.ocond = sync.NewCond(&fs.omu)
@@ -276,110 +284,50 @@ func (fc *ForContext) Ordered(iter int, section func()) {
 	fs.omu.Unlock()
 }
 
-// singleState is the team-shared state of one encounter of a single/master
-// construct; the broadcast channel exists only for value-returning forms
-// (withResult), keeping void masters/singles allocation-light.
-type singleState struct {
-	claimed bool
-	mu      sync.Mutex
-	done    chan struct{}
-	result  any
-}
-
-type singleKey struct{ key any }
-
-func newSingleState(withResult bool) *singleState {
-	st := &singleState{}
-	if withResult {
-		st.done = make(chan struct{})
+// SingleBegin reports true to the one worker of the team that executes this
+// encounter of the single construct identified by key — its first arriver
+// (paper Table 1, @Single). withResult must be true when the construct
+// broadcasts a value: the encounter's slot is then returned and every worker
+// owes it exactly one Broadcast. Without a result the slot is released here
+// and nil is returned.
+func SingleBegin(w *Worker, key any, withResult bool) (bool, *encSlot) {
+	s, _, first := w.encounter(key)
+	if first {
+		s.ready = false
+		s.setPhase(slotReady)
 	}
-	return st
-}
-
-// SingleBegin returns (true, state) for the one worker of the team that
-// claims this encounter of the single construct identified by key, and
-// (false, state) for everyone else (paper Table 1, @Single). withResult
-// must be true when the construct broadcasts a value via Publish/Await.
-func SingleBegin(w *Worker, key any, withResult bool) (bool, *singleState) {
-	enc := w.NextEncounter(singleKey{key})
-	st := w.Team.Instance(singleKey{key}, enc, func() any {
-		return newSingleState(withResult)
-	}).(*singleState)
-	w.Team.Release(singleKey{key}, enc)
-	st.mu.Lock()
-	claim := !st.claimed
-	st.claimed = true
-	st.mu.Unlock()
-	return claim, st
-}
-
-// MasterBegin is SingleBegin with a deterministic claimer: worker 0
-// (paper Table 1, @Master).
-func MasterBegin(w *Worker, key any, withResult bool) (bool, *singleState) {
-	enc := w.NextEncounter(singleKey{key})
-	st := w.Team.Instance(singleKey{key}, enc, func() any {
-		return newSingleState(withResult)
-	}).(*singleState)
-	w.Team.Release(singleKey{key}, enc)
-	return w.ID == 0, st
-}
-
-// Publish stores the executed method's result and releases waiters.
-func (s *singleState) Publish(v any) {
-	s.result = v
-	close(s.done)
-}
-
-// Await blocks until the executing worker publishes, then returns the
-// value — "the result is propagated to all threads in the team".
-func (s *singleState) Await() any {
-	<-s.done
-	return s.result
-}
-
-// TLS returns the worker-local value for the construct identified by key,
-// creating it with factory on first access by this worker (paper Table 1,
-// @ThreadLocalField: "each thread local object field is initialised ...
-// [on] the first thread access").
-func (w *Worker) TLS(key any, factory func() any) any {
-	v, ok := w.tls[key]
-	if !ok {
-		if w.tls == nil {
-			w.tls = make(map[any]any)
-		}
-		v = factory()
-		w.tls[key] = v
+	if !withResult {
+		s.release()
+		return first, nil
 	}
+	return first, s
+}
+
+// MasterBegin is SingleBegin with a deterministic claimer, worker 0 (paper
+// Table 1, @Master). The void form shares nothing and takes no slot.
+func MasterBegin(w *Worker, key any, withResult bool) (bool, *encSlot) {
+	if !withResult {
+		return w.ID == 0, nil
+	}
+	_, s := SingleBegin(w, key, true)
+	return w.ID == 0, s
+}
+
+// Broadcast is each worker's one call on a value-returning encounter and
+// hands the slot back: the claimer passes the executed method's result,
+// everyone else blocks for it, all return it — "the result is propagated to
+// all threads in the team".
+func (s *encSlot) Broadcast(claim bool, v any) any {
+	s.mu.Lock()
+	if claim {
+		s.result, s.ready = v, true
+		s.cond.Broadcast()
+	}
+	for !s.ready {
+		s.cond.Wait()
+	}
+	v = s.result
+	s.mu.Unlock()
+	s.release()
 	return v
-}
-
-// TLSIfPresent returns the worker-local value and whether it exists,
-// without creating it.
-func (w *Worker) TLSIfPresent(key any) (any, bool) {
-	v, ok := w.tls[key]
-	return v, ok
-}
-
-// TLSDelete removes the worker-local value (used after reductions so a
-// subsequent access re-initialises from the global value).
-func (w *Worker) TLSDelete(key any) { delete(w.tls, key) }
-
-// Locals returns the current lease's per-worker slots for the construct
-// identified by key: Size entries indexed by worker id, nil until written.
-// It is where a construct publishes worker-private values the team must
-// later collect (thread-local copies awaiting a reduction). Only the table
-// is locked: each worker writes its own slot, and a reader of other
-// workers' slots must be ordered after those writes by a team barrier.
-func (t *Team) Locals(key any) []any {
-	t.mu.Lock()
-	s := t.locals[key]
-	if s == nil {
-		if t.locals == nil {
-			t.locals = make(map[any][]any)
-		}
-		s = make([]any, t.Size)
-		t.locals[key] = s
-	}
-	t.mu.Unlock()
-	return s
 }

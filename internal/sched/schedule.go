@@ -260,7 +260,7 @@ func Cyclic(sp Space, nthreads, id int) Space {
 type Dispenser struct {
 	next atomic.Int64
 	_    [56]byte // rest of the cursor's cache line
-	// Immutable after NewDispenser; read-shared without contention.
+	// Immutable between Resets; read-shared without contention.
 	total    int64
 	chunk    int64
 	guided   bool
@@ -271,18 +271,24 @@ type Dispenser struct {
 // size (minimum chunk for guided). chunk < 1 is treated as 1, matching the
 // paper's default of one iteration per task.
 func NewDispenser(sp Space, chunk int, guided bool, nthreads int) *Dispenser {
+	d := &Dispenser{}
+	d.Reset(sp, chunk, guided, nthreads)
+	return d
+}
+
+// Reset re-arms d in place for a new loop, as NewDispenser would build it.
+// The caller must own d exclusively: no draw of the previous loop may still
+// be in flight (rt resets a dispenser only inside an encounter slot it has
+// just claimed).
+func (d *Dispenser) Reset(sp Space, chunk int, guided bool, nthreads int) {
 	if chunk < 1 {
 		chunk = 1
 	}
 	if nthreads < 1 {
 		nthreads = 1
 	}
-	return &Dispenser{
-		total:    int64(sp.Count()),
-		chunk:    int64(chunk),
-		guided:   guided,
-		nthreads: int64(nthreads),
-	}
+	d.next.Store(0)
+	d.total, d.chunk, d.guided, d.nthreads = int64(sp.Count()), int64(chunk), guided, int64(nthreads)
 }
 
 // Next reserves the next chunk, returning iteration-index bounds [from, to).
