@@ -252,7 +252,8 @@ var MasterSection = core.MasterSection
 var NewThreadLocal = core.NewThreadLocal
 
 // ReducePoint merges thread-local copies into the global value at matched
-// methods (@Reduce).
+// methods (@Reduce): merge runs serially, in worker-id order, on the last
+// worker to arrive — do not assume ThreadID()==0 inside it.
 var ReducePoint = core.ReducePoint
 
 // Around builds a case-specific aspect from a raw advice function.

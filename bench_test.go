@@ -459,6 +459,45 @@ func BenchmarkAblation_ConstructInstance(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*workers), "ns/worker-encounter")
 }
 
+// BenchmarkAblation_CompositeOp is the fine-grain composite the repo
+// benchmark's finegrain workload enters 2000 times a batch — region → @For
+// (dynamic,16) over a thread-local accumulator → @Reduce + barrier →
+// @Single → two @Task → @TaskWait — with empty bodies and an initialiser
+// that hands out preallocated cells, so allocs/op are the library's own
+// (CI holds them at 0; task spawns alone were 4 before rt.SpawnArg).
+func BenchmarkAblation_CompositeOp(b *testing.B) {
+	p := aomplib.NewProgram("bench")
+	cls := p.Class("A")
+	var total float64
+	cells := [2]any{new(float64), new(float64)}
+	acc := cls.ValueProc("acc", func() any { return &total })
+	loop := cls.ForProc("loop", func(lo, hi, step int) { *(acc().(*float64)) += float64(hi - lo) })
+	reduce := cls.Proc("reduce", func() {})
+	task := cls.Proc("task", func() {})
+	single := cls.Proc("single", func() { task(); task() })
+	wait := cls.Proc("wait", func() {})
+	op := cls.Proc("op", func() { loop(0, 1024, 1); reduce(); single(); wait() })
+	tl := aomplib.NewThreadLocal("call(* A.acc(..))", "acc").
+		InitFresh(func() any { c := cells[aomplib.ThreadID()]; *(c.(*float64)) = 0; return c })
+	p.Use(aomplib.ParallelRegion("call(* A.op(..))").Threads(2))
+	p.Use(aomplib.ForShare("call(* A.loop(..))").Schedule(aomplib.Dynamic).Chunk(16))
+	p.Use(tl, aomplib.ReducePoint("call(* A.reduce(..))", tl, func(local any) { total += *(local.(*float64)) }))
+	p.Use(aomplib.BarrierAfterPoint("call(* A.reduce(..))"))
+	p.Use(aomplib.SingleSection("call(* A.single(..))"))
+	p.Use(aomplib.TaskSpawn("call(* A.task(..))"), aomplib.TaskWaitPoint("call(* A.wait(..))"))
+	p.MustWeave()
+	op()
+	total = 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op()
+	}
+	if total != 1024*float64(b.N) {
+		b.Fatalf("reduced %v over %d ops, want %v", total, b.N, 1024*float64(b.N))
+	}
+}
+
 // ----------------------------------------- §VII extensions (E7/E8) -----
 
 // BenchmarkExtension_PageRank_* compares schedules on the skewed

@@ -173,7 +173,8 @@ type ThreadLocalField struct {
 func (ThreadLocalField) AnnotationName() string { return "ThreadLocalField" }
 
 // Reduce merges the thread-local copies identified by ID into the global
-// value at the annotated method — @Reduce[(id=name)].
+// value at the annotated method — @Reduce[(id=name)]. Merge runs as
+// ReducePoint's does: in worker-id order, on the last worker to arrive.
 type Reduce struct {
 	ID    string
 	Merge func(local any)

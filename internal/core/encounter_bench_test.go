@@ -81,8 +81,22 @@ func BenchmarkEncounter_ThreadLocalGet(b *testing.B) {
 		})
 }
 
+// The same accessor with a second advice stacked on it: the thread-local
+// stage is no longer the chain's sole live one, so the call is reified.
+func BenchmarkEncounter_ThreadLocalGetStacked(b *testing.B) {
+	benchEncounters(b,
+		func(p *weaver.Program) {
+			threadLocalProgram(p)
+			p.Use(passThrough("call(* E.acc(..))"))
+		},
+		func(cls *weaver.Class) func() {
+			acc := cls.ValueProc("acc", func() any { return nil })
+			return func() { acc() }
+		})
+}
+
 // One access (re-initialising the copy the previous reduce dropped) and
-// the reduce with its two barriers.
+// the reduce: one barrier, the merge inside it.
 func BenchmarkEncounter_Reduce(b *testing.B) {
 	benchEncounters(b,
 		func(p *weaver.Program) {

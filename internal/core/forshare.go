@@ -110,8 +110,7 @@ func (a *ForAspect) Bindings() []weaver.Binding {
 				// not an allocation or a Call-sized copy.
 				sc := weaver.GetCall()
 				*sc = *c
-				runSub := func(sub sched.Space) {
-					n := sub.Count()
+				runSub := func(sub sched.Space, n int) {
 					if n == 0 {
 						return
 					}
@@ -121,28 +120,30 @@ func (a *ForAspect) Bindings() []weaver.Binding {
 				}
 				switch k {
 				case sched.StaticBlock:
-					runSub(sched.Block(sp, w.Team.Size, w.ID))
+					sub := sched.Block(sp, w.Team.Size, w.ID)
+					runSub(sub, sub.Count())
 				case sched.StaticCyclic:
-					runSub(sched.Cyclic(sp, w.Team.Size, w.ID))
+					sub := sched.Cyclic(sp, w.Team.Size, w.ID)
+					runSub(sub, sub.Count())
 				case sched.Custom:
 					for _, sub := range a.custom(w.ID, w.Team.Size, sp) {
-						runSub(sub)
+						runSub(sub, sub.Count())
 					}
 				case sched.Steal, sched.WeightedSteal:
 					for {
-						sub, ok := fc.DispenseSteal()
+						sub, n, ok := fc.DispenseSteal()
 						if !ok {
 							break
 						}
-						runSub(sub)
+						runSub(sub, n)
 					}
 				default: // Dynamic, Guided
 					for {
-						sub, ok := fc.Dispense()
+						sub, n, ok := fc.Dispense()
 						if !ok {
 							break
 						}
-						runSub(sub)
+						runSub(sub, n)
 					}
 				}
 				weaver.PutCall(sc)

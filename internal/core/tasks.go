@@ -115,9 +115,18 @@ func (a *TaskAspect) Bindings() []weaver.Binding {
 		},
 		wrap: func(jp *weaver.Joinpoint, next weaver.HandlerFunc) weaver.HandlerFunc {
 			if deps.empty() {
+				// The task runs a pooled copy of the call (the spawner's is
+				// recycled when it returns) through run, built once per weave:
+				// a spawn allocates neither the copy nor a closure.
+				run := func(arg any) {
+					tc := arg.(*weaver.Call)
+					next(tc)
+					weaver.PutCall(tc)
+				}
 				return func(c *weaver.Call) {
-					tc := *c
-					rt.Spawn(func() { next(&tc) })
+					tc := weaver.GetCall()
+					*tc = *c
+					rt.SpawnArg(run, tc)
 				}
 			}
 			return func(c *weaver.Call) {

@@ -65,9 +65,9 @@ func (a *ThreadLocalAspect) newValue() any {
 
 // Drain removes all per-worker values created for the current region entry
 // of w's team, handing each to merge in worker-id order. It is the
-// collection step of a reduction: the caller runs on one worker while the
-// rest of the team waits at a barrier, which is what orders it against
-// their writes.
+// collection step of a reduction: the caller runs on one worker — any one;
+// @Reduce uses the last to arrive — while the rest of the team waits at a
+// barrier, which is what orders it against their writes.
 func (a *ThreadLocalAspect) Drain(w *rt.Worker, merge func(local any)) {
 	slots := w.Locals(a)
 	for i, v := range slots {
@@ -96,9 +96,22 @@ func (a *ThreadLocalAspect) Values(w *rt.Worker) []any {
 // AspectName implements weaver.Aspect.
 func (a *ThreadLocalAspect) AspectName() string { return a.name }
 
+// tlAdvice is @ThreadLocalField's advice. WorkerValue is the whole of it
+// inside a region, so the weaver answers a sole-advice accessor with it
+// directly (weaver.WorkerValuer) and the reified stage below calls the same.
+type tlAdvice struct {
+	advice
+	a *ThreadLocalAspect
+}
+
+// WorkerValue implements weaver.WorkerValuer: w's copy, created on first
+// access in the lease and published into Locals(a)[w.ID].
+func (t *tlAdvice) WorkerValue(w *rt.Worker) any { return w.TLS(t.a, t.a.newValue) }
+
 // Bindings implements weaver.Aspect.
 func (a *ThreadLocalAspect) Bindings() []weaver.Binding {
-	adv := advice{
+	adv := &tlAdvice{a: a}
+	adv.advice = advice{
 		name:        "threadLocal(" + a.id + ")",
 		prec:        PrecThreadLocal,
 		needsWorker: true,
@@ -113,12 +126,11 @@ func (a *ThreadLocalAspect) Bindings() []weaver.Binding {
 		},
 		wrap: func(jp *weaver.Joinpoint, next weaver.HandlerFunc) weaver.HandlerFunc {
 			return func(c *weaver.Call) {
-				w := c.Worker
-				if w == nil {
+				if c.Worker == nil {
 					next(c) // outside regions the global field is used
 					return
 				}
-				c.Ret = w.TLS(a, a.newValue) // publishes into Locals(a)[w.ID]
+				c.Ret = adv.WorkerValue(c.Worker)
 			}
 		},
 	}
@@ -126,10 +138,11 @@ func (a *ThreadLocalAspect) Bindings() []weaver.Binding {
 }
 
 // ReduceAspect merges all thread-local copies of a field into its global
-// value at matched methods (@Reduce): a barrier ensures all workers have
-// finished producing, the master merges every copy, thread-local caches
-// are invalidated, and a second barrier publishes the merged value before
-// the method proceeds.
+// value at matched methods (@Reduce), inside one team barrier: each worker
+// drops its cached copy and arrives; the last to arrive merges every copy —
+// serially, in worker-id order, while the team waits — and the release
+// publishes the merged value before the method proceeds. merge therefore
+// runs on whichever worker arrived last: do not assume ThreadID()==0 in it.
 type ReduceAspect struct {
 	name    string
 	matcher weaver.Matcher
@@ -138,8 +151,9 @@ type ReduceAspect struct {
 }
 
 // ReducePoint binds @Reduce(id=tl.ID()) to the methods selected by pc.
-// merge folds one thread-local copy into the global value; it runs on the
-// master, serially, once per copy.
+// merge folds one thread-local copy into the global value; it runs serially,
+// once per copy in worker-id order, on the last worker to arrive, while the
+// rest of the team waits.
 func ReducePoint(pc string, tl *ThreadLocalAspect, merge func(local any)) *ReduceAspect {
 	return newReduce(mustPC(pc), tl, merge)
 }
@@ -156,6 +170,7 @@ func (a *ReduceAspect) AspectName() string { return a.name }
 
 // Bindings implements weaver.Aspect.
 func (a *ReduceAspect) Bindings() []weaver.Binding {
+	drain := func(last *rt.Worker) { a.tl.Drain(last, a.merge) }
 	adv := advice{
 		name:        "reduce(" + a.tl.ID() + ")",
 		prec:        PrecReduce,
@@ -167,12 +182,8 @@ func (a *ReduceAspect) Bindings() []weaver.Binding {
 					next(c)
 					return
 				}
-				w.Team.Barrier().WaitWorker(w) // all producers done
-				if w.ID == 0 {
-					a.tl.Drain(w, a.merge)
-				}
-				w.TLSDelete(a.tl)              // next access re-initialises
-				w.Team.Barrier().WaitWorker(w) // merged value visible
+				w.TLSDelete(a.tl) // next access re-initialises
+				w.Team.Barrier().WaitWorkerThen(w, drain)
 				next(c)
 			}
 		},

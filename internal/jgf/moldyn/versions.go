@@ -119,7 +119,7 @@ func weaveCommon(prog *weaver.Program, threads int, md *MolDyn) {
 		InitFresh(func() any { return new(float64) })
 	prog.Use(ekinTL)
 	prog.Use(core.ReducePoint("call(* MD.temperature(..))", ekinTL, func(local any) {
-		// merge runs on the master between the reduction barriers
+		// merge runs on the reduction's last arriver, serially, in worker-id order
 		md.ekin += *(local.(*float64))
 	}))
 }

@@ -63,20 +63,20 @@ func ForSpan(w *Worker, sp sched.Space, kind sched.Kind, key any, chunk int, run
 		runStaticSpan(w, sp, fc.Kind, run, arg)
 	case sched.Steal, sched.WeightedSteal:
 		for {
-			sub, ok := fc.DispenseSteal()
+			sub, n, ok := fc.DispenseSteal()
 			if !ok {
 				break
 			}
-			AsymDelay(w.ID, sub.Count())
+			AsymDelay(w.ID, n)
 			run(sub, arg)
 		}
 	default: // Dynamic, Guided
 		for {
-			sub, ok := fc.Dispense()
+			sub, n, ok := fc.Dispense()
 			if !ok {
 				break
 			}
-			AsymDelay(w.ID, sub.Count())
+			AsymDelay(w.ID, n)
 			run(sub, arg)
 		}
 	}

@@ -141,13 +141,23 @@ func NewBarrier(parties int) *Barrier {
 // previously-accidental shape of it — substituted arrivals — explicitly
 // unsupported.
 func (b *Barrier) Wait() uint64 {
-	return b.waitTimed(b.slotOf(Current()))
+	return b.waitTimed(Current(), nil)
 }
 
 // WaitWorker is Wait for call sites that already hold the worker context
 // (the woven constructs), skipping the goroutine-local lookup.
 func (b *Barrier) WaitWorker(w *Worker) uint64 {
-	return b.waitTimed(b.slotOf(w))
+	return b.waitTimed(w, nil)
+}
+
+// WaitWorkerThen is WaitWorker with a combining step: the last worker to
+// arrive runs last on itself — after every arrival, so it sees what each
+// party wrote before arriving, and before the release, so every party sees
+// what last wrote — while the others wait: a reduction in one barrier
+// episode. Every party of a phase passes the same last. If last panics the
+// phase never releases and the waiters leave through Team.fail (await).
+func (b *Barrier) WaitWorkerThen(w *Worker, last func(*Worker)) uint64 {
+	return b.waitTimed(w, last)
 }
 
 // slotOf maps a worker to its arrival id, or -1 for anonymous arrivals.
@@ -162,25 +172,28 @@ func (b *Barrier) slotOf(w *Worker) int {
 // carries the nanoseconds this caller spent blocked, which the trace
 // renders as a wait slice. The worker lookup and clock reads run only with
 // a tool installed.
-func (b *Barrier) waitTimed(id int) uint64 {
+func (b *Barrier) waitTimed(w *Worker, last func(*Worker)) uint64 {
 	if h := obsHooks(); h != nil {
 		gid := curGID()
 		if h.BarrierArrive != nil {
 			h.BarrierArrive(gid, b.ownerID())
 		}
 		t0 := time.Now()
-		gen := b.wait(id)
+		gen := b.wait(w, last)
 		if h.BarrierDepart != nil {
 			h.BarrierDepart(gid, b.ownerID(), time.Since(t0).Nanoseconds())
 		}
 		return gen
 	}
-	return b.wait(id)
+	return b.wait(w, last)
 }
 
-func (b *Barrier) wait(id int) uint64 {
+func (b *Barrier) wait(w *Worker, last func(*Worker)) uint64 {
 	g := b.gen.Load()
-	if b.arrive(id) {
+	if b.arrive(b.slotOf(w)) {
+		if last != nil {
+			last(w)
+		}
 		b.release()
 	} else {
 		b.await(g)
@@ -214,6 +227,11 @@ func (b *Barrier) arrive(id int) bool {
 // generation itself.
 func (b *Barrier) release() {
 	b.gen.Add(1)
+	b.wakeParked()
+}
+
+// wakeParked follows a store parked waiters watch: gen, or Team.failed (fail).
+func (b *Barrier) wakeParked() {
 	if b.parked.Load() != 0 {
 		b.mu.Lock()
 		b.cond.Broadcast()
@@ -225,7 +243,10 @@ func (b *Barrier) release() {
 // spin on the generation word, then a parked sleep. The bound chases the
 // iteration recent releases arrived at (doubled for slack, clamped) so
 // phase-per-microsecond loops stay on the spin path while long compute
-// phases shrink the bound and park almost immediately.
+// phases shrink the bound and park almost immediately. On a team barrier a
+// parked waiter (and a spin is bounded) also watches Team.fail and unwinds
+// with teamFailed{} like a lapped worker (encounter.go): the arrival it
+// waits for may never come.
 func (b *Barrier) await(g uint64) {
 	bound := int(b.spin.Load())
 	for i := 0; i < bound; i++ {
@@ -244,11 +265,14 @@ func (b *Barrier) await(g uint64) {
 	b.spin.Store(int32(clampSpin(bound / 2)))
 	b.parked.Add(1)
 	b.mu.Lock()
-	for b.gen.Load() == g {
+	for t := b.owner; b.gen.Load() == g && !(t != nil && t.failed.Load()); {
 		b.cond.Wait()
 	}
 	b.mu.Unlock()
 	b.parked.Add(-1)
+	if b.gen.Load() == g {
+		panic(teamFailed{})
+	}
 }
 
 func clampSpin(n int) int {

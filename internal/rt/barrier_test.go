@@ -2,6 +2,7 @@ package rt
 
 import (
 	"math"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -150,4 +151,99 @@ func TestBarrierHotTeamLeaseRetireRace(t *testing.T) {
 	}
 	close(stop)
 	churn.Wait()
+}
+
+// TestPanicWhileTeamMateInBarrier: a worker waiting in the team barrier
+// waits for an arrival only its team-mates can give. When one of them
+// panicked or left via Goexit the wait must end — spinning or parked — so
+// the region joins and the panic re-raises. Standalone barriers have no
+// team to fail and are not covered.
+func TestPanicWhileTeamMateInBarrier(t *testing.T) {
+	defer resetPool(t)()
+	for _, waiter := range []int{0, 1} {
+		for _, parked := range []bool{false, true} {
+			die := func(w *Worker, exit func()) {
+				if w.ID == waiter {
+					w.Team.Barrier().WaitWorker(w)
+					t.Errorf("waiter %d passed a barrier its team-mate never reached", waiter)
+					return
+				}
+				if parked { // let the waiter exhaust its spin and park
+					for w.Team.Barrier().parked.Load() == 0 {
+						runtime.Gosched()
+					}
+				}
+				exit()
+			}
+			if got := joined(t, func() {
+				Region(2, func(w *Worker) { die(w, func() { panic("boom") }) })
+			}); got != "boom" {
+				t.Errorf("waiter %d (parked %v), team-mate panicked: region re-raised %v, want boom", waiter, parked, got)
+			}
+			if got := joined(t, func() {
+				Region(2, func(w *Worker) { die(w, runtime.Goexit) })
+			}); got != nil {
+				t.Errorf("waiter %d (parked %v), team-mate exited: region panicked with %v", waiter, parked, got)
+			}
+		}
+	}
+	// The retired teams' successors start clean.
+	var phases atomic.Int32
+	Region(2, func(w *Worker) {
+		w.Team.Barrier().WaitWorker(w)
+		phases.Add(1)
+	})
+	if phases.Load() != 2 {
+		t.Fatalf("region after failed leases: %d workers passed the barrier", phases.Load())
+	}
+}
+
+// TestBarrierLastArriverRuns: WaitWorkerThen runs its function exactly once
+// per phase, after every party's pre-barrier write and before any party is
+// released — across the leaf/root tree (7 > fan-in) and flat barriers alike.
+func TestBarrierLastArriverRuns(t *testing.T) {
+	defer resetPool(t)()
+	for _, n := range []int{1, 2, 3, 7} {
+		const phases = 200
+		slots := make([]int, n) // plain: the barrier is the only ordering
+		sum, runs := 0, 0
+		Region(n, func(w *Worker) {
+			for p := 1; p <= phases; p++ {
+				slots[w.ID] = p
+				w.Team.Barrier().WaitWorkerThen(w, func(last *Worker) {
+					if last.Team != w.Team {
+						t.Errorf("last arriver belongs to another team")
+					}
+					runs++
+					sum = 0
+					for _, v := range slots {
+						sum += v
+					}
+				})
+				if sum != p*n {
+					t.Errorf("n=%d phase %d: worker %d released with sum %d, want %d", n, p, w.ID, sum, p*n)
+					return
+				}
+				w.Team.Barrier().WaitWorker(w) // nobody overwrites slots while a team-mate still reads sum
+			}
+		})
+		if runs != phases {
+			t.Errorf("n=%d: combining step ran %d times in %d phases", n, runs, phases)
+		}
+	}
+}
+
+// A combining step that panics never releases its phase: the waiters must
+// leave through the team's failure path and the panic re-raise.
+func TestBarrierLastArriverPanicFailsWaiters(t *testing.T) {
+	defer resetPool(t)()
+	for _, n := range []int{2, 7} {
+		if got := joined(t, func() {
+			Region(n, func(w *Worker) {
+				w.Team.Barrier().WaitWorkerThen(w, func(*Worker) { panic("merge") })
+			})
+		}); got != "merge" {
+			t.Errorf("n=%d: region re-raised %v, want merge", n, got)
+		}
+	}
 }

@@ -257,7 +257,7 @@ func SpawnDep(body func(), d Deps) {
 	if w := Current(); w != nil && !w.Team.completed.Load() {
 		g := w.spawnGroup()
 		g.Add(1)
-		t := newTask(body, g, w)
+		t := newTask(plainTask, body, g, w)
 		if h := obsHooks(); h != nil {
 			stampTask(h, t, w, obs.TaskDependent)
 		}
@@ -278,7 +278,7 @@ func SpawnDep(body func(), d Deps) {
 		return
 	}
 	globalTasks.Add(1)
-	t := newTask(body, globalTasks, nil)
+	t := newTask(plainTask, body, globalTasks, nil)
 	if globalDeps.enqueue(t, d) && t.claim() {
 		// The tracker/queue reference transfers to the goroutine; the
 		// spawner reference is dropped below.
@@ -307,7 +307,7 @@ func SpawnFutureDep(fn func() any, d Deps) *Future {
 	if w := Current(); w != nil && !w.Team.completed.Load() {
 		g := w.spawnGroup()
 		g.Add(1)
-		t := &task{fn: resolve, group: g, spawner: w} // retained by f: never pooled
+		t := &task{fn: plainTask, arg: resolve, group: g, spawner: w} // retained by f: never pooled
 		t.refs.Store(2)
 		f.task = t
 		if h := obsHooks(); h != nil {
@@ -324,7 +324,7 @@ func SpawnFutureDep(fn func() any, d Deps) *Future {
 		return f
 	}
 	globalTasks.Add(1)
-	t := &task{fn: resolve, group: globalTasks}
+	t := &task{fn: plainTask, arg: resolve, group: globalTasks}
 	t.refs.Store(2)
 	f.task = t
 	if globalDeps.enqueue(t, d) && t.claim() {

@@ -29,7 +29,8 @@ const (
 // backing a Future are never pooled, because the future retains its task
 // pointer indefinitely.
 type task struct {
-	fn      func()
+	fn      func(any) // with arg: a static function and its state, so a spawn needs no closure
+	arg     any
 	group   *TaskGroup
 	spawner *Worker  // deque that receives the task when released; nil = global scope
 	node    *depNode // dependence bookkeeping; nil for depend-free tasks
@@ -76,7 +77,7 @@ func (t *task) exec() {
 		}
 	}
 	defer t.retire()
-	t.fn()
+	t.fn(t.arg)
 }
 
 // retire completes the task's bookkeeping: successors of its dependence
@@ -93,7 +94,7 @@ func (t *task) retire() {
 // decRef drops one reference; the last dropper recycles pooled tasks.
 func (t *task) decRef() {
 	if t.refs.Add(-1) == 0 && t.pooled {
-		t.fn, t.group, t.spawner, t.node = nil, nil, nil, nil
+		t.fn, t.arg, t.group, t.spawner, t.node = nil, nil, nil, nil, nil
 		t.traceID = 0
 		t.state.Store(taskReady)
 		taskPool.Put(t)

@@ -9,7 +9,7 @@ import (
 
 func mkTask(g *TaskGroup, fn func()) *task {
 	g.Add(1)
-	return &task{fn: fn, group: g}
+	return &task{fn: plainTask, arg: fn, group: g}
 }
 
 func TestDequeLIFOForOwnerFIFOForThief(t *testing.T) {

@@ -210,9 +210,11 @@ func (w *Worker) encounter(key any) (s *encSlot, c *construct, first bool) {
 }
 
 // fail marks the lease as one a worker left by panic or Goexit and wakes the
-// workers parked on a slot: the release they wait for may never come.
+// workers parked on a slot or in the team barrier: the release they wait for
+// may never come.
 func (t *Team) fail() {
 	t.failed.Store(true)
+	t.barrier.wakeParked()
 	t.mu.Lock()
 	for _, c := range t.records {
 		for i := range c.slots {

@@ -227,7 +227,7 @@ func TestEncounterRingStress(t *testing.T) {
 				}
 			}
 			for {
-				sub, ok := fc.Dispense()
+				sub, _, ok := fc.Dispense()
 				if !ok {
 					break
 				}
@@ -302,7 +302,7 @@ func TestEncounterLeaseHermetic(t *testing.T) {
 			}
 			fc := BeginFor(w, forKey, sp, sched.Dynamic, 1)
 			for {
-				sub, ok := fc.Dispense()
+				sub, _, ok := fc.Dispense()
 				if !ok {
 					break
 				}
@@ -330,7 +330,7 @@ func lapOnce(w *Worker, key any) {
 	sp := sched.Space{Lo: 0, Hi: 4, Step: 1}
 	for e := 0; e < 2*encRing; e++ {
 		fc := BeginFor(w, key, sp, sched.Dynamic, 1)
-		for _, ok := fc.Dispense(); ok; _, ok = fc.Dispense() {
+		for _, _, ok := fc.Dispense(); ok; _, _, ok = fc.Dispense() {
 		}
 		fc.EndFor()
 	}
@@ -348,7 +348,7 @@ func joined(t *testing.T, region func()) (panicked any) {
 	select {
 	case panicked = <-done:
 	case <-time.After(10 * time.Second):
-		t.Fatal("region hung: a lapped worker waited on a team-mate that had left")
+		t.Fatal("region hung: a worker waited on a team-mate that had left")
 	}
 	return panicked
 }

@@ -202,7 +202,7 @@ func TestDynamicForExactlyOnce(t *testing.T) {
 		fc := BeginFor(w, key, sp, sched.Dynamic, 7)
 		defer fc.EndFor()
 		for {
-			sub, ok := fc.Dispense()
+			sub, _, ok := fc.Dispense()
 			if !ok {
 				break
 			}
@@ -228,7 +228,7 @@ func TestOrderedSequencing(t *testing.T) {
 		fc := BeginFor(w, key, sp, sched.Dynamic, 1)
 		defer fc.EndFor()
 		for {
-			sub, ok := fc.Dispense()
+			sub, _, ok := fc.Dispense()
 			if !ok {
 				break
 			}
@@ -260,7 +260,7 @@ func TestOrderedWithStep(t *testing.T) {
 		fc := BeginFor(w, key, sp, sched.Dynamic, 1)
 		defer fc.EndFor()
 		for {
-			sub, ok := fc.Dispense()
+			sub, _, ok := fc.Dispense()
 			if !ok {
 				break
 			}
@@ -438,7 +438,7 @@ func TestInstanceCleanup(t *testing.T) {
 		for e := 0; e < 50; e++ {
 			fc := BeginFor(w, "cleanup", sched.Space{Lo: 0, Hi: 9, Step: 1}, sched.Dynamic, 1)
 			for {
-				if _, ok := fc.Dispense(); !ok {
+				if _, _, ok := fc.Dispense(); !ok {
 					break
 				}
 			}

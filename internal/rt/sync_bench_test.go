@@ -113,7 +113,7 @@ func BenchmarkDispenseBatchedFor(b *testing.B) {
 	Region(workers, func(w *Worker) {
 		fc := BeginFor(w, "bench-batched", sp, sched.Dynamic, 1)
 		for {
-			if _, ok := fc.Dispense(); !ok {
+			if _, _, ok := fc.Dispense(); !ok {
 				break
 			}
 		}
@@ -134,7 +134,7 @@ func BenchmarkStealDispense(b *testing.B) {
 			b.Errorf("resolved to %v, want steal", fc.Kind)
 		}
 		for {
-			if _, ok := fc.DispenseSteal(); !ok {
+			if _, _, ok := fc.DispenseSteal(); !ok {
 				break
 			}
 		}

@@ -173,9 +173,9 @@ var taskPool = sync.Pool{New: func() any { return new(task) }}
 
 // newTask draws a pooled task carrying two references: the queue (deque or
 // dependence tracker) slot and the spawner's temporary hold.
-func newTask(fn func(), g *TaskGroup, w *Worker) *task {
+func newTask(fn func(any), arg any, g *TaskGroup, w *Worker) *task {
 	t := taskPool.Get().(*task)
-	t.fn, t.group, t.spawner = fn, g, w
+	t.fn, t.arg, t.group, t.spawner = fn, arg, g, w
 	t.pooled = true
 	t.refs.Store(2)
 	t.state.Store(taskReady)
@@ -250,11 +250,20 @@ func TaskYield(n int) int {
 // the worker context of its executor. Outside any region (or once the
 // spawning team has completed) the task runs on its own goroutine under
 // the global scope.
-func Spawn(body func()) {
+func Spawn(body func()) { SpawnArg(plainTask, body) }
+
+// plainTask adapts a closure to the argument-carrying form without
+// allocating (func values are pointer-shaped), like plainBody for regions.
+func plainTask(arg any) { arg.(func())() }
+
+// SpawnArg is Spawn with the task's state threaded through an explicit
+// argument: fn is typically a static function and arg a pooled per-spawn
+// record, so spawning needs no closure — the RegionArg split, for tasks.
+func SpawnArg(fn func(any), arg any) {
 	if w := Current(); w != nil && !w.Team.completed.Load() {
 		g := w.spawnGroup()
 		g.Add(1)
-		t := newTask(body, g, w)
+		t := newTask(fn, arg, g, w)
 		if h := obsHooks(); h != nil {
 			stampTask(h, t, w, obs.TaskDeferred)
 		}
@@ -278,7 +287,7 @@ func Spawn(body func()) {
 	globalTasks.Add(1)
 	go func() {
 		defer globalTasks.Done()
-		body()
+		fn(arg)
 	}()
 }
 
@@ -318,7 +327,7 @@ func SpawnFuture(fn func() any) *Future {
 	if w := Current(); w != nil && !w.Team.completed.Load() {
 		g := w.spawnGroup()
 		g.Add(1)
-		t := &task{fn: resolve, group: g, spawner: w} // retained by f: never pooled
+		t := &task{fn: plainTask, arg: resolve, group: g, spawner: w} // retained by f: never pooled
 		t.refs.Store(2)
 		f.task = t
 		if h := obsHooks(); h != nil {

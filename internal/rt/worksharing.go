@@ -201,17 +201,18 @@ func (w *Worker) ActiveFor() *ForContext {
 }
 
 // Dispense draws the next chunk for dynamic/guided schedules, returning it
-// as a sub-space. ok is false when the iteration space is exhausted.
+// as a sub-space with its iteration count (known here, a division to
+// re-derive). The bool is false when the iteration space is exhausted.
 // Dynamic chunks are drawn through a worker-local batch (several chunks
 // claimed per shared-cursor CAS, served one chunk at a time from the
 // ForContext); guided claims are served whole, as before, since guided
 // sizing self-batches.
-func (fc *ForContext) Dispense() (sched.Space, bool) {
+func (fc *ForContext) Dispense() (sched.Space, int, bool) {
 	d := &fc.slot.fs.disp
 	if fc.batchLo >= fc.batchHi {
 		from, to, ok := d.NextBatch(dispenseBatchChunks)
 		if !ok {
-			return sched.Space{}, false
+			return sched.Space{}, 0, false
 		}
 		fc.batchLo, fc.batchHi = from, to
 	}
@@ -224,7 +225,7 @@ func (fc *ForContext) Dispense() (sched.Space, bool) {
 	}
 	fc.batchLo = to
 	fc.iters += to - from
-	return fc.Space.Slice(int(from), int(to)), true
+	return fc.Space.Slice(int(from), int(to)), int(to - from), true
 }
 
 // DispenseSteal draws the next chunk for the steal and weightedSteal
@@ -233,8 +234,9 @@ func (fc *ForContext) Dispense() (sched.Space, bool) {
 // is dry), then from ranges stolen off loaded siblings. Steals are
 // reported to an installed tool through the same steal hooks task stealing
 // uses; a fruitless scan reports a bare attempt, and any scan reports its
-// probe count so victim-selection quality is observable.
-func (fc *ForContext) DispenseSteal() (sched.Space, bool) {
+// probe count so victim-selection quality is observable. The int is the
+// chunk's iteration count, as for Dispense.
+func (fc *ForContext) DispenseSteal() (sched.Space, int, bool) {
 	w := fc.Worker
 	from, to, victim, probes, ok := fc.slot.fs.sdisp.Next(w.ID)
 	if victim >= 0 || !ok {
@@ -253,10 +255,10 @@ func (fc *ForContext) DispenseSteal() (sched.Space, bool) {
 		}
 	}
 	if !ok {
-		return sched.Space{}, false
+		return sched.Space{}, 0, false
 	}
 	fc.iters += to - from
-	return fc.Space.Slice(int(from), int(to)), true
+	return fc.Space.Slice(int(from), int(to)), int(to - from), true
 }
 
 // Ordered runs section when the loop value `iter` becomes the next value

@@ -55,6 +55,35 @@ func TestSpaceSlice(t *testing.T) {
 	}
 }
 
+// The unit-step paths of Count and Slice (no division) must agree with the
+// general formulas: a unit-step space and the same values walked at step -1
+// from the other end slice into the same sets, clamping included.
+func TestSpaceUnitStepMatchesGeneral(t *testing.T) {
+	for lo := -3; lo <= 3; lo++ {
+		for hi := lo - 2; hi <= lo+9; hi++ {
+			unit, rev := Space{lo, hi, 1}, Space{hi - 1, lo - 1, -1}
+			if unit.Count() != rev.Count() {
+				t.Fatalf("%v.Count() = %d, general path says %d", unit, unit.Count(), rev.Count())
+			}
+			n := unit.Count()
+			for from := -1; from <= n+1; from++ {
+				for to := from - 1; to <= n+2; to++ {
+					got := unit.Slice(from, to).Values()
+					want := rev.Slice(n-min(to, n), n-max(from, 0)).Values()
+					if len(got) != len(want) {
+						t.Fatalf("%v.Slice(%d,%d) = %v, general path gives %v", unit, from, to, got, want)
+					}
+					for i := range got {
+						if got[i] != want[len(want)-1-i] {
+							t.Fatalf("%v.Slice(%d,%d) = %v, general path gives %v reversed", unit, from, to, got, want)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // collectStatic runs a static partitioner across all workers and returns
 // every executed loop value.
 func collectStatic(part func(Space, int, int) Space, sp Space, nthreads int) []int {

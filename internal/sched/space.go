@@ -20,9 +20,12 @@ func (s Space) Validate() error {
 	return nil
 }
 
-// Count returns the number of iterations in the space.
+// Count returns the number of iterations in the space. The unit step —
+// nearly every loop, and every chunk of one — is answered without a division.
 func (s Space) Count() int {
 	switch {
+	case s.Step == 1:
+		return max(s.Hi-s.Lo, 0)
 	case s.Step > 0:
 		if s.Hi <= s.Lo {
 			return 0
@@ -54,6 +57,9 @@ func (s Space) Slice(from, to int) Space {
 	}
 	if from >= to {
 		return Space{Lo: s.Lo, Hi: s.Lo, Step: s.Step}
+	}
+	if s.Step == 1 {
+		return Space{Lo: s.Lo + from, Hi: s.Lo + to, Step: 1}
 	}
 	return Space{Lo: s.At(from), Hi: s.At(to-1) + sign(s.Step), Step: s.Step}
 }

@@ -1,6 +1,9 @@
 package weaver
 
-import "aomplib/internal/pointcut"
+import (
+	"aomplib/internal/pointcut"
+	"aomplib/internal/rt"
+)
 
 // Matcher selects joinpoints. *pointcut.Pointcut is the usual
 // implementation; the annotation style uses exact matchers so that
@@ -55,6 +58,16 @@ type Advice interface {
 	NeedsWorker() bool
 	// Wrap builds this advice's stage around next for joinpoint jp.
 	Wrap(jp *Joinpoint, next HandlerFunc) HandlerFunc
+}
+
+// WorkerValuer is an optional Advice extension for value advice whose whole
+// effect is "inside a region answer with a per-worker value, outside it
+// proceed" (@ThreadLocalField). When such an advice is the sole live stage
+// of a ValueKind chain, the entry point answers gate → rt.Current() →
+// WorkerValue(w) without reifying a Call; stacked with other advice its
+// Wrap stage runs instead, so Wrap must call the same WorkerValue.
+type WorkerValuer interface {
+	WorkerValue(w *rt.Worker) any
 }
 
 // Binding attaches one Advice to the joinpoints selected by a Matcher.

@@ -216,3 +216,81 @@ func TestDirectPathDoesNotAllocate(t *testing.T) {
 		}
 	})
 }
+
+// valuerAdvice is a WorkerValuer whose reified stage counts its runs, so a
+// test can tell which path answered.
+type valuerAdvice struct {
+	adviceFunc
+	staged *int
+}
+
+func (a valuerAdvice) WorkerValue(w *rt.Worker) any { return w.ID + 100 }
+
+func newValuer(staged *int) valuerAdvice {
+	a := valuerAdvice{staged: staged}
+	a.adviceFunc = adviceFunc{name: "valuer", prec: 1, worker: true,
+		wrap: func(jp *Joinpoint, next HandlerFunc) HandlerFunc {
+			return func(c *Call) {
+				*staged++
+				if c.Worker == nil {
+					next(c)
+					return
+				}
+				c.Ret = a.WorkerValue(c.Worker)
+			}
+		}}
+	return a
+}
+
+// TestSoleWorkerValuerAnswersWithoutCall: a WorkerValuer alone on a value
+// method answers from the entry point — its reified stage never runs inside a
+// region, the body stands in outside one and when gated off — and the same
+// advice stacked under another goes back through its stage, same values.
+func TestSoleWorkerValuerAnswersWithoutCall(t *testing.T) {
+	p := NewProgram("test")
+	staged := 0
+	get := p.Class("A").ValueProc("get", func() any { return -1 })
+	p.Use(&SimpleAspect{Name: "val", Bind: []Binding{bind("call(* A.get(..))", newValuer(&staged))}})
+	p.MustWeave()
+	if got := get(); got != -1 {
+		t.Fatalf("outside a region: %v, want the body's -1", got)
+	}
+	inRegion := func(want any, when string) {
+		t.Helper()
+		rt.Region(1, func(*rt.Worker) {
+			if got := get(); got != want {
+				t.Errorf("%s: accessor = %v, want %v", when, got, want)
+			}
+		})
+	}
+	staged = 0
+	inRegion(100, "sole valuer")
+	if staged != 0 {
+		t.Errorf("sole valuer: the reified stage ran %d times", staged)
+	}
+	if err := p.SetAdviceEnabled("val", false); err != nil {
+		t.Fatal(err)
+	}
+	inRegion(-1, "gated off")
+	if err := p.SetAdviceEnabled("val", true); err != nil {
+		t.Fatal(err)
+	}
+	pass := adviceFunc{name: "pass", prec: 2,
+		wrap: func(jp *Joinpoint, next HandlerFunc) HandlerFunc { return next }}
+	p.Use(&SimpleAspect{Name: "outer", Bind: []Binding{bind("call(* A.get(..))", pass)}})
+	inRegion(100, "stacked")
+	if staged != 1 {
+		t.Errorf("stacked: the reified stage ran %d times, want 1", staged)
+	}
+	// Gating the outer advice off leaves the valuer sole again at the re-swap.
+	if err := p.SetAdviceEnabled("outer", false); err != nil {
+		t.Fatal(err)
+	}
+	inRegion(100, "outer gated off")
+	if staged != 1 {
+		t.Errorf("outer gated off: the reified stage ran (%d), want the Call-free entry", staged)
+	}
+	if r := p.Report(); len(r) != 1 || len(r[0].Advice) != 2 {
+		t.Errorf("report lists %v, want both advice", r)
+	}
+}

@@ -67,8 +67,19 @@ type chain struct {
 	// needsWorker records whether any advice in the chain wants the
 	// current worker resolved.
 	needsWorker bool
+	// sole is set when a value chain's only live stage is a WorkerValuer:
+	// ValueProc's entry answers from it, behind that stage's gate. (Behind a
+	// pointer: every re-weave allocates a chain, few have one.)
+	sole *soleValuer
 	// applied lists the advice outermost-first, for weave reports.
 	applied []appliedAdvice
+}
+
+// soleValuer is a chain's one live stage when it is a WorkerValuer, with
+// that stage's enable word.
+type soleValuer struct {
+	WorkerValuer
+	gate *gate
 }
 
 type appliedAdvice struct {
@@ -112,6 +123,25 @@ func (m *Method) run(ch *chain, lo, hi, step, key int) any {
 	ret := call.Ret
 	PutCall(call)
 	return ret
+}
+
+// runValue is the live branch of ValueProc's entry, out of line so the direct
+// path stays a load, a branch and the body call. A sole WorkerValuer answers
+// here without a Call — gate, worker lookup, value — and the body stands in
+// when gated off or outside a region, as its reified stage would proceed to it.
+//
+//go:noinline
+func (m *Method) runValue(ch *chain, body func() any) any {
+	sole := ch.sole
+	if sole == nil {
+		return m.run(ch, 0, 0, 0, 0)
+	}
+	if sole.gate.on() {
+		if w := rt.Current(); w != nil {
+			return sole.WorkerValue(w)
+		}
+	}
+	return body()
 }
 
 func (m *Method) reset() {
@@ -165,7 +195,7 @@ func (c *Class) ValueProc(name string, body func() any) func() any {
 	m := c.register(name, ValueKind, func(call *Call) { call.Ret = body() }, body)
 	return func() any {
 		if ch := m.current.Load(); !ch.direct {
-			return m.run(ch, 0, 0, 0, 0)
+			return m.runValue(ch, body)
 		}
 		return body()
 	}

@@ -343,13 +343,20 @@ func (p *Program) matchLocked(m *Method) ([]appliedAdvice, error) {
 // enable word inline (one atomic load + branch) and falls through to the
 // next stage when off; stages whose gate is already off at composition
 // time are collapsed out entirely, and a chain left with no stage at all
-// is direct: entry points bypass it for the registered body.
+// is direct: entry points bypass it for the registered body. A chain left
+// with exactly one stage, a WorkerValuer's, records it for the Call-free
+// entry of value methods (Method.runValue).
 func composeChain(m *Method, applied []appliedAdvice) *chain {
 	ch := &chain{handler: m.body, direct: true, applied: applied}
 	for i := len(applied) - 1; i >= 0; i-- { // wrap innermost-first
 		ad := applied[i]
 		if !ad.gate.on() {
 			continue
+		}
+		if ch.sole = nil; ch.direct && m.jp.kind == ValueKind { // the first live stage: sole so far
+			if v, ok := ad.advice.(WorkerValuer); ok {
+				ch.sole = &soleValuer{v, ad.gate}
+			}
 		}
 		inner := ch.handler
 		wrapped := ad.advice.Wrap(m.jp, inner)
