@@ -141,7 +141,11 @@ type Schedule = sched.Kind
 
 // Work-sharing schedules (paper Table 1: staticBlock, staticCyclic,
 // dynamic; guided, steal, auto, runtime and case-specific are the
-// documented extensions). Auto picks StaticBlock or Guided per encounter
+// documented extensions). Dynamic and Guided call the for method once per
+// claim on one shared cursor — four chunks while more than four per worker
+// remain, then one; Guided: the remainder over twice the team width — so
+// the chunk (ForAspect.Chunk) is the balance unit, and the range a call
+// receives may span four. Auto picks StaticBlock or Guided per encounter
 // from the trip count and team size, then re-tunes re-encounters of the
 // same construct from the imbalance the previous encounter measured;
 // Runtime resolves to the process-wide default set with

@@ -245,6 +245,11 @@ func main() {
 			"busy-work units per loop iteration, roughly modelling a slow core)")
 	flag.Parse()
 
+	if flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "jgfbench: unexpected argument %q (select benchmarks with -only)\n", flag.Arg(0))
+		flag.Usage()
+		os.Exit(2)
+	}
 	if *reps <= 0 {
 		fmt.Fprintf(os.Stderr, "jgfbench: -reps must be > 0 (got %d): a run with zero repetitions measures nothing\n", *reps)
 		os.Exit(2)

@@ -44,6 +44,11 @@ func main() {
 	only := flag.String("only", "", "comma-separated benchmark filter")
 	explain := flag.Bool("explain", false, "show the pointcut that matched each joinpoint")
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "weavedump: unexpected argument %q (select benchmarks with -only)\n", flag.Arg(0))
+		flag.Usage()
+		os.Exit(2)
+	}
 	filter := map[string]bool{}
 	for _, f := range strings.Split(*only, ",") {
 		if f = strings.TrimSpace(strings.ToLower(f)); f != "" {

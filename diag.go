@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"strconv"
@@ -202,7 +203,8 @@ func serveTrace(w http.ResponseWriter, r *http.Request) {
 	sec := 2.0
 	if s := r.URL.Query().Get("sec"); s != "" {
 		v, err := strconv.ParseFloat(s, 64)
-		if err != nil {
+		// NaN and ±Inf parse, but the clamp below cannot order them.
+		if err != nil || math.IsNaN(v) || math.IsInf(v, 0) {
 			http.Error(w, fmt.Sprintf("bad sec parameter %q", s), http.StatusBadRequest)
 			return
 		}

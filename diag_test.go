@@ -127,14 +127,17 @@ func TestDiagnosticsTraceEndpoint(t *testing.T) {
 		t.Fatalf("trace capture leaked tracer state: was %v, now %v", wasEnabled, TracingEnabled())
 	}
 
-	resp, err = srv.Client().Get(srv.URL + "/debug/aomp/trace?sec=bogus")
-	if err != nil {
-		t.Fatalf("GET bogus trace: %v", err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != 400 {
-		t.Fatalf("bogus sec got status %d, want 400", resp.StatusCode)
+	// Not a number, or a number the [0.1, 30] clamp cannot order.
+	for _, sec := range []string{"bogus", "NaN", "Inf", "-Inf"} {
+		resp, err = srv.Client().Get(srv.URL + "/debug/aomp/trace?sec=" + sec)
+		if err != nil {
+			t.Fatalf("GET trace?sec=%s: %v", sec, err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != 400 {
+			t.Fatalf("sec=%s got status %d, want 400", sec, resp.StatusCode)
+		}
 	}
 }
 

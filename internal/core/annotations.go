@@ -27,7 +27,7 @@ func (Parallel) AnnotationName() string { return "Parallel" }
 type For struct {
 	// Schedule selects the policy (default staticBlock).
 	Schedule sched.Kind
-	// Chunk is the dynamic/guided chunk size (default 1).
+	// Chunk is the balance unit of dynamic/guided (default 1; ForAspect.Chunk).
 	Chunk int
 	// NoWait suppresses the dynamic schedule's implicit barrier.
 	NoWait bool

@@ -38,8 +38,13 @@ func (a *ForAspect) Named(name string) *ForAspect { a.name = name; return a }
 // Schedule selects the scheduling policy — @For(schedule=...).
 func (a *ForAspect) Schedule(k sched.Kind) *ForAspect { a.kind = k; return a }
 
-// Chunk sets the chunk size for dynamic/guided schedules (default 1,
-// "for simplicity the chunk size was defined as one").
+// Chunk sets the chunk of the dynamic, guided and steal schedules (default
+// 1, "for simplicity the chunk size was defined as one"): the balance unit
+// and the least a worker takes at a time — not a bound on the range one
+// call receives. The method runs once per claim on the shared cursor, and a
+// dynamic claim is four chunks while more than four per worker remain (one
+// in the tail; guided: remainder over twice the team width, at least one
+// chunk), so size per-call scratch by hi−lo, not by n.
 func (a *ForAspect) Chunk(n int) *ForAspect { a.chunk = n; return a }
 
 // CustomSchedule installs a case-specific schedule (Table 2: the Sparse
@@ -106,7 +111,7 @@ func (a *ForAspect) Bindings() []weaver.Binding {
 				fc := rt.BeginFor(w, a, sp, a.kind, a.chunk)
 				k := fc.Kind
 				// One pooled sub-call, copied from c once, is reused for every
-				// sub-range this worker executes: a chunk costs three stores,
+				// sub-range this worker executes: a claim costs three stores,
 				// not an allocation or a Call-sized copy.
 				sc := weaver.GetCall()
 				*sc = *c

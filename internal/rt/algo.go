@@ -30,8 +30,10 @@ type SpanFunc func(sub sched.Space, arg any)
 // parallel.For dispatch gate at 0 allocs/op; dynamic, guided, steal,
 // weightedSteal and adaptive route through the team-shared dispenser
 // state of BeginFor, exactly like the woven @For construct, so they
-// inherit chunk batching, range stealing, speed-estimate training and the
-// obs work/steal events for free.
+// inherit range stealing, speed-estimate training and the obs work/steal
+// events for free. Under Dynamic and Guided run is invoked once per claim
+// (ForContext.Dispense): chunk is the balance unit, and a sub-range spans
+// up to dispenseBatchChunks chunks away from the loop tail.
 //
 // Every worker of the team must call ForSpan for the same loop (the
 // standing work-sharing encounter contract). key identifies the loop's

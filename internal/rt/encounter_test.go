@@ -306,7 +306,9 @@ func TestEncounterLeaseHermetic(t *testing.T) {
 				if !ok {
 					break
 				}
-				hits[sub.Lo].Add(1)
+				for i := sub.Lo; i < sub.Hi; i += sub.Step {
+					hits[i].Add(1)
+				}
 			}
 			fc.EndFor()
 		})

@@ -83,7 +83,7 @@ func BenchmarkBarrierPhaseBaselineCond(b *testing.B) {
 
 // BenchmarkDispenseContended hammers one shared dynamic dispenser from a
 // full team, chunk 1 — the worst-case schedule of the paper's Fig. 11 and
-// the contention point the batched claim (NextBatch through ForContext)
+// the contention point the 4-chunk claim (NextBatch through ForContext)
 // exists for. Reported ns/op covers `workers` draws (every worker draws
 // b.N times).
 func BenchmarkDispenseContended(b *testing.B) {
@@ -92,7 +92,7 @@ func BenchmarkDispenseContended(b *testing.B) {
 	Region(workers, func(w *Worker) {
 		// Shared dispenser sized b.N * workers, so each worker performs
 		// ~b.N draws before exhaustion (the first arriver arms it); drawn
-		// raw, without ForContext's worker-local batch.
+		// one chunk per CAS, not through ForContext's 4-chunk claim.
 		fc := BeginFor(w, "bench-disp", sched.Space{Lo: 0, Hi: b.N * workers, Step: 1}, sched.Dynamic, 1)
 		for {
 			if _, _, ok := fc.slot.fs.disp.Next(); !ok {
@@ -104,8 +104,11 @@ func BenchmarkDispenseContended(b *testing.B) {
 }
 
 // BenchmarkDispenseBatchedFor is the same contention measured through the
-// real work-sharing path: BeginFor/Dispense with the worker-local batch
-// claiming dispenseBatchChunks chunks per shared CAS.
+// real work-sharing path: BeginFor/Dispense, one claim of
+// dispenseBatchChunks chunks per shared CAS and per Dispense. An op is
+// `workers` iterations of chunk 1, which is one claim away from the tail:
+// ns/op is the cost of a claim, and ns/iteration the figure to set against
+// DispenseContended's ns/op ÷ workers.
 func BenchmarkDispenseBatchedFor(b *testing.B) {
 	const workers = 4
 	b.ReportAllocs()
@@ -119,6 +122,7 @@ func BenchmarkDispenseBatchedFor(b *testing.B) {
 		}
 		fc.EndFor()
 	})
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*workers), "ns/iteration")
 }
 
 // BenchmarkStealDispense drives the steal schedule end to end at the

@@ -20,13 +20,6 @@ type ForContext struct {
 	Worker *Worker
 	slot   *encSlot // the encounter's slot, held until EndFor; slot.fs is the shared state
 
-	// batchLo/batchHi are the worker-locally claimed but not yet dispensed
-	// iteration indices of a dynamic batch: Dispense claims several chunks
-	// from the shared cursor in one CAS and serves them from here, so the
-	// observable chunk granularity is unchanged while the team-shared
-	// cursor is touched a fraction as often.
-	batchLo, batchHi int64
-
 	// start/iters bracket this worker's share for the speed estimator:
 	// BeginFor stamps start, the dispensers accumulate iters (static kinds
 	// are reconstructed arithmetically at EndFor), and EndFor folds
@@ -36,9 +29,8 @@ type ForContext struct {
 	iters int64
 }
 
-// dispenseBatchChunks is how many dynamic chunks one shared-cursor CAS
-// claims (away from the loop tail, where NextBatch backs off to single
-// chunks so the last work still balances).
+// dispenseBatchChunks is how many chunks a dynamic claim takes away from
+// the loop tail (the rule: sched.Dispenser.NextBatch). Not a knob.
 const dispenseBatchChunks = 4
 
 // forShared is the team-shared state of one for-construct encounter,
@@ -200,30 +192,18 @@ func (w *Worker) ActiveFor() *ForContext {
 	return nil
 }
 
-// Dispense draws the next chunk for dynamic/guided schedules, returning it
-// as a sub-space with its iteration count (known here, a division to
-// re-derive). The bool is false when the iteration space is exhausted.
-// Dynamic chunks are drawn through a worker-local batch (several chunks
-// claimed per shared-cursor CAS, served one chunk at a time from the
-// ForContext); guided claims are served whole, as before, since guided
-// sizing self-batches.
+// Dispense makes the worker's next claim on the shared cursor of a dynamic
+// or guided loop and returns all of it, as a sub-space with its iteration
+// count (known here, a division to re-derive): the claim is the unit of
+// dispatch, the caller runs the body once per claim. The sub-space spans
+// dispenseBatchChunks chunks away from the loop tail — the chunk is the
+// balance unit, not a bound on what the body receives. The bool is false
+// when the iteration space is exhausted.
 func (fc *ForContext) Dispense() (sched.Space, int, bool) {
-	d := &fc.slot.fs.disp
-	if fc.batchLo >= fc.batchHi {
-		from, to, ok := d.NextBatch(dispenseBatchChunks)
-		if !ok {
-			return sched.Space{}, 0, false
-		}
-		fc.batchLo, fc.batchHi = from, to
+	from, to, ok := fc.slot.fs.disp.NextBatch(dispenseBatchChunks)
+	if !ok {
+		return sched.Space{}, 0, false
 	}
-	from := fc.batchLo
-	to := fc.batchHi
-	if fc.Kind != sched.Guided {
-		if c := from + d.ChunkSize(); c < to {
-			to = c
-		}
-	}
-	fc.batchLo = to
 	fc.iters += to - from
 	return fc.Space.Slice(int(from), int(to)), int(to - from), true
 }

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -45,5 +46,32 @@ func FuzzParseKind(f *testing.F) {
 		if rerr != nil || rk != k {
 			t.Fatalf("round-trip failed: ParseKind(%q) = %v, %v; want %v", k.String(), rk, rerr, k)
 		}
+	})
+}
+
+// FuzzDispenserClaims holds the claim rule (checkClaimShape) over arbitrary
+// trip counts, chunks and widths: claims tile [0,n) in order, are whole
+// chunks except the last, span four chunks only while more than 4·T chunks
+// remain, and no chunk or trip count overflows the cursor backwards. The
+// claim count is bounded so a hostile (n, chunk) cannot run the target for
+// minutes.
+func FuzzDispenserClaims(f *testing.F) {
+	f.Add(1024, 16, 2, false)
+	f.Add(1024, 16, 1, false)
+	f.Add(37, 3, 7, false)
+	f.Add(1000, 1, 4, true)
+	f.Add(100, math.MaxInt, 2, false)
+	f.Add(math.MaxInt, math.MaxInt, 2, false)
+	f.Add(math.MaxInt, math.MaxInt/4+1, 3, true)
+	f.Add(math.MaxInt, 1<<60, 1, false)
+	f.Add(0, 0, 0, false)
+	f.Fuzz(func(t *testing.T, n, chunk, nthreads int, guided bool) {
+		if n < 0 || nthreads > 1<<16 {
+			t.Skip()
+		}
+		if c := max(chunk, 1); n/c > 1<<16 {
+			t.Skip() // more than 64k claims: nothing new, only slower
+		}
+		checkClaimShape(t, n, chunk, nthreads, guided)
 	})
 }

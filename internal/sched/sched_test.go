@@ -1,9 +1,11 @@
 package sched
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
@@ -556,33 +558,118 @@ func TestSetDefaultAcceptsSteal(t *testing.T) {
 	}
 }
 
-// TestDispenserBatchClaim pins the batched claim: far from the tail a
-// NextBatch(k) claim spans k chunks; within the tail guard it backs off to
-// single chunks; and coverage stays exact either way.
-func TestDispenserBatchClaim(t *testing.T) {
-	d := NewDispenser(Space{0, 1000, 1}, 5, false, 2)
-	from, to, ok := d.NextBatch(4)
-	if !ok || to-from != 20 {
-		t.Fatalf("first batch = [%d,%d), want 20 iterations", from, to)
-	}
-	// Drain; near the tail claims must shrink back to the chunk size.
-	last := to - from
-	covered := to - from
-	for {
-		from, to, ok = d.NextBatch(4)
+// checkClaimShape draws every claim of a (n, chunk, T, guided) loop and
+// asserts the claim rule documented on NextBatch: claims tile [0,n) in
+// cursor order (the cursor never moves backwards); every claim but the one
+// holding the last iteration is at least one chunk; and a dynamic claim is
+// a whole number of chunks, four while more than 4·T chunks remain and one
+// from there on. It returns the number of claims.
+func checkClaimShape(t testing.TB, n, chunk, nthreads int, guided bool) int {
+	t.Helper()
+	d := NewDispenser(Space{0, n, 1}, chunk, guided, nthreads)
+	c, total, width := int64(max(1, min(chunk, n))), int64(n), int64(max(1, nthreads))
+	var cursor int64
+	for claims := 0; ; claims++ {
+		from, to, ok := d.NextBatch(4)
 		if !ok {
-			break
+			if cursor != total && n > 0 {
+				t.Fatalf("n=%d chunk=%d T=%d guided=%v: claims cover %d iterations", n, chunk, nthreads, guided, cursor)
+			}
+			return claims
 		}
-		last = to - from
-		covered += to - from
+		if from != cursor || to <= from || to > total {
+			t.Fatalf("n=%d chunk=%d T=%d guided=%v: claim [%d,%d) after cursor %d", n, chunk, nthreads, guided, from, to, cursor)
+		}
+		cursor = to
+		size, left, want := to-from, total-from, c
+		switch {
+		case to == total: // the last claim: at most what the rule below allows
+			if !guided && (size-1)/4 >= c {
+				t.Fatalf("n=%d chunk=%d T=%d: last claim [%d,%d) exceeds 4 chunks", n, chunk, nthreads, from, to)
+			}
+			continue
+		case guided:
+			want = max(c, left/(2*width))
+		case (left-1)/c >= 4*width: // more than 4·T chunks remain
+			want = 4 * c
+		}
+		if size != want {
+			t.Fatalf("n=%d chunk=%d T=%d guided=%v: claim [%d,%d) with %d left is %d iterations, want %d", n, chunk, nthreads, guided, from, to, left, size, want)
+		}
 	}
-	if covered != 1000 {
-		t.Fatalf("covered %d iterations, want 1000", covered)
+}
+
+// TestDispenserClaimShape pins the claim rule on a table, including the
+// claim counts the serve path above it is gated on (rt's
+// TestDispenseServesWholeClaims) and the sizes whose products overflow.
+func TestDispenserClaimShape(t *testing.T) {
+	for _, tc := range []struct {
+		n, chunk, nthreads int
+		guided             bool
+		claims             int // 0: not pinned
+	}{
+		{1024, 16, 1, false, 19},
+		{1024, 16, 2, false, 22},
+		{4096, 16, 2, false, 70},
+		{1000, 5, 2, false, 0},
+		{1000, 7, 3, false, 0},
+		{129, 16, 2, false, 6}, // one past 4·T chunks: one 4-chunk claim, then singles
+		{128, 16, 2, false, 8}, // exactly 4·T chunks: singles throughout
+		{37, 3, 7, false, 13},
+		{100, 0, 2, false, 0},
+		{100, -5, 2, false, 0},
+		{100, 1000, 2, false, 1},
+		{100, math.MaxInt, 2, false, 1},
+		{100, math.MaxInt / 2, 2, false, 1},
+		{100, math.MaxInt/4 + 1, 2, false, 1},
+		{math.MaxInt, math.MaxInt, 2, false, 1},
+		{math.MaxInt, math.MaxInt / 4, 2, false, 5},
+		{math.MaxInt, math.MaxInt/8 + 1, 1, false, 5}, // 7 chunks and a bit: one 4-chunk claim, then singles
+		{1024, 16, 2, true, 0},
+		{1000, 1, 4, true, 0},
+		{100, math.MaxInt, 2, true, 1},
+		{math.MaxInt, 1 << 40, 2, true, 0},
+		{0, 4, 2, false, 0},
+	} {
+		claims := checkClaimShape(t, tc.n, tc.chunk, tc.nthreads, tc.guided)
+		if tc.claims != 0 && claims != tc.claims {
+			t.Errorf("n=%d chunk=%d T=%d guided=%v: %d claims, want %d", tc.n, tc.chunk, tc.nthreads, tc.guided, claims, tc.claims)
+		}
 	}
-	if last > 5 {
-		t.Fatalf("tail claim spans %d iterations, want <= chunk", last)
-	}
-	if d.ChunkSize() != 5 {
-		t.Fatalf("ChunkSize = %d", d.ChunkSize())
+}
+
+// TestDispenserHugeChunkConcurrent is the overflow regression at the
+// dispenser: total = chunk = MaxInt at T=2, drawn by two goroutines, hands
+// out every iteration once and never moves the cursor backwards (at the
+// parent chunk·4 went negative and the CAS rewound the cursor).
+func TestDispenserHugeChunkConcurrent(t *testing.T) {
+	for _, guided := range []bool{false, true} {
+		d := NewDispenser(Space{0, math.MaxInt, 1}, math.MaxInt, guided, 2)
+		var wg sync.WaitGroup
+		var covered atomic.Int64
+		for g := 0; g < 2; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				var last int64 = -1
+				for draws := 0; draws < 1000; draws++ {
+					from, to, ok := d.NextBatch(4)
+					if !ok {
+						return
+					}
+					if from <= last || to <= from {
+						t.Errorf("guided=%v: claim [%d,%d) after %d: the cursor went backwards", guided, from, to, last)
+						return
+					}
+					last = from
+					covered.Add(to - from)
+				}
+				t.Errorf("guided=%v: still drawing after 1000 claims", guided)
+			}()
+		}
+		wg.Wait()
+		if covered.Load() != math.MaxInt {
+			t.Errorf("guided=%v: covered %d iterations, want MaxInt", guided, covered.Load())
+		}
 	}
 }

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"math/bits"
 	"strings"
 	"sync/atomic"
 )
@@ -20,11 +21,11 @@ const (
 	// StaticCyclic deals iterations round-robin: worker id executes
 	// iterations id, id+N, id+2N, ... (paper §II: "cyclic load-distribution").
 	StaticCyclic
-	// Dynamic hands out fixed-size chunks from a shared counter on demand
-	// (paper Fig. 11; default chunk 1).
+	// Dynamic hands out claims on a shared cursor on demand (paper Fig. 11;
+	// default chunk 1): four chunks, one in the tail (Dispenser.NextBatch).
 	Dynamic
-	// Guided hands out exponentially shrinking chunks (remaining/2N,
-	// floored at the chunk size).
+	// Guided hands out exponentially shrinking claims (remaining/2N,
+	// floored at the chunk size) from the same cursor.
 	Guided
 	// Steal carves one contiguous iteration range per worker statically —
 	// the StaticBlock partition — and lets workers that exhaust their range
@@ -251,12 +252,12 @@ func Cyclic(sp Space, nthreads, id int) Space {
 }
 
 // Dispenser is the shared state behind Dynamic and Guided scheduling: a
-// single atomic cursor over iteration-index space that workers draw chunks
-// from. One Dispenser instance is shared by the whole team per construct
-// encounter (the runtime layer manages instance identity). The cursor sits
-// on its own cache line: every worker of the team CASes it, and sharing a
-// line with the read-only bounds would drag those reads into the coherence
-// storm.
+// single atomic cursor over iteration-index space that workers claim
+// ranges from. One Dispenser instance is shared by the whole team per
+// construct encounter (the runtime layer manages instance identity). The
+// cursor sits on its own cache line: every worker of the team CASes it, and
+// sharing a line with the read-only bounds would drag those reads into the
+// coherence storm.
 type Dispenser struct {
 	next atomic.Int64
 	_    [56]byte // rest of the cursor's cache line
@@ -267,9 +268,9 @@ type Dispenser struct {
 	nthreads int64
 }
 
-// NewDispenser creates a dispenser over sp handing out chunks of the given
-// size (minimum chunk for guided). chunk < 1 is treated as 1, matching the
-// paper's default of one iteration per task.
+// NewDispenser creates a dispenser over sp whose balance unit — the least a
+// worker takes at a time — is chunk iterations. chunk < 1 is treated as 1
+// (the paper's default), a chunk past the trip count as the trip count.
 func NewDispenser(sp Space, chunk int, guided bool, nthreads int) *Dispenser {
 	d := &Dispenser{}
 	d.Reset(sp, chunk, guided, nthreads)
@@ -281,58 +282,51 @@ func NewDispenser(sp Space, chunk int, guided bool, nthreads int) *Dispenser {
 // be in flight (rt resets a dispenser only inside an encounter slot it has
 // just claimed).
 func (d *Dispenser) Reset(sp Space, chunk int, guided bool, nthreads int) {
-	if chunk < 1 {
-		chunk = 1
-	}
-	if nthreads < 1 {
-		nthreads = 1
-	}
+	n := sp.Count()
 	d.next.Store(0)
-	d.total, d.chunk, d.guided, d.nthreads = int64(sp.Count()), int64(chunk), guided, int64(nthreads)
+	d.total, d.chunk = int64(n), int64(max(1, min(chunk, n)))
+	d.guided, d.nthreads = guided, int64(max(1, nthreads))
 }
 
 // Next reserves the next chunk, returning iteration-index bounds [from, to).
 // ok is false when the space is exhausted.
-func (d *Dispenser) Next() (from, to int64, ok bool) {
-	return d.NextBatch(1)
-}
+func (d *Dispenser) Next() (from, to int64, ok bool) { return d.NextBatch(1) }
 
-// NextBatch reserves up to maxChunks consecutive chunks with one CAS,
-// returning iteration-index bounds [from, to). Callers dispense the batch
-// locally in ChunkSize pieces, so the observable chunk granularity is
-// unchanged while the shared cursor is touched maxChunks times less often.
-// Batching backs off to single chunks near the tail (when fewer than one
-// batch per worker remains) so the last chunks still balance; guided
-// sizing already self-batches and ignores maxChunks.
+// NextBatch is one claim: a single CAS on the shared cursor reserving the
+// iteration-index range [from, to), which the caller executes as one piece.
+// A dynamic claim is maxChunks whole chunks while more than maxChunks
+// chunks per worker remain and one chunk in that tail, so the last claims
+// balance as single chunks do; only the claim holding the loop's last
+// iteration may be a partial chunk. A guided claim ignores maxChunks: the
+// remaining count over twice the team width, never under one chunk. ok is
+// false when the space is exhausted. No chunk or trip count can wrap a
+// claim and move the cursor backwards: chunk ≤ total after Reset, a claim
+// is clipped to what is left, and the tail test is formed in 128 bits.
 func (d *Dispenser) NextBatch(maxChunks int) (from, to int64, ok bool) {
 	for {
 		cur := d.next.Load()
-		if cur >= d.total {
+		left := d.total - cur
+		if left <= 0 {
 			return 0, 0, false
 		}
 		size := d.chunk
 		if d.guided {
-			if g := (d.total - cur) / (2 * d.nthreads); g > size {
-				size = g
-			}
+			size = max(size, left/(2*d.nthreads))
 		} else if maxChunks > 1 {
-			if batch := d.chunk * int64(maxChunks); d.total-cur > batch*d.nthreads {
-				size = batch
+			// left > chunk·maxChunks·nthreads? By widening multiply: a
+			// division here would sit inside the cursor's CAS window.
+			h1, batch := bits.Mul64(uint64(size), uint64(maxChunks))
+			h2, all := bits.Mul64(batch, uint64(d.nthreads))
+			if h1|h2 == 0 && all < uint64(left) {
+				size = int64(batch)
 			}
 		}
-		end := cur + size
-		if end > d.total {
-			end = d.total
-		}
-		if d.next.CompareAndSwap(cur, end) {
-			return cur, end, true
+		size = min(size, left)
+		if d.next.CompareAndSwap(cur, cur+size) {
+			return cur, cur + size, true
 		}
 	}
 }
-
-// ChunkSize reports the chunk granularity the dispenser serves (the
-// minimum chunk for guided).
-func (d *Dispenser) ChunkSize() int64 { return d.chunk }
 
 // Remaining reports how many iterations have not yet been dispensed.
 // Intended for tests and diagnostics.

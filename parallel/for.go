@@ -35,8 +35,8 @@ func For(lo, hi int, body func(i int), opts ...Opt) {
 
 // ForRange is the range-chunk variant of For: body(lo, hi) receives whole
 // sub-ranges instead of single indices, one call per scheduling unit —
-// one block per worker under Static, one chunk per draw under Dynamic,
-// Guided and Steal. Use it when the body amortizes per-call work over a
+// one block per worker under Static, one claim under Dynamic and Guided
+// (up to four grains, see WithGrain), one chunk per draw under Steal. Use it when the body amortizes per-call work over a
 // range (slice kernels, SIMD-friendly inner loops): it is For with the
 // per-index indirect call hoisted out.
 func ForRange(lo, hi int, body func(lo, hi int), opts ...Opt) {

@@ -50,11 +50,11 @@ const (
 	// Cyclic deals iterations round-robin (chunk-sized hands) across the
 	// team; balances regular-but-heterogeneous iterations.
 	Cyclic Schedule = sched.StaticCyclic
-	// Dynamic hands out fixed-size chunks from a shared atomic cursor;
-	// workers draw batches to amortize contention.
+	// Dynamic hands out claims on a shared atomic cursor: four grains while
+	// more than four per worker remain, then one, so the tail balances.
 	Dynamic Schedule = sched.Dynamic
-	// Guided hands out exponentially shrinking chunks — large early, small
-	// at the tail — trading contention against tail imbalance.
+	// Guided hands out exponentially shrinking claims — large early, one
+	// grain at the tail — trading contention against tail imbalance.
 	Guided Schedule = sched.Guided
 	// Steal gives every worker a private contiguous range and lets idle
 	// workers steal the back half of a victim's remainder with a single
@@ -109,11 +109,14 @@ func WithThreads(n int) Opt { return func(c *config) { c.threads = n } }
 // chunk-level skew without changing the deterministic combine shape.
 func WithSchedule(s Schedule) Opt { return func(c *config) { c.sched = s } }
 
-// WithGrain sets the decomposition grain: the chunk size for Dynamic,
-// Guided and Steal loop schedules, the per-partial chunk length of Reduce
-// and Scan, the task grain of nested For calls, and the serial cutoff of
-// Sort. Zero or negative means an automatic grain derived from the input
-// length alone (width-independent, preserving determinism).
+// WithGrain sets the decomposition grain: the chunk of the Dynamic, Guided
+// and Steal loop schedules, the per-partial chunk length of Reduce and
+// Scan, the task grain of nested For calls, and the serial cutoff of Sort.
+// For Dynamic and Guided loops it is the balance unit and the least a
+// worker takes at a time, not a bound on the range a ForRange body
+// receives: the body runs once per claim, up to 4n indices under Dynamic.
+// Zero or negative means an automatic grain derived from the input length
+// alone (width-independent, preserving determinism).
 func WithGrain(n int) Opt { return func(c *config) { c.grain = n } }
 
 // apply folds opts over the default configuration. The result escapes
