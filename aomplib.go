@@ -99,17 +99,6 @@ type WovenMethod = weaver.WovenMethod
 // advice name, matching pointcut and current gate state.
 type AdviceInfo = weaver.AdviceInfo
 
-// StaticPlan is a frozen snapshot of a program's weave, embedded by the
-// static-weave backend (cmd/weavegen) and re-verified at bind time with
-// Program.VerifyPlan.
-type StaticPlan = weaver.StaticPlan
-
-// PlannedMethod is one method's weave state inside a StaticPlan.
-type PlannedMethod = weaver.PlannedMethod
-
-// PlannedAdvice identifies one applied advice inside a PlannedMethod.
-type PlannedAdvice = weaver.PlannedAdvice
-
 // NewProgram creates an empty program registry.
 func NewProgram(name string) *Program { return weaver.NewProgram(name) }
 

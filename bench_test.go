@@ -259,42 +259,6 @@ func BenchmarkOverhead_RegionEntryDisabled(b *testing.B) {
 	}
 }
 
-// BenchmarkOverhead_RegionEntryStatic measures the statically woven entry
-// emitted by cmd/weavegen (staticweave_gen_test.go): no chain load, no
-// gate checks, frozen advice composition. The ablation expectation —
-// static ≤ gated dynamic ≤ ungated+gate — is recorded in DESIGN.md §14.
-func BenchmarkOverhead_RegionEntryStatic(b *testing.B) {
-	p := newStaticBenchProgram(threads())
-	e, err := bindStaticBench(p)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.M()
-	}
-}
-
-// TestStaticBenchBind keeps the generated static demo exercised by plain
-// go test runs: binding succeeds against a freshly built program, the
-// unadvised method resolves to the direct body, and a reconfigured
-// program is rejected.
-func TestStaticBenchBind(t *testing.T) {
-	p := newStaticBenchProgram(2)
-	e, err := bindStaticBench(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.M()
-	e.Plain()
-	if err := p.SetAdviceEnabled("ParallelRegion", false); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := bindStaticBench(p); err == nil {
-		t.Fatal("bindStaticBench accepted a drifted configuration")
-	}
-}
-
 // BenchmarkOverhead_RegionEntryCold is the same entry with hot teams off:
 // team, workers and goroutines are built and discarded per entry — the
 // pre-pool behaviour the warm path is measured against.

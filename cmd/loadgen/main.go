@@ -54,6 +54,11 @@ func main() {
 	fairmin := flag.Float64("fairmin", def.FairMin, "starvation threshold: min/max tenant throughput")
 	p99max := flag.Duration("p99max", 0, "p99 latency bound for -check (0 = unchecked)")
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "loadgen: unexpected argument %q (every setting is a flag, e.g. -sweep)\n", flag.Arg(0))
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	sweep, err := parseSweep(*sweepStr)
 	if err != nil {

@@ -1,6 +1,9 @@
 package main
 
 import (
+	"errors"
+	"os"
+	"os/exec"
 	"strings"
 	"testing"
 	"time"
@@ -127,5 +130,28 @@ func TestParseSweepAndPolicy(t *testing.T) {
 	cfg.Kernel = "fortran"
 	if _, err := runSweep(cfg); err == nil {
 		t.Fatal("unknown kernel accepted")
+	}
+}
+
+// TestPositionalArgumentRejected: `loadgen -sweep=1 -duration=50ms 4 -check
+// -p99max=1ns` must exit 2 with usage. Without the guard flag.Parse stops at
+// "4", the sweep runs with -check off and exits 0: a CI gate written that
+// way would pass vacuously. The test binary re-executes itself as the
+// command.
+func TestPositionalArgumentRejected(t *testing.T) {
+	if os.Getenv("LOADGEN_AS_MAIN") == "1" {
+		os.Args = []string{"loadgen", "-sweep=1", "-duration=50ms", "4", "-check", "-p99max=1ns"}
+		main()
+		return
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^TestPositionalArgumentRejected$")
+	cmd.Env = append(os.Environ(), "LOADGEN_AS_MAIN=1")
+	out, err := cmd.CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+		t.Fatalf("loadgen -sweep=1 -duration=50ms 4 -check -p99max=1ns: %v, want exit status 2; output:\n%.400s", err, out)
+	}
+	if !strings.Contains(string(out), `unexpected argument "4"`) || !strings.Contains(string(out), "-sweep") {
+		t.Fatalf("no usage in the output:\n%.400s", out)
 	}
 }

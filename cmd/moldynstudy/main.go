@@ -41,6 +41,11 @@ func main() {
 	threadsFlag := flag.String("threads", "2", "comma-separated team sizes")
 	reps := flag.Int("reps", 1, "kernel repetitions (fastest kept)")
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "moldynstudy: unexpected argument %q (set sizes with -mm)\n", flag.Arg(0))
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	mms := parseInts(*mmFlag)
 	if *big {

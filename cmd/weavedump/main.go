@@ -14,11 +14,15 @@
 // Program.SetAdviceEnabled); with -explain it also shows the pointcut
 // expression that selected the joinpoint, resolved through the weaver's
 // pointcut index.
+//
+// testdata/weave.golden holds the -explain output for all eight kernels;
+// TestWeaveGolden fails when a kernel's aspect composition drifts from it.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"slices"
 	"strings"
@@ -40,6 +44,21 @@ type weaveReporter interface {
 	WeaveReport() []weaver.WovenMethod
 }
 
+// benchmarks lists the reported kernels in output order.
+var benchmarks = []struct {
+	name string
+	inst weaveReporter
+}{
+	{"Crypt", crypt.NewAomp(crypt.SizeTest, 2).(weaveReporter)},
+	{"LUFact", lufact.NewAomp(lufact.SizeTest, 2).(weaveReporter)},
+	{"Series", series.NewAomp(series.SizeTest, 2).(weaveReporter)},
+	{"SOR", sor.NewAomp(sor.SizeTest, 2).(weaveReporter)},
+	{"Sparse", sparse.NewAomp(sparse.SizeTest, 2).(weaveReporter)},
+	{"MolDyn", moldyn.NewAomp(moldyn.SizeTest, 2, moldyn.ThreadLocalStrategy).(weaveReporter)},
+	{"MonteCarlo", montecarlo.NewAomp(montecarlo.SizeTest, 2).(weaveReporter)},
+	{"RayTracer", raytracer.NewAomp(raytracer.SizeTest, 2).(weaveReporter)},
+}
+
 func main() {
 	only := flag.String("only", "", "comma-separated benchmark filter")
 	explain := flag.Bool("explain", false, "show the pointcut that matched each joinpoint")
@@ -56,19 +75,6 @@ func main() {
 		}
 	}
 
-	benchmarks := []struct {
-		name string
-		inst weaveReporter
-	}{
-		{"Crypt", crypt.NewAomp(crypt.SizeTest, 2).(weaveReporter)},
-		{"LUFact", lufact.NewAomp(lufact.SizeTest, 2).(weaveReporter)},
-		{"Series", series.NewAomp(series.SizeTest, 2).(weaveReporter)},
-		{"SOR", sor.NewAomp(sor.SizeTest, 2).(weaveReporter)},
-		{"Sparse", sparse.NewAomp(sparse.SizeTest, 2).(weaveReporter)},
-		{"MolDyn", moldyn.NewAomp(moldyn.SizeTest, 2, moldyn.ThreadLocalStrategy).(weaveReporter)},
-		{"MonteCarlo", montecarlo.NewAomp(montecarlo.SizeTest, 2).(weaveReporter)},
-		{"RayTracer", raytracer.NewAomp(raytracer.SizeTest, 2).(weaveReporter)},
-	}
 	var known []string
 	for _, b := range benchmarks {
 		known = append(known, strings.ToLower(b.name))
@@ -79,20 +85,26 @@ func main() {
 			os.Exit(2)
 		}
 	}
+	dump(os.Stdout, filter, *explain)
+}
+
+// dump writes the weave of every kernel in filter (all of them when filter
+// is empty) to w; explain adds the pointcut that selected each advice.
+func dump(w io.Writer, filter map[string]bool, explain bool) {
 	for _, b := range benchmarks {
 		if len(filter) > 0 && !filter[strings.ToLower(b.name)] {
 			continue
 		}
 		b.inst.Setup()
-		fmt.Printf("=== %s ===\n", b.name)
+		fmt.Fprintf(w, "=== %s ===\n", b.name)
 		for _, wm := range b.inst.WeaveReport() {
-			fmt.Printf("  %-28s [%s]", wm.FQN, wm.Kind)
+			fmt.Fprintf(w, "  %-28s [%s]", wm.FQN, wm.Kind)
 			if len(wm.Annotations) > 0 {
-				fmt.Printf(" @%s", strings.Join(wm.Annotations, " @"))
+				fmt.Fprintf(w, " @%s", strings.Join(wm.Annotations, " @"))
 			}
-			fmt.Println()
+			fmt.Fprintln(w)
 			if len(wm.Advice) == 0 {
-				fmt.Println("      (unadvised — direct call)")
+				fmt.Fprintln(w, "      (unadvised — direct call)")
 				continue
 			}
 			for i, d := range wm.Details {
@@ -100,13 +112,13 @@ func main() {
 				if !d.Enabled {
 					state = "off"
 				}
-				fmt.Printf("      %s%s/%s [%s]", strings.Repeat("  ", i), d.Aspect, d.Advice, state)
-				if *explain {
-					fmt.Printf("  ← %s", d.Pointcut)
+				fmt.Fprintf(w, "      %s%s/%s [%s]", strings.Repeat("  ", i), d.Aspect, d.Advice, state)
+				if explain {
+					fmt.Fprintf(w, "  ← %s", d.Pointcut)
 				}
-				fmt.Println()
+				fmt.Fprintln(w)
 			}
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
 }

@@ -187,14 +187,11 @@ type aompInstance struct {
 	threads int
 	s       *Series
 	run     func()
-	build   func(lo, hi, step int)
 	prog    *weaver.Program
 }
 
 // NewAomp returns the AOmpLib version: the same base program composed with
 // a ParallelRegion and a block-scheduled ForShare aspect.
-//
-//go:generate go run aomplib/cmd/weavegen -target=series -o=static_gen.go
 func NewAomp(p Params, threads int) harness.Instance {
 	return &aompInstance{p: p, threads: threads}
 }
@@ -204,32 +201,11 @@ func (in *aompInstance) Setup() {
 	in.prog = weaver.NewProgram("Series")
 	prog := in.prog
 	cls := prog.Class("Series")
-	// Call sites go through instance fields so UseStatic can rewire them
-	// to the statically woven entries without touching the registry.
-	in.build = cls.ForProc("buildCoeffs", in.s.BuildCoeffs)
-	in.run = cls.Proc("run", func() { in.build(0, in.s.n, 1) })
+	build := cls.ForProc("buildCoeffs", in.s.BuildCoeffs)
+	in.run = cls.Proc("run", func() { build(0, in.s.n, 1) })
 	prog.Use(core.ParallelRegion("call(* Series.run(..))").Threads(in.threads))
 	prog.Use(core.ForShare("call(* Series.buildCoeffs(..))").Schedule(sched.Runtime))
 	prog.MustWeave()
-}
-
-// Program exposes the underlying weave registry for static-weave tooling
-// (cmd/weavegen) and diagnostics.
-func (in *aompInstance) Program() *weaver.Program { return in.prog }
-
-// UseStatic rewires the instance's call sites to the statically woven
-// entry points generated by cmd/weavegen (static_gen.go), after verifying
-// the generated plan still matches the live weave. Every subsequent
-// Kernel run dispatches with zero dynamic weaving overhead: no chain
-// loads and no gate checks.
-func (in *aompInstance) UseStatic() error {
-	e, err := BindStatic(in.prog)
-	if err != nil {
-		return err
-	}
-	in.build = e.BuildCoeffs
-	in.run = e.Run
-	return nil
 }
 
 func (in *aompInstance) Kernel()         { in.run() }

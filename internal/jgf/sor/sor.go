@@ -156,16 +156,12 @@ type aompInstance struct {
 	threads int
 	s       *SOR
 	run     func()
-	red     func(lo, hi, step int)
-	black   func(lo, hi, step int)
 	prog    *weaver.Program
 }
 
 // NewAomp returns the AOmpLib version: the same base program with a
 // parallel region over the sweep loop, a block-scheduled for and a barrier
 // after each colour phase.
-//
-//go:generate go run aomplib/cmd/weavegen -target=sor -o=static_gen.go
 func NewAomp(p Params, threads int) harness.Instance {
 	return &aompInstance{p: p, threads: threads}
 }
@@ -175,40 +171,18 @@ func (in *aompInstance) Setup() {
 	in.prog = weaver.NewProgram("SOR")
 	prog := in.prog
 	cls := prog.Class("SOR")
-	// Call sites go through instance fields so UseStatic can rewire them
-	// to the statically woven entries without touching the registry.
-	in.red = cls.ForProc("relaxRed", func(lo, hi, step int) { in.s.RelaxColor(lo, hi, step, 0) })
-	in.black = cls.ForProc("relaxBlack", func(lo, hi, step int) { in.s.RelaxColor(lo, hi, step, 1) })
+	red := cls.ForProc("relaxRed", func(lo, hi, step int) { in.s.RelaxColor(lo, hi, step, 0) })
+	black := cls.ForProc("relaxBlack", func(lo, hi, step int) { in.s.RelaxColor(lo, hi, step, 1) })
 	in.run = cls.Proc("run", func() {
 		for it := 0; it < in.s.iters; it++ {
-			in.red(0, in.s.m, 1)
-			in.black(0, in.s.m, 1)
+			red(0, in.s.m, 1)
+			black(0, in.s.m, 1)
 		}
 	})
 	prog.Use(core.ParallelRegion("call(* SOR.run(..))").Threads(in.threads))
 	prog.Use(core.ForShare("call(* SOR.relax*(..))").Schedule(sched.Runtime))
 	prog.Use(core.BarrierAfterPoint("call(* SOR.relax*(..))"))
 	prog.MustWeave()
-}
-
-// Program exposes the underlying weave registry for static-weave tooling
-// (cmd/weavegen) and diagnostics.
-func (in *aompInstance) Program() *weaver.Program { return in.prog }
-
-// UseStatic rewires the instance's call sites to the statically woven
-// entry points generated by cmd/weavegen (static_gen.go), after verifying
-// the generated plan still matches the live weave. Every subsequent
-// Kernel run dispatches with zero dynamic weaving overhead: no chain
-// loads and no gate checks.
-func (in *aompInstance) UseStatic() error {
-	e, err := BindStatic(in.prog)
-	if err != nil {
-		return err
-	}
-	in.red = e.RelaxRed
-	in.black = e.RelaxBlack
-	in.run = e.Run
-	return nil
 }
 
 func (in *aompInstance) Kernel() {

@@ -369,18 +369,27 @@ func (m *metricsRegistry) snapshotHist(name string, sel func(*metricShard) *hist
 }
 
 // snapshot merges every shard into one MetricsSnapshot.
+//
+// Snapshots race the hooks, so a counter bounded by another is read first:
+// a task's completion is counted after its spawn (often on another shard)
+// and a steal after its attempt. Reading every shard of the dependent before
+// any shard of its bound keeps completed ≤ spawned and steals ≤ attempts in
+// every snapshot; collector.stats applies the same rule to its counters.
 func (m *metricsRegistry) snapshot() MetricsSnapshot {
 	out := MetricsSnapshot{Enabled: MetricsEnabled()}
+	for i := range m.shards {
+		s := &m.shards[i]
+		out.TasksCompleted += s.tasksCompleted.Load()
+		out.Steals += s.steals.Load()
+	}
 	var loop [schedKinds]uint64
 	for i := range m.shards {
 		s := &m.shards[i]
 		out.RegionEntries += s.regionEntries.Load()
 		out.BarrierWaits += s.barrierWaits.Load()
 		out.StealAttempts += s.stealAttempts.Load()
-		out.Steals += s.steals.Load()
 		out.StealProbes += s.stealProbes.Load()
 		out.TasksSpawned += s.tasksSpawned.Load()
-		out.TasksCompleted += s.tasksCompleted.Load()
 		for k := range s.loopShares {
 			loop[k] += s.loopShares[k].Load()
 		}

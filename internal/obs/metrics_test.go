@@ -135,8 +135,8 @@ func TestMetricsConcurrentRecordVsSnapshot(t *testing.T) {
 			default:
 			}
 			s := m.snapshot()
-			if s.TasksCompleted > s.TasksSpawned {
-				t.Error("completed ran ahead of spawned in a racing snapshot")
+			if s.TasksCompleted > s.TasksSpawned || s.Steals > s.StealAttempts {
+				t.Errorf("completed or steals ran ahead of its bound in a racing snapshot: %+v", s)
 				return
 			}
 		}
@@ -149,6 +149,8 @@ func TestMetricsConcurrentRecordVsSnapshot(t *testing.T) {
 			for i := 0; i < iters; i++ {
 				h.TaskCreate(w, uint64(g*iters+i+1), TaskDeferred)
 				h.TaskComplete(w, uint64(g*iters+i+1))
+				h.StealAttempt(w)
+				h.StealSuccess(w, uint64(g*iters+i+1), w)
 				h.BarrierDepart(w, 1, int64(i))
 				h.AdmitGrant(uint64(g), 0)
 			}
@@ -172,6 +174,60 @@ func TestMetricsConcurrentRecordVsSnapshot(t *testing.T) {
 	}
 	if admits != total {
 		t.Fatalf("tenant admits sum = %d, want %d", admits, total)
+	}
+}
+
+// The tracer's Stats race its hooks too: no racing read may see a join,
+// pool hit, completion or steal its bounding counter has not yet counted.
+func TestCollectorConcurrentRecordVsStats(t *testing.T) {
+	c := newCollector(8, 16)
+	h := c.hooks()
+	const goroutines, iters = 8, 3000
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	var snaps sync.WaitGroup
+	snaps.Add(1)
+	go func() {
+		defer snaps.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			s := c.stats()
+			if s.RegionJoins > s.RegionForks || s.TeamLeaseHits > s.TeamLeases ||
+				s.TasksCompleted > s.TasksSpawned || s.Steals > s.StealAttempts {
+				t.Errorf("a counter ran ahead of its bound in racing stats: %+v", s)
+				return
+			}
+		}
+	}()
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			w := WorkerID(g)
+			for i := 0; i < iters; i++ {
+				id := uint64(g*iters + i + 1)
+				h.RegionFork(w, id, 1, 2)
+				h.TeamLease(w, id, 2, true)
+				h.TaskCreate(w, id, TaskDeferred)
+				h.TaskComplete(w, id)
+				h.StealAttempt(w)
+				h.StealSuccess(w, id, w)
+				h.RegionJoin(w, id, 1)
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(stop)
+	snaps.Wait()
+
+	s := c.stats()
+	const total = goroutines * iters
+	if s.RegionJoins != total || s.TeamLeaseHits != total || s.TasksCompleted != total || s.Steals != total {
+		t.Fatalf("quiesced stats %+v, want %d of each", s, total)
 	}
 }
 

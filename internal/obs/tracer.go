@@ -262,20 +262,22 @@ func (c *collector) stats() Stats {
 	if m := c.foldedMax.Load(); m >= int64(c.maxRings) {
 		folded = int(m) - c.maxRings + 1
 	}
+	// Literal order is load order: dependents before their bounds, as in
+	// metricsRegistry.snapshot.
 	return Stats{
 		RingDrops:      c.droppedCum.Load() + dropped,
 		TraceRings:     len(rings),
 		WorkersFolded:  folded,
-		RegionForks:    c.c.regionForks.Load(),
 		RegionJoins:    c.c.regionJoins.Load(),
-		TeamLeases:     c.c.teamLeases.Load(),
+		RegionForks:    c.c.regionForks.Load(),
 		TeamLeaseHits:  c.c.teamHits.Load(),
+		TeamLeases:     c.c.teamLeases.Load(),
 		TeamRetires:    c.c.teamRetires.Load(),
+		TasksCompleted: c.c.tasksCompleted.Load(),
 		TasksSpawned:   c.c.tasksSpawned.Load(),
 		TasksInlined:   c.c.tasksInlined.Load(),
-		TasksCompleted: c.c.tasksCompleted.Load(),
-		StealAttempts:  c.c.stealAttempts.Load(),
 		Steals:         c.c.steals.Load(),
+		StealAttempts:  c.c.stealAttempts.Load(),
 		StealProbes:    c.c.stealProbes.Load(),
 		BarrierWaits:   c.c.barrierWaits.Load(),
 		BarrierWaitNs:  c.c.barrierWaitNs.Load(),

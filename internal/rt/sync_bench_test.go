@@ -10,9 +10,9 @@ import (
 
 // Contention microbenchmarks for the synchronisation hot paths: the team
 // barrier phase, the shared loop-chunk dispenser, and the critical-section
-// lock registries. These are the CI-gated evidence for the de-contending
-// work — the benchstat job compares them against the merge base and fails
-// the build on regressions.
+// lock registries. CI runs them as a smoke and gates BarrierPhase/w=2 by
+// ratio (a construct encounter costs at most three phases); their end-to-end
+// cost shows in bench/'s jgf-sync and finegrain workloads.
 
 // benchBarrierPhase measures one full barrier round trip across `workers`
 // parties, every party being a real team worker (so arrivals ride the

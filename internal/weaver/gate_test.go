@@ -308,88 +308,6 @@ func TestReportDetails(t *testing.T) {
 	}
 }
 
-func TestPlanVerifyAndFrozenHandler(t *testing.T) {
-	p := NewProgram("test")
-	var adv atomic.Int32
-	p.Class("A").Proc("m", func() {})
-	p.Use(&SimpleAspect{Name: "asp", Bind: []Binding{
-		bind("call(* A.m(..))", countAdvice("count", 1, &adv))}})
-	p.MustWeave()
-
-	plan := p.Plan()
-	if err := p.VerifyPlan(plan); err != nil {
-		t.Fatalf("fresh plan failed verification: %v", err)
-	}
-	h, ok := p.FrozenHandler("A.m")
-	if !ok {
-		t.Fatal("FrozenHandler: method missing")
-	}
-	c := GetCall()
-	c.JP = p.Method("A.m").jp
-	h(c)
-	PutCall(c)
-	if adv.Load() != 1 {
-		t.Fatal("frozen handler skipped enabled advice")
-	}
-
-	// The frozen handler must be immune to later toggles ...
-	if err := p.SetAdviceEnabled("asp", false); err != nil {
-		t.Fatal(err)
-	}
-	c = GetCall()
-	c.JP = p.Method("A.m").jp
-	h(c)
-	PutCall(c)
-	if adv.Load() != 2 {
-		t.Fatal("frozen handler observed a toggle")
-	}
-	// ... and the drift must be caught by VerifyPlan.
-	if err := p.VerifyPlan(plan); err == nil {
-		t.Fatal("VerifyPlan missed a gate toggle")
-	}
-
-	if _, ok := p.FrozenHandler("A.nope"); ok {
-		t.Fatal("FrozenHandler invented a method")
-	}
-	if err := p.VerifyPlan(StaticPlan{Program: "other"}); err == nil {
-		t.Fatal("VerifyPlan accepted a foreign program")
-	}
-}
-
-// FrozenHandler over a disabled advice must compose without it.
-func TestFrozenHandlerSkipsDisabledAdvice(t *testing.T) {
-	p := NewProgram("test")
-	var adv atomic.Int32
-	p.Class("A").Proc("m", func() {})
-	p.Use(&SimpleAspect{Name: "asp", Bind: []Binding{
-		bind("call(* A.m(..))", countAdvice("count", 1, &adv))}})
-	p.MustWeave()
-	if err := p.SetAdviceEnabled("asp", false); err != nil {
-		t.Fatal(err)
-	}
-	h, _ := p.FrozenHandler("A.m")
-	c := GetCall()
-	h(c)
-	PutCall(c)
-	if adv.Load() != 0 {
-		t.Fatal("frozen handler composed a disabled advice")
-	}
-}
-
-func TestBodyFunc(t *testing.T) {
-	p := NewProgram("test")
-	var ran bool
-	p.Class("A").ForProc("loop", func(lo, hi, step int) { ran = true })
-	body, ok := p.Method("A.loop").BodyFunc().(func(lo, hi, step int))
-	if !ok {
-		t.Fatalf("BodyFunc type = %T", p.Method("A.loop").BodyFunc())
-	}
-	body(0, 1, 1)
-	if !ran {
-		t.Fatal("BodyFunc did not invoke the registered body")
-	}
-}
-
 // Toggling while calls are in flight must be race-clean and every call
 // must run the body exactly once (enabled or not).
 func TestToggleWhileCallsInFlight(t *testing.T) {

@@ -97,18 +97,11 @@ type appliedAdvice struct {
 type Method struct {
 	jp      *Joinpoint
 	body    HandlerFunc
-	rawBody any
 	current atomic.Pointer[chain]
 }
 
 // JP returns the method's joinpoint.
 func (m *Method) JP() *Joinpoint { return m.jp }
-
-// BodyFunc returns the original function the method was registered with
-// (e.g. a func(lo, hi, step int) for ForKind) — what the entry points
-// call on a direct chain, and what the static-weave backend (cmd/weavegen)
-// binds for methods its plan marks Direct.
-func (m *Method) BodyFunc() any { return m.rawBody }
 
 // run reifies one invocation and sends it through the live chain ch. The
 // entry points below all share this shape: one atomic chain load, the
@@ -152,7 +145,7 @@ func (m *Method) reset() {
 // returned function replaces direct calls to body in the base program —
 // the analogue of AspectJ rewriting call sites (paper Fig. 12).
 func (c *Class) Proc(name string, body func()) func() {
-	m := c.register(name, ProcKind, func(*Call) { body() }, body)
+	m := c.register(name, ProcKind, func(*Call) { body() })
 	return func() {
 		if ch := m.current.Load(); ch.direct {
 			body()
@@ -166,7 +159,7 @@ func (c *Class) Proc(name string, body func()) func() {
 // space is exposed in the first three int parameters so pluggable aspects
 // can rewrite the range.
 func (c *Class) ForProc(name string, body func(lo, hi, step int)) func(lo, hi, step int) {
-	m := c.register(name, ForKind, func(call *Call) { body(call.Lo, call.Hi, call.Step) }, body)
+	m := c.register(name, ForKind, func(call *Call) { body(call.Lo, call.Hi, call.Step) })
 	return func(lo, hi, step int) {
 		if ch := m.current.Load(); ch.direct {
 			body(lo, hi, step)
@@ -178,7 +171,7 @@ func (c *Class) ForProc(name string, body func(lo, hi, step int)) func(lo, hi, s
 
 // KeyedProc registers a method exposing a single int key.
 func (c *Class) KeyedProc(name string, body func(key int)) func(key int) {
-	m := c.register(name, KeyedKind, func(call *Call) { body(call.Key) }, body)
+	m := c.register(name, KeyedKind, func(call *Call) { body(call.Key) })
 	return func(key int) {
 		if ch := m.current.Load(); ch.direct {
 			body(key)
@@ -192,7 +185,7 @@ func (c *Class) KeyedProc(name string, body func(key int)) func(key int) {
 // @Single/@Master the value is broadcast to the team; sequentially it is
 // simply the body's result.
 func (c *Class) ValueProc(name string, body func() any) func() any {
-	m := c.register(name, ValueKind, func(call *Call) { call.Ret = body() }, body)
+	m := c.register(name, ValueKind, func(call *Call) { call.Ret = body() })
 	return func() any {
 		if ch := m.current.Load(); !ch.direct {
 			return m.runValue(ch, body)

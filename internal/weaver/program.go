@@ -99,7 +99,7 @@ func (p *Program) Class(name string, opts ...ClassOpt) *Class {
 	return c
 }
 
-func (c *Class) register(name string, kind Kind, body HandlerFunc, rawBody any) *Method {
+func (c *Class) register(name string, kind Kind, body HandlerFunc) *Method {
 	p := c.program
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -107,7 +107,7 @@ func (c *Class) register(name string, kind Kind, body HandlerFunc, rawBody any) 
 	if _, dup := p.byFQN[fqn]; dup {
 		panic(fmt.Sprintf("weaver: method %s registered twice", fqn))
 	}
-	m := &Method{jp: &Joinpoint{class: c, name: name, kind: kind}, body: body, rawBody: rawBody}
+	m := &Method{jp: &Joinpoint{class: c, name: name, kind: kind}, body: body}
 	m.reset()
 	p.methods = append(p.methods, m)
 	p.byFQN[fqn] = m
