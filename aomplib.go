@@ -510,11 +510,11 @@ type TenantAdmissionStats = rt.TenantAdmissionStats
 // EnableTracing installs (or uninstalls) the built-in runtime tracer — an
 // OMPT-style tool the runtime reports region forks, hot-team leases, task
 // lifecycles, steals, barrier waits and dependence releases into — and
-// returns whether it was previously installed. Enabled, the aggregate
-// counters behind RuntimeStats accumulate; event buffering for timeline
-// export additionally needs StartTrace. Disabled (the default), every
-// emit point costs one atomic load and a predicted branch, so the
-// allocation-free hot paths are unchanged.
+// returns whether it was previously installed. The tracer records a
+// timeline once StartTrace starts buffering; it counts nothing — event
+// counts and latencies come from EnableMetrics and ReadMetrics. Disabled
+// (the default), every emit point costs one atomic load and a predicted
+// branch, so the allocation-free hot paths are unchanged.
 var EnableTracing = core.EnableTracing
 
 // TracingEnabled reports whether the built-in tracer is installed.
@@ -531,20 +531,19 @@ var StartTrace = core.StartTrace
 // flow arrows from task spawn (and dependence release) to task run.
 var StopTrace = core.StopTrace
 
-// RuntimeStats snapshots the runtime's observability counters: the
-// tracer's event statistics (steals, tasks spawned/inlined, barrier wait
-// nanoseconds, ...) plus the hot-team pool's lease counters and the
-// admission controller's queue state. The Events slice also carries the
-// ring-buffer accounting production monitors watch — RingDrops (events
+// RuntimeStats snapshots the runtime's own tallies: the hot-team pool's
+// lease counters, the admission controller's queue state and per-tenant
+// counters, and the tracer's ring accounting (Trace) — RingDrops (events
 // shed cumulatively across traces), TraceRings (buffers allocated) and
-// WorkersFolded (workers sharing rings past the ring bound) — so a quiet
+// WorkersFolded (workers sharing rings past the ring bound), so a quiet
 // trace is distinguishable from one that silently dropped its events.
+// Event counts and latencies are ReadMetrics'.
 var RuntimeStats = core.ReadRuntimeStats
 
 // RuntimeSnapshot is the aggregate returned by RuntimeStats.
 type RuntimeSnapshot = core.RuntimeSnapshot
 
-// TraceStats is the tracer's counter snapshot (RuntimeSnapshot.Events).
+// TraceStats is the tracer's ring accounting (RuntimeSnapshot.Trace).
 type TraceStats = obs.Stats
 
 // TraceHooks is the OMPT-style tool interface: one callback per runtime

@@ -191,12 +191,12 @@ type jsonResult struct {
 	Error     string  `json:"error,omitempty"`
 }
 
-// jsonSchedStats is the scheduling-mechanism slice of the runtime's
-// observability counters, included in the report when the run was traced
-// (-trace installs the counting hooks). It is what lets an asymmetry A/B
-// compare mechanisms, not just wall time: a weighted carve that works
-// shows up as fewer loop-range steals than the uniform carve under the
-// same throttle.
+// jsonSchedStats is the scheduling-mechanism slice of the metrics
+// registry, included in the report when the run was traced (-trace
+// enables the registry for the run and reports its delta). It is what
+// lets an asymmetry A/B compare mechanisms, not just wall time: a weighted
+// carve that works shows up as fewer loop-range steals than the uniform
+// carve under the same throttle.
 type jsonSchedStats struct {
 	StealAttempts uint64 `json:"steal_attempts"`
 	Steals        uint64 `json:"steals"`
@@ -309,15 +309,17 @@ func main() {
 	var schedStats *jsonSchedStats
 	if *tracePath != "" {
 		traced := func() {
+			// The tracer records the timeline and counts nothing; the
+			// counts are the metrics registry's delta over the run.
+			defer aomplib.EnableMetrics(aomplib.EnableMetrics(true))
+			before := aomplib.ReadMetrics()
 			runAll()
-			// Read inside the traced window: the counting hooks are
-			// installed only while tracing, and the next StartTrace resets.
-			ev := aomplib.RuntimeStats().Events
+			m := aomplib.ReadMetrics()
 			schedStats = &jsonSchedStats{
-				StealAttempts: ev.StealAttempts,
-				Steals:        ev.Steals,
-				StealProbes:   ev.StealProbes,
-				BarrierWaitNs: ev.BarrierWaitNs,
+				StealAttempts: m.StealAttempts - before.StealAttempts,
+				Steals:        m.Steals - before.Steals,
+				StealProbes:   m.StealProbes - before.StealProbes,
+				BarrierWaitNs: m.BarrierWait.SumNs - before.BarrierWait.SumNs,
 			}
 		}
 		if err := traceRun(*tracePath, traced); err != nil {

@@ -24,6 +24,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"sort"
 	"strings"
@@ -101,6 +102,14 @@ func main() {
 	}
 	flag.Parse()
 	if flag.NArg() != 1 {
+		flag.Usage()
+		os.Exit(2)
+	}
+	// NaN parses but fails every comparison in advise, and a band with
+	// low >= high is empty: either way the advice silently switches off.
+	finite := func(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+	if !finite(*imbHigh) || !finite(*imbLow) || *imbLow >= *imbHigh {
+		fmt.Fprintf(os.Stderr, "schedtune: need finite thresholds with -imb-low < -imb-high (got %v, %v)\n", *imbLow, *imbHigh)
 		flag.Usage()
 		os.Exit(2)
 	}

@@ -1,7 +1,11 @@
 package main
 
 import (
+	"errors"
 	"fmt"
+	"os"
+	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -156,6 +160,36 @@ func TestKindOf(t *testing.T) {
 	for _, bad := range []string{"task 7", "for ()", "for (x", "barrier"} {
 		if _, ok := kindOf(bad); ok {
 			t.Errorf("kindOf(%q) accepted", bad)
+		}
+	}
+}
+
+// TestThresholdsThatSwitchAdviceOffRejected: a NaN or infinite threshold,
+// or a band with -imb-low >= -imb-high, must exit 2 with usage instead of
+// reporting a 3x-imbalanced group as "within hysteresis band: keep". The
+// test binary re-executes itself as the command.
+func TestThresholdsThatSwitchAdviceOffRejected(t *testing.T) {
+	if args := os.Getenv("SCHEDTUNE_AS_MAIN"); args != "" {
+		os.Args = append([]string{"schedtune"}, strings.Fields(args)...)
+		main()
+		return
+	}
+	trace := filepath.Join(t.TempDir(), "skewed.json")
+	if err := os.WriteFile(trace, []byte(synthetic("steal", 4, 3, 3.0)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, flags := range []string{"-imb-high NaN", "-imb-low NaN", "-imb-high Inf",
+		"-imb-low -Inf", "-imb-low 1.5 -imb-high 1.2", "-imb-low 1.25 -imb-high 1.25"} {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestThresholdsThatSwitchAdviceOffRejected$")
+		cmd.Env = append(os.Environ(), "SCHEDTUNE_AS_MAIN="+flags+" "+trace)
+		out, err := cmd.CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Errorf("schedtune %s: %v, want exit status 2; output:\n%.400s", flags, err, out)
+			continue
+		}
+		if !strings.Contains(string(out), "usage: schedtune") {
+			t.Errorf("schedtune %s: no usage in the output:\n%.400s", flags, out)
 		}
 	}
 }

@@ -25,12 +25,12 @@ import (
 // the previous setting. Enabled, every runtime emit point also feeds
 // cache-line-sharded counters and log-bucketed latency histograms —
 // region latency, barrier waits, admission queue waits, task
-// spawn-to-run latency, steals, per-schedule loop shares, per-tenant
-// admission outcomes — behind ReadMetrics and the /metrics endpoint. The
-// record path touches only preallocated padded atomics (0 allocs/op);
-// disabled (the default), emit points cost their usual one atomic load
-// and predicted branch. Metrics compose with the tracer, the flight
-// recorder and custom tools: enabling one never evicts another.
+// spawn-to-run latency, steals, per-schedule loop shares — behind
+// ReadMetrics and the /metrics endpoint. The record path touches only
+// preallocated padded atomics (0 allocs/op); disabled (the default), emit
+// points cost their usual one atomic load and predicted branch. Metrics
+// compose with the tracer, the flight recorder and custom tools: enabling
+// one never evicts another.
 var EnableMetrics = obs.EnableMetrics
 
 // MetricsEnabled reports whether the metrics registry is recording.
@@ -50,9 +50,6 @@ type MetricsHistogram = obs.HistogramSnapshot
 
 // MetricsHistogramBucket is one cumulative bucket of a MetricsHistogram.
 type MetricsHistogramBucket = obs.HistogramBucket
-
-// TenantMetrics is one tenant's admission counters in a MetricsSnapshot.
-type TenantMetrics = obs.TenantMetrics
 
 // ScheduleShareCount is one schedule kind's loop-share counter in a
 // MetricsSnapshot.
@@ -112,10 +109,11 @@ var WriteFlightSnapshot = obs.WriteFlightSnapshot
 // silently scrape zeros). Routes, relative to where the caller mounts it:
 //
 //	/metrics                Prometheus text exposition: the metrics
-//	                        registry plus live pool, admission and
-//	                        trace-ring gauges;
-//	/debug/aomp/stats       RuntimeStats() as JSON (tracer counters,
-//	                        pool, admission);
+//	                        registry plus live pool, admission,
+//	                        per-tenant and trace-ring families;
+//	/debug/aomp/stats       RuntimeStats() and ReadMetrics() as JSON
+//	                        (pool, admission, trace rings; counts and
+//	                        latencies);
 //	/debug/aomp/trace?sec=N Chrome trace of the next N seconds
 //	                        (default 2, clamped to [0.1, 30]) — captures
 //	                        serialize, concurrent requests get 503;
@@ -150,7 +148,8 @@ func ServeDiagnostics(addr string) (*http.Server, error) {
 }
 
 // runtimeGauges builds the exposition families whose truth lives outside
-// the metrics registry: pool occupancy, admission queue state, and
+// the metrics registry: pool occupancy, admission queue state, per-tenant
+// admission tallies (a row for every known tenant, zeros included) and
 // trace-ring accounting, sampled at scrape time.
 func runtimeGauges() []obs.Family {
 	rs := RuntimeStats()
@@ -162,7 +161,23 @@ func runtimeGauges() []obs.Family {
 		return obs.Family{Name: "aomp_" + name, Help: help, Type: "counter",
 			Samples: []obs.Sample{{Value: float64(v)}}}
 	}
+	tenants := func(name, help string, v func(TenantAdmissionStats) uint64) obs.Family {
+		f := obs.Family{Name: "aomp_" + name, Help: help, Type: "counter"}
+		for _, t := range rs.Admission.Tenants {
+			f.Samples = append(f.Samples, obs.Sample{
+				Labels: []obs.Label{{Name: "tenant", Value: t.Name}}, Value: float64(v(t))})
+		}
+		return f
+	}
 	return []obs.Family{
+		tenants("tenant_admits_total", "Team leases granted per admission tenant.",
+			func(t TenantAdmissionStats) uint64 { return t.Admitted }),
+		tenants("tenant_queued_total", "Region entries per tenant that waited in the admission queue.",
+			func(t TenantAdmissionStats) uint64 { return t.Queued }),
+		tenants("tenant_rejects_total", "Lease requests refused per tenant (policy, full queue, timeout).",
+			func(t TenantAdmissionStats) uint64 { return t.Rejected }),
+		tenants("tenant_timeouts_total", "Refusals per tenant due to a queue-wait timeout.",
+			func(t TenantAdmissionStats) uint64 { return t.TimedOut }),
 		counter("pool_leases_total", "Team leases served by the hot-team pool machinery.", rs.Pool.Leases),
 		counter("pool_hits_total", "Leases served by a cached pool team.", rs.Pool.Hits),
 		gauge("pool_idle_teams", "Teams parked in the hot-team pool right now.", float64(rs.Pool.IdleTeams)),
@@ -170,9 +185,9 @@ func runtimeGauges() []obs.Family {
 		gauge("admission_queue_depth", "Admission waiters queued right now.", float64(rs.Admission.QueueDepth)),
 		gauge("admission_held_slots", "Admission lease slots granted right now.", float64(rs.Admission.Held)),
 		counter("admission_degraded_total", "Region entries that ran serialized without a lease.", rs.Admission.Degraded),
-		counter("trace_ring_drops_total", "Trace events dropped by full or draining ring buffers.", rs.Events.RingDrops),
-		gauge("trace_rings", "Trace ring buffers allocated by the built-in tracer.", float64(rs.Events.TraceRings)),
-		gauge("trace_workers_folded", "Workers folded onto shared trace rings (id beyond the ring bound).", float64(rs.Events.WorkersFolded)),
+		counter("trace_ring_drops_total", "Trace events dropped by full or draining ring buffers.", rs.Trace.RingDrops),
+		gauge("trace_rings", "Trace ring buffers allocated by the built-in tracer.", float64(rs.Trace.TraceRings)),
+		gauge("trace_workers_folded", "Workers folded onto shared trace rings (id beyond the ring bound).", float64(rs.Trace.WorkersFolded)),
 	}
 }
 

@@ -68,8 +68,59 @@ func TestDiagnosticsMetricsEndpoint(t *testing.T) {
 	}
 }
 
+// /metrics must carry one row per known admission tenant in each
+// aomp_tenant_*_total family, labelled by the EnterTenant name and read
+// from the runtime's own tallies — a tenant that never entered a region
+// included, at zero.
+func TestDiagnosticsMetricsTenantRows(t *testing.T) {
+	srv := httptest.NewServer(Handler())
+	defer srv.Close()
+	defer EnableMetrics(false)
+	defer SetAdmissionControl(SetAdmissionControl(true))
+
+	tok := EnterTenant("diag-busy-tenant")
+	rt.Region(2, func(w *rt.Worker) {})
+	tok.Exit()
+	EnterTenant("diag-idle-tenant").Exit()
+
+	resp, err := srv.Client().Get(srv.URL + "/metrics")
+	if err != nil {
+		t.Fatalf("GET /metrics: %v", err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	text := string(body)
+	if err := obs.LintExposition(strings.NewReader(text)); err != nil {
+		t.Fatalf("/metrics fails the exposition lint: %v\n%s", err, text)
+	}
+	row := func(family, tenant string) float64 {
+		t.Helper()
+		prefix := family + `{tenant="` + tenant + `"} `
+		for _, line := range strings.Split(text, "\n") {
+			if v, ok := strings.CutPrefix(line, prefix); ok {
+				f, err := strconv.ParseFloat(v, 64)
+				if err != nil {
+					t.Fatalf("unparseable %s%s", prefix, v)
+				}
+				return f
+			}
+		}
+		t.Fatalf("/metrics has no %s row for tenant %q:\n%s", family, tenant, text)
+		return 0
+	}
+	if got := row("aomp_tenant_admits_total", "diag-busy-tenant"); got < 1 {
+		t.Fatalf("busy tenant admits = %v, want >= 1", got)
+	}
+	for _, fam := range []string{"aomp_tenant_admits_total", "aomp_tenant_queued_total",
+		"aomp_tenant_rejects_total", "aomp_tenant_timeouts_total"} {
+		if got := row(fam, "diag-idle-tenant"); got != 0 {
+			t.Fatalf("idle tenant %s = %v, want 0", fam, got)
+		}
+	}
+}
+
 // /debug/aomp/stats must serve the combined runtime + metrics snapshot as
-// JSON, including the new ring-accounting Stats fields.
+// JSON, including the tracer's ring accounting.
 func TestDiagnosticsStatsEndpoint(t *testing.T) {
 	srv := httptest.NewServer(Handler())
 	defer srv.Close()
@@ -82,7 +133,7 @@ func TestDiagnosticsStatsEndpoint(t *testing.T) {
 	defer resp.Body.Close()
 	var payload struct {
 		Runtime struct {
-			Events struct {
+			Trace struct {
 				RingDrops     *uint64 `json:"RingDrops"`
 				TraceRings    *int    `json:"TraceRings"`
 				WorkersFolded *int    `json:"WorkersFolded"`
@@ -93,8 +144,8 @@ func TestDiagnosticsStatsEndpoint(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&payload); err != nil {
 		t.Fatalf("stats is not valid JSON: %v", err)
 	}
-	if payload.Runtime.Events.RingDrops == nil || payload.Runtime.Events.TraceRings == nil ||
-		payload.Runtime.Events.WorkersFolded == nil {
+	if payload.Runtime.Trace.RingDrops == nil || payload.Runtime.Trace.TraceRings == nil ||
+		payload.Runtime.Trace.WorkersFolded == nil {
 		t.Fatal("stats JSON missing the ring-accounting fields")
 	}
 	if payload.Metrics == nil {

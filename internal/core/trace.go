@@ -12,16 +12,17 @@ import (
 // so the library treats it exactly like its parallelism constructs — a
 // runtime substrate (internal/obs) plus an aspect (TraceSpans) woven like
 // any other. EnableTracing/StartTrace/StopTrace drive the built-in tracer;
-// ReadRuntimeStats aggregates its counters with the hot-team pool's.
+// ReadRuntimeStats gathers its ring accounting with the pool and admission
+// tallies.
 
 // EnableTracing installs (or uninstalls) the built-in runtime tracer and
-// returns whether it was previously installed. Enabled, every runtime
-// transition — region forks, team leases, task spawns, steals, barrier
-// waits, dependence releases — feeds the aggregate counters behind
-// ReadRuntimeStats. Event buffering for timeline export additionally needs
-// StartTrace. Disabled (the default), the runtime's emit points cost one
-// atomic load and a predicted branch each, keeping the allocation-free hot
-// paths intact.
+// returns whether it was previously installed. The tracer records the
+// timeline of runtime transitions — region forks, team leases, task
+// spawns, steals, barrier waits, dependence releases — once StartTrace
+// starts buffering; it counts nothing (event counts are the metrics
+// registry's, obs.EnableMetrics). Disabled (the default), the runtime's
+// emit points cost one atomic load and a predicted branch each, keeping
+// the allocation-free hot paths intact.
 func EnableTracing(on bool) bool { return obs.EnableTracing(on) }
 
 // TracingEnabled reports whether the built-in tracer is installed.
@@ -37,13 +38,14 @@ func StartTrace() { obs.StartTrace() }
 // slices, and flow arrows from task spawn to task run.
 func StopTrace(w io.Writer) error { return obs.StopTrace(w) }
 
-// RuntimeSnapshot aggregates the observability counters: the tracer's
-// event statistics, the hot-team pool's lease counters, and the
-// multi-tenant admission controller's queue and fairness counters.
+// RuntimeSnapshot gathers the runtime's own tallies: the tracer's ring
+// accounting, the hot-team pool's lease counters, and the multi-tenant
+// admission controller's queue and per-tenant counters. Event counts and
+// latencies are the metrics registry's (obs.ReadMetrics).
 type RuntimeSnapshot struct {
-	// Events are the built-in tracer's cumulative counters (zero unless
-	// EnableTracing/StartTrace installed it).
-	Events obs.Stats
+	// Trace is the built-in tracer's ring accounting (zero until
+	// StartTrace has recorded).
+	Trace obs.Stats
 	// Pool is the hot-team pool snapshot, always live.
 	Pool rt.PoolStats
 	// Admission is the multi-tenant admission snapshot, always live
@@ -51,11 +53,11 @@ type RuntimeSnapshot struct {
 	Admission rt.AdmissionStats
 }
 
-// ReadRuntimeStats snapshots the runtime: tracer counters plus pool and
-// admission state.
+// ReadRuntimeStats snapshots the runtime: tracer ring accounting plus pool
+// and admission state.
 func ReadRuntimeStats() RuntimeSnapshot {
 	return RuntimeSnapshot{
-		Events:    obs.ReadStats(),
+		Trace:     obs.ReadStats(),
 		Pool:      rt.ReadPoolStats(),
 		Admission: rt.ReadAdmissionStats(),
 	}

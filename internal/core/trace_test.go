@@ -68,9 +68,9 @@ func countSpans(t *testing.T, data []byte, name string) int {
 	return n
 }
 
-// ReadRuntimeStats aggregates tracer counters with pool counters.
+// ReadRuntimeStats gathers tracer ring accounting with pool counters.
 func TestRuntimeSnapshotAggregates(t *testing.T) {
-	EnableTracing(true)
+	StartTrace()
 	defer EnableTracing(false)
 	before := ReadRuntimeStats()
 	p := weaver.NewProgram("t")
@@ -79,9 +79,9 @@ func TestRuntimeSnapshotAggregates(t *testing.T) {
 	p.MustWeave()
 	region()
 	st := ReadRuntimeStats()
-	if st.Events.RegionForks <= before.Events.RegionForks {
-		t.Fatalf("Events.RegionForks did not advance: %d -> %d",
-			before.Events.RegionForks, st.Events.RegionForks)
+	if st.Trace.EventsRecorded <= before.Trace.EventsRecorded {
+		t.Fatalf("Trace.EventsRecorded did not advance: %d -> %d",
+			before.Trace.EventsRecorded, st.Trace.EventsRecorded)
 	}
 	if st.Pool.Leases <= before.Pool.Leases {
 		t.Fatalf("Pool.Leases did not advance: %d -> %d", before.Pool.Leases, st.Pool.Leases)

@@ -9,13 +9,14 @@
 // point is one predicted branch, so the runtime's allocation-free hot
 // paths are unchanged.
 //
-// The package ships one built-in tool, the tracer: hook implementations
-// that count events into an aggregate Stats snapshot and, while a trace is
-// recording, append fixed-size records to per-worker ring buffers with no
-// locks and no allocations on the emit path. A drain pass converts the
-// records to Chrome trace-event JSON (loadable in Perfetto: one track per
-// worker, nested phase slices, flow arrows from task spawn to task run and
-// from dependence release to the released task).
+// The built-in tracer records and never counts: while a trace is
+// recording, its hooks append fixed-size records to per-worker ring
+// buffers with no locks and no allocations on the emit path, and a drain
+// pass converts them to Chrome trace-event JSON (loadable in Perfetto: one
+// track per worker, nested phase slices, flow arrows from task spawn to
+// task run and from dependence release to the released task). Event
+// counts and latency histograms are the metrics registry's (EnableMetrics,
+// ReadMetrics); pool and admission tallies are the runtime's.
 //
 // Custom tools install their own hook table with SetHooks, the OMPT
 // analogue of registering a tool; the built-in tracer is installed with

@@ -13,9 +13,9 @@ import (
 // Prometheus text exposition (version 0.0.4), written without any
 // dependency: the format is lines of `name{labels} value` grouped under
 // `# HELP` / `# TYPE` headers. WriteMetricsText renders the metrics
-// registry — counters, per-schedule and per-tenant vectors, and the four
-// latency histograms in seconds — plus any caller-supplied families
-// (pool gauges, admission queue depth, ring accounting), and
+// registry — counters, the per-schedule vector, and the four latency
+// histograms in seconds — plus any caller-supplied families (pool gauges,
+// admission queue state and per-tenant tallies, ring accounting), and
 // LintExposition is the strict parser the CI lint test runs against our
 // own output.
 
@@ -33,9 +33,9 @@ type Sample struct {
 }
 
 // Family is one caller-supplied metric family appended to the registry's
-// own output — the hook for gauges whose truth lives outside obs (pool
-// occupancy, admission queue depth). Type must be "counter", "gauge" or
-// "untyped".
+// own output — the hook for values whose truth lives outside obs (pool
+// occupancy, admission queue depth and per-tenant tallies). Type must be
+// "counter", "gauge" or "untyped".
 type Family struct {
 	Name    string
 	Help    string
@@ -154,26 +154,6 @@ func WriteMetricsText(w io.Writer, extra ...Family) error {
 		})
 	}
 	writeFamily(bw, loop)
-
-	admits := Family{Name: metricPrefix + "tenant_admits_total",
-		Help: "Team leases granted per admission tenant.", Type: "counter"}
-	queued := Family{Name: metricPrefix + "tenant_queued_total",
-		Help: "Grants per tenant that waited in the admission queue first.", Type: "counter"}
-	rejects := Family{Name: metricPrefix + "tenant_rejects_total",
-		Help: "Lease requests refused per tenant (policy, full queue, timeout).", Type: "counter"}
-	timeouts := Family{Name: metricPrefix + "tenant_timeouts_total",
-		Help: "Refusals per tenant due to a queue-wait timeout.", Type: "counter"}
-	for _, t := range snap.Tenants {
-		lbl := []Label{{Name: "tenant", Value: t.Name}}
-		admits.Samples = append(admits.Samples, Sample{Labels: lbl, Value: float64(t.Admits)})
-		queued.Samples = append(queued.Samples, Sample{Labels: lbl, Value: float64(t.Queued)})
-		rejects.Samples = append(rejects.Samples, Sample{Labels: lbl, Value: float64(t.Rejects)})
-		timeouts.Samples = append(timeouts.Samples, Sample{Labels: lbl, Value: float64(t.Timeouts)})
-	}
-	writeFamily(bw, admits)
-	writeFamily(bw, queued)
-	writeFamily(bw, rejects)
-	writeFamily(bw, timeouts)
 
 	writeHistogram(bw, metricPrefix+"region_latency_seconds",
 		"Parallel region latency, fork to full join.", snap.RegionLatency)

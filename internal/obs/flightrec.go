@@ -90,10 +90,11 @@ func (f *flightRecorder) trigger(why string) {
 
 // hooks wraps the private collector's recording hooks with the trigger
 // probes: region fork/join pairing for the latency trigger and a per-second
-// reject counter for the spike trigger.
+// reject counter for the spike trigger (the collector records no admission
+// events, so AdmitReject is the trigger alone).
 func (f *flightRecorder) hooks() *Hooks {
 	h := f.col.hooks()
-	baseFork, baseJoin, baseReject := h.RegionFork, h.RegionJoin, h.AdmitReject
+	baseFork, baseJoin := h.RegionFork, h.RegionJoin
 	h.RegionFork = func(master WorkerID, team uint64, level, size int) {
 		baseFork(master, team, level, size)
 		if f.latThreshNs.Load() > 0 {
@@ -111,9 +112,6 @@ func (f *flightRecorder) hooks() *Hooks {
 		}
 	}
 	h.AdmitReject = func(tenant uint64, reason AdmitReason) {
-		if baseReject != nil {
-			baseReject(tenant, reason)
-		}
 		spike := f.rejectSpike.Load()
 		if spike <= 0 {
 			return

@@ -198,3 +198,38 @@ func TestFlightWindowTrimsOldEvents(t *testing.T) {
 		t.Fatalf("window kept stale events: %+v", snap)
 	}
 }
+
+// The tracer records a timeline and never counts: installed alone, it
+// leaves the counter-only hooks nil, so their emit points stay one
+// predicted branch. The flight recorder, which reuses the tracer's
+// collector, adds only its own reject-spike trigger.
+func TestTracerRecordsNeverCounts(t *testing.T) {
+	prevTool := SetHooks(nil)
+	defer SetHooks(prevTool)
+	prevMetrics := EnableMetrics(false)
+	defer EnableMetrics(prevMetrics)
+
+	counterOnly := func(h *Hooks) map[string]bool {
+		return map[string]bool{
+			"StealAttempt": h.StealAttempt != nil,
+			"StealScan":    h.StealScan != nil,
+			"AdmitGrant":   h.AdmitGrant != nil,
+			"AdmitReject":  h.AdmitReject != nil,
+		}
+	}
+	EnableTracing(true)
+	for name, set := range counterOnly(Active()) {
+		if set {
+			t.Errorf("tracer alone installs %s", name)
+		}
+	}
+	EnableTracing(false)
+
+	EnableFlight(true)
+	defer EnableFlight(false)
+	for name, set := range counterOnly(Active()) {
+		if set != (name == "AdmitReject") {
+			t.Errorf("flight recorder alone: %s installed = %v", name, set)
+		}
+	}
+}

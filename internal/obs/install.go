@@ -177,9 +177,6 @@ func compose(tables []*Hooks) *Hooks {
 	h.StealScan = fan2(pick(tables,
 		func(t *Hooks) func(WorkerID, int) { return t.StealScan },
 		func(f func(WorkerID, int)) bool { return f == nil }))
-	h.LoopRate = fan3(pick(tables,
-		func(t *Hooks) func(WorkerID, int64, int64) { return t.LoopRate },
-		func(f func(WorkerID, int64, int64)) bool { return f == nil }))
 	h.BarrierArrive = fan2(pick(tables,
 		func(t *Hooks) func(WorkerID, uint64) { return t.BarrierArrive },
 		func(f func(WorkerID, uint64)) bool { return f == nil }))

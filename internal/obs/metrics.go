@@ -3,8 +3,6 @@ package obs
 import (
 	"math"
 	"math/bits"
-	"sort"
-	"sync"
 	"sync/atomic"
 
 	"aomplib/internal/sched"
@@ -86,21 +84,6 @@ type metricShard struct {
 	_padding    [64]byte
 }
 
-// maxMetricTenants bounds the per-tenant counter table. Tenant ids are
-// assigned sequentially by the admission controller; ids beyond the bound
-// aggregate on the overflow row, exported with the tenant label "_other".
-const maxMetricTenants = 256
-
-// tenantShard is one tenant's admission counters. Admission events fire
-// on entering goroutines outside any worker context, so these are keyed
-// by tenant, not by worker.
-type tenantShard struct {
-	admits   atomic.Uint64
-	queued   atomic.Uint64
-	rejects  atomic.Uint64
-	timeouts atomic.Uint64
-}
-
 // pairSlot is one entry of a lossy open-addressed pairing table (see
 // pairTable).
 type pairSlot struct {
@@ -153,8 +136,7 @@ func (p *pairTable) take(key uint64) (int64, bool) {
 // metricsRegistry is the process-wide metrics state. All storage is
 // allocated at construction; the record path only indexes into it.
 type metricsRegistry struct {
-	shards  []metricShard
-	tenants [maxMetricTenants + 1]tenantShard // [maxMetricTenants] is the overflow row
+	shards []metricShard
 
 	// admitWait is recorded on entering goroutines (no worker identity);
 	// a single shard keeps it simple — the admission path already takes
@@ -188,14 +170,6 @@ func (m *metricsRegistry) shard(w WorkerID) *metricShard {
 		idx = 1 + (idx-1)%(len(m.shards)-1)
 	}
 	return &m.shards[idx]
-}
-
-// tenant folds a tenant id onto its counter row.
-func (m *metricsRegistry) tenant(id uint64) *tenantShard {
-	if id < maxMetricTenants {
-		return &m.tenants[id]
-	}
-	return &m.tenants[maxMetricTenants]
 }
 
 // hooks builds the registry's hook table: bound closures created once at
@@ -249,19 +223,7 @@ func (m *metricsRegistry) hooks() *Hooks {
 			m.shard(w).loopShares[k].Add(1)
 		},
 		AdmitGrant: func(tenant uint64, waitNs int64) {
-			t := m.tenant(tenant)
-			t.admits.Add(1)
-			if waitNs > 0 {
-				t.queued.Add(1)
-			}
 			m.admitWait.record(waitNs)
-		},
-		AdmitReject: func(tenant uint64, reason AdmitReason) {
-			t := m.tenant(tenant)
-			t.rejects.Add(1)
-			if reason == AdmitReasonTimeout {
-				t.timeouts.Add(1)
-			}
 		},
 	}
 }
@@ -296,18 +258,6 @@ type ScheduleShareCount struct {
 	Shares   uint64 `json:"shares"`
 }
 
-// TenantMetrics is one tenant's admission counters in a MetricsSnapshot.
-// Tenants beyond the registry's table bound aggregate under the name
-// "_other".
-type TenantMetrics struct {
-	ID       uint64 `json:"id"`
-	Name     string `json:"name"`
-	Admits   uint64 `json:"admits"`
-	Queued   uint64 `json:"queued"`
-	Rejects  uint64 `json:"rejects"`
-	Timeouts uint64 `json:"timeouts"`
-}
-
 // MetricsSnapshot is the merged view of the always-on metrics registry.
 // Counters are cumulative since EnableMetrics first turned the registry
 // on; they are never reset.
@@ -323,7 +273,6 @@ type MetricsSnapshot struct {
 	TasksCompleted uint64 `json:"tasks_completed"`
 
 	LoopShares []ScheduleShareCount `json:"loop_shares,omitempty"`
-	Tenants    []TenantMetrics      `json:"tenants,omitempty"`
 
 	RegionLatency HistogramSnapshot `json:"region_latency"`
 	BarrierWait   HistogramSnapshot `json:"barrier_wait"`
@@ -374,7 +323,7 @@ func (m *metricsRegistry) snapshotHist(name string, sel func(*metricShard) *hist
 // a task's completion is counted after its spawn (often on another shard)
 // and a steal after its attempt. Reading every shard of the dependent before
 // any shard of its bound keeps completed ≤ spawned and steals ≤ attempts in
-// every snapshot; collector.stats applies the same rule to its counters.
+// every snapshot.
 func (m *metricsRegistry) snapshot() MetricsSnapshot {
 	out := MetricsSnapshot{Enabled: MetricsEnabled()}
 	for i := range m.shards {
@@ -401,23 +350,6 @@ func (m *metricsRegistry) snapshot() MetricsSnapshot {
 			})
 		}
 	}
-	for id := range m.tenants {
-		t := &m.tenants[id]
-		admits, rejects := t.admits.Load(), t.rejects.Load()
-		if admits == 0 && rejects == 0 {
-			continue
-		}
-		name := "_other"
-		if id < maxMetricTenants {
-			name = tenantName(uint64(id))
-		}
-		out.Tenants = append(out.Tenants, TenantMetrics{
-			ID: uint64(id), Name: name,
-			Admits: admits, Queued: t.queued.Load(),
-			Rejects: rejects, Timeouts: t.timeouts.Load(),
-		})
-	}
-	sort.Slice(out.Tenants, func(i, j int) bool { return out.Tenants[i].Name < out.Tenants[j].Name })
 	out.RegionLatency = m.snapshotHist("region_latency", func(s *metricShard) *histShard { return &s.regionLat })
 	out.BarrierWait = m.snapshotHist("barrier_wait", func(s *metricShard) *histShard { return &s.barrierWait })
 	out.AdmitWait = m.snapshotHist("admit_wait", nil)
@@ -431,35 +363,6 @@ func (m *metricsRegistry) snapshot() MetricsSnapshot {
 // Built lazily under installMu on first enable so tests that never touch
 // metrics pay nothing.
 var metrics *metricsRegistry
-
-// tenantNames maps admission tenant ids to names for exposition labels;
-// the admission controller registers every tenant it creates (cold path,
-// once per tenant).
-var (
-	tenantNamesMu sync.RWMutex
-	tenantNames   = map[uint64]string{}
-)
-
-// RegisterTenant records the name behind an admission tenant id so
-// per-tenant metric rows and exposition labels can carry it. Called by
-// the runtime when a tenant is first seen; re-registration overwrites.
-func RegisterTenant(id uint64, name string) {
-	tenantNamesMu.Lock()
-	tenantNames[id] = name
-	tenantNamesMu.Unlock()
-}
-
-// tenantName resolves a registered tenant id, falling back to a stable
-// placeholder for ids the runtime never registered.
-func tenantName(id uint64) string {
-	tenantNamesMu.RLock()
-	n, ok := tenantNames[id]
-	tenantNamesMu.RUnlock()
-	if ok {
-		return n
-	}
-	return "unknown"
-}
 
 // EnableMetrics turns the always-on metrics registry on or off and
 // returns the previous setting. Enabled, every runtime emit point also

@@ -26,7 +26,6 @@ func drive(h *Hooks, w WorkerID, tn uint64, base uint64) {
 	h.BarrierDepart(w, base+1, 1500)
 	h.WorkBegin(w, base+1, 1)
 	h.AdmitGrant(tn, 700)
-	h.AdmitReject(tn, AdmitReasonTimeout)
 }
 
 // Merged snapshots must not depend on which worker (and thus which shard)
@@ -34,9 +33,6 @@ func drive(h *Hooks, w WorkerID, tn uint64, base uint64) {
 // spawn latencies are wall-clock deltas, so only their counts are
 // compared; every other field must match bit for bit.
 func TestMetricsShardMergeDeterminism(t *testing.T) {
-	RegisterTenant(0, "det-t0")
-	RegisterTenant(1, "det-t1")
-	RegisterTenant(2, "det-t2")
 	spreads := [][]WorkerID{
 		{0, 0, 0, 0, 0, 0},        // all on one shard
 		{0, 1, 2, 3, 4, 5},        // spread across shards
@@ -168,20 +164,18 @@ func TestMetricsConcurrentRecordVsSnapshot(t *testing.T) {
 	if s.BarrierWait.Count != total {
 		t.Fatalf("barrier histogram count = %d, want %d", s.BarrierWait.Count, total)
 	}
-	var admits uint64
-	for _, tn := range s.Tenants {
-		admits += tn.Admits
-	}
-	if admits != total {
-		t.Fatalf("tenant admits sum = %d, want %d", admits, total)
+	if s.AdmitWait.Count != total {
+		t.Fatalf("admit-wait histogram count = %d, want %d", s.AdmitWait.Count, total)
 	}
 }
 
-// The tracer's Stats race its hooks too: no racing read may see a join,
-// pool hit, completion or steal its bounding counter has not yet counted.
+// The tracer's Stats race its hooks too: a racing read must see
+// EventsRecorded never run backwards, and the quiesced accounting must
+// reconcile exactly — every record is either stored or dropped.
 func TestCollectorConcurrentRecordVsStats(t *testing.T) {
 	c := newCollector(8, 16)
 	h := c.hooks()
+	c.start()
 	const goroutines, iters = 8, 3000
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -189,6 +183,7 @@ func TestCollectorConcurrentRecordVsStats(t *testing.T) {
 	snaps.Add(1)
 	go func() {
 		defer snaps.Done()
+		var last uint64
 		for {
 			select {
 			case <-stop:
@@ -196,11 +191,11 @@ func TestCollectorConcurrentRecordVsStats(t *testing.T) {
 			default:
 			}
 			s := c.stats()
-			if s.RegionJoins > s.RegionForks || s.TeamLeaseHits > s.TeamLeases ||
-				s.TasksCompleted > s.TasksSpawned || s.Steals > s.StealAttempts {
-				t.Errorf("a counter ran ahead of its bound in racing stats: %+v", s)
+			if s.EventsRecorded < last {
+				t.Errorf("EventsRecorded ran backwards in racing stats: %d after %d", s.EventsRecorded, last)
 				return
 			}
+			last = s.EventsRecorded
 		}
 	}()
 	for g := 0; g < goroutines; g++ {
@@ -211,11 +206,7 @@ func TestCollectorConcurrentRecordVsStats(t *testing.T) {
 			for i := 0; i < iters; i++ {
 				id := uint64(g*iters + i + 1)
 				h.RegionFork(w, id, 1, 2)
-				h.TeamLease(w, id, 2, true)
 				h.TaskCreate(w, id, TaskDeferred)
-				h.TaskComplete(w, id)
-				h.StealAttempt(w)
-				h.StealSuccess(w, id, w)
 				h.RegionJoin(w, id, 1)
 			}
 		}(g)
@@ -225,9 +216,9 @@ func TestCollectorConcurrentRecordVsStats(t *testing.T) {
 	snaps.Wait()
 
 	s := c.stats()
-	const total = goroutines * iters
-	if s.RegionJoins != total || s.TeamLeaseHits != total || s.TasksCompleted != total || s.Steals != total {
-		t.Fatalf("quiesced stats %+v, want %d of each", s, total)
+	const total = goroutines * iters * 3
+	if s.EventsRecorded+s.EventsDropped != total {
+		t.Fatalf("quiesced stats %+v: recorded + dropped != %d emitted", s, total)
 	}
 }
 
@@ -253,25 +244,6 @@ func TestPairTableLossyPairing(t *testing.T) {
 	}
 }
 
-// Tenant ids beyond the table bound must aggregate on the overflow row.
-func TestTenantOverflowRow(t *testing.T) {
-	m := newMetricsRegistry(2)
-	h := m.hooks()
-	h.AdmitGrant(3, 0)
-	h.AdmitGrant(maxMetricTenants+7, 0)
-	h.AdmitGrant(maxMetricTenants+900, 0)
-	s := m.snapshot()
-	var other *TenantMetrics
-	for i := range s.Tenants {
-		if s.Tenants[i].Name == "_other" {
-			other = &s.Tenants[i]
-		}
-	}
-	if other == nil || other.Admits != 2 {
-		t.Fatalf("overflow row missing or wrong: %+v", s.Tenants)
-	}
-}
-
 // The registry's own exposition must satisfy its own strict lint, and
 // counters must round-trip: values written are values parsed.
 func TestExpositionRoundTrip(t *testing.T) {
@@ -281,7 +253,6 @@ func TestExpositionRoundTrip(t *testing.T) {
 	h := metricsHooks
 	installMu.Unlock()
 
-	RegisterTenant(242, "roundtrip-tenant")
 	h.RegionFork(1, 777001, 0, 4)
 	h.RegionJoin(1, 777001, 0)
 	h.AdmitGrant(242, 900)
@@ -299,7 +270,7 @@ func TestExpositionRoundTrip(t *testing.T) {
 	}
 	for _, want := range []string{
 		"aomp_region_entries_total ",
-		`aomp_tenant_admits_total{tenant="roundtrip-tenant"} `,
+		"aomp_admission_wait_seconds_count ",
 		`aomp_region_latency_seconds_bucket{le="+Inf"} `,
 		"aomp_region_latency_seconds_count ",
 		"aomp_roundtrip_gauge 12.5",

@@ -90,13 +90,6 @@ type Hooks struct {
 	// victim-selection quality (probes per steal) is observable.
 	StealScan func(w WorkerID, probes int)
 
-	// LoopRate fires as a worker finishes its share of a work-sharing
-	// construct encounter, carrying the iterations it executed and the
-	// nanoseconds they took. It feeds the per-worker throughput counters
-	// behind ReadWorkerRates — the cheap, drain-free view schedulers and
-	// dashboards watch for worker asymmetry.
-	LoopRate func(w WorkerID, iters, elapsedNs int64)
-
 	// BarrierArrive fires as a worker reaches a team barrier;
 	// BarrierDepart fires as it is released, carrying the nanoseconds the
 	// worker spent waiting.

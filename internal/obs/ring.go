@@ -2,6 +2,7 @@ package obs
 
 import (
 	"runtime"
+	"sync"
 	"sync/atomic"
 )
 
@@ -49,16 +50,17 @@ type Event struct {
 
 // ring is one worker's bounded event buffer. Appends are lock-free and
 // allocation-free: a writer claims a slot with a CAS on next, writes the
-// record, and drops the event (counted) when the buffer is full or a drain
-// is in progress. The drain excludes writers without a lock: it raises
-// draining, waits for the writers count to reach zero — every writer
-// increments it before touching the buffer and decrements it after, so the
-// final decrement's release pairs with the drain's acquire and orders all
-// record writes before the drain's reads — then copies out [base, next)
-// and advances base. Slot indices are claimed monotonically and masked
-// into the buffer, so slots are reused ring-wise across drains; between
-// two drains each live index maps to a distinct slot, which is what makes
-// concurrent claimants write-disjoint.
+// record, and drops the event (counted) when the buffer is full or an
+// exclusive pass (drain, snapshot, trim, reset) is in progress. A pass
+// excludes writers without making them lock: it raises draining and waits
+// for the writers count to reach zero — every writer increments it before
+// touching the buffer and decrements it after, so the final decrement's
+// release pairs with the pass's acquire and orders all record writes
+// before the pass's reads. Passes serialize among themselves on passMu.
+// Slot indices are claimed monotonically and masked into the buffer, so
+// slots are reused ring-wise across drains; between two drains each live
+// index maps to a distinct slot, which is what makes concurrent claimants
+// write-disjoint.
 type ring struct {
 	buf  []Event
 	mask uint64
@@ -68,6 +70,7 @@ type ring struct {
 	writers  atomic.Int32  // writers past the draining check
 	draining atomic.Bool
 	dropped  atomic.Uint64
+	passMu   sync.Mutex // serializes exclusive passes; writers never take it
 }
 
 // newRing creates a ring with capacity rounded up to a power of two.
@@ -107,79 +110,79 @@ func (r *ring) append(ev Event) bool {
 	return stored
 }
 
-// drain removes and returns all buffered records in claim order. Emits
-// racing with the drain are dropped (counted), never torn: the drain
-// blocks new writers and waits out in-flight ones before reading.
-func (r *ring) drain() []Event {
+// exclusive runs fn with writers shut out: it raises draining, waits out
+// in-flight writers, runs fn and re-admits them. passMu serializes the
+// exclusive passes of one ring — without it, the first of two overlapping
+// passes to finish would lower draining while the other is still reading
+// buf (the flight recorder's trimmer and a WriteFlightSnapshot overlap
+// exactly so). Writers never take the mutex.
+func (r *ring) exclusive(fn func()) {
+	r.passMu.Lock()
+	defer r.passMu.Unlock()
 	r.draining.Store(true)
 	for r.writers.Load() != 0 {
 		runtime.Gosched()
 	}
-	base, next := r.base.Load(), r.next.Load()
-	var out []Event
-	if next > base {
-		out = make([]Event, 0, next-base)
-		for i := base; i < next; i++ {
-			out = append(out, r.buf[i&r.mask])
-		}
-	}
-	r.base.Store(next)
+	fn()
 	r.draining.Store(false)
+}
+
+// live copies out the buffered records [base, next) in claim order. Call
+// it only inside exclusive.
+func (r *ring) live() []Event {
+	base, next := r.base.Load(), r.next.Load()
+	if next == base {
+		return nil
+	}
+	out := make([]Event, 0, next-base)
+	for i := base; i < next; i++ {
+		out = append(out, r.buf[i&r.mask])
+	}
+	return out
+}
+
+// drain removes and returns all buffered records in claim order. Emits
+// racing with the drain are dropped (counted), never torn.
+func (r *ring) drain() (out []Event) {
+	r.exclusive(func() {
+		out = r.live()
+		r.base.Store(r.next.Load())
+	})
 	return out
 }
 
 // snapshot copies out all buffered records in claim order without
 // consuming them — the flight recorder's read: the window stays buffered
-// for later triggers, aging out via trim instead of the drain. Writers
-// are excluded (and drop, counted) exactly as in drain.
-func (r *ring) snapshot() []Event {
-	r.draining.Store(true)
-	for r.writers.Load() != 0 {
-		runtime.Gosched()
-	}
-	base, next := r.base.Load(), r.next.Load()
-	var out []Event
-	if next > base {
-		out = make([]Event, 0, next-base)
-		for i := base; i < next; i++ {
-			out = append(out, r.buf[i&r.mask])
-		}
-	}
-	r.draining.Store(false)
+// for later triggers, aging out via trim instead of the drain.
+func (r *ring) snapshot() (out []Event) {
+	r.exclusive(func() { out = r.live() })
 	return out
 }
 
 // trim advances base past records older than cutoff (When < cutoff) and,
 // if the buffer is still fuller than maxLive records, past the oldest
 // overflow — the flight recorder's aging pass, keeping the ring a bounded
-// sliding window instead of a fill-once buffer. Runs under the same
-// writer-exclusion handshake as drain; maxLive <= 0 skips the occupancy
-// bound.
+// sliding window instead of a fill-once buffer. maxLive <= 0 skips the
+// occupancy bound.
 func (r *ring) trim(cutoff int64, maxLive int) {
-	r.draining.Store(true)
-	for r.writers.Load() != 0 {
-		runtime.Gosched()
-	}
-	base, next := r.base.Load(), r.next.Load()
-	for base < next && r.buf[base&r.mask].When < cutoff {
-		base++
-	}
-	if maxLive > 0 && next-base > uint64(maxLive) {
-		base = next - uint64(maxLive)
-	}
-	r.base.Store(base)
-	r.draining.Store(false)
+	r.exclusive(func() {
+		base, next := r.base.Load(), r.next.Load()
+		for base < next && r.buf[base&r.mask].When < cutoff {
+			base++
+		}
+		if maxLive > 0 && next-base > uint64(maxLive) {
+			base = next - uint64(maxLive)
+		}
+		r.base.Store(base)
+	})
 }
 
 // reset discards buffered records and the drop counter (StartTrace).
 func (r *ring) reset() {
-	r.draining.Store(true)
-	for r.writers.Load() != 0 {
-		runtime.Gosched()
-	}
-	r.base.Store(r.next.Load())
-	r.dropped.Store(0)
-	r.draining.Store(false)
+	r.exclusive(func() {
+		r.base.Store(r.next.Load())
+		r.dropped.Store(0)
+	})
 }
 
 // len reports the number of buffered records (diagnostics/tests).

@@ -1,10 +1,12 @@
 package obs
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // The ring must fill to capacity, drop (and count) the overflow, and reuse
@@ -122,6 +124,64 @@ func TestRingConcurrentDrainWhileEmitting(t *testing.T) {
 	}
 }
 
+// Exclusive passes overlapping on one ring — the flight recorder's trimmer
+// ages a ring while WriteFlightSnapshot copies it — must serialize: the
+// first pass to finish may not re-admit writers while another is still
+// reading the buffer. Writers stamp Task and Arg with one per-writer
+// sequence, so a slot overwritten mid-copy shows up as a torn record or as
+// a writer's sequence running backwards inside one snapshot; under -race
+// the overlapping access itself is reported. GOMAXPROCS is raised so the
+// passes interleave on small machines too.
+func TestRingOverlappingExclusivePasses(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	r := newRing(64)
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	defer wg.Wait()
+	defer stop.Store(true)
+	loop := func(body func()) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !stop.Load() {
+				body()
+			}
+		}()
+	}
+	for g := uint64(1); g <= 2; g++ {
+		seq := uint64(0)
+		loop(func() {
+			seq++
+			r.append(Event{Kind: EvTaskCreate, Task: g<<32 | seq, Arg: g<<32 | seq})
+		})
+	}
+	loop(func() {
+		r.trim(0, 1) // keep one record: writers refill slots a snapshot reads
+		runtime.Gosched()
+	})
+	bad := make(chan string, 1)
+	for range 2 {
+		loop(func() {
+			last := map[uint64]uint64{}
+			for _, ev := range r.snapshot() {
+				g, seq := ev.Task>>32, ev.Task&(1<<32-1)
+				if ev.Task != ev.Arg || seq <= last[g] {
+					select {
+					case bad <- fmt.Sprintf("snapshot saw a slot rewritten mid-copy: %+v after seq %d", ev, last[g]):
+					default:
+					}
+				}
+				last[g] = seq
+			}
+		})
+	}
+	select {
+	case msg := <-bad:
+		t.Fatal(msg)
+	case <-time.After(500 * time.Millisecond):
+	}
+}
+
 // The collector must route events to per-worker rings, reset them on
 // start, and survive hook calls from workers it has never seen.
 func TestCollectorRoutingAndReset(t *testing.T) {
@@ -131,8 +191,8 @@ func TestCollectorRoutingAndReset(t *testing.T) {
 	h.TaskCreate(3, 1, TaskDeferred)
 	h.TaskCreate(7, 2, TaskDeferred)
 	h.TaskCreate(NoWorker, 3, TaskDeferred)
-	if got := c.stats().TasksSpawned; got != 3 {
-		t.Fatalf("TasksSpawned = %d, want 3", got)
+	if got := c.stats().EventsRecorded; got != 3 {
+		t.Fatalf("EventsRecorded = %d, want 3", got)
 	}
 	evs := c.stop()
 	if len(evs) != 3 {

@@ -8,85 +8,37 @@ import (
 	"time"
 )
 
-// Stats is the aggregate runtime counter snapshot of the built-in tracer.
-// Counters accumulate while tracing is enabled (EnableTracing/StartTrace)
-// and are cumulative across traces; they do not require a recording trace,
-// so long-running servers can watch steal and barrier pressure without
-// paying for event buffering.
+// Stats is the built-in tracer's ring accounting: what it stored, what it
+// shed, and the shape of its ring pool. Event counts live in the metrics
+// registry (ReadMetrics), pool and admission tallies in the runtime
+// (PoolStats, AdmissionStats).
 type Stats struct {
-	RegionForks   uint64 // parallel region entries observed
-	RegionJoins   uint64 // parallel region joins observed
-	TeamLeases    uint64 // team acquisitions observed
-	TeamLeaseHits uint64 // leases served by the hot-team pool
-	TeamRetires   uint64 // teams destroyed while observed
-
-	TasksSpawned   uint64 // tasks queued on deques or parked on dependences
-	TasksInlined   uint64 // tasks run outside the deques (own goroutine)
-	TasksCompleted uint64 // task executions finished
-
-	StealAttempts uint64 // empty-deque probes of sibling deques
-	Steals        uint64 // probes that took a task
-	StealProbes   uint64 // sibling slots examined by loop-range steal scans
-
-	BarrierWaits  uint64 // barrier passages observed
-	BarrierWaitNs uint64 // total nanoseconds spent blocked in barriers
-
-	DepReleases uint64 // parked dependent tasks released to deques
-
-	// Multi-tenant admission counters (rt server mode). Counter-only, like
-	// StealAttempts: admission events happen on the entering goroutine
-	// outside any worker context, so they carry no timeline value — the
-	// queue-side picture lives in rt.AdmissionStats.
-	AdmitGrants   uint64 // team leases granted (fast-path and after queueing)
-	AdmitQueued   uint64 // grants that waited in the admission queue first
-	AdmitWaitNs   uint64 // total nanoseconds spent queued for admission
-	AdmitRejects  uint64 // lease requests refused (policy, full queue, timeout)
-	AdmitTimeouts uint64 // refusals specifically due to a queue-wait timeout
-
 	EventsRecorded uint64 // records stored in trace ring buffers
 	EventsDropped  uint64 // records dropped since the last StartTrace reset
 
-	// Ring-buffer accounting, exposed so production monitors can tell a
-	// quiet trace from one that silently shed events. RingDrops is the
-	// cumulative drop count across every trace since the tracer was
-	// created — unlike EventsDropped it survives StartTrace resets (the
-	// accumulation happens at reset time, so drops landing mid-reset may
-	// be counted one snapshot late). TraceRings is the number of ring
-	// buffers allocated so far; WorkersFolded estimates how many distinct
-	// workers were folded onto shared rings because their ids exceeded
-	// the ring bound (exact when worker ids are dense, a lower bound
-	// otherwise).
+	// RingDrops is the cumulative drop count across every trace since the
+	// tracer was created — unlike EventsDropped it survives StartTrace
+	// resets (the accumulation happens at reset time, so drops landing
+	// mid-reset may be counted one snapshot late). TraceRings is the
+	// number of ring buffers allocated so far; WorkersFolded estimates how
+	// many distinct workers were folded onto shared rings because their
+	// ids exceeded the ring bound (exact when worker ids are dense, a lower
+	// bound otherwise).
 	RingDrops     uint64
 	TraceRings    int
 	WorkersFolded int
 }
 
-// counters is the atomic backing of Stats.
-type counters struct {
-	regionForks, regionJoins          atomic.Uint64
-	teamLeases, teamHits, teamRetires atomic.Uint64
-	tasksSpawned, tasksInlined        atomic.Uint64
-	tasksCompleted                    atomic.Uint64
-	stealAttempts, steals             atomic.Uint64
-	stealProbes                       atomic.Uint64
-	barrierWaits, barrierWaitNs       atomic.Uint64
-	depReleases                       atomic.Uint64
-	admitGrants, admitQueued          atomic.Uint64
-	admitWaitNs                       atomic.Uint64
-	admitRejects, admitTimeouts       atomic.Uint64
-	recorded                          atomic.Uint64
-}
-
-// DefaultRingCapacity is the per-worker event buffer capacity (records,
-// not bytes) used unless SetRingCapacity overrides it. At 48 bytes per
-// record a full buffer is under 800 KiB per worker.
+// DefaultRingCapacity is the tracer's per-worker event buffer capacity
+// (records, not bytes). At 48 bytes per record a full buffer is under
+// 800 KiB per worker.
 const DefaultRingCapacity = 1 << 14
 
-// collector is the built-in tracer: per-worker rings plus counters. The
-// package-level singleton serves the public API; tests build private
-// instances and drive the hook methods directly.
+// collector is the built-in tracer: per-worker rings and the count of
+// records they stored. The package-level singleton serves the public API;
+// tests build private instances and drive the hook methods directly.
 type collector struct {
-	c         counters
+	recorded  atomic.Uint64
 	recording atomic.Bool
 	epoch     atomic.Int64 // trace start, ns reading of the monotonic clock
 
@@ -112,26 +64,10 @@ type collector struct {
 	droppedCum atomic.Uint64
 	foldedMax  atomic.Int64
 
-	// rates holds the per-worker throughput counters behind
-	// ReadWorkerRates, indexed and folded exactly like rings (WorkerID+1,
-	// modulo the bound). Allocated eagerly — one padded line per slot is a
-	// few KiB — so the emit path is a pure index, no growth branch.
-	rates []rateSlot
-
 	// names interns user-span labels; ids index list.
 	namesMu sync.RWMutex
 	byName  map[string]uint32
 	names   []string
-}
-
-// rateSlot is one worker's cumulative loop-rate counters, alone on a cache
-// line: each worker adds to its own slot at loop-share end, and sharing
-// lines would turn independent workers into false-sharing partners.
-type rateSlot struct {
-	iters  atomic.Int64
-	workNs atomic.Int64
-	probes atomic.Int64
-	_      [40]byte
 }
 
 func newCollector(ringCap, maxRings int) *collector {
@@ -139,7 +75,6 @@ func newCollector(ringCap, maxRings int) *collector {
 		maxRings = 2
 	}
 	c := &collector{ringCap: ringCap, maxRings: maxRings, byName: map[string]uint32{}}
-	c.rates = make([]rateSlot, maxRings)
 	c.rings.Store(&[]*ring{})
 	return c
 }
@@ -203,18 +138,6 @@ func (c *collector) ring(w WorkerID) *ring {
 	return grown[idx]
 }
 
-// rate returns the per-worker rate slot for w, folded like ring indices.
-func (c *collector) rate(w WorkerID) *rateSlot {
-	idx := int(w) + 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(c.rates) {
-		idx = 1 + (idx-1)%(len(c.rates)-1)
-	}
-	return &c.rates[idx]
-}
-
 // record appends one event if a trace is recording.
 func (c *collector) record(w WorkerID, ev Event) {
 	if !c.recording.Load() {
@@ -223,7 +146,7 @@ func (c *collector) record(w WorkerID, ev Event) {
 	ev.When = c.now()
 	ev.Worker = w
 	if c.ring(w).append(ev) {
-		c.c.recorded.Add(1)
+		c.recorded.Add(1)
 	}
 }
 
@@ -251,7 +174,7 @@ func (c *collector) stop() []Event {
 	return out
 }
 
-// stats snapshots the counters.
+// stats snapshots the ring accounting.
 func (c *collector) stats() Stats {
 	var dropped uint64
 	rings := *c.rings.Load()
@@ -262,33 +185,12 @@ func (c *collector) stats() Stats {
 	if m := c.foldedMax.Load(); m >= int64(c.maxRings) {
 		folded = int(m) - c.maxRings + 1
 	}
-	// Literal order is load order: dependents before their bounds, as in
-	// metricsRegistry.snapshot.
 	return Stats{
+		EventsRecorded: c.recorded.Load(),
+		EventsDropped:  dropped,
 		RingDrops:      c.droppedCum.Load() + dropped,
 		TraceRings:     len(rings),
 		WorkersFolded:  folded,
-		RegionJoins:    c.c.regionJoins.Load(),
-		RegionForks:    c.c.regionForks.Load(),
-		TeamLeaseHits:  c.c.teamHits.Load(),
-		TeamLeases:     c.c.teamLeases.Load(),
-		TeamRetires:    c.c.teamRetires.Load(),
-		TasksCompleted: c.c.tasksCompleted.Load(),
-		TasksSpawned:   c.c.tasksSpawned.Load(),
-		TasksInlined:   c.c.tasksInlined.Load(),
-		Steals:         c.c.steals.Load(),
-		StealAttempts:  c.c.stealAttempts.Load(),
-		StealProbes:    c.c.stealProbes.Load(),
-		BarrierWaits:   c.c.barrierWaits.Load(),
-		BarrierWaitNs:  c.c.barrierWaitNs.Load(),
-		DepReleases:    c.c.depReleases.Load(),
-		AdmitGrants:    c.c.admitGrants.Load(),
-		AdmitQueued:    c.c.admitQueued.Load(),
-		AdmitWaitNs:    c.c.admitWaitNs.Load(),
-		AdmitRejects:   c.c.admitRejects.Load(),
-		AdmitTimeouts:  c.c.admitTimeouts.Load(),
-		EventsRecorded: c.c.recorded.Load(),
-		EventsDropped:  dropped,
 	}
 }
 
@@ -321,17 +223,18 @@ func (c *collector) spanName(id uint32) string {
 	return "span"
 }
 
-// hooks builds the collector's hook table. Every callback is a bound
-// method value created once here, so installing the tracer allocates only
-// at EnableTracing time, never on the emit path.
+// hooks builds the collector's hook table: one record per timeline event,
+// no counting — event counts are the metrics registry's. Events with no
+// timeline value (steal attempts and scans, admission outcomes) are left
+// nil. Every callback is a bound method value created once here, so
+// installing the tracer allocates only at EnableTracing time, never on the
+// emit path.
 func (c *collector) hooks() *Hooks {
 	return &Hooks{
 		RegionFork: func(master WorkerID, team uint64, level, size int) {
-			c.c.regionForks.Add(1)
 			c.record(master, Event{Kind: EvRegionFork, Team: team, Arg: uint64(size), Level: uint8(level)})
 		},
 		RegionJoin: func(master WorkerID, team uint64, level int) {
-			c.c.regionJoins.Add(1)
 			c.record(master, Event{Kind: EvRegionJoin, Team: team, Level: uint8(level)})
 		},
 		ImplicitBegin: func(w WorkerID, team uint64, level int) {
@@ -341,79 +244,37 @@ func (c *collector) hooks() *Hooks {
 			c.record(w, Event{Kind: EvImplicitEnd, Team: team})
 		},
 		TeamLease: func(w WorkerID, team uint64, size int, hit bool) {
-			c.c.teamLeases.Add(1)
 			var h uint64
 			if hit {
 				h = 1
-				c.c.teamHits.Add(1)
 			}
 			c.record(w, Event{Kind: EvTeamLease, Team: team, Arg: h<<32 | uint64(uint32(size))})
 		},
 		TeamRetire: func(team uint64, size int) {
-			c.c.teamRetires.Add(1)
 			c.record(NoWorker, Event{Kind: EvTeamRetire, Team: team, Arg: uint64(size)})
 		},
 		TaskCreate: func(w WorkerID, task uint64, kind TaskKind) {
-			c.c.tasksSpawned.Add(1)
 			c.record(w, Event{Kind: EvTaskCreate, Task: task, Arg: uint64(kind)})
 		},
 		TaskSchedule: func(w WorkerID, task uint64) {
 			c.record(w, Event{Kind: EvTaskSchedule, Task: task})
 		},
 		TaskComplete: func(w WorkerID, task uint64) {
-			c.c.tasksCompleted.Add(1)
 			c.record(w, Event{Kind: EvTaskComplete, Task: task})
 		},
 		TaskInline: func(w WorkerID, task uint64) {
-			c.c.tasksInlined.Add(1)
 			c.record(w, Event{Kind: EvTaskInline, Task: task})
 		},
-		StealAttempt: func(w WorkerID) {
-			// Counter only: idle workers probe in a helping loop, and one
-			// instant per probe would flood the rings with no timeline value.
-			c.c.stealAttempts.Add(1)
-		},
 		StealSuccess: func(w WorkerID, task uint64, victim WorkerID) {
-			c.c.steals.Add(1)
 			c.record(w, Event{Kind: EvStealSuccess, Task: task, Arg: uint64(uint32(victim))})
 		},
-		StealScan: func(w WorkerID, probes int) {
-			// Counter only, like StealAttempt: scan lengths aggregate, they
-			// are not timeline moments.
-			c.c.stealProbes.Add(uint64(probes))
-			c.rate(w).probes.Add(int64(probes))
-		},
-		LoopRate: func(w WorkerID, iters, elapsedNs int64) {
-			r := c.rate(w)
-			r.iters.Add(iters)
-			r.workNs.Add(elapsedNs)
-		},
 		BarrierArrive: func(w WorkerID, team uint64) {
-			c.c.barrierWaits.Add(1)
 			c.record(w, Event{Kind: EvBarrierArrive, Team: team})
 		},
 		BarrierDepart: func(w WorkerID, team uint64, waitNs int64) {
-			c.c.barrierWaitNs.Add(uint64(waitNs))
 			c.record(w, Event{Kind: EvBarrierDepart, Team: team, Arg: uint64(waitNs)})
 		},
-		// AdmitEnqueue stays nil: the enqueue is implied by AdmitGrant's
-		// waitNs>0 or by AdmitReject, and depth snapshots live in
-		// rt.AdmissionStats.
-		AdmitGrant: func(tenant uint64, waitNs int64) {
-			c.c.admitGrants.Add(1)
-			if waitNs > 0 {
-				c.c.admitQueued.Add(1)
-				c.c.admitWaitNs.Add(uint64(waitNs))
-			}
-		},
-		AdmitReject: func(tenant uint64, reason AdmitReason) {
-			c.c.admitRejects.Add(1)
-			if reason == AdmitReasonTimeout {
-				c.c.admitTimeouts.Add(1)
-			}
-		},
 		DepRelease: func(w WorkerID, task uint64) {
-			c.c.depReleases.Add(1)
 			c.record(w, Event{Kind: EvDepRelease, Task: task})
 		},
 		WorkBegin: func(w WorkerID, team uint64, kind uint8) {
@@ -441,11 +302,12 @@ var (
 )
 
 // EnableTracing installs (or uninstalls) the built-in tracer in the tool
-// slot and returns whether it was previously installed. Enabling starts
-// the aggregate counters; event buffering additionally needs StartTrace.
-// Enabling replaces a custom tool installed with SetHooks (they share the
-// tool slot), but composes with the metrics registry and the flight
-// recorder. Disabling leaves a custom tool untouched.
+// slot and returns whether it was previously installed. The tracer records
+// a timeline and counts nothing: event buffering needs StartTrace, event
+// counts need EnableMetrics. Enabling replaces a custom tool installed
+// with SetHooks (they share the tool slot), but composes with the metrics
+// registry and the flight recorder. Disabling leaves a custom tool
+// untouched.
 func EnableTracing(on bool) bool {
 	installMu.Lock()
 	defer installMu.Unlock()
@@ -483,71 +345,18 @@ func StartTrace() {
 
 // StopTrace ends the recording started by StartTrace, drains the ring
 // buffers and writes the trace as Chrome trace-event JSON to w (load it at
-// ui.perfetto.dev or chrome://tracing). Aggregate counters keep running;
-// use EnableTracing(false) to uninstall the tracer entirely. Without a
-// prior StartTrace it writes a valid empty trace.
+// ui.perfetto.dev or chrome://tracing). The tracer stays installed; use
+// EnableTracing(false) to uninstall it. Without a prior StartTrace it
+// writes a valid empty trace.
 func StopTrace(w io.Writer) error {
 	events := tracer.stop()
 	return writeChromeTrace(w, tracer, events)
 }
 
-// ReadStats snapshots the built-in tracer's aggregate counters.
+// ReadStats snapshots the built-in tracer's ring accounting.
 func ReadStats() Stats { return tracer.stats() }
-
-// WorkerRate is one worker's cumulative loop-throughput counters: the
-// iterations it executed inside for constructs, the nanoseconds those
-// shares took, and the sibling slots it probed while stealing loop
-// ranges. Iters/WorkNs is the worker's observed speed; a worker whose
-// ratio trails its siblings' is the asymmetric (throttled, contended,
-// or simply slower) one, and StealProbes/steals gauges how hard its
-// victim selection worked.
-type WorkerRate struct {
-	Worker      WorkerID
-	Iters       int64
-	WorkNs      int64
-	StealProbes int64
-}
-
-// ReadWorkerRates snapshots the built-in tracer's per-worker rate
-// counters without draining or pausing a trace — they are plain padded
-// atomics fed by the LoopRate/StealScan hooks, so the read is safe from
-// any goroutine at any time. Slots that never counted are omitted.
-// Workers beyond the tracer's ring bound fold onto shared slots (like
-// trace rings); a folded slot reports the lowest WorkerID that maps to
-// it. Counters accumulate while tracing is enabled and reset never —
-// callers diff snapshots for interval rates.
-func ReadWorkerRates() []WorkerRate {
-	out := make([]WorkerRate, 0, len(tracer.rates))
-	for i := range tracer.rates {
-		r := &tracer.rates[i]
-		wr := WorkerRate{
-			Worker:      WorkerID(i - 1),
-			Iters:       r.iters.Load(),
-			WorkNs:      r.workNs.Load(),
-			StealProbes: r.probes.Load(),
-		}
-		if wr.Iters != 0 || wr.WorkNs != 0 || wr.StealProbes != 0 {
-			out = append(out, wr)
-		}
-	}
-	return out
-}
 
 // InternName returns the stable id the built-in tracer files user spans
 // under — aspects intern their joinpoint names once at weave time and emit
 // the id, keeping the emit path free of string handling.
 func InternName(name string) uint32 { return tracer.intern(name) }
-
-// SetRingCapacity sets the per-worker event buffer capacity (records,
-// rounded up to a power of two) for rings created after the call, and
-// returns the previous setting. Existing rings keep their size; call it
-// before the first StartTrace. Intended for tests and long traces.
-func SetRingCapacity(n int) int {
-	installMu.Lock()
-	defer installMu.Unlock()
-	prev := tracer.ringCap
-	if n > 0 {
-		tracer.ringCap = n
-	}
-	return prev
-}

@@ -3,6 +3,7 @@ package rt
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"aomplib/internal/obs"
@@ -345,30 +346,28 @@ func TestAsymSpinDelay(t *testing.T) {
 	}
 }
 
-// TestWorkerRatesAndStealProbes pins the observability satellites: a
-// steal-scheduled loop feeds the per-worker rate counters (iterations
-// and work time via LoopRate) and the probes-per-steal counter, visible
-// through both obs.ReadWorkerRates and obs.Stats.StealProbes.
+// TestWorkerRatesAndStealProbes pins the observability of a steal-
+// scheduled loop: it trains the worker speed estimates the weighted carve
+// reads, and feeds the registry's probes-per-steal counter.
 func TestWorkerRatesAndStealProbes(t *testing.T) {
 	defer resetPool(t)()
-	obs.EnableTracing(true)
-	defer obs.EnableTracing(false)
-	before := obs.ReadStats()
+	prevM := obs.EnableMetrics(true)
+	defer obs.EnableMetrics(prevM)
+	before := obs.ReadMetrics()
 	const n = 4096
 	hits := make([]int32, n)
 	ptr := &hits
+	var trained atomic.Int32
 	Region(4, func(w *Worker) {
 		ForSpan(w, sched.Space{Lo: 0, Hi: n, Step: 1}, sched.WeightedSteal, "rates-loop", 4, countSpan, ptr)
+		if w.Speed() > 0 {
+			trained.Add(1)
+		}
 	})
-	after := obs.ReadStats()
-	if after.StealProbes == before.StealProbes {
+	if obs.ReadMetrics().StealProbes == before.StealProbes {
 		t.Error("weighted steal loop recorded no steal probes")
 	}
-	var iters int64
-	for _, r := range obs.ReadWorkerRates() {
-		iters += r.Iters
-	}
-	if iters < n {
-		t.Errorf("worker rates account for %d iterations, want at least %d", iters, n)
+	if trained.Load() == 0 {
+		t.Error("no worker trained a speed estimate from the loop")
 	}
 }

@@ -87,7 +87,7 @@ type tenantState struct {
 	held  atomic.Int32 // slots held right now
 
 	admitted atomic.Uint64 // leases granted
-	queued   atomic.Uint64 // grants that waited in the queue first
+	queued   atomic.Uint64 // entries that waited in the queue (granted or timed out)
 	rejected atomic.Uint64 // lease requests refused
 	timedOut atomic.Uint64 // refusals due to queue-wait timeout
 	degraded atomic.Uint64 // entries that ran serialized without a lease
@@ -159,9 +159,6 @@ func (c *admitController) tenantFor(name string) *tenantState {
 	if t == nil {
 		t = &tenantState{name: name, id: c.tenantIDs.Add(1)}
 		c.tenants[name] = t
-		// Let the metrics registry label this tenant's counter row by
-		// name; cold path, once per tenant.
-		obs.RegisterTenant(t.id, name)
 	}
 	return t
 }
@@ -545,7 +542,7 @@ type TenantAdmissionStats struct {
 	Held  int    // slots held right now
 
 	Admitted  uint64 // leases granted
-	Queued    uint64 // grants that waited in the queue first
+	Queued    uint64 // entries that waited in the queue (granted or timed out)
 	Rejected  uint64 // lease requests refused
 	TimedOut  uint64 // refusals due to queue-wait timeout
 	Degraded  uint64 // entries that ran serialized

@@ -14,9 +14,14 @@ import (
 )
 
 // A region exercising every construct must light up the corresponding
-// tracer counters, and the drained trace must be valid Chrome JSON.
+// metrics counters and trace events, and the drained trace must be valid
+// Chrome JSON. Counts come from the registry; events that only the
+// timeline carries (joins, leases, inline tasks, dependence releases)
+// come from the drained trace.
 func TestObsEmitCoverage(t *testing.T) {
-	before := obs.ReadStats()
+	prevM := obs.EnableMetrics(true)
+	defer obs.EnableMetrics(prevM)
+	before, beforeTrace := obs.ReadMetrics(), obs.ReadStats()
 	obs.StartTrace()
 	defer obs.EnableTracing(false)
 
@@ -34,7 +39,7 @@ func TestObsEmitCoverage(t *testing.T) {
 			// Hold the owner back until a team-mate has gone stealing, or it
 			// may drain its own deque before anyone gets to try.
 			deadline := time.Now().Add(10 * time.Second)
-			for obs.ReadStats().StealAttempts == before.StealAttempts && time.Now().Before(deadline) {
+			for obs.ReadMetrics().StealAttempts == before.StealAttempts && time.Now().Before(deadline) {
 				runtime.Gosched()
 			}
 		}
@@ -45,24 +50,19 @@ func TestObsEmitCoverage(t *testing.T) {
 	Spawn(func() { close(done) })
 	<-done
 
-	st := obs.ReadStats()
-	delta := func(name string, now, then uint64) uint64 {
+	m, st := obs.ReadMetrics(), obs.ReadStats()
+	delta := func(name string, now, then uint64) {
 		t.Helper()
 		if now <= then {
 			t.Errorf("%s did not advance: %d -> %d", name, then, now)
 		}
-		return now - then
 	}
-	delta("RegionForks", st.RegionForks, before.RegionForks)
-	delta("RegionJoins", st.RegionJoins, before.RegionJoins)
-	delta("TeamLeases", st.TeamLeases, before.TeamLeases)
-	delta("TasksSpawned", st.TasksSpawned, before.TasksSpawned)
-	delta("TasksCompleted", st.TasksCompleted, before.TasksCompleted)
-	delta("TasksInlined", st.TasksInlined, before.TasksInlined)
-	delta("BarrierWaits", st.BarrierWaits, before.BarrierWaits)
-	delta("DepReleases", st.DepReleases, before.DepReleases)
-	delta("StealAttempts", st.StealAttempts, before.StealAttempts)
-	delta("EventsRecorded", st.EventsRecorded, before.EventsRecorded)
+	delta("RegionEntries", m.RegionEntries, before.RegionEntries)
+	delta("TasksSpawned", m.TasksSpawned, before.TasksSpawned)
+	delta("TasksCompleted", m.TasksCompleted, before.TasksCompleted)
+	delta("BarrierWaits", m.BarrierWaits, before.BarrierWaits)
+	delta("StealAttempts", m.StealAttempts, before.StealAttempts)
+	delta("EventsRecorded", st.EventsRecorded, beforeTrace.EventsRecorded)
 
 	var buf bytes.Buffer
 	if err := obs.StopTrace(&buf); err != nil {
@@ -78,7 +78,9 @@ func TestObsEmitCoverage(t *testing.T) {
 		t.Fatal("trace is empty")
 	}
 	tracks := 0
+	names := map[any]bool{}
 	for _, ev := range trace.TraceEvents {
+		names[ev["name"]] = true
 		if ev["name"] == "thread_name" {
 			if args, ok := ev["args"].(map[string]any); ok {
 				if n, _ := args["name"].(string); strings.HasPrefix(n, "worker ") {
@@ -89,6 +91,11 @@ func TestObsEmitCoverage(t *testing.T) {
 	}
 	if tracks < 4 {
 		t.Fatalf("trace has %d worker tracks, want >= 4 (one per team worker)", tracks)
+	}
+	for _, want := range []string{"region join", "team lease", "inline task", "dep release"} {
+		if !names[want] {
+			t.Errorf("trace has no %q event", want)
+		}
 	}
 }
 
@@ -222,28 +229,6 @@ func BenchmarkTaskSpawnWaitMetrics(b *testing.B) {
 		b.StopTimer()
 		_ = x
 	})
-}
-
-// Per-tenant metric rows must carry the tenant names the admission
-// controller registered, so exposition labels and dashboards are
-// name-addressed rather than id-addressed.
-func TestMetricsTenantRegistration(t *testing.T) {
-	prevM := obs.EnableMetrics(true)
-	defer obs.EnableMetrics(prevM)
-	prevAdm := SetAdmissionControl(true)
-	defer SetAdmissionControl(prevAdm)
-
-	tok := EnterTenant("metrics-reg-tenant")
-	Region(2, func(w *Worker) {})
-	tok.Exit()
-
-	snap := obs.ReadMetrics()
-	for _, tn := range snap.Tenants {
-		if tn.Name == "metrics-reg-tenant" && tn.Admits > 0 {
-			return
-		}
-	}
-	t.Fatalf("no admitted row named metrics-reg-tenant in %+v", snap.Tenants)
 }
 
 // TestHotTeamTraceDrainRacesRetirement drains the trace (StopTrace →

@@ -172,13 +172,8 @@ func (fc *ForContext) EndFor() {
 		}
 		fc.slot = nil
 		w.fcFree = append(w.fcFree, fc)
-		if h := obsHooks(); h != nil {
-			if h.LoopRate != nil && iters > 0 {
-				h.LoopRate(w.gid, iters, elapsed)
-			}
-			if h.WorkEnd != nil {
-				h.WorkEnd(w.gid, w.Team.tid)
-			}
+		if h := obsHooks(); h != nil && h.WorkEnd != nil {
+			h.WorkEnd(w.gid, w.Team.tid)
 		}
 	}
 }
