@@ -129,27 +129,25 @@ var MustParsePointcut = pointcut.MustParse
 type Schedule = sched.Kind
 
 // Work-sharing schedules (paper Table 1: staticBlock, staticCyclic,
-// dynamic; guided, steal, auto, runtime and case-specific are the
+// dynamic; guided, steal, runtime, adaptive and case-specific are the
 // documented extensions). Dynamic and Guided call the for method once per
 // claim on one shared cursor — four chunks while more than four per worker
 // remain, then one; Guided: the remainder over twice the team width — so
 // the chunk (ForAspect.Chunk) is the balance unit, and the range a call
-// receives may span four. Auto picks StaticBlock or Guided per encounter
-// from the trip count and team size, then re-tunes re-encounters of the
-// same construct from the imbalance the previous encounter measured;
-// Runtime resolves to the process-wide default set with
-// SetDefaultSchedule (the OMP_SCHEDULE analogue). Steal carves one
-// contiguous range per worker and lets workers that run dry steal half a
-// loaded sibling's remainder (the nonmonotonic:dynamic analogue):
-// dynamic-grade balancing with static-grade dispensing cost.
-// WeightedSteal is Steal made asymmetry-aware: initial ranges are carved
-// proportionally to each worker's measured speed (an EWMA trained on the
-// hot team across loop encounters) and thieves pick the most-loaded
-// victim, so slow workers — efficiency cores, throttled cores, noisy
-// neighbours — are handed less work up front instead of being bailed out
-// chunk by chunk. Adaptive is the fully feedback-driven kind: every
-// encounter of the construct re-decides kind and chunk from the last
-// encounter's measured imbalance, starting from WeightedSteal.
+// receives may span four. Steal carves one contiguous range per worker,
+// sized by each worker's measured speed (an EWMA trained on the hot team
+// across loop encounters; equal ranges until then), and lets workers that
+// run dry steal half the most loaded sibling's remainder (the
+// nonmonotonic:dynamic analogue): dynamic-grade balancing with
+// static-grade dispensing cost, and slow workers — efficiency cores,
+// throttled cores, noisy neighbours — are handed less work up front.
+// Runtime resolves to the process-wide default set with SetDefaultSchedule
+// (the OMP_SCHEDULE analogue). Adaptive is the feedback-driven kind: the
+// first encounter of a construct is decided from the loop's shape
+// (StaticBlock below 64 iterations per worker, Guided otherwise), every
+// later one re-decides kind and chunk from the previous encounter's
+// measured imbalance. Auto and WeightedSteal are the former names of
+// Adaptive and Steal.
 const (
 	StaticBlock   = sched.StaticBlock
 	StaticCyclic  = sched.StaticCyclic
@@ -157,14 +155,14 @@ const (
 	Guided        = sched.Guided
 	Steal         = sched.Steal
 	CaseSpecific  = sched.Custom
-	Auto          = sched.Auto
 	Runtime       = sched.Runtime
-	WeightedSteal = sched.WeightedSteal
 	Adaptive      = sched.Adaptive
+	Auto          = sched.Auto
+	WeightedSteal = sched.WeightedSteal
 )
 
 // ParseSchedule resolves a schedule name ("staticBlock", "dynamic",
-// "auto", ...) to its Schedule, erroring with the valid list on unknown
+// "adaptive", ...) to its Schedule, erroring with the valid list on unknown
 // names — the parser behind benchmark flags like jgfbench -schedule.
 var ParseSchedule = sched.ParseKind
 
@@ -389,7 +387,7 @@ var HotTeamsEnabled = core.HotTeamsEnabled
 // spins is nil or empty, run unthrottled. The throttle applies to every
 // schedule equally — it models slow hardware, not a slow schedule — so
 // schedule comparisons under it are fair; it is how jgfbench -asym makes
-// WeightedSteal's speed-proportional carving measurable without
+// Steal's speed-proportional carving measurable without
 // efficiency cores. Not intended for production use.
 var SetAsymSpin = rt.SetAsymSpin
 

@@ -237,7 +237,8 @@ func main() {
 		"record the whole run and write a Chrome trace (load at ui.perfetto.dev) to this file")
 	schedule := flag.String("schedule", "",
 		"process-wide default schedule resolved by @For(schedule=runtime) constructs\n"+
-			"(staticBlock, staticCyclic, dynamic, guided, steal, weightedSteal, adaptive, auto)")
+			"(staticBlock, staticCyclic, dynamic, guided, steal, adaptive;\n"+
+			"former names: auto = adaptive, weightedSteal = steal)")
 	hotTeams := flag.Bool("hotteams", true, "reuse pooled worker teams across region entries")
 	asym := flag.String("asym", "",
 		"simulate an asymmetric machine: comma-separated worker:spins pairs\n"+

@@ -227,22 +227,21 @@ func reduce(kind string, evs []traceEvent) loopReport {
 }
 
 // advise maps a schedule group's measured imbalance onto the runtime's
-// adaptation policy: skewed loops move to the weighted steal schedule
-// (or refine their chunk if already on a balancing schedule), balanced
-// loops may coarsen, and the hysteresis band keeps what works. A group
-// with no measurable imbalance gets no advice rather than a guess.
+// adaptation policy: skewed loops move to the steal schedule, whose ranges
+// are already carved by measured speed (or refine their chunk if already on
+// a balancing schedule), balanced loops may coarsen, and the hysteresis
+// band keeps what works. A group with no measurable imbalance gets no
+// advice rather than a guess.
 func advise(kind string, imb, high, low float64) string {
 	switch {
 	case imb == 0:
 		return "no multi-worker encounters measured"
 	case imb > high:
 		switch kind {
-		case "weightedSteal", "dynamic":
+		case "steal", "dynamic":
 			return "imbalanced: halve the chunk size"
-		case "steal":
-			return "imbalanced: schedule=weightedSteal (speed-weighted ranges)"
 		default:
-			return "imbalanced: schedule=weightedSteal, or schedule=adaptive to self-tune"
+			return "imbalanced: schedule=steal, or schedule=adaptive to self-tune"
 		}
 	case imb < low:
 		switch kind {

@@ -101,18 +101,18 @@ func TestAnalyzeSerializedSlices(t *testing.T) {
 }
 
 // TestAdvicePolicy pins the recommendation table to the runtime's
-// adaptation policy: skewed → weighted steal (or finer chunks when
-// already balancing), balanced → coarsen, hysteresis band → keep.
+// adaptation policy: skewed → steal (or finer chunks when already
+// balancing), balanced → coarsen, hysteresis band → keep.
 func TestAdvicePolicy(t *testing.T) {
 	cases := []struct {
 		kind string
 		skew float64
 		want string
 	}{
-		{"steal", 4.0, "weightedSteal"},
-		{"staticBlock", 4.0, "weightedSteal"},
+		{"steal", 4.0, "halve the chunk"},
+		{"staticBlock", 4.0, "schedule=steal, or schedule=adaptive"},
+		{"guided", 4.0, "schedule=steal, or schedule=adaptive"},
 		{"dynamic", 4.0, "halve the chunk"},
-		{"weightedSteal", 4.0, "halve the chunk"},
 		{"staticBlock", 1.0, "balanced: keep"},
 		{"guided", 1.0, "coarsen chunk"},
 		{"steal", 1.15, "hysteresis"},
@@ -154,7 +154,7 @@ func TestAnalyzeRejectsGarbage(t *testing.T) {
 }
 
 func TestKindOf(t *testing.T) {
-	if k, ok := kindOf("for (weightedSteal)"); !ok || k != "weightedSteal" {
+	if k, ok := kindOf("for (steal)"); !ok || k != "steal" {
 		t.Fatalf("kindOf = %q, %v", k, ok)
 	}
 	for _, bad := range []string{"task 7", "for ()", "for (x", "barrier"} {

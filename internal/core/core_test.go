@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -149,6 +150,18 @@ func TestForRequiresForMethod(t *testing.T) {
 	p.Use(ForShare("call(* App.notAForMethod(..))"))
 	if err := p.Weave(); err == nil {
 		t.Fatal("@For on a plain method must fail weaving")
+	}
+}
+
+// TestForRejectsUnknownSchedule: a kind that is no schedule used to weave
+// cleanly and then run none of the loop's iterations, because no dispenser
+// was armed for it; it must fail weaving instead.
+func TestForRejectsUnknownSchedule(t *testing.T) {
+	p := weaver.NewProgram("t")
+	p.Class("App").ForProc("loop", func(l, h, s int) {})
+	p.Use(ForShare("call(* App.loop(..))").Schedule(sched.Kind(42)))
+	if err := p.Weave(); err == nil || !strings.Contains(err.Error(), "unknown schedule") {
+		t.Fatalf("@For with Kind(42) wove with error %v, want an unknown-schedule error", err)
 	}
 }
 

@@ -133,20 +133,30 @@ func exactlyOnce(t *testing.T, kind sched.Kind, shape loopShape, width, outer in
 // chunk 16 a wider team is in the one-chunk tail from the start).
 func TestExactlyOnceMatrix(t *testing.T) {
 	small := loopShape{n: 37, chunk: 3, step: 1}
+	// Every schedule by name, the former names included: a flag or config
+	// spelled the old way must still run every iteration once.
+	names := []string{"auto", "weightedSteal"}
+	for _, k := range sched.Kinds() {
+		names = append(names, k.String())
+	}
 	for _, hot := range []bool{true, false} {
 		prev := rt.SetHotTeams(hot)
-		for _, kind := range sched.Kinds() {
+		for _, name := range names {
+			kind, err := sched.ParseKind(name)
+			if err != nil {
+				t.Fatal(err)
+			}
 			for _, width := range []int{1, 2, 3, 7} {
 				for _, ordered := range []bool{false, true} {
-					name := fmt.Sprintf("hot=%v/%v/w=%d/ordered=%v", hot, kind, width, ordered)
-					t.Run(name, func(t *testing.T) {
+					sub := fmt.Sprintf("hot=%v/%s/w=%d/ordered=%v", hot, name, width, ordered)
+					t.Run(sub, func(t *testing.T) {
 						// Twice: the second run meets the reused team.
 						exactlyOnce(t, kind, small, width, 1, ordered)
 						exactlyOnce(t, kind, small, width, 1, ordered)
 					})
 				}
 			}
-			t.Run(fmt.Sprintf("hot=%v/%v/nested", hot, kind), func(t *testing.T) {
+			t.Run(fmt.Sprintf("hot=%v/%s/nested", hot, name), func(t *testing.T) {
 				exactlyOnce(t, kind, small, 3, 2, false)
 			})
 		}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"aomplib/internal/rt"
 	"aomplib/internal/sched"
@@ -64,16 +65,16 @@ func (a *ForAspect) NoWait() *ForAspect { f := false; a.wait = &f; return a }
 func (a *ForAspect) Wait() *ForAspect { tr := true; a.wait = &tr; return a }
 
 // implicitBarrier decides the end-of-construct barrier for the schedule an
-// encounter resolved to (Auto, Runtime and Adaptive resolve per encounter,
-// so the decision cannot be precomputed from the declared kind). The steal
-// kinds barrier like dynamic: workers finish at data-dependent points
-// after range migration, so code after the construct may not assume its
-// own static share ran last.
+// encounter resolved to (Runtime and Adaptive resolve per encounter, so the
+// decision cannot be precomputed from the declared kind). Steal barriers
+// like dynamic: workers finish at data-dependent points after range
+// migration, so code after the construct may not assume its own static
+// share ran last.
 func (a *ForAspect) implicitBarrier(k sched.Kind) bool {
 	if a.wait != nil {
 		return *a.wait
 	}
-	return k == sched.Dynamic || k == sched.Guided || k == sched.Steal || k == sched.WeightedSteal
+	return k == sched.Dynamic || k == sched.Guided || k == sched.Steal
 }
 
 // AspectName implements weaver.Aspect.
@@ -89,6 +90,9 @@ func (a *ForAspect) Bindings() []weaver.Binding {
 			if jp.Kind() != weaver.ForKind {
 				return fmt.Errorf("@For requires a for method (start,end,step), got %s %s", jp.Kind(), jp.FQN())
 			}
+			if !slices.Contains(sched.Kinds(), a.kind) {
+				return fmt.Errorf("@For on %s: unknown schedule %v", jp.FQN(), a.kind)
+			}
 			if a.kind == sched.Custom && a.custom == nil {
 				return fmt.Errorf("@For custom schedule on %s has no ScheduleFunc", jp.FQN())
 			}
@@ -102,12 +106,13 @@ func (a *ForAspect) Bindings() []weaver.Binding {
 					return
 				}
 				sp := sched.Space{Lo: c.Lo, Hi: c.Hi, Step: c.Step}
-				// Auto picks from the loop shape, Runtime from the process
-				// default. Resolution happens once per encounter inside the
-				// team-shared state (the first arriving worker decides), so
-				// a concurrent SetDefaultSchedule can never split one
-				// encounter across two schedules and desynchronise the
-				// implicit barrier; every worker switches on fc.Kind.
+				// Runtime follows the process default, Adaptive the
+				// construct's learned state. Resolution happens once per
+				// encounter inside the team-shared state (the first arriving
+				// worker decides), so a concurrent SetDefaultSchedule can
+				// never split one encounter across two schedules and
+				// desynchronise the implicit barrier; every worker switches
+				// on fc.Kind.
 				fc := rt.BeginFor(w, a, sp, a.kind, a.chunk)
 				k := fc.Kind
 				// One pooled sub-call, copied from c once, is reused for every
@@ -134,7 +139,7 @@ func (a *ForAspect) Bindings() []weaver.Binding {
 					for _, sub := range a.custom(w.ID, w.Team.Size, sp) {
 						runSub(sub, sub.Count())
 					}
-				case sched.Steal, sched.WeightedSteal:
+				case sched.Steal:
 					for {
 						sub, n, ok := fc.DispenseSteal()
 						if !ok {

@@ -92,7 +92,7 @@ func TestHotTeamsThreadLocalFreshPerLease(t *testing.T) {
 
 // A @For bound to the Runtime schedule follows the process-wide default
 // per entry, covering every iteration exactly once under each resolved
-// schedule — including Auto's trip-count split.
+// schedule — including Adaptive's shape rule.
 func TestForRuntimeScheduleResolvesPerEntry(t *testing.T) {
 	origKind := sched.Default()
 	defer sched.SetDefault(origKind) //nolint:errcheck
@@ -110,7 +110,7 @@ func TestForRuntimeScheduleResolvesPerEntry(t *testing.T) {
 	p.Use(ForShare("call(* R.loop(..))").Schedule(sched.Runtime))
 	p.MustWeave()
 
-	for _, k := range []sched.Kind{sched.StaticBlock, sched.StaticCyclic, sched.Dynamic, sched.Guided, sched.Auto} {
+	for _, k := range []sched.Kind{sched.StaticBlock, sched.StaticCyclic, sched.Dynamic, sched.Guided, sched.Steal, sched.Adaptive} {
 		if _, err := sched.SetDefault(k); err != nil {
 			t.Fatal(err)
 		}

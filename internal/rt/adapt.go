@@ -9,11 +9,12 @@ import (
 )
 
 // This file holds the asymmetry- and feedback-aware half of loop
-// scheduling: per-worker throughput estimates (the input to weighted range
-// carving), per-construct adaptive state (the memory behind sched.Adaptive
-// and re-encountered sched.Auto), and the asymmetric-hardware simulation
-// hook benchmarks use to make the weighted-vs-uniform difference
-// measurable on symmetric CI machines.
+// scheduling: per-worker throughput estimates (the weights every steal
+// encounter carves its ranges by), per-construct adaptive state (the
+// memory behind sched.Adaptive: the shape rule on first sight, measured
+// imbalance afterwards), and the asymmetric-hardware simulation hook
+// benchmarks use to make the speed carve measurable on symmetric CI
+// machines.
 //
 // The estimator follows Saez et al. (arXiv:2402.07664): on asymmetric
 // multicores the useful per-worker signal is relative retired-work rate,
@@ -52,7 +53,7 @@ func (w *Worker) updateSpeed(iters, ns int64) {
 }
 
 // speedWeights fills c's scratch weight buffer with every worker's speed
-// estimate, for carving a weighted-steal partition. It returns nil —
+// estimate, for carving a steal encounter's ranges. It returns nil —
 // meaning "carve uniformly" — when no worker is trained yet. Workers
 // without an estimate of their own (a worker whose whole static share was
 // stolen before it ran executes zero iterations and learns nothing) are
@@ -100,16 +101,15 @@ const (
 	adaptImbLow  = 1.08
 )
 
+// shapeGuidedMin is the per-worker trip count from which a loop seen for
+// the first time is dispensed guided: below it the loop is too short for
+// chunk dispensing to pay for the balancing it buys.
+const shapeGuidedMin = 64
+
 // adaptDefaultChunk picks the steal-chunk size for an adaptively scheduled
 // loop: 8 chunks per worker balances steal granularity (a thief can take
 // meaningful work) against dispatch cost.
-func adaptDefaultChunk(n, nthreads int) int {
-	c := n / (nthreads * 8)
-	if c < 1 {
-		c = 1
-	}
-	return c
-}
+func adaptDefaultChunk(n, nthreads int) int { return max(1, n/(nthreads*8)) }
 
 // loopAdapt is the persistent adaptive state of one for construct on one
 // team, held in the construct's record: the schedule it resolved to last,
@@ -126,7 +126,7 @@ type loopAdapt struct {
 	// that needed balancing once may need it again, so balanced
 	// re-encounters then coarsen the chunk instead of dropping all the
 	// way back to static dispatch (which would oscillate under
-	// asymmetry: uniform static carve → skew → weighted → balanced →
+	// asymmetry: uniform static carve → skew → steal → balanced →
 	// static → skew …).
 	skewed bool
 	imb    atomic.Uint64 // float64 bits: last max/mean share-time ratio
@@ -156,32 +156,33 @@ var adaptMeasurable = func(teamSize int) bool {
 	return runtime.GOMAXPROCS(0) >= teamSize
 }
 
-// resolve resolves one encounter of an Adaptive (or re-encountered Auto)
-// for construct on a team of size workers to a concrete schedule, updating
-// the construct's persistent state.
+// resolve resolves one encounter of an Adaptive for construct on a team of
+// size workers to a concrete schedule, updating the construct's persistent
+// state. forShared.init calls it only for what sched.Resolve left
+// Adaptive: a team of two or more and a trip count the steal dispenser can
+// pack.
 //
 // Policy: the first sight of a loop (or a reshaped trip count) gets the
-// shape heuristic — exactly Auto's static/guided choice — so an adaptive
-// loop costs nothing over auto until there is measurement to act on; on
-// an oversubscribed team (see adaptMeasurable) it gets static block
-// instead, because dispensing overhead cannot be repaid when the workers
-// time-share the CPUs and the feedback below is blind there. Measured
-// re-encounters act on the imbalance: too skewed → move to weighted
-// steal, whose carve absorbs the asymmetry, or halve the chunk if
-// already balancing (finer grain gives thieves more rebalancing
-// currency); well balanced → drop back to static dispatch if the loop
-// never needed balancing, else coarsen the chunk (cheaper dispatch
-// either way); in between → keep what works.
+// shape rule — static by blocks below shapeGuidedMin iterations per worker,
+// guided otherwise — so an adaptive loop pays nothing for learning until
+// there is measurement to act on; on an oversubscribed team (see
+// adaptMeasurable) it gets static block regardless, because dispensing
+// overhead cannot be repaid when the workers time-share the CPUs and the
+// feedback below is blind there. Measured re-encounters act on the
+// imbalance: too skewed → move to steal, whose speed-weighted carve absorbs
+// the asymmetry, or halve the chunk if already balancing (finer grain gives
+// thieves more rebalancing currency); well balanced → drop back to static
+// dispatch if the loop never needed balancing, else coarsen the chunk
+// (cheaper dispatch either way); in between → keep what works.
 func (st *loopAdapt) resolve(size, n, chunk int) (sched.Kind, int) {
 	st.rounds++
 	k, c := st.kind, st.chunk
 	switch {
 	case st.rounds == 1 || st.count != n:
 		// First sight, or the loop changed shape: tune from shape alone.
-		if adaptMeasurable(size) {
-			k, c = sched.Resolve(sched.Auto, n, size), chunk
-		} else {
-			k, c = sched.StaticBlock, chunk
+		k, c = sched.StaticBlock, chunk
+		if adaptMeasurable(size) && n >= size*shapeGuidedMin {
+			k = sched.Guided
 		}
 	case !adaptMeasurable(size):
 		// Imbalance is unmeasurable here (see adaptMeasurable): keep the
@@ -190,8 +191,8 @@ func (st *loopAdapt) resolve(size, n, chunk int) (sched.Kind, int) {
 		switch imb := st.imbalance(); {
 		case imb > adaptImbHigh:
 			st.skewed = true
-			if k != sched.WeightedSteal && k != sched.Dynamic {
-				k = sched.WeightedSteal
+			if k != sched.Steal && k != sched.Dynamic {
+				k = sched.Steal
 				c = adaptDefaultChunk(n, size)
 			} else if c > 1 {
 				c /= 2
@@ -211,7 +212,6 @@ func (st *loopAdapt) resolve(size, n, chunk int) (sched.Kind, int) {
 			}
 		}
 	}
-	k = sched.Resolve(k, n, size) // WeightedSteal > 2^31 iters → Dynamic
 	st.kind, st.chunk, st.count = k, c, n
 	return k, c
 }

@@ -28,9 +28,9 @@ func forceMeasurable(t *testing.T) {
 }
 
 // TestAdaptResolvePolicy pins the feedback policy state machine: first
-// sight tunes from shape (exactly Auto's choice), a skewed encounter
-// moves to weighted steal and then refines the chunk, a balanced one
-// coarsens it (capped), and the hysteresis band changes nothing.
+// sight tunes from shape, a skewed encounter moves to steal and then
+// refines the chunk, a balanced one coarsens it (capped), and the
+// hysteresis band changes nothing.
 func TestAdaptResolvePolicy(t *testing.T) {
 	defer resetPool(t)()
 	forceMeasurable(t)
@@ -39,19 +39,19 @@ func TestAdaptResolvePolicy(t *testing.T) {
 	key := "policy-loop"
 
 	k, c, st := adaptResolve(team, key, sched.Adaptive, n, 0)
-	if want := sched.Resolve(sched.Auto, n, 4); k != want || c != 0 {
-		t.Fatalf("first sight resolved to %v chunk %d, want shape heuristic %v chunk 0", k, c, want)
+	if k != sched.Guided || c != 0 {
+		t.Fatalf("first sight resolved to %v chunk %d, want shape rule guided chunk 0", k, c)
 	}
 
-	st.publish(2.0) // skewed → upgrade to weighted steal at the default grain
+	st.publish(2.0) // skewed → upgrade to steal at the default grain
 	k2, c2, _ := adaptResolve(team, key, sched.Adaptive, n, 0)
-	if k2 != sched.WeightedSteal || c2 != adaptDefaultChunk(n, 4) {
-		t.Fatalf("skewed re-encounter: %v chunk %d, want WeightedSteal chunk %d", k2, c2, adaptDefaultChunk(n, 4))
+	if k2 != sched.Steal || c2 != adaptDefaultChunk(n, 4) {
+		t.Fatalf("skewed re-encounter: %v chunk %d, want Steal chunk %d", k2, c2, adaptDefaultChunk(n, 4))
 	}
 
 	st.publish(2.0) // still skewed while balancing → refine grain
-	if k3, c3, _ := adaptResolve(team, key, sched.Adaptive, n, 0); k3 != sched.WeightedSteal || c3 != c2/2 {
-		t.Fatalf("second skewed re-encounter: %v chunk %d, want WeightedSteal chunk %d", k3, c3, c2/2)
+	if k3, c3, _ := adaptResolve(team, key, sched.Adaptive, n, 0); k3 != sched.Steal || c3 != c2/2 {
+		t.Fatalf("second skewed re-encounter: %v chunk %d, want Steal chunk %d", k3, c3, c2/2)
 	}
 
 	st.publish(1.0) // balanced after skew → coarsen, bounded by n/(2*Size)
@@ -60,21 +60,59 @@ func TestAdaptResolvePolicy(t *testing.T) {
 	}
 
 	st.publish(1.15) // hysteresis band → keep
-	if k5, c5, _ := adaptResolve(team, key, sched.Adaptive, n, 0); k5 != sched.WeightedSteal || c5 != c2 {
-		t.Fatalf("hysteresis re-encounter: %v chunk %d, want unchanged WeightedSteal %d", k5, c5, c2)
+	if k5, c5, _ := adaptResolve(team, key, sched.Adaptive, n, 0); k5 != sched.Steal || c5 != c2 {
+		t.Fatalf("hysteresis re-encounter: %v chunk %d, want unchanged Steal %d", k5, c5, c2)
 	}
 
 	// A reshaped loop (new trip count) re-tunes from shape, not stale state.
 	st.publish(2.0)
-	if k6, c6, _ := adaptResolve(team, key, sched.Adaptive, 4*n, 0); k6 != sched.Resolve(sched.Auto, 4*n, 4) || c6 != 0 {
-		t.Fatalf("reshaped loop resolved to %v chunk %d, want fresh shape heuristic", k6, c6)
+	if k6, c6, _ := adaptResolve(team, key, sched.Adaptive, 4*n, 0); k6 != sched.Guided || c6 != 0 {
+		t.Fatalf("reshaped loop resolved to %v chunk %d, want fresh shape rule guided", k6, c6)
 	}
 }
 
-// TestAdaptResolveAutoUpgrades pins Auto's contract: the first sight
-// keeps the shape heuristic (plain Auto users see exactly what Resolve
-// gives them), and only a measured skewed re-encounter upgrades the
-// construct to the weighted steal schedule.
+// TestAdaptFirstSightShapeRule pins the shape rule a loop's first
+// encounter (or first after a reshape) resolves by: static by blocks below
+// shapeGuidedMin iterations per worker — empty and single-iteration loops
+// and one iteration per worker included, dispensing can never pay there —
+// guided from the first count that clears it, and static by blocks at any
+// count on a team whose imbalance is unmeasurable. The declared chunk
+// passes through.
+func TestAdaptFirstSightShapeRule(t *testing.T) {
+	defer resetPool(t)()
+	cases := []struct {
+		size, n    int
+		measurable bool
+		want       sched.Kind
+	}{
+		{8, 0, true, sched.StaticBlock},
+		{8, 1, true, sched.StaticBlock},
+		{8, 8, true, sched.StaticBlock}, // n == team size
+		{8, 8*shapeGuidedMin - 1, true, sched.StaticBlock},
+		{8, 8 * shapeGuidedMin, true, sched.Guided},
+		{4, 10, true, sched.StaticBlock},
+		{4, 4*shapeGuidedMin - 1, true, sched.StaticBlock},
+		{4, 4 * shapeGuidedMin, true, sched.Guided},
+		{2, 1 << 20, true, sched.Guided},
+		{4, 1 << 20, false, sched.StaticBlock},
+	}
+	prev := adaptMeasurable
+	t.Cleanup(func() { adaptMeasurable = prev })
+	for i, c := range cases {
+		adaptMeasurable = func(int) bool { return c.measurable }
+		team := captureTeam(c.size)
+		if k, chunk, _ := adaptResolve(team, i, sched.Adaptive, c.n, 7); k != c.want || chunk != 7 {
+			t.Errorf("size=%d n=%d measurable=%v: first sight %v chunk %d, want %v chunk 7",
+				c.size, c.n, c.measurable, k, chunk, c.want)
+		}
+	}
+}
+
+// TestAdaptResolveAutoUpgrades pins Auto as Adaptive's former name: a loop
+// declared Auto runs through the construct's adaptive state — its first
+// sight keeps the shape rule, a measured skewed re-encounter upgrades it to
+// steal, and a balanced one keeps it there — and through ForSpan every
+// encounter lands in that state.
 func TestAdaptResolveAutoUpgrades(t *testing.T) {
 	defer resetPool(t)()
 	forceMeasurable(t)
@@ -83,16 +121,36 @@ func TestAdaptResolveAutoUpgrades(t *testing.T) {
 	key := "auto-loop"
 
 	k, _, st := adaptResolve(team, key, sched.Auto, n, 0)
-	if want := sched.Resolve(sched.Auto, n, 4); k != want {
-		t.Fatalf("Auto first sight resolved to %v, want shape heuristic %v", k, want)
+	if k != sched.Guided {
+		t.Fatalf("Auto first sight resolved to %v, want shape rule guided", k)
 	}
 	st.publish(3.0)
-	if k2, _, _ := adaptResolve(team, key, sched.Auto, n, 0); k2 != sched.WeightedSteal {
-		t.Fatalf("Auto after measured imbalance resolved to %v, want WeightedSteal", k2)
+	if k2, _, _ := adaptResolve(team, key, sched.Auto, n, 0); k2 != sched.Steal {
+		t.Fatalf("Auto after measured imbalance resolved to %v, want Steal", k2)
 	}
 	st.publish(1.0)
-	if k3, _, _ := adaptResolve(team, key, sched.Auto, n, 0); k3 != sched.WeightedSteal {
-		t.Fatalf("balanced Auto re-encounter fell back to %v, want to keep WeightedSteal", k3)
+	if k3, _, _ := adaptResolve(team, key, sched.Auto, n, 0); k3 != sched.Steal {
+		t.Fatalf("balanced Auto re-encounter fell back to %v, want to keep Steal", k3)
+	}
+
+	var ran *Team
+	for r := 0; r < 3; r++ {
+		hits := make([]int32, n)
+		ptr := &hits
+		Region(2, func(w *Worker) {
+			if w.ID == 0 {
+				ran = w.Team
+			}
+			ForSpan(w, sched.Space{Lo: 0, Hi: n, Step: 1}, sched.Auto, "auto-span", 0, countSpan, ptr)
+		})
+		for i, h := range hits {
+			if h != 1 {
+				t.Fatalf("round %d: iteration %d executed %d times", r, i, h)
+			}
+		}
+	}
+	if got := ran.construct("auto-span").adapt.rounds; got != 3 {
+		t.Fatalf("Auto loop reached its adaptive state %d times in 3 encounters", got)
 	}
 }
 
@@ -212,8 +270,7 @@ func TestHotTeamAdaptiveStatePersistsAcrossLeases(t *testing.T) {
 // TestAdaptResolveBalancedDowngradesToStatic pins the downgrade path: a
 // loop whose shape heuristic picked a dispensing schedule (here Guided)
 // and that measures balanced — without ever having been skewed — drops
-// to static dispatch, and upgrades to weighted steal the moment skew
-// appears.
+// to static dispatch, and upgrades to steal the moment skew appears.
 func TestAdaptResolveBalancedDowngradesToStatic(t *testing.T) {
 	defer resetPool(t)()
 	forceMeasurable(t)
@@ -228,14 +285,14 @@ func TestAdaptResolveBalancedDowngradesToStatic(t *testing.T) {
 		t.Fatalf("balanced never-skewed loop resolved to %v, want StaticBlock", k)
 	}
 	st.publish(2.0)
-	if k, _, _ := adaptResolve(team, key, sched.Adaptive, 1024, 0); k != sched.WeightedSteal {
-		t.Fatalf("skew on a downgraded loop resolved to %v, want WeightedSteal", k)
+	if k, _, _ := adaptResolve(team, key, sched.Adaptive, 1024, 0); k != sched.Steal {
+		t.Fatalf("skew on a downgraded loop resolved to %v, want Steal", k)
 	}
 	// Once skewed, balanced re-encounters must NOT flip back to static —
 	// that would oscillate under asymmetry.
 	st.publish(1.0)
-	if k, _, _ := adaptResolve(team, key, sched.Adaptive, 1024, 0); k != sched.WeightedSteal {
-		t.Fatalf("balanced once-skewed loop resolved to %v, want to stay WeightedSteal", k)
+	if k, _, _ := adaptResolve(team, key, sched.Adaptive, 1024, 0); k != sched.Steal {
+		t.Fatalf("balanced once-skewed loop resolved to %v, want to stay Steal", k)
 	}
 }
 
@@ -347,7 +404,7 @@ func TestAsymSpinDelay(t *testing.T) {
 }
 
 // TestWorkerRatesAndStealProbes pins the observability of a steal-
-// scheduled loop: it trains the worker speed estimates the weighted carve
+// scheduled loop: it trains the worker speed estimates the steal carve
 // reads, and feeds the registry's probes-per-steal counter.
 func TestWorkerRatesAndStealProbes(t *testing.T) {
 	defer resetPool(t)()
@@ -359,13 +416,13 @@ func TestWorkerRatesAndStealProbes(t *testing.T) {
 	ptr := &hits
 	var trained atomic.Int32
 	Region(4, func(w *Worker) {
-		ForSpan(w, sched.Space{Lo: 0, Hi: n, Step: 1}, sched.WeightedSteal, "rates-loop", 4, countSpan, ptr)
+		ForSpan(w, sched.Space{Lo: 0, Hi: n, Step: 1}, sched.Steal, "rates-loop", 4, countSpan, ptr)
 		if w.Speed() > 0 {
 			trained.Add(1)
 		}
 	})
 	if obs.ReadMetrics().StealProbes == before.StealProbes {
-		t.Error("weighted steal loop recorded no steal probes")
+		t.Error("steal loop recorded no steal probes")
 	}
 	if trained.Load() == 0 {
 		t.Error("no worker trained a speed estimate from the loop")

@@ -22,18 +22,18 @@ type SpanFunc func(sub sched.Space, arg any)
 
 // ForSpan executes worker w's share of sp under kind, invoking run for
 // each sub-range the schedule assigns to w. kind must be concrete or
-// Adaptive (the caller resolves Auto/Runtime once, before the region, so
-// one loop can never split across two schedules; Adaptive resolves inside
-// the team-shared encounter state, uniformly for the whole team, from the
+// Adaptive (the caller resolves Runtime once, before the region, so one
+// loop can never split across two schedules; Adaptive resolves inside the
+// team-shared encounter state, uniformly for the whole team, from the
 // previous encounter's measurement). Static kinds are served from pure
 // arithmetic — no shared state, no allocation — which is what keeps the
-// parallel.For dispatch gate at 0 allocs/op; dynamic, guided, steal,
-// weightedSteal and adaptive route through the team-shared dispenser
-// state of BeginFor, exactly like the woven @For construct, so they
-// inherit range stealing, speed-estimate training and the obs work/steal
-// events for free. Under Dynamic and Guided run is invoked once per claim
-// (ForContext.Dispense): chunk is the balance unit, and a sub-range spans
-// up to dispenseBatchChunks chunks away from the loop tail.
+// parallel.For dispatch gate at 0 allocs/op; dynamic, guided, steal and
+// adaptive route through the team-shared dispenser state of BeginFor,
+// exactly like the woven @For construct, so they inherit range stealing,
+// speed-estimate training and the obs work/steal events for free. Under
+// Dynamic and Guided run is invoked once per claim (ForContext.Dispense):
+// chunk is the balance unit, and a sub-range spans up to
+// dispenseBatchChunks chunks away from the loop tail.
 //
 // Every worker of the team must call ForSpan for the same loop (the
 // standing work-sharing encounter contract). key identifies the loop's
@@ -63,7 +63,7 @@ func ForSpan(w *Worker, sp sched.Space, kind sched.Kind, key any, chunk int, run
 	case sched.StaticBlock, sched.StaticCyclic:
 		// An adaptive encounter resolved static this round.
 		runStaticSpan(w, sp, fc.Kind, run, arg)
-	case sched.Steal, sched.WeightedSteal:
+	case sched.Steal:
 		for {
 			sub, n, ok := fc.DispenseSteal()
 			if !ok {

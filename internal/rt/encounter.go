@@ -115,7 +115,7 @@ type construct struct {
 	slots [encRing]encSlot
 
 	adapt   loopAdapt
-	weights []float64 // scratch for carving a weighted-steal partition
+	weights []float64 // scratch for carving a steal encounter's ranges
 
 	mu          sync.Mutex // guards re-arming locals for a new lease
 	localsEpoch atomic.Uint64

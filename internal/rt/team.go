@@ -213,7 +213,7 @@ type Worker struct {
 	// speed is the worker's measured loop throughput — an EWMA of
 	// iterations per nanosecond across for-construct shares, stored as
 	// float64 bits (adapt.go). The owner stores it at each EndFor; the
-	// first-arriving worker of a weighted-steal encounter reads every
+	// first-arriving worker of a steal encounter reads every
 	// sibling's to carve the initial ranges. It lives on its own cache
 	// line so those cross-worker reads never drag the deque or rng lines
 	// into coherence traffic, and it survives leases — hot teams are what

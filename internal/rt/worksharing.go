@@ -37,13 +37,16 @@ const dispenseBatchChunks = 4
 // initialised in place in the encounter's slot by the first arriver.
 type forShared struct {
 	// kind is the schedule this encounter resolved to. Indirect kinds
-	// (sched.Runtime, sched.Auto) are resolved exactly once, by the first
-	// arriving worker, and shared here — so a concurrent change of the
-	// process-wide default can never split one encounter across two
+	// (sched.Runtime, sched.Adaptive) are resolved exactly once, by the
+	// first arriving worker, and shared here — so a concurrent change of
+	// the process-wide default can never split one encounter across two
 	// schedules (which would desynchronise the implicit barrier).
-	kind  sched.Kind
-	disp  sched.Dispenser       // dynamic/guided only
-	sdisp *sched.StealDispenser // steal/weightedSteal only
+	kind sched.Kind
+	disp sched.Dispenser // dynamic/guided only
+	// sdisp serves steal encounters. It is allocated on the slot's first
+	// steal encounter and re-armed in place on every later one, so a steady
+	// state steal loop allocates nothing.
+	sdisp *sched.StealDispenser
 
 	// adapt links the encounter to its construct's persistent adaptive
 	// state; nil when the construct is not adaptively scheduled. The
@@ -65,26 +68,23 @@ type forShared struct {
 // initialise one after another, so c's adaptive state and scratch need no lock.
 func (fs *forShared) init(t *Team, c *construct, sp sched.Space, kind sched.Kind, chunk int) {
 	n := sp.Count()
-	if kind == sched.Runtime {
-		kind = sched.Default()
-	}
-	fs.adapt, fs.sdisp, fs.onext = nil, nil, sp.Lo
-	if (kind == sched.Adaptive || kind == sched.Auto) && t.Size > 1 {
+	fs.adapt, fs.onext = nil, sp.Lo
+	kind = sched.Resolve(kind, n, t.Size)
+	if kind == sched.Adaptive {
 		kind, chunk = c.adapt.resolve(t.Size, n, chunk)
 		fs.adapt = &c.adapt
 		fs.maxNs.Store(0)
 		fs.sumNs.Store(0)
-	} else {
-		kind = sched.Resolve(kind, n, t.Size)
 	}
 	fs.kind = kind
 	switch kind {
 	case sched.Dynamic, sched.Guided:
 		fs.disp.Reset(sp, chunk, kind == sched.Guided, t.Size)
 	case sched.Steal:
-		fs.sdisp = sched.NewStealDispenser(sp, chunk, t.Size)
-	case sched.WeightedSteal:
-		fs.sdisp = sched.NewStealDispenserWeighted(sp, chunk, t.Size, t.speedWeights(c))
+		if fs.sdisp == nil {
+			fs.sdisp = new(sched.StealDispenser)
+		}
+		fs.sdisp.Reset(sp, chunk, t.Size, t.speedWeights(c))
 	}
 }
 
@@ -110,13 +110,12 @@ func (fs *forShared) publishImbalance(size int) {
 
 // BeginFor establishes the work-sharing context for one encounter of the
 // construct identified by key on worker w. kind/chunk select the schedule;
-// indirect kinds (Runtime, Auto, Adaptive) resolve once per encounter in
-// the shared state, and the resolved kind is published as ForContext.Kind
-// — callers switch on it, not on the declared kind. Adaptive — and Auto on
-// a re-encounter of the same construct — resolves through the team's
-// persistent adaptive state (adapt.go), so the schedule each encounter
-// runs under is fed by the imbalance the previous one measured. The
-// returned ForContext must be finished with EndFor (normally deferred).
+// indirect kinds (Runtime, Adaptive) resolve once per encounter in the
+// shared state, and the resolved kind is published as ForContext.Kind —
+// callers switch on it, not on the declared kind. Adaptive resolves through
+// the team's persistent adaptive state (adapt.go), so the schedule each
+// encounter runs under is fed by the imbalance the previous one measured.
+// The returned ForContext must be finished with EndFor (normally deferred).
 // Contexts are recycled through a worker-private free list, so
 // steady-state encounters of for constructs allocate nothing on the
 // worker side.
@@ -203,14 +202,14 @@ func (fc *ForContext) Dispense() (sched.Space, int, bool) {
 	return fc.Space.Slice(int(from), int(to)), int(to - from), true
 }
 
-// DispenseSteal draws the next chunk for the steal and weightedSteal
-// schedules: from the worker's own statically carved range while it lasts
-// (the locality order — remote ranges are touched only when the local one
-// is dry), then from ranges stolen off loaded siblings. Steals are
-// reported to an installed tool through the same steal hooks task stealing
-// uses; a fruitless scan reports a bare attempt, and any scan reports its
-// probe count so victim-selection quality is observable. The int is the
-// chunk's iteration count, as for Dispense.
+// DispenseSteal draws the next chunk for the steal schedule: from the
+// worker's own carved range while it lasts (the locality order — remote
+// ranges are touched only when the local one is dry), then from ranges
+// stolen off the most loaded sibling. Steals are reported to an installed
+// tool through the same steal hooks task stealing uses; a fruitless scan
+// reports a bare attempt, and any scan reports its probe count so
+// victim-selection quality is observable. The int is the chunk's iteration
+// count, as for Dispense.
 func (fc *ForContext) DispenseSteal() (sched.Space, int, bool) {
 	w := fc.Worker
 	from, to, victim, probes, ok := fc.slot.fs.sdisp.Next(w.ID)

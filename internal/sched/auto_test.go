@@ -7,16 +7,17 @@ import (
 
 func TestKindStringCoversAllKinds(t *testing.T) {
 	want := map[Kind]string{
-		StaticBlock:   "staticBlock",
-		StaticCyclic:  "staticCyclic",
-		Dynamic:       "dynamic",
-		Guided:        "guided",
-		Steal:         "steal",
-		Custom:        "caseSpecific",
-		Auto:          "auto",
-		Runtime:       "runtime",
-		WeightedSteal: "weightedSteal",
-		Adaptive:      "adaptive",
+		StaticBlock:  "staticBlock",
+		StaticCyclic: "staticCyclic",
+		Dynamic:      "dynamic",
+		Guided:       "guided",
+		Steal:        "steal",
+		Custom:       "caseSpecific",
+		Runtime:      "runtime",
+		Adaptive:     "adaptive",
+	}
+	if len(Kinds()) != len(want) {
+		t.Fatalf("Kinds() lists %d schedules, want %d", len(Kinds()), len(want))
 	}
 	for _, k := range Kinds() {
 		if k.String() != want[k] {
@@ -38,6 +39,12 @@ func TestParseKindRoundTrips(t *testing.T) {
 		upper, err := ParseKind(strings.ToUpper(k.String()))
 		if err != nil || upper != k {
 			t.Errorf("ParseKind(%q) = %v, %v; want %v", strings.ToUpper(k.String()), upper, err, k)
+		}
+	}
+	// The former names parse to the kinds that absorbed them, in any case.
+	for name, want := range map[string]Kind{"auto": Adaptive, "AUTO": Adaptive, "weightedSteal": Steal, "weightedsteal": Steal} {
+		if got, err := ParseKind(name); err != nil || got != want {
+			t.Errorf("ParseKind(%q) = %v, %v; want %v", name, got, err, want)
 		}
 	}
 	if _, err := ParseKind("fancy"); err == nil {
@@ -79,30 +86,18 @@ func TestResolveRuntimeAndAuto(t *testing.T) {
 	if got := Resolve(Runtime, 1000, 4); got != StaticCyclic {
 		t.Fatalf("Runtime resolved to %v, want staticCyclic", got)
 	}
-	// Runtime -> Auto -> concrete: the default may itself be Auto.
+	// Runtime -> Auto: the default may itself be Auto, which is Adaptive and
+	// resolves as Adaptive does.
 	if _, err := SetDefault(Auto); err != nil {
 		t.Fatal(err)
 	}
-	if got := Resolve(Runtime, 4*autoGuidedMin, 4); got != Guided {
-		t.Fatalf("Runtime->Auto large loop resolved to %v, want guided", got)
+	if got := Resolve(Runtime, 1000, 4); got != Adaptive {
+		t.Fatalf("Runtime->Auto resolved to %v, want adaptive left to the runtime", got)
 	}
-
-	// Auto: short loops and single workers stay static; long loops on
-	// real teams go guided. Concrete kinds pass through untouched.
-	cases := []struct {
-		count, nthreads int
-		want            Kind
-	}{
-		{count: 10, nthreads: 4, want: StaticBlock},
-		{count: 4*autoGuidedMin - 1, nthreads: 4, want: StaticBlock},
-		{count: 4 * autoGuidedMin, nthreads: 4, want: Guided},
-		{count: 1 << 20, nthreads: 1, want: StaticBlock},
+	if got := Resolve(Runtime, 1000, 1); got != StaticBlock {
+		t.Fatalf("Runtime->Auto on one worker resolved to %v, want staticBlock", got)
 	}
-	for _, c := range cases {
-		if got := Resolve(Auto, c.count, c.nthreads); got != c.want {
-			t.Errorf("Resolve(Auto, %d, %d) = %v, want %v", c.count, c.nthreads, got, c.want)
-		}
-	}
+	// Concrete kinds pass through untouched.
 	for _, k := range []Kind{StaticBlock, StaticCyclic, Dynamic, Guided, Steal, Custom} {
 		if got := Resolve(k, 5, 2); got != k {
 			t.Errorf("Resolve(%v) rewrote a concrete kind to %v", k, got)
@@ -110,24 +105,26 @@ func TestResolveRuntimeAndAuto(t *testing.T) {
 	}
 }
 
-// TestResolveAutoBoundaryTripCounts pins Auto's decision at the degenerate
-// trip counts the heuristic's comparison sits on: empty loops, single
-// iterations, and exactly one iteration per worker must all stay static —
-// chunk dispensing can never pay for itself there — and the first count
-// that clears the per-worker threshold flips to guided.
+// TestResolveAutoBoundaryTripCounts pins what Resolve still decides for
+// Auto (Adaptive) from width and trip count alone: one worker or a
+// degenerate team is static by blocks at any count, a team of two or more
+// leaves every packable count to the runtime's encounter state — empty and
+// single-iteration loops included; the first-sight shape rule lives there —
+// and one iteration past the packable range goes guided.
 func TestResolveAutoBoundaryTripCounts(t *testing.T) {
 	cases := []struct {
 		count, nthreads int
 		want            Kind
 	}{
 		{count: 0, nthreads: 1, want: StaticBlock},
-		{count: 0, nthreads: 8, want: StaticBlock},
-		{count: 1, nthreads: 1, want: StaticBlock},
-		{count: 1, nthreads: 8, want: StaticBlock},
-		{count: 8, nthreads: 8, want: StaticBlock}, // n == team size
-		{count: 8*autoGuidedMin - 1, nthreads: 8, want: StaticBlock},
-		{count: 8 * autoGuidedMin, nthreads: 8, want: Guided},
+		{count: 1 << 20, nthreads: 1, want: StaticBlock},
 		{count: 1 << 20, nthreads: 0, want: StaticBlock}, // degenerate team
+		{count: stealMaxCount + 1, nthreads: 1, want: StaticBlock},
+		{count: 0, nthreads: 8, want: Adaptive},
+		{count: 1, nthreads: 8, want: Adaptive},
+		{count: 8, nthreads: 8, want: Adaptive},
+		{count: stealMaxCount, nthreads: 2, want: Adaptive},
+		{count: stealMaxCount + 1, nthreads: 2, want: Guided},
 	}
 	for _, c := range cases {
 		if got := Resolve(Auto, c.count, c.nthreads); got != c.want {

@@ -1,9 +1,12 @@
 // Package sched implements the loop-scheduling policies of AOmpLib's `for`
-// work-sharing construct (paper §III.C/§IV): static by blocks, static
-// cyclic, dynamic (chunked self-scheduling), guided, steal (chunks stolen
-// from per-worker shares rather than dispensed from one counter), and
-// case-specific (user-supplied) schedules such as the one the Sparse
-// benchmark requires (paper Table 2, "FOR (Case Specific)").
+// work-sharing construct (paper §III.C/§IV). Four mechanisms serve them:
+// static arithmetic (static by blocks, static cyclic), one shared cursor
+// (Dispenser: dynamic and guided), carve-and-steal (StealDispenser: one
+// speed-weighted range per worker, dry workers steal from the most loaded
+// sibling), and case-specific user schedules such as the one the Sparse
+// benchmark requires (paper Table 2, "FOR (Case Specific)"). Two indirect
+// kinds pick among them: Runtime (the process default) and Adaptive
+// (learned per construct by the runtime).
 //
 // A for method exposes its loop as the triple (start, end, step) in its
 // first three int parameters; schedulers rewrite that triple per worker.
@@ -14,6 +17,6 @@
 //
 // The package also carries the policy knobs shared by the facade and the
 // parallel algorithms layer: Kind (with Resolve/ParseKind for the
-// runtime/auto bindings) and AutoGrain, the default task grain used when
-// a caller does not pick one.
+// runtime/adaptive bindings and the former names) and AutoGrain, the
+// default task grain used when a caller does not pick one.
 package sched

@@ -8,22 +8,27 @@ import (
 
 // FuzzParseKind feeds ParseKind arbitrary strings: garbage must come back
 // as an error (never a panic, never a silent zero Kind masquerading as
-// StaticBlock), and every accepted name must round-trip through
-// Kind.String back to the same Kind, case-insensitively. Run as a short
-// -fuzztime smoke in CI; the corpus seeds cover every canonical name plus
-// near-miss mutations.
+// StaticBlock), an accepted input must be its kind's name or one of the
+// kind's former names, case-insensitively, and every kind's name must
+// parse back to the kind. Run as a short -fuzztime smoke in CI; the corpus
+// seeds cover every canonical and former name plus near-miss mutations.
 func FuzzParseKind(f *testing.F) {
 	for _, k := range Kinds() {
 		f.Add(k.String())
 		f.Add(strings.ToUpper(k.String()))
 		f.Add(k.String() + "x")
 	}
+	for _, fn := range formerNames {
+		f.Add(fn.name)
+		f.Add(strings.ToUpper(fn.name))
+		f.Add(fn.name + "x")
+	}
 	f.Add("")
 	f.Add("static")
 	f.Add("dyn amic")
 	f.Add("\x00guided")
-	// Near-misses of the asymmetry-aware spellings: spacing, casing and
-	// truncation mutations around weightedSteal and adaptive.
+	// Near-misses of the longer spellings: spacing, casing and truncation
+	// mutations around weightedSteal and adaptive.
 	f.Add("weighted steal")
 	f.Add("weightedsteal")
 	f.Add("WEIGHTEDSTEAL")
@@ -39,11 +44,14 @@ func FuzzParseKind(f *testing.F) {
 			}
 			return
 		}
-		if !strings.EqualFold(s, k.String()) {
-			t.Fatalf("ParseKind(%q) = %v, whose name %q does not match the input", s, k, k.String())
+		named := strings.EqualFold(s, k.String())
+		for _, fn := range formerNames {
+			named = named || (fn.kind == k && strings.EqualFold(s, fn.name))
 		}
-		rk, rerr := ParseKind(k.String())
-		if rerr != nil || rk != k {
+		if !named {
+			t.Fatalf("ParseKind(%q) = %v, which neither it nor a former name of it matches", s, k)
+		}
+		if rk, rerr := ParseKind(k.String()); rerr != nil || rk != k {
 			t.Fatalf("round-trip failed: ParseKind(%q) = %v, %v; want %v", k.String(), rk, rerr, k)
 		}
 	})

@@ -426,7 +426,7 @@ func TestSplitGrainEdgeCases(t *testing.T) {
 
 func TestStealDispenserSequentialCoverage(t *testing.T) {
 	sp := Space{3, 40, 2}
-	d := NewStealDispenser(sp, 3, 4)
+	d := newSteal(sp, 3, 4, nil)
 	var got []int
 	for {
 		from, to, victim, _, ok := d.Next(0)
@@ -444,15 +444,15 @@ func TestStealDispenserSequentialCoverage(t *testing.T) {
 	if !sameMultiset(got, sp.Values()) {
 		t.Fatalf("steal coverage = %v, want %v", got, sp.Values())
 	}
-	if d.Remaining() != 0 {
-		t.Fatalf("remaining = %d after drain", d.Remaining())
+	if remaining(d) != 0 {
+		t.Fatalf("remaining = %d after drain", remaining(d))
 	}
 }
 
 func TestStealDispenserStealsOnExhaustion(t *testing.T) {
 	// Worker 0 drains the whole space alone: everything beyond its own
 	// static block must arrive via steals, reported with a victim slot.
-	d := NewStealDispenser(Space{0, 64, 1}, 4, 4)
+	d := newSteal(Space{0, 64, 1}, 4, 4, nil)
 	covered := make([]int, 64)
 	steals := 0
 	for {
@@ -487,7 +487,7 @@ func TestStealDispenserConcurrentExactlyOnce(t *testing.T) {
 	f := func(count uint16, chunk uint8, nth uint8) bool {
 		n := int(count % 2000)
 		workers := int(nth%8) + 1
-		d := NewStealDispenser(Space{0, n, 1}, int(chunk%9), workers)
+		d := newSteal(Space{0, n, 1}, int(chunk%9), workers, nil)
 		hits := make([]int32, n)
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
@@ -520,18 +520,12 @@ func TestStealDispenserConcurrentExactlyOnce(t *testing.T) {
 
 func TestStealDispenserEdgeCases(t *testing.T) {
 	// Empty space: immediately exhausted for every worker.
-	d := NewStealDispenser(Space{5, 5, 1}, 1, 3)
+	d := newSteal(Space{5, 5, 1}, 1, 3, nil)
 	if _, _, _, _, ok := d.Next(1); ok {
 		t.Fatal("empty space dispensed work")
 	}
-	// Out-of-range ids have no slot: they steal whole ranges directly
-	// (never installing into a real worker's slot) rather than panicking.
-	d = NewStealDispenser(Space{0, 2, 1}, 1, 2)
-	if _, _, victim, _, ok := d.Next(99); !ok || victim < 0 {
-		t.Fatalf("foreign id found no work (ok=%v victim=%d)", ok, victim)
-	}
 	// Fewer iterations than workers: the tail slots start empty and steal.
-	d = NewStealDispenser(Space{0, 2, 1}, 1, 8)
+	d = newSteal(Space{0, 2, 1}, 1, 8, nil)
 	total := 0
 	for id := 7; id >= 0; id-- {
 		for {

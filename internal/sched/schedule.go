@@ -27,47 +27,44 @@ const (
 	// Guided hands out exponentially shrinking claims (remaining/2N,
 	// floored at the chunk size) from the same cursor.
 	Guided
-	// Steal carves one contiguous iteration range per worker statically —
-	// the StaticBlock partition — and lets workers that exhaust their range
-	// steal half the remainder of a loaded sibling (LLVM's static_steal;
-	// OpenMP 5's nonmonotonic:dynamic permits exactly this reordering).
-	// Owners draw chunks from their own cache line, so the per-chunk CAS
-	// of Dynamic never becomes a team-wide contention point; balancing
-	// costs one extra CAS only when a range actually runs dry.
+	// Steal carves one contiguous iteration range per worker, sized by the
+	// workers' measured speeds (the StaticBlock partition until the team has
+	// a speed history), and lets workers that exhaust their range steal half
+	// the remainder of the most loaded sibling (LLVM's static_steal; OpenMP
+	// 5's nonmonotonic:dynamic permits exactly this reordering). Owners draw
+	// chunks from their own cache line, so the per-chunk CAS of Dynamic
+	// never becomes a team-wide contention point; balancing costs one extra
+	// CAS only when a range actually runs dry.
 	Steal
 	// Custom delegates to a user ScheduleFunc (case-specific schedule).
 	Custom
-	// Auto picks a concrete schedule per construct encounter from the
-	// loop's shape: static by blocks when the trip count is small relative
-	// to the team (chunk dispensing would dominate such loops), guided
-	// otherwise (self-balancing at negligible relative cost). The choice
-	// is a pure function of trip count and team size (Resolve), so every
-	// worker of a team resolves the same encounter identically.
-	Auto
 	// Runtime defers the choice to the process-wide default schedule
 	// (SetDefault) — the OMP_SCHEDULE analogue. Sweeping schedules from a
 	// benchmark flag needs no aspect changes: bind Runtime, set the
 	// default per run.
 	Runtime
-	// WeightedSteal is Steal made asymmetry-aware (Saez et al.,
-	// arXiv:2402.07664: equal chunking assumes uniform workers): the
-	// initial contiguous ranges are carved proportionally to per-worker
-	// speed weights the runtime measures (EWMA of iteration throughput),
-	// and a dry worker steals from the *most loaded* sibling — the one
-	// whose packed (lo,hi) word holds the largest remainder — instead of
-	// the first non-empty slot a rotation scan finds. With no weights
-	// available (untrained workers) it degrades to exactly Steal.
-	WeightedSteal
-	// Adaptive closes the obs→sched feedback loop: the runtime re-resolves
-	// the schedule kind and chunk per construct encounter from the
-	// previous encounter's measured per-worker imbalance (hot teams make
-	// encounters persistent, so the state has a home). Like Auto it is an
-	// indirect kind — Resolve inside the team-shared encounter state picks
-	// the concrete policy — but unlike Auto the choice is fed by
-	// measurement, not just the loop shape. Auto itself resolves to
-	// Adaptive on re-encounters, so long-running Auto loops self-tune.
+	// Adaptive lets the runtime choose per construct encounter: the first
+	// sight of a loop is decided from its shape (static by blocks when the
+	// trip count is small relative to the team, guided otherwise), later
+	// encounters from the imbalance the previous one measured (rt.BeginFor;
+	// hot teams make encounters persistent, so the state has a home).
 	Adaptive
 )
+
+// Auto and WeightedSteal are the former names of the kinds that absorbed
+// them: Auto was Adaptive's first-sight rule, WeightedSteal is how Steal
+// always carves.
+const (
+	Auto          = Adaptive
+	WeightedSteal = Steal
+)
+
+// formerNames are the schedule names ParseKind still accepts for kinds that
+// were merged into a neighbour.
+var formerNames = [...]struct {
+	name string
+	kind Kind
+}{{"auto", Auto}, {"weightedSteal", WeightedSteal}}
 
 // String implements fmt.Stringer; names match the paper's annotations.
 func (k Kind) String() string {
@@ -84,12 +81,8 @@ func (k Kind) String() string {
 		return "steal"
 	case Custom:
 		return "caseSpecific"
-	case Auto:
-		return "auto"
 	case Runtime:
 		return "runtime"
-	case WeightedSteal:
-		return "weightedSteal"
 	case Adaptive:
 		return "adaptive"
 	default:
@@ -97,15 +90,15 @@ func (k Kind) String() string {
 	}
 }
 
-// Kinds lists every named schedule in declaration order, for flag help
-// and parser errors.
+// Kinds lists every named schedule in declaration order, for flag help,
+// parser errors and validation.
 func Kinds() []Kind {
-	return []Kind{StaticBlock, StaticCyclic, Dynamic, Guided, Steal, Custom, Auto, Runtime, WeightedSteal, Adaptive}
+	return []Kind{StaticBlock, StaticCyclic, Dynamic, Guided, Steal, Custom, Runtime, Adaptive}
 }
 
-// ParseKind resolves a schedule name — as produced by Kind.String,
-// case-insensitively — back to its Kind. Unknown names error with the
-// valid list.
+// ParseKind resolves a schedule name — as produced by Kind.String, or a
+// former name ("auto", "weightedSteal"), case-insensitively — back to its
+// Kind. Unknown names error with the valid list.
 func ParseKind(s string) (Kind, error) {
 	names := make([]string, 0, len(Kinds()))
 	for _, k := range Kinds() {
@@ -113,6 +106,11 @@ func ParseKind(s string) (Kind, error) {
 			return k, nil
 		}
 		names = append(names, k.String())
+	}
+	for _, f := range formerNames {
+		if strings.EqualFold(s, f.name) {
+			return f.kind, nil
+		}
 	}
 	return 0, fmt.Errorf("sched: unknown schedule %q (valid: %s)", s, strings.Join(names, ", "))
 }
@@ -130,7 +128,7 @@ func Default() Kind { return Kind(defaultKind.Load()) }
 // required ScheduleFunc through a process-wide knob) are rejected.
 func SetDefault(k Kind) (Kind, error) {
 	switch k {
-	case StaticBlock, StaticCyclic, Dynamic, Guided, Steal, Auto, WeightedSteal, Adaptive:
+	case StaticBlock, StaticCyclic, Dynamic, Guided, Steal, Adaptive:
 		return Kind(defaultKind.Swap(int32(k))), nil
 	case Runtime:
 		return Default(), fmt.Errorf("sched: runtime cannot be its own default")
@@ -140,46 +138,26 @@ func SetDefault(k Kind) (Kind, error) {
 	return Default(), fmt.Errorf("sched: unknown schedule Kind(%d)", int(k))
 }
 
-// autoGuidedMin is the per-worker trip count above which Auto prefers
-// guided: below it the loop is too short for chunk dispensing to pay for
-// the balancing it buys.
-const autoGuidedMin = 64
-
-// Resolve maps Runtime to the process-wide default, then Auto to a
-// concrete policy chosen from the trip count and team size. Runtime reads
-// the mutable default, so callers that need one decision per team
-// encounter must call Resolve once and share the result (rt.BeginFor
-// resolves inside the team-shared encounter state for exactly this
-// reason).
+// Resolve maps Runtime to the process-wide default, then settles what width
+// and trip count alone decide: Adaptive on one worker is StaticBlock, and a
+// trip count past what the steal dispenser can pack sends Steal to Dynamic
+// and Adaptive to Guided. A remaining Adaptive is resolved by the runtime's
+// encounter state (rt.BeginFor). Runtime reads the mutable default, so
+// callers that need one decision per team encounter must call Resolve once
+// and share the result, as rt.BeginFor does.
 func Resolve(k Kind, count, nthreads int) Kind {
 	if k == Runtime {
 		k = Default()
 	}
-	if k == Auto {
-		if nthreads <= 1 || count < nthreads*autoGuidedMin {
-			return StaticBlock
-		}
-		return Guided
-	}
-	if (k == Steal || k == WeightedSteal) && count > stealMaxCount {
-		// The steal dispenser packs (lo, hi) iteration indices into one
-		// 64-bit word (32 bits each) so ranges split with a single CAS;
-		// loops too long for that fall back to the chunked dispenser.
-		// Pure function of the trip count, so a team resolves uniformly.
+	switch {
+	case k == Adaptive && nthreads <= 1:
+		return StaticBlock
+	case count <= stealMaxCount:
+		return k
+	case k == Steal:
 		return Dynamic
-	}
-	if k == Adaptive {
-		// Adaptive needs per-encounter team state to resolve; outside it —
-		// one worker, or a space the steal dispenser cannot represent —
-		// there is nothing to adapt between, so collapse to the shape-only
-		// choice here. A remaining Adaptive is resolved by the runtime's
-		// encounter state (rt.BeginFor), never dispatched on directly.
-		if nthreads <= 1 {
-			return StaticBlock
-		}
-		if count > stealMaxCount {
-			return Guided
-		}
+	case k == Adaptive:
+		return Guided
 	}
 	return k
 }
@@ -359,99 +337,77 @@ func unpackRange(v uint64) (lo, hi int64) {
 	return int64(v & 0xffffffff), int64(v >> 32)
 }
 
-// StealDispenser is the shared state behind the Steal schedule: the
-// StaticBlock partition materialised as per-worker atomic ranges. Owners
-// draw chunks from the front of their own range; a worker whose range is
-// exhausted steals the back half of a loaded sibling's range and installs
-// it as its new local range (LLVM static_steal). Iterations are executed
-// exactly once: a range lives in exactly one slot, and every split is a
-// single CAS on that slot.
+// StealDispenser is the shared state behind the Steal schedule: one
+// contiguous range per worker, materialised as per-worker atomic words.
+// Owners draw chunks from the front of their own range; a worker whose
+// range is exhausted steals the back half of the most loaded sibling's
+// range and installs it as its new local range (LLVM static_steal).
+// Iterations are executed exactly once: a range lives in exactly one slot,
+// and every split is a single CAS on that slot. The zero value is ready for
+// Reset.
 type StealDispenser struct {
 	slots []stealSlot
 	chunk int64
-	// loaded selects the WeightedSteal victim policy: scan every sibling
-	// and steal from the one holding the largest remaining range, instead
-	// of the first non-empty slot a rotation scan finds. Uniform Steal
-	// keeps the rotation scan — its O(1) expected probes are the right
-	// trade when ranges are symmetric anyway.
-	loaded bool
 }
 
-// NewStealDispenser carves sp into one contiguous per-worker range each
-// (the StaticBlock partition, remainders spread from worker 0). chunk < 1
-// is treated as 1. sp.Count() must not exceed 2^31-1 — Resolve falls back
-// to Dynamic above that, so construction never sees such spaces.
-func NewStealDispenser(sp Space, chunk, nthreads int) *StealDispenser {
-	if chunk < 1 {
-		chunk = 1
+// Reset re-arms d in place for a loop over sp on nthreads workers, carving
+// one contiguous range per worker in proportion to weights (measured worker
+// speeds): a worker twice as fast starts with twice the iterations, so the
+// slow sibling is not handed work it must be robbed of later. Cut i is the
+// rounded cumulative share n·(w_0+…+w_{i-1})/Σw, so each range is within
+// one iteration of proportional. Weights that are nil, of the wrong length,
+// or unusable (any non-finite or non-positive value) give the balanced
+// StaticBlock carve. chunk < 1 is treated as 1. sp.Count() must not exceed
+// 2^31-1 — Resolve sends longer Steal loops to Dynamic. The slot array is
+// reused when it is large enough, so re-arming allocates nothing. The
+// caller must own d exclusively, as for Dispenser.Reset.
+func (d *StealDispenser) Reset(sp Space, chunk, nthreads int, weights []float64) {
+	nthreads = max(1, nthreads)
+	if cap(d.slots) < nthreads {
+		d.slots = make([]stealSlot, nthreads)
 	}
-	if nthreads < 1 {
-		nthreads = 1
-	}
-	d := &StealDispenser{slots: make([]stealSlot, nthreads), chunk: int64(chunk)}
+	d.slots, d.chunk = d.slots[:nthreads], int64(max(1, chunk))
 	n := sp.Count()
-	per := n / nthreads
-	rem := n % nthreads
+	var sum float64
+	usable := len(weights) == nthreads
+	for _, w := range weights {
+		if !(w > 0) || w > 1e300 { // catches NaN, ±Inf, zero, negatives
+			usable = false
+			break
+		}
+		sum += w
+	}
+	per, rem := n/nthreads, n%nthreads
+	var cum float64
 	lo := 0
-	for id := 0; id < nthreads; id++ {
-		size := per
+	for id := range d.slots {
+		hi := lo + per
 		if id < rem {
-			size++
+			hi++
 		}
-		d.slots[id].bounds.Store(packRange(int64(lo), int64(lo+size)))
-		lo += size
+		if usable {
+			cum += weights[id]
+			hi = min(max(int(float64(n)*(cum/sum)+0.5), lo), n)
+		}
+		if id == nthreads-1 {
+			hi = n
+		}
+		d.slots[id].bounds.Store(packRange(int64(lo), int64(hi)))
+		lo = hi
 	}
-	return d
 }
 
-// NewStealDispenserWeighted carves sp into one contiguous range per worker
-// sized proportionally to weights (measured worker speeds), so a 4x-faster
-// worker starts with ~4x the iterations and the slow sibling is not handed
-// work it must be robbed of later. weights that are nil, mis-sized, or
-// unusable (weightedCuts) fall back to the balanced carve. Victim
-// selection is most-loaded-first either way — under asymmetry the largest
-// remainder marks the worker most in need of help, and halving it moves
-// the most work per steal. The resulting dispenser serves the
-// WeightedSteal schedule; chunk and count limits are as for
-// NewStealDispenser.
-func NewStealDispenserWeighted(sp Space, chunk, nthreads int, weights []float64) *StealDispenser {
-	if nthreads < 1 {
-		nthreads = 1
-	}
-	if chunk < 1 {
-		chunk = 1
-	}
-	d := &StealDispenser{slots: make([]stealSlot, nthreads), chunk: int64(chunk), loaded: true}
-	cuts := weightedCuts(sp.Count(), nthreads, weights)
-	for id := 0; id < nthreads; id++ {
-		d.slots[id].bounds.Store(packRange(int64(cuts[id]), int64(cuts[id+1])))
-	}
-	return d
-}
-
-// Next reserves the next chunk for worker id, returning iteration-index
-// bounds [from, to). victim is the slot a range was stolen from when this
-// call had to steal (the worker's own range had run dry), -1 otherwise;
-// probes counts the sibling slots examined while stealing (0 when the
-// local range served — the locality order is always self first, remote
-// only when dry), so callers can observe fruitless scan length; ok is
-// false when no work is left anywhere the worker could see. A false ok
-// is conservative: a range being migrated by a concurrent thief can be
-// missed, which costs balance, never coverage — the thief that owns it
-// will execute it.
-//
-// Ids outside [0, nthreads) have no slot of their own: they steal a whole
-// range per call and never install it anywhere, so a foreign caller can
-// drain leftovers without aliasing a real worker's slot (the install
-// store below is safe precisely because each slot has one owner).
+// Next reserves the next chunk for worker id (0 ≤ id < nthreads),
+// returning iteration-index bounds [from, to). victim is the slot a range
+// was stolen from when this call had to steal (the worker's own range had
+// run dry), -1 otherwise; probes counts the sibling slots examined while
+// stealing (0 when the local range served — the locality order is always
+// self first, remote only when dry), so callers can observe fruitless scan
+// length; ok is false when no work is left anywhere the worker could see.
+// A false ok is conservative: a range being migrated by a concurrent thief
+// can be missed, which costs balance, never coverage — the thief that owns
+// it will execute it.
 func (d *StealDispenser) Next(id int) (from, to int64, victim, probes int, ok bool) {
-	if id < 0 || id >= len(d.slots) {
-		lo, hi, vi, pr := d.stealFrom(-1)
-		if vi < 0 {
-			return 0, 0, -1, pr, false
-		}
-		return lo, hi, vi, pr, true
-	}
 	victim = -1
 	self := &d.slots[id]
 	for {
@@ -461,10 +417,7 @@ func (d *StealDispenser) Next(id int) (from, to int64, victim, probes int, ok bo
 			if lo >= hi {
 				break
 			}
-			take := d.chunk
-			if hi-lo < take {
-				take = hi - lo
-			}
+			take := min(d.chunk, hi-lo)
 			if self.bounds.CompareAndSwap(v, packRange(lo+take, hi)) {
 				return lo, lo + take, victim, probes, true
 			}
@@ -482,84 +435,38 @@ func (d *StealDispenser) Next(id int) (from, to int64, victim, probes int, ok bo
 	}
 }
 
-// stealFrom scans the slots other than id (id < 0 scans all) for a
-// non-empty range and splits off its back half — or all of it when less
-// than one chunk would remain — returning the stolen bounds, the victim's
-// slot, and the number of slots probed. Uniform dispensers take the first
-// non-empty slot of a rotation scan starting after id; loaded (weighted)
-// dispensers complete the scan and target the slot with the largest
-// remainder. Both retry while some victim visibly holds work (a failed
-// CAS means another worker made progress, so the loop is lock-free) and
-// report victim -1 once every slot scanned was empty.
+// stealFrom scans every slot but id and splits off the back half of the
+// largest remaining range — or all of it when less than one chunk would
+// remain, so the victim is never left a sub-chunk stub. Under asymmetry the
+// largest remainder marks the worker most in need of help, and halving it
+// moves the most work per steal. It returns the stolen bounds, the victim's
+// slot, and the number of slots probed; it retries while some victim
+// visibly holds work (a failed CAS means another worker made progress, so
+// the loop is lock-free) and reports victim -1 once every slot scanned was
+// empty.
 func (d *StealDispenser) stealFrom(id int) (lo, hi int64, victim, probes int) {
-	n := len(d.slots)
 	for {
-		best := -1
-		var bestVal uint64
-		var bestRem int64
-		for i := 0; i < n; i++ {
-			vi := i
-			if id >= 0 {
-				if i == 0 {
-					continue // never steal from yourself
-				}
-				vi = (id + i) % n
+		best, bestVal := -1, uint64(0)
+		var vlo, vhi int64
+		for i := range d.slots {
+			if i == id {
+				continue // never steal from yourself
 			}
-			v := &d.slots[vi]
 			probes++
-			val := v.bounds.Load()
-			vlo, vhi := unpackRange(val)
-			if vlo >= vhi {
-				continue
+			val := d.slots[i].bounds.Load()
+			if l, h := unpackRange(val); h-l > vhi-vlo {
+				best, bestVal, vlo, vhi = i, val, l, h
 			}
-			if d.loaded {
-				if rem := vhi - vlo; rem > bestRem {
-					best, bestVal, bestRem = vi, val, rem
-				}
-				continue
-			}
-			if slo, shi, ok := d.trySteal(vi, val); ok {
-				return slo, shi, vi, probes
-			}
-			best = vi // witnessed work: keep retrying the scan
 		}
 		if best < 0 {
 			return 0, 0, -1, probes
 		}
-		if d.loaded {
-			if slo, shi, ok := d.trySteal(best, bestVal); ok {
-				return slo, shi, best, probes
-			}
+		take := (vhi - vlo + 1) / 2
+		if vhi-vlo-take < d.chunk {
+			take = vhi - vlo
+		}
+		if d.slots[best].bounds.CompareAndSwap(bestVal, packRange(vlo, vhi-take)) {
+			return vhi - take, vhi, best, probes
 		}
 	}
-}
-
-// trySteal CASes the back half out of slot vi given its observed bounds
-// word — or the whole range when less than one chunk would remain, so the
-// victim is never left a sub-chunk stub.
-func (d *StealDispenser) trySteal(vi int, val uint64) (lo, hi int64, ok bool) {
-	vlo, vhi := unpackRange(val)
-	take := (vhi - vlo + 1) / 2
-	if vhi-vlo-take < d.chunk {
-		take = vhi - vlo
-	}
-	mid := vhi - take
-	if d.slots[vi].bounds.CompareAndSwap(val, packRange(vlo, mid)) {
-		return mid, vhi, true
-	}
-	return 0, 0, false
-}
-
-// Remaining reports how many iterations are still claimable across all
-// ranges. Intended for tests and diagnostics; the sum is a snapshot, not
-// an atomic observation.
-func (d *StealDispenser) Remaining() int64 {
-	var r int64
-	for i := range d.slots {
-		lo, hi := unpackRange(d.slots[i].bounds.Load())
-		if hi > lo {
-			r += hi - lo
-		}
-	}
-	return r
 }

@@ -108,74 +108,6 @@ func (s Space) SplitGrain(grain int) []Space {
 	return s.Split(n)
 }
 
-// SplitWeighted partitions the space into len(weights) contiguous
-// sub-spaces sized proportionally to the weights, together covering every
-// iteration exactly once. It is the weighted analogue of Split for
-// asymmetry-aware decomposition: weight w_i buys part i approximately
-// n·w_i/Σw iterations (cut points are rounded, so sizes differ from the
-// ideal by at most one). Non-finite or non-positive weights, or a
-// non-positive sum, fall back to the balanced Split. Unlike Split, empty
-// sub-spaces are kept so part i always belongs to worker i.
-func (s Space) SplitWeighted(weights []float64) []Space {
-	nw := len(weights)
-	if nw == 0 {
-		return nil
-	}
-	cuts := weightedCuts(s.Count(), nw, weights)
-	out := make([]Space, nw)
-	for id := 0; id < nw; id++ {
-		out[id] = s.Slice(cuts[id], cuts[id+1])
-	}
-	return out
-}
-
-// weightedCuts computes the nw+1 iteration-index boundaries of a weighted
-// contiguous partition of n iterations: part i covers [cuts[i], cuts[i+1]).
-// Cut i is the rounded cumulative share n·(w_0+…+w_{i-1})/Σw, clamped to
-// be monotone, so the partition is exact and deterministic for given
-// inputs. Unusable weights (nil, wrong length, any non-finite or
-// non-positive value, or a non-positive sum) yield the balanced
-// StaticBlock cuts.
-func weightedCuts(n, nw int, weights []float64) []int {
-	cuts := make([]int, nw+1)
-	var sum float64
-	usable := len(weights) == nw
-	for _, w := range weights {
-		if !(w > 0) || w > 1e300 { // catches NaN, ±Inf, zero, negatives
-			usable = false
-			break
-		}
-		sum += w
-	}
-	if !usable || !(sum > 0) {
-		// Balanced fallback: the StaticBlock partition (remainders spread
-		// from worker 0), expressed as cut points.
-		per, rem := n/nw, n%nw
-		for id := 0; id < nw; id++ {
-			size := per
-			if id < rem {
-				size++
-			}
-			cuts[id+1] = cuts[id] + size
-		}
-		return cuts
-	}
-	var cum float64
-	for id := 0; id < nw; id++ {
-		cum += weights[id]
-		c := int(float64(n)*(cum/sum) + 0.5)
-		if c < cuts[id] {
-			c = cuts[id]
-		}
-		if c > n {
-			c = n
-		}
-		cuts[id+1] = c
-	}
-	cuts[nw] = n
-	return cuts
-}
-
 // Values expands the space into the explicit list of loop values.
 // Intended for tests and small spaces only.
 func (s Space) Values() []int {

@@ -29,7 +29,9 @@
 package parallel
 
 import (
+	"fmt"
 	"reflect"
+	"slices"
 	"sync"
 
 	"aomplib/internal/rt"
@@ -56,36 +58,29 @@ const (
 	// Guided hands out exponentially shrinking claims — large early, one
 	// grain at the tail — trading contention against tail imbalance.
 	Guided Schedule = sched.Guided
-	// Steal gives every worker a private contiguous range and lets idle
-	// workers steal the back half of a victim's remainder with a single
-	// CAS (the static_steal schedule from PR 5).
+	// Steal gives every worker a private contiguous range, sized by the
+	// workers' measured speeds (trained automatically on hot teams; equal
+	// ranges until then), and lets idle workers steal the back half of the
+	// most loaded sibling's remainder with a single CAS.
 	Steal Schedule = sched.Steal
-	// Auto lets the library pick from the trip count and team width. At
-	// this layer the choice is made per call from shape alone, keeping the
-	// dispatch allocation-free; loops that should learn from their own
-	// re-encounters ask for Adaptive instead. (The woven facade's Auto
-	// does upgrade on re-encounters: its constructs always pass through
-	// the runtime's encounter state.)
-	Auto Schedule = sched.Auto
 	// Runtime defers to the process-wide default schedule
 	// (aomplib.SetDefaultSchedule / OMP_SCHEDULE-style configuration).
 	Runtime Schedule = sched.Runtime
-	// WeightedSteal is Steal with asymmetry awareness: initial per-worker
-	// ranges are carved proportionally to each worker's measured speed
-	// (trained automatically on hot teams), and stealing targets the
-	// most-loaded sibling. On a team with no speed history it behaves
-	// like Steal.
-	WeightedSteal Schedule = sched.WeightedSteal
 	// Adaptive re-tunes the schedule kind and chunk on every encounter of
-	// the same loop from the imbalance the previous encounter measured —
-	// the feedback-driven choice for loops executed repeatedly (solvers,
-	// per-frame work, server request loops). State is keyed by the body
-	// function's code location and lives on the hot team, so distinct
-	// call sites learn independently and the learning survives region
-	// entries. Unlike the other kinds its dispatch is not allocation-free
-	// (the stable key costs a small interning lookup); per-call overhead
-	// is still far below one region entry.
+	// the same loop: the first from the loop's shape (static below 64
+	// iterations per worker, guided otherwise), later ones from the
+	// imbalance the previous encounter measured — the feedback-driven
+	// choice for loops executed repeatedly (solvers, per-frame work, server
+	// request loops). State is keyed by the body function's code location
+	// and lives on the hot team, so distinct call sites learn independently
+	// and the learning survives region entries. Unlike the other kinds its
+	// dispatch is not allocation-free (the stable key costs a small
+	// interning lookup); per-call overhead is still far below one region
+	// entry.
 	Adaptive Schedule = sched.Adaptive
+	// Auto and WeightedSteal are the former names of Adaptive and Steal.
+	Auto          Schedule = sched.Auto
+	WeightedSteal Schedule = sched.WeightedSteal
 )
 
 // config carries the resolved options of one algorithm call.
@@ -106,8 +101,16 @@ func WithThreads(n int) Opt { return func(c *config) { c.threads = n } }
 
 // WithSchedule selects the loop schedule for this call (default Static).
 // Reduce and Scan schedule over the chunk space, so dynamic kinds balance
-// chunk-level skew without changing the deterministic combine shape.
-func WithSchedule(s Schedule) Opt { return func(c *config) { c.sched = s } }
+// chunk-level skew without changing the deterministic combine shape. It
+// panics on a kind that is not a schedule, and on the case-specific kind,
+// which needs a ScheduleFunc this package has no option for.
+func WithSchedule(s Schedule) Opt {
+	if s == sched.Custom || !slices.Contains(sched.Kinds(), s) {
+		valid := slices.DeleteFunc(sched.Kinds(), func(k Schedule) bool { return k == sched.Custom })
+		panic(fmt.Sprintf("parallel: WithSchedule(%v): valid schedules are %v", s, valid))
+	}
+	return func(c *config) { c.sched = s }
+}
 
 // WithGrain sets the decomposition grain: the chunk of the Dynamic, Guided
 // and Steal loop schedules, the per-partial chunk length of Reduce and

@@ -3,9 +3,11 @@ package parallel_test
 import (
 	"math/rand"
 	"sort"
+	"strings"
 	"sync/atomic"
 	"testing"
 
+	"aomplib/internal/sched"
 	"aomplib/parallel"
 )
 
@@ -17,8 +19,7 @@ var sizes = []int{0, 1, 2, 3, 7, 16, 100, 1000, 4096}
 
 var schedules = []parallel.Schedule{
 	parallel.Static, parallel.Cyclic, parallel.Dynamic,
-	parallel.Guided, parallel.Steal, parallel.Auto, parallel.Runtime,
-	parallel.WeightedSteal, parallel.Adaptive,
+	parallel.Guided, parallel.Steal, parallel.Runtime, parallel.Adaptive,
 }
 
 func TestForCoversEveryIndexOnce(t *testing.T) {
@@ -56,6 +57,25 @@ func TestForRangeCoversEveryIndexOnce(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestWithScheduleRejectsUnusableKinds: the case-specific kind (this
+// package has no ScheduleFunc option) and a kind that is no schedule used
+// to run none of the loop's iterations; WithSchedule must refuse them when
+// the option is built, naming the valid schedules.
+func TestWithScheduleRejectsUnusableKinds(t *testing.T) {
+	for _, s := range []parallel.Schedule{sched.Custom, sched.Kind(42), sched.Kind(-1)} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				_, valid, _ := strings.Cut(msg, "valid schedules are ")
+				if !strings.HasPrefix(valid, "[staticBlock") || strings.Contains(valid, "caseSpecific") {
+					t.Errorf("WithSchedule(%v) panicked with %q, want the list of valid schedules", s, msg)
+				}
+			}()
+			parallel.For(0, 1000, func(int) {}, parallel.WithThreads(2), parallel.WithSchedule(s))
+		}()
 	}
 }
 
@@ -219,7 +239,7 @@ func TestScanDeterministicAcrossWidths(t *testing.T) {
 
 // TestReduceBitEqualAcrossWidthsAdaptive pins the determinism guarantee
 // where it is hardest to keep: the self-tuning schedules re-carve the
-// iteration space between encounters (weighted ranges move with measured
+// iteration space between encounters (steal ranges move with measured
 // speeds, adaptive state re-tunes chunk and kind), yet the fixed combine
 // tree must make float64 results bit-equal across widths and encounters.
 // Each configuration runs several encounters under one stable construct
@@ -239,7 +259,7 @@ func TestReduceBitEqualAcrossWidthsAdaptive(t *testing.T) {
 	}
 	add := func(a, b float64) float64 { return a + b }
 	ref := parallel.Reduce(0, n, 0.0, leaf, add, parallel.WithThreads(1))
-	for _, s := range []parallel.Schedule{parallel.Adaptive, parallel.WeightedSteal} {
+	for _, s := range []parallel.Schedule{parallel.Adaptive, parallel.Steal, parallel.Auto} {
 		for _, width := range widths {
 			for e := 0; e < encounters; e++ {
 				got := parallel.Reduce(0, n, 0.0, leaf, add,
@@ -266,7 +286,7 @@ func TestScanBitEqualAcrossWidthsAdaptive(t *testing.T) {
 	add := func(a, b float64) float64 { return a + b }
 	ref := append([]float64(nil), base...)
 	parallel.Scan(ref, 0, add, parallel.WithThreads(1))
-	for _, s := range []parallel.Schedule{parallel.Adaptive, parallel.WeightedSteal} {
+	for _, s := range []parallel.Schedule{parallel.Adaptive, parallel.Steal, parallel.Auto} {
 		for _, width := range widths {
 			for e := 0; e < encounters; e++ {
 				xs := append([]float64(nil), base...)

@@ -1,25 +1,22 @@
-// Command asymcheck is the CI gate for the asymmetry smoke test: it
-// compares two jgfbench -json reports — one run under a uniform
-// schedule (steal), one under the speed-weighted schedule
-// (weightedSteal or adaptive), both with the same -asym throttle — and
-// fails when the weighted run is slower than the uniform run by more
-// than a tolerance.
+// Command asymcheck is a ratio gate over two jgfbench -json reports: a
+// baseline run and a candidate run of the same benchmark under the same
+// -asym throttle, typically differing only in -schedule. It fails when the
+// candidate is slower than the baseline by more than a tolerance.
 //
-//	go run ./scripts/asymcheck uniform.json weighted.json
-//	go run ./scripts/asymcheck -bench SOR -maxratio 1.10 uniform.json weighted.json
+//	go run ./scripts/asymcheck baseline.json candidate.json
+//	go run ./scripts/asymcheck -bench SOR -maxratio 1.10 baseline.json candidate.json
 //
-// The gate is a tolerance (weighted ≤ uniform × maxratio), not a strict
+// The gate is a tolerance (candidate ≤ baseline × maxratio), not a strict
 // win, by design: on a time-shared CPU — one hardware thread running
 // every worker, the common CI shape — work-conserving stealing re-feeds
 // a throttled worker during its own scheduler slices no matter how the
 // initial ranges were carved, so wall time converges to total executed
-// work and the weighted carve shows up as parity, not speedup. The
-// carve's correctness (proportional ranges, most-loaded victim
-// selection) is pinned deterministically by the dispenser unit tests in
+// work and a better schedule shows up as parity, not speedup. The speed
+// carve's correctness (proportional ranges, most-loaded victim selection)
+// is pinned deterministically by the dispenser unit tests in
 // internal/sched; this gate catches the regression that matters at the
-// system level: the weighted machinery must never make the whole run
-// meaningfully slower than its uniform baseline. On multi-core runners
-// the same gate holds and the headroom simply tightens.
+// system level: a self-tuning schedule must never make the whole run
+// meaningfully slower than the hand-picked baseline.
 //
 // Exit codes: 0 pass, 1 gate failure, 2 unusable input — missing file,
 // unparseable report, benchmark absent — so a broken pipeline can never
@@ -65,13 +62,13 @@ var (
 	version = flag.String("version", "Aomp",
 		"result version to gate on; Aomp is the woven variant that obeys -schedule")
 	maxRatio = flag.Float64("maxratio", 1.10,
-		"fail when weighted mean seconds exceed uniform × this ratio")
+		"fail when candidate mean seconds exceed baseline × this ratio")
 )
 
 func main() {
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(),
-			"usage: asymcheck [flags] <uniform.json> <weighted.json>\n\nflags:\n")
+			"usage: asymcheck [flags] <baseline.json> <candidate.json>\n\nflags:\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -82,32 +79,32 @@ func main() {
 	if !(*maxRatio > 0) {
 		fatalf("-maxratio %v is not a positive number", *maxRatio)
 	}
-	uni, err := load(flag.Arg(0))
+	base, err := load(flag.Arg(0))
 	if err != nil {
 		fatalf("%v", err)
 	}
-	wei, err := load(flag.Arg(1))
+	cand, err := load(flag.Arg(1))
 	if err != nil {
 		fatalf("%v", err)
 	}
-	uSecs, err := parallelMean(flag.Arg(0), uni, *bench, *version)
+	bSecs, err := parallelMean(flag.Arg(0), base, *bench, *version)
 	if err != nil {
 		fatalf("%v", err)
 	}
-	wSecs, err := parallelMean(flag.Arg(1), wei, *bench, *version)
+	cSecs, err := parallelMean(flag.Arg(1), cand, *bench, *version)
 	if err != nil {
 		fatalf("%v", err)
 	}
 
-	ratio := wSecs / uSecs
-	fmt.Printf("asymcheck: %s (asym %q)\n", *bench, orNone(uni.Asym))
-	fmt.Printf("  uniform  (%s): %.6fs\n", uni.Schedule, uSecs)
-	fmt.Printf("  weighted (%s): %.6fs\n", wei.Schedule, wSecs)
-	fmt.Printf("  ratio weighted/uniform: %.3f (gate ≤ %.3f)\n", ratio, *maxRatio)
-	printStats("uniform", uni.SchedStats)
-	printStats("weighted", wei.SchedStats)
+	ratio := cSecs / bSecs
+	fmt.Printf("asymcheck: %s (asym %q)\n", *bench, orNone(base.Asym))
+	fmt.Printf("  baseline  (%s): %.6fs\n", base.Schedule, bSecs)
+	fmt.Printf("  candidate (%s): %.6fs\n", cand.Schedule, cSecs)
+	fmt.Printf("  ratio candidate/baseline: %.3f (gate ≤ %.3f)\n", ratio, *maxRatio)
+	printStats("baseline", base.SchedStats)
+	printStats("candidate", cand.SchedStats)
 	if ratio > *maxRatio {
-		fmt.Printf("FAIL: weighted schedule is %.1f%% slower than uniform under the same asymmetry\n",
+		fmt.Printf("FAIL: candidate schedule is %.1f%% slower than baseline under the same asymmetry\n",
 			(ratio-1)*100)
 		os.Exit(1)
 	}
