@@ -21,10 +21,10 @@ import (
 // one batched count to the root, and the last root arriver publishes the
 // next generation — so a phase costs each worker one or two uncontended
 // RMWs instead of a serialised lock acquisition. Waiters spin on the
-// generation word for an adaptively bounded interval (sized by where
-// recent phases were observed to complete) and park on a condition
-// variable only when a phase overruns it, so short compute phases never
-// pay a scheduler round trip and long ones never burn a core.
+// generation word for as long as a park has recently cost (the barrier
+// measures each wake) and park on a condition variable only when a phase
+// overruns that budget. This is competitive ("ski-rental") spinning: a
+// wait costs at most about twice the better of spinning and parking.
 //
 // The counters are monotonic and the release check is modular, so no
 // per-generation reset exists to race with the next phase's arrivals, and
@@ -52,10 +52,10 @@ type Barrier struct {
 	quota  []int64
 	root   barrierNode
 
-	// spin is the adaptive spin bound in loop iterations, resized toward
-	// twice the iteration recent releases were observed at and halved on
-	// every park. Races on it are benign tuning noise.
-	spin atomic.Int32
+	// spinNs is the spin budget in nanoseconds: the learned cost of a park,
+	// an average of the wake latencies woken waiters measured. Read by
+	// spinners, written under mu.
+	spinNs atomic.Int64
 
 	// parked counts waiters committed to sleeping; the releaser takes the
 	// broadcast mutex only when it is non-zero, so the spin-release fast
@@ -63,6 +63,9 @@ type Barrier struct {
 	parked atomic.Int32
 	mu     sync.Mutex
 	cond   *sync.Cond
+	// releasedAt (monoNs, guarded by mu) stamps the last broadcast that
+	// found parked waiters.
+	releasedAt int64
 
 	// owner is the team the barrier synchronises, set by newTeam; nil for
 	// standalone barriers. Worker-id arrival routing and observability
@@ -82,14 +85,22 @@ const (
 	// share one leaf counter.
 	barrierFanIn = 4
 
-	barrierSpinMin  = 64      // never spin less: a release often lands within nanoseconds
-	barrierSpinMax  = 1 << 15 // never spin more: beyond ~tens of µs, parking is cheaper
-	barrierSpinInit = 1 << 10
+	// Clamps of the spin budget. A fresh barrier starts at the floor, so a
+	// cold team's first phases park as readily as they always did; the
+	// ceiling bounds what one wait burns when wakes turn slow. A park and
+	// its wake cost 10–20 µs on a 2-vCPU KVM guest.
+	barrierSpinFloor = int64(2 * time.Microsecond)
+	barrierSpinCeil  = int64(500 * time.Microsecond)
 	// barrierYieldMask: Gosched every so many spin iterations, so
 	// oversubscribed teams (more workers than Ps) cannot starve the
-	// arrivals that would release them.
+	// arrivals that would release them. The budget is checked only there.
 	barrierYieldMask = 63
 )
+
+// clockEpoch anchors monoNs; time.Since reads the monotonic clock.
+var clockEpoch = time.Now()
+
+func monoNs() int64 { return int64(time.Since(clockEpoch)) }
 
 // ownerID is the team identity carried by barrier trace events.
 func (b *Barrier) ownerID() uint64 {
@@ -106,7 +117,7 @@ func NewBarrier(parties int) *Barrier {
 	}
 	b := &Barrier{parties: parties}
 	b.cond = sync.NewCond(&b.mu)
-	b.spin.Store(barrierSpinInit)
+	b.spinNs.Store(barrierSpinFloor)
 	if parties > barrierFanIn {
 		groups := (parties + barrierFanIn - 1) / barrierFanIn
 		b.leaves = make([]barrierNode, groups)
@@ -230,43 +241,49 @@ func (b *Barrier) release() {
 	b.wakeParked()
 }
 
-// wakeParked follows a store parked waiters watch: gen, or Team.failed (fail).
+// wakeParked follows a store parked waiters watch: gen, or Team.failed
+// (fail). The stamp lets the woken measure their wake latency.
 func (b *Barrier) wakeParked() {
 	if b.parked.Load() != 0 {
 		b.mu.Lock()
+		b.releasedAt = monoNs()
 		b.cond.Broadcast()
 		b.mu.Unlock()
 	}
 }
 
-// await blocks until generation g completes: first an adaptively bounded
-// spin on the generation word, then a parked sleep. The bound chases the
-// iteration recent releases arrived at (doubled for slack, clamped) so
-// phase-per-microsecond loops stay on the spin path while long compute
-// phases shrink the bound and park almost immediately. On a team barrier a
-// parked waiter (and a spin is bounded) also watches Team.fail and unwinds
-// with teamFailed{} like a lapped worker (encounter.go): the arrival it
-// waits for may never come.
+// await blocks until generation g completes: first a spin on the
+// generation word for the spin budget, then a parked sleep. The clock
+// starts at the first yield, so a release caught in the first 64 polls
+// costs no clock read. On a team barrier a parked waiter (and a spin is
+// bounded) also watches Team.fail and unwinds with teamFailed{} like a
+// lapped worker (encounter.go): the arrival it waits for may never come.
 func (b *Barrier) await(g uint64) {
-	bound := int(b.spin.Load())
-	for i := 0; i < bound; i++ {
+	var start int64
+	for i := 0; ; i++ {
 		if b.gen.Load() != g {
-			// Released while spinning: retune only on real drift so the
-			// steady state does not write-share the bound.
-			if want := clampSpin(2 * (i + 1)); want > bound || want < bound/4 {
-				b.spin.Store(int32(want))
-			}
 			return
 		}
 		if i&barrierYieldMask == barrierYieldMask {
+			if i == barrierYieldMask {
+				start = monoNs()
+			} else if monoNs()-start > b.spinNs.Load() {
+				break
+			}
 			runtime.Gosched()
 		}
 	}
-	b.spin.Store(int32(clampSpin(bound / 2)))
 	b.parked.Add(1)
 	b.mu.Lock()
+	// Taken under mu: a stamp written after it is a broadcast that found
+	// this waiter asleep, one written before it (a release that landed
+	// before the sleep, or an older one) is stale.
+	parkedAt := monoNs()
 	for t := b.owner; b.gen.Load() == g && !(t != nil && t.failed.Load()); {
 		b.cond.Wait()
+	}
+	if b.gen.Load() != g {
+		b.spinNs.Store(nextSpin(b.spinNs.Load(), parkedAt, b.releasedAt, monoNs()))
 	}
 	b.mu.Unlock()
 	b.parked.Add(-1)
@@ -275,14 +292,17 @@ func (b *Barrier) await(g uint64) {
 	}
 }
 
-func clampSpin(n int) int {
-	if n < barrierSpinMin {
-		return barrierSpinMin
+// nextSpin is the spin budget after a park that began at parkedAt and
+// ended at now, the last waking broadcast stamped releasedAt (all monoNs).
+// The wake latency now-releasedAt moves the budget a quarter of the way
+// toward itself, within the clamps. A stale stamp (before the park) or a
+// non-positive latency teaches nothing.
+func nextSpin(budget, parkedAt, releasedAt, now int64) int64 {
+	lat := now - releasedAt
+	if releasedAt < parkedAt || lat <= 0 {
+		return budget
 	}
-	if n > barrierSpinMax {
-		return barrierSpinMax
-	}
-	return n
+	return min(max(budget+(lat-budget)/4, barrierSpinFloor), barrierSpinCeil)
 }
 
 // Parties returns the number of workers the barrier synchronises.

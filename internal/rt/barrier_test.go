@@ -2,10 +2,12 @@ package rt
 
 import (
 	"math"
+	"math/rand/v2"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // TestBarrierGenerationWraparound pins the overflow semantics of the
@@ -58,13 +60,12 @@ func TestBarrierGenerationWraparoundMultiParty(t *testing.T) {
 }
 
 // TestBarrierParkPath forces every waiter through the spin-exhausted park
-// path (spin bound clamps at the minimum, and the releaser is delayed by
-// the sheer party count) and checks phase pairing survives it. Run with
+// path (a zero spin budget before every wait, and the releaser is delayed
+// by the sheer party count) and checks phase pairing survives it. Run with
 // -race this doubles as the missed-wakeup check for the parked protocol.
 func TestBarrierParkPath(t *testing.T) {
 	const n, phases = 8, 50
 	b := NewBarrier(n)
-	b.spin.Store(1) // spin budget too small to ever catch a release
 	var before [phases]atomic.Int32
 	var wg sync.WaitGroup
 	for id := 0; id < n; id++ {
@@ -73,6 +74,7 @@ func TestBarrierParkPath(t *testing.T) {
 			defer wg.Done()
 			for p := 0; p < phases; p++ {
 				before[p].Add(1)
+				b.spinNs.Store(0) // park at the second yield; wakes re-learn it
 				b.Wait()
 				if got := before[p].Load(); got != n {
 					t.Errorf("phase %d: %d arrivals visible after barrier", p, got)
@@ -81,6 +83,97 @@ func TestBarrierParkPath(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestNextSpin pins the learning rule: the budget averages measured wake
+// latencies a quarter step at a time, within its clamps, and learns nothing
+// from a latency that is not one.
+func TestNextSpin(t *testing.T) {
+	const us = int64(time.Microsecond)
+	budget := barrierSpinFloor
+	for i := 0; i < 20; i++ {
+		budget = nextSpin(budget, 0, 100*us, 115*us) // 15 µs wakes
+	}
+	if d := budget - 15*us; d < -15*us/10 || d > 15*us/10 {
+		t.Errorf("20 wakes of 15 µs from the floor: budget %d ns, want within 10%% of 15 µs", budget)
+	}
+	for _, c := range []struct {
+		name                              string
+		budget, parkedAt, releasedAt, now int64
+		want                              int64
+	}{
+		{"quarter step", 10 * us, 0, 10 * us, 40 * us, 15 * us},
+		{"above the ceiling", 400 * us, 0, 10 * us, 10_000 * us, barrierSpinCeil},
+		{"below the floor", barrierSpinFloor, 0, 10 * us, 10*us + 100, barrierSpinFloor},
+		{"zero latency", 10 * us, 0, 10 * us, 10 * us, 10 * us},
+		{"negative latency", 10 * us, 0, 10 * us, 9 * us, 10 * us},
+		{"stale stamp", 10 * us, 5 * us, 4 * us, 40 * us, 10 * us},
+	} {
+		if got := nextSpin(c.budget, c.parkedAt, c.releasedAt, c.now); got != c.want {
+			t.Errorf("%s: nextSpin(%d, %d, %d, %d) = %d, want %d",
+				c.name, c.budget, c.parkedAt, c.releasedAt, c.now, got, c.want)
+		}
+	}
+}
+
+// TestBarrierEarlyReleaseTeachesNothing: a waiter that spun out its budget
+// but whose release landed before it could sleep never measured a wake.
+// Whichever stamp it then reads — none yet, or the release's own written
+// after it looked — must leave the budget where it was.
+func TestBarrierEarlyReleaseTeachesNothing(t *testing.T) {
+	const budget = int64(50 * time.Microsecond)
+	b := NewBarrier(2)
+	b.spinNs.Store(budget)
+	var wg sync.WaitGroup
+	wg.Add(2)
+	b.mu.Lock() // hold the waiter off its sleep
+	go func() { defer wg.Done(); b.Wait() }()
+	for b.parked.Load() == 0 {
+		runtime.Gosched()
+	}
+	go func() { defer wg.Done(); b.Wait() }() // the release, then it queues on mu
+	for b.gen.Load() == 0 {
+		runtime.Gosched()
+	}
+	b.mu.Unlock()
+	wg.Wait()
+	if got := b.spinNs.Load(); got != budget {
+		t.Fatalf("a waiter that never slept moved the spin budget %d → %d ns", budget, got)
+	}
+}
+
+// TestBarrierOversubscribedPhases: four workers on one P through phases of
+// uneven work. A waiter yields every 64 polls, so the laggard it waits for
+// still runs, and what the wakes teach stays within the clamps.
+func TestBarrierOversubscribedPhases(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer resetPool(t)()
+	const workers, phases = 4, 500
+	var bar *Barrier
+	var sink [workers]uint64
+	if got := joined(t, func() {
+		Region(workers, func(w *Worker) {
+			rng := rand.New(rand.NewPCG(27, uint64(w.ID)))
+			x := uint64(w.ID) + 1
+			for p := 0; p < phases; p++ {
+				for i := rng.IntN(20000); i > 0; i-- { // up to ~20 µs of xorshift
+					x ^= x << 13
+					x ^= x >> 7
+					x ^= x << 17
+				}
+				w.Team.Barrier().WaitWorker(w)
+			}
+			sink[w.ID] = x
+			if w.ID == 0 {
+				bar = w.Team.Barrier()
+			}
+		})
+	}); got != nil {
+		t.Fatalf("region panicked: %v", got)
+	}
+	if s := bar.spinNs.Load(); s < barrierSpinFloor || s > barrierSpinCeil {
+		t.Fatalf("spin budget %d ns outside [%d, %d]", s, barrierSpinFloor, barrierSpinCeil)
+	}
 }
 
 // TestBarrierTreeRouting drives a barrier wide enough to have a real

@@ -14,7 +14,8 @@
 //     deques; idle workers steal. SpawnDep orders tasks by declared
 //     Deps (in/out/inout addresses) on the dependence tracker; task
 //     groups and futures provide the joining constructs.
-//   - Synchronisation. A tree barrier with adaptive spin-then-park,
+//   - Synchronisation. A tree barrier that spins for as long as a park
+//     has been measured to cost, then parks,
 //     per-construct encounter rings (encounter.go: repeated constructs
 //     inside one region stay matched across workers with no lock, map or
 //     allocation), and sharded named/per-object critical-lock registries.

@@ -21,6 +21,9 @@ import (
 // ring, so a lap cannot deadlock.
 const encRing = 4
 
+// lapYields is how many times a lapped worker yields before it parks.
+const lapYields = 64
+
 // teamFailed unwinds a lapped worker whose team-mate died (Team.fail);
 // runWorker swallows it, so the join completes and the first panic re-raises.
 type teamFailed struct{}
@@ -184,9 +187,9 @@ func (w *Worker) encounter(key any) (s *encSlot, c *construct, first bool) {
 	enc := cu.enc
 	cu.enc++
 	t, ring := w.Team, cu.c.slots[:]
-	// Barrier-style: yield while the wait may be short, then park until the
-	// slot moves on or the team fails.
-	for i := 0; i < barrierSpinMin; i++ {
+	// Yield while the wait may be short, then park until the slot moves on
+	// or the team fails.
+	for i := 0; i < lapYields; i++ {
 		if s, first = tryClaim(ring, cu.epoch, enc, t.Size); s != nil {
 			return s, cu.c, first
 		}

@@ -2,8 +2,10 @@ package rt
 
 import (
 	"fmt"
+	"math/rand/v2"
 	"sync"
 	"testing"
+	"time"
 
 	"aomplib/internal/sched"
 )
@@ -31,6 +33,26 @@ func BenchmarkBarrierPhase(b *testing.B) {
 	for _, w := range []int{2, 4, 8} {
 		b.Run(fmt.Sprintf("w=%d", w), func(b *testing.B) { benchBarrierPhase(b, w) })
 	}
+}
+
+// BenchmarkBarrierPhaseWork is a barrier phase with work in it: every worker
+// busy-waits ~20 µs ±50 % (seeded jitter) before it arrives, the shape of
+// LUFact's per-column phases. The early arriver waits out its team-mate's
+// lag; whether it spins or parks through it is what ns/op shows.
+func BenchmarkBarrierPhaseWork(b *testing.B) {
+	b.Run("w=2", func(b *testing.B) {
+		b.ReportAllocs()
+		Region(2, func(w *Worker) {
+			rng := rand.New(rand.NewPCG(27, uint64(w.ID)))
+			bar := w.Team.Barrier()
+			for i := 0; i < b.N; i++ {
+				work := time.Duration(10_000+rng.IntN(20_000)) * time.Nanosecond
+				for start := time.Now(); time.Since(start) < work; {
+				}
+				bar.WaitWorker(w)
+			}
+		})
+	})
 }
 
 // condBarrier is the pre-refactor mutex+cond team barrier, kept here as
