@@ -337,7 +337,9 @@ type Future = rt.Future
 // getThreadId()), 0 outside parallel regions.
 var ThreadID = core.ThreadID
 
-// NumThreads returns the caller's team size, 1 outside regions.
+// NumThreads returns the caller's team size, 1 outside regions. It is the
+// width the region actually runs at: Threads(n) is a ceiling, and a woven
+// region that measures faster on one worker runs on one.
 var NumThreads = core.NumThreads
 
 // InParallel reports whether the caller is inside a parallel region.

@@ -14,7 +14,9 @@ package aomplib_test
 
 import (
 	"runtime"
+	"sync/atomic"
 	"testing"
+	_ "unsafe" // go:linkname, for fixedRegionWidth
 
 	"aomplib"
 	"aomplib/internal/evolib"
@@ -34,6 +36,45 @@ import (
 )
 
 func threads() int { return runtime.GOMAXPROCS(0) }
+
+// fixedRegionWidth is internal/core's fixedWidth: while set, regions woven
+// run every entry at their requested width instead of learning to run an
+// empty region on one worker. The facade offers no such switch.
+//
+//go:linkname fixedRegionWidth aomplib/internal/core.fixedWidth
+var fixedRegionWidth bool
+
+// pinRegionWidth sets fixedRegionWidth until the benchmark ends.
+func pinRegionWidth(b *testing.B) {
+	prev := fixedRegionWidth
+	fixedRegionWidth = true
+	b.Cleanup(func() { fixedRegionWidth = prev })
+}
+
+// emptyRegion weaves an empty region of threads() workers, pinned to that
+// width, and returns its entry and a check, for after the timed loop, that
+// an entry still forks the full team.
+func emptyRegion(b *testing.B) (enter func(), checkWidth func()) {
+	pinRegionWidth(b)
+	var probe atomic.Bool
+	var width atomic.Int32
+	p := aomplib.NewProgram("bench")
+	enter = p.Class("A").Proc("m", func() {
+		if probe.Load() && aomplib.ThreadID() == 0 {
+			width.Store(int32(aomplib.NumThreads()))
+		}
+	})
+	p.Use(aomplib.ParallelRegion("call(* A.m(..))").Threads(threads()))
+	p.MustWeave()
+	return enter, func() {
+		b.StopTimer()
+		probe.Store(true)
+		enter()
+		if got := int(width.Load()); got != threads() {
+			b.Fatalf("the region forked %d workers, want %d", got, threads())
+		}
+	}
+}
 
 // benchInstance measures inst.Kernel with per-iteration Setup excluded.
 func benchInstance(b *testing.B, inst harness.Instance) {
@@ -232,14 +273,12 @@ func BenchmarkOverhead_WorkerLookupInRegion(b *testing.B) {
 // on the warm path: hot teams (the default) lease a pooled team, so the
 // steady state must stay at 0 allocs/op — a CI gate.
 func BenchmarkOverhead_RegionEntry(b *testing.B) {
-	p := aomplib.NewProgram("bench")
-	f := p.Class("A").Proc("m", func() {})
-	p.Use(aomplib.ParallelRegion("call(* A.m(..))").Threads(threads()))
-	p.MustWeave()
+	f, checkWidth := emptyRegion(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		f()
 	}
+	checkWidth()
 }
 
 // BenchmarkOverhead_RegionEntryDisabled measures the same entry with the
@@ -265,14 +304,12 @@ func BenchmarkOverhead_RegionEntryDisabled(b *testing.B) {
 func BenchmarkOverhead_RegionEntryCold(b *testing.B) {
 	prev := aomplib.SetHotTeams(false)
 	defer aomplib.SetHotTeams(prev)
-	p := aomplib.NewProgram("bench")
-	f := p.Class("A").Proc("m", func() {})
-	p.Use(aomplib.ParallelRegion("call(* A.m(..))").Threads(threads()))
-	p.MustWeave()
+	f, checkWidth := emptyRegion(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		f()
 	}
+	checkWidth()
 }
 
 // BenchmarkOverhead_RegionEntryTraced is the warm entry with the runtime
@@ -282,10 +319,7 @@ func BenchmarkOverhead_RegionEntryCold(b *testing.B) {
 func BenchmarkOverhead_RegionEntryTraced(b *testing.B) {
 	aomplib.StartTrace()
 	defer aomplib.EnableTracing(false)
-	p := aomplib.NewProgram("bench")
-	f := p.Class("A").Proc("m", func() {})
-	p.Use(aomplib.ParallelRegion("call(* A.m(..))").Threads(threads()))
-	p.MustWeave()
+	f, checkWidth := emptyRegion(b)
 	f() // warm team + register trace rings
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -296,6 +330,7 @@ func BenchmarkOverhead_RegionEntryTraced(b *testing.B) {
 		}
 		f()
 	}
+	checkWidth()
 }
 
 // BenchmarkOverhead_RegionEntryMetrics is the warm entry with the
@@ -306,15 +341,13 @@ func BenchmarkOverhead_RegionEntryTraced(b *testing.B) {
 func BenchmarkOverhead_RegionEntryMetrics(b *testing.B) {
 	prev := aomplib.EnableMetrics(true)
 	defer aomplib.EnableMetrics(prev)
-	p := aomplib.NewProgram("bench")
-	f := p.Class("A").Proc("m", func() {})
-	p.Use(aomplib.ParallelRegion("call(* A.m(..))").Threads(threads()))
-	p.MustWeave()
+	f, checkWidth := emptyRegion(b)
 	f() // warm team + allocate metric shards
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		f()
 	}
+	checkWidth()
 }
 
 // BenchmarkOverhead_CriticalNamed measures a steady-state woven
@@ -357,6 +390,7 @@ func BenchmarkOverhead_PointcutMatch(b *testing.B) {
 // elimination and MolDyn's force rows.
 func benchScheduleAblation(b *testing.B, kind sched.Kind, chunk int) {
 	const n = 2048
+	pinRegionWidth(b)
 	p := aomplib.NewProgram("bench")
 	var sink float64
 	loop := p.Class("A").ForProc("loop", func(lo, hi, step int) {
@@ -368,13 +402,22 @@ func benchScheduleAblation(b *testing.B, kind sched.Kind, chunk int) {
 		}
 		_ = local
 	})
-	run := p.Class("A").Proc("run", func() { loop(0, n, 1) })
+	width := 0
+	run := p.Class("A").Proc("run", func() {
+		if aomplib.ThreadID() == 0 {
+			width = aomplib.NumThreads()
+		}
+		loop(0, n, 1)
+	})
 	p.Use(aomplib.ParallelRegion("call(* A.run(..))").Threads(threads()))
 	p.Use(aomplib.ForShare("call(* A.loop(..))").Schedule(kind).Chunk(chunk))
 	p.MustWeave()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		run()
+	}
+	if width != threads() {
+		b.Fatalf("the region ran %d workers, want %d", width, threads())
 	}
 	_ = sink
 }
@@ -430,15 +473,17 @@ func BenchmarkAblation_ConstructInstance(b *testing.B) {
 // that hands out preallocated cells, so allocs/op are the library's own
 // (CI holds them at 0; task spawns alone were 4 before rt.SpawnArg).
 func BenchmarkAblation_CompositeOp(b *testing.B) {
+	pinRegionWidth(b)
 	p := aomplib.NewProgram("bench")
 	cls := p.Class("A")
 	var total float64
+	width := 0
 	cells := [2]any{new(float64), new(float64)}
 	acc := cls.ValueProc("acc", func() any { return &total })
 	loop := cls.ForProc("loop", func(lo, hi, step int) { *(acc().(*float64)) += float64(hi - lo) })
 	reduce := cls.Proc("reduce", func() {})
 	task := cls.Proc("task", func() {})
-	single := cls.Proc("single", func() { task(); task() })
+	single := cls.Proc("single", func() { width = aomplib.NumThreads(); task(); task() })
 	wait := cls.Proc("wait", func() {})
 	op := cls.Proc("op", func() { loop(0, 1024, 1); reduce(); single(); wait() })
 	tl := aomplib.NewThreadLocal("call(* A.acc(..))", "acc").
@@ -459,6 +504,9 @@ func BenchmarkAblation_CompositeOp(b *testing.B) {
 	}
 	if total != 1024*float64(b.N) {
 		b.Fatalf("reduced %v over %d ops, want %v", total, b.N, 1024*float64(b.N))
+	}
+	if width != 2 {
+		b.Fatalf("the op ran %d workers, want 2", width)
 	}
 }
 

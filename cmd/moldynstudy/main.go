@@ -46,6 +46,11 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
+	if *moves < 1 || *reps < 1 {
+		fmt.Fprintf(os.Stderr, "moldynstudy: -moves and -reps must be at least 1 (got %d and %d)\n", *moves, *reps)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	mms := parseInts(*mmFlag)
 	if *big {

@@ -29,3 +29,28 @@ func TestPositionalArgumentRejected(t *testing.T) {
 		t.Fatalf("no usage in the output:\n%.400s", out)
 	}
 }
+
+// TestNonPositiveCountsRejected: `-moves 0` used to fail later with a
+// misleading "seq validation failed" and `-reps 0` ran as -reps 1; both
+// must exit 2 with usage before anything runs. The test binary re-executes
+// itself as the command.
+func TestNonPositiveCountsRejected(t *testing.T) {
+	if args := os.Getenv("MOLDYNSTUDY_ARGS"); args != "" {
+		os.Args = append([]string{"moldynstudy"}, strings.Fields(args)...)
+		main()
+		return
+	}
+	for _, args := range []string{"-mm=2 -moves=0", "-mm=2 -moves=-3", "-mm=2 -moves=1 -reps=0"} {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestNonPositiveCountsRejected$")
+		cmd.Env = append(os.Environ(), "MOLDYNSTUDY_ARGS="+args)
+		out, err := cmd.CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Errorf("moldynstudy %s: %v, want exit status 2; output:\n%.400s", args, err, out)
+			continue
+		}
+		if !strings.Contains(string(out), "must be at least 1") || !strings.Contains(string(out), "-moves") {
+			t.Errorf("moldynstudy %s: no reason and usage in the output:\n%.400s", args, out)
+		}
+	}
+}

@@ -61,7 +61,8 @@ const (
 // application-specific aspects.
 func ThreadID() int { return rt.ThreadID() }
 
-// NumThreads returns the calling worker's team size, 1 outside regions.
+// NumThreads returns the calling worker's team size, 1 outside regions —
+// the width the region runs at, which may be below its Threads(n) ceiling.
 func NumThreads() int { return rt.NumThreads() }
 
 // InParallel reports whether the caller executes inside a parallel region.

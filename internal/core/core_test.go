@@ -42,6 +42,7 @@ func TestParallelRegionTeamAndJoin(t *testing.T) {
 }
 
 func TestParallelRegionDefaultAndOverride(t *testing.T) {
+	pinWidth(t)
 	p := weaver.NewProgram("t")
 	var count atomic.Int32
 	region := p.Class("App").Proc("region", func() { count.Add(1) })
@@ -569,6 +570,7 @@ func TestAnnotationReduceWithoutFieldPanics(t *testing.T) {
 }
 
 func TestNestedParallelRegions(t *testing.T) {
+	pinWidth(t)
 	p := weaver.NewProgram("t")
 	var innerRuns atomic.Int32
 	inner := p.Class("App").Proc("inner", func() { innerRuns.Add(1) })

@@ -13,13 +13,18 @@ import (
 // is the team-wide cost of one encounter. CI gates each at 0 allocs/op.
 
 // benchEncounters opens a two-worker region over b.N calls of the method
-// encounter builds, with deploy's aspects woven in.
+// encounter builds, with deploy's aspects woven in. The width is pinned, so
+// the warm-up entry does not teach the timed one to run on one worker.
 func benchEncounters(b *testing.B, deploy func(p *weaver.Program), encounter func(cls *weaver.Class) func()) {
+	pinWidth(b)
 	p := weaver.NewProgram("enc")
 	cls := p.Class("E")
 	enc := encounter(cls)
-	n := 1
+	n, width := 1, 0
 	run := cls.Proc("run", func() {
+		if ThreadID() == 0 {
+			width = NumThreads()
+		}
 		for i := 0; i < n; i++ {
 			enc()
 		}
@@ -32,6 +37,9 @@ func benchEncounters(b *testing.B, deploy func(p *weaver.Program), encounter fun
 	b.ReportAllocs()
 	b.ResetTimer()
 	run()
+	if width != 2 {
+		b.Fatalf("the region ran %d workers, want 2", width)
+	}
 }
 
 func BenchmarkEncounter_Single(b *testing.B) {

@@ -118,6 +118,9 @@ func exactlyOnce(t *testing.T, kind sched.Kind, shape loopShape, width, outer in
 		t.Fatalf("saw %d region entries, want %d", len(teams), entries)
 	}
 	for _, team := range teams {
+		if team.Size != width {
+			t.Fatalf("a region entry ran %d workers, want %d", team.Size, width)
+		}
 		if pending := team.PendingInstances(); pending != 0 {
 			t.Fatalf("%d encounter slots pending after the region", pending)
 		}
@@ -130,8 +133,10 @@ func exactlyOnce(t *testing.T, kind sched.Kind, shape loopShape, width, outer in
 // of chunk 3 almost no dynamic claim spans two chunks, so the two
 // cursor-backed kinds also run 257 iterations at chunk {1,16} × step
 // {1,3,-2}, where most body calls span four chunks (widths 2 and 3: at
-// chunk 16 a wider team is in the one-chunk tail from the start).
+// chunk 16 a wider team is in the one-chunk tail from the start). Widths
+// are pinned; exactlyOnce checks every entry ran at its width.
 func TestExactlyOnceMatrix(t *testing.T) {
+	pinWidth(t)
 	small := loopShape{n: 37, chunk: 3, step: 1}
 	// Every schedule by name, the former names included: a flag or config
 	// spelled the old way must still run every iteration once.

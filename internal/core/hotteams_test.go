@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"aomplib/internal/obs"
 	"aomplib/internal/rt"
 	"aomplib/internal/sched"
 	"aomplib/internal/weaver"
@@ -13,13 +14,28 @@ import (
 // Weaving and unweaving must stay safe while hot regions run: calls that
 // started on either chain finish correctly, and every call executes its
 // full iteration space exactly once — woven (region + for) or not.
-// Run under -race in CI, portable-gls job included.
+// Run under -race in CI, portable-gls job included. The width is pinned:
+// on one worker a chain swap between team-mates' loads cannot show.
 func TestHotTeamsWeaveUnweaveInterleaved(t *testing.T) {
+	pinWidth(t)
 	defer func(prev bool) { rt.SetHotTeams(prev) }(rt.SetHotTeams(true))
 
 	const n, calls, weaves = 512, 120, 60
 	p := weaver.NewProgram("stress")
 	var sum atomic.Int64
+	// Widths are counted at the fork, by hook: a count inside the body
+	// (gls lookups on every worker) shifts the window this test probes and
+	// raised its failure rate.
+	var wide, narrow atomic.Int64
+	defer obs.SetHooks(obs.SetHooks(&obs.Hooks{
+		RegionFork: func(_ obs.WorkerID, _ uint64, _, size int) {
+			if size == 2 {
+				wide.Add(1)
+			} else {
+				narrow.Add(1)
+			}
+		},
+	}))
 	loop := p.Class("S").ForProc("loop", func(lo, hi, step int) {
 		var local int64
 		for i := lo; i < hi; i += step {
@@ -50,6 +66,9 @@ func TestHotTeamsWeaveUnweaveInterleaved(t *testing.T) {
 	const per = int64(n) * (n - 1) / 2
 	if got := sum.Load(); got != calls*per {
 		t.Fatalf("sum = %d after %d calls, want %d (iterations lost or doubled)", got, calls, calls*per)
+	}
+	if narrow.Load() != 0 {
+		t.Fatalf("%d woven entries ran narrower than 2 (%d at 2)", narrow.Load(), wide.Load())
 	}
 }
 

@@ -15,6 +15,7 @@ import (
 // to each inner team. Two inner teams run concurrently (one per outer
 // worker) and must not interfere.
 func TestNestedParallelRegionWithReduction(t *testing.T) {
+	pinWidth(t)
 	p := weaver.NewProgram("t")
 	cls := p.Class("App")
 	const outerN, innerN, iters = 2, 3, 600

@@ -23,8 +23,9 @@ type tlCopy struct {
 // visible to every worker as soon as the construct returns, the next
 // accessor call re-initialises, no encounter slot stays pending, and one
 // reduction is one barrier episode (rt.barrier_waits per encounter == team
-// size).
+// size). Widths are pinned, and each lease checks the width it ran at.
 func TestReduceMatrix(t *testing.T) {
+	pinWidth(t)
 	defer obs.EnableMetrics(obs.EnableMetrics(true))
 	for _, hot := range []bool{true, false} {
 		for _, width := range []int{1, 2, 3, 7} {
@@ -85,6 +86,9 @@ func reduceLease(t *testing.T, width int) {
 
 	before := obs.ReadMetrics().BarrierWaits
 	run()
+	if team.Size != width {
+		t.Fatalf("the lease ran %d workers, want %d", team.Size, width)
+	}
 	if got := obs.ReadMetrics().BarrierWaits - before; got != uint64(encounters*width) {
 		t.Errorf("%d barrier waits over %d reductions by %d workers, want one per worker per reduction", got, encounters, width)
 	}

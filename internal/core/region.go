@@ -35,14 +35,18 @@ func (a *ParallelRegionAspect) Named(name string) *ParallelRegionAspect {
 	return a
 }
 
-// Threads fixes the team size — the analogue of @Parallel(threads=n).
+// Threads fixes the team size — the analogue of @Parallel(threads=n). It
+// is a ceiling, as num_threads is under OpenMP's dyn-var: a region that
+// measures faster on one worker than on n (one short next to the hand-offs
+// a team costs) runs on one, and NumThreads reports the width it ran at.
 func (a *ParallelRegionAspect) Threads(n int) *ParallelRegionAspect {
 	a.threads = n
 	return a
 }
 
 // ThreadsFunc derives the team size at region entry — the analogue of
-// overriding int numThreads() in a concrete aspect.
+// overriding int numThreads() in a concrete aspect. Like Threads, the size
+// is a ceiling.
 func (a *ParallelRegionAspect) ThreadsFunc(fn func() int) *ParallelRegionAspect {
 	a.threadsFn = fn
 	return a
@@ -87,12 +91,21 @@ func regionBody(w *rt.Worker, arg any) {
 	weaver.PutCall(wc)
 }
 
-// Bindings implements weaver.Aspect.
+// fixedWidth, when set, weaves regions without a width record, so every
+// entry runs at its requested width: tests that exercise a width pin it.
+var fixedWidth bool
+
+// Bindings implements weaver.Aspect. Each woven joinpoint gets its own
+// width record (rt.Grain), made afresh whenever its chain is built.
 func (a *ParallelRegionAspect) Bindings() []weaver.Binding {
 	adv := advice{
 		name: "parallel",
 		prec: PrecParallel,
 		wrap: func(jp *weaver.Joinpoint, next weaver.HandlerFunc) weaver.HandlerFunc {
+			var g *rt.Grain
+			if !fixedWidth {
+				g = new(rt.Grain)
+			}
 			return func(c *weaver.Call) {
 				n := a.threads
 				if a.threadsFn != nil {
@@ -106,7 +119,7 @@ func (a *ParallelRegionAspect) Bindings() []weaver.Binding {
 				e.next = next
 				e.out = c
 				defer putRegionEntry(e) // also on the region's re-raised panic
-				rt.RegionArg(n, regionBody, e)
+				g.RegionArg(n, regionBody, e)
 			}
 		},
 	}

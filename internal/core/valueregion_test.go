@@ -93,6 +93,7 @@ func TestSequentialCompositionNoDeadlock(t *testing.T) {
 // Two independent programs must not share construct state even when their
 // aspects have identical names.
 func TestProgramsAreIsolated(t *testing.T) {
+	pinWidth(t)
 	mk := func() (func(), *atomic.Int32) {
 		p := weaver.NewProgram("iso")
 		var n atomic.Int32

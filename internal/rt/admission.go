@@ -474,8 +474,9 @@ var tenantStore = gls.NewStore()
 // TenantToken is one tenant-scoped admission context, bound to the calling
 // goroutine by EnterTenant. Region entries in its scope are arbitrated
 // against the token's tenant and record their outcomes on the token, so a
-// request handler can tell afterwards whether its regions ran at full
-// width, queued first, or degraded. Outcome counters are cumulative over
+// request handler can tell afterwards whether its regions were granted a
+// lease, queued first, or degraded. A woven region that runs on one worker
+// because that measures faster (Grain) is granted, not degraded. Outcome counters are cumulative over
 // the token's lifetime (atomics: inherited bindings may enter regions
 // concurrently).
 type TenantToken struct {

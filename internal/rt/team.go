@@ -149,9 +149,11 @@ type Team struct {
 	// executes, wg joins the non-master workers. (Re)written by beginLease
 	// before workers wake; the wake-channel send orders the writes against
 	// worker reads.
-	body func(*Worker, any)
-	arg  any
-	wg   sync.WaitGroup
+	body     func(*Worker, any)
+	arg      any
+	wg       sync.WaitGroup
+	timeWake bool // stamp wokeAt as team-mates start (a Grain's hand-off)
+	wokeAt   atomic.Int64
 
 	// poisoned marks a team one of whose workers escaped a lease round via
 	// runtime.Goexit — its goroutine is gone, so the team must be retired,
@@ -308,8 +310,16 @@ func plainBody(w *Worker, arg any) { arg.(func(*Worker))(w) }
 // argument: body is typically a long-lived function and arg a pooled
 // per-entry struct. This split keeps warm region entries allocation-free —
 // a per-entry closure would escape to the heap on every call because the
-// team stores it for its workers.
+// team stores it for its workers. The team has exactly n workers (one
+// when nested with nesting off or degraded by admission); entered through
+// a Grain, n is a ceiling instead.
 func RegionArg(n int, body func(w *Worker, arg any), arg any) {
+	(*Grain)(nil).RegionArg(n, body, arg)
+}
+
+// RegionArg is the package-level RegionArg with n as a ceiling: the record
+// picks n or 1 workers per entry (grain.go). A nil record always runs n.
+func (g *Grain) RegionArg(n int, body func(w *Worker, arg any), arg any) {
 	if n < 1 {
 		n = DefaultThreads()
 	}
@@ -321,33 +331,48 @@ func RegionArg(n int, body func(w *Worker, arg any), arg any) {
 			n = 1
 		}
 	}
+	ge := g.pick(n)
+	if ge.narrow {
+		n = 1
+	}
 	pooled := true
 	if parent == nil && admissionOn.Load() {
 		// Top-level entries pass through multi-tenant admission; nested
 		// entries ride the slot their top-level region already holds (and
 		// must never queue — a wait inside a held slot could deadlock).
-		g := admitRegion()
-		if g.degraded {
+		grant := admitRegion()
+		if grant.degraded {
 			// Refused a lease: degrade gracefully — run serialized on a
 			// cold team of one that bypasses the pool, so saturation
 			// traffic cannot thrash warm full-width teams out of it.
 			n = 1
 			pooled = false
+			ge = grainEntry{}
 		}
-		if g.tenant != nil {
+		if grant.tenant != nil {
 			// Deferred (not inlined into the two completion paths below) so
 			// the slot releases exactly once on every exit: normal return,
 			// re-raised worker panic, and master Goexit.
-			defer admitExit(g.tenant)
+			defer admitExit(grant.tenant)
 		}
 	}
+	var start int64
+	if ge.k > 0 {
+		start = monoNs()
+	}
 	var t *Team
-	if pooled {
+	switch {
+	case ge.narrow:
+		if t = g.solo.Swap(nil); t == nil {
+			t = newTeam(1)
+		}
+	case pooled:
 		t = acquireTeam(n)
-	} else {
+	default:
 		t = bypassTeam(n)
 	}
 	t.beginLease(parent, level, body, arg)
+	t.timeWake = ge.k > 0
 	if h := obsHooks(); h != nil && h.RegionFork != nil {
 		h.RegionFork(t.workers[0].gid, t.tid, level, n)
 	}
@@ -380,6 +405,7 @@ func RegionArg(n int, body func(w *Worker, arg any), arg any) {
 	t.runWorker(t.workers[0])
 	t.wg.Wait()
 	t.drainStragglers(t.workers[0])
+	hand := t.wokeAt.Load() - start
 	finished = true
 	t.completed.Store(true)
 	t.emitRegionJoin(level)
@@ -390,6 +416,10 @@ func RegionArg(n int, body func(w *Worker, arg any), arg any) {
 	switch {
 	case panicked || t.poisoned.Load():
 		retireTeam(t)
+	case ge.narrow:
+		if !HotTeamsEnabled() || !g.solo.CompareAndSwap(nil, t) {
+			t.destroy()
+		}
 	case pooled:
 		releaseTeam(t)
 	default:
@@ -399,6 +429,9 @@ func RegionArg(n int, body func(w *Worker, arg any), arg any) {
 	}
 	if panicked {
 		panic(panicVal)
+	}
+	if ge.k > 0 {
+		g.done(ge, monoNs()-start, hand)
 	}
 }
 
@@ -509,6 +542,9 @@ func (t *Team) runWorker(w *Worker) {
 // retires it instead of recycling a team with a dead worker.
 func (t *Team) workerLoop(w *Worker) {
 	for range w.wake {
+		if t.timeWake {
+			t.wokeAt.Store(monoNs())
+		}
 		roundDone := false
 		func() {
 			defer func() {
