@@ -147,7 +147,10 @@ type Schedule = sched.Kind
 // (StaticBlock below 64 iterations per worker, Guided otherwise), every
 // later one re-decides kind and chunk from the previous encounter's
 // measured imbalance. Auto and WeightedSteal are the former names of
-// Adaptive and Steal.
+// Adaptive and Steal. On a team of one (Threads(1), or a region narrowed to
+// one worker) the four dispensing kinds — Dynamic, Guided, Steal, Adaptive,
+// and Runtime when it reads one of them — run the loop as one StaticBlock:
+// one call over the whole range, no end barrier, Chunk ignored.
 const (
 	StaticBlock   = sched.StaticBlock
 	StaticCyclic  = sched.StaticCyclic

@@ -472,7 +472,16 @@ func BenchmarkAblation_ConstructInstance(b *testing.B) {
 // @Single → two @Task → @TaskWait — with empty bodies and an initialiser
 // that hands out preallocated cells, so allocs/op are the library's own
 // (CI holds them at 0; task spawns alone were 4 before rt.SpawnArg).
-func BenchmarkAblation_CompositeOp(b *testing.B) {
+func BenchmarkAblation_CompositeOp(b *testing.B) { benchCompositeOp(b, 2) }
+
+// BenchmarkAblation_CompositeOpSolo is the composite op on a Threads(1)
+// region — the team of one a narrowed region runs on: the loop is one
+// static block, the barrier completes on arrival and the single claims
+// without an encounter slot. CI holds it at 0 allocs/op and under a
+// fraction of CompositeOp.
+func BenchmarkAblation_CompositeOpSolo(b *testing.B) { benchCompositeOp(b, 1) }
+
+func benchCompositeOp(b *testing.B, threads int) {
 	pinRegionWidth(b)
 	p := aomplib.NewProgram("bench")
 	cls := p.Class("A")
@@ -488,7 +497,7 @@ func BenchmarkAblation_CompositeOp(b *testing.B) {
 	op := cls.Proc("op", func() { loop(0, 1024, 1); reduce(); single(); wait() })
 	tl := aomplib.NewThreadLocal("call(* A.acc(..))", "acc").
 		InitFresh(func() any { c := cells[aomplib.ThreadID()]; *(c.(*float64)) = 0; return c })
-	p.Use(aomplib.ParallelRegion("call(* A.op(..))").Threads(2))
+	p.Use(aomplib.ParallelRegion("call(* A.op(..))").Threads(threads))
 	p.Use(aomplib.ForShare("call(* A.loop(..))").Schedule(aomplib.Dynamic).Chunk(16))
 	p.Use(tl, aomplib.ReducePoint("call(* A.reduce(..))", tl, func(local any) { total += *(local.(*float64)) }))
 	p.Use(aomplib.BarrierAfterPoint("call(* A.reduce(..))"))
@@ -505,8 +514,8 @@ func BenchmarkAblation_CompositeOp(b *testing.B) {
 	if total != 1024*float64(b.N) {
 		b.Fatalf("reduced %v over %d ops, want %v", total, b.N, 1024*float64(b.N))
 	}
-	if width != 2 {
-		b.Fatalf("the op ran %d workers, want 2", width)
+	if width != threads {
+		b.Fatalf("the op ran %d workers, want %d", width, threads)
 	}
 }
 

@@ -251,6 +251,11 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
+	if *size != "test" && *size != "A" && *size != "B" {
+		fmt.Fprintf(os.Stderr, "jgfbench: unknown -size %q (valid: test, A, B)\n", *size)
+		flag.Usage()
+		os.Exit(2)
+	}
 	if *reps <= 0 {
 		fmt.Fprintf(os.Stderr, "jgfbench: -reps must be > 0 (got %d): a run with zero repetitions measures nothing\n", *reps)
 		os.Exit(2)

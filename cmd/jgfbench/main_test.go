@@ -29,3 +29,28 @@ func TestPositionalArgumentRejected(t *testing.T) {
 		t.Fatalf("no usage in the output:\n%.400s", out)
 	}
 }
+
+// TestUnknownSizeRejected: `-size a` (a lowercase typo) or `-size Z` must
+// exit 2 with usage naming the valid sizes, not measure the test size and
+// label the -json record with the typo.
+func TestUnknownSizeRejected(t *testing.T) {
+	if size := os.Getenv("JGFBENCH_SIZE"); size != "" {
+		os.Args = []string{"jgfbench", "-size=" + size, "-threads=1", "-reps=1", "-only=crypt"}
+		main()
+		return
+	}
+	for _, size := range []string{"a", "Z"} {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestUnknownSizeRejected$")
+		cmd.Env = append(os.Environ(), "JGFBENCH_SIZE="+size)
+		out, err := cmd.CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Fatalf("jgfbench -size=%s: %v, want exit status 2; output:\n%.400s", size, err, out)
+		}
+		for _, want := range []string{`unknown -size "` + size + `"`, "test", "A", "B", "-only"} {
+			if !strings.Contains(string(out), want) {
+				t.Fatalf("jgfbench -size=%s: output lacks %q:\n%.400s", size, want, out)
+			}
+		}
+	}
+}

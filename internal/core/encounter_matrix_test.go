@@ -133,8 +133,9 @@ func exactlyOnce(t *testing.T, kind sched.Kind, shape loopShape, width, outer in
 // of chunk 3 almost no dynamic claim spans two chunks, so the two
 // cursor-backed kinds also run 257 iterations at chunk {1,16} × step
 // {1,3,-2}, where most body calls span four chunks (widths 2 and 3: at
-// chunk 16 a wider team is in the one-chunk tail from the start). Widths
-// are pinned; exactlyOnce checks every entry ran at its width.
+// chunk 16 a wider team is in the one-chunk tail from the start), and at
+// width 1, where the loop is one static block. Widths are pinned;
+// exactlyOnce checks every entry ran at its width.
 func TestExactlyOnceMatrix(t *testing.T) {
 	pinWidth(t)
 	small := loopShape{n: 37, chunk: 3, step: 1}
@@ -172,6 +173,7 @@ func TestExactlyOnceMatrix(t *testing.T) {
 						wide := loopShape{n: 257, chunk: chunk, step: step}
 						name := fmt.Sprintf("hot=%v/%v/n=257/chunk=%d/step=%d/ordered=%v", hot, kind, chunk, step, ordered)
 						t.Run(name, func(t *testing.T) {
+							exactlyOnce(t, kind, wide, 1, 1, ordered)
 							exactlyOnce(t, kind, wide, 2, 1, ordered)
 							exactlyOnce(t, kind, wide, 3, 1, ordered)
 						})

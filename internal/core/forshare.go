@@ -36,7 +36,11 @@ func newForShare(m weaver.Matcher) *ForAspect {
 // Named renames the aspect module.
 func (a *ForAspect) Named(name string) *ForAspect { a.name = name; return a }
 
-// Schedule selects the scheduling policy — @For(schedule=...).
+// Schedule selects the scheduling policy — @For(schedule=...). On a team of
+// one a dispensing kind (dynamic, guided, steal, adaptive, and runtime when
+// it reads one) resolves to static by blocks: the method runs once over the
+// whole range with no end barrier, and ForContext.Kind and the WorkBegin
+// hook report staticBlock.
 func (a *ForAspect) Schedule(k sched.Kind) *ForAspect { a.kind = k; return a }
 
 // Chunk sets the chunk of the dynamic, guided and steal schedules (default
@@ -45,7 +49,8 @@ func (a *ForAspect) Schedule(k sched.Kind) *ForAspect { a.kind = k; return a }
 // call receives. The method runs once per claim on the shared cursor, and a
 // dynamic claim is four chunks while more than four per worker remain (one
 // in the tail; guided: remainder over twice the team width, at least one
-// chunk), so size per-call scratch by hi−lo, not by n.
+// chunk), so size per-call scratch by hi−lo, not by n. On a team of one the
+// chunk has no effect: the whole range is one call.
 func (a *ForAspect) Chunk(n int) *ForAspect { a.chunk = n; return a }
 
 // CustomSchedule installs a case-specific schedule (Table 2: the Sparse

@@ -33,7 +33,9 @@ type SpanFunc func(sub sched.Space, arg any)
 // speed-estimate training and the obs work/steal events for free. Under
 // Dynamic and Guided run is invoked once per claim (ForContext.Dispense):
 // chunk is the balance unit, and a sub-range spans up to
-// dispenseBatchChunks chunks away from the loop tail.
+// dispenseBatchChunks chunks away from the loop tail. On a team of one every
+// dispensing kind resolves to StaticBlock (sched.Resolve): run is invoked
+// once, over all of sp.
 //
 // Every worker of the team must call ForSpan for the same loop (the
 // standing work-sharing encounter contract). key identifies the loop's

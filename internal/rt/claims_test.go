@@ -28,12 +28,12 @@ func runWovenFor(kind sched.Kind, chunk, width, n int, body func(lo, hi, step in
 
 // TestDispenseServesWholeClaims is the regression gate of "the claim is the
 // unit of dispatch": a dynamic,16 loop over 1024 iterations calls its body
-// once per cursor claim — 15 four-chunk claims and 4 tail chunks at T=1, 14
-// and 8 at T=2 (whichever worker draws them: the claim sequence depends on
-// the cursor alone) — through the woven @For, rt.ForSpan and
-// parallel.ForRange alike, and still runs every iteration once. Serving a
-// claim chunk by chunk would make every count 64. parallel.ForRange runs a
-// width-1 loop inline, without a dispenser: one call.
+// once per cursor claim at T=2 — 14 four-chunk claims and 8 tail chunks
+// (whichever worker draws them: the claim sequence depends on the cursor
+// alone) — and once at T=1, where the loop resolves to one static block,
+// through the woven @For, rt.ForSpan and parallel.ForRange alike, and still
+// runs every iteration once. Serving a claim chunk by chunk would make the
+// T=2 count 64.
 func TestDispenseServesWholeClaims(t *testing.T) {
 	const n, chunk = 1024, 16
 	var calls atomic.Int32
@@ -45,27 +45,26 @@ func TestDispenseServesWholeClaims(t *testing.T) {
 		}
 	}
 	paths := []struct {
-		name  string
-		want1 int // body calls at T=1; 22 at T=2 on every path
-		run   func(width int)
+		name string
+		run  func(width int)
 	}{
-		{"@For", 19, func(width int) {
+		{"@For", func(width int) {
 			runWovenFor(sched.Dynamic, chunk, width, n, func(lo, hi, _ int) { body(lo, hi) })
 		}},
-		{"rt.ForSpan", 19, func(width int) {
+		{"rt.ForSpan", func(width int) {
 			key := new(int)
 			rt.Region(width, func(w *rt.Worker) {
 				rt.ForSpan(w, sched.Space{Lo: 0, Hi: n, Step: 1}, sched.Dynamic, key, chunk,
 					func(sub sched.Space, _ any) { body(sub.Lo, sub.Hi) }, nil)
 			})
 		}},
-		{"parallel.ForRange", 1, func(width int) {
+		{"parallel.ForRange", func(width int) {
 			parallel.ForRange(0, n, body, parallel.WithThreads(width),
 				parallel.WithSchedule(parallel.Dynamic), parallel.WithGrain(chunk))
 		}},
 	}
 	for _, path := range paths {
-		for _, tc := range []struct{ width, want int }{{1, path.want1}, {2, 22}} {
+		for _, tc := range []struct{ width, want int }{{1, 1}, {2, 22}} {
 			calls.Store(0)
 			for i := range hits {
 				hits[i].Store(0)

@@ -24,7 +24,7 @@ type ForContext struct {
 	// BeginFor stamps start, the dispensers accumulate iters (static kinds
 	// are reconstructed arithmetically at EndFor), and EndFor folds
 	// iters/elapsed into the worker's speed EWMA (adapt.go). Worker-local
-	// plain fields — no atomics, no allocation.
+	// plain fields — no atomics, no allocation. A team of one reads no clock.
 	start time.Time
 	iters int64
 }
@@ -134,7 +134,10 @@ func BeginFor(w *Worker, key any, sp sched.Space, kind sched.Kind, chunk int) *F
 	} else {
 		fc = &ForContext{}
 	}
-	*fc = ForContext{Space: sp, Kind: shared.kind, Worker: w, slot: s, start: time.Now()}
+	*fc = ForContext{Space: sp, Kind: shared.kind, Worker: w, slot: s}
+	if t.Size > 1 {
+		fc.start = time.Now()
+	}
 	w.activeFor = append(w.activeFor, fc)
 	if h := obsHooks(); h != nil && h.WorkBegin != nil {
 		h.WorkBegin(w.gid, t.tid, uint8(shared.kind))
@@ -149,19 +152,22 @@ func (fc *ForContext) EndFor() {
 	w := fc.Worker
 	if n := len(w.activeFor); n > 0 && w.activeFor[n-1] == fc {
 		w.activeFor = w.activeFor[:n-1]
-		elapsed := int64(time.Since(fc.start))
-		iters := fc.iters
-		switch fc.Kind {
-		// Static shares never dispense — reconstruct the count they ran.
-		case sched.StaticBlock:
-			iters = int64(sched.Block(fc.Space, w.Team.Size, w.ID).Count())
-		case sched.StaticCyclic:
-			iters = int64(sched.Cyclic(fc.Space, w.Team.Size, w.ID).Count())
-		}
-		w.updateSpeed(iters, elapsed)
 		fs := &fc.slot.fs
-		if fs.adapt != nil {
-			fs.noteDone(elapsed)
+		// A team of one has no team-mate to balance against: no clock.
+		if size := w.Team.Size; size > 1 {
+			elapsed := int64(time.Since(fc.start))
+			iters := fc.iters
+			switch fc.Kind {
+			// Static shares never dispense — reconstruct the count they ran.
+			case sched.StaticBlock:
+				iters = int64(sched.Block(fc.Space, size, w.ID).Count())
+			case sched.StaticCyclic:
+				iters = int64(sched.Cyclic(fc.Space, size, w.ID).Count())
+			}
+			w.updateSpeed(iters, elapsed)
+			if fs.adapt != nil {
+				fs.noteDone(elapsed)
+			}
 		}
 		if fc.slot.unref() {
 			if fs.adapt != nil {
@@ -265,8 +271,11 @@ func (fc *ForContext) Ordered(iter int, section func()) {
 // (paper Table 1, @Single). withResult must be true when the construct
 // broadcasts a value: the encounter's slot is then returned and every worker
 // owes it exactly one Broadcast. Without a result the slot is released here
-// and nil is returned.
+// and nil is returned; on a team of one no slot is taken at all.
 func SingleBegin(w *Worker, key any, withResult bool) (bool, *encSlot) {
+	if !withResult && w.Team.Size == 1 {
+		return true, nil // a team of one: its worker is the first arriver
+	}
 	s, _, first := w.encounter(key)
 	if first {
 		s.ready = false

@@ -133,6 +133,55 @@ func TestResolveAutoBoundaryTripCounts(t *testing.T) {
 	}
 }
 
+// TestResolveTable runs every kind over widths {0, 1, 2} and trip counts up
+// to one past the packable steal range. On at most one worker every
+// dispensing kind (dynamic, guided, steal, adaptive — and runtime once it
+// reads a dispensing default) is one static block at any count; Custom and
+// StaticCyclic are never rewritten; on a team Steal and Adaptive fall back
+// past the packable range.
+func TestResolveTable(t *testing.T) {
+	orig := Default()
+	defer SetDefault(orig) //nolint:errcheck
+	type row struct {
+		name                     string
+		kind, def                Kind // def: the process default Runtime reads
+		solo, team, teamOverflow Kind // ≤ 1 worker; 2 workers within / past stealMaxCount
+	}
+	rows := []row{
+		{"staticBlock", StaticBlock, StaticBlock, StaticBlock, StaticBlock, StaticBlock},
+		{"staticCyclic", StaticCyclic, StaticBlock, StaticCyclic, StaticCyclic, StaticCyclic},
+		{"dynamic", Dynamic, StaticBlock, StaticBlock, Dynamic, Dynamic},
+		{"guided", Guided, StaticBlock, StaticBlock, Guided, Guided},
+		{"steal", Steal, StaticBlock, StaticBlock, Steal, Dynamic},
+		{"caseSpecific", Custom, StaticBlock, Custom, Custom, Custom},
+		{"adaptive", Adaptive, StaticBlock, StaticBlock, Adaptive, Guided},
+		{"runtime→steal", Runtime, Steal, StaticBlock, Steal, Dynamic},
+		{"runtime→guided", Runtime, Guided, StaticBlock, Guided, Guided},
+		{"runtime→staticCyclic", Runtime, StaticCyclic, StaticCyclic, StaticCyclic, StaticCyclic},
+		{"runtime→adaptive", Runtime, Adaptive, StaticBlock, Adaptive, Guided},
+	}
+	counts := []int{0, 1, 2, 1024, stealMaxCount, stealMaxCount + 1}
+	for _, r := range rows {
+		if _, err := SetDefault(r.def); err != nil {
+			t.Fatal(err)
+		}
+		for _, nthreads := range []int{0, 1, 2} {
+			for _, count := range counts {
+				want := r.solo
+				if nthreads > 1 {
+					want = r.team
+					if count > stealMaxCount {
+						want = r.teamOverflow
+					}
+				}
+				if got := Resolve(r.kind, count, nthreads); got != want {
+					t.Errorf("%s: Resolve(count %d, %d workers) = %v, want %v", r.name, count, nthreads, got, want)
+				}
+			}
+		}
+	}
+}
+
 // TestAutoGrain pins the generic-range grain heuristic: a pure function
 // of the trip count (width-independence is what keeps Reduce/Scan
 // decomposition deterministic), never below the dispatch-amortizing

@@ -139,18 +139,21 @@ func SetDefault(k Kind) (Kind, error) {
 }
 
 // Resolve maps Runtime to the process-wide default, then settles what width
-// and trip count alone decide: Adaptive on one worker is StaticBlock, and a
-// trip count past what the steal dispenser can pack sends Steal to Dynamic
-// and Adaptive to Guided. A remaining Adaptive is resolved by the runtime's
-// encounter state (rt.BeginFor). Runtime reads the mutable default, so
-// callers that need one decision per team encounter must call Resolve once
-// and share the result, as rt.BeginFor does.
+// and trip count alone decide. On one worker every dispensing kind (Dynamic,
+// Guided, Steal, Adaptive) is StaticBlock: a lone worker runs every
+// iteration in order under any of them, so the loop is one block with no
+// dispenser and no end barrier. A trip count past what the steal dispenser
+// can pack sends Steal to Dynamic and Adaptive to Guided. Custom and
+// StaticCyclic are returned as they are. A remaining Adaptive is resolved
+// by the runtime's encounter state (rt.BeginFor). Runtime reads the mutable
+// default, so callers that need one decision per team encounter must call
+// Resolve once and share the result, as rt.BeginFor does.
 func Resolve(k Kind, count, nthreads int) Kind {
 	if k == Runtime {
 		k = Default()
 	}
 	switch {
-	case k == Adaptive && nthreads <= 1:
+	case nthreads <= 1 && (k == Dynamic || k == Guided || k == Steal || k == Adaptive):
 		return StaticBlock
 	case count <= stealMaxCount:
 		return k
