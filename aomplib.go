@@ -96,7 +96,7 @@ type Annotation = weaver.Annotation
 type WovenMethod = weaver.WovenMethod
 
 // AdviceInfo is the per-advice detail in a weave report: deploying aspect,
-// advice name, matching pointcut and current gate state.
+// advice name, matching pointcut and whether it is enabled.
 type AdviceInfo = weaver.AdviceInfo
 
 // NewProgram creates an empty program registry.

@@ -282,7 +282,7 @@ func BenchmarkOverhead_RegionEntry(b *testing.B) {
 }
 
 // BenchmarkOverhead_RegionEntryDisabled measures the same entry with the
-// region advice gated off: the re-swapped chain is direct, so the cost
+// region advice disabled: the re-swapped chain is direct, so the cost
 // must match an unadvised method — reconfiguration without unweaving.
 func BenchmarkOverhead_RegionEntryDisabled(b *testing.B) {
 	p := aomplib.NewProgram("bench")

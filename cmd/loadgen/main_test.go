@@ -155,3 +155,31 @@ func TestPositionalArgumentRejected(t *testing.T) {
 		t.Fatalf("no usage in the output:\n%.400s", out)
 	}
 }
+
+// TestUnhonourableSettingsRejected: a setting the sweep cannot honour must
+// exit 2 before any sweep point runs — not run a zero-request sweep
+// (-duration=-1s), die in JSON encoding after the whole sweep (-fairmin
+// NaN), accept a ratio no tenant can reach (-fairmin 2), read a negative
+// bound as "none" or "default", or pass -check against a negative -p99max.
+// The test binary re-executes itself as the command, one flag at a time.
+func TestUnhonourableSettingsRejected(t *testing.T) {
+	if arg := os.Getenv("LOADGEN_BAD_FLAG"); arg != "" {
+		os.Args = []string{"loadgen", "-sweep=1", "-duration=50ms", arg, "-check"}
+		main()
+		return
+	}
+	for _, arg := range []string{"-duration=-1s", "-duration=0s", "-fairmin=NaN", "-fairmin=2",
+		"-fairmin=-0.5", "-quota=-1", "-queue=-1", "-timeout=-1ms", "-p99max=-1s"} {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestUnhonourableSettingsRejected$")
+		cmd.Env = append(os.Environ(), "LOADGEN_BAD_FLAG="+arg)
+		out, err := cmd.CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Fatalf("loadgen %s: %v, want exit status 2; output:\n%.400s", arg, err, out)
+		}
+		flagName := strings.SplitN(arg[1:], "=", 2)[0]
+		if !strings.Contains(string(out), "-"+flagName) || strings.Contains(string(out), "req/s") {
+			t.Fatalf("loadgen %s: want an error naming -%s before any sweep point; output:\n%.400s", arg, flagName, out)
+		}
+	}
+}

@@ -251,6 +251,15 @@ func runSweep(cfg Config) (*Report, error) {
 	if cfg.Tenants < 1 || cfg.MaxTeams < 1 || cfg.TeamSize < 1 || len(cfg.Sweep) == 0 {
 		return nil, fmt.Errorf("config needs >=1 tenant, team, worker and sweep point: %+v", cfg)
 	}
+	switch {
+	case cfg.Duration <= 0:
+		return nil, fmt.Errorf("-duration %v is not a positive wall time", cfg.Duration)
+	case !(cfg.FairMin >= 0 && cfg.FairMin <= 1): // NaN fails both
+		return nil, fmt.Errorf("-fairmin %v is not a throughput ratio in [0,1]", cfg.FairMin)
+	case cfg.Quota < 0 || cfg.QueueBound < 0 || cfg.Timeout < 0 || cfg.P99Max < 0:
+		return nil, fmt.Errorf("negative bound (-quota %d, -queue %d, -timeout %v, -p99max %v)",
+			cfg.Quota, cfg.QueueBound, cfg.Timeout, cfg.P99Max)
+	}
 	policy, err := parsePolicy(cfg.Policy)
 	if err != nil {
 		return nil, err

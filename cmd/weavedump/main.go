@@ -10,10 +10,10 @@
 //	go run ./cmd/weavedump -only=lufact
 //	go run ./cmd/weavedump -explain   # show which pointcut matched each advice
 //
-// Each advice line carries its gate state ([on]/[off], see
-// Program.SetAdviceEnabled); with -explain it also shows the pointcut
-// expression that selected the joinpoint, resolved through the weaver's
-// pointcut index.
+// Each advice line carries its enable state ([on]/[off], see
+// Program.SetAdviceEnabled; a disabled advice stays listed but is not in
+// the composed chain); with -explain it also shows the pointcut expression
+// that selected the joinpoint.
 //
 // testdata/weave.golden holds the -explain output for all eight kernels;
 // TestWeaveGolden fails when a kernel's aspect composition drifts from it.

@@ -239,8 +239,9 @@ func TestAccessorPathsAgree(t *testing.T) {
 }
 
 // TestAccessorGateAndReport: disabling the thread-local advice is effective
-// on the very next call (the Call-free entry checks the gate word itself),
-// re-enabling at the re-swap; the weave report lists the advice either way.
+// on the next call after SetAdviceEnabled returns (its chain swap leaves the
+// body direct), re-enabling likewise; the weave report lists the advice
+// either way.
 func TestAccessorGateAndReport(t *testing.T) {
 	var (
 		global tlCopy

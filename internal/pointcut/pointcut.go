@@ -92,55 +92,10 @@ func (p *Pointcut) Matches(s Subject) bool { return p.expr.matches(s) }
 // String returns the source expression.
 func (p *Pointcut) String() string { return p.src }
 
-// Hints returns the statically derived candidate keys of the pointcut —
-// the basis of the weaver's pointcut→joinpoint index. See the Hints type
-// for the superset contract.
-func (p *Pointcut) Hints() Hints { return p.expr.hints() }
-
-// Hints describes a statically known superset of the joinpoints a pointcut
-// can select, expressed as exact index keys. Unless All is set, every
-// subject the pointcut matches is guaranteed to have a declaring class
-// named in Classes, or a method name in Methods, or an annotation named in
-// Annotations (the union of the three key sets covers the match set). An
-// indexed registry therefore only needs to evaluate the pointcut against
-// the union of those buckets; All means no static narrowing was possible
-// and every joinpoint is a candidate.
-type Hints struct {
-	// All reports that the pointcut could not be narrowed (wildcarded
-	// names, subtype operators, negations).
-	All bool
-	// Classes lists exact declaring-class names.
-	Classes []string
-	// Methods lists exact method names.
-	Methods []string
-	// Annotations lists annotation names required by the pointcut.
-	Annotations []string
-}
-
-// union merges two hint sets: the result covers every subject either side
-// covers.
-func (h Hints) union(o Hints) Hints {
-	if h.All || o.All {
-		return Hints{All: true}
-	}
-	return Hints{
-		Classes:     append(append([]string(nil), h.Classes...), o.Classes...),
-		Methods:     append(append([]string(nil), h.Methods...), o.Methods...),
-		Annotations: append(append([]string(nil), h.Annotations...), o.Annotations...),
-	}
-}
-
-// empty reports whether no key and no All flag is present (an impossible
-// match set; treated as All by callers out of caution).
-func (h Hints) empty() bool {
-	return !h.All && len(h.Classes) == 0 && len(h.Methods) == 0 && len(h.Annotations) == 0
-}
-
 // ---------------------------------------------------------------- AST --
 
 type node interface {
 	matches(Subject) bool
-	hints() Hints
 }
 
 type orNode struct{ l, r node }
@@ -151,36 +106,16 @@ func (n orNode) matches(s Subject) bool  { return n.l.matches(s) || n.r.matches(
 func (n andNode) matches(s Subject) bool { return n.l.matches(s) && n.r.matches(s) }
 func (n notNode) matches(s Subject) bool { return !n.n.matches(s) }
 
-// An or covers only what both branches cover; an and is covered by either
-// branch alone, so the narrower (non-All) side's keys suffice; a negation
-// can select anything outside its operand and is never narrowable.
-func (n orNode) hints() Hints { return n.l.hints().union(n.r.hints()) }
-func (n andNode) hints() Hints {
-	if h := n.l.hints(); !h.All {
-		return h
-	}
-	return n.r.hints()
-}
-func (n notNode) hints() Hints { return Hints{All: true} }
-
 // withinNode matches the declaring class (no subtype operator in within,
 // matching AspectJ's lexical semantics approximated on classes).
 type withinNode struct{ pattern pattern }
 
 func (n withinNode) matches(s Subject) bool { return n.pattern.match(s.ClassName()) }
 
-func (n withinNode) hints() Hints {
-	if lit, ok := n.pattern.literal(); ok {
-		return Hints{Classes: []string{lit}}
-	}
-	return Hints{All: true}
-}
-
 // annotationNode matches methods carrying a named annotation.
 type annotationNode struct{ name string }
 
 func (n annotationNode) matches(s Subject) bool { return s.HasAnnotation(n.name) }
-func (n annotationNode) hints() Hints           { return Hints{Annotations: []string{n.name}} }
 
 // sigNode matches a call/execution signature.
 type sigNode struct {
@@ -222,22 +157,6 @@ func (n sigNode) matches(s Subject) bool {
 		return false
 	}
 	return argsMatch(n.args, s.ArgKinds())
-}
-
-func (n sigNode) hints() Hints {
-	// Required annotations are the most selective key; an exact class (the
-	// subtype operator reaches classes with other names, so it disables the
-	// key) comes next; an exact method name last.
-	if len(n.annotations) > 0 {
-		return Hints{Annotations: []string{n.annotations[0]}}
-	}
-	if lit, ok := n.classPat.literal(); ok && !n.subtypes {
-		return Hints{Classes: []string{lit}}
-	}
-	if lit, ok := n.namePat.literal(); ok {
-		return Hints{Methods: []string{lit}}
-	}
-	return Hints{All: true}
 }
 
 func argsMatch(pats, kinds []string) bool {
@@ -307,15 +226,6 @@ func compilePattern(raw string) pattern {
 		return pattern{raw: raw, kind: patContains, lit: parts[1]}
 	}
 	return pattern{raw: raw, kind: patGeneral, parts: parts}
-}
-
-// literal returns the exact string the pattern requires, if it is
-// wildcard-free (the indexable case).
-func (p pattern) literal() (string, bool) {
-	if p.kind == patExact && p.raw != "" {
-		return p.lit, true
-	}
-	return "", false
 }
 
 // match reports whether s matches the compiled pattern.

@@ -300,85 +300,6 @@ func TestCompilePatternShapes(t *testing.T) {
 			}
 		}
 	}
-	if lit, ok := compilePattern("dgefa").literal(); !ok || lit != "dgefa" {
-		t.Error("exact pattern lost its literal")
-	}
-	if _, ok := compilePattern("d*").literal(); ok {
-		t.Error("wildcard pattern claims a literal")
-	}
-}
-
-func TestHints(t *testing.T) {
-	cases := []struct {
-		src  string
-		want Hints
-	}{
-		{"call(int Linpack.dgefa(..))", Hints{Classes: []string{"Linpack"}}},
-		{"call(void reduceAllCols(..))", Hints{Methods: []string{"reduceAllCols"}}},
-		{"call(@Parallel * *(..))", Hints{Annotations: []string{"Parallel"}}},
-		{"annotation(@Critical)", Hints{Annotations: []string{"Critical"}}},
-		{"within(Linpack)", Hints{Classes: []string{"Linpack"}}},
-		{"within(Lin*)", Hints{All: true}},
-		{"call(* Particle+.force(..))", Hints{Methods: []string{"force"}}},
-		{"call(* *.*(..))", Hints{All: true}},
-		{"!within(MD)", Hints{All: true}},
-		{"call(* A.x(..)) || call(* B.y(..))", Hints{Classes: []string{"A", "B"}}},
-		{"call(* A.x(..)) || within(L*)", Hints{All: true}},
-		{"within(L*) && call(* *.dgefa(..))", Hints{Methods: []string{"dgefa"}}},
-		{"within(Linpack) && call(* *.dgefa(..))", Hints{Classes: []string{"Linpack"}}},
-	}
-	for _, c := range cases {
-		h := MustParse(c.src).Hints()
-		if h.All != c.want.All ||
-			strings.Join(h.Classes, ",") != strings.Join(c.want.Classes, ",") ||
-			strings.Join(h.Methods, ",") != strings.Join(c.want.Methods, ",") ||
-			strings.Join(h.Annotations, ",") != strings.Join(c.want.Annotations, ",") {
-			t.Errorf("Hints(%q) = %+v, want %+v", c.src, h, c.want)
-		}
-	}
-}
-
-// Property: Hints is a superset contract — any subject a pointcut matches
-// must fall in one of the hint buckets (or All must be set).
-func TestHintsSupersetProperty(t *testing.T) {
-	subjects := []fakeJP{dgefa, reduce, inter, dscal, forceLJ, forceEl, mdMove, annotAny}
-	exprs := []string{
-		"call(int Linpack.dgefa(..))",
-		"call(* Particle+.force(..))",
-		"call(@Parallel * *(..))",
-		"within(Linpack) && !call(* *.dgefa(..))",
-		"call(* MD.*(..)) || within(Linpack)",
-		"call(* *.re*All*(..))",
-		"annotation(@Parallel) || call(* *.domove(..))",
-	}
-	for _, src := range exprs {
-		pc := MustParse(src)
-		h := pc.Hints()
-		for _, s := range subjects {
-			if !pc.Matches(s) || h.All {
-				continue
-			}
-			covered := false
-			for _, c := range h.Classes {
-				if c == s.class {
-					covered = true
-				}
-			}
-			for _, m := range h.Methods {
-				if m == s.method {
-					covered = true
-				}
-			}
-			for _, a := range h.Annotations {
-				if s.HasAnnotation(a) {
-					covered = true
-				}
-			}
-			if !covered {
-				t.Errorf("%q matches %s.%s but hints %+v do not cover it", src, s.class, s.method, h)
-			}
-		}
-	}
 }
 
 func TestParseDepthLimit(t *testing.T) {

@@ -88,9 +88,8 @@ type tenantState struct {
 
 	admitted atomic.Uint64 // leases granted
 	queued   atomic.Uint64 // entries that waited in the queue (granted or timed out)
-	rejected atomic.Uint64 // lease requests refused
+	rejected atomic.Uint64 // lease requests refused; each ran serialized
 	timedOut atomic.Uint64 // refusals due to queue-wait timeout
-	degraded atomic.Uint64 // entries that ran serialized without a lease
 	waitNs   atomic.Uint64 // total queue-wait nanoseconds
 	maxWait  atomic.Uint64 // max single queue wait, nanoseconds
 }
@@ -133,9 +132,8 @@ type admitController struct {
 	fastAdmits atomic.Uint64
 	queuedTot  atomic.Uint64
 	admitted   atomic.Uint64
-	rejected   atomic.Uint64
+	rejected   atomic.Uint64 // every refusal degrades: Degraded reads this
 	timedOut   atomic.Uint64
-	degraded   atomic.Uint64
 	waitNs     atomic.Uint64
 	maxWait    atomic.Uint64
 }
@@ -355,12 +353,9 @@ func admitRegion() admitGrant {
 // refuse records one refused lease and returns the degraded outcome.
 func refuse(c *admitController, ts *tenantState, tk *TenantToken, reason obs.AdmitReason) admitGrant {
 	c.rejected.Add(1)
-	c.degraded.Add(1)
 	ts.rejected.Add(1)
-	ts.degraded.Add(1)
 	if tk != nil {
 		tk.rejected.Add(1)
-		tk.degraded.Add(1)
 	}
 	if h := obsHooks(); h != nil && h.AdmitReject != nil {
 		h.AdmitReject(ts.id, reason)
@@ -485,9 +480,8 @@ type TenantToken struct {
 
 	admitted    atomic.Uint32
 	queuedWaits atomic.Uint32
-	rejected    atomic.Uint32
+	rejected    atomic.Uint32 // also Degraded: every refusal runs serialized
 	timedOut    atomic.Uint32
-	degraded    atomic.Uint32
 }
 
 // EnterTenant binds the calling goroutine to the named tenant for admission
@@ -531,7 +525,7 @@ func (tk *TenantToken) TimedOut() int { return int(tk.timedOut.Load()) }
 
 // Degraded reports how many region entries in this token's scope ran
 // serialized on the calling goroutine instead of on a full team.
-func (tk *TenantToken) Degraded() int { return int(tk.degraded.Load()) }
+func (tk *TenantToken) Degraded() int { return int(tk.rejected.Load()) }
 
 // --------------------------------------------------------------- stats --
 
@@ -599,12 +593,13 @@ func ReadAdmissionStats() AdmissionStats {
 	st.Admitted = c.admitted.Load()
 	st.Rejected = c.rejected.Load()
 	st.TimedOut = c.timedOut.Load()
-	st.Degraded = c.degraded.Load()
+	st.Degraded = st.Rejected
 	st.WaitNs = c.waitNs.Load()
 	st.MaxWaitNs = c.maxWait.Load()
 
 	c.tenantsMu.Lock()
 	for _, t := range c.tenants {
+		rejected := t.rejected.Load()
 		st.Tenants = append(st.Tenants, TenantAdmissionStats{
 			Name:      t.name,
 			ID:        t.id,
@@ -612,9 +607,9 @@ func ReadAdmissionStats() AdmissionStats {
 			Held:      int(t.held.Load()),
 			Admitted:  t.admitted.Load(),
 			Queued:    t.queued.Load(),
-			Rejected:  t.rejected.Load(),
+			Rejected:  rejected,
 			TimedOut:  t.timedOut.Load(),
-			Degraded:  t.degraded.Load(),
+			Degraded:  rejected,
 			WaitNs:    t.waitNs.Load(),
 			MaxWaitNs: t.maxWait.Load(),
 		})

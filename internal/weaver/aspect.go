@@ -14,17 +14,6 @@ type Matcher interface {
 	String() string
 }
 
-// Hinter is an optional Matcher extension: matchers that can statically
-// narrow their candidate joinpoints expose pointcut.Hints, which the
-// Program's incremental re-weave uses to rebuild only affected methods.
-// *pointcut.Pointcut and Exact matchers implement it; a Matcher without
-// hints widens incremental candidate sets to every registered method.
-type Hinter interface {
-	// Hints returns a statically known superset of the matcher's
-	// selectable joinpoints (see pointcut.Hints for the contract).
-	Hints() pointcut.Hints
-}
-
 // Exact returns a Matcher selecting a single joinpoint by identity.
 func Exact(jp *Joinpoint) Matcher { return exactMatcher{jp} }
 
@@ -35,9 +24,6 @@ func (m exactMatcher) Matches(s pointcut.Subject) bool {
 	return ok && j == m.jp
 }
 func (m exactMatcher) String() string { return "exact(" + m.jp.FQN() + ")" }
-func (m exactMatcher) Hints() pointcut.Hints {
-	return pointcut.Hints{Classes: []string{m.jp.ClassName()}}
-}
 
 // Advice is one parallelism mechanism applicable to a joinpoint. Each
 // AOmpLib abstraction (parallel region, for, critical, ...) is an Advice
@@ -62,8 +48,8 @@ type Advice interface {
 
 // WorkerValuer is an optional Advice extension for value advice whose whole
 // effect is "inside a region answer with a per-worker value, outside it
-// proceed" (@ThreadLocalField). When such an advice is the sole live stage
-// of a ValueKind chain, the entry point answers gate → rt.Current() →
+// proceed" (@ThreadLocalField). When such an advice is the only enabled stage
+// of a ValueKind chain, the entry point answers rt.Current() →
 // WorkerValue(w) without reifying a Call; stacked with other advice its
 // Wrap stage runs instead, so Wrap must call the same WorkerValue.
 type WorkerValuer interface {

@@ -90,8 +90,8 @@ func TestDirectPathAllEntryKinds(t *testing.T) {
 }
 
 // A method registered into a woven program lands on the path the deployed
-// aspects call for: live when a pointcut selects it with its gate on,
-// direct when nothing selects it or the selecting aspect is gated off.
+// aspects call for: live when a pointcut selects it with the advice enabled,
+// direct when nothing selects it or the selecting aspect is disabled.
 func TestLateRegistrationPicksPath(t *testing.T) {
 	p := NewProgram("test")
 	var adv atomic.Int32
@@ -244,7 +244,7 @@ func newValuer(staged *int) valuerAdvice {
 
 // TestSoleWorkerValuerAnswersWithoutCall: a WorkerValuer alone on a value
 // method answers from the entry point — its reified stage never runs inside a
-// region, the body stands in outside one and when gated off — and the same
+// region, the body stands in outside one and when disabled — and the same
 // advice stacked under another goes back through its stage, same values.
 func TestSoleWorkerValuerAnswersWithoutCall(t *testing.T) {
 	p := NewProgram("test")
@@ -271,7 +271,7 @@ func TestSoleWorkerValuerAnswersWithoutCall(t *testing.T) {
 	if err := p.SetAdviceEnabled("val", false); err != nil {
 		t.Fatal(err)
 	}
-	inRegion(-1, "gated off")
+	inRegion(-1, "disabled")
 	if err := p.SetAdviceEnabled("val", true); err != nil {
 		t.Fatal(err)
 	}
@@ -282,13 +282,13 @@ func TestSoleWorkerValuerAnswersWithoutCall(t *testing.T) {
 	if staged != 1 {
 		t.Errorf("stacked: the reified stage ran %d times, want 1", staged)
 	}
-	// Gating the outer advice off leaves the valuer sole again at the re-swap.
+	// Disabling the outer advice leaves the valuer sole again at the re-swap.
 	if err := p.SetAdviceEnabled("outer", false); err != nil {
 		t.Fatal(err)
 	}
-	inRegion(100, "outer gated off")
+	inRegion(100, "outer disabled")
 	if staged != 1 {
-		t.Errorf("outer gated off: the reified stage ran (%d), want the Call-free entry", staged)
+		t.Errorf("outer disabled: the reified stage ran (%d), want the Call-free entry", staged)
 	}
 	if r := p.Report(); len(r) != 1 || len(r[0].Advice) != 2 {
 		t.Errorf("report lists %v, want both advice", r)

@@ -57,29 +57,22 @@ func PutCall(c *Call) {
 // unweaving are safe while calls are in flight.
 type chain struct {
 	handler HandlerFunc
-	// direct marks a chain with no live stage — never woven, unwoven, no
-	// pointcut matched, or every gate off at composition. Entry points
+	// direct marks a chain with no stage — never woven, unwoven, no
+	// pointcut matched, or every matched advice disabled. Entry points
 	// then call the registered body itself: no Call is reified, so an
 	// unplugged method costs one atomic load and a branch over a plain
-	// call. Only a chain swap turns a direct chain live again, which is
-	// why enabling advice takes effect at SetAdviceEnabled's re-swap.
+	// call.
 	direct bool
 	// needsWorker records whether any advice in the chain wants the
 	// current worker resolved.
 	needsWorker bool
-	// sole is set when a value chain's only live stage is a WorkerValuer:
-	// ValueProc's entry answers from it, behind that stage's gate. (Behind a
-	// pointer: every re-weave allocates a chain, few have one.)
-	sole *soleValuer
-	// applied lists the advice outermost-first, for weave reports.
+	// sole is set when a value chain's only stage is a WorkerValuer:
+	// ValueProc's entry answers from it. (Behind a pointer: every re-weave
+	// allocates a chain, few have one.)
+	sole *WorkerValuer
+	// applied lists the matched advice outermost-first, disabled advice
+	// included, for weave reports.
 	applied []appliedAdvice
-}
-
-// soleValuer is a chain's one live stage when it is a WorkerValuer, with
-// that stage's enable word.
-type soleValuer struct {
-	WorkerValuer
-	gate *gate
 }
 
 type appliedAdvice struct {
@@ -88,8 +81,8 @@ type appliedAdvice struct {
 	// pointcut is the source form of the matcher that selected the
 	// joinpoint, surfaced by Report for -explain tooling.
 	pointcut string
-	// gate is the advice's enable word.
-	gate *gate
+	// enabled reports whether the advice was composed into the chain.
+	enabled bool
 }
 
 // Method is a registered joinpoint together with its body and current
@@ -120,19 +113,16 @@ func (m *Method) run(ch *chain, lo, hi, step, key int) any {
 
 // runValue is the live branch of ValueProc's entry, out of line so the direct
 // path stays a load, a branch and the body call. A sole WorkerValuer answers
-// here without a Call — gate, worker lookup, value — and the body stands in
-// when gated off or outside a region, as its reified stage would proceed to it.
+// here without a Call — worker lookup, value — and the body stands in outside
+// a region, as its reified stage would proceed to it.
 //
 //go:noinline
 func (m *Method) runValue(ch *chain, body func() any) any {
-	sole := ch.sole
-	if sole == nil {
+	if ch.sole == nil {
 		return m.run(ch, 0, 0, 0, 0)
 	}
-	if sole.gate.on() {
-		if w := rt.Current(); w != nil {
-			return sole.WorkerValue(w)
-		}
+	if w := rt.Current(); w != nil {
+		return (*ch.sole).WorkerValue(w)
 	}
 	return body()
 }

@@ -14,30 +14,24 @@ import (
 // are intrinsically supported since aspects can be (un)plugged to/from a
 // given base program at any time".
 //
-// Once Weave has run, the program stays woven incrementally: Use,
-// RemoveAspect, Annotate and late method registration rebuild only the
-// affected methods' chains (candidates found through the pointcut hint
-// index), each swapped atomically while calls are in flight.
+// Every reconfiguration is a chain swap: once Weave has run, the program
+// stays woven, and Use, RemoveAspect, SetAdviceEnabled, Annotate and late
+// method registration rebuild exactly the chains they affect — all of them
+// or, when an advice rejects a joinpoint, none. A call runs on the chain
+// it loaded; calls that load a method's chain after the reconfiguration
+// returns see the new weave.
 type Program struct {
 	name string
 
 	mu      sync.Mutex
 	classes map[string]*Class
 	methods []*Method
-
-	// Lookup indexes, maintained at registration/annotation time: byFQN
-	// serves Method/Annotate in O(1); the bucket maps serve the pointcut
-	// hint index (Hints → candidate methods) for incremental re-weaves.
 	byFQN   map[string]*Method
-	byClass map[string][]*Method
-	byName  map[string][]*Method
-	byAnno  map[string][]*Method
-
 	aspects []Aspect
 
-	// gates holds the per-(aspect, fqn) enable words; aspectOff records
-	// aspect-wide defaults so gates created by later weaves inherit them.
-	gates     map[gateKey]*gate
+	// enabled records per-(aspect, fqn) toggles; aspectOff the aspect-wide
+	// default for pairs without one. Both are inputs to composition.
+	enabled   map[adviceKey]bool
 	aspectOff map[string]bool
 
 	// woven flips to true at the first Weave and back to false at Unweave;
@@ -47,16 +41,16 @@ type Program struct {
 	rebuilds uint64
 }
 
+// adviceKey identifies one aspect's advice on one joinpoint.
+type adviceKey struct{ aspect, fqn string }
+
 // NewProgram creates an empty program registry.
 func NewProgram(name string) *Program {
 	return &Program{
 		name:      name,
 		classes:   make(map[string]*Class),
 		byFQN:     make(map[string]*Method),
-		byClass:   make(map[string][]*Method),
-		byName:    make(map[string][]*Method),
-		byAnno:    make(map[string][]*Method),
-		gates:     make(map[gateKey]*gate),
+		enabled:   make(map[adviceKey]bool),
 		aspectOff: make(map[string]bool),
 	}
 }
@@ -109,17 +103,16 @@ func (c *Class) register(name string, kind Kind, body HandlerFunc) *Method {
 	}
 	m := &Method{jp: &Joinpoint{class: c, name: name, kind: kind}, body: body}
 	m.reset()
-	p.methods = append(p.methods, m)
-	p.byFQN[fqn] = m
-	p.byClass[c.name] = append(p.byClass[c.name], m)
-	p.byName[name] = append(p.byName[name], m)
 	if p.woven {
 		// Late registration into a woven program: the new method joins the
-		// weave immediately, like a class loaded into a woven application.
-		if err := p.reweaveLocked(m); err != nil {
+		// weave immediately, like a class loaded into a woven application,
+		// and is not registered if an advice rejects it.
+		if err := p.reweaveLocked([]*Method{m}); err != nil {
 			panic(fmt.Sprintf("weaver: weaving late-registered method %s: %v", fqn, err))
 		}
 	}
+	p.methods = append(p.methods, m)
+	p.byFQN[fqn] = m
 	return m
 }
 
@@ -127,7 +120,8 @@ func (c *Class) register(name string, kind Kind, body HandlerFunc) *Method {
 // Like Java annotations these are inert metadata until an aspect —
 // typically the core package's annotation aspects (paper Fig. 5) —
 // translates them into advice at weave time. On a woven program the
-// method's chain is rebuilt immediately.
+// method's chain is rebuilt immediately; if an advice rejects the annotated
+// method, the annotations are not attached and the chain stays as it was.
 func (p *Program) Annotate(fqn string, annotations ...Annotation) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -135,23 +129,11 @@ func (p *Program) Annotate(fqn string, annotations ...Annotation) error {
 	if m == nil {
 		return fmt.Errorf("weaver: Annotate: unknown method %q", fqn)
 	}
-	m.jp.annotations = append(m.jp.annotations, annotations...)
-	for _, a := range annotations {
-		n := a.AnnotationName()
-		bucket := p.byAnno[n]
-		present := false
-		for _, bm := range bucket {
-			if bm == m {
-				present = true
-				break
-			}
-		}
-		if !present {
-			p.byAnno[n] = append(bucket, m)
-		}
-	}
+	prev := m.jp.annotations
+	m.jp.annotations = append(prev, annotations...)
 	if p.woven {
-		if err := p.reweaveLocked(m); err != nil {
+		if err := p.reweaveLocked([]*Method{m}); err != nil {
+			m.jp.annotations = prev
 			return err
 		}
 	}
@@ -183,68 +165,40 @@ func (p *Program) Joinpoints() []*Joinpoint {
 	return out
 }
 
-// candidatesLocked returns the methods an aspect's bindings could match,
-// found through the hint index. Matchers that cannot provide hints (or
-// whose hints say All) widen the candidate set to every method — hints are
-// a superset contract, so evaluating the real matcher on the candidates
-// never misses a joinpoint.
-func (p *Program) candidatesLocked(aspects []Aspect) []*Method {
-	seen := make(map[*Method]bool)
-	var out []*Method
-	add := func(ms []*Method) {
-		for _, m := range ms {
-			if !seen[m] {
-				seen[m] = true
-				out = append(out, m)
-			}
-		}
-	}
-	for _, a := range aspects {
-		for _, b := range a.Bindings() {
-			h, ok := b.Matcher.(Hinter)
-			if !ok {
-				return append([]*Method(nil), p.methods...)
-			}
-			hints := h.Hints()
-			if hints.All {
-				return append([]*Method(nil), p.methods...)
-			}
-			if len(hints.Classes)+len(hints.Methods)+len(hints.Annotations) == 0 {
-				// An impossible match set; widen out of caution.
-				return append([]*Method(nil), p.methods...)
-			}
-			for _, cl := range hints.Classes {
-				add(p.byClass[cl])
-			}
-			for _, mn := range hints.Methods {
-				add(p.byName[mn])
-			}
-			for _, an := range hints.Annotations {
-				add(p.byAnno[an])
-			}
-		}
-	}
-	return out
-}
-
 // Use deploys aspect modules. On an unwoven program the change takes
-// effect at the next Weave; on a woven program only the methods the new
-// aspects' pointcuts can select (per the hint index) are re-woven, each
-// chain swapped atomically. A validation failure during an incremental
-// deploy panics — the program would otherwise be left half-deployed with
-// no error path to the caller.
+// effect at the next Weave; on a woven program exactly the methods some
+// binding of the new aspects matches are re-woven. If an advice rejects one
+// of them, Use undeploys the new aspects, leaves every chain as it was and
+// panics — there is no error path to the caller.
 func (p *Program) Use(aspects ...Aspect) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	n := len(p.aspects)
 	p.aspects = append(p.aspects, aspects...)
 	if !p.woven {
 		return
 	}
-	for _, m := range p.candidatesLocked(aspects) {
-		if err := p.reweaveLocked(m); err != nil {
-			panic(fmt.Sprintf("weaver: incremental Use: %v", err))
+	var affected []*Method
+	for _, m := range p.methods {
+		if matchesAny(aspects, m.jp) {
+			affected = append(affected, m)
 		}
 	}
+	if err := p.reweaveLocked(affected); err != nil {
+		p.aspects = p.aspects[:n]
+		panic(fmt.Sprintf("weaver: incremental Use: %v", err))
+	}
+}
+
+func matchesAny(aspects []Aspect, jp *Joinpoint) bool {
+	for _, a := range aspects {
+		for _, b := range a.Bindings() {
+			if b.Matcher.Matches(jp) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // RemoveAspect undeploys all aspects with the given name. On a woven
@@ -253,27 +207,32 @@ func (p *Program) Use(aspects ...Aspect) {
 func (p *Program) RemoveAspect(name string) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	kept := p.aspects[:0]
-	removed := false
-	for _, a := range p.aspects {
+	prev := p.aspects
+	p.aspects = nil
+	for _, a := range prev {
 		if a.AspectName() != name {
-			kept = append(kept, a)
-		} else {
-			removed = true
+			p.aspects = append(p.aspects, a)
 		}
 	}
-	p.aspects = kept
-	if !p.woven || !removed {
+	if !p.woven || len(p.aspects) == len(prev) {
 		return
 	}
+	if err := p.reweaveLocked(p.carryingLocked(name)); err != nil {
+		p.aspects = prev
+		panic(fmt.Sprintf("weaver: incremental RemoveAspect: %v", err))
+	}
+}
+
+// carryingLocked returns the methods whose current chain carries the
+// aspect's advice.
+func (p *Program) carryingLocked(aspect string) []*Method {
+	var out []*Method
 	for _, m := range p.methods {
-		if !chainHasAspect(m.current.Load(), name) {
-			continue
-		}
-		if err := p.reweaveLocked(m); err != nil {
-			panic(fmt.Sprintf("weaver: incremental RemoveAspect: %v", err))
+		if chainHasAspect(m.current.Load(), aspect) {
+			out = append(out, m)
 		}
 	}
+	return out
 }
 
 func chainHasAspect(ch *chain, name string) bool {
@@ -296,18 +255,13 @@ func (p *Program) Aspects() []string {
 	return names
 }
 
-// gateLocked returns the persistent gate for one aspect on one joinpoint,
-// creating it enabled (or disabled, if the aspect was toggled off
-// aspect-wide) on first use.
-func (p *Program) gateLocked(aspect, fqn string) *gate {
-	k := gateKey{aspect: aspect, fqn: fqn}
-	g, ok := p.gates[k]
-	if !ok {
-		g = &gate{}
-		g.set(!p.aspectOff[aspect])
-		p.gates[k] = g
+// adviceEnabledLocked reports one aspect's enable state on one joinpoint:
+// its per-method toggle if it has one, else the aspect-wide default.
+func (p *Program) adviceEnabledLocked(aspect, fqn string) bool {
+	if on, ok := p.enabled[adviceKey{aspect, fqn}]; ok {
+		return on
 	}
-	return g
+	return !p.aspectOff[aspect]
 }
 
 // matchLocked evaluates every deployed aspect against one method and
@@ -328,7 +282,7 @@ func (p *Program) matchLocked(m *Method) ([]appliedAdvice, error) {
 				aspect:   a.AspectName(),
 				advice:   b.Advice,
 				pointcut: b.Matcher.String(),
-				gate:     p.gateLocked(a.AspectName(), m.jp.FQN()),
+				enabled:  p.adviceEnabledLocked(a.AspectName(), m.jp.FQN()),
 			})
 		}
 	}
@@ -339,50 +293,49 @@ func (p *Program) matchLocked(m *Method) ([]appliedAdvice, error) {
 	return applied, nil
 }
 
-// composeChain builds the woven pipeline for m. Each stage checks its
-// enable word inline (one atomic load + branch) and falls through to the
-// next stage when off; stages whose gate is already off at composition
-// time are collapsed out entirely, and a chain left with no stage at all
-// is direct: entry points bypass it for the registered body. A chain left
-// with exactly one stage, a WorkerValuer's, records it for the Call-free
-// entry of value methods (Method.runValue).
+// composeChain builds the woven pipeline for m from its enabled advice;
+// disabled advice is left out and stays listed in applied for reports. A
+// chain with no stage is direct: entry points bypass it for the registered
+// body. A chain whose one stage is a WorkerValuer's records it for the
+// Call-free entry of value methods (Method.runValue).
 func composeChain(m *Method, applied []appliedAdvice) *chain {
 	ch := &chain{handler: m.body, direct: true, applied: applied}
 	for i := len(applied) - 1; i >= 0; i-- { // wrap innermost-first
 		ad := applied[i]
-		if !ad.gate.on() {
+		if !ad.enabled {
 			continue
 		}
-		if ch.sole = nil; ch.direct && m.jp.kind == ValueKind { // the first live stage: sole so far
+		if ch.sole = nil; ch.direct && m.jp.kind == ValueKind { // the first stage: sole so far
 			if v, ok := ad.advice.(WorkerValuer); ok {
-				ch.sole = &soleValuer{v, ad.gate}
+				ch.sole = &v
 			}
 		}
-		inner := ch.handler
-		wrapped := ad.advice.Wrap(m.jp, inner)
-		g := ad.gate
-		ch.handler = func(c *Call) {
-			if !g.on() {
-				inner(c)
-				return
-			}
-			wrapped(c)
-		}
+		ch.handler = ad.advice.Wrap(m.jp, ch.handler)
 		ch.direct = false
 		ch.needsWorker = ch.needsWorker || ad.advice.NeedsWorker()
 	}
 	return ch
 }
 
-// reweaveLocked rebuilds one method's chain from the deployed aspects and
-// swaps it in atomically.
-func (p *Program) reweaveLocked(m *Method) error {
-	applied, err := p.matchLocked(m)
-	if err != nil {
-		return err
+// reweaveLocked is the one re-weave routine: it matches and validates every
+// method in ms, then composes their chains, then swaps them in. A
+// validation failure returns before the first swap, so it changes nothing.
+func (p *Program) reweaveLocked(ms []*Method) error {
+	applied := make([][]appliedAdvice, len(ms))
+	for i, m := range ms {
+		var err error
+		if applied[i], err = p.matchLocked(m); err != nil {
+			return err
+		}
 	}
-	m.current.Store(composeChain(m, applied))
-	p.rebuilds++
+	chains := make([]*chain, len(ms))
+	for i, m := range ms {
+		chains[i] = composeChain(m, applied[i])
+	}
+	for i, m := range ms {
+		m.current.Store(chains[i])
+	}
+	p.rebuilds += uint64(len(ms))
 	return nil
 }
 
@@ -390,15 +343,14 @@ func (p *Program) reweaveLocked(m *Method) error {
 // Matching advice is ordered by precedence (higher wraps further out;
 // ties keep deployment order) and composed around the original body. The
 // swap is atomic per method, so in-flight calls complete on the chain they
-// started with. After the first Weave the program stays woven: later
-// Use/RemoveAspect/Annotate calls re-weave incrementally.
+// started with. An error leaves every chain, and whether the program is
+// woven, as it was. After the first Weave the program stays woven: later
+// reconfigurations re-weave incrementally.
 func (p *Program) Weave() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for _, m := range p.methods {
-		if err := p.reweaveLocked(m); err != nil {
-			return err
-		}
+	if err := p.reweaveLocked(p.methods); err != nil {
+		return err
 	}
 	p.woven = true
 	return nil
@@ -423,66 +375,51 @@ func (p *Program) Unweave() {
 	p.woven = false
 }
 
-// SetAdviceEnabled toggles the named aspect's advice without re-weaving
-// the program. With no fqns the toggle is aspect-wide (and sticks as the
-// default for methods woven later); otherwise it applies to the named
-// "Class.method" joinpoints, which must currently carry the aspect's
-// advice. Disabling is effective on the next call through each chain —
-// the gate word is flipped first — after which affected chains are
-// re-swapped so disabled stages collapse to a direct next-stage call;
-// enabling takes effect at that re-swap. Returns an error on unknown
-// methods or methods the aspect is not applied to.
+// SetAdviceEnabled toggles the named aspect's advice without undeploying
+// it. With no fqns the toggle is aspect-wide (and sticks as the default for
+// methods woven later); otherwise it applies to the named "Class.method"
+// joinpoints, which must currently carry the aspect's advice. The affected
+// chains are recomposed with disabled advice left out and swapped in: calls
+// that load a method's chain after SetAdviceEnabled returns see the toggle,
+// a call already inside the old chain finishes on it. Returns an error on
+// unknown methods or methods the aspect is not applied to, before any
+// toggle is recorded.
 func (p *Program) SetAdviceEnabled(aspect string, enabled bool, fqns ...string) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	var affected []*Method
 	if len(fqns) == 0 {
 		p.aspectOff[aspect] = !enabled
-		for k, g := range p.gates {
+		for k := range p.enabled {
 			if k.aspect == aspect {
-				g.set(enabled)
+				delete(p.enabled, k)
 			}
 		}
-		for _, m := range p.methods {
-			if chainHasAspect(m.current.Load(), aspect) {
-				affected = append(affected, m)
-			}
-		}
-	} else {
-		// Validate every fqn before flipping any gate, so an error leaves
-		// all gates untouched.
-		for _, fqn := range fqns {
-			m := p.byFQN[fqn]
-			if m == nil {
-				return fmt.Errorf("weaver: SetAdviceEnabled: unknown method %q", fqn)
-			}
-			if !chainHasAspect(m.current.Load(), aspect) {
-				return fmt.Errorf("weaver: SetAdviceEnabled: aspect %q not applied to %q", aspect, fqn)
-			}
-			affected = append(affected, m)
-		}
-		for _, m := range affected {
-			p.gateLocked(aspect, m.jp.FQN()).set(enabled)
-		}
+		return p.reweaveLocked(p.carryingLocked(aspect))
 	}
-	for _, m := range affected {
-		if err := p.reweaveLocked(m); err != nil {
-			return err
+	affected := make([]*Method, len(fqns))
+	for i, fqn := range fqns {
+		m := p.byFQN[fqn]
+		if m == nil {
+			return fmt.Errorf("weaver: SetAdviceEnabled: unknown method %q", fqn)
 		}
+		if !chainHasAspect(m.current.Load(), aspect) {
+			return fmt.Errorf("weaver: SetAdviceEnabled: aspect %q not applied to %q", aspect, fqn)
+		}
+		affected[i] = m
 	}
-	return nil
+	for _, fqn := range fqns {
+		p.enabled[adviceKey{aspect, fqn}] = enabled
+	}
+	return p.reweaveLocked(affected)
 }
 
-// AdviceEnabled reports the gate state of one aspect on one joinpoint.
-// (aspect, method) pairs never toggled report true, since gates default
-// to enabled.
+// AdviceEnabled reports the enable state of one aspect on one joinpoint.
+// (aspect, method) pairs never toggled report true unless the aspect was
+// disabled aspect-wide.
 func (p *Program) AdviceEnabled(aspect, fqn string) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if g, ok := p.gates[gateKey{aspect: aspect, fqn: fqn}]; ok {
-		return g.on()
-	}
-	return !p.aspectOff[aspect]
+	return p.adviceEnabledLocked(aspect, fqn)
 }
 
 // ChainRebuilds returns the number of chain compositions performed since
@@ -507,7 +444,7 @@ type WovenMethod struct {
 }
 
 // AdviceInfo is the per-advice detail in a weave report: which aspect
-// applied which advice, through which pointcut, and whether its gate is
+// applied which advice, through which pointcut, and whether it is
 // currently enabled.
 type AdviceInfo struct {
 	// Aspect is the deploying aspect's name.
@@ -517,7 +454,7 @@ type AdviceInfo struct {
 	// Pointcut is the source form of the matcher that selected the
 	// joinpoint.
 	Pointcut string
-	// Enabled is the advice gate's current state.
+	// Enabled reports whether the advice is composed into the chain.
 	Enabled bool
 }
 
@@ -539,7 +476,7 @@ func (p *Program) Report() []WovenMethod {
 				Aspect:   ap.aspect,
 				Advice:   ap.advice.AdviceName(),
 				Pointcut: ap.pointcut,
-				Enabled:  ap.gate.on(),
+				Enabled:  ap.enabled,
 			})
 		}
 		out = append(out, wm)

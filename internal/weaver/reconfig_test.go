@@ -2,9 +2,12 @@ package weaver
 
 import (
 	"fmt"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"aomplib/internal/pointcut"
 )
 
 func passAdvice(name string, prec int, worker bool) adviceFunc {
@@ -52,32 +55,154 @@ func TestSetAdviceEnabledDisableAndReenable(t *testing.T) {
 	}
 }
 
-// Disabling must take effect via the gate word itself — on the chain that
-// is already installed, before any re-swap. We pin that by flipping the
-// gate directly and calling through the old chain handler.
-func TestGateWordDisablesInstalledChain(t *testing.T) {
+// A call runs on the chain it loaded: disabling the advice while a call is
+// inside the advised body lets that call finish through its advice, and the
+// next call, which loads the new chain, is not advised.
+func TestCallFinishesOnLoadedChain(t *testing.T) {
 	p := NewProgram("test")
-	var adv atomic.Int32
-	m := p.Class("A").Proc("m", func() {})
+	inBody, release := make(chan struct{}), make(chan struct{})
+	var before, after atomic.Int32
+	m := p.Class("A").Proc("m", func() {
+		if before.Load() == 1 && after.Load() == 0 {
+			close(inBody)
+			<-release
+		}
+	})
 	p.Use(&SimpleAspect{Name: "asp", Bind: []Binding{
-		bind("call(* A.m(..))", countAdvice("count", 1, &adv))}})
+		bind("call(* A.m(..))", adviceFunc{name: "around", prec: 1,
+			wrap: func(jp *Joinpoint, next HandlerFunc) HandlerFunc {
+				return func(c *Call) { before.Add(1); next(c); after.Add(1) }
+			}})}})
 	p.MustWeave()
-	meth := p.Method("A.m")
-	oldChain := meth.current.Load()
-
-	p.gates[gateKey{aspect: "asp", fqn: "A.m"}].set(false)
-	c := GetCall()
-	c.JP = meth.jp
-	oldChain.handler(c) // pre-swap chain: the inline gate check must skip
-	PutCall(c)
-	if adv.Load() != 0 {
-		t.Fatal("disabled gate did not skip advice on the installed chain")
+	done := make(chan struct{})
+	go func() { m(); close(done) }()
+	<-inBody
+	if err := p.SetAdviceEnabled("asp", false); err != nil {
+		t.Fatal(err)
 	}
-	_ = m
+	close(release)
+	<-done
+	if after.Load() != 1 {
+		t.Fatal("the in-flight call did not finish on the chain it loaded")
+	}
+	m()
+	if before.Load() != 1 || after.Load() != 1 {
+		t.Fatalf("call after the disable returned was advised: before=%d after=%d", before.Load(), after.Load())
+	}
 }
 
-// A fully disabled chain collapses at re-swap: no gate stages remain and
-// needsWorker is recomputed over enabled advice only.
+// pickyAdvice rejects joinpoints whose method name is in reject, as the
+// core aspects reject joinpoints of the wrong kind.
+type pickyAdvice struct {
+	adviceFunc
+	reject map[string]bool
+}
+
+func (a pickyAdvice) ValidateJP(jp *Joinpoint) error {
+	if a.reject[jp.MethodName()] {
+		return fmt.Errorf("picky: %s rejected", jp.FQN())
+	}
+	return nil
+}
+
+// toggleMatcher selects methods named in names; tests change the set to
+// make a re-weave discover new matches.
+type toggleMatcher struct{ names map[string]bool }
+
+func (m *toggleMatcher) Matches(s pointcut.Subject) bool { return m.names[s.MethodName()] }
+func (m *toggleMatcher) String() string                  { return "toggle" }
+
+// A reconfiguration that an advice rejects changes nothing: Use undeploys
+// what it appended before it panics, and Weave and Annotate return their
+// error with every chain, annotation, deployed aspect and the woven state
+// as they were.
+func TestFailedReconfigurationChangesNothing(t *testing.T) {
+	var adv atomic.Int32
+	count := adviceFunc{name: "count", prec: 1,
+		wrap: func(jp *Joinpoint, next HandlerFunc) HandlerFunc {
+			return func(c *Call) { adv.Add(1); next(c) }
+		}}
+	picky := pickyAdvice{count, map[string]bool{"b": true}}
+	newProgram := func() (*Program, func()) {
+		p := NewProgram("test")
+		a := p.Class("A").Proc("a", func() {})
+		p.Class("A").Proc("b", func() {})
+		p.Use(&SimpleAspect{Name: "keep", Bind: []Binding{bind("call(* A.b(..))", passAdvice("pass", 1, false))}})
+		p.MustWeave()
+		return p, a
+	}
+	unchanged := func(p *Program, what string, aspects []string, report []WovenMethod, chains map[string]*chain) {
+		t.Helper()
+		if got := p.Aspects(); !reflect.DeepEqual(got, aspects) {
+			t.Errorf("%s: Aspects() = %v, want %v", what, got, aspects)
+		}
+		if got := p.Report(); !reflect.DeepEqual(got, report) {
+			t.Errorf("%s: Report() = %+v, want %+v", what, got, report)
+		}
+		if got := chainPtrs(p); !reflect.DeepEqual(got, chains) {
+			t.Errorf("%s: a chain was swapped", what)
+		}
+	}
+
+	t.Run("Use", func(t *testing.T) {
+		p, a := newProgram()
+		aspects, report, chains := p.Aspects(), p.Report(), chainPtrs(p)
+		if !panics(func() { p.Use(&SimpleAspect{Name: "picky", Bind: []Binding{bind("call(* A.*(..))", picky)}}) }) {
+			t.Error("Use of a rejected aspect did not panic")
+		}
+		unchanged(p, "after a failed Use", aspects, report, chains)
+		a()
+		if adv.Load() != 0 {
+			t.Error("A.a runs the advice of a rejected Use")
+		}
+		if err := p.Weave(); err != nil {
+			t.Errorf("Weave after a failed Use: %v", err)
+		}
+	})
+
+	t.Run("Weave", func(t *testing.T) {
+		p, _ := newProgram()
+		names := &toggleMatcher{names: map[string]bool{"a": true}}
+		p.Use(&SimpleAspect{Name: "picky", Bind: []Binding{{Matcher: names, Advice: picky}}})
+		aspects, report, chains := p.Aspects(), p.Report(), chainPtrs(p)
+		names.names["b"] = true
+		if err := p.Weave(); err == nil {
+			t.Fatal("Weave over a rejected joinpoint succeeded")
+		}
+		unchanged(p, "after a failed Weave", aspects, report, chains)
+		p.Unweave()
+		if err := p.Weave(); err == nil || p.woven {
+			t.Fatalf("Weave of an unwoven program over a rejected joinpoint: err=%v woven=%v", err, p.woven)
+		}
+	})
+
+	t.Run("Annotate", func(t *testing.T) {
+		p, _ := newProgram()
+		p.Use(&SimpleAspect{Name: "picky", Bind: []Binding{
+			bind("call(@Marked * *(..))", pickyAdvice{count, map[string]bool{"a": true}})}})
+		aspects, report, chains := p.Aspects(), p.Report(), chainPtrs(p)
+		if err := p.Annotate("A.a", testAnno{}); err == nil {
+			t.Fatal("Annotate onto a rejected joinpoint succeeded")
+		}
+		unchanged(p, "after a failed Annotate", aspects, report, chains)
+	})
+
+	t.Run("late registration", func(t *testing.T) {
+		p, _ := newProgram()
+		p.Use(&SimpleAspect{Name: "picky", Bind: []Binding{bind("call(* A.*(..))", pickyAdvice{count, map[string]bool{"c": true}})}})
+		aspects, report, chains := p.Aspects(), p.Report(), chainPtrs(p)
+		if !panics(func() { p.Class("A").Proc("c", func() {}) }) {
+			t.Error("registering a rejected method did not panic")
+		}
+		unchanged(p, "after a rejected registration", aspects, report, chains)
+		if p.Method("A.c") != nil {
+			t.Error("a rejected method stays registered")
+		}
+	})
+}
+
+// A fully disabled chain is composed without stages: needsWorker is
+// recomputed over enabled advice only.
 func TestDisabledChainCollapses(t *testing.T) {
 	p := NewProgram("test")
 	p.Class("A").Proc("m", func() {})
@@ -132,7 +257,7 @@ func TestAspectWideDisableStickyForLaterWeaves(t *testing.T) {
 	if err := p.SetAdviceEnabled("asp", false); err != nil {
 		t.Fatal(err)
 	}
-	p.MustWeave() // gates created now must inherit the aspect-wide default
+	p.MustWeave() // methods woven now must inherit the aspect-wide default
 	m()
 	if adv.Load() != 0 {
 		t.Fatal("aspect-wide disable did not stick across Weave")
@@ -154,12 +279,12 @@ func TestSetAdviceEnabledErrors(t *testing.T) {
 	if err := q.SetAdviceEnabled("other", false, "A.m"); err == nil {
 		t.Fatal("aspect not applied to method accepted")
 	}
-	// A failed per-method toggle must leave gates untouched.
+	// A failed per-method toggle must record no toggle.
 	if err := q.SetAdviceEnabled("asp", false, "A.m", "A.nope"); err == nil {
 		t.Fatal("partially invalid fqn list accepted")
 	}
 	if !q.AdviceEnabled("asp", "A.m") {
-		t.Fatal("failed toggle flipped a gate")
+		t.Fatal("failed toggle disabled the advice")
 	}
 }
 
@@ -188,14 +313,12 @@ func TestIncrementalUseRebuildsOnlyMatchedMethods(t *testing.T) {
 	p.Use(&SimpleAspect{Name: "asp", Bind: []Binding{
 		bind("call(* A.hit(..))", passAdvice("pass", 1, false))}})
 
-	if got := p.ChainRebuilds() - rebuilds; got != 2 {
-		t.Fatalf("Use rebuilt %d chains, want 2 (class-A candidates only)", got)
+	if got := p.ChainRebuilds() - rebuilds; got != 1 {
+		t.Fatalf("Use rebuilt %d chains, want 1 (the matched method only)", got)
 	}
 	after := chainPtrs(p)
 	for fqn := range after {
-		changed := before[fqn] != after[fqn]
-		wantChanged := fqn == "A.hit" || fqn == "A.miss" // hint bucket = class A
-		if changed != wantChanged {
+		if changed, wantChanged := before[fqn] != after[fqn], fqn == "A.hit"; changed != wantChanged {
 			t.Errorf("chain %s changed=%v, want %v", fqn, changed, wantChanged)
 		}
 	}
@@ -351,7 +474,7 @@ func TestToggleWhileCallsInFlight(t *testing.T) {
 	}
 }
 
-func BenchmarkWovenCallGatedEnabled(b *testing.B) {
+func BenchmarkWovenCallEnabledAdvice(b *testing.B) {
 	p := NewProgram("bench")
 	m := p.Class("A").Proc("m", func() {})
 	p.Use(&SimpleAspect{Name: "asp", Bind: []Binding{
