@@ -46,6 +46,9 @@
 package aomplib
 
 import (
+	"io"
+	"time"
+
 	"aomplib/internal/core"
 	"aomplib/internal/obs"
 	"aomplib/internal/pointcut"
@@ -172,10 +175,10 @@ var ParseSchedule = sched.ParseKind
 // SetDefaultSchedule sets the process-wide schedule that @For constructs
 // declared with the Runtime kind resolve to. It returns the previous
 // default; Runtime and CaseSpecific are rejected.
-var SetDefaultSchedule = core.SetDefaultSchedule
+func SetDefaultSchedule(k Schedule) (Schedule, error) { return sched.SetDefault(k) }
 
 // DefaultSchedule returns the process-wide default schedule.
-var DefaultSchedule = core.DefaultSchedule
+func DefaultSchedule() Schedule { return sched.Default() }
 
 // ScheduleFunc is the case-specific schedule extension point.
 type ScheduleFunc = sched.ScheduleFunc
@@ -338,41 +341,41 @@ type Future = rt.Future
 
 // ThreadID returns the caller's id within its team (the paper's
 // getThreadId()), 0 outside parallel regions.
-var ThreadID = core.ThreadID
+func ThreadID() int { return rt.ThreadID() }
 
 // NumThreads returns the caller's team size, 1 outside regions. It is the
 // width the region actually runs at: Threads(n) is a ceiling, and a woven
 // region that measures faster on one worker runs on one.
-var NumThreads = core.NumThreads
+func NumThreads() int { return rt.NumThreads() }
 
 // InParallel reports whether the caller is inside a parallel region.
-var InParallel = core.InParallel
+func InParallel() bool { return rt.Current() != nil }
 
 // Level reports the parallel-region nesting depth at the caller: 0 outside
 // any region, 1 inside an outermost region, and so on.
-var Level = core.Level
+func Level() int { return rt.Level() }
 
 // SetNested enables or disables nested parallel regions (the analogue of
 // OMP_NESTED; enabled by default). With nesting disabled, a region entered
 // from inside a team runs serialized on a single-worker inner team. It
 // returns the previous setting.
-var SetNested = core.SetNested
+func SetNested(on bool) bool { return rt.SetNested(on) }
 
 // NestedEnabled reports whether nested parallel regions spawn real teams.
-var NestedEnabled = core.NestedEnabled
+func NestedEnabled() bool { return rt.NestedEnabled() }
 
 // TaskYield is an explicit task scheduling point: the calling worker
 // executes up to n queued deferred tasks of its team (its own first, then
 // stolen from siblings) and reports how many ran. Outside parallel regions
 // it is a no-op — tasks spawned there run on their own goroutines.
-var TaskYield = core.TaskYield
+func TaskYield(n int) int { return rt.TaskYield(n) }
 
 // SetDefaultThreads sets the process-wide default team size (0 restores
 // the GOMAXPROCS default); it returns the previous value.
-var SetDefaultThreads = core.SetDefaultThreads
+func SetDefaultThreads(n int) int { return rt.SetDefaultThreads(n) }
 
 // DefaultThreads returns the effective default team size.
-var DefaultThreads = core.DefaultThreads
+func DefaultThreads() int { return rt.DefaultThreads() }
 
 // SetHotTeams enables or disables hot teams (enabled by default): parallel
 // regions lease long-lived worker teams — goroutines, deques, barrier and
@@ -380,26 +383,15 @@ var DefaultThreads = core.DefaultThreads
 // afterwards, so region-per-iteration programs do not pay team
 // construction per entry. Disabling drains the pool and restores
 // spawn-and-discard teams. It returns the previous setting.
-var SetHotTeams = core.SetHotTeams
+func SetHotTeams(on bool) bool { return rt.SetHotTeams(on) }
 
 // HotTeamsEnabled reports whether parallel regions reuse pooled teams.
-var HotTeamsEnabled = core.HotTeamsEnabled
-
-// SetAsymSpin installs a software model of an asymmetric multicore for
-// benchmarks and tests on symmetric machines: the worker with team ID i
-// executes spins[i] busy-work units per loop iteration it runs (one unit
-// is one multiply-add). Workers beyond the slice, and all workers when
-// spins is nil or empty, run unthrottled. The throttle applies to every
-// schedule equally — it models slow hardware, not a slow schedule — so
-// schedule comparisons under it are fair; it is how jgfbench -asym makes
-// Steal's speed-proportional carving measurable without
-// efficiency cores. Not intended for production use.
-var SetAsymSpin = rt.SetAsymSpin
+func HotTeamsEnabled() bool { return rt.HotTeamsEnabled() }
 
 // SetPoolSize bounds how many workers the hot-team pool may keep parked
 // between regions (0 restores the default of four default-sized teams).
 // It returns the previous explicit bound.
-var SetPoolSize = core.SetPoolSize
+func SetPoolSize(maxIdleWorkers int) int { return rt.SetPoolSize(maxIdleWorkers) }
 
 // PoolStats snapshots the hot-team pool — the observability hook for
 // tuning SetPoolSize. Counter fields are cumulative since process start:
@@ -419,7 +411,7 @@ var SetPoolSize = core.SetPoolSize
 // IdleWorkers are what is parked right now, MaxIdleWorkers the current
 // capacity bound. Hits+Misses+Disabled == Leases, and every lease ends in
 // exactly one of Recycled, Retired or Evicted once its region completes.
-var PoolStats = core.PoolStats
+func PoolStats() TeamPoolStats { return rt.ReadPoolStats() }
 
 // TeamPoolStats is the snapshot type returned by PoolStats.
 type TeamPoolStats = rt.PoolStats
@@ -451,35 +443,39 @@ const (
 // top-level entry's slot and never queue. With admission off, region
 // entry pays one extra atomic load — the allocation-free warm path is
 // unchanged.
-var SetAdmissionControl = core.SetAdmissionControl
+func SetAdmissionControl(on bool) bool { return rt.SetAdmissionControl(on) }
 
 // AdmissionEnabled reports whether top-level region entries pass through
 // admission control.
-var AdmissionEnabled = core.AdmissionEnabled
+func AdmissionEnabled() bool { return rt.AdmissionEnabled() }
 
 // SetAdmitPolicy sets the admission backpressure policy and the queue-wait
 // timeout (meaningful for AdmitTimeout; 0 keeps the current one),
 // returning the previous pair.
-var SetAdmitPolicy = core.SetAdmitPolicy
+func SetAdmitPolicy(p AdmitPolicy, timeout time.Duration) (AdmitPolicy, time.Duration) {
+	return rt.SetAdmitPolicy(p, timeout)
+}
 
 // SetAdmitMaxTeams bounds how many top-level regions may hold teams
 // concurrently (0 restores the default, which tracks the hot-team pool
 // capacity in default-sized teams). It returns the previous explicit
 // bound.
-var SetAdmitMaxTeams = core.SetAdmitMaxTeams
+func SetAdmitMaxTeams(n int) int { return rt.SetAdmitMaxTeams(n) }
 
 // SetAdmitQueueBound bounds the admission wait queue (0 restores the
 // default of rt.DefaultAdmitQueueBound waiters); entries that would
 // overflow it degrade to serialized execution instead of queueing, so a
 // saturated server sheds load rather than deadlocking. It returns the
 // previous explicit bound.
-var SetAdmitQueueBound = core.SetAdmitQueueBound
+func SetAdmitQueueBound(n int) int { return rt.SetAdmitQueueBound(n) }
 
 // SetTenantQuota caps how many lease slots the named tenant may hold
 // concurrently (0 removes the cap), returning the previous quota. A
 // tenant over its quota waits for its own releases without blocking the
 // FIFO queue behind it.
-var SetTenantQuota = core.SetTenantQuota
+func SetTenantQuota(name string, maxConcurrent int) int {
+	return rt.SetTenantQuota(name, maxConcurrent)
+}
 
 // EnterTenant binds the calling goroutine to the named tenant for
 // admission accounting and returns the token; call its Exit when the
@@ -492,7 +488,7 @@ var SetTenantQuota = core.SetTenantQuota
 //	defer tok.Exit()
 //	handle(req) // woven parallel code
 //	if tok.Rejected() > 0 { w.WriteHeader(http.StatusServiceUnavailable) }
-var EnterTenant = core.EnterTenant
+func EnterTenant(name string) *Tenant { return rt.EnterTenant(name) }
 
 // Tenant is the per-request admission token returned by EnterTenant.
 type Tenant = rt.TenantToken
@@ -500,7 +496,7 @@ type Tenant = rt.TenantToken
 // AdmissionStats snapshots the admission controller: policy and bounds,
 // live queue depth and held slots, cumulative grant/reject/wait counters,
 // and the per-tenant breakdown (occupancy, quota, waits) sorted by name.
-var AdmissionStats = core.ReadAdmissionStats
+func AdmissionStats() AdmissionSnapshot { return rt.ReadAdmissionStats() }
 
 // AdmissionSnapshot is the snapshot type returned by AdmissionStats.
 type AdmissionSnapshot = rt.AdmissionStats
@@ -518,21 +514,21 @@ type TenantAdmissionStats = rt.TenantAdmissionStats
 // counts and latencies come from EnableMetrics and ReadMetrics. Disabled
 // (the default), every emit point costs one atomic load and a predicted
 // branch, so the allocation-free hot paths are unchanged.
-var EnableTracing = core.EnableTracing
+func EnableTracing(on bool) bool { return obs.EnableTracing(on) }
 
 // TracingEnabled reports whether the built-in tracer is installed.
-var TracingEnabled = core.TracingEnabled
+func TracingEnabled() bool { return obs.TracingEnabled() }
 
 // StartTrace begins recording runtime events into lock-free per-worker
 // ring buffers, enabling the tracer if needed and discarding any previous
 // trace.
-var StartTrace = core.StartTrace
+func StartTrace() { obs.StartTrace() }
 
 // StopTrace ends the recording and writes the timeline as Chrome
 // trace-event JSON to the writer — load it at ui.perfetto.dev: one track
 // per worker, nested region/work/task slices, barrier-wait slices, and
 // flow arrows from task spawn (and dependence release) to task run.
-var StopTrace = core.StopTrace
+func StopTrace(w io.Writer) error { return obs.StopTrace(w) }
 
 // RuntimeStats snapshots the runtime's own tallies: the hot-team pool's
 // lease counters, the admission controller's queue state and per-tenant
@@ -541,10 +537,21 @@ var StopTrace = core.StopTrace
 // WorkersFolded (workers sharing rings past the ring bound), so a quiet
 // trace is distinguishable from one that silently dropped its events.
 // Event counts and latencies are ReadMetrics'.
-var RuntimeStats = core.ReadRuntimeStats
+func RuntimeStats() RuntimeSnapshot {
+	return RuntimeSnapshot{Trace: obs.ReadStats(), Pool: rt.ReadPoolStats(), Admission: rt.ReadAdmissionStats()}
+}
 
 // RuntimeSnapshot is the aggregate returned by RuntimeStats.
-type RuntimeSnapshot = core.RuntimeSnapshot
+type RuntimeSnapshot struct {
+	// Trace is the built-in tracer's ring accounting (zero until
+	// StartTrace has recorded).
+	Trace TraceStats
+	// Pool is the hot-team pool snapshot, always live.
+	Pool TeamPoolStats
+	// Admission is the multi-tenant admission snapshot, always live
+	// (zero-counter when admission control has never been enabled).
+	Admission AdmissionSnapshot
+}
 
 // TraceStats is the tracer's ring accounting (RuntimeSnapshot.Trace).
 type TraceStats = obs.Stats
@@ -569,7 +576,7 @@ type TraceTaskKind = obs.TaskKind
 // SetTraceHooks installs a custom tool's hook table (nil uninstalls),
 // returning the previous table — the OMPT analogue of registering a tool.
 // EnableTracing installs the built-in tracer through the same slot.
-var SetTraceHooks = core.SetTraceHooks
+func SetTraceHooks(h *TraceHooks) *TraceHooks { return obs.SetHooks(h) }
 
 // TraceSpans builds a tracing aspect: matched methods become named spans
 // on the recording trace — instrumentation woven into the base program

@@ -201,7 +201,7 @@ func BenchmarkTable2_WeaveIntrospection(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		inst := lufact.NewAomp(lufact.SizeTest, 2)
 		inst.Setup()
-		rep := inst.(interface{ WeaveReport() []weaver.WovenMethod }).WeaveReport()
+		rep := inst.(interface{ Program() *weaver.Program }).Program().Report()
 		if len(rep) == 0 {
 			b.Fatal("empty report")
 		}

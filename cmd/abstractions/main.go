@@ -30,7 +30,7 @@ import (
 // weaveReporter is implemented by every benchmark's Aomp instance.
 type weaveReporter interface {
 	harness.Instance
-	WeaveReport() []weaver.WovenMethod
+	Program() *weaver.Program
 }
 
 func describe(rep []weaver.WovenMethod) (refactorings, abstractions string) {
@@ -130,7 +130,7 @@ func main() {
 	fmt.Printf("\n%-12s %-18s %s\n", "benchmark", "refactorings", "abstractions")
 	for _, b := range benchmarks {
 		b.inst.Setup() // registers joinpoints and weaves aspects
-		refs, abs := describe(b.inst.WeaveReport())
+		refs, abs := describe(b.inst.Program().Report())
 		fmt.Printf("%-12s %-18s %s\n", b.name, refs, abs)
 	}
 	fmt.Println("\nLegend: PR parallel region; FOR(x) work-sharing with schedule x;")

@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -113,32 +114,6 @@ func parseThreads(s string) []int {
 		out = append(out, n)
 	}
 	return out
-}
-
-// parseAsym parses the -asym spec — comma-separated worker:spins pairs —
-// into the per-worker spin table (index = team worker ID). Malformed
-// pairs are hard errors: a silently ignored throttle would invalidate the
-// asymmetry comparison the flag exists for.
-func parseAsym(s string) []int {
-	if strings.TrimSpace(s) == "" {
-		return nil
-	}
-	var spins []int
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		id, units, ok := strings.Cut(part, ":")
-		w, err1 := strconv.Atoi(strings.TrimSpace(id))
-		u, err2 := strconv.Atoi(strings.TrimSpace(units))
-		if !ok || err1 != nil || err2 != nil || w < 0 || u < 0 {
-			fmt.Fprintf(os.Stderr, "jgfbench: bad -asym pair %q (want worker:spins, e.g. 0:300)\n", part)
-			os.Exit(2)
-		}
-		for len(spins) <= w {
-			spins = append(spins, 0)
-		}
-		spins[w] = u
-	}
-	return spins
 }
 
 // parseOnly validates the -only filter against the suite's benchmark
@@ -243,7 +218,8 @@ func main() {
 	asym := flag.String("asym", "",
 		"simulate an asymmetric machine: comma-separated worker:spins pairs\n"+
 			"(e.g. 0:300 makes the worker with team ID 0 execute 300 extra\n"+
-			"busy-work units per loop iteration, roughly modelling a slow core)")
+			"busy-work units per @For iteration of the woven Aomp and Aomp-DF\n"+
+			"versions, roughly modelling a slow core)")
 	flag.Parse()
 
 	if flag.NArg() > 0 {
@@ -272,9 +248,14 @@ func main() {
 		}
 	}
 	aomplib.SetHotTeams(*hotTeams)
-	aomplib.SetAsymSpin(parseAsym(*asym))
 
 	threads := parseThreads(*threadsFlag)
+	throttle, err := parseAsym(*asym, slices.Max(threads))
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "jgfbench: %v\n", err)
+		flag.Usage()
+		os.Exit(2)
+	}
 	benches := suite(*size)
 	filter := parseOnly(*only, benches)
 
@@ -300,10 +281,10 @@ func main() {
 				fmt.Fprintf(os.Stderr, "running %s (MT, %d threads)...\n", b.name, t)
 				add(harness.Measure(b.name, harness.MT, t, b.mt(t), *reps))
 				fmt.Fprintf(os.Stderr, "running %s (Aomp, %d threads)...\n", b.name, t)
-				add(harness.Measure(b.name, harness.Aomp, t, b.aomp(t), *reps))
+				add(harness.Measure(b.name, harness.Aomp, t, throttle.deploy(b.aomp(t)), *reps))
 				if b.dep != nil {
 					fmt.Fprintf(os.Stderr, "running %s (Aomp-DF, %d threads)...\n", b.name, t)
-					add(harness.Measure(b.name, harness.AompDep, t, b.dep(t), *reps))
+					add(harness.Measure(b.name, harness.AompDep, t, throttle.deploy(b.dep(t)), *reps))
 				}
 				if b.par != nil {
 					fmt.Fprintf(os.Stderr, "running %s (Parallel, %d threads)...\n", b.name, t)

@@ -41,7 +41,7 @@ import (
 
 type weaveReporter interface {
 	harness.Instance
-	WeaveReport() []weaver.WovenMethod
+	Program() *weaver.Program
 }
 
 // benchmarks lists the reported kernels in output order.
@@ -97,7 +97,7 @@ func dump(w io.Writer, filter map[string]bool, explain bool) {
 		}
 		b.inst.Setup()
 		fmt.Fprintf(w, "=== %s ===\n", b.name)
-		for _, wm := range b.inst.WeaveReport() {
+		for _, wm := range b.inst.Program().Report() {
 			fmt.Fprintf(w, "  %-28s [%s]", wm.FQN, wm.Kind)
 			if len(wm.Annotations) > 0 {
 				fmt.Fprintf(w, " @%s", strings.Join(wm.Annotations, " @"))

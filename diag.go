@@ -31,15 +31,15 @@ import (
 // points cost their usual one atomic load and predicted branch. Metrics
 // compose with the tracer, the flight recorder and custom tools: enabling
 // one never evicts another.
-var EnableMetrics = obs.EnableMetrics
+func EnableMetrics(on bool) bool { return obs.EnableMetrics(on) }
 
 // MetricsEnabled reports whether the metrics registry is recording.
-var MetricsEnabled = obs.MetricsEnabled
+func MetricsEnabled() bool { return obs.MetricsEnabled() }
 
 // ReadMetrics merges the registry's shards into one point-in-time
 // snapshot. Safe from any goroutine at any time; counters are cumulative
 // since the first EnableMetrics and never reset.
-var ReadMetrics = obs.ReadMetrics
+func ReadMetrics() MetricsSnapshot { return obs.ReadMetrics() }
 
 // MetricsSnapshot is the merged registry view returned by ReadMetrics.
 type MetricsSnapshot = obs.MetricsSnapshot
@@ -70,37 +70,39 @@ func WriteMetricsText(w io.Writer) error { return obs.WriteMetricsText(w, runtim
 // slower than SetFlightRegionLatencyThreshold, an admission reject spike
 // per SetFlightRejectSpike) freeze that window so WriteFlightSnapshot can
 // export the moments leading up to the anomaly as a Chrome trace.
-var EnableFlightRecorder = obs.EnableFlight
+func EnableFlightRecorder(on bool) bool { return obs.EnableFlight(on) }
 
 // FlightRecorderEnabled reports whether the flight recorder is recording.
-var FlightRecorderEnabled = obs.FlightEnabled
+func FlightRecorderEnabled() bool { return obs.FlightEnabled() }
 
 // SetFlightWindow sets how far back the flight recorder retains events,
 // returning the previous window (default 5s).
-var SetFlightWindow = obs.SetFlightWindow
+func SetFlightWindow(d time.Duration) time.Duration { return obs.SetFlightWindow(d) }
 
 // SetFlightRegionLatencyThreshold arms the flight recorder's slow-region
 // trigger: a parallel region whose fork-to-join latency exceeds the
 // duration freezes the flight window. Non-positive disarms; returns the
 // previous threshold (zero = disarmed, the default).
-var SetFlightRegionLatencyThreshold = obs.SetFlightRegionLatencyThreshold
+func SetFlightRegionLatencyThreshold(d time.Duration) time.Duration {
+	return obs.SetFlightRegionLatencyThreshold(d)
+}
 
 // SetFlightRejectSpike arms the flight recorder's admission trigger: the
 // given number of rejects inside one second freezes the flight window.
 // Non-positive disarms; returns the previous setting (zero = disarmed,
 // the default).
-var SetFlightRejectSpike = obs.SetFlightRejectSpike
+func SetFlightRejectSpike(perSecond int) int { return obs.SetFlightRejectSpike(perSecond) }
 
 // FlightTriggered reports whether a flight trigger fired and its frozen
 // capture awaits WriteFlightSnapshot.
-var FlightTriggered = obs.FlightTriggered
+func FlightTriggered() bool { return obs.FlightTriggered() }
 
 // WriteFlightSnapshot writes the flight recorder's window as Chrome
 // trace-event JSON (load it at ui.perfetto.dev). After a trigger it
 // writes the capture frozen at the trigger moment and re-arms; otherwise
 // it snapshots the live window without disturbing recording. The boolean
 // reports which case applied.
-var WriteFlightSnapshot = obs.WriteFlightSnapshot
+func WriteFlightSnapshot(w io.Writer) (triggered bool, err error) { return obs.WriteFlightSnapshot(w) }
 
 // -------------------------------------------------------- HTTP surface --
 

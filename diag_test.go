@@ -153,6 +153,26 @@ func TestDiagnosticsStatsEndpoint(t *testing.T) {
 	}
 }
 
+// RuntimeStats gathers tracer ring accounting with pool counters.
+func TestRuntimeSnapshotAggregates(t *testing.T) {
+	StartTrace()
+	defer EnableTracing(false)
+	before := RuntimeStats()
+	p := NewProgram("t")
+	region := p.Class("Demo").Proc("run", func() {})
+	p.Use(ParallelRegion("call(* Demo.run(..))").Threads(2))
+	p.MustWeave()
+	region()
+	st := RuntimeStats()
+	if st.Trace.EventsRecorded <= before.Trace.EventsRecorded {
+		t.Fatalf("Trace.EventsRecorded did not advance: %d -> %d",
+			before.Trace.EventsRecorded, st.Trace.EventsRecorded)
+	}
+	if st.Pool.Leases <= before.Pool.Leases {
+		t.Fatalf("Pool.Leases did not advance: %d -> %d", before.Pool.Leases, st.Pool.Leases)
+	}
+}
+
 // /debug/aomp/trace must capture a bounded window, restore the tracer's
 // prior install state, reject malformed durations, and refuse concurrent
 // captures.

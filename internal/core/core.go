@@ -30,8 +30,6 @@ package core
 
 import (
 	"aomplib/internal/pointcut"
-	"aomplib/internal/rt"
-	"aomplib/internal/sched"
 	"aomplib/internal/weaver"
 )
 
@@ -55,76 +53,6 @@ const (
 	PrecRW          = 50
 	PrecThreadLocal = 40
 )
-
-// ThreadID returns the id of the calling worker within its team, 0 outside
-// parallel regions — the paper's getThreadId(), available to
-// application-specific aspects.
-func ThreadID() int { return rt.ThreadID() }
-
-// NumThreads returns the calling worker's team size, 1 outside regions —
-// the width the region runs at, which may be below its Threads(n) ceiling.
-func NumThreads() int { return rt.NumThreads() }
-
-// InParallel reports whether the caller executes inside a parallel region.
-func InParallel() bool { return rt.Current() != nil }
-
-// Level reports the parallel-region nesting depth at the caller: 0 outside
-// any region, 1 inside an outermost region, and so on.
-func Level() int { return rt.Level() }
-
-// SetNested enables or disables nested parallel regions (the analogue of
-// OMP_NESTED; enabled by default). With nesting disabled, a region entered
-// from inside a team runs serialized on a single-worker inner team. It
-// returns the previous setting.
-func SetNested(on bool) bool { return rt.SetNested(on) }
-
-// NestedEnabled reports whether nested parallel regions spawn real teams.
-func NestedEnabled() bool { return rt.NestedEnabled() }
-
-// TaskYield is an explicit task scheduling point: the calling worker
-// executes up to n queued tasks of its team (its own first, then stolen
-// from siblings) and reports how many ran. Outside parallel regions it is
-// a no-op.
-func TaskYield(n int) int { return rt.TaskYield(n) }
-
-// SetDefaultThreads sets the process-wide default team size (0 restores
-// the live GOMAXPROCS default), atomically and for every layer — regions
-// entered through the runtime directly and through aspects read the same
-// default. It returns the previously stored override (0 when the default
-// was GOMAXPROCS-tracking), so save/restore round-trips exactly.
-// Benchmark harnesses use it to sweep thread counts without touching
-// aspect definitions.
-func SetDefaultThreads(n int) int { return rt.SetDefaultThreads(n) }
-
-// DefaultThreads returns the effective default team size.
-func DefaultThreads() int { return rt.DefaultThreads() }
-
-// SetHotTeams enables or disables hot-team reuse — parallel regions
-// leasing long-lived worker teams from a process-wide pool instead of
-// spawning goroutines per entry (enabled by default). Disabling drains
-// the pool and restores spawn-and-discard teams. It returns the previous
-// setting.
-func SetHotTeams(on bool) bool { return rt.SetHotTeams(on) }
-
-// HotTeamsEnabled reports whether parallel regions reuse pooled teams.
-func HotTeamsEnabled() bool { return rt.HotTeamsEnabled() }
-
-// SetPoolSize bounds how many workers the hot-team pool may keep parked
-// (0 restores the default of four default-sized teams). It returns the
-// previous explicit bound.
-func SetPoolSize(maxIdleWorkers int) int { return rt.SetPoolSize(maxIdleWorkers) }
-
-// PoolStats snapshots the hot-team pool: lease/hit/miss/retire counters
-// and the currently parked teams and workers.
-func PoolStats() rt.PoolStats { return rt.ReadPoolStats() }
-
-// SetDefaultSchedule sets the process-wide schedule that @For constructs
-// declared with the Runtime kind resolve to (the OMP_SCHEDULE analogue).
-// It returns the previous default; Runtime and Custom are rejected.
-func SetDefaultSchedule(k sched.Kind) (sched.Kind, error) { return sched.SetDefault(k) }
-
-// DefaultSchedule returns the process-wide default schedule.
-func DefaultSchedule() sched.Kind { return sched.Default() }
 
 // mustPC parses a pointcut expression, panicking on malformed aspect
 // definitions (they are compile-time constants of the using program).

@@ -17,12 +17,12 @@ func TestParallelRegionTeamAndJoin(t *testing.T) {
 	var count atomic.Int32
 	region := p.Class("App").Proc("region", func() {
 		count.Add(1)
-		ids.Store(ThreadID(), true)
-		if NumThreads() != 3 {
-			t.Errorf("NumThreads = %d, want 3", NumThreads())
+		ids.Store(rt.ThreadID(), true)
+		if rt.NumThreads() != 3 {
+			t.Errorf("NumThreads = %d, want 3", rt.NumThreads())
 		}
-		if !InParallel() {
-			t.Error("InParallel false inside region")
+		if rt.Current() == nil {
+			t.Error("no current worker inside region")
 		}
 	})
 	p.Use(ParallelRegion("call(* App.region(..))").Threads(3))
@@ -36,8 +36,8 @@ func TestParallelRegionTeamAndJoin(t *testing.T) {
 			t.Errorf("missing thread id %d", id)
 		}
 	}
-	if InParallel() {
-		t.Error("InParallel true after region")
+	if rt.Current() != nil {
+		t.Error("current worker still set after region")
 	}
 }
 
@@ -49,15 +49,15 @@ func TestParallelRegionDefaultAndOverride(t *testing.T) {
 	p.Use(ParallelRegion("call(* App.region(..))"))
 	p.MustWeave()
 
-	prev := SetDefaultThreads(2)
-	defer SetDefaultThreads(prev)
+	prev := rt.SetDefaultThreads(2)
+	defer rt.SetDefaultThreads(prev)
 	region()
 	if count.Load() != 2 {
 		t.Fatalf("default threads not honoured: ran %d", count.Load())
 	}
 
 	count.Store(0)
-	SetDefaultThreads(0)
+	rt.SetDefaultThreads(0)
 	region()
 	if int(count.Load()) != rt.DefaultThreads() {
 		t.Fatalf("GOMAXPROCS default not honoured: %d", count.Load())
@@ -422,7 +422,7 @@ func TestReadersWriter(t *testing.T) {
 	})
 	region := p.Class("App").Proc("region", func() {
 		for i := 0; i < 200; i++ {
-			if ThreadID() == 0 {
+			if rt.ThreadID() == 0 {
 				write()
 			} else {
 				read()
@@ -486,8 +486,8 @@ func TestThreadLocalInitFromGlobal(t *testing.T) {
 		if *v != 100 {
 			bad.Add(1)
 		}
-		*v += ThreadID() // private: no interference
-		if *v != 100+ThreadID() {
+		*v += rt.ThreadID() // private: no interference
+		if *v != 100+rt.ThreadID() {
 			bad.Add(1)
 		}
 	})
@@ -540,7 +540,7 @@ func TestAnnotationThreadLocalReduce(t *testing.T) {
 	acc := p.Class("App").ValueProc("acc", func() any { return &global })
 	collect := p.Class("App").Proc("collect", func() {})
 	region := p.Class("App").Proc("region", func() {
-		sub := ThreadID() + 1
+		sub := rt.ThreadID() + 1
 		*(acc().(*int64)) += int64(sub)
 		collect()
 	})

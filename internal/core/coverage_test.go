@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"aomplib/internal/rt"
 	"aomplib/internal/sched"
 	"aomplib/internal/weaver"
 )
@@ -139,7 +140,7 @@ func TestAnnotationReadersWriterPairing(t *testing.T) {
 	})
 	region := cls.Proc("region", func() {
 		for i := 0; i < 100; i++ {
-			if ThreadID()%2 == 0 {
+			if rt.ThreadID()%2 == 0 {
 				write()
 			} else {
 				read()
@@ -269,7 +270,7 @@ func TestPanicInsideWovenRegionPropagates(t *testing.T) {
 	p := weaver.NewProgram("t")
 	cls := p.Class("A")
 	work := cls.Proc("work", func() {
-		if ThreadID() == 1 {
+		if rt.ThreadID() == 1 {
 			panic("worker failure")
 		}
 	})
@@ -293,7 +294,7 @@ func TestThreadLocalValuesSnapshot(t *testing.T) {
 	probe := cls.Proc("probe", func() {})
 	var snapshot atomic.Int32
 	region := cls.Proc("region", func() {
-		*(acc().(*int)) = ThreadID()
+		*(acc().(*int)) = rt.ThreadID()
 		probe()
 	})
 	p.Use(ParallelRegion("call(* A.region(..))").Threads(3))

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"aomplib/internal/rt"
 	"aomplib/internal/sched"
 	"aomplib/internal/weaver"
 )
@@ -22,8 +23,8 @@ func benchEncounters(b *testing.B, deploy func(p *weaver.Program), encounter fun
 	enc := encounter(cls)
 	n, width := 1, 0
 	run := cls.Proc("run", func() {
-		if ThreadID() == 0 {
-			width = NumThreads()
+		if rt.ThreadID() == 0 {
+			width = rt.NumThreads()
 		}
 		for i := 0; i < n; i++ {
 			enc()

@@ -129,7 +129,6 @@ func (a *ForAspect) Bindings() []weaver.Binding {
 					if n == 0 {
 						return
 					}
-					rt.AsymDelay(w.ID, n)
 					sc.Lo, sc.Hi, sc.Step = sub.Lo, sub.Hi, sub.Step
 					next(sc)
 				}

@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"aomplib/internal/rt"
 	"aomplib/internal/weaver"
 )
 
@@ -35,20 +36,20 @@ func TestNestedParallelRegionWithReduction(t *testing.T) {
 	})
 	inner := cls.Proc("inner", func() {
 		innerRuns.Add(1)
-		if NumThreads() != innerN || ThreadID() < 0 || ThreadID() >= innerN || Level() != 2 {
+		if rt.NumThreads() != innerN || rt.ThreadID() < 0 || rt.ThreadID() >= innerN || rt.Level() != 2 {
 			badInner.Add(1)
 		}
 		loop(0, iters, 1)
 		collect() // reduce: inner-team barriers + master merge
 	})
 	outer := cls.Proc("outer", func() {
-		id, n := ThreadID(), NumThreads()
-		if n != outerN || Level() != 1 {
+		id, n := rt.ThreadID(), rt.NumThreads()
+		if n != outerN || rt.Level() != 1 {
 			badOuter.Add(1)
 		}
 		inner()
 		// Outer context must be restored after the nested region.
-		if ThreadID() != id || NumThreads() != outerN || Level() != 1 {
+		if rt.ThreadID() != id || rt.NumThreads() != outerN || rt.Level() != 1 {
 			badOuter.Add(1)
 		}
 	})
@@ -86,20 +87,20 @@ func TestNestedParallelRegionWithReduction(t *testing.T) {
 // The nested gate (SetNested) serializes inner regions without touching
 // outer ones, and restores cleanly.
 func TestNestedGateThroughAspects(t *testing.T) {
-	prev := SetNested(false)
-	defer SetNested(prev)
+	prev := rt.SetNested(false)
+	defer rt.SetNested(prev)
 
 	p := weaver.NewProgram("t")
 	cls := p.Class("App")
 	var innerSizes sync.Map
-	inner := cls.Proc("inner", func() { innerSizes.Store(ThreadID(), NumThreads()) })
+	inner := cls.Proc("inner", func() { innerSizes.Store(rt.ThreadID(), rt.NumThreads()) })
 	outer := cls.Proc("outer", func() { inner() })
 	p.Use(ParallelRegion("call(* App.outer(..))").Named("o").Threads(2))
 	p.Use(ParallelRegion("call(* App.inner(..))").Named("i").Threads(3))
 	p.MustWeave()
 	outer()
 
-	if !NestedEnabled() {
+	if !rt.NestedEnabled() {
 		// expected: gate off — inner regions must have run single-worker
 		if v, ok := innerSizes.Load(0); !ok || v.(int) != 1 {
 			t.Fatalf("serialized inner region size = %v, want 1", v)

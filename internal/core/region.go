@@ -112,7 +112,7 @@ func (a *ParallelRegionAspect) Bindings() []weaver.Binding {
 					n = a.threadsFn()
 				}
 				if n <= 0 {
-					n = DefaultThreads()
+					n = rt.DefaultThreads()
 				}
 				e := regionEntryPool.Get().(*regionEntry)
 				e.template = *c

@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"aomplib/internal/rt"
 	"aomplib/internal/sched"
 	"aomplib/internal/weaver"
 )
@@ -49,8 +50,8 @@ func TestNarrowedEntryIsSequential(t *testing.T) {
 	reduce := cls.Proc("reduce", func() {})
 	single := cls.Proc("single", func() { singles.Add(1) })
 	run := cls.Proc("run", func() {
-		if ThreadID() == 0 {
-			width.Store(int32(NumThreads()))
+		if rt.ThreadID() == 0 {
+			width.Store(int32(rt.NumThreads()))
 		}
 		loop(0, n, 1)
 		loop(n, 2*n, 1)

@@ -51,11 +51,11 @@ func TestStealScheduleMatchesSequential(t *testing.T) {
 // annotation front end, including the runtime-default route a
 // `jgfbench -schedule steal` sweep takes.
 func TestStealScheduleAnnotationStyle(t *testing.T) {
-	prev, err := SetDefaultSchedule(sched.Steal)
+	prev, err := sched.SetDefault(sched.Steal)
 	if err != nil {
-		t.Fatalf("SetDefaultSchedule(steal): %v", err)
+		t.Fatalf("sched.SetDefault(steal): %v", err)
 	}
-	defer SetDefaultSchedule(prev) //nolint:errcheck // restoring a valid kind
+	defer sched.SetDefault(prev) //nolint:errcheck // restoring a valid kind
 
 	const n = 100
 	p := weaver.NewProgram("t")

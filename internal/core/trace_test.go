@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"aomplib/internal/obs"
 	"aomplib/internal/weaver"
 )
 
@@ -22,11 +23,11 @@ func TestTraceSpansAspect(t *testing.T) {
 	p.Use(TraceSpans("call(* Demo.run(..))"))
 	p.MustWeave()
 
-	StartTrace()
-	defer EnableTracing(false)
+	obs.StartTrace()
+	defer obs.EnableTracing(false)
 	region()
 	var buf bytes.Buffer
-	if err := StopTrace(&buf); err != nil {
+	if err := obs.StopTrace(&buf); err != nil {
 		t.Fatalf("StopTrace: %v", err)
 	}
 	spans := countSpans(t, buf.Bytes(), "Demo.run")
@@ -36,10 +37,10 @@ func TestTraceSpansAspect(t *testing.T) {
 
 	// Unplugged, the aspect leaves no instrumentation behind.
 	p.Unweave()
-	StartTrace()
+	obs.StartTrace()
 	region()
 	buf.Reset()
-	if err := StopTrace(&buf); err != nil {
+	if err := obs.StopTrace(&buf); err != nil {
 		t.Fatalf("StopTrace: %v", err)
 	}
 	if got := countSpans(t, buf.Bytes(), "Demo.run"); got != 0 {
@@ -66,24 +67,4 @@ func countSpans(t *testing.T, data []byte, name string) int {
 		}
 	}
 	return n
-}
-
-// ReadRuntimeStats gathers tracer ring accounting with pool counters.
-func TestRuntimeSnapshotAggregates(t *testing.T) {
-	StartTrace()
-	defer EnableTracing(false)
-	before := ReadRuntimeStats()
-	p := weaver.NewProgram("t")
-	region := p.Class("Demo").Proc("run", func() {})
-	p.Use(ParallelRegion("call(* Demo.run(..))").Threads(2))
-	p.MustWeave()
-	region()
-	st := ReadRuntimeStats()
-	if st.Trace.EventsRecorded <= before.Trace.EventsRecorded {
-		t.Fatalf("Trace.EventsRecorded did not advance: %d -> %d",
-			before.Trace.EventsRecorded, st.Trace.EventsRecorded)
-	}
-	if st.Pool.Leases <= before.Pool.Leases {
-		t.Fatalf("Pool.Leases did not advance: %d -> %d", before.Pool.Leases, st.Pool.Leases)
-	}
 }

@@ -4,6 +4,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"aomplib/internal/rt"
 	"aomplib/internal/weaver"
 )
 
@@ -13,7 +14,7 @@ func TestValueReturningParallelRegion(t *testing.T) {
 	var runs atomic.Int32
 	val := p.Class("A").ValueProc("compute", func() any {
 		runs.Add(1)
-		return ThreadID() * 10
+		return rt.ThreadID() * 10
 	})
 	p.Use(ParallelRegion("call(* A.compute(..))").Threads(3))
 	p.MustWeave()
@@ -30,7 +31,7 @@ func TestValueReturningParallelRegion(t *testing.T) {
 func TestFutureTaskInsideRegion(t *testing.T) {
 	p := weaver.NewProgram("t")
 	cls := p.Class("A")
-	compute := cls.FutureProc("compute", func() any { return NumThreads() })
+	compute := cls.FutureProc("compute", func() any { return rt.NumThreads() })
 	var bad atomic.Int32
 	region := cls.Proc("region", func() {
 		f := compute()

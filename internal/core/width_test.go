@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"aomplib/internal/obs"
+	"aomplib/internal/rt"
 	"aomplib/internal/weaver"
 )
 
@@ -26,8 +27,8 @@ func widthProgram(body func()) (run func(), width func() int) {
 	p := weaver.NewProgram("width")
 	var seen atomic.Int32
 	run = p.Class("W").Proc("run", func() {
-		if ThreadID() == 0 {
-			seen.Store(int32(NumThreads()))
+		if rt.ThreadID() == 0 {
+			seen.Store(int32(rt.NumThreads()))
 		}
 		body()
 	})
@@ -94,8 +95,8 @@ func TestRegionWidthReturnsWhenRegionGrows(t *testing.T) {
 	})
 	var seen atomic.Int32
 	run := cls.Proc("run", func() {
-		if ThreadID() == 0 {
-			seen.Store(int32(NumThreads()))
+		if rt.ThreadID() == 0 {
+			seen.Store(int32(rt.NumThreads()))
 		}
 		loop(0, int(chunks.Load()), 1)
 	})
@@ -159,8 +160,8 @@ func TestRegionWidthConcurrentEntrants(t *testing.T) {
 	var bodies, widths atomic.Int64
 	p := weaver.NewProgram("concurrent")
 	run := p.Class("C").Proc("run", func() {
-		if ThreadID() == 0 {
-			widths.Add(int64(NumThreads()))
+		if rt.ThreadID() == 0 {
+			widths.Add(int64(rt.NumThreads()))
 		}
 		bodies.Add(1)
 	})

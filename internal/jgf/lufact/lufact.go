@@ -340,8 +340,8 @@ func (in *aompInstance) Setup() {
 func (in *aompInstance) Kernel()         { in.run() }
 func (in *aompInstance) Validate() error { return in.lp.validate() }
 
-// WeaveReport exposes the woven structure for the Table 2 tooling.
-func (in *aompInstance) WeaveReport() []weaver.WovenMethod { return in.prog.Report() }
+// Program exposes the woven program to the Table 2 tooling and jgfbench.
+func (in *aompInstance) Program() *weaver.Program { return in.prog }
 
 type aompDepInstance struct {
 	p       Params
@@ -444,5 +444,5 @@ func (in *aompDepInstance) Setup() {
 func (in *aompDepInstance) Kernel()         { in.run() }
 func (in *aompDepInstance) Validate() error { return in.lp.validate() }
 
-// WeaveReport exposes the woven structure for the Table 2 tooling.
-func (in *aompDepInstance) WeaveReport() []weaver.WovenMethod { return in.prog.Report() }
+// Program exposes the woven program to the Table 2 tooling and jgfbench.
+func (in *aompDepInstance) Program() *weaver.Program { return in.prog }

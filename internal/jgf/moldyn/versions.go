@@ -275,5 +275,5 @@ func (in *aompInstance) Validate() error { return in.md.validate() }
 // Energies exposes the result for cross-version comparisons in tests.
 func (in *aompInstance) Energies() (float64, float64, float64) { return in.md.Energies() }
 
-// WeaveReport exposes the woven structure for the Table 2 tooling.
-func (in *aompInstance) WeaveReport() []weaver.WovenMethod { return in.prog.Report() }
+// Program exposes the woven program to the Table 2 tooling and jgfbench.
+func (in *aompInstance) Program() *weaver.Program { return in.prog }

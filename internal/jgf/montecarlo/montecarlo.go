@@ -210,5 +210,5 @@ func (in *aompInstance) Validate() error { return in.mc.validate() }
 // Result exposes the priced value for cross-version tests.
 func (in *aompInstance) Result() float64 { return in.mc.Result() }
 
-// WeaveReport exposes the woven structure for the Table 2 tooling.
-func (in *aompInstance) WeaveReport() []weaver.WovenMethod { return in.prog.Report() }
+// Program exposes the woven program to the Table 2 tooling and jgfbench.
+func (in *aompInstance) Program() *weaver.Program { return in.prog }

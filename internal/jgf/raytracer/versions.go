@@ -4,6 +4,7 @@ import (
 	"aomplib/internal/core"
 	"aomplib/internal/jgf/harness"
 	"aomplib/internal/jgf/jgfutil"
+	"aomplib/internal/rt"
 	"aomplib/internal/sched"
 	"aomplib/internal/weaver"
 )
@@ -108,7 +109,7 @@ func (in *aompInstance) Setup() {
 	in.run = cls.Proc("run", func() {
 		render(0, tracer.height, 1)
 		collect()
-		if core.ThreadID() == 0 {
+		if rt.ThreadID() == 0 {
 			// Fold the sequential cell (non-zero only when unwoven).
 			tracer.AddChecksum(*seqCell)
 			*seqCell = 0
@@ -132,5 +133,5 @@ func (in *aompInstance) Validate() error { return in.rt.Validate() }
 // Checksum exposes the image checksum for cross-version tests.
 func (in *aompInstance) Checksum() int64 { return in.rt.Checksum() }
 
-// WeaveReport exposes the woven structure for the Table 2 tooling.
-func (in *aompInstance) WeaveReport() []weaver.WovenMethod { return in.prog.Report() }
+// Program exposes the woven program to the Table 2 tooling and jgfbench.
+func (in *aompInstance) Program() *weaver.Program { return in.prog }

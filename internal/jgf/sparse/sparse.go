@@ -238,5 +238,5 @@ func (in *aompInstance) Kernel() {
 }
 func (in *aompInstance) Validate() error { return in.s.validate() }
 
-// WeaveReport exposes the woven structure for the Table 2 tooling.
-func (in *aompInstance) WeaveReport() []weaver.WovenMethod { return in.prog.Report() }
+// Program exposes the woven program to the Table 2 tooling and jgfbench.
+func (in *aompInstance) Program() *weaver.Program { return in.prog }

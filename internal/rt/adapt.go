@@ -12,9 +12,7 @@ import (
 // scheduling: per-worker throughput estimates (the weights every steal
 // encounter carves its ranges by), per-construct adaptive state (the
 // memory behind sched.Adaptive: the shape rule on first sight, measured
-// imbalance afterwards), and the asymmetric-hardware simulation hook
-// benchmarks use to make the speed carve measurable on symmetric CI
-// machines.
+// imbalance afterwards).
 //
 // The estimator follows Saez et al. (arXiv:2402.07664): on asymmetric
 // multicores the useful per-worker signal is relative retired-work rate,
@@ -214,58 +212,4 @@ func (st *loopAdapt) resolve(size, n, chunk int) (sched.Kind, int) {
 	}
 	st.kind, st.chunk, st.count = k, c, n
 	return k, c
-}
-
-// ------------------------------------------------- asymmetry simulation --
-
-// asymSpinTab, when set, slows selected workers by spinning a fixed number
-// of units per loop iteration they execute — a software model of an
-// asymmetric multicore (efficiency cores, thermally throttled cores, a
-// noisy neighbour) for benchmarks on symmetric machines. nil when off, so
-// the per-chunk cost of the feature is one predicted-nil pointer load.
-var asymSpinTab atomic.Pointer[[]uint32]
-
-// asymSink defeats dead-code elimination of the spin loop.
-var asymSink atomic.Uint64
-
-// SetAsymSpin installs per-worker slowdown: spins[id] busy-work units are
-// executed per loop iteration by the worker with that team ID (one unit is
-// one multiply-add, a few hundred picoseconds). Workers beyond the slice,
-// and all workers when spins is nil or empty, run unthrottled. The slice
-// is copied. Intended for benchmarks (jgfbench -asym) and tests; it
-// throttles every schedule equally, so schedule comparisons under it are
-// fair.
-func SetAsymSpin(spins []int) {
-	if len(spins) == 0 {
-		asymSpinTab.Store(nil)
-		return
-	}
-	tab := make([]uint32, len(spins))
-	for i, s := range spins {
-		if s > 0 {
-			tab[i] = uint32(s)
-		}
-	}
-	asymSpinTab.Store(&tab)
-}
-
-// AsymDelay spins the calling worker for iters iterations' worth of its
-// configured slowdown. Called once per dispensed sub-range, not per
-// iteration, so the overhead when enabled is the spin itself, not loop
-// bookkeeping.
-func AsymDelay(id, iters int) {
-	p := asymSpinTab.Load()
-	if p == nil {
-		return
-	}
-	tab := *p
-	if id < 0 || id >= len(tab) || tab[id] == 0 || iters <= 0 {
-		return
-	}
-	n := uint64(tab[id]) * uint64(iters)
-	x := uint64(id)*2862933555777941757 + 3037000493
-	for i := uint64(0); i < n; i++ {
-		x = x*6364136223846793005 + 1442695040888963407
-	}
-	asymSink.Add(x | 1) // accumulate: every spin moves the sink
 }

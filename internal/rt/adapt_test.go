@@ -377,32 +377,6 @@ func TestHotTeamAdaptiveChurnStress(t *testing.T) {
 	}
 }
 
-// TestAsymSpinDelay pins the simulation hook's contract: only configured
-// worker ids spin, out-of-range and unconfigured ids return untouched,
-// and clearing the table disables everything.
-func TestAsymSpinDelay(t *testing.T) {
-	SetAsymSpin([]int{0, 40})
-	defer SetAsymSpin(nil)
-	before := asymSink.Load()
-	AsymDelay(0, 100) // configured 0 spins: no-op
-	AsymDelay(2, 100) // beyond the table: no-op
-	AsymDelay(-1, 100)
-	AsymDelay(1, 0) // no iterations: no-op
-	if asymSink.Load() != before {
-		t.Fatal("no-op AsymDelay calls touched the sink")
-	}
-	AsymDelay(1, 100)
-	if asymSink.Load() == before {
-		t.Fatal("configured worker did not spin")
-	}
-	SetAsymSpin(nil)
-	before = asymSink.Load()
-	AsymDelay(1, 100)
-	if asymSink.Load() != before {
-		t.Fatal("cleared table still spins")
-	}
-}
-
 // TestWorkerRatesAndStealProbes pins the observability of a steal-
 // scheduled loop: it trains the worker speed estimates the steal carve
 // reads, and feeds the registry's probes-per-steal counter.

@@ -67,20 +67,18 @@ func ForSpan(w *Worker, sp sched.Space, kind sched.Kind, key any, chunk int, run
 		runStaticSpan(w, sp, fc.Kind, run, arg)
 	case sched.Steal:
 		for {
-			sub, n, ok := fc.DispenseSteal()
+			sub, _, ok := fc.DispenseSteal()
 			if !ok {
 				break
 			}
-			AsymDelay(w.ID, n)
 			run(sub, arg)
 		}
 	default: // Dynamic, Guided
 		for {
-			sub, n, ok := fc.Dispense()
+			sub, _, ok := fc.Dispense()
 			if !ok {
 				break
 			}
-			AsymDelay(w.ID, n)
 			run(sub, arg)
 		}
 	}
@@ -96,7 +94,6 @@ func runStaticSpan(w *Worker, sp sched.Space, kind sched.Kind, run SpanFunc, arg
 		sub = sched.Cyclic(sp, w.Team.Size, w.ID)
 	}
 	if sub.Count() > 0 {
-		AsymDelay(w.ID, sub.Count())
 		run(sub, arg)
 	}
 }

@@ -19,8 +19,8 @@
 // meaningfully slower than the hand-picked baseline.
 //
 // Exit codes: 0 pass, 1 gate failure, 2 unusable input — missing file,
-// unparseable report, benchmark absent — so a broken pipeline can never
-// read as a green gate.
+// unparseable report, benchmark absent, reports measured under a different
+// -asym or -size — so a broken pipeline can never read as a green gate.
 package main
 
 import (
@@ -35,6 +35,7 @@ import (
 // carries these fields.
 type report struct {
 	Schema     int         `json:"schema"`
+	Size       string      `json:"size"`
 	Schedule   string      `json:"schedule"`
 	Asym       string      `json:"asym"`
 	SchedStats *schedStats `json:"sched_stats"`
@@ -86,6 +87,10 @@ func main() {
 	cand, err := load(flag.Arg(1))
 	if err != nil {
 		fatalf("%v", err)
+	}
+	if base.Asym != cand.Asym || base.Size != cand.Size {
+		fatalf("reports differ in what they measured: asym %q vs %q, size %q vs %q",
+			orNone(base.Asym), orNone(cand.Asym), base.Size, cand.Size)
 	}
 	bSecs, err := parallelMean(flag.Arg(0), base, *bench, *version)
 	if err != nil {

@@ -1,8 +1,12 @@
 package main
 
 import (
+	"errors"
+	"fmt"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -13,6 +17,7 @@ import (
 func sampleReport(meanAt4 string) string {
 	return `{
   "schema": 3,
+  "size": "test",
   "schedule": "steal",
   "asym": "0:300",
   "sched_stats": {"steal_attempts": 100, "steals": 40, "steal_probes": 250, "barrier_wait_ns": 9000},
@@ -80,5 +85,39 @@ func TestLoadRefusesGarbage(t *testing.T) {
 	}
 	if _, err := load(writeReport(t, "empty.json", `{"schema":3,"results":[]}`)); err == nil || !strings.Contains(err.Error(), "no results") {
 		t.Errorf("empty results: err = %v", err)
+	}
+}
+
+// TestRefusesMismatchedReports: two reports measured under a different
+// -asym or -size compare unlike with like; the gate must exit 2 naming
+// both values, not print a ratio "under the same asymmetry". The test
+// binary re-executes itself as the command.
+func TestRefusesMismatchedReports(t *testing.T) {
+	if args := os.Getenv("ASYMCHECK_ARGS"); args != "" {
+		os.Args = append([]string{"asymcheck"}, strings.Split(args, "\n")...)
+		main()
+		return
+	}
+	base := writeReport(t, "base.json", sampleReport("0.25"))
+	for _, c := range []struct{ field, was, now string }{
+		{"asym", "0:300", "1:300"},
+		{"size", "test", "A"},
+	} {
+		t.Run(c.field, func(t *testing.T) {
+			from := fmt.Sprintf("%q: %q", c.field, c.was)
+			cand := writeReport(t, "cand.json", strings.Replace(sampleReport("0.25"), from, fmt.Sprintf("%q: %q", c.field, c.now), 1))
+			cmd := exec.Command(os.Args[0], "-test.run=^TestRefusesMismatchedReports$")
+			cmd.Env = append(os.Environ(), "ASYMCHECK_ARGS="+base+"\n"+cand)
+			out, err := cmd.CombinedOutput()
+			var exit *exec.ExitError
+			if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+				t.Fatalf("%s mismatch: %v, want exit status 2; output:\n%.400s", c.field, err, out)
+			}
+			for _, want := range []string{strconv.Quote(c.was), strconv.Quote(c.now)} {
+				if !strings.Contains(string(out), want) {
+					t.Fatalf("%s mismatch: output lacks %s:\n%.400s", c.field, want, out)
+				}
+			}
+		})
 	}
 }
