@@ -14,6 +14,7 @@ package aomplib_test
 
 import (
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	_ "unsafe" // go:linkname, for fixedRegionWidth
@@ -472,17 +473,41 @@ func BenchmarkAblation_ConstructInstance(b *testing.B) {
 // @Single → two @Task → @TaskWait — with empty bodies and an initialiser
 // that hands out preallocated cells, so allocs/op are the library's own
 // (CI holds them at 0; task spawns alone were 4 before rt.SpawnArg).
-func BenchmarkAblation_CompositeOp(b *testing.B) { benchCompositeOp(b, 2) }
+func BenchmarkAblation_CompositeOp(b *testing.B) { benchCompositeOp(b, 2, true) }
 
-// BenchmarkAblation_CompositeOpSolo is the composite op on a Threads(1)
-// region — the team of one a narrowed region runs on: the loop is one
-// static block, the barrier completes on arrival and the single claims
-// without an encounter slot. CI holds it at 0 allocs/op and under a
-// fraction of CompositeOp.
-func BenchmarkAblation_CompositeOpSolo(b *testing.B) { benchCompositeOp(b, 1) }
+// BenchmarkAblation_CompositeOpSolo is the composite op on a region pinned
+// at Threads(1): each entry leases a pooled team of one from the hot-team
+// pool (not a width record's own team; CompositeOpNarrowed runs that one).
+// The loop is one static block, the barrier completes on arrival and the
+// single claims without an encounter slot. CI holds it at 0 allocs/op and
+// under a fraction of CompositeOp.
+func BenchmarkAblation_CompositeOpSolo(b *testing.B) { benchCompositeOp(b, 1, true) }
 
-func benchCompositeOp(b *testing.B, threads int) {
-	pinRegionWidth(b)
+// BenchmarkAblation_CompositeOpNarrowed is the composite op as finegrain
+// runs it: Threads(2), width unpinned, warmed until the region's width
+// record has learned that one worker is faster, so entries run on the
+// record's own team of one. It reports the share of ops that ran narrow
+// and fails below 0.98 — full-width probes of the losing arm back off to
+// one entry in 1024, and one disturbed sample must not undo that. CI
+// holds it at 0 allocs/op and within a margin of CompositeOpHandSolo.
+func BenchmarkAblation_CompositeOpNarrowed(b *testing.B) {
+	narrow := benchCompositeOp(b, 2, false)
+	share := float64(narrow) / float64(b.N)
+	b.ReportMetric(share, "narrow-share")
+	// Below 100 ops one due probe is over 1% of the sample: only the
+	// framework's calibration runs are that short.
+	if b.N >= 100 && share < 0.98 {
+		b.Fatalf("%d of %d ops ran on one worker (%.3f), want at least 0.98", narrow, b.N, share)
+	}
+}
+
+// benchCompositeOp times the composite op on a region of the given width,
+// pinned or left to its width record, and returns how many timed ops ran
+// on one worker.
+func benchCompositeOp(b *testing.B, threads int, pin bool) (narrow int) {
+	if pin {
+		pinRegionWidth(b)
+	}
 	p := aomplib.NewProgram("bench")
 	cls := p.Class("A")
 	var total float64
@@ -492,7 +517,13 @@ func benchCompositeOp(b *testing.B, threads int) {
 	loop := cls.ForProc("loop", func(lo, hi, step int) { *(acc().(*float64)) += float64(hi - lo) })
 	reduce := cls.Proc("reduce", func() {})
 	task := cls.Proc("task", func() {})
-	single := cls.Proc("single", func() { width = aomplib.NumThreads(); task(); task() })
+	single := cls.Proc("single", func() {
+		if width = aomplib.NumThreads(); width == 1 {
+			narrow++
+		}
+		task()
+		task()
+	})
 	wait := cls.Proc("wait", func() {})
 	op := cls.Proc("op", func() { loop(0, 1024, 1); reduce(); single(); wait() })
 	tl := aomplib.NewThreadLocal("call(* A.acc(..))", "acc").
@@ -504,6 +535,53 @@ func benchCompositeOp(b *testing.B, threads int) {
 	p.Use(aomplib.SingleSection("call(* A.single(..))"))
 	p.Use(aomplib.TaskSpawn("call(* A.task(..))"), aomplib.TaskWaitPoint("call(* A.wait(..))"))
 	p.MustWeave()
+	warm := 1
+	if !pin {
+		warm = 4096 // long enough for the probe schedule to back off fully
+	}
+	for i := 0; i < warm; i++ {
+		op()
+	}
+	total, narrow = 0, 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op()
+	}
+	if total != 1024*float64(b.N) {
+		b.Fatalf("reduced %v over %d ops, want %v", total, b.N, 1024*float64(b.N))
+	}
+	if pin && width != threads {
+		b.Fatalf("the op ran %d workers, want %d", width, threads)
+	}
+	return narrow
+}
+
+// BenchmarkAblation_CompositeOpHandSolo is the composite op written by
+// hand for one goroutine, the best hand-threaded code at this grain: the
+// same bodies — the loop body called once over the whole range into a
+// local accumulator, the reduce under a mutex, the single inline — and
+// the two tasks on their own goroutines, joined by a WaitGroup. It is the
+// yardstick CompositeOpNarrowed is gated against.
+func BenchmarkAblation_CompositeOpHandSolo(b *testing.B) {
+	var (
+		total float64
+		mu    sync.Mutex
+		wg    sync.WaitGroup
+	)
+	loop := func(acc *float64, lo, hi, step int) { *acc += float64(hi - lo) }
+	task := func() { wg.Done() }
+	op := func() {
+		var local float64
+		loop(&local, 0, 1024, 1)
+		mu.Lock()
+		total += local
+		mu.Unlock()
+		wg.Add(2)
+		go task()
+		go task()
+		wg.Wait()
+	}
 	op()
 	total = 0
 	b.ReportAllocs()
@@ -513,9 +591,6 @@ func benchCompositeOp(b *testing.B, threads int) {
 	}
 	if total != 1024*float64(b.N) {
 		b.Fatalf("reduced %v over %d ops, want %v", total, b.N, 1024*float64(b.N))
-	}
-	if width != threads {
-		b.Fatalf("the op ran %d workers, want %d", width, threads)
 	}
 }
 

@@ -63,6 +63,7 @@ type advice struct {
 	name        string
 	prec        int
 	needsWorker bool
+	forks       bool
 	wrap        func(jp *weaver.Joinpoint, next weaver.HandlerFunc) weaver.HandlerFunc
 	validate    func(jp *weaver.Joinpoint) error
 }
@@ -70,6 +71,7 @@ type advice struct {
 func (a advice) AdviceName() string { return a.name }
 func (a advice) Precedence() int    { return a.prec }
 func (a advice) NeedsWorker() bool  { return a.needsWorker }
+func (a advice) Forks() bool        { return a.forks }
 func (a advice) Wrap(jp *weaver.Joinpoint, next weaver.HandlerFunc) weaver.HandlerFunc {
 	return a.wrap(jp, next)
 }

@@ -122,9 +122,14 @@ func (a *ForAspect) Bindings() []weaver.Binding {
 				k := fc.Kind
 				// One pooled sub-call, copied from c once, is reused for every
 				// sub-range this worker executes: a claim costs three stores,
-				// not an allocation or a Call-sized copy.
-				sc := weaver.GetCall()
-				*sc = *c
+				// not an allocation or a Call-sized copy. A team of one's one
+				// static block needs no copy: it runs on c, whose range is
+				// restored afterwards.
+				sc := c
+				if k != sched.StaticBlock || w.Team.Size > 1 {
+					sc = weaver.GetCall()
+					*sc = *c
+				}
 				runSub := func(sub sched.Space, n int) {
 					if n == 0 {
 						return
@@ -160,7 +165,11 @@ func (a *ForAspect) Bindings() []weaver.Binding {
 						runSub(sub, n)
 					}
 				}
-				weaver.PutCall(sc)
+				if sc != c {
+					weaver.PutCall(sc)
+				} else {
+					c.Lo, c.Hi, c.Step = sp.Lo, sp.Hi, sp.Step
+				}
 				fc.EndFor()
 				if a.implicitBarrier(k) {
 					w.Team.Barrier().WaitWorker(w)

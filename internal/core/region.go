@@ -56,15 +56,15 @@ func (a *ParallelRegionAspect) ThreadsFunc(fn func() int) *ParallelRegionAspect 
 func (a *ParallelRegionAspect) AspectName() string { return a.name }
 
 // regionEntry is the per-entry state threaded through rt.RegionArg: the
-// snapshot of the entering call that every worker copies, the rest of the
-// advice chain, and the call whose result the master fills in. Entries
-// are recycled through a pool so a warm region entry allocates nothing —
-// a per-entry closure would escape to the heap on every call, because the
-// team stores the body for its workers.
+// entering call, which every worker copies, the rest of the advice chain,
+// and the master's result, kept here until the join so that no worker's
+// copy races with it. Entries are recycled through a pool so a warm region
+// entry allocates nothing — a per-entry closure would escape to the heap
+// on every call, because the team stores the body for its workers.
 type regionEntry struct {
-	template weaver.Call
-	next     weaver.HandlerFunc
-	out      *weaver.Call
+	in   *weaver.Call
+	next weaver.HandlerFunc
+	ret  any
 }
 
 var regionEntryPool = sync.Pool{New: func() any { return new(regionEntry) }}
@@ -75,18 +75,27 @@ func putRegionEntry(e *regionEntry) {
 }
 
 // regionBody runs one worker's share of a region entry. Each worker runs
-// the chain on its own (pooled) copy of the Call so range rewrites and
-// results stay private (Fig. 9: every thread, master included,
-// "proceeds"); the template is snapshotted before the team starts, so the
-// master's result write cannot race with worker copies.
+// the chain on its own (pooled) copy of the entering Call so range
+// rewrites and results stay private (Fig. 9: every thread, master
+// included, "proceeds"). A team of one has nobody to race with: its worker
+// proceeds on the entering Call itself, whose Worker is restored on the
+// way out.
 func regionBody(w *rt.Worker, arg any) {
 	e := arg.(*regionEntry)
+	if w.Team.Size == 1 {
+		c := e.in
+		defer func(prev *rt.Worker) { c.Worker = prev }(c.Worker)
+		c.Worker = w
+		e.next(c)
+		e.ret = c.Ret
+		return
+	}
 	wc := weaver.GetCall()
-	*wc = e.template
+	*wc = *e.in
 	wc.Worker = w
 	e.next(wc)
 	if w.ID == 0 {
-		e.out.Ret = wc.Ret // master's result is the region's result
+		e.ret = wc.Ret // master's result is the region's result
 	}
 	weaver.PutCall(wc)
 }
@@ -99,8 +108,9 @@ var fixedWidth bool
 // width record (rt.Grain), made afresh whenever its chain is built.
 func (a *ParallelRegionAspect) Bindings() []weaver.Binding {
 	adv := advice{
-		name: "parallel",
-		prec: PrecParallel,
+		name:  "parallel",
+		prec:  PrecParallel,
+		forks: true,
 		wrap: func(jp *weaver.Joinpoint, next weaver.HandlerFunc) weaver.HandlerFunc {
 			var g *rt.Grain
 			if !fixedWidth {
@@ -115,11 +125,10 @@ func (a *ParallelRegionAspect) Bindings() []weaver.Binding {
 					n = rt.DefaultThreads()
 				}
 				e := regionEntryPool.Get().(*regionEntry)
-				e.template = *c
-				e.next = next
-				e.out = c
+				e.in, e.next = c, next
 				defer putRegionEntry(e) // also on the region's re-raised panic
 				g.RegionArg(n, regionBody, e)
+				c.Ret = e.ret
 			}
 		},
 	}

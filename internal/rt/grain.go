@@ -78,7 +78,10 @@ func (g *Grain) pick(n int) grainEntry {
 }
 
 // done folds the entry's times into the record; a probe won when its time
-// beat the other arm's EWMA.
+// beat the other arm's EWMA. A fold that changes which arm is faster
+// restarts the schedule like a winning probe, so the arm it demoted is
+// re-measured next entry: one disturbed sample (preemption, GC) cannot
+// hold a region at the wrong width for a whole backed-off interval.
 func (g *Grain) done(e grainEntry, ns, hand int64) {
 	arm, other := &g.full, &g.one
 	if e.narrow {
@@ -86,9 +89,12 @@ func (g *Grain) done(e grainEntry, ns, hand int64) {
 	} else {
 		g.hand.Store(grainFold(g.hand.Load(), hand))
 	}
-	arm.Store(grainFold(arm.Load(), ns))
-	if e.probe {
-		at, shift := grainReprobe(e.k, g.shift.Load(), ns < other.Load())
+	old, o := arm.Load(), other.Load()
+	now := grainFold(old, ns)
+	arm.Store(now)
+	flip := old != 0 && o != 0 && (old < o) != (now < o)
+	if e.probe || flip {
+		at, shift := grainReprobe(e.k, g.shift.Load(), flip || ns < o)
 		g.probeAt.Store(at)
 		g.shift.Store(shift)
 	}

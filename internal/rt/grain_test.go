@@ -68,6 +68,43 @@ func TestGrainReprobe(t *testing.T) {
 	}
 }
 
+// TestGrainOutlierKeepsWidth: one disturbed width-1 sample lifts the
+// narrow arm's EWMA above full width's, but it does not hand the region
+// back to its team for a backed-off interval: the flip restarts the probe
+// schedule, the demoted width 1 is re-measured next entry, and full width
+// runs only on its own (again backed-off) probes.
+func TestGrainOutlierKeepsWidth(t *testing.T) {
+	const us = int64(time.Microsecond)
+	g := new(Grain)
+	g.full.Store(10 * us)
+	g.one.Store(2 * us)
+	g.hand.Store(5 * us)
+	g.seen.Store(5000)
+	g.probeAt.Store(5000 + 1<<grainMaxShift)
+	g.shift.Store(grainMaxShift)
+	if e := g.pick(2); !e.narrow || e.probe {
+		t.Fatalf("trained record: entry narrow=%v probe=%v, want a narrow non-probe", e.narrow, e.probe)
+	} else {
+		g.done(e, 1000*us, 0)
+	}
+	full := 0
+	for i := 0; i < 1<<grainMaxShift; i++ {
+		e := g.pick(2)
+		if i == 0 && !e.narrow {
+			t.Fatalf("the entry after the outlier ran full width")
+		}
+		ns := 2 * us
+		if !e.narrow {
+			full++
+			ns = 10 * us
+		}
+		g.done(e, ns, 5*us)
+	}
+	if full > grainMaxShift+2 {
+		t.Errorf("%d of the %d entries after one outlier ran full width, want at most %d", full, 1<<grainMaxShift, grainMaxShift+2)
+	}
+}
+
 // grainWidths enters g's region n times with an empty body asking for two
 // workers and returns the width of every entry.
 func grainWidths(g *Grain, n int) []int {

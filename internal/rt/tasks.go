@@ -2,6 +2,7 @@ package rt
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"aomplib/internal/obs"
 )
@@ -19,12 +20,22 @@ import (
 // in the team's dependence tracker and enter a deque only when released
 // (depend.go). events counts queue activity so helping waiters never sleep
 // through a freshly pushed task.
+//
+// The counts are atomics and the mutex is taken only around a sleep: a
+// waiter about to park bumps sleepers under mu, then re-reads events and
+// pending; a waker changes pending or events, then reads sleepers and, if
+// anyone sleeps, broadcasts under mu. Atomics are sequentially consistent,
+// so either the waker sees the sleeper (and its broadcast, ordered by mu
+// after the sleeper's re-check, wakes it) or the sleeper's re-read sees the
+// waker's change and does not park. A spawn → taskwait round trip with
+// nobody asleep takes no lock here.
 type TaskGroup struct {
+	pending  atomic.Int64
+	events   atomic.Uint64
+	awaiters atomic.Int32 // Future.Get waiters parked in awaitEvent
+	sleepers atomic.Int32 // goroutines parked on cond, or about to
 	mu       sync.Mutex
-	cond     *sync.Cond
-	pending  int
-	events   uint64
-	awaiters int // Future.Get waiters parked in awaitEvent
+	cond     sync.Cond
 
 	// parent chains a @TaskGroup scope to its enclosing scope and,
 	// ultimately, the team group: every Add/Done/notify propagates up, so
@@ -38,7 +49,7 @@ type TaskGroup struct {
 // NewTaskGroup returns an empty group.
 func NewTaskGroup() *TaskGroup {
 	g := &TaskGroup{}
-	g.cond = sync.NewCond(&g.mu)
+	g.cond.L = &g.mu
 	return g
 }
 
@@ -52,9 +63,7 @@ func newScopedGroup(parent *TaskGroup) *TaskGroup {
 // Add registers n new pending tasks, here and in every enclosing group.
 func (g *TaskGroup) Add(n int) {
 	for p := g; p != nil; p = p.parent {
-		p.mu.Lock()
-		p.pending += n
-		p.mu.Unlock()
+		p.pending.Add(int64(n))
 	}
 }
 
@@ -63,10 +72,18 @@ func (g *TaskGroup) Add(n int) {
 // queued work. Called after a task becomes visible in a deque.
 func (g *TaskGroup) notify() {
 	for p := g; p != nil; p = p.parent {
-		p.mu.Lock()
-		p.events++
-		p.cond.Broadcast()
-		p.mu.Unlock()
+		p.events.Add(1)
+		p.wake()
+	}
+}
+
+// wake broadcasts to parked waiters, if any; the caller has already
+// published the change they wait for.
+func (g *TaskGroup) wake() {
+	if g.sleepers.Load() > 0 {
+		g.mu.Lock()
+		g.cond.Broadcast()
+		g.mu.Unlock()
 	}
 }
 
@@ -81,17 +98,14 @@ func (g *TaskGroup) Done() {
 }
 
 func (g *TaskGroup) doneOne() {
-	g.mu.Lock()
-	g.pending--
-	if g.pending < 0 {
-		g.mu.Unlock()
+	n := g.pending.Add(-1)
+	if n < 0 {
 		panic("rt: TaskGroup counter went negative")
 	}
-	if g.pending == 0 || g.awaiters > 0 {
-		g.events++
-		g.cond.Broadcast()
+	if n == 0 || g.awaiters.Load() > 0 {
+		g.events.Add(1)
+		g.wake()
 	}
-	g.mu.Unlock()
 }
 
 // Wait blocks until no tasks are pending — the join point between the
@@ -99,10 +113,15 @@ func (g *TaskGroup) doneOne() {
 // queued tasks itself; workers inside a region should use the package
 // function TaskWait, which helps drain the queues while waiting.
 func (g *TaskGroup) Wait() {
+	if g.pending.Load() == 0 {
+		return
+	}
 	g.mu.Lock()
-	for g.pending > 0 {
+	g.sleepers.Add(1)
+	for g.pending.Load() > 0 {
 		g.cond.Wait()
 	}
+	g.sleepers.Add(-1)
 	g.mu.Unlock()
 }
 
@@ -112,54 +131,48 @@ func (g *TaskGroup) Wait() {
 // dependent tasks are invisible until released; the release pushes them to
 // a deque and bumps events, so the waiter wakes and claims them.
 func (g *TaskGroup) helpWait(w *Worker) {
-	g.mu.Lock()
-	for g.pending > 0 {
-		v := g.events
-		g.mu.Unlock()
+	for g.pending.Load() > 0 {
+		v := g.events.Load()
 		if t := w.findTask(); t != nil {
 			w.runTask(t)
 			t.decRef()
-			g.mu.Lock()
 			continue
 		}
-		g.mu.Lock()
 		// Sleep only if nothing was queued or completed since the failed
 		// claim above — otherwise retry immediately (a task published
-		// between findTask and re-lock would be lost to a sleeper).
-		if g.pending > 0 && g.events == v {
+		// between findTask and the sleep would be lost to a sleeper).
+		g.mu.Lock()
+		g.sleepers.Add(1)
+		if g.pending.Load() > 0 && g.events.Load() == v {
 			g.cond.Wait()
 		}
+		g.sleepers.Add(-1)
+		g.mu.Unlock()
 	}
-	g.mu.Unlock()
 }
 
 // eventStamp snapshots the activity counter for a later awaitEvent.
-func (g *TaskGroup) eventStamp() uint64 {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.events
-}
+func (g *TaskGroup) eventStamp() uint64 { return g.events.Load() }
 
 // awaitEvent blocks until queue activity after stamp v, the group drains,
-// or stop reports true. The awaiters count makes every Done broadcast
+// or stop reports true. The awaiters count makes every Done bump events
 // while a getter is parked here, so a producer resolving amid unrelated
-// pending tasks cannot be slept through.
+// pending tasks cannot be slept through: the producer resolves, then reads
+// awaiters, while the getter counts itself, then reads pending and stop.
 func (g *TaskGroup) awaitEvent(v uint64, stop func() bool) {
+	g.awaiters.Add(1)
 	g.mu.Lock()
-	g.awaiters++
-	for g.events == v && g.pending > 0 && !stop() {
+	g.sleepers.Add(1)
+	for g.events.Load() == v && g.pending.Load() > 0 && !stop() {
 		g.cond.Wait()
 	}
-	g.awaiters--
+	g.sleepers.Add(-1)
 	g.mu.Unlock()
+	g.awaiters.Add(-1)
 }
 
 // Pending reports the number of outstanding tasks (diagnostics/tests).
-func (g *TaskGroup) Pending() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.pending
-}
+func (g *TaskGroup) Pending() int { return int(g.pending.Load()) }
 
 // globalTasks serves @Task used outside any parallel region ("This
 // construct can also be used outside the parallel region").

@@ -164,9 +164,11 @@ type Team struct {
 	// once — from its lease holder or from a pool drain.
 	retired bool
 
-	panicMu  sync.Mutex
+	// panicked is set by the first panic of the lease round, which also
+	// stores panicVal; the master reads both after the join, which orders
+	// them.
+	panicked atomic.Bool
 	panicVal any
-	panicked bool
 	// failed: a worker left the lease by panic or Goexit, so a lapped
 	// team-mate must stop waiting for it (encounter.go). Such a team retires.
 	failed atomic.Bool
@@ -409,9 +411,7 @@ func (g *Grain) RegionArg(n int, body func(w *Worker, arg any), arg any) {
 	finished = true
 	t.completed.Store(true)
 	t.emitRegionJoin(level)
-	t.panicMu.Lock()
-	panicked, panicVal := t.panicked, t.panicVal
-	t.panicMu.Unlock()
+	panicked, panicVal := t.panicked.Load(), t.panicVal
 	t.endLease()
 	switch {
 	case panicked || t.poisoned.Load():
@@ -465,9 +465,8 @@ func (t *Team) beginLease(parent *Worker, level int, body func(*Worker, any), ar
 	t.body, t.arg = body, arg
 	t.epoch.Add(1)
 	t.completed.Store(false)
-	t.panicMu.Lock()
-	t.panicked, t.panicVal = false, nil
-	t.panicMu.Unlock()
+	t.panicked.Store(false)
+	t.panicVal = nil
 	t.wg.Add(t.Size - 1)
 	if len(t.records) > maxConstructs {
 		t.records = nil
@@ -490,11 +489,9 @@ func (t *Team) endLease() {
 
 // recordPanic stores the first panic of the current lease round.
 func (t *Team) recordPanic(r any) {
-	t.panicMu.Lock()
-	if !t.panicked {
-		t.panicked, t.panicVal = true, r
+	if t.panicked.CompareAndSwap(false, true) {
+		t.panicVal = r
 	}
-	t.panicMu.Unlock()
 	t.fail()
 }
 
@@ -572,7 +569,7 @@ func (t *Team) workerLoop(w *Worker) {
 // so cleanup always completes and the first panic re-raises.
 func (t *Team) drainStragglers(master *Worker) {
 	g := t.tasks.Load()
-	if g == nil {
+	if g == nil || g.Pending() == 0 {
 		return
 	}
 	glsContexts.Add(1)

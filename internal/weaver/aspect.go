@@ -56,6 +56,14 @@ type WorkerValuer interface {
 	WorkerValue(w *rt.Worker) any
 }
 
+// Forker is an optional Advice extension for advice that forks a team of
+// workers around the rest of its chain (the parallel region). A top-level
+// entry of a chain carrying one runs against a single weave of its program
+// (see Program).
+type Forker interface {
+	Forks() bool
+}
+
 // Binding attaches one Advice to the joinpoints selected by a Matcher.
 type Binding struct {
 	Matcher Matcher

@@ -66,6 +66,9 @@ type chain struct {
 	// needsWorker records whether any advice in the chain wants the
 	// current worker resolved.
 	needsWorker bool
+	// forks records a Forker in the chain: entered outside any region, the
+	// chain runs through its program's fork gate.
+	forks bool
 	// sole is set when a value chain's only stage is a WorkerValuer:
 	// ValueProc's entry answers from it. (Behind a pointer: every re-weave
 	// allocates a chain, few have one.)
@@ -98,8 +101,17 @@ func (m *Method) JP() *Joinpoint { return m.jp }
 
 // run reifies one invocation and sends it through the live chain ch. The
 // entry points below all share this shape: one atomic chain load, the
-// typed body on a direct chain, run otherwise.
+// typed body on a direct chain, run otherwise. A forking chain entered
+// outside any region runs under its program's fork gate, on the chain
+// loaded there: the caller's load may predate a swap the gate has since
+// let through.
 func (m *Method) run(ch *chain, lo, hi, step, key int) any {
+	if ch.forks && rt.Current() == nil {
+		g := &m.jp.class.program.gate
+		g.RLock()
+		defer g.RUnlock()
+		ch = m.current.Load()
+	}
 	call := GetCall()
 	call.JP, call.Lo, call.Hi, call.Step, call.Key = m.jp, lo, hi, step, key
 	if ch.needsWorker {

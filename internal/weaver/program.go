@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+
+	"aomplib/internal/rt"
 )
 
 // Program is a base program's joinpoint registry plus its deployed
@@ -19,7 +21,10 @@ import (
 // method registration rebuild exactly the chains they affect — all of them
 // or, when an advice rejects a joinpoint, none. A call runs on the chain
 // it loaded; calls that load a method's chain after the reconfiguration
-// returns see the new weave.
+// returns see the new weave. A top-level parallel region runs against one
+// weave: a reconfiguration issued outside any region waits for the
+// program's regions in flight, so its latency is bounded by the longest of
+// them; one issued from inside a region takes effect at once.
 type Program struct {
 	name string
 
@@ -39,6 +44,13 @@ type Program struct {
 	woven bool
 	// rebuilds counts chain compositions, pinning incrementality in tests.
 	rebuilds uint64
+
+	// gate makes each top-level region run against one weave: team-mates
+	// load the chains of the methods they call separately, and a swap
+	// between two loads could hand one worker a @For share and another the
+	// whole loop. Top-level regions read-lock it (Method.run),
+	// reconfigurations write-lock it (lock).
+	gate sync.RWMutex
 }
 
 // adviceKey identifies one aspect's advice on one joinpoint.
@@ -52,6 +64,28 @@ func NewProgram(name string) *Program {
 		byFQN:     make(map[string]*Method),
 		enabled:   make(map[adviceKey]bool),
 		aspectOff: make(map[string]bool),
+	}
+}
+
+// lock takes the program's lock for a reconfiguration. Issued outside any
+// region it first write-locks the fork gate, so the swap lands between
+// top-level regions. Issued from inside a region it does not wait: the
+// region it runs in may be one the gate would wait for. The gate is taken
+// before p.mu, never under it, so a region that reads or reconfigures its
+// program while a swap waits for it is not blocked behind that swap.
+func (p *Program) lock() (gated bool) {
+	if gated = rt.Current() == nil; gated {
+		p.gate.Lock()
+	}
+	p.mu.Lock()
+	return gated
+}
+
+// unlock undoes lock.
+func (p *Program) unlock(gated bool) {
+	p.mu.Unlock()
+	if gated {
+		p.gate.Unlock()
 	}
 }
 
@@ -95,8 +129,7 @@ func (p *Program) Class(name string, opts ...ClassOpt) *Class {
 
 func (c *Class) register(name string, kind Kind, body HandlerFunc) *Method {
 	p := c.program
-	p.mu.Lock()
-	defer p.mu.Unlock()
+	defer p.unlock(p.lock())
 	fqn := c.name + "." + name
 	if _, dup := p.byFQN[fqn]; dup {
 		panic(fmt.Sprintf("weaver: method %s registered twice", fqn))
@@ -123,8 +156,7 @@ func (c *Class) register(name string, kind Kind, body HandlerFunc) *Method {
 // method's chain is rebuilt immediately; if an advice rejects the annotated
 // method, the annotations are not attached and the chain stays as it was.
 func (p *Program) Annotate(fqn string, annotations ...Annotation) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
+	defer p.unlock(p.lock())
 	m := p.byFQN[fqn]
 	if m == nil {
 		return fmt.Errorf("weaver: Annotate: unknown method %q", fqn)
@@ -171,8 +203,7 @@ func (p *Program) Joinpoints() []*Joinpoint {
 // of them, Use undeploys the new aspects, leaves every chain as it was and
 // panics — there is no error path to the caller.
 func (p *Program) Use(aspects ...Aspect) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
+	defer p.unlock(p.lock())
 	n := len(p.aspects)
 	p.aspects = append(p.aspects, aspects...)
 	if !p.woven {
@@ -205,8 +236,7 @@ func matchesAny(aspects []Aspect, jp *Joinpoint) bool {
 // program only the methods whose current chain contains the aspect's
 // advice are re-woven.
 func (p *Program) RemoveAspect(name string) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
+	defer p.unlock(p.lock())
 	prev := p.aspects
 	p.aspects = nil
 	for _, a := range prev {
@@ -313,6 +343,9 @@ func composeChain(m *Method, applied []appliedAdvice) *chain {
 		ch.handler = ad.advice.Wrap(m.jp, ch.handler)
 		ch.direct = false
 		ch.needsWorker = ch.needsWorker || ad.advice.NeedsWorker()
+		if f, ok := ad.advice.(Forker); ok && f.Forks() {
+			ch.forks = true
+		}
 	}
 	return ch
 }
@@ -347,8 +380,7 @@ func (p *Program) reweaveLocked(ms []*Method) error {
 // woven, as it was. After the first Weave the program stays woven: later
 // reconfigurations re-weave incrementally.
 func (p *Program) Weave() error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
+	defer p.unlock(p.lock())
 	if err := p.reweaveLocked(p.methods); err != nil {
 		return err
 	}
@@ -367,8 +399,7 @@ func (p *Program) MustWeave() {
 // with its original sequential semantics, and incremental re-weaving stops
 // until the next Weave.
 func (p *Program) Unweave() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
+	defer p.unlock(p.lock())
 	for _, m := range p.methods {
 		m.reset()
 	}
@@ -385,8 +416,7 @@ func (p *Program) Unweave() {
 // unknown methods or methods the aspect is not applied to, before any
 // toggle is recorded.
 func (p *Program) SetAdviceEnabled(aspect string, enabled bool, fqns ...string) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
+	defer p.unlock(p.lock())
 	if len(fqns) == 0 {
 		p.aspectOff[aspect] = !enabled
 		for k := range p.enabled {
