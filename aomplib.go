@@ -355,26 +355,14 @@ func InParallel() bool { return rt.Current() != nil }
 // any region, 1 inside an outermost region, and so on.
 func Level() int { return rt.Level() }
 
-// SetNested enables or disables nested parallel regions (the analogue of
-// OMP_NESTED; enabled by default). With nesting disabled, a region entered
-// from inside a team runs serialized on a single-worker inner team. It
-// returns the previous setting.
-func SetNested(on bool) bool { return rt.SetNested(on) }
-
-// NestedEnabled reports whether nested parallel regions spawn real teams.
-func NestedEnabled() bool { return rt.NestedEnabled() }
-
 // TaskYield is an explicit task scheduling point: the calling worker
 // executes up to n queued deferred tasks of its team (its own first, then
 // stolen from siblings) and reports how many ran. Outside parallel regions
 // it is a no-op — tasks spawned there run on their own goroutines.
 func TaskYield(n int) int { return rt.TaskYield(n) }
 
-// SetDefaultThreads sets the process-wide default team size (0 restores
-// the GOMAXPROCS default); it returns the previous value.
-func SetDefaultThreads(n int) int { return rt.SetDefaultThreads(n) }
-
-// DefaultThreads returns the effective default team size.
+// DefaultThreads returns the team size of a region that does not set one:
+// GOMAXPROCS, read live at each region entry.
 func DefaultThreads() int { return rt.DefaultThreads() }
 
 // SetHotTeams enables or disables hot teams (enabled by default): parallel
@@ -555,28 +543,6 @@ type RuntimeSnapshot struct {
 
 // TraceStats is the tracer's ring accounting (RuntimeSnapshot.Trace).
 type TraceStats = obs.Stats
-
-// TraceHooks is the OMPT-style tool interface: one callback per runtime
-// event (region fork/join, team lease/retire, task lifecycle, steals,
-// barrier waits, dependence releases, spans). Nil entries are skipped;
-// callbacks run inline on the emitting goroutine and must not block,
-// allocate, or re-enter the runtime.
-type TraceHooks = obs.Hooks
-
-// TraceWorkerID identifies a worker in TraceHooks callbacks — a
-// process-unique identity, stable across hot-team reuse.
-type TraceWorkerID = obs.WorkerID
-
-// NoTraceWorker marks events emitted outside any worker context.
-const NoTraceWorker = obs.NoWorker
-
-// TraceTaskKind classifies task-creation events in TraceHooks callbacks.
-type TraceTaskKind = obs.TaskKind
-
-// SetTraceHooks installs a custom tool's hook table (nil uninstalls),
-// returning the previous table — the OMPT analogue of registering a tool.
-// EnableTracing installs the built-in tracer through the same slot.
-func SetTraceHooks(h *TraceHooks) *TraceHooks { return obs.SetHooks(h) }
 
 // TraceSpans builds a tracing aspect: matched methods become named spans
 // on the recording trace — instrumentation woven into the base program

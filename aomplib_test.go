@@ -2,7 +2,16 @@ package aomplib_test
 
 import (
 	"bytes"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"maps"
+	"path/filepath"
+	"runtime"
 	"runtime/pprof"
+	"slices"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -67,15 +76,13 @@ func TestPublicAPIAnnotationStyle(t *testing.T) {
 }
 
 // TestPublicAPIRuntimeHelpers exercises ThreadID/NumThreads/InParallel and
-// the default-threads override through the facade.
+// the default team size through the facade.
 func TestPublicAPIRuntimeHelpers(t *testing.T) {
 	if aomplib.InParallel() || aomplib.ThreadID() != 0 || aomplib.NumThreads() != 1 {
 		t.Fatal("sequential helpers wrong")
 	}
-	prev := aomplib.SetDefaultThreads(2)
-	defer aomplib.SetDefaultThreads(prev)
-	if aomplib.DefaultThreads() != 2 {
-		t.Fatal("SetDefaultThreads not effective")
+	if aomplib.DefaultThreads() != runtime.GOMAXPROCS(0) {
+		t.Fatalf("DefaultThreads = %d, want GOMAXPROCS %d", aomplib.DefaultThreads(), runtime.GOMAXPROCS(0))
 	}
 
 	prog := aomplib.NewProgram("demo")
@@ -85,7 +92,7 @@ func TestPublicAPIRuntimeHelpers(t *testing.T) {
 			inside.Add(1)
 		}
 	})
-	prog.Use(aomplib.ParallelRegion("call(* D.r(..))")) // default threads
+	prog.Use(aomplib.ParallelRegion("call(* D.r(..))").Threads(2))
 	prog.MustWeave()
 	region()
 	if inside.Load() != 2 {
@@ -184,5 +191,85 @@ func TestProfilingWovenRegions(t *testing.T) {
 	pprof.StopCPUProfile()
 	if cpu.Len() == 0 || !bytes.Contains(dump.Bytes(), []byte("goroutine profile:")) {
 		t.Fatalf("profiles incomplete: %d bytes of CPU profile, goroutine dump %q", cpu.Len(), dump.String())
+	}
+}
+
+// TestFacadeKnobsHaveCallers holds the facade to its rule that a
+// process-global switch nothing but tests uses is deleted: every exported
+// Set*/Enable* func of package aomplib must be referenced from at least one
+// non-test .go file of the module outside the facade's own aomplib.go and
+// diag.go.
+func TestFacadeKnobsHaveCallers(t *testing.T) {
+	fset := token.NewFileSet()
+	facade, _ := filepath.Glob("*.go")
+	callers := map[string]int{} // knob -> references outside the facade
+	for _, path := range facade {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range f.Decls {
+			fd, ok := d.(*ast.FuncDecl)
+			if !ok || fd.Recv != nil || !fd.Name.IsExported() {
+				continue
+			}
+			if name := fd.Name.Name; strings.HasPrefix(name, "Set") || strings.HasPrefix(name, "Enable") {
+				callers[name] = 0
+			}
+		}
+	}
+	if len(callers) == 0 {
+		t.Fatal("found no facade knobs: the census is looking in the wrong place")
+	}
+
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") ||
+			path == "aomplib.go" || path == "diag.go" {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		local := "" // the name package aomplib is imported under, if it is
+		for _, imp := range f.Imports {
+			if imp.Path.Value == `"aomplib"` {
+				local = "aomplib"
+				if imp.Name != nil {
+					local = imp.Name.Name
+				}
+			}
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if x, ok := n.(*ast.SelectorExpr); ok && local != "" {
+				if id, ok := x.X.(*ast.Ident); ok && id.Name == local {
+					if _, ok := callers[x.Sel.Name]; ok {
+						callers[x.Sel.Name]++
+					}
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range slices.Sorted(maps.Keys(callers)) {
+		if callers[name] == 0 {
+			t.Errorf("facade knob %s has no caller outside tests: delete it", name)
+		}
 	}
 }

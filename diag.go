@@ -15,7 +15,7 @@ import (
 )
 
 // Production diagnostics: the always-on metrics registry, its Prometheus
-// exposition, the flight recorder, and the HTTP surface that serves them.
+// exposition, and the HTTP surface that serves them.
 // Handler mounts everything on one http.Handler a server embeds next to
 // its own routes; ServeDiagnostics runs it standalone on a sidecar port.
 
@@ -29,8 +29,7 @@ import (
 // ReadMetrics and the /metrics endpoint. The record path touches only
 // preallocated padded atomics (0 allocs/op); disabled (the default), emit
 // points cost their usual one atomic load and predicted branch. Metrics
-// compose with the tracer, the flight recorder and custom tools: enabling
-// one never evicts another.
+// compose with the tracer: enabling one never evicts the other.
 func EnableMetrics(on bool) bool { return obs.EnableMetrics(on) }
 
 // MetricsEnabled reports whether the metrics registry is recording.
@@ -61,49 +60,6 @@ type ScheduleShareCount = obs.ScheduleShareCount
 // runtime metrics with their own exposition plumbing.
 func WriteMetricsText(w io.Writer) error { return obs.WriteMetricsText(w, runtimeGauges()...) }
 
-// ------------------------------------------------------ flight recorder --
-
-// EnableFlightRecorder turns the flight recorder on or off, returning the
-// previous setting. Enabled, the runtime continuously records its last
-// few seconds of events (SetFlightWindow) into bounded per-worker rings —
-// memory stays fixed regardless of uptime — and triggers (a region
-// slower than SetFlightRegionLatencyThreshold, an admission reject spike
-// per SetFlightRejectSpike) freeze that window so WriteFlightSnapshot can
-// export the moments leading up to the anomaly as a Chrome trace.
-func EnableFlightRecorder(on bool) bool { return obs.EnableFlight(on) }
-
-// FlightRecorderEnabled reports whether the flight recorder is recording.
-func FlightRecorderEnabled() bool { return obs.FlightEnabled() }
-
-// SetFlightWindow sets how far back the flight recorder retains events,
-// returning the previous window (default 5s).
-func SetFlightWindow(d time.Duration) time.Duration { return obs.SetFlightWindow(d) }
-
-// SetFlightRegionLatencyThreshold arms the flight recorder's slow-region
-// trigger: a parallel region whose fork-to-join latency exceeds the
-// duration freezes the flight window. Non-positive disarms; returns the
-// previous threshold (zero = disarmed, the default).
-func SetFlightRegionLatencyThreshold(d time.Duration) time.Duration {
-	return obs.SetFlightRegionLatencyThreshold(d)
-}
-
-// SetFlightRejectSpike arms the flight recorder's admission trigger: the
-// given number of rejects inside one second freezes the flight window.
-// Non-positive disarms; returns the previous setting (zero = disarmed,
-// the default).
-func SetFlightRejectSpike(perSecond int) int { return obs.SetFlightRejectSpike(perSecond) }
-
-// FlightTriggered reports whether a flight trigger fired and its frozen
-// capture awaits WriteFlightSnapshot.
-func FlightTriggered() bool { return obs.FlightTriggered() }
-
-// WriteFlightSnapshot writes the flight recorder's window as Chrome
-// trace-event JSON (load it at ui.perfetto.dev). After a trigger it
-// writes the capture frozen at the trigger moment and re-arms; otherwise
-// it snapshots the live window without disturbing recording. The boolean
-// reports which case applied.
-func WriteFlightSnapshot(w io.Writer) (triggered bool, err error) { return obs.WriteFlightSnapshot(w) }
-
 // -------------------------------------------------------- HTTP surface --
 
 // Handler returns the diagnostics HTTP handler, enabling the metrics
@@ -118,9 +74,7 @@ func WriteFlightSnapshot(w io.Writer) (triggered bool, err error) { return obs.W
 //	                        latencies);
 //	/debug/aomp/trace?sec=N Chrome trace of the next N seconds
 //	                        (default 2, clamped to [0.1, 30]) — captures
-//	                        serialize, concurrent requests get 503;
-//	/debug/aomp/flight      the flight recorder's Chrome trace snapshot
-//	                        (enable via EnableFlightRecorder).
+//	                        serialize, concurrent requests get 503.
 //
 // Mount it on a mux the process already serves, or pass the same routes
 // to ServeDiagnostics for a standalone listener.
@@ -130,7 +84,6 @@ func Handler() http.Handler {
 	mux.HandleFunc("/metrics", serveMetrics)
 	mux.HandleFunc("/debug/aomp/stats", serveStats)
 	mux.HandleFunc("/debug/aomp/trace", serveTrace)
-	mux.HandleFunc("/debug/aomp/flight", serveFlight)
 	return mux
 }
 
@@ -254,13 +207,4 @@ func serveTrace(w http.ResponseWriter, r *http.Request) {
 	if !wasEnabled {
 		EnableTracing(false)
 	}
-}
-
-func serveFlight(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Disposition", `attachment; filename="aomp-flight.json"`)
-	// The header must precede the body, so report the pre-write trigger
-	// state; WriteFlightSnapshot prefers the frozen capture when set.
-	w.Header().Set("X-Aomp-Flight-Triggered", strconv.FormatBool(FlightTriggered()))
-	WriteFlightSnapshot(w)
 }

@@ -45,22 +45,22 @@ func TestParallelRegionDefaultAndOverride(t *testing.T) {
 	pinWidth(t)
 	p := weaver.NewProgram("t")
 	var count atomic.Int32
-	region := p.Class("App").Proc("region", func() { count.Add(1) })
+	cls := p.Class("App")
+	region := cls.Proc("region", func() { count.Add(1) })
+	pinned := cls.Proc("pinned", func() { count.Add(1) })
 	p.Use(ParallelRegion("call(* App.region(..))"))
+	p.Use(ParallelRegion("call(* App.pinned(..))").Threads(2))
 	p.MustWeave()
 
-	prev := rt.SetDefaultThreads(2)
-	defer rt.SetDefaultThreads(prev)
-	region()
-	if count.Load() != 2 {
-		t.Fatalf("default threads not honoured: ran %d", count.Load())
-	}
-
-	count.Store(0)
-	rt.SetDefaultThreads(0)
 	region()
 	if int(count.Load()) != rt.DefaultThreads() {
 		t.Fatalf("GOMAXPROCS default not honoured: %d", count.Load())
+	}
+
+	count.Store(0)
+	pinned()
+	if count.Load() != 2 {
+		t.Fatalf("Threads(2) not honoured: ran %d", count.Load())
 	}
 }
 

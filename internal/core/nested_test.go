@@ -83,29 +83,3 @@ func TestNestedParallelRegionWithReduction(t *testing.T) {
 		t.Fatalf("nested reduction = %d, want %d", grand, want)
 	}
 }
-
-// The nested gate (SetNested) serializes inner regions without touching
-// outer ones, and restores cleanly.
-func TestNestedGateThroughAspects(t *testing.T) {
-	prev := rt.SetNested(false)
-	defer rt.SetNested(prev)
-
-	p := weaver.NewProgram("t")
-	cls := p.Class("App")
-	var innerSizes sync.Map
-	inner := cls.Proc("inner", func() { innerSizes.Store(rt.ThreadID(), rt.NumThreads()) })
-	outer := cls.Proc("outer", func() { inner() })
-	p.Use(ParallelRegion("call(* App.outer(..))").Named("o").Threads(2))
-	p.Use(ParallelRegion("call(* App.inner(..))").Named("i").Threads(3))
-	p.MustWeave()
-	outer()
-
-	if !rt.NestedEnabled() {
-		// expected: gate off — inner regions must have run single-worker
-		if v, ok := innerSizes.Load(0); !ok || v.(int) != 1 {
-			t.Fatalf("serialized inner region size = %v, want 1", v)
-		}
-	} else {
-		t.Fatal("gate did not report disabled")
-	}
-}

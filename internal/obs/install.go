@@ -4,17 +4,16 @@ import "sync"
 
 // Tool installation and composition. The runtime's emit points load one
 // atomic hook-table pointer (active, in obs.go); this file decides what
-// that pointer holds. Three consumer slots exist:
+// that pointer holds. Two consumer slots exist:
 //
 //   - the tool slot: the built-in tracer (EnableTracing) or a custom
 //     table (SetHooks) — mutually exclusive, exactly as before metrics
 //     existed;
-//   - the metrics slot: the always-on metrics registry (EnableMetrics);
-//   - the flight slot: the flight recorder (EnableFlight).
+//   - the metrics slot: the always-on metrics registry (EnableMetrics).
 //
 // With zero consumers, active is nil and the emit points take the
 // disabled branch. With one, its table is published directly — no
-// wrapper, no indirection beyond the hook call itself. With several, a
+// wrapper, no indirection beyond the hook call itself. With both, a
 // fresh composed table fans each event out to every consumer; the
 // composition is built here, at (un)install time, so the emit path never
 // sees a closure allocated per call.
@@ -24,19 +23,17 @@ import "sync"
 var installMu sync.Mutex
 
 // Consumer slots. toolHooks is the legacy single-tool slot; metricsHooks
-// and flightHooks are the continuous-telemetry consumers that compose
-// with it.
+// is the continuous-telemetry consumer that composes with it.
 var (
 	toolHooks    *Hooks
 	metricsHooks *Hooks
-	flightHooks  *Hooks
 )
 
 // rebuildActiveLocked republishes the active table from the consumer
 // slots. Callers hold installMu.
 func rebuildActiveLocked() {
 	var tables []*Hooks
-	for _, t := range []*Hooks{toolHooks, metricsHooks, flightHooks} {
+	for _, t := range []*Hooks{toolHooks, metricsHooks} {
 		if t != nil {
 			tables = append(tables, t)
 		}
@@ -150,15 +147,9 @@ func compose(tables []*Hooks) *Hooks {
 	h.TeamRetire = fan2(pick(tables,
 		func(t *Hooks) func(uint64, int) { return t.TeamRetire },
 		func(f func(uint64, int)) bool { return f == nil }))
-	h.AdmitEnqueue = fan2(pick(tables,
-		func(t *Hooks) func(uint64, int) { return t.AdmitEnqueue },
-		func(f func(uint64, int)) bool { return f == nil }))
 	h.AdmitGrant = fan2(pick(tables,
 		func(t *Hooks) func(uint64, int64) { return t.AdmitGrant },
 		func(f func(uint64, int64)) bool { return f == nil }))
-	h.AdmitReject = fan2(pick(tables,
-		func(t *Hooks) func(uint64, AdmitReason) { return t.AdmitReject },
-		func(f func(uint64, AdmitReason)) bool { return f == nil }))
 	h.TaskCreate = fan3(pick(tables,
 		func(t *Hooks) func(WorkerID, uint64, TaskKind) { return t.TaskCreate },
 		func(f func(WorkerID, uint64, TaskKind)) bool { return f == nil }))

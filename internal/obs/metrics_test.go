@@ -400,3 +400,26 @@ func TestHookSlotComposition(t *testing.T) {
 		t.Fatalf("metrics kept counting while disabled (%d)", got)
 	}
 }
+
+// The tracer records a timeline and never counts: installed alone, it
+// leaves the counter-only hooks nil, so their emit points stay one
+// predicted branch.
+func TestTracerRecordsNeverCounts(t *testing.T) {
+	prevTool := SetHooks(nil)
+	defer SetHooks(prevTool)
+	prevMetrics := EnableMetrics(false)
+	defer EnableMetrics(prevMetrics)
+
+	EnableTracing(true)
+	defer EnableTracing(false)
+	h := Active()
+	for name, set := range map[string]bool{
+		"StealAttempt": h.StealAttempt != nil,
+		"StealScan":    h.StealScan != nil,
+		"AdmitGrant":   h.AdmitGrant != nil,
+	} {
+		if set {
+			t.Errorf("tracer alone installs %s", name)
+		}
+	}
+}

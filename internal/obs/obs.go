@@ -11,18 +11,6 @@ type WorkerID int32
 // NoWorker is the WorkerID of emit points outside any parallel region.
 const NoWorker WorkerID = -1
 
-// AdmitReason classifies why an admission-controlled region entry was
-// refused a team lease and degraded to serialized execution.
-type AdmitReason uint8
-
-// Admission refusal reasons: the reject policy refused immediately, the
-// bounded wait queue was full, or a queued wait hit its timeout.
-const (
-	AdmitReasonPolicy AdmitReason = iota
-	AdmitReasonQueueFull
-	AdmitReasonTimeout
-)
-
 // TaskKind classifies task creation events.
 type TaskKind uint8
 
@@ -58,17 +46,13 @@ type Hooks struct {
 	TeamLease  func(w WorkerID, team uint64, size int, hit bool)
 	TeamRetire func(team uint64, size int)
 
-	// Multi-tenant admission (rt server mode). AdmitEnqueue fires when a
-	// region entry starts waiting for a team lease; depth is the wait-queue
-	// depth including the new waiter. AdmitGrant fires when an entry is
-	// granted a lease — waitNs is zero for uncontended grants and the
-	// queue-wait time otherwise; tenant is the rt-assigned tenant id
-	// (rt.AdmissionStats maps ids to names). AdmitReject fires when an
-	// entry is refused a lease and degrades to serialized execution.
-	// All three fire on the entering goroutine, outside any worker context.
-	AdmitEnqueue func(tenant uint64, depth int)
-	AdmitGrant   func(tenant uint64, waitNs int64)
-	AdmitReject  func(tenant uint64, reason AdmitReason)
+	// Multi-tenant admission (rt server mode). AdmitGrant fires when an
+	// entry is granted a lease — waitNs is zero for uncontended grants and
+	// the queue-wait time otherwise; tenant is the rt-assigned tenant id
+	// (rt.AdmissionStats maps ids to names). It fires on the entering
+	// goroutine, outside any worker context. Waits and refusals are
+	// counted by rt itself (rt.ReadAdmissionStats).
+	AdmitGrant func(tenant uint64, waitNs int64)
 
 	// TaskCreate fires when a task is queued on a deque or parked in the
 	// dependence tracker; TaskSchedule/TaskComplete bracket its execution
@@ -125,8 +109,7 @@ func Active() *Hooks { return active.Load() }
 // tracer it replaces). The table must not be mutated after installation —
 // publish a fresh one instead. A custom tool shares the tool slot with the
 // built-in tracer exactly as before, but composes freely with the metrics
-// registry and the flight recorder: events fan out to every enabled
-// consumer.
+// registry: events fan out to both.
 func SetHooks(h *Hooks) *Hooks {
 	installMu.Lock()
 	defer installMu.Unlock()

@@ -51,7 +51,7 @@ type Event struct {
 // ring is one worker's bounded event buffer. Appends are lock-free and
 // allocation-free: a writer claims a slot with a CAS on next, writes the
 // record, and drops the event (counted) when the buffer is full or an
-// exclusive pass (drain, snapshot, trim, reset) is in progress. A pass
+// exclusive pass (drain, reset) is in progress. A pass
 // excludes writers without making them lock: it raises draining and waits
 // for the writers count to reach zero — every writer increments it before
 // touching the buffer and decrements it after, so the final decrement's
@@ -114,8 +114,8 @@ func (r *ring) append(ev Event) bool {
 // in-flight writers, runs fn and re-admits them. passMu serializes the
 // exclusive passes of one ring — without it, the first of two overlapping
 // passes to finish would lower draining while the other is still reading
-// buf (the flight recorder's trimmer and a WriteFlightSnapshot overlap
-// exactly so). Writers never take the mutex.
+// buf (StopTrace's drain and StartTrace's reset overlap exactly so when
+// two goroutines drive the tracer). Writers never take the mutex.
 func (r *ring) exclusive(fn func()) {
 	r.passMu.Lock()
 	defer r.passMu.Unlock()
@@ -127,54 +127,18 @@ func (r *ring) exclusive(fn func()) {
 	r.draining.Store(false)
 }
 
-// live copies out the buffered records [base, next) in claim order. Call
-// it only inside exclusive.
-func (r *ring) live() []Event {
-	base, next := r.base.Load(), r.next.Load()
-	if next == base {
-		return nil
-	}
-	out := make([]Event, 0, next-base)
-	for i := base; i < next; i++ {
-		out = append(out, r.buf[i&r.mask])
-	}
-	return out
-}
-
-// drain removes and returns all buffered records in claim order. Emits
-// racing with the drain are dropped (counted), never torn.
+// drain removes and returns all buffered records [base, next) in claim
+// order. Emits racing with the drain are dropped (counted), never torn.
 func (r *ring) drain() (out []Event) {
 	r.exclusive(func() {
-		out = r.live()
-		r.base.Store(r.next.Load())
-	})
-	return out
-}
-
-// snapshot copies out all buffered records in claim order without
-// consuming them — the flight recorder's read: the window stays buffered
-// for later triggers, aging out via trim instead of the drain.
-func (r *ring) snapshot() (out []Event) {
-	r.exclusive(func() { out = r.live() })
-	return out
-}
-
-// trim advances base past records older than cutoff (When < cutoff) and,
-// if the buffer is still fuller than maxLive records, past the oldest
-// overflow — the flight recorder's aging pass, keeping the ring a bounded
-// sliding window instead of a fill-once buffer. maxLive <= 0 skips the
-// occupancy bound.
-func (r *ring) trim(cutoff int64, maxLive int) {
-	r.exclusive(func() {
 		base, next := r.base.Load(), r.next.Load()
-		for base < next && r.buf[base&r.mask].When < cutoff {
-			base++
+		out = make([]Event, 0, next-base)
+		for i := base; i < next; i++ {
+			out = append(out, r.buf[i&r.mask])
 		}
-		if maxLive > 0 && next-base > uint64(maxLive) {
-			base = next - uint64(maxLive)
-		}
-		r.base.Store(base)
+		r.base.Store(next)
 	})
+	return out
 }
 
 // reset discards buffered records and the drop counter (StartTrace).

@@ -124,14 +124,16 @@ func TestRingConcurrentDrainWhileEmitting(t *testing.T) {
 	}
 }
 
-// Exclusive passes overlapping on one ring — the flight recorder's trimmer
-// ages a ring while WriteFlightSnapshot copies it — must serialize: the
+// Exclusive passes overlapping on one ring — StopTrace's drain and
+// StartTrace's reset, driven from two goroutines — must serialize: the
 // first pass to finish may not re-admit writers while another is still
-// reading the buffer. Writers stamp Task and Arg with one per-writer
-// sequence, so a slot overwritten mid-copy shows up as a torn record or as
-// a writer's sequence running backwards inside one snapshot; under -race
-// the overlapping access itself is reported. GOMAXPROCS is raised so the
-// passes interleave on small machines too.
+// reading the buffer. A reset frees every slot, so re-admitted writers
+// refill exactly the slots a concurrent drain is copying. Writers stamp
+// Task and Arg with one per-writer sequence, so a slot overwritten
+// mid-copy shows up as a torn record or as a writer's sequence running
+// backwards inside one drain; under -race the overlapping access itself
+// is reported. GOMAXPROCS is raised so the passes interleave on small
+// machines too.
 func TestRingOverlappingExclusivePasses(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	r := newRing(64)
@@ -156,18 +158,18 @@ func TestRingOverlappingExclusivePasses(t *testing.T) {
 		})
 	}
 	loop(func() {
-		r.trim(0, 1) // keep one record: writers refill slots a snapshot reads
+		r.reset()
 		runtime.Gosched()
 	})
 	bad := make(chan string, 1)
 	for range 2 {
 		loop(func() {
 			last := map[uint64]uint64{}
-			for _, ev := range r.snapshot() {
+			for _, ev := range r.drain() {
 				g, seq := ev.Task>>32, ev.Task&(1<<32-1)
 				if ev.Task != ev.Arg || seq <= last[g] {
 					select {
-					case bad <- fmt.Sprintf("snapshot saw a slot rewritten mid-copy: %+v after seq %d", ev, last[g]):
+					case bad <- fmt.Sprintf("drain saw a slot rewritten mid-copy: %+v after seq %d", ev, last[g]):
 					default:
 					}
 				}

@@ -306,8 +306,7 @@ var (
 // a timeline and counts nothing: event buffering needs StartTrace, event
 // counts need EnableMetrics. Enabling replaces a custom tool installed
 // with SetHooks (they share the tool slot), but composes with the metrics
-// registry and the flight recorder. Disabling leaves a custom tool
-// untouched.
+// registry. Disabling leaves a custom tool untouched.
 func EnableTracing(on bool) bool {
 	installMu.Lock()
 	defer installMu.Unlock()

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"aomplib/internal/gls"
-	"aomplib/internal/obs"
 )
 
 // Multi-tenant admission: fair arbitration of the process-wide hot-team
@@ -281,28 +280,20 @@ func admitRegion() admitGrant {
 
 	policy, timeout := c.policy, c.timeout
 	if policy == AdmitReject || len(c.queue) >= c.queueBoundLocked() {
-		reason := obs.AdmitReasonPolicy
-		if policy != AdmitReject {
-			reason = obs.AdmitReasonQueueFull
-		}
 		c.mu.Unlock()
-		return refuse(c, ts, tk, reason)
+		return refuse(c, ts, tk)
 	}
 
 	w := &admitWaiter{tenant: ts, ready: make(chan struct{})}
 	c.queue = append(c.queue, w)
-	depth := len(c.queue)
-	if depth > c.queuePeak {
-		c.queuePeak = depth
+	if len(c.queue) > c.queuePeak {
+		c.queuePeak = len(c.queue)
 	}
 	c.mu.Unlock()
 	c.queuedTot.Add(1)
 	ts.queued.Add(1)
 	if tk != nil {
 		tk.queuedWaits.Add(1)
-	}
-	if h := obsHooks(); h != nil && h.AdmitEnqueue != nil {
-		h.AdmitEnqueue(ts.id, depth)
 	}
 
 	start := time.Now()
@@ -321,7 +312,7 @@ func admitRegion() admitGrant {
 				if tk != nil {
 					tk.timedOut.Add(1)
 				}
-				return refuse(c, ts, tk, obs.AdmitReasonTimeout)
+				return refuse(c, ts, tk)
 			}
 			// The grant raced the timer and won; consume it.
 			<-w.ready
@@ -351,14 +342,11 @@ func admitRegion() admitGrant {
 }
 
 // refuse records one refused lease and returns the degraded outcome.
-func refuse(c *admitController, ts *tenantState, tk *TenantToken, reason obs.AdmitReason) admitGrant {
+func refuse(c *admitController, ts *tenantState, tk *TenantToken) admitGrant {
 	c.rejected.Add(1)
 	ts.rejected.Add(1)
 	if tk != nil {
 		tk.rejected.Add(1)
-	}
-	if h := obsHooks(); h != nil && h.AdmitReject != nil {
-		h.AdmitReject(ts.id, reason)
 	}
 	return admitGrant{degraded: true}
 }

@@ -8,9 +8,8 @@ import (
 	"time"
 )
 
-// Nested region with the gate on (default): the inner region is a real
-// team with its own ids, size and barrier, and the outer context is
-// restored afterwards.
+// A nested region is a real team with its own ids, size and barrier, and
+// the outer context is restored afterwards.
 func TestNestedRegionRealTeamSemantics(t *testing.T) {
 	const outer, inner = 2, 3
 	var innerRuns atomic.Int32
@@ -53,38 +52,6 @@ func TestNestedRegionRealTeamSemantics(t *testing.T) {
 	})
 	if innerRuns.Load() != outer*inner {
 		t.Fatalf("inner bodies ran %d times, want %d", innerRuns.Load(), outer*inner)
-	}
-}
-
-// With nesting disabled, an inner region collapses to a single-worker team
-// but keeps consistent inner-team semantics.
-func TestNestedRegionGateOff(t *testing.T) {
-	prev := SetNested(false)
-	defer SetNested(prev)
-	if NestedEnabled() {
-		t.Fatal("gate did not disable")
-	}
-	var innerRuns atomic.Int32
-	Region(2, func(ow *Worker) {
-		Region(3, func(iw *Worker) {
-			innerRuns.Add(1)
-			if NumThreads() != 1 || ThreadID() != 0 {
-				t.Errorf("serialized inner region: id=%d n=%d", ThreadID(), NumThreads())
-			}
-			if Level() != 2 {
-				t.Errorf("serialized inner region level = %d, want 2", Level())
-			}
-			iw.Team.Barrier().Wait() // must not deadlock: one party
-		})
-	})
-	if innerRuns.Load() != 2 {
-		t.Fatalf("inner bodies ran %d times, want 2 (one per outer worker)", innerRuns.Load())
-	}
-	// Outermost regions are unaffected by the gate.
-	var n atomic.Int32
-	Region(3, func(w *Worker) { n.Add(1) })
-	if n.Load() != 3 {
-		t.Fatalf("outermost region ran %d workers with nesting off", n.Load())
 	}
 }
 
@@ -171,12 +138,10 @@ func TestRegionSurvivesForeignProfilerLabels(t *testing.T) {
 
 // A future spawned on an enclosing team and demanded inside a nested
 // region must not deadlock: the getter claims and executes the queued
-// producer directly when team-deque helping cannot reach it. With nesting
-// disabled the inner team is a single worker, making the hang — absent
-// the claim path — deterministic.
+// producer directly when team-deque helping cannot reach it. The inner
+// team is a single worker, making the hang — absent the claim path —
+// deterministic.
 func TestFutureGetAcrossNestedRegion(t *testing.T) {
-	prev := SetNested(false)
-	defer SetNested(prev)
 	var got atomic.Int64
 	Region(1, func(ow *Worker) {
 		f := SpawnFuture(func() any { return 40 + 2 })

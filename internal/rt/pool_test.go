@@ -99,8 +99,6 @@ func TestHotTeamNestedDeeperThanPool(t *testing.T) {
 	defer resetPool(t)()
 	prevSize := SetPoolSize(2)
 	defer SetPoolSize(prevSize)
-	prevNested := SetNested(true)
-	defer SetNested(prevNested)
 
 	const depth = 8
 	var leaves atomic.Int32
@@ -263,22 +261,6 @@ func TestReleaseEvictsStaleSizesToMakeRoom(t *testing.T) {
 	}
 	if captureTeam(4) != big {
 		t.Fatal("subsequent size-4 entry did not reuse the parked team")
-	}
-}
-
-// SetDefaultThreads must round-trip through the save/restore idiom: the
-// raw override is returned (0 = GOMAXPROCS-tracking), so restoring never
-// pins a stale GOMAXPROCS reading as an explicit override.
-func TestSetDefaultThreadsRoundTrips(t *testing.T) {
-	prev := SetDefaultThreads(3)
-	if DefaultThreads() != 3 {
-		t.Fatalf("override ineffective: %d", DefaultThreads())
-	}
-	if got := SetDefaultThreads(prev); got != 3 {
-		t.Fatalf("swap returned %d, want 3", got)
-	}
-	if prev == 0 && defaultThreads.Load() != 0 {
-		t.Fatal("restore pinned an explicit override instead of GOMAXPROCS tracking")
 	}
 }
 

@@ -1,6 +1,7 @@
 package rt
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -32,11 +33,17 @@ func TestRegionSpawnsExactTeam(t *testing.T) {
 	}
 }
 
+// A region that sets no width runs GOMAXPROCS workers, read live at entry.
 func TestRegionDefaultThreads(t *testing.T) {
-	var count atomic.Int32
-	Region(0, func(w *Worker) { count.Add(1) })
-	if int(count.Load()) != DefaultThreads() {
-		t.Fatalf("default region ran %d workers, want %d", count.Load(), DefaultThreads())
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 3} {
+		runtime.GOMAXPROCS(procs)
+		var count atomic.Int32
+		Region(0, func(w *Worker) { count.Add(1) })
+		if DefaultThreads() != procs || int(count.Load()) != procs {
+			t.Fatalf("GOMAXPROCS %d: DefaultThreads %d, default region ran %d workers",
+				procs, DefaultThreads(), count.Load())
+		}
 	}
 }
 

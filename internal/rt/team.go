@@ -63,50 +63,11 @@ func Level() int {
 	return 0
 }
 
-// defaultThreads holds the explicitly set process-wide default team size
-// — the size used by parallel regions that do not specify one. 0 means
-// "unset": follow GOMAXPROCS live, so programs that resize it (cgroup
-// quota libraries, runtime.GOMAXPROCS in main) keep getting
-// correctly-sized teams. Once set, region entry reads one atomic instead
-// of re-deriving anything.
-var defaultThreads atomic.Int32
-
 // DefaultThreads returns the team size used when a parallel region does
-// not specify one: the SetDefaultThreads override, or one thread per
-// available processor (OpenMP's default).
-func DefaultThreads() int {
-	if n := defaultThreads.Load(); n > 0 {
-		return int(n)
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// SetDefaultThreads sets the process-wide default team size atomically,
-// returning the previously stored override — 0 when the default was
-// GOMAXPROCS-tracking. Returning the raw value (not the effective one)
-// keeps the save/restore idiom `prev := SetDefaultThreads(n); ...;
-// SetDefaultThreads(prev)` round-tripping exactly: restoring a 0 restores
-// live GOMAXPROCS tracking instead of pinning its current reading.
-func SetDefaultThreads(n int) int {
-	if n < 1 {
-		n = 0
-	}
-	return int(defaultThreads.Swap(int32(n)))
-}
-
-// nestedOff gates nested parallel regions (the analogue of OMP_NESTED).
-// Nesting is enabled by default; when disabled, a Region entered from
-// inside a team runs serialized — a fresh inner team of one worker — so
-// ThreadID/NumThreads/barriers keep consistent inner-team semantics either
-// way. The zero value means "enabled" so the gate costs one atomic load.
-var nestedOff atomic.Bool
-
-// SetNested enables or disables nested parallel regions, returning the
-// previous setting.
-func SetNested(on bool) bool { return !nestedOff.Swap(!on) }
-
-// NestedEnabled reports whether nested parallel regions spawn real teams.
-func NestedEnabled() bool { return !nestedOff.Load() }
+// not specify one: one thread per available processor (OpenMP's default),
+// read live so programs that resize GOMAXPROCS (cgroup quota libraries,
+// runtime.GOMAXPROCS in main) keep getting correctly-sized teams.
+func DefaultThreads() int { return runtime.GOMAXPROCS(0) }
 
 // Team is a long-lived team of workers. One team serves many parallel
 // region entries over its lifetime: each entry leases the team (from the
@@ -296,9 +257,8 @@ func (t *Team) Root() *Team {
 // task scopes start empty.
 //
 // n < 1 selects DefaultThreads(). Nested calls create a fresh inner team,
-// as the library "also supports nested parallel regions"; with nesting
-// disabled (SetNested(false)) the inner team has a single worker. The
-// region's end is a task scheduling point: every worker drains the team's
+// as the library "also supports nested parallel regions". The region's
+// end is a task scheduling point: every worker drains the team's
 // deferred tasks before the join completes.
 func Region(n int, body func(w *Worker)) {
 	RegionArg(n, plainBody, body)
@@ -313,7 +273,7 @@ func plainBody(w *Worker, arg any) { arg.(func(*Worker))(w) }
 // per-entry struct. This split keeps warm region entries allocation-free —
 // a per-entry closure would escape to the heap on every call because the
 // team stores it for its workers. The team has exactly n workers (one
-// when nested with nesting off or degraded by admission); entered through
+// when degraded by admission); entered through
 // a Grain, n is a ceiling instead.
 func RegionArg(n int, body func(w *Worker, arg any), arg any) {
 	(*Grain)(nil).RegionArg(n, body, arg)
@@ -329,9 +289,6 @@ func (g *Grain) RegionArg(n int, body func(w *Worker, arg any), arg any) {
 	level := 1
 	if parent != nil {
 		level = parent.Team.Level() + 1
-		if !NestedEnabled() {
-			n = 1
-		}
 	}
 	ge := g.pick(n)
 	if ge.narrow {
