@@ -494,17 +494,17 @@ type TenantAdmissionStats = rt.TenantAdmissionStats
 
 // ------------------------------------------------------------- tracing --
 
-// EnableTracing installs (or uninstalls) the built-in runtime tracer — an
-// OMPT-style tool the runtime reports region forks, hot-team leases, task
-// lifecycles, steals, barrier waits and dependence releases into — and
-// returns whether it was previously installed. The tracer records a
+// EnableTracing turns the built-in runtime tracer on or off — the
+// runtime reports region forks, hot-team leases, task lifecycles, steals,
+// barrier waits and dependence releases into it — and returns whether it
+// was previously on. The tracer records a
 // timeline once StartTrace starts buffering; it counts nothing — event
 // counts and latencies come from EnableMetrics and ReadMetrics. Disabled
 // (the default), every emit point costs one atomic load and a predicted
 // branch, so the allocation-free hot paths are unchanged.
 func EnableTracing(on bool) bool { return obs.EnableTracing(on) }
 
-// TracingEnabled reports whether the built-in tracer is installed.
+// TracingEnabled reports whether the built-in tracer is on.
 func TracingEnabled() bool { return obs.TracingEnabled() }
 
 // StartTrace begins recording runtime events into lock-free per-worker

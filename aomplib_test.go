@@ -200,10 +200,32 @@ func TestProfilingWovenRegions(t *testing.T) {
 // non-test .go file of the module outside the facade's own aomplib.go and
 // diag.go.
 func TestFacadeKnobsHaveCallers(t *testing.T) {
+	for _, name := range knobsWithoutCallers(t, ".", "aomplib") {
+		t.Errorf("facade knob %s has no caller outside tests: delete it", name)
+	}
+}
+
+// TestInternalKnobsHaveCallers applies the same rule to the packages the
+// facade's knobs delegate to: an exported Set*/Enable* func of internal/rt,
+// internal/obs or internal/sched needs a non-test caller outside its own
+// package.
+func TestInternalKnobsHaveCallers(t *testing.T) {
+	for _, pkg := range []string{"internal/rt", "internal/obs", "internal/sched"} {
+		for _, name := range knobsWithoutCallers(t, pkg, "aomplib/"+pkg) {
+			t.Errorf("%s.%s has no caller outside tests and its own package: delete it", pkg, name)
+		}
+	}
+}
+
+// knobsWithoutCallers returns the exported Set*/Enable* funcs of the
+// package in dir (import path importPath) that no non-test .go file of the
+// module outside dir references.
+func knobsWithoutCallers(t *testing.T, dir, importPath string) []string {
+	t.Helper()
 	fset := token.NewFileSet()
-	facade, _ := filepath.Glob("*.go")
-	callers := map[string]int{} // knob -> references outside the facade
-	for _, path := range facade {
+	own, _ := filepath.Glob(filepath.Join(dir, "*.go"))
+	callers := map[string]int{} // knob -> references outside its package
+	for _, path := range own {
 		if strings.HasSuffix(path, "_test.go") {
 			continue
 		}
@@ -222,7 +244,7 @@ func TestFacadeKnobsHaveCallers(t *testing.T) {
 		}
 	}
 	if len(callers) == 0 {
-		t.Fatal("found no facade knobs: the census is looking in the wrong place")
+		t.Fatalf("found no knobs in %s: the census is looking in the wrong place", dir)
 	}
 
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
@@ -236,17 +258,17 @@ func TestFacadeKnobsHaveCallers(t *testing.T) {
 			return nil
 		}
 		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") ||
-			path == "aomplib.go" || path == "diag.go" {
+			filepath.Dir(path) == filepath.Clean(dir) {
 			return nil
 		}
 		f, err := parser.ParseFile(fset, path, nil, 0)
 		if err != nil {
 			return err
 		}
-		local := "" // the name package aomplib is imported under, if it is
+		local := "" // the name the package is imported under, if it is
 		for _, imp := range f.Imports {
-			if imp.Path.Value == `"aomplib"` {
-				local = "aomplib"
+			if imp.Path.Value == `"`+importPath+`"` {
+				local = filepath.Base(importPath)
 				if imp.Name != nil {
 					local = imp.Name.Name
 				}
@@ -267,9 +289,11 @@ func TestFacadeKnobsHaveCallers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var unused []string
 	for _, name := range slices.Sorted(maps.Keys(callers)) {
 		if callers[name] == 0 {
-			t.Errorf("facade knob %s has no caller outside tests: delete it", name)
+			unused = append(unused, name)
 		}
 	}
+	return unused
 }

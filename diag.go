@@ -8,7 +8,6 @@ import (
 	"net"
 	"net/http"
 	"strconv"
-	"sync"
 	"time"
 
 	"aomplib/internal/obs"
@@ -73,8 +72,9 @@ func WriteMetricsText(w io.Writer) error { return obs.WriteMetricsText(w, runtim
 //	                        (pool, admission, trace rings; counts and
 //	                        latencies);
 //	/debug/aomp/trace?sec=N Chrome trace of the next N seconds
-//	                        (default 2, clamped to [0.1, 30]) — captures
-//	                        serialize, concurrent requests get 503.
+//	                        (default 2, clamped to [0.1, 30]); 503 while
+//	                        any trace is recording, the program's own
+//	                        (StartTrace) included.
 //
 // Mount it on a mux the process already serves, or pass the same routes
 // to ServeDiagnostics for a standalone listener.
@@ -164,11 +164,6 @@ func serveStats(w http.ResponseWriter, r *http.Request) {
 	}{RuntimeStats(), ReadMetrics()})
 }
 
-// traceMu serializes /debug/aomp/trace captures: StartTrace/StopTrace
-// drive one global tracer, so two overlapping captures would truncate
-// each other.
-var traceMu sync.Mutex
-
 func serveTrace(w http.ResponseWriter, r *http.Request) {
 	sec := 2.0
 	if s := r.URL.Query().Get("sec"); s != "" {
@@ -186,17 +181,15 @@ func serveTrace(w http.ResponseWriter, r *http.Request) {
 	if sec > 30 {
 		sec = 30
 	}
-	if !traceMu.TryLock() {
-		http.Error(w, "a trace capture is already running", http.StatusServiceUnavailable)
+	// The capture claims the one global tracer only when no trace is
+	// recording, so it never discards or ends the program's own trace, and
+	// restores the tracer's on/off state afterwards: a server that keeps
+	// the tracer off should not find it on because somebody curled a trace.
+	wasEnabled := TracingEnabled()
+	if !obs.TryStartTrace() {
+		http.Error(w, "a trace is already recording", http.StatusServiceUnavailable)
 		return
 	}
-	defer traceMu.Unlock()
-
-	// Capture restores the tracer's install state afterwards: a server
-	// that keeps the tracer off should not find it on because somebody
-	// curled a trace.
-	wasEnabled := TracingEnabled()
-	StartTrace()
 	select {
 	case <-time.After(time.Duration(sec * float64(time.Second))):
 	case <-r.Context().Done():

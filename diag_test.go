@@ -174,8 +174,7 @@ func TestRuntimeSnapshotAggregates(t *testing.T) {
 }
 
 // /debug/aomp/trace must capture a bounded window, restore the tracer's
-// prior install state, reject malformed durations, and refuse concurrent
-// captures.
+// prior on/off state and reject malformed durations.
 func TestDiagnosticsTraceEndpoint(t *testing.T) {
 	srv := httptest.NewServer(Handler())
 	defer srv.Close()
@@ -210,6 +209,47 @@ func TestDiagnosticsTraceEndpoint(t *testing.T) {
 			t.Fatalf("sec=%s got status %d, want 400", sec, resp.StatusCode)
 		}
 	}
+}
+
+// /debug/aomp/trace must not touch a trace the program is recording: it
+// answers 503, and the program's own StopTrace still holds what it
+// recorded before the request.
+func TestDiagnosticsTraceLeavesProgramTrace(t *testing.T) {
+	srv := httptest.NewServer(Handler())
+	defer srv.Close()
+	defer EnableMetrics(false)
+	defer EnableTracing(EnableTracing(false))
+
+	StartTrace()
+	rt.Region(3, func(w *rt.Worker) {})
+	resp, err := srv.Client().Get(srv.URL + "/debug/aomp/trace?sec=0.1")
+	if err != nil {
+		t.Fatalf("GET trace: %v", err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Errorf("trace endpoint during the program's trace: status %d, want 503", resp.StatusCode)
+	}
+	var buf strings.Builder
+	if err := StopTrace(&buf); err != nil {
+		t.Fatalf("StopTrace: %v", err)
+	}
+	var trace struct {
+		TraceEvents []struct {
+			Name string         `json:"name"`
+			Args map[string]any `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal([]byte(buf.String()), &trace); err != nil {
+		t.Fatalf("program trace is not valid JSON: %v", err)
+	}
+	for _, ev := range trace.TraceEvents {
+		if ev.Name == "region fork" && ev.Args["size"] == float64(3) {
+			return
+		}
+	}
+	t.Fatal("the program's trace lost its region fork to the endpoint's capture")
 }
 
 // ServeDiagnostics must bind a working listener serving Handler's routes,

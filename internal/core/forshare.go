@@ -40,7 +40,7 @@ func (a *ForAspect) Named(name string) *ForAspect { a.name = name; return a }
 // one a dispensing kind (dynamic, guided, steal, adaptive, and runtime when
 // it reads one) resolves to static by blocks: the method runs once over the
 // whole range with no end barrier, and ForContext.Kind and the WorkBegin
-// hook report staticBlock.
+// event report staticBlock.
 func (a *ForAspect) Schedule(k sched.Kind) *ForAspect { a.kind = k; return a }
 
 // Chunk sets the chunk of the dynamic, guided and steal schedules (default

@@ -5,7 +5,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"aomplib/internal/obs"
 	"aomplib/internal/rt"
 	"aomplib/internal/sched"
 	"aomplib/internal/weaver"
@@ -23,19 +22,6 @@ func TestHotTeamsWeaveUnweaveInterleaved(t *testing.T) {
 	const n, calls, weaves = 512, 120, 60
 	p := weaver.NewProgram("stress")
 	var sum atomic.Int64
-	// Widths are counted at the fork, by hook: a count inside the body
-	// (gls lookups on every worker) shifts the window this test probes and
-	// raised its failure rate.
-	var wide, narrow atomic.Int64
-	defer obs.SetHooks(obs.SetHooks(&obs.Hooks{
-		RegionFork: func(_ obs.WorkerID, _ uint64, _, size int) {
-			if size == 2 {
-				wide.Add(1)
-			} else {
-				narrow.Add(1)
-			}
-		},
-	}))
 	loop := p.Class("S").ForProc("loop", func(lo, hi, step int) {
 		var local int64
 		for i := lo; i < hi; i += step {
@@ -47,28 +33,39 @@ func TestHotTeamsWeaveUnweaveInterleaved(t *testing.T) {
 	p.Use(ParallelRegion("call(* S.run(..))").Threads(2))
 	p.Use(ForShare("call(* S.loop(..))"))
 
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < weaves; i++ {
-			if err := p.Weave(); err != nil {
-				t.Errorf("weave: %v", err)
-				return
+	// Widths are counted at the fork, from the trace: a count inside the
+	// body (gls lookups on every worker) shifts the window this test probes
+	// and raised its failure rate.
+	forks := traceForkSizes(t, func() {
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < weaves; i++ {
+				if err := p.Weave(); err != nil {
+					t.Errorf("weave: %v", err)
+					return
+				}
+				p.Unweave()
 			}
-			p.Unweave()
+		}()
+		for i := 0; i < calls; i++ {
+			run()
 		}
-	}()
-	for i := 0; i < calls; i++ {
-		run()
-	}
-	wg.Wait()
+		wg.Wait()
+	})
 	const per = int64(n) * (n - 1) / 2
 	if got := sum.Load(); got != calls*per {
 		t.Fatalf("sum = %d after %d calls, want %d (iterations lost or doubled)", got, calls, calls*per)
 	}
-	if narrow.Load() != 0 {
-		t.Fatalf("%d woven entries ran narrower than 2 (%d at 2)", narrow.Load(), wide.Load())
+	narrow := 0
+	for size, n := range forks {
+		if size != 2 {
+			narrow += n
+		}
+	}
+	if narrow != 0 {
+		t.Fatalf("%d woven entries ran narrower than 2 (%d at 2)", narrow, forks[2])
 	}
 }
 

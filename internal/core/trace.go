@@ -43,7 +43,7 @@ func (a *TraceAspect) Bindings() []weaver.Binding {
 			id := obs.InternName(jp.FQN())
 			return func(c *weaver.Call) {
 				h := obs.Active()
-				if h == nil {
+				if !h.Tracing() {
 					next(c)
 					return
 				}
@@ -51,12 +51,8 @@ func (a *TraceAspect) Bindings() []weaver.Binding {
 				if c.Worker != nil {
 					gid = c.Worker.ObsID()
 				}
-				if h.SpanBegin != nil {
-					h.SpanBegin(gid, id)
-				}
-				if h.SpanEnd != nil {
-					defer h.SpanEnd(gid, id)
-				}
+				h.SpanBegin(gid, id)
+				defer h.SpanEnd(gid, id)
 				next(c)
 			}
 		},

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"encoding/json"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -19,6 +21,42 @@ func pinWidth(t testing.TB) {
 	prev := fixedWidth
 	fixedWidth = true
 	t.Cleanup(func() { fixedWidth = prev })
+}
+
+// traceForkSizes runs fn under a fresh trace and counts its region forks
+// by team size. It fails t if the rings dropped any event, which could
+// hide a narrow fork.
+func traceForkSizes(t testing.TB, fn func()) map[int]int {
+	t.Helper()
+	defer obs.EnableTracing(obs.EnableTracing(false))
+	drops := obs.ReadStats().RingDrops
+	obs.StartTrace()
+	fn()
+	var buf bytes.Buffer
+	if err := obs.StopTrace(&buf); err != nil {
+		t.Fatalf("StopTrace: %v", err)
+	}
+	if d := obs.ReadStats().RingDrops - drops; d != 0 {
+		t.Fatalf("the trace dropped %d events", d)
+	}
+	var trace struct {
+		TraceEvents []struct {
+			Name string `json:"name"`
+			Args struct {
+				Size int `json:"size"`
+			} `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &trace); err != nil {
+		t.Fatalf("trace is not valid JSON: %v", err)
+	}
+	forks := map[int]int{}
+	for _, ev := range trace.TraceEvents {
+		if ev.Name == "region fork" {
+			forks[ev.Args.Size]++
+		}
+	}
+	return forks
 }
 
 // widthProgram weaves a Threads(2) region over body and returns its entry
@@ -132,21 +170,12 @@ func TestRegionWidthReturnsWhenRegionGrows(t *testing.T) {
 // TestRegionWidthLongRegionNeverNarrow: a region of 1 ms or more is never
 // forked at width 1 to find out whether that would be faster.
 func TestRegionWidthLongRegionNeverNarrow(t *testing.T) {
-	var mu sync.Mutex
-	forks := map[int]int{}
-	defer obs.SetHooks(obs.SetHooks(&obs.Hooks{
-		RegionFork: func(_ obs.WorkerID, _ uint64, _, size int) {
-			mu.Lock()
-			forks[size]++
-			mu.Unlock()
-		},
-	}))
 	run, _ := widthProgram(func() { time.Sleep(time.Millisecond) })
-	for i := 0; i < 30; i++ {
-		run()
-	}
-	mu.Lock()
-	defer mu.Unlock()
+	forks := traceForkSizes(t, func() {
+		for i := 0; i < 30; i++ {
+			run()
+		}
+	})
 	if forks[1] != 0 || forks[2] != 30 {
 		t.Errorf("forks by width %v, want 30 at width 2 and none at width 1", forks)
 	}

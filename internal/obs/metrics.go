@@ -11,10 +11,10 @@ import (
 // Always-on production metrics. Where the tracer buffers a timeline for
 // post-hoc inspection, the metrics registry keeps cheap cumulative
 // aggregates a monitoring system scrapes continuously: counters and
-// log-bucketed histograms fed from the same hook emit points the tracer
+// log-bucketed histograms fed from the same emit points the tracer
 // uses. The registry is sized and allocated up front, so the enabled
 // record path touches only preallocated padded atomics — no allocation,
-// no locks — and the disabled path is the hook table's usual one atomic
+// no locks — and the disabled path is the emit points' usual one atomic
 // load and predicted branch.
 //
 // Shard discipline: every per-worker metric is striped across
@@ -172,62 +172,6 @@ func (m *metricsRegistry) shard(w WorkerID) *metricShard {
 	return &m.shards[idx]
 }
 
-// hooks builds the registry's hook table: bound closures created once at
-// enable time, so the record path allocates nothing.
-func (m *metricsRegistry) hooks() *Hooks {
-	return &Hooks{
-		RegionFork: func(master WorkerID, team uint64, level, size int) {
-			m.shard(master).regionEntries.Add(1)
-			m.regionTimes.put(team, monotonicNs())
-		},
-		RegionJoin: func(master WorkerID, team uint64, level int) {
-			if t0, ok := m.regionTimes.take(team); ok {
-				m.shard(master).regionLat.record(monotonicNs() - t0)
-			}
-		},
-		TaskCreate: func(w WorkerID, task uint64, kind TaskKind) {
-			m.shard(w).tasksSpawned.Add(1)
-			m.spawnTimes.put(task, monotonicNs())
-		},
-		TaskSchedule: func(w WorkerID, task uint64) {
-			if t0, ok := m.spawnTimes.take(task); ok {
-				m.shard(w).spawnLat.record(monotonicNs() - t0)
-			}
-		},
-		TaskComplete: func(w WorkerID, task uint64) {
-			m.shard(w).tasksCompleted.Add(1)
-		},
-		TaskInline: func(w WorkerID, task uint64) {
-			m.shard(w).tasksSpawned.Add(1)
-			m.shard(w).tasksCompleted.Add(1)
-		},
-		StealAttempt: func(w WorkerID) {
-			m.shard(w).stealAttempts.Add(1)
-		},
-		StealSuccess: func(w WorkerID, task uint64, victim WorkerID) {
-			m.shard(w).steals.Add(1)
-		},
-		StealScan: func(w WorkerID, probes int) {
-			m.shard(w).stealProbes.Add(uint64(probes))
-		},
-		BarrierDepart: func(w WorkerID, team uint64, waitNs int64) {
-			s := m.shard(w)
-			s.barrierWaits.Add(1)
-			s.barrierWait.record(waitNs)
-		},
-		WorkBegin: func(w WorkerID, team uint64, kind uint8) {
-			k := int(kind)
-			if k >= schedKinds {
-				k = schedKinds - 1
-			}
-			m.shard(w).loopShares[k].Add(1)
-		},
-		AdmitGrant: func(tenant uint64, waitNs int64) {
-			m.admitWait.record(waitNs)
-		},
-	}
-}
-
 // ------------------------------------------------------- snapshot types --
 
 // HistogramBucket is one cumulative bucket of a HistogramSnapshot:
@@ -370,31 +314,24 @@ var metrics *metricsRegistry
 // record path is preallocated padded atomics, 0 allocs/op; counters
 // accumulate until process exit and are never reset. Disabled (the
 // default), the emit points cost their usual one atomic load and branch.
-// Metrics compose with the tracer and custom tools: enabling one never
-// evicts another.
+// Metrics are independent of the tracer: enabling one never evicts the
+// other.
 func EnableMetrics(on bool) bool {
-	installMu.Lock()
-	defer installMu.Unlock()
-	prev := metricsHooks != nil
-	if on {
-		if metrics == nil {
-			metrics = newMetricsRegistry(defaultMaxRings())
+	return update(func(s *Sinks) {
+		s.m = nil
+		if on {
+			if metrics == nil {
+				metrics = newMetricsRegistry(defaultMaxRings())
+			}
+			s.m = metrics
 		}
-		if metricsHooks == nil {
-			metricsHooks = metrics.hooks()
-		}
-	} else {
-		metricsHooks = nil
-	}
-	rebuildActiveLocked()
-	return prev
+	}).m != nil
 }
 
 // MetricsEnabled reports whether the metrics registry is recording.
 func MetricsEnabled() bool {
-	installMu.Lock()
-	defer installMu.Unlock()
-	return metricsHooks != nil
+	s := active.Load()
+	return s != nil && s.m != nil
 }
 
 // ReadMetrics merges every shard of the metrics registry into one

@@ -9,11 +9,18 @@ import (
 	"testing"
 )
 
-// drive pushes one deterministic mix of samples through a registry's hook
-// table, attributing them to worker w and tenant tn — the merge-
+// hooks returns a Sinks feeding this collector alone, so a test drives a
+// private tracer through the runtime's own event methods.
+func (c *collector) hooks() *Sinks { return &Sinks{tr: c} }
+
+// hooks returns a Sinks feeding this registry alone.
+func (m *metricsRegistry) hooks() *Sinks { return &Sinks{m: m} }
+
+// drive pushes one deterministic mix of samples through a registry's
+// events, attributing them to worker w and tenant tn — the merge-
 // determinism test runs it with different attributions and expects
 // identical merged snapshots.
-func drive(h *Hooks, w WorkerID, tn uint64, base uint64) {
+func drive(h *Sinks, w WorkerID, tn uint64, base uint64) {
 	h.RegionFork(w, base+1, 0, 4)
 	h.RegionJoin(w, base+1, 0)
 	h.TaskCreate(w, base+2, TaskDeferred)
@@ -249,9 +256,7 @@ func TestPairTableLossyPairing(t *testing.T) {
 func TestExpositionRoundTrip(t *testing.T) {
 	prevEnabled := EnableMetrics(true)
 	defer EnableMetrics(prevEnabled)
-	installMu.Lock()
-	h := metricsHooks
-	installMu.Unlock()
+	h := &Sinks{m: metrics}
 
 	h.RegionFork(1, 777001, 0, 4)
 	h.RegionJoin(1, 777001, 0)
@@ -360,66 +365,5 @@ func TestZeroSnapshotWellFormed(t *testing.T) {
 	}
 	if err := LintExposition(bytes.NewReader(buf.Bytes())); err != nil {
 		t.Fatalf("zero exposition fails lint: %v\n%s", err, buf.String())
-	}
-}
-
-// Hook composition: with two consumers installed the published table must
-// fan every event out to both; dropping back to one must publish that
-// table directly; dropping to zero must publish nil.
-func TestHookSlotComposition(t *testing.T) {
-	var toolForks int
-	prevTool := SetHooks(&Hooks{
-		RegionFork: func(WorkerID, uint64, int, int) { toolForks++ },
-	})
-	defer SetHooks(prevTool)
-	prevMetrics := EnableMetrics(true)
-	defer EnableMetrics(prevMetrics)
-
-	before := ReadMetrics().RegionEntries
-	h := Active()
-	if h == nil {
-		t.Fatal("active table nil with two consumers installed")
-	}
-	h.RegionFork(0, 888001, 0, 2)
-	if toolForks != 1 {
-		t.Fatalf("custom tool missed the fanned-out event (forks=%d)", toolForks)
-	}
-	if got := ReadMetrics().RegionEntries; got != before+1 {
-		t.Fatalf("metrics missed the fanned-out event (%d -> %d)", before, got)
-	}
-
-	EnableMetrics(false)
-	if Active() == nil || Active().RegionFork == nil {
-		t.Fatal("tool slot lost when metrics disabled")
-	}
-	Active().RegionFork(0, 888002, 0, 2)
-	if toolForks != 2 {
-		t.Fatalf("tool stopped receiving after metrics disabled (forks=%d)", toolForks)
-	}
-	if got := ReadMetrics().RegionEntries; got != before+1 {
-		t.Fatalf("metrics kept counting while disabled (%d)", got)
-	}
-}
-
-// The tracer records a timeline and never counts: installed alone, it
-// leaves the counter-only hooks nil, so their emit points stay one
-// predicted branch.
-func TestTracerRecordsNeverCounts(t *testing.T) {
-	prevTool := SetHooks(nil)
-	defer SetHooks(prevTool)
-	prevMetrics := EnableMetrics(false)
-	defer EnableMetrics(prevMetrics)
-
-	EnableTracing(true)
-	defer EnableTracing(false)
-	h := Active()
-	for name, set := range map[string]bool{
-		"StealAttempt": h.StealAttempt != nil,
-		"StealScan":    h.StealScan != nil,
-		"AdmitGrant":   h.AdmitGrant != nil,
-	} {
-		if set {
-			t.Errorf("tracer alone installs %s", name)
-		}
 	}
 }

@@ -210,7 +210,7 @@ func TestCollectorRoutingAndReset(t *testing.T) {
 		}
 	}
 	// start discards anything recorded since the stop.
-	c.recording.Store(true)
+	c.state.Store(recording)
 	h.TaskCreate(3, 4, TaskDeferred)
 	c.start()
 	if evs := c.stop(); len(evs) != 0 {

@@ -34,13 +34,21 @@ type Stats struct {
 // 800 KiB per worker.
 const DefaultRingCapacity = 1 << 14
 
+// Tracer states: a start moves the tracer to starting while it resets the
+// rings (nothing records), then to recording; a stop moves it to idle.
+const (
+	idle int32 = iota
+	starting
+	recording
+)
+
 // collector is the built-in tracer: per-worker rings and the count of
 // records they stored. The package-level singleton serves the public API;
-// tests build private instances and drive the hook methods directly.
+// tests build private instances and drive them through a Sinks.
 type collector struct {
-	recorded  atomic.Uint64
-	recording atomic.Bool
-	epoch     atomic.Int64 // trace start, ns reading of the monotonic clock
+	recorded atomic.Uint64
+	state    atomic.Int32 // idle, starting or recording
+	epoch    atomic.Int64 // trace start, ns reading of the monotonic clock
 
 	// rings is indexed by WorkerID+1 (index 0 is the shared ring for
 	// NoWorker emits). The slice is copy-on-write: the hot path is one
@@ -140,7 +148,7 @@ func (c *collector) ring(w WorkerID) *ring {
 
 // record appends one event if a trace is recording.
 func (c *collector) record(w WorkerID, ev Event) {
-	if !c.recording.Load() {
+	if c.state.Load() != recording {
 		return
 	}
 	ev.When = c.now()
@@ -153,7 +161,22 @@ func (c *collector) record(w WorkerID, ev Event) {
 // start begins a fresh trace: buffered records from earlier traces are
 // discarded and the epoch resets.
 func (c *collector) start() {
-	c.recording.Store(false)
+	c.state.Store(starting)
+	c.begin()
+}
+
+// tryStart is start for a caller that must not disturb a trace in
+// progress: it claims the tracer only from idle and reports whether it did.
+func (c *collector) tryStart() bool {
+	if !c.state.CompareAndSwap(idle, starting) {
+		return false
+	}
+	c.begin()
+	return true
+}
+
+// begin resets the rings and the epoch of a claimed tracer and records.
+func (c *collector) begin() {
 	for _, r := range *c.rings.Load() {
 		// Fold the live drop counter into the cumulative total before the
 		// reset zeroes it, so RingDrops survives trace restarts.
@@ -161,12 +184,12 @@ func (c *collector) start() {
 		r.reset()
 	}
 	c.epoch.Store(monotonicNs())
-	c.recording.Store(true)
+	c.state.Store(recording)
 }
 
 // stop ends the trace and drains every ring into one record set.
 func (c *collector) stop() []Event {
-	c.recording.Store(false)
+	c.state.Store(idle)
 	var out []Event
 	for _, r := range *c.rings.Load() {
 		out = append(out, r.drain()...)
@@ -223,123 +246,43 @@ func (c *collector) spanName(id uint32) string {
 	return "span"
 }
 
-// hooks builds the collector's hook table: one record per timeline event,
-// no counting — event counts are the metrics registry's. Events with no
-// timeline value (steal attempts and scans, admission outcomes) are left
-// nil. Every callback is a bound method value created once here, so
-// installing the tracer allocates only at EnableTracing time, never on the
-// emit path.
-func (c *collector) hooks() *Hooks {
-	return &Hooks{
-		RegionFork: func(master WorkerID, team uint64, level, size int) {
-			c.record(master, Event{Kind: EvRegionFork, Team: team, Arg: uint64(size), Level: uint8(level)})
-		},
-		RegionJoin: func(master WorkerID, team uint64, level int) {
-			c.record(master, Event{Kind: EvRegionJoin, Team: team, Level: uint8(level)})
-		},
-		ImplicitBegin: func(w WorkerID, team uint64, level int) {
-			c.record(w, Event{Kind: EvImplicitBegin, Team: team, Level: uint8(level)})
-		},
-		ImplicitEnd: func(w WorkerID, team uint64) {
-			c.record(w, Event{Kind: EvImplicitEnd, Team: team})
-		},
-		TeamLease: func(w WorkerID, team uint64, size int, hit bool) {
-			var h uint64
-			if hit {
-				h = 1
-			}
-			c.record(w, Event{Kind: EvTeamLease, Team: team, Arg: h<<32 | uint64(uint32(size))})
-		},
-		TeamRetire: func(team uint64, size int) {
-			c.record(NoWorker, Event{Kind: EvTeamRetire, Team: team, Arg: uint64(size)})
-		},
-		TaskCreate: func(w WorkerID, task uint64, kind TaskKind) {
-			c.record(w, Event{Kind: EvTaskCreate, Task: task, Arg: uint64(kind)})
-		},
-		TaskSchedule: func(w WorkerID, task uint64) {
-			c.record(w, Event{Kind: EvTaskSchedule, Task: task})
-		},
-		TaskComplete: func(w WorkerID, task uint64) {
-			c.record(w, Event{Kind: EvTaskComplete, Task: task})
-		},
-		TaskInline: func(w WorkerID, task uint64) {
-			c.record(w, Event{Kind: EvTaskInline, Task: task})
-		},
-		StealSuccess: func(w WorkerID, task uint64, victim WorkerID) {
-			c.record(w, Event{Kind: EvStealSuccess, Task: task, Arg: uint64(uint32(victim))})
-		},
-		BarrierArrive: func(w WorkerID, team uint64) {
-			c.record(w, Event{Kind: EvBarrierArrive, Team: team})
-		},
-		BarrierDepart: func(w WorkerID, team uint64, waitNs int64) {
-			c.record(w, Event{Kind: EvBarrierDepart, Team: team, Arg: uint64(waitNs)})
-		},
-		DepRelease: func(w WorkerID, task uint64) {
-			c.record(w, Event{Kind: EvDepRelease, Task: task})
-		},
-		WorkBegin: func(w WorkerID, team uint64, kind uint8) {
-			c.record(w, Event{Kind: EvWorkBegin, Team: team, Arg: uint64(kind)})
-		},
-		WorkEnd: func(w WorkerID, team uint64) {
-			c.record(w, Event{Kind: EvWorkEnd, Team: team})
-		},
-		SpanBegin: func(w WorkerID, name uint32) {
-			c.record(w, Event{Kind: EvSpanBegin, Task: uint64(name)})
-		},
-		SpanEnd: func(w WorkerID, name uint32) {
-			c.record(w, Event{Kind: EvSpanEnd, Task: uint64(name)})
-		},
-	}
-}
-
 // ------------------------------------------------------------ public API --
 
 // tracer is the process-wide built-in collector behind EnableTracing,
 // StartTrace, StopTrace, ReadStats and InternName.
-var (
-	tracer      = newCollector(DefaultRingCapacity, defaultMaxRings())
-	tracerHooks *Hooks
-)
+var tracer = newCollector(DefaultRingCapacity, defaultMaxRings())
 
-// EnableTracing installs (or uninstalls) the built-in tracer in the tool
-// slot and returns whether it was previously installed. The tracer records
-// a timeline and counts nothing: event buffering needs StartTrace, event
-// counts need EnableMetrics. Enabling replaces a custom tool installed
-// with SetHooks (they share the tool slot), but composes with the metrics
-// registry. Disabling leaves a custom tool untouched.
+// EnableTracing turns the built-in tracer on or off and returns whether it
+// was on. The tracer records a timeline and counts nothing: event buffering
+// needs StartTrace, event counts need EnableMetrics. It is independent of
+// the metrics registry: turning one on or off never touches the other.
 func EnableTracing(on bool) bool {
-	installMu.Lock()
-	defer installMu.Unlock()
-	prev := tracerHooks != nil && toolHooks == tracerHooks
-	if on {
-		if tracerHooks == nil {
-			tracerHooks = tracer.hooks()
+	if !on {
+		tracer.state.Store(idle)
+	}
+	return update(func(s *Sinks) {
+		s.tr = nil
+		if on {
+			s.tr = tracer
 		}
-		toolHooks = tracerHooks
-		rebuildActiveLocked()
-		return prev
-	}
-	tracer.recording.Store(false)
-	if prev {
-		toolHooks = nil
-		rebuildActiveLocked()
-	}
-	return prev
+	}).tr != nil
 }
 
-// TracingEnabled reports whether the built-in tracer occupies the tool
-// slot.
-func TracingEnabled() bool {
-	installMu.Lock()
-	defer installMu.Unlock()
-	return tracerHooks != nil && toolHooks == tracerHooks
-}
+// TracingEnabled reports whether the built-in tracer is on.
+func TracingEnabled() bool { return active.Load().Tracing() }
 
 // StartTrace enables the tracer if needed and begins recording events into
 // the per-worker ring buffers, discarding any previous trace.
 func StartTrace() {
 	EnableTracing(true)
 	tracer.start()
+}
+
+// TryStartTrace is StartTrace unless a trace is already recording (or
+// starting), in which case it leaves that trace alone and reports false.
+func TryStartTrace() bool {
+	EnableTracing(true)
+	return tracer.tryStart()
 }
 
 // StopTrace ends the recording started by StartTrace, drains the ring

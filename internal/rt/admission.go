@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"aomplib/internal/gls"
+	"aomplib/internal/obs"
 )
 
 // Multi-tenant admission: fair arbitration of the process-wide hot-team
@@ -253,7 +254,7 @@ type admitGrant struct {
 }
 
 // admitRegion arbitrates one top-level region entry: grant a slot (fast or
-// after queueing, per policy) or degrade. Emits obs admission hooks.
+// after queueing, per policy) or degrade. Emits the obs AdmitGrant event.
 func admitRegion() admitGrant {
 	c := &admCtl
 	tk, _ := tenantStore.Current().(*TenantToken)
@@ -272,7 +273,7 @@ func admitRegion() admitGrant {
 		if tk != nil {
 			tk.admitted.Add(1)
 		}
-		if h := obsHooks(); h != nil && h.AdmitGrant != nil {
+		if h := obs.Active(); h != nil {
 			h.AdmitGrant(ts.id, 0)
 		}
 		return admitGrant{tenant: ts}
@@ -335,7 +336,7 @@ func admitRegion() admitGrant {
 	if tk != nil {
 		tk.admitted.Add(1)
 	}
-	if h := obsHooks(); h != nil && h.AdmitGrant != nil {
+	if h := obs.Active(); h != nil {
 		h.AdmitGrant(ts.id, int64(ns))
 	}
 	return admitGrant{tenant: ts}
@@ -520,7 +521,7 @@ func (tk *TenantToken) Degraded() int { return int(tk.rejected.Load()) }
 // TenantAdmissionStats is one tenant's slice of AdmissionStats.
 type TenantAdmissionStats struct {
 	Name  string // tenant name (EnterTenant argument)
-	ID    uint64 // tenant id carried by obs admission hooks
+	ID    uint64 // tenant id carried by obs admission events
 	Quota int    // concurrent-slot cap; 0 = unlimited
 	Held  int    // slots held right now
 

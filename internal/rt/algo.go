@@ -3,6 +3,7 @@ package rt
 import (
 	"sync"
 
+	"aomplib/internal/obs"
 	"aomplib/internal/sched"
 )
 
@@ -11,7 +12,7 @@ import (
 // share of an iteration space under any schedule, a splittable-range task
 // spawner for composable nested parallelism, and a token pool for bounded
 // streaming pipelines. All three reuse the existing machinery — deques,
-// steal schedule, hot teams, obs hooks — rather than introducing a second
+// steal schedule, hot teams, obs events — rather than introducing a second
 // scheduler.
 
 // SpanFunc executes one dispensed sub-range of a loop. The arg parameter
@@ -49,11 +50,9 @@ type SpanFunc func(sub sched.Space, arg any)
 // across phases (e.g. a two-pass scan) insert team barriers themselves.
 func ForSpan(w *Worker, sp sched.Space, kind sched.Kind, key any, chunk int, run SpanFunc, arg any) {
 	if kind == sched.StaticBlock || kind == sched.StaticCyclic {
-		if h := obsHooks(); h != nil {
-			if h.WorkBegin != nil {
-				h.WorkBegin(w.gid, w.Team.tid, uint8(kind))
-			}
-			if h.WorkEnd != nil {
+		if h := obs.Active(); h != nil {
+			h.WorkBegin(w.gid, w.Team.tid, uint8(kind))
+			if h.Tracing() {
 				defer h.WorkEnd(w.gid, w.Team.tid)
 			}
 		}

@@ -5,6 +5,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"aomplib/internal/obs"
 )
 
 // Barrier is a reusable team barrier with generation counting (equivalent
@@ -181,19 +183,15 @@ func (b *Barrier) slotOf(w *Worker) int {
 
 // waitTimed wraps the wait with the instrumented arrival: the depart event
 // carries the nanoseconds this caller spent blocked, which the trace
-// renders as a wait slice. The worker lookup and clock reads run only with
-// a tool installed.
+// renders as a wait slice and metrics file as a barrier wait. The worker
+// lookup and clock reads run only with a consumer on.
 func (b *Barrier) waitTimed(w *Worker, last func(*Worker)) uint64 {
-	if h := obsHooks(); h != nil {
+	if h := obs.Active(); h != nil {
 		gid := curGID()
-		if h.BarrierArrive != nil {
-			h.BarrierArrive(gid, b.ownerID())
-		}
+		h.BarrierArrive(gid, b.ownerID())
 		t0 := time.Now()
 		gen := b.wait(w, last)
-		if h.BarrierDepart != nil {
-			h.BarrierDepart(gid, b.ownerID(), time.Since(t0).Nanoseconds())
-		}
+		h.BarrierDepart(gid, b.ownerID(), time.Since(t0).Nanoseconds())
 		return gen
 	}
 	return b.wait(w, last)

@@ -230,7 +230,7 @@ func (tr *depTracker) releaseLocked(t *task) {
 	if !t.unpark() {
 		return
 	}
-	if h := obsHooks(); h != nil && h.DepRelease != nil {
+	if h := obs.Active(); h.Tracing() {
 		h.DepRelease(curGID(), t.traceID)
 	}
 	if w := t.spawner; w != nil {
@@ -258,7 +258,7 @@ func SpawnDep(body func(), d Deps) {
 		g := w.spawnGroup()
 		g.Add(1)
 		t := newTask(plainTask, body, g, w)
-		if h := obsHooks(); h != nil {
+		if h := obs.Active(); h != nil {
 			stampTask(h, t, w, obs.TaskDependent)
 		}
 		if w.Team.depTracker().enqueue(t, d) {
@@ -310,7 +310,7 @@ func SpawnFutureDep(fn func() any, d Deps) *Future {
 		t := &task{fn: plainTask, arg: resolve, group: g, spawner: w} // retained by f: never pooled
 		t.refs.Store(2)
 		f.task = t
-		if h := obsHooks(); h != nil {
+		if h := obs.Active(); h != nil {
 			stampTask(h, t, w, obs.TaskFutureDependent)
 		}
 		if w.Team.depTracker().enqueue(t, d) {

@@ -3,6 +3,8 @@ package rt
 import (
 	"sync"
 	"sync/atomic"
+
+	"aomplib/internal/obs"
 )
 
 // Task lifecycle states. A depend-free task is born taskReady; a task with
@@ -34,7 +36,7 @@ type task struct {
 	group   *TaskGroup
 	spawner *Worker  // deque that receives the task when released; nil = global scope
 	node    *depNode // dependence bookkeeping; nil for depend-free tasks
-	traceID uint64   // observability identity (flow arrows); 0 with no tool
+	traceID uint64   // observability identity (flow arrows); 0 with telemetry off
 	state   atomic.Int32
 	refs    atomic.Int32
 	pooled  bool
@@ -66,15 +68,10 @@ func (t *task) run() bool {
 // track; the complete fires after retirement, so dependence-release events
 // order inside the task's slice.
 func (t *task) exec() {
-	if h := obsHooks(); h != nil {
-		gid := curGID()
-		if h.TaskSchedule != nil {
-			h.TaskSchedule(gid, t.traceID)
-		}
-		if h.TaskComplete != nil {
-			id := t.traceID
-			defer h.TaskComplete(gid, id)
-		}
+	if h := obs.Active(); h != nil {
+		gid, id := curGID(), t.traceID
+		h.TaskSchedule(gid, id)
+		defer h.TaskComplete(gid, id)
 	}
 	defer t.retire()
 	t.fn(t.arg)
@@ -183,8 +180,8 @@ func (w *Worker) findTask() *task {
 	if len(ws) <= 1 {
 		return nil
 	}
-	h := obsHooks()
-	if h != nil && h.StealAttempt != nil {
+	h := obs.Active()
+	if h != nil {
 		h.StealAttempt(w.gid)
 	}
 	start := int(w.nextRand() % uint64(len(ws)))
@@ -194,7 +191,7 @@ func (w *Worker) findTask() *task {
 			continue
 		}
 		if t := v.deque.stealTop(); t != nil {
-			if h != nil && h.StealSuccess != nil {
+			if h != nil {
 				h.StealSuccess(w.gid, t.traceID, v.gid)
 			}
 			return t

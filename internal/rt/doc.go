@@ -27,7 +27,7 @@
 //     counting semaphore whose blocked workers help run tasks instead
 //     of parking. These are the primitives the public parallel package
 //     builds its algorithms on.
-//   - Observability. Every interesting transition reports into the
-//     internal/obs hook table; with no tool installed each emit point
-//     is a single predicted branch.
+//   - Observability. Every interesting transition reports into
+//     internal/obs's tracer and metrics registry; with both off each emit
+//     point is a single predicted branch.
 package rt

@@ -6,15 +6,14 @@ import (
 	"aomplib/internal/obs"
 )
 
-// Observability wiring. Every emit point in the runtime loads the
-// published hook table once (obsHooks) and skips everything on nil — the
-// disabled path is a single atomic load and a predicted branch, which is
-// what keeps the 0 allocs/op region-entry and task-spawn gates intact with
-// no tool installed. With a tool installed, emit points pass only scalars
-// (ids, sizes, nanoseconds), so the enabled path allocates nothing either.
-
-// obsHooks returns the active tool's hook table, or nil.
-func obsHooks() *obs.Hooks { return obs.Active() }
+// Observability wiring. Every emit point loads the published consumers
+// once (obs.Active) and skips everything on nil: the disabled path is a
+// single atomic load and a predicted branch, which keeps the 0 allocs/op
+// region-entry and task-spawn gates intact with tracing and metrics off.
+// An event only the tracer records is guarded by Tracing() where building
+// it costs a worker lookup, a clock read or a defer, so a metrics-only
+// process pays nothing for it. Emit points pass only scalars (ids, sizes,
+// nanoseconds), so the enabled path allocates nothing either.
 
 // workerGIDs hands out process-unique worker identities (trace tracks).
 var workerGIDs atomic.Int32
@@ -23,7 +22,7 @@ var workerGIDs atomic.Int32
 var teamTIDs atomic.Uint64
 
 // taskTraceIDs hands out task identities for trace flow arrows. Drawn only
-// while a tool is installed, so the disabled spawn path stays untouched.
+// while a consumer is on, so the disabled spawn path stays untouched.
 var taskTraceIDs atomic.Uint64
 
 func nextTaskTraceID() uint64 { return taskTraceIDs.Add(1) }
@@ -42,19 +41,17 @@ func curGID() obs.WorkerID {
 // trace track its events land on.
 func (w *Worker) ObsID() obs.WorkerID { return w.gid }
 
-// stampTask assigns t a trace identity and reports its creation to the
-// installed tool. h is non-nil (the caller already gated on it).
-func stampTask(h *obs.Hooks, t *task, w *Worker, kind obs.TaskKind) {
-	if h.TaskCreate != nil {
-		t.traceID = nextTaskTraceID()
-		h.TaskCreate(w.gid, t.traceID, kind)
-	}
+// stampTask assigns t a trace identity and reports its creation. h is
+// non-nil (the caller already gated on it).
+func stampTask(h *obs.Sinks, t *task, w *Worker, kind obs.TaskKind) {
+	t.traceID = nextTaskTraceID()
+	h.TaskCreate(w.gid, t.traceID, kind)
 }
 
 // emitInlineTask reports a task that never enters a deque — out-of-region
 // spawns running on their own goroutines.
-func emitInlineTask(h *obs.Hooks) {
-	if h != nil && h.TaskInline != nil {
+func emitInlineTask() {
+	if h := obs.Active(); h != nil {
 		h.TaskInline(curGID(), nextTaskTraceID())
 	}
 }

@@ -3,6 +3,7 @@ package rt
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"runtime"
 	"strings"
@@ -115,23 +116,108 @@ func TestPoolStatsDisabledCounter(t *testing.T) {
 	}
 }
 
-// A custom tool (SetHooks) must receive events, and EnableTracing(false)
-// must not evict it.
-func TestCustomToolHooks(t *testing.T) {
-	var forks, joins int
-	prev := obs.SetHooks(&obs.Hooks{
-		RegionFork: func(obs.WorkerID, uint64, int, int) { forks++ },
-		RegionJoin: func(obs.WorkerID, uint64, int) { joins++ },
-	})
-	defer obs.SetHooks(prev)
-	Region(2, func(w *Worker) {})
-	if forks != 1 || joins != 1 {
-		t.Fatalf("custom tool saw forks=%d joins=%d, want 1/1", forks, joins)
+// traceEvent is one Chrome trace event, as the tests read it.
+type traceEvent struct {
+	Name string         `json:"name"`
+	Args map[string]any `json:"args"`
+}
+
+// recordTrace runs fn under a fresh trace and returns its events. It fails
+// t if the rings dropped any: a dropped event could hide what a test
+// counts.
+func recordTrace(t testing.TB, fn func()) []traceEvent {
+	t.Helper()
+	drops := obs.ReadStats().RingDrops
+	obs.StartTrace()
+	fn()
+	var buf bytes.Buffer
+	if err := obs.StopTrace(&buf); err != nil {
+		t.Errorf("StopTrace: %v", err)
 	}
+	if d := obs.ReadStats().RingDrops - drops; d != 0 {
+		t.Errorf("the trace dropped %d events", d)
+	}
+	var trace struct {
+		TraceEvents []traceEvent `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &trace); err != nil {
+		t.Errorf("trace is not valid JSON: %v", err)
+	}
+	return trace.TraceEvents
+}
+
+// countEvents counts the trace events named name.
+func countEvents(evs []traceEvent, name string) int {
+	n := 0
+	for _, ev := range evs {
+		if ev.Name == name {
+			n++
+		}
+	}
+	return n
+}
+
+// The tracer and the metrics registry consume the same events on their
+// own: with both on, a region shows in each; turning one off leaves the
+// other working; and neither moves the other's books.
+func TestObsConsumersIndependent(t *testing.T) {
+	defer obs.EnableMetrics(obs.EnableMetrics(false))
+	defer obs.EnableTracing(obs.EnableTracing(false))
+	region := func() {
+		Region(2, func(w *Worker) {
+			Spawn(func() {})
+			w.Team.Barrier().Wait()
+		})
+	}
+	forks := func(evs []traceEvent) int {
+		n := 0
+		for _, ev := range evs {
+			if ev.Name == "region fork" && ev.Args["size"] == float64(2) {
+				n++
+			}
+		}
+		return n
+	}
+	counters := func() string {
+		m := obs.ReadMetrics()
+		m.Enabled = false
+		return fmt.Sprintf("%+v", m)
+	}
+
+	obs.EnableMetrics(true)
+	before := obs.ReadMetrics().RegionEntries
+	evs := recordTrace(t, region)
+	if d := obs.ReadMetrics().RegionEntries - before; d != 1 {
+		t.Errorf("both on: RegionEntries moved by %d, want 1", d)
+	}
+	if n := forks(evs); n != 1 {
+		t.Errorf("both on: the trace holds %d region forks of size 2, want 1", n)
+	}
+
+	var frozen string
+	evs = recordTrace(t, func() {
+		obs.EnableMetrics(false)
+		frozen = counters()
+		region()
+	})
+	if n := forks(evs); n != 1 {
+		t.Errorf("metrics off: the trace holds %d region forks of size 2, want 1", n)
+	}
+	if now := counters(); now != frozen {
+		t.Errorf("the tracer alone moved the metrics:\n was %s\n now %s", frozen, now)
+	}
+
+	obs.EnableMetrics(true)
+	obs.StartTrace()
 	obs.EnableTracing(false)
-	Region(2, func(w *Worker) {})
-	if forks != 2 {
-		t.Fatalf("EnableTracing(false) evicted the custom tool (forks=%d)", forks)
+	before = obs.ReadMetrics().RegionEntries
+	recorded := obs.ReadStats().EventsRecorded
+	region()
+	if d := obs.ReadMetrics().RegionEntries - before; d != 1 {
+		t.Errorf("tracing off: RegionEntries moved by %d, want 1", d)
+	}
+	if now := obs.ReadStats().EventsRecorded; now != recorded {
+		t.Errorf("metrics alone recorded trace events: %d -> %d", recorded, now)
 	}
 }
 
@@ -229,6 +315,21 @@ func BenchmarkTaskSpawnWaitMetrics(b *testing.B) {
 		b.StopTimer()
 		_ = x
 	})
+}
+
+// The CI allocation gates for both consumers at once: tracer recording and
+// metrics on, each emit point feeds the ring and the registry's shard.
+
+func BenchmarkRegionEntryWarmTracedMetrics(b *testing.B) {
+	prevM := obs.EnableMetrics(true)
+	defer obs.EnableMetrics(prevM)
+	BenchmarkRegionEntryWarmTraced(b)
+}
+
+func BenchmarkTaskSpawnWaitTracedMetrics(b *testing.B) {
+	prevM := obs.EnableMetrics(true)
+	defer obs.EnableMetrics(prevM)
+	BenchmarkTaskSpawnWaitTraced(b)
 }
 
 // TestHotTeamTraceDrainRacesRetirement drains the trace (StopTrace →

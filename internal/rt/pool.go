@@ -3,6 +3,8 @@ package rt
 import (
 	"sync"
 	"sync/atomic"
+
+	"aomplib/internal/obs"
 )
 
 // Hot teams: parallel regions lease long-lived teams from a process-wide
@@ -248,7 +250,7 @@ func acquireTeam(n int) *Team {
 	if t == nil {
 		t = newTeam(n)
 	}
-	if h := obsHooks(); h != nil && h.TeamLease != nil {
+	if h := obs.Active(); h.Tracing() {
 		h.TeamLease(curGID(), t.tid, n, hit)
 	}
 	return t
@@ -261,7 +263,7 @@ func acquireTeam(n int) *Team {
 // stay coherent.
 func bypassTeam(n int) *Team {
 	t := newTeam(n)
-	if h := obsHooks(); h != nil && h.TeamLease != nil {
+	if h := obs.Active(); h.Tracing() {
 		h.TeamLease(curGID(), t.tid, n, false)
 	}
 	return t

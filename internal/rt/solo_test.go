@@ -1,7 +1,6 @@
 package rt
 
 import (
-	"sync/atomic"
 	"testing"
 
 	"aomplib/internal/obs"
@@ -48,31 +47,27 @@ func TestBarrierOfOne(t *testing.T) {
 }
 
 // TestBarrierOfOneCounts: the shortcut sits below the instrumented arrival,
-// so with metrics on and a tool installed every wait of a team of one is
-// still a counted barrier wait with an arrive and a depart event.
+// so with metrics and the tracer on every wait of a team of one is still a
+// counted barrier wait (its depart) and a "barrier" slice in the trace (its
+// arrive).
 func TestBarrierOfOneCounts(t *testing.T) {
 	defer resetPool(t)()
 	const phases = 50
-	var arrivals, departs atomic.Int32
-	prevHooks := obs.SetHooks(&obs.Hooks{
-		BarrierArrive: func(obs.WorkerID, uint64) { arrivals.Add(1) },
-		BarrierDepart: func(obs.WorkerID, uint64, int64) { departs.Add(1) },
-	})
-	defer obs.SetHooks(prevHooks)
+	defer obs.EnableTracing(obs.EnableTracing(false))
 	prevM := obs.EnableMetrics(true)
 	defer obs.EnableMetrics(prevM)
 	Region(1, func(w *Worker) {
 		before := obs.ReadMetrics().BarrierWaits
-		arrivals.Store(0)
-		departs.Store(0)
-		for p := 0; p < phases; p++ {
-			w.Team.Barrier().WaitWorkerThen(w, func(*Worker) {})
-		}
+		evs := recordTrace(t, func() {
+			for p := 0; p < phases; p++ {
+				w.Team.Barrier().WaitWorkerThen(w, func(*Worker) {})
+			}
+		})
 		if got := obs.ReadMetrics().BarrierWaits - before; got != phases {
 			t.Errorf("metrics counted %d barrier waits over %d phases", got, phases)
 		}
-		if a, d := arrivals.Load(), departs.Load(); a != phases || d != phases {
-			t.Errorf("tool saw %d arrivals and %d departs over %d phases", a, d, phases)
+		if got := countEvents(evs, "barrier"); got != phases {
+			t.Errorf("the trace holds %d barrier slices over %d phases", got, phases)
 		}
 	})
 }

@@ -277,7 +277,7 @@ func SpawnArg(fn func(any), arg any) {
 		g := w.spawnGroup()
 		g.Add(1)
 		t := newTask(fn, arg, g, w)
-		if h := obsHooks(); h != nil {
+		if h := obs.Active(); h != nil {
 			stampTask(h, t, w, obs.TaskDeferred)
 		}
 		w.deque.push(t)
@@ -296,7 +296,7 @@ func SpawnArg(fn func(any), arg any) {
 		t.decRef()
 		return
 	}
-	emitInlineTask(obsHooks())
+	emitInlineTask()
 	globalTasks.Add(1)
 	go func() {
 		defer globalTasks.Done()
@@ -343,7 +343,7 @@ func SpawnFuture(fn func() any) *Future {
 		t := &task{fn: plainTask, arg: resolve, group: g, spawner: w} // retained by f: never pooled
 		t.refs.Store(2)
 		f.task = t
-		if h := obsHooks(); h != nil {
+		if h := obs.Active(); h != nil {
 			stampTask(h, t, w, obs.TaskFuture)
 		}
 		w.deque.push(t)
@@ -353,7 +353,7 @@ func SpawnFuture(fn func() any) *Future {
 		}
 		return f
 	}
-	emitInlineTask(obsHooks())
+	emitInlineTask()
 	globalTasks.Add(1)
 	go func() {
 		defer globalTasks.Done()

@@ -332,7 +332,7 @@ func (g *Grain) RegionArg(n int, body func(w *Worker, arg any), arg any) {
 	}
 	t.beginLease(parent, level, body, arg)
 	t.timeWake = ge.k > 0
-	if h := obsHooks(); h != nil && h.RegionFork != nil {
+	if h := obs.Active(); h != nil {
 		h.RegionFork(t.workers[0].gid, t.tid, level, n)
 	}
 	finished := false
@@ -392,9 +392,9 @@ func (g *Grain) RegionArg(n int, body func(w *Worker, arg any), arg any) {
 	}
 }
 
-// emitRegionJoin reports the region's full join to an installed tool.
+// emitRegionJoin reports the region's full join.
 func (t *Team) emitRegionJoin(level int) {
-	if h := obsHooks(); h != nil && h.RegionJoin != nil {
+	if h := obs.Active(); h != nil {
 		h.RegionJoin(t.workers[0].gid, t.tid, level)
 	}
 }
@@ -469,15 +469,11 @@ func (t *Team) runWorker(w *Worker) {
 		current.Restore(tok)
 		glsContexts.Add(-1)
 	}()
-	if h := obsHooks(); h != nil {
+	if h := obs.Active(); h.Tracing() {
 		// The end emit is deferred so a panicking or Goexit-ing share still
 		// closes its slice; the drain tolerates the missing end either way.
-		if h.ImplicitBegin != nil {
-			h.ImplicitBegin(w.gid, t.tid, t.Level())
-		}
-		if h.ImplicitEnd != nil {
-			defer h.ImplicitEnd(w.gid, t.tid)
-		}
+		h.ImplicitBegin(w.gid, t.tid, t.Level())
+		defer h.ImplicitEnd(w.gid, t.tid)
 	}
 	t.body(w, t.arg)
 	// Implicit region-end join for deferred tasks: each worker helps
@@ -585,7 +581,7 @@ func (t *Team) destroy() {
 		return
 	}
 	t.retired = true
-	if h := obsHooks(); h != nil && h.TeamRetire != nil {
+	if h := obs.Active(); h.Tracing() {
 		h.TeamRetire(t.tid, t.Size)
 	}
 	for _, w := range t.workers[1:] {

@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"aomplib/internal/obs"
 	"aomplib/internal/sched"
 )
 
@@ -139,7 +140,7 @@ func BeginFor(w *Worker, key any, sp sched.Space, kind sched.Kind, chunk int) *F
 		fc.start = time.Now()
 	}
 	w.activeFor = append(w.activeFor, fc)
-	if h := obsHooks(); h != nil && h.WorkBegin != nil {
+	if h := obs.Active(); h != nil {
 		h.WorkBegin(w.gid, t.tid, uint8(shared.kind))
 	}
 	return fc
@@ -177,7 +178,7 @@ func (fc *ForContext) EndFor() {
 		}
 		fc.slot = nil
 		w.fcFree = append(w.fcFree, fc)
-		if h := obsHooks(); h != nil && h.WorkEnd != nil {
+		if h := obs.Active(); h.Tracing() {
 			h.WorkEnd(w.gid, w.Team.tid)
 		}
 	}
@@ -211,8 +212,8 @@ func (fc *ForContext) Dispense() (sched.Space, int, bool) {
 // DispenseSteal draws the next chunk for the steal schedule: from the
 // worker's own carved range while it lasts (the locality order — remote
 // ranges are touched only when the local one is dry), then from ranges
-// stolen off the most loaded sibling. Steals are reported to an installed
-// tool through the same steal hooks task stealing uses; a fruitless scan
+// stolen off the most loaded sibling. Steals are reported through the
+// same steal events task stealing emits; a fruitless scan
 // reports a bare attempt, and any scan reports its probe count so
 // victim-selection quality is observable. The int is the chunk's iteration
 // count, as for Dispense.
@@ -220,14 +221,12 @@ func (fc *ForContext) DispenseSteal() (sched.Space, int, bool) {
 	w := fc.Worker
 	from, to, victim, probes, ok := fc.slot.fs.sdisp.Next(w.ID)
 	if victim >= 0 || !ok {
-		if h := obsHooks(); h != nil {
-			if h.StealAttempt != nil {
-				h.StealAttempt(w.gid)
-			}
-			if h.StealScan != nil && probes > 0 {
+		if h := obs.Active(); h != nil {
+			h.StealAttempt(w.gid)
+			if probes > 0 {
 				h.StealScan(w.gid, probes)
 			}
-			if victim >= 0 && victim < len(w.Team.workers) && h.StealSuccess != nil {
+			if victim >= 0 && victim < len(w.Team.workers) {
 				// Loop-range steals have no task identity; 0 marks them in
 				// the shared steal event stream.
 				h.StealSuccess(w.gid, 0, w.Team.workers[victim].gid)

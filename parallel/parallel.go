@@ -11,7 +11,7 @@
 // is a warm region entry with zero steady-state allocations), the
 // work-stealing task deques (nested calls decompose onto the current team
 // instead of spawning a new one), the loop schedules of internal/sched
-// including the steal schedule, and the obs hook table (every construct
+// including the steal schedule, and the obs emit points (every construct
 // emits the same region/work/task events the woven aspects do, so Chrome
 // traces show generic loops alongside @For loops).
 //
