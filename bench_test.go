@@ -460,7 +460,7 @@ func BenchmarkAblation_ConstructInstance(b *testing.B) {
 	rt.Region(workers, func(w *rt.Worker) {
 		sp := sched.Space{Lo: 0, Hi: 100, Step: 1}
 		for i := 0; i < b.N; i++ {
-			fc := rt.BeginFor(w, key, sp, sched.StaticBlock, 1)
+			fc := rt.BeginFor(w, key, sp, sched.StaticBlock, 1, nil)
 			fc.EndFor()
 		}
 	})

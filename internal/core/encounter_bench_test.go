@@ -69,7 +69,10 @@ func benchEncounterFor(b *testing.B, kind sched.Kind, chunk int) {
 }
 
 func BenchmarkEncounter_ForDynamic16(b *testing.B) { benchEncounterFor(b, sched.Dynamic, 16) }
+func BenchmarkEncounter_ForGuided(b *testing.B)    { benchEncounterFor(b, sched.Guided, 16) }
+func BenchmarkEncounter_ForSteal(b *testing.B)     { benchEncounterFor(b, sched.Steal, 16) }
 func BenchmarkEncounter_ForStatic(b *testing.B)    { benchEncounterFor(b, sched.StaticBlock, 0) }
+func BenchmarkEncounter_ForCyclic(b *testing.B)    { benchEncounterFor(b, sched.StaticCyclic, 0) }
 
 // threadLocalProgram deploys a thread-local accumulator whose initialiser
 // hands out one shared cell, so the benchmarks see the library's

@@ -116,9 +116,8 @@ func (a *ForAspect) Bindings() []weaver.Binding {
 				// encounter inside the team-shared state (the first arriving
 				// worker decides), so a concurrent SetDefaultSchedule can
 				// never split one encounter across two schedules and
-				// desynchronise the implicit barrier; every worker switches
-				// on fc.Kind.
-				fc := rt.BeginFor(w, a, sp, a.kind, a.chunk)
+				// desynchronise the implicit barrier, which follows fc.Kind.
+				fc := rt.BeginFor(w, a, sp, a.kind, a.chunk, a.custom)
 				k := fc.Kind
 				// One pooled sub-call, copied from c once, is reused for every
 				// sub-range this worker executes: a claim costs three stores,
@@ -130,40 +129,9 @@ func (a *ForAspect) Bindings() []weaver.Binding {
 					sc = weaver.GetCall()
 					*sc = *c
 				}
-				runSub := func(sub sched.Space, n int) {
-					if n == 0 {
-						return
-					}
+				for sub, _, ok := fc.Next(); ok; sub, _, ok = fc.Next() {
 					sc.Lo, sc.Hi, sc.Step = sub.Lo, sub.Hi, sub.Step
 					next(sc)
-				}
-				switch k {
-				case sched.StaticBlock:
-					sub := sched.Block(sp, w.Team.Size, w.ID)
-					runSub(sub, sub.Count())
-				case sched.StaticCyclic:
-					sub := sched.Cyclic(sp, w.Team.Size, w.ID)
-					runSub(sub, sub.Count())
-				case sched.Custom:
-					for _, sub := range a.custom(w.ID, w.Team.Size, sp) {
-						runSub(sub, sub.Count())
-					}
-				case sched.Steal:
-					for {
-						sub, n, ok := fc.DispenseSteal()
-						if !ok {
-							break
-						}
-						runSub(sub, n)
-					}
-				default: // Dynamic, Guided
-					for {
-						sub, n, ok := fc.Dispense()
-						if !ok {
-							break
-						}
-						runSub(sub, n)
-					}
 				}
 				if sc != c {
 					weaver.PutCall(sc)

@@ -198,8 +198,8 @@ func (st *loopAdapt) resolve(size, n, chunk int) (sched.Kind, int) {
 		case imb > 0 && imb < adaptImbLow:
 			if !st.skewed && k != sched.StaticBlock && k != sched.StaticCyclic {
 				// Balanced and never needed balancing: pay zero dispatch.
-				// Static encounters keep measuring imbalance (EndFor
-				// reconstructs static share counts), so the loop upgrades
+				// Static encounters keep measuring imbalance (Next counts
+				// static shares like any other), so the loop upgrades
 				// back the moment skew appears.
 				k = sched.StaticBlock
 			} else if next := c * 2; next <= n/(2*size) {

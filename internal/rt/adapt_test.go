@@ -377,28 +377,65 @@ func TestHotTeamAdaptiveChurnStress(t *testing.T) {
 	}
 }
 
-// TestWorkerRatesAndStealProbes pins the observability of a steal-
-// scheduled loop: it trains the worker speed estimates the steal carve
-// reads, and feeds the registry's probes-per-steal counter.
+// TestWorkerRatesAndStealProbes pins the speed estimate every kind Next
+// serves trains (the steal carve reads it), and the registry's
+// probes-per-steal counter a steal loop feeds. Each worker of a fresh team
+// drives the loop through BeginFor/Next/EndFor: what Next counts is what
+// the worker ran, and a worker that ran iterations leaves with a speed.
 func TestWorkerRatesAndStealProbes(t *testing.T) {
-	defer resetPool(t)()
 	prevM := obs.EnableMetrics(true)
 	defer obs.EnableMetrics(prevM)
-	before := obs.ReadMetrics()
-	const n = 4096
-	hits := make([]int32, n)
-	ptr := &hits
-	var trained atomic.Int32
-	Region(4, func(w *Worker) {
-		ForSpan(w, sched.Space{Lo: 0, Hi: n, Step: 1}, sched.Steal, "rates-loop", 4, countSpan, ptr)
-		if w.Speed() > 0 {
-			trained.Add(1)
-		}
-	})
-	if obs.ReadMetrics().StealProbes == before.StealProbes {
-		t.Error("steal loop recorded no steal probes")
+	const n, width = 4096, 4
+	sp := sched.Space{Lo: 0, Hi: n, Step: 1}
+	// A custom schedule of three parts, the middle one empty.
+	reversedHalves := func(id, nthreads int, sp sched.Space) []sched.Space {
+		b := sched.Block(sp, nthreads, nthreads-1-id)
+		h := b.Count() / 2
+		return []sched.Space{b.Slice(0, h), b.Slice(h, h), b.Slice(h, b.Count())}
 	}
-	if trained.Load() == 0 {
-		t.Error("no worker trained a speed estimate from the loop")
+	kinds := []sched.Kind{sched.StaticBlock, sched.StaticCyclic, sched.Dynamic, sched.Guided, sched.Steal, sched.Custom}
+	for _, kind := range kinds {
+		t.Run(kind.String(), func(t *testing.T) {
+			defer resetPool(t)()
+			var custom sched.ScheduleFunc
+			if kind == sched.Custom {
+				custom = reversedHalves
+			}
+			before := obs.ReadMetrics()
+			hits := make([]atomic.Int32, n)
+			Region(width, func(w *Worker) {
+				if s := w.Speed(); s != 0 {
+					t.Errorf("worker %d of a fresh team starts at speed %g", w.ID, s)
+				}
+				fc := BeginFor(w, "rates-loop", sp, kind, 4, custom)
+				ran := 0
+				for sub, c, ok := fc.Next(); ok; sub, c, ok = fc.Next() {
+					for i := 0; i < c; i++ {
+						hits[sub.At(i)].Add(1)
+					}
+					ran += c
+				}
+				if fc.iters != int64(ran) {
+					t.Errorf("worker %d ran %d iterations, Next counted %d", w.ID, ran, fc.iters)
+				}
+				if kind == sched.StaticBlock || kind == sched.StaticCyclic {
+					if share := staticShare(sp, kind, width, w.ID).Count(); ran != share {
+						t.Errorf("worker %d ran %d iterations, its static share is %d", w.ID, ran, share)
+					}
+				}
+				fc.EndFor()
+				if ran > 0 && w.Speed() <= 0 {
+					t.Errorf("worker %d ran %d iterations and trained no speed estimate", w.ID, ran)
+				}
+			})
+			for i := range hits {
+				if h := hits[i].Load(); h != 1 {
+					t.Fatalf("iteration %d ran %d times", i, h)
+				}
+			}
+			if kind == sched.Steal && obs.ReadMetrics().StealProbes == before.StealProbes {
+				t.Error("steal loop recorded no steal probes")
+			}
+		})
 	}
 }

@@ -127,15 +127,9 @@ type admitController struct {
 	tenants   map[string]*tenantState
 	tenantIDs atomic.Uint64
 
-	// Global cumulative counters (atomics: token/stat readers run outside
-	// the controller mutex).
+	// fastAdmits counts grants that never queued. Every other outcome is
+	// counted once, per tenant; ReadAdmissionStats sums the tenants.
 	fastAdmits atomic.Uint64
-	queuedTot  atomic.Uint64
-	admitted   atomic.Uint64
-	rejected   atomic.Uint64 // every refusal degrades: Degraded reads this
-	timedOut   atomic.Uint64
-	waitNs     atomic.Uint64
-	maxWait    atomic.Uint64
 }
 
 var admCtl = admitController{
@@ -267,9 +261,8 @@ func admitRegion() admitGrant {
 	if c.canGrantLocked(ts) {
 		c.grantLocked(ts)
 		c.mu.Unlock()
-		c.fastAdmits.Add(1)
-		c.admitted.Add(1)
 		ts.admitted.Add(1)
+		c.fastAdmits.Add(1) // after: a reader loading it first sees Admitted ≥ FastAdmits
 		if tk != nil {
 			tk.admitted.Add(1)
 		}
@@ -291,7 +284,6 @@ func admitRegion() admitGrant {
 		c.queuePeak = len(c.queue)
 	}
 	c.mu.Unlock()
-	c.queuedTot.Add(1)
 	ts.queued.Add(1)
 	if tk != nil {
 		tk.queuedWaits.Add(1)
@@ -308,7 +300,6 @@ func admitRegion() admitGrant {
 			removed := c.removeWaiterLocked(w)
 			c.mu.Unlock()
 			if removed {
-				c.timedOut.Add(1)
 				ts.timedOut.Add(1)
 				if tk != nil {
 					tk.timedOut.Add(1)
@@ -323,15 +314,7 @@ func admitRegion() admitGrant {
 	}
 	wait := time.Since(start)
 	ns := uint64(wait.Nanoseconds())
-	c.waitNs.Add(ns)
-	for {
-		cur := c.maxWait.Load()
-		if ns <= cur || c.maxWait.CompareAndSwap(cur, ns) {
-			break
-		}
-	}
 	ts.recordWait(ns)
-	c.admitted.Add(1)
 	ts.admitted.Add(1)
 	if tk != nil {
 		tk.admitted.Add(1)
@@ -344,7 +327,6 @@ func admitRegion() admitGrant {
 
 // refuse records one refused lease and returns the degraded outcome.
 func refuse(c *admitController, ts *tenantState, tk *TenantToken) admitGrant {
-	c.rejected.Add(1)
 	ts.rejected.Add(1)
 	if tk != nil {
 		tk.rejected.Add(1)
@@ -578,18 +560,11 @@ func ReadAdmissionStats() AdmissionStats {
 	}
 	c.mu.Unlock()
 	st.FastAdmits = c.fastAdmits.Load()
-	st.Queued = c.queuedTot.Load()
-	st.Admitted = c.admitted.Load()
-	st.Rejected = c.rejected.Load()
-	st.TimedOut = c.timedOut.Load()
-	st.Degraded = st.Rejected
-	st.WaitNs = c.waitNs.Load()
-	st.MaxWaitNs = c.maxWait.Load()
 
 	c.tenantsMu.Lock()
 	for _, t := range c.tenants {
 		rejected := t.rejected.Load()
-		st.Tenants = append(st.Tenants, TenantAdmissionStats{
+		ts := TenantAdmissionStats{
 			Name:      t.name,
 			ID:        t.id,
 			Quota:     int(t.quota.Load()),
@@ -601,9 +576,17 @@ func ReadAdmissionStats() AdmissionStats {
 			Degraded:  rejected,
 			WaitNs:    t.waitNs.Load(),
 			MaxWaitNs: t.maxWait.Load(),
-		})
+		}
+		st.Tenants = append(st.Tenants, ts)
+		st.Queued += ts.Queued
+		st.Admitted += ts.Admitted
+		st.Rejected += ts.Rejected
+		st.TimedOut += ts.TimedOut
+		st.WaitNs += ts.WaitNs
+		st.MaxWaitNs = max(st.MaxWaitNs, ts.MaxWaitNs)
 	}
 	c.tenantsMu.Unlock()
+	st.Degraded = st.Rejected
 	sort.Slice(st.Tenants, func(i, j int) bool { return st.Tenants[i].Name < st.Tenants[j].Name })
 	return st
 }

@@ -425,7 +425,27 @@ func TestHotTeamAdmissionStressOversubscribed(t *testing.T) {
 		t.Fatalf("completed %d region entries, want %d", got, goroutines*iters)
 	}
 	waitCond(t, "all slots released", func() bool { return ReadAdmissionStats().Held == 0 })
-	if st := ReadAdmissionStats(); st.QueueDepth != 0 {
+	st := ReadAdmissionStats()
+	if st.QueueDepth != 0 {
 		t.Fatalf("waiters left queued after stress: %d", st.QueueDepth)
+	}
+	// Each outcome is counted once: the totals are the sums over tenants.
+	var sum TenantAdmissionStats
+	for _, ts := range st.Tenants {
+		sum.Admitted += ts.Admitted
+		sum.Queued += ts.Queued
+		sum.Rejected += ts.Rejected
+		sum.TimedOut += ts.TimedOut
+		sum.Degraded += ts.Degraded
+		sum.WaitNs += ts.WaitNs
+		sum.MaxWaitNs = max(sum.MaxWaitNs, ts.MaxWaitNs)
+	}
+	got := TenantAdmissionStats{Admitted: st.Admitted, Queued: st.Queued, Rejected: st.Rejected,
+		TimedOut: st.TimedOut, Degraded: st.Degraded, WaitNs: st.WaitNs, MaxWaitNs: st.MaxWaitNs}
+	if got != sum {
+		t.Fatalf("admission totals %+v, want the sums over tenants %+v", got, sum)
+	}
+	if st.FastAdmits > st.Admitted {
+		t.Fatalf("FastAdmits %d exceeds Admitted %d", st.FastAdmits, st.Admitted)
 	}
 }

@@ -26,17 +26,16 @@ type SpanFunc func(sub sched.Space, arg any)
 // Adaptive (the caller resolves Runtime once, before the region, so one
 // loop can never split across two schedules; Adaptive resolves inside the
 // team-shared encounter state, uniformly for the whole team, from the
-// previous encounter's measurement). Static kinds are served from pure
-// arithmetic — no shared state, no allocation — which is what keeps the
-// parallel.For dispatch gate at 0 allocs/op; dynamic, guided, steal and
-// adaptive route through the team-shared dispenser state of BeginFor,
-// exactly like the woven @For construct, so they inherit range stealing,
-// speed-estimate training and the obs work/steal events for free. Under
-// Dynamic and Guided run is invoked once per claim (ForContext.Dispense):
-// chunk is the balance unit, and a sub-range spans up to
-// dispenseBatchChunks chunks away from the loop tail. On a team of one every
-// dispensing kind resolves to StaticBlock (sched.Resolve): run is invoked
-// once, over all of sp.
+// previous encounter's measurement). A declared static kind runs the
+// worker's arithmetic share directly — no encounter, no shared state, no
+// allocation — which is what keeps the parallel.For dispatch gate at
+// 0 allocs/op. Every other kind takes the loop driver the woven @For
+// construct uses (BeginFor, Next until false, EndFor), so it inherits
+// range stealing, speed-estimate training and the obs work/steal events:
+// run is invoked once per sub-range Next serves — under Dynamic and Guided
+// once per claim, up to dispenseBatchChunks chunks away from the loop tail.
+// On a team of one every dispensing kind resolves to StaticBlock
+// (sched.Resolve): run is invoked once, over all of sp.
 //
 // Every worker of the team must call ForSpan for the same loop (the
 // standing work-sharing encounter contract). key identifies the loop's
@@ -56,45 +55,16 @@ func ForSpan(w *Worker, sp sched.Space, kind sched.Kind, key any, chunk int, run
 				defer h.WorkEnd(w.gid, w.Team.tid)
 			}
 		}
-		runStaticSpan(w, sp, kind, run, arg)
+		if sub := staticShare(sp, kind, w.Team.Size, w.ID); sub.Count() > 0 {
+			run(sub, arg)
+		}
 		return
 	}
-	fc := BeginFor(w, key, sp, kind, chunk)
-	switch fc.Kind {
-	case sched.StaticBlock, sched.StaticCyclic:
-		// An adaptive encounter resolved static this round.
-		runStaticSpan(w, sp, fc.Kind, run, arg)
-	case sched.Steal:
-		for {
-			sub, _, ok := fc.DispenseSteal()
-			if !ok {
-				break
-			}
-			run(sub, arg)
-		}
-	default: // Dynamic, Guided
-		for {
-			sub, _, ok := fc.Dispense()
-			if !ok {
-				break
-			}
-			run(sub, arg)
-		}
-	}
-	fc.EndFor()
-}
-
-// runStaticSpan executes w's arithmetically derived static share of sp.
-func runStaticSpan(w *Worker, sp sched.Space, kind sched.Kind, run SpanFunc, arg any) {
-	var sub sched.Space
-	if kind == sched.StaticBlock {
-		sub = sched.Block(sp, w.Team.Size, w.ID)
-	} else {
-		sub = sched.Cyclic(sp, w.Team.Size, w.ID)
-	}
-	if sub.Count() > 0 {
+	fc := BeginFor(w, key, sp, kind, chunk, nil)
+	for sub, _, ok := fc.Next(); ok; sub, _, ok = fc.Next() {
 		run(sub, arg)
 	}
+	fc.EndFor()
 }
 
 // SpawnRange decomposes sp into deferred, stealable tasks of at most grain

@@ -10,10 +10,10 @@ import (
 
 // TestForSpanCoversEverySchedule drives ForSpan directly (the parallel
 // package normally does) and checks the exactly-once contract for every
-// concrete schedule kind, including strided static-cyclic assignments.
+// schedule kind ForSpan accepts, including strided static-cyclic assignments.
 func TestForSpanCoversEverySchedule(t *testing.T) {
 	kinds := []sched.Kind{
-		sched.StaticBlock, sched.StaticCyclic, sched.Dynamic, sched.Guided, sched.Steal,
+		sched.StaticBlock, sched.StaticCyclic, sched.Dynamic, sched.Guided, sched.Steal, sched.Adaptive,
 	}
 	for _, kind := range kinds {
 		for _, width := range []int{1, 2, 4, 7} {

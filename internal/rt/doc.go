@@ -18,11 +18,12 @@
 //     has been measured to cost, then parks,
 //     per-construct encounter rings (encounter.go: repeated constructs
 //     inside one region stay matched across workers with no lock, map or
-//     allocation), and sharded named/per-object critical-lock registries.
-//   - Loop dispatch. ForSpan runs one worker's share of an iteration
-//     space under any sched.Kind — pure arithmetic for the static
-//     kinds, the shared chunk dispenser (with steal-based dispensing)
-//     for dynamic/guided/steal. SpawnRange decomposes a range into
+//     allocation), and named/per-object critical-lock registries.
+//   - Loop dispatch. ForContext.Next is the one loop driver: it serves a
+//     worker's static share, a custom schedule's parts, a dynamic/guided
+//     claim or a steal chunk, for the woven @For and ForSpan alike
+//     (ForSpan runs a declared static kind as pure arithmetic, with no
+//     encounter). SpawnRange decomposes a range into
 //     stealable tasks by recursive binary splitting. TokenPool is a
 //     counting semaphore whose blocked workers help run tasks instead
 //     of parking. These are the primitives the public parallel package

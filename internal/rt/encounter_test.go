@@ -213,7 +213,7 @@ func TestEncounterRingStress(t *testing.T) {
 			if claim, _ := SingleBegin(w, singleKey, false); claim {
 				claims[e].Add(1)
 			}
-			fc := BeginFor(w, forKey, sp, sched.Dynamic, 1)
+			fc := BeginFor(w, forKey, sp, sched.Dynamic, 1, nil)
 			for v := range done {
 				lead := int64(e) - done[v].Load()
 				if lead > encRing-1 {
@@ -227,7 +227,7 @@ func TestEncounterRingStress(t *testing.T) {
 				}
 			}
 			for {
-				sub, _, ok := fc.Dispense()
+				sub, _, ok := fc.Next()
 				if !ok {
 					break
 				}
@@ -272,8 +272,8 @@ func TestEncounterLeaseHermetic(t *testing.T) {
 		if claim, s := SingleBegin(w, valueKey, true); claim {
 			s.Broadcast(true, "stale")
 		}
-		fc := BeginFor(w, forKey, sp, sched.Dynamic, 1)
-		fc.Dispense() // leave the dispenser half drawn
+		fc := BeginFor(w, forKey, sp, sched.Dynamic, 1, nil)
+		fc.Next() // leave the dispenser half drawn
 		fc.EndFor()
 		w.TLS(tlsKey, func() any { return "stale" })
 	})
@@ -300,9 +300,9 @@ func TestEncounterLeaseHermetic(t *testing.T) {
 			if got := s.Broadcast(claim, lease); got != lease {
 				t.Errorf("lease %d: single broadcast %v", lease, got)
 			}
-			fc := BeginFor(w, forKey, sp, sched.Dynamic, 1)
+			fc := BeginFor(w, forKey, sp, sched.Dynamic, 1, nil)
 			for {
-				sub, _, ok := fc.Dispense()
+				sub, _, ok := fc.Next()
 				if !ok {
 					break
 				}
@@ -331,8 +331,8 @@ func TestEncounterLeaseHermetic(t *testing.T) {
 func lapOnce(w *Worker, key any) {
 	sp := sched.Space{Lo: 0, Hi: 4, Step: 1}
 	for e := 0; e < 2*encRing; e++ {
-		fc := BeginFor(w, key, sp, sched.Dynamic, 1)
-		for _, _, ok := fc.Dispense(); ok; _, _, ok = fc.Dispense() {
+		fc := BeginFor(w, key, sp, sched.Dynamic, 1, nil)
+		for _, _, ok := fc.Next(); ok; _, _, ok = fc.Next() {
 		}
 		fc.EndFor()
 	}

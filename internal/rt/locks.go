@@ -1,9 +1,6 @@
 package rt
 
-import (
-	"reflect"
-	"sync"
-)
+import "sync"
 
 // The @Critical mechanism replaces Java's built-in synchronized: its scope
 // is "all threads in the system" rather than one team, and the lock can be
@@ -13,92 +10,53 @@ import (
 // (criticalUsingCapturedLock), and per-key lock tables (the "lock per
 // particle" case-specific strategy of Figure 15).
 //
-// Both registries are sharded: lookups from different critical sections
-// land on different shards, so resolving a lock never serialises the whole
-// process on one mutex the way the original single map+Mutex registry did.
-// The woven @Critical advice additionally caches the resolved lock in its
-// binding at weave time, so steady-state critical entries do one pointer
-// load and never touch a registry at all — the shards only matter for
-// weave-time resolution and for programs that resolve locks dynamically.
+// The woven @Critical advice resolves its lock once, at weave time, and
+// caches it in its binding: steady-state critical entries do one pointer
+// load and never touch a registry. The named and per-object registries
+// are therefore one map each, sized for weave-time traffic.
 
-// lockShards is the registry shard count. Power of two so shard selection
-// is a mask; 32 is far beyond any plausible weave-time concurrency.
-const lockShards = 32
-
-// namedShard is one stripe of the named-lock registry. Reads (the common
-// case after first use) take only the shard's read lock.
-type namedShard struct {
-	mu sync.RWMutex           // 24 bytes
-	m  map[string]*sync.Mutex // 8 bytes
-	_  [32]byte               // pad to 64: neighbouring shards off this line
-}
-
-var namedShards [lockShards]namedShard
-
-// fnv32 is FNV-1a over the id, inlined so shard selection costs no
-// allocation or import beyond arithmetic.
-func fnv32(s string) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(s); i++ {
-		h ^= uint32(s[i])
-		h *= 16777619
-	}
-	return h
+// namedLocks is the named-lock registry. A string-keyed sync.Map would box
+// the key on every lookup; a plain map under a read lock does not.
+var namedLocks struct {
+	mu sync.RWMutex
+	m  map[string]*sync.Mutex
 }
 
 // NamedLock returns the process-wide lock registered under id, creating it
 // on first use. Annotations sharing an id therefore share a lock even
 // across unrelated classes, as in OpenMP named critical sections.
 func NamedLock(id string) *sync.Mutex {
-	s := &namedShards[fnv32(id)&(lockShards-1)]
-	s.mu.RLock()
-	l := s.m[id]
-	s.mu.RUnlock()
+	r := &namedLocks
+	r.mu.RLock()
+	l := r.m[id]
+	r.mu.RUnlock()
 	if l != nil {
 		return l
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.m == nil {
-		s.m = make(map[string]*sync.Mutex)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.m == nil {
+		r.m = make(map[string]*sync.Mutex)
 	}
-	if l = s.m[id]; l == nil {
+	if l = r.m[id]; l == nil {
 		l = &sync.Mutex{}
-		s.m[id] = l
+		r.m[id] = l
 	}
 	return l
 }
 
-// objectShards stripes the per-object registry. Each shard is a sync.Map
-// (lock-free steady-state loads); sharding additionally spreads first-use
-// stores and the maps' internal promotion work across stripes.
-var objectShards [lockShards]sync.Map
-
-// objectShard picks the stripe for a key. Pointer-shaped keys — the
-// documented usage is "a pointer to the target object" — hash by address;
-// other comparable keys fall back to stripe 0, which is exactly the old
-// single-registry behaviour for them.
-func objectShard(key any) *sync.Map {
-	v := reflect.ValueOf(key)
-	switch v.Kind() {
-	case reflect.Pointer, reflect.UnsafePointer, reflect.Chan, reflect.Map, reflect.Func:
-		// Fibonacci hash of the address; high bits select the stripe so
-		// allocator alignment in the low bits cannot collapse the spread.
-		return &objectShards[(uint64(v.Pointer())*0x9e3779b97f4a7c15)>>(64-5)&(lockShards-1)]
-	}
-	return &objectShards[0]
-}
+// objectLocks is the per-object registry.
+var objectLocks sync.Map
 
 // ObjectLock returns the lock owned by the given target, creating it on
 // first use — the analogue of "the lock of the object where the annotation
 // is defined is used (as in plain Java)". key must be comparable (use a
 // pointer to the target object).
 func ObjectLock(key any) *sync.Mutex {
-	s := objectShard(key)
-	if l, ok := s.Load(key); ok {
+	if l, ok := objectLocks.Load(key); ok {
 		return l.(*sync.Mutex)
 	}
-	l, _ := s.LoadOrStore(key, &sync.Mutex{})
+	l, _ := objectLocks.LoadOrStore(key, &sync.Mutex{})
 	return l.(*sync.Mutex)
 }
 

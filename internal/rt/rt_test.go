@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"aomplib/internal/sched"
 )
@@ -187,10 +188,11 @@ func TestBeginForStaticEncountersIndependent(t *testing.T) {
 	var sum atomic.Int64
 	Region(4, func(w *Worker) {
 		for e := 0; e < 3; e++ { // repeated encounters, as in LUFact's outer loop
-			fc := BeginFor(w, key, sp, sched.StaticBlock, 1)
-			sub := sched.Block(fc.Space, w.Team.Size, w.ID)
-			for i := sub.Lo; i < sub.Hi; i += sub.Step {
-				sum.Add(int64(i))
+			fc := BeginFor(w, key, sp, sched.StaticBlock, 1, nil)
+			for sub, _, ok := fc.Next(); ok; sub, _, ok = fc.Next() {
+				for i := sub.Lo; i < sub.Hi; i += sub.Step {
+					sum.Add(int64(i))
+				}
 			}
 			fc.EndFor()
 		}
@@ -200,16 +202,24 @@ func TestBeginForStaticEncountersIndependent(t *testing.T) {
 	}
 }
 
+// TestForContextFillsCacheLines: a worker's ForContext shares no cache line
+// with a team-mate's, whatever their heap neighbourhood.
+func TestForContextFillsCacheLines(t *testing.T) {
+	if size := unsafe.Sizeof(ForContext{}); size%64 != 0 {
+		t.Fatalf("ForContext is %d bytes, not a whole number of 64-byte lines", size)
+	}
+}
+
 func TestDynamicForExactlyOnce(t *testing.T) {
 	key := "dynfor-test"
 	const n = 500
 	sp := sched.Space{Lo: 0, Hi: n, Step: 1}
 	hits := make([]atomic.Int32, n)
 	Region(4, func(w *Worker) {
-		fc := BeginFor(w, key, sp, sched.Dynamic, 7)
+		fc := BeginFor(w, key, sp, sched.Dynamic, 7, nil)
 		defer fc.EndFor()
 		for {
-			sub, _, ok := fc.Dispense()
+			sub, _, ok := fc.Next()
 			if !ok {
 				break
 			}
@@ -232,10 +242,10 @@ func TestOrderedSequencing(t *testing.T) {
 	var order []int
 	var mu sync.Mutex
 	Region(4, func(w *Worker) {
-		fc := BeginFor(w, key, sp, sched.Dynamic, 1)
+		fc := BeginFor(w, key, sp, sched.Dynamic, 1, nil)
 		defer fc.EndFor()
 		for {
-			sub, _, ok := fc.Dispense()
+			sub, _, ok := fc.Next()
 			if !ok {
 				break
 			}
@@ -264,10 +274,10 @@ func TestOrderedWithStep(t *testing.T) {
 	var order []int
 	var mu sync.Mutex
 	Region(3, func(w *Worker) {
-		fc := BeginFor(w, key, sp, sched.Dynamic, 1)
+		fc := BeginFor(w, key, sp, sched.Dynamic, 1, nil)
 		defer fc.EndFor()
 		for {
-			sub, _, ok := fc.Dispense()
+			sub, _, ok := fc.Next()
 			if !ok {
 				break
 			}
@@ -443,9 +453,9 @@ func TestInstanceCleanup(t *testing.T) {
 			team = w.Team
 		}
 		for e := 0; e < 50; e++ {
-			fc := BeginFor(w, "cleanup", sched.Space{Lo: 0, Hi: 9, Step: 1}, sched.Dynamic, 1)
+			fc := BeginFor(w, "cleanup", sched.Space{Lo: 0, Hi: 9, Step: 1}, sched.Dynamic, 1, nil)
 			for {
-				if _, _, ok := fc.Dispense(); !ok {
+				if _, _, ok := fc.Next(); !ok {
 					break
 				}
 			}

@@ -146,12 +146,15 @@ func TestForOfOne(t *testing.T) {
 	sp := sched.Space{Lo: 0, Hi: 1024, Step: 1}
 	Region(1, func(w *Worker) {
 		for _, kind := range []sched.Kind{sched.Dynamic, sched.Guided, sched.Steal, sched.Adaptive} {
-			fc := BeginFor(w, key, sp, kind, 16)
+			fc := BeginFor(w, key, sp, kind, 16, nil)
 			if fc.Kind != sched.StaticBlock {
 				t.Errorf("%v on one worker ran as %v, want staticBlock", kind, fc.Kind)
 			}
-			if got := sched.Block(sp, w.Team.Size, w.ID); got != sp {
+			if got, _, _ := fc.Next(); got != sp {
 				t.Errorf("the block of one worker is %v, want %v", got, sp)
+			}
+			if _, _, ok := fc.Next(); ok {
+				t.Errorf("%v on one worker served a second sub-range", kind)
 			}
 			fc.EndFor()
 		}

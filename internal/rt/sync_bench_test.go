@@ -115,7 +115,7 @@ func BenchmarkDispenseContended(b *testing.B) {
 		// Shared dispenser sized b.N * workers, so each worker performs
 		// ~b.N draws before exhaustion (the first arriver arms it); drawn
 		// one chunk per CAS, not through ForContext's 4-chunk claim.
-		fc := BeginFor(w, "bench-disp", sched.Space{Lo: 0, Hi: b.N * workers, Step: 1}, sched.Dynamic, 1)
+		fc := BeginFor(w, "bench-disp", sched.Space{Lo: 0, Hi: b.N * workers, Step: 1}, sched.Dynamic, 1, nil)
 		for {
 			if _, _, ok := fc.slot.fs.disp.Next(); !ok {
 				break
@@ -126,8 +126,8 @@ func BenchmarkDispenseContended(b *testing.B) {
 }
 
 // BenchmarkDispenseBatchedFor is the same contention measured through the
-// real work-sharing path: BeginFor/Dispense, one claim of
-// dispenseBatchChunks chunks per shared CAS and per Dispense. An op is
+// real work-sharing path: BeginFor/Next, one claim of
+// dispenseBatchChunks chunks per shared CAS and per Next. An op is
 // `workers` iterations of chunk 1, which is one claim away from the tail:
 // ns/op is the cost of a claim, and ns/iteration the figure to set against
 // DispenseContended's ns/op ÷ workers.
@@ -136,9 +136,9 @@ func BenchmarkDispenseBatchedFor(b *testing.B) {
 	b.ReportAllocs()
 	sp := sched.Space{Lo: 0, Hi: b.N * workers, Step: 1}
 	Region(workers, func(w *Worker) {
-		fc := BeginFor(w, "bench-batched", sp, sched.Dynamic, 1)
+		fc := BeginFor(w, "bench-batched", sp, sched.Dynamic, 1, nil)
 		for {
-			if _, _, ok := fc.Dispense(); !ok {
+			if _, _, ok := fc.Next(); !ok {
 				break
 			}
 		}
@@ -155,12 +155,12 @@ func BenchmarkStealDispense(b *testing.B) {
 	b.ReportAllocs()
 	sp := sched.Space{Lo: 0, Hi: b.N * workers, Step: 1}
 	Region(workers, func(w *Worker) {
-		fc := BeginFor(w, "bench-steal", sp, sched.Steal, 1)
+		fc := BeginFor(w, "bench-steal", sp, sched.Steal, 1, nil)
 		if fc.Kind != sched.Steal {
 			b.Errorf("resolved to %v, want steal", fc.Kind)
 		}
 		for {
-			if _, _, ok := fc.DispenseSteal(); !ok {
+			if _, _, ok := fc.Next(); !ok {
 				break
 			}
 		}
@@ -169,7 +169,7 @@ func BenchmarkStealDispense(b *testing.B) {
 }
 
 // BenchmarkNamedLockLookup measures the @Critical(id=...) registry under
-// concurrent lookups of distinct ids — the path the sharding de-contends.
+// concurrent lookups of distinct ids: every lookup takes the one read lock.
 // Steady-state woven critical sections never reach it (the advice caches
 // the lock at weave time); this measures dynamic resolution.
 func BenchmarkNamedLockLookup(b *testing.B) {
@@ -191,7 +191,7 @@ func BenchmarkNamedLockLookup(b *testing.B) {
 }
 
 // BenchmarkObjectLockLookup measures the captured-lock registry (pointer
-// keys, sharded sync.Maps) under concurrent lookups.
+// keys, one sync.Map) under concurrent lookups.
 func BenchmarkObjectLockLookup(b *testing.B) {
 	b.ReportAllocs()
 	keys := [8]*int{}

@@ -64,7 +64,7 @@ const (
 	// most loaded sibling's remainder with a single CAS.
 	Steal Schedule = sched.Steal
 	// Runtime defers to the process-wide default schedule
-	// (aomplib.SetDefaultSchedule / OMP_SCHEDULE-style configuration).
+	// (aomplib.SetDefaultSchedule).
 	Runtime Schedule = sched.Runtime
 	// Adaptive re-tunes the schedule kind and chunk on every encounter of
 	// the same loop: the first from the loop's shape (static below 64
@@ -95,8 +95,8 @@ type config struct {
 type Opt func(*config)
 
 // WithThreads caps the team width for this call. Zero or negative means
-// the library default (aomplib.SetNumThreads / GOMAXPROCS-derived); the
-// width is additionally clamped so no worker is guaranteed empty.
+// GOMAXPROCS; the width is additionally clamped so no worker is guaranteed
+// empty.
 func WithThreads(n int) Opt { return func(c *config) { c.threads = n } }
 
 // WithSchedule selects the loop schedule for this call (default Static).
