@@ -37,9 +37,9 @@
 // internal/pointcut); see DESIGN.md for the architecture and the mapping
 // to the paper.
 //
-// For call sites that want a parallel loop, reduction, sort or pipeline
-// without registering joinpoints, the sibling package aomplib/parallel is
-// a generic (type-parameterized) algorithms layer on the same runtime —
+// For call sites that want a parallel loop, reduction or sort without
+// registering joinpoints, the sibling package aomplib/parallel is a
+// generic (type-parameterized) algorithms layer on the same runtime —
 // both styles share the hot-team pool, the loop schedules, admission
 // control and tracing, and compose freely: a parallel.For inside a woven
 // region decomposes onto the current team.
@@ -149,22 +149,21 @@ type Schedule = sched.Kind
 // first encounter of a construct is decided from the loop's shape
 // (StaticBlock below 64 iterations per worker, Guided otherwise), every
 // later one re-decides kind and chunk from the previous encounter's
-// measured imbalance. Auto and WeightedSteal are the former names of
-// Adaptive and Steal. On a team of one (Threads(1), or a region narrowed to
-// one worker) the four dispensing kinds — Dynamic, Guided, Steal, Adaptive,
-// and Runtime when it reads one of them — run the loop as one StaticBlock:
-// one call over the whole range, no end barrier, Chunk ignored.
+// measured imbalance; ParseSchedule still accepts the former names "auto"
+// and "weightedSteal" for Adaptive and Steal. On a team of one (Threads(1),
+// or a region narrowed to one worker) the four dispensing kinds — Dynamic,
+// Guided, Steal, Adaptive, and Runtime when it reads one of them — run the
+// loop as one StaticBlock: one call over the whole range, no end barrier,
+// Chunk ignored.
 const (
-	StaticBlock   = sched.StaticBlock
-	StaticCyclic  = sched.StaticCyclic
-	Dynamic       = sched.Dynamic
-	Guided        = sched.Guided
-	Steal         = sched.Steal
-	CaseSpecific  = sched.Custom
-	Runtime       = sched.Runtime
-	Adaptive      = sched.Adaptive
-	Auto          = sched.Auto
-	WeightedSteal = sched.WeightedSteal
+	StaticBlock  = sched.StaticBlock
+	StaticCyclic = sched.StaticCyclic
+	Dynamic      = sched.Dynamic
+	Guided       = sched.Guided
+	Steal        = sched.Steal
+	CaseSpecific = sched.Custom
+	Runtime      = sched.Runtime
+	Adaptive     = sched.Adaptive
 )
 
 // ParseSchedule resolves a schedule name ("staticBlock", "dynamic",

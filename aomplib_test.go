@@ -200,7 +200,7 @@ func TestProfilingWovenRegions(t *testing.T) {
 // non-test .go file of the module outside the facade's own aomplib.go and
 // diag.go.
 func TestFacadeKnobsHaveCallers(t *testing.T) {
-	for _, name := range knobsWithoutCallers(t, ".", "aomplib") {
+	for _, name := range funcsWithoutCallers(t, ".", "aomplib", isKnob) {
 		t.Errorf("facade knob %s has no caller outside tests: delete it", name)
 	}
 }
@@ -211,16 +211,34 @@ func TestFacadeKnobsHaveCallers(t *testing.T) {
 // package.
 func TestInternalKnobsHaveCallers(t *testing.T) {
 	for _, pkg := range []string{"internal/rt", "internal/obs", "internal/sched"} {
-		for _, name := range knobsWithoutCallers(t, pkg, "aomplib/"+pkg) {
+		for _, name := range funcsWithoutCallers(t, pkg, "aomplib/"+pkg, isKnob) {
 			t.Errorf("%s.%s has no caller outside tests and its own package: delete it", pkg, name)
 		}
 	}
 }
 
-// knobsWithoutCallers returns the exported Set*/Enable* funcs of the
-// package in dir (import path importPath) that no non-test .go file of the
-// module outside dir references.
-func knobsWithoutCallers(t *testing.T, dir, importPath string) []string {
+// TestParallelEntryPointsHaveCallers holds the generic algorithms layer to
+// the same rule: every exported top-level func of package parallel, its
+// With* options aside, must be referenced from a non-test .go file outside
+// parallel/ and examples/ — a benchmark, a kernel or a tool, not only its
+// own tests and demos.
+func TestParallelEntryPointsHaveCallers(t *testing.T) {
+	notOption := func(name string) bool { return !strings.HasPrefix(name, "With") }
+	for _, name := range funcsWithoutCallers(t, "parallel", "aomplib/parallel", notOption, "examples") {
+		t.Errorf("parallel.%s has no caller outside tests and examples: delete it", name)
+	}
+}
+
+// isKnob reports whether name is a process-global switch: Set* or Enable*.
+func isKnob(name string) bool {
+	return strings.HasPrefix(name, "Set") || strings.HasPrefix(name, "Enable")
+}
+
+// funcsWithoutCallers returns the exported top-level funcs of the package
+// in dir (import path importPath) whose name satisfies want and that no
+// non-test .go file of the module references outside dir and outside the
+// directory trees in skip.
+func funcsWithoutCallers(t *testing.T, dir, importPath string, want func(string) bool, skip ...string) []string {
 	t.Helper()
 	fset := token.NewFileSet()
 	own, _ := filepath.Glob(filepath.Join(dir, "*.go"))
@@ -238,13 +256,13 @@ func knobsWithoutCallers(t *testing.T, dir, importPath string) []string {
 			if !ok || fd.Recv != nil || !fd.Name.IsExported() {
 				continue
 			}
-			if name := fd.Name.Name; strings.HasPrefix(name, "Set") || strings.HasPrefix(name, "Enable") {
-				callers[name] = 0
+			if want(fd.Name.Name) {
+				callers[fd.Name.Name] = 0
 			}
 		}
 	}
 	if len(callers) == 0 {
-		t.Fatalf("found no knobs in %s: the census is looking in the wrong place", dir)
+		t.Fatalf("found no funcs to census in %s: the census is looking in the wrong place", dir)
 	}
 
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
@@ -252,7 +270,7 @@ func knobsWithoutCallers(t *testing.T, dir, importPath string) []string {
 			return err
 		}
 		if d.IsDir() {
-			if path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+			if path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata" || slices.Contains(skip, path)) {
 				return filepath.SkipDir
 			}
 			return nil

@@ -2,12 +2,10 @@
 //
 // Where the other examples register joinpoints and plug aspects in, this
 // one uses aomplib/parallel directly — the oneTBB-style "specify tasks,
-// not threads" face of the same runtime. It walks a tiny image-style
-// workload through the whole surface: For to generate, Reduce and Scan
-// for deterministic statistics, Sort for an order statistic, a
-// token-bounded Pipeline for streaming, and a FlowGraph tying dependent
-// stages together. Everything runs on the hot-team pool and shows up in
-// traces exactly like woven @For loops.
+// not threads" face of the same runtime. It walks a tiny signal through
+// the whole surface: For to generate, Reduce for a deterministic
+// statistic and Sort for an order statistic. Everything runs on the
+// hot-team pool and shows up in traces exactly like woven @For loops.
 //
 // Run with:
 //
@@ -44,76 +42,8 @@ func main() {
 		func(a, b float64) float64 { return a + b })
 	fmt.Printf("mean %.6f\n", sum/n)
 
-	// Scan: in-place inclusive prefix — running energy of the signal.
-	energy := make([]float64, n)
-	parallel.For(0, n, func(i int) { energy[i] = xs[i] * xs[i] })
-	parallel.Scan(energy, 0, func(a, b float64) float64 { return a + b })
-	fmt.Printf("total energy %.6f\n", energy[n-1])
-
 	// Sort: order statistics without a full sequential sort.
 	sorted := append([]float64(nil), xs...)
 	parallel.Sort(sorted, func(a, b float64) bool { return a < b })
 	fmt.Printf("median %.6f\n", sorted[n/2])
-
-	// Pipeline: stream the signal through a parallel transform into a
-	// serial accumulator. At most 8 chunks are in flight; the Serial
-	// stage sees them in exact source order, so no locking is needed.
-	const chunk = 4096
-	next := 0
-	var streamed float64
-	parallel.Pipeline(8,
-		func() ([]float64, bool) {
-			if next >= n {
-				return nil, false
-			}
-			lo := next
-			next += chunk
-			return xs[lo:min(next, n)], true
-		},
-		[]parallel.Stage[[]float64]{
-			parallel.ParallelStage(func(c []float64) []float64 {
-				s := 0.0
-				for _, v := range c {
-					s += math.Abs(v)
-				}
-				return []float64{s}
-			}),
-			parallel.SerialStage(func(c []float64) []float64 {
-				streamed += c[0]
-				return c
-			}),
-		})
-	fmt.Printf("streamed |x| sum %.6f\n", streamed)
-
-	// FlowGraph: dependent stages as a graph — the diamond a -> {b,c} -> d.
-	var lowpass, highpass []float64
-	var crossover float64
-	g := parallel.NewFlowGraph()
-	a := g.Node("split", func() {
-		lowpass = make([]float64, n)
-		highpass = make([]float64, n)
-	})
-	b := g.Node("low", func() {
-		prev := 0.0
-		for i, v := range xs {
-			prev = 0.9*prev + 0.1*v
-			lowpass[i] = prev
-		}
-	})
-	c := g.Node("high", func() {
-		parallel.For(0, n, func(i int) { highpass[i] = xs[i] * xs[i] })
-	})
-	d := g.Node("join", func() {
-		for i := range lowpass {
-			crossover += lowpass[i] * highpass[i]
-		}
-	})
-	g.Edge(a, b)
-	g.Edge(a, c)
-	g.Edge(b, d)
-	g.Edge(c, d)
-	if err := g.Run(); err != nil {
-		panic(err)
-	}
-	fmt.Printf("crossover %.6f\n", crossover)
 }

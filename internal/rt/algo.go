@@ -1,19 +1,16 @@
 package rt
 
 import (
-	"sync"
-
 	"aomplib/internal/obs"
 	"aomplib/internal/sched"
 )
 
 // This file holds the runtime hooks behind the generic algorithms layer
 // (package aomplib/parallel): a loop runner that executes one worker's
-// share of an iteration space under any schedule, a splittable-range task
-// spawner for composable nested parallelism, and a token pool for bounded
-// streaming pipelines. All three reuse the existing machinery — deques,
-// steal schedule, hot teams, obs events — rather than introducing a second
-// scheduler.
+// share of an iteration space under any schedule, and a splittable-range
+// task spawner for composable nested parallelism. Both reuse the existing
+// machinery — deques, steal schedule, hot teams, obs events — rather than
+// introducing a second scheduler.
 
 // SpanFunc executes one dispensed sub-range of a loop. The arg parameter
 // threads caller state through without a per-call closure, mirroring
@@ -46,7 +43,7 @@ type SpanFunc func(sub sched.Space, arg any)
 //
 // ForSpan performs no end-of-loop barrier: generic-layer loops are each
 // their own region, whose join is the barrier. Callers sharing one region
-// across phases (e.g. a two-pass scan) insert team barriers themselves.
+// across several loops insert team barriers themselves.
 func ForSpan(w *Worker, sp sched.Space, kind sched.Kind, key any, chunk int, run SpanFunc, arg any) {
 	if kind == sched.StaticBlock || kind == sched.StaticCyclic {
 		if h := obs.Active(); h != nil {
@@ -97,113 +94,4 @@ func spawnRangeSplit(sp sched.Space, grain int, run func(sub sched.Space)) {
 	if sp.Count() > 0 {
 		run(sp)
 	}
-}
-
-// TokenPool is a counting semaphore whose Acquire is a task scheduling
-// point: a worker that finds no token executes queued team tasks instead
-// of sleeping, and parks on its task group's event channel only when
-// nothing is claimable anywhere. It is the token accounting behind
-// parallel.Pipeline — the bound on in-flight items — where blocking the
-// ingesting worker outright would deadlock a one-worker team whose queued
-// stage tasks are the only source of releases.
-//
-// Releases are expected to happen from inside team tasks (a task
-// completion broadcasts the group event a parked Acquire waits on); a
-// Release from a plain goroutine wakes only non-worker waiters. Acquire
-// must be called from the goroutine that also spawns the work the tokens
-// gate, so that an empty task scope implies no pending release.
-type TokenPool struct {
-	mu   sync.Mutex
-	cond *sync.Cond
-	free int
-}
-
-// NewTokenPool returns a pool holding n tokens (n < 1 is treated as 1).
-func NewTokenPool(n int) *TokenPool {
-	if n < 1 {
-		n = 1
-	}
-	p := &TokenPool{free: n}
-	p.cond = sync.NewCond(&p.mu)
-	return p
-}
-
-// TryAcquire takes a token without blocking, reporting success.
-func (p *TokenPool) TryAcquire() bool {
-	p.mu.Lock()
-	ok := p.free > 0
-	if ok {
-		p.free--
-	}
-	p.mu.Unlock()
-	return ok
-}
-
-// hasFree reports whether a token is available, for use as an awaitEvent
-// stop condition.
-func (p *TokenPool) hasFree() bool {
-	p.mu.Lock()
-	ok := p.free > 0
-	p.mu.Unlock()
-	return ok
-}
-
-// Acquire takes a token, helping execute queued team tasks while none is
-// free. Outside any parallel region it simply blocks until Release.
-func (p *TokenPool) Acquire() {
-	w := Current()
-	if w == nil {
-		p.acquireSlow()
-		return
-	}
-	for {
-		if p.TryAcquire() {
-			return
-		}
-		if t := w.findTask(); t != nil {
-			w.runTask(t)
-			t.decRef()
-			continue
-		}
-		g := w.spawnGroup()
-		v := g.eventStamp()
-		if p.TryAcquire() {
-			return
-		}
-		if g.Pending() == 0 {
-			// No task can release a token; any release must come from a
-			// plain goroutine, which only signals the pool condvar.
-			p.acquireSlow()
-			return
-		}
-		g.awaitEvent(v, p.hasFree)
-	}
-}
-
-// acquireSlow blocks on the pool condvar until a token is free.
-func (p *TokenPool) acquireSlow() {
-	p.mu.Lock()
-	for p.free == 0 {
-		p.cond.Wait()
-	}
-	p.free--
-	p.mu.Unlock()
-}
-
-// Release returns a token and wakes blocked acquirers. Worker acquirers
-// parked on their task group are woken by the releasing task's own
-// completion broadcast.
-func (p *TokenPool) Release() {
-	p.mu.Lock()
-	p.free++
-	p.cond.Broadcast()
-	p.mu.Unlock()
-}
-
-// Free reports the tokens currently available (diagnostics/tests).
-func (p *TokenPool) Free() int {
-	p.mu.Lock()
-	n := p.free
-	p.mu.Unlock()
-	return n
 }

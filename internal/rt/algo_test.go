@@ -3,7 +3,6 @@ package rt
 import (
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"aomplib/internal/sched"
 )
@@ -60,78 +59,5 @@ func TestSpawnRangeCoversAndJoins(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-func TestTokenPoolCounts(t *testing.T) {
-	p := NewTokenPool(3)
-	if p.Free() != 3 {
-		t.Fatalf("fresh pool Free = %d", p.Free())
-	}
-	for i := 0; i < 3; i++ {
-		if !p.TryAcquire() {
-			t.Fatalf("TryAcquire %d failed on a free pool", i)
-		}
-	}
-	if p.TryAcquire() {
-		t.Fatal("TryAcquire succeeded on an empty pool")
-	}
-	p.Release()
-	if p.Free() != 1 {
-		t.Fatalf("Free after release = %d", p.Free())
-	}
-	p.Acquire() // must take the free token without blocking
-	if p.Free() != 0 {
-		t.Fatalf("Free after acquire = %d", p.Free())
-	}
-}
-
-func TestTokenPoolBlocksOffWorker(t *testing.T) {
-	p := NewTokenPool(1)
-	p.Acquire()
-	done := make(chan struct{})
-	go func() {
-		p.Acquire() // plain goroutine: parks on the pool condvar
-		close(done)
-	}()
-	select {
-	case <-done:
-		t.Fatal("Acquire returned with no token available")
-	case <-time.After(20 * time.Millisecond):
-	}
-	p.Release()
-	select {
-	case <-done:
-	case <-time.After(2 * time.Second):
-		t.Fatal("Acquire not woken by Release")
-	}
-}
-
-// TestTokenPoolWorkerHelps is the one-worker pipeline shape: the only
-// worker holds all tokens, and the releases it is waiting for can only
-// come from tasks it must itself execute. Acquire must help.
-func TestTokenPoolWorkerHelps(t *testing.T) {
-	p := NewTokenPool(2)
-	var ran atomic.Int32
-	doneCh := make(chan struct{})
-	go func() {
-		Region(1, func(w *Worker) {
-			for i := 0; i < 10; i++ {
-				p.Acquire()
-				Spawn(func() {
-					ran.Add(1)
-					p.Release()
-				})
-			}
-		})
-		close(doneCh)
-	}()
-	select {
-	case <-doneCh:
-	case <-time.After(10 * time.Second):
-		t.Fatal("one-worker token loop deadlocked: Acquire did not help drain tasks")
-	}
-	if ran.Load() != 10 {
-		t.Fatalf("ran %d release tasks, want 10", ran.Load())
 	}
 }

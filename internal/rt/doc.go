@@ -23,11 +23,9 @@
 //     worker's static share, a custom schedule's parts, a dynamic/guided
 //     claim or a steal chunk, for the woven @For and ForSpan alike
 //     (ForSpan runs a declared static kind as pure arithmetic, with no
-//     encounter). SpawnRange decomposes a range into
-//     stealable tasks by recursive binary splitting. TokenPool is a
-//     counting semaphore whose blocked workers help run tasks instead
-//     of parking. These are the primitives the public parallel package
-//     builds its algorithms on.
+//     encounter). SpawnRange decomposes a range into stealable tasks by
+//     recursive binary splitting. These are the primitives the public
+//     parallel package builds its algorithms on.
 //   - Observability. Every interesting transition reports into
 //     internal/obs's tracer and metrics registry; with both off each emit
 //     point is a single predicted branch.

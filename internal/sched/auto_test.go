@@ -183,7 +183,7 @@ func TestResolveTable(t *testing.T) {
 }
 
 // TestAutoGrain pins the generic-range grain heuristic: a pure function
-// of the trip count (width-independence is what keeps Reduce/Scan
+// of the trip count (width-independence is what keeps Reduce
 // decomposition deterministic), never below the dispatch-amortizing
 // minimum, never cutting more than the piece bound.
 func TestAutoGrain(t *testing.T) {

@@ -176,10 +176,10 @@ const autoGrainMin = 16
 const autoGrainPieces = 256
 
 // AutoGrain picks a grainsize for decomposing an n-iteration generic
-// range (parallel.For nesting, Reduce/Scan chunking) when the caller gave
+// range (parallel.For nesting, Reduce chunking) when the caller gave
 // none. It is deliberately a pure function of n — never of the team
 // width — so the decomposition shape, and therefore the combine tree of a
-// deterministic Reduce/Scan, is identical at every width.
+// deterministic Reduce, is identical at every width.
 func AutoGrain(n int) int {
 	if n <= 0 {
 		return 1

@@ -57,16 +57,6 @@ func BenchmarkOverhead_ParallelReduce(b *testing.B) {
 	benchSink[0] = res
 }
 
-func BenchmarkOverhead_ParallelScan(b *testing.B) {
-	combine := func(x, y int64) int64 { return x + y }
-	parallel.Scan(benchSink, 0, combine, benchOpts...)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		parallel.Scan(benchSink, 0, combine, benchOpts...)
-	}
-}
-
 func BenchmarkParallelForSteal(b *testing.B) {
 	opts := []parallel.Opt{
 		parallel.WithThreads(4), parallel.WithSchedule(parallel.Steal), parallel.WithGrain(64),

@@ -2,7 +2,6 @@ package parallel_test
 
 import (
 	"fmt"
-	"strings"
 
 	"aomplib/parallel"
 )
@@ -45,64 +44,10 @@ func ExampleReduce() {
 	// Output: 338350
 }
 
-func ExampleScan() {
-	// In-place inclusive prefix sum (running total).
-	xs := []int{3, 1, 4, 1, 5, 9, 2, 6}
-	parallel.Scan(xs, 0, func(a, b int) int { return a + b },
-		parallel.WithThreads(4), parallel.WithGrain(2))
-	fmt.Println(xs)
-	// Output: [3 4 8 9 14 23 25 31]
-}
-
 func ExampleSort() {
 	words := []string{"pear", "apple", "fig", "date", "cherry", "banana"}
 	parallel.Sort(words, func(a, b string) bool { return a < b },
 		parallel.WithThreads(4), parallel.WithGrain(2))
 	fmt.Println(words)
 	// Output: [apple banana cherry date fig pear]
-}
-
-func ExamplePipeline() {
-	// A three-stage stream: parallel middle stage between two serial
-	// in-order endpoints, at most 3 items in flight. The serial last stage
-	// sees items in ingestion order regardless of middle-stage timing.
-	var out strings.Builder
-	next := 0
-	parallel.Pipeline(3,
-		func() (int, bool) { // source: the numbers 0..4
-			if next >= 5 {
-				return 0, false
-			}
-			next++
-			return next - 1, true
-		},
-		[]parallel.Stage[int]{
-			parallel.ParallelStage(func(v int) int { return v * v }),
-			parallel.SerialStage(func(v int) int {
-				fmt.Fprintf(&out, "%d ", v)
-				return v
-			}),
-		},
-		parallel.WithThreads(4))
-	fmt.Println(out.String())
-	// Output: 0 1 4 9 16
-}
-
-func ExampleFlowGraph() {
-	// A diamond: fetch runs first, two independent transforms run in
-	// parallel, publish runs last.
-	var a, b int
-	g := parallel.NewFlowGraph()
-	fetch := g.Node("fetch", func() { a, b = 2, 3 })
-	double := g.Node("double", func() { a *= 2 })
-	triple := g.Node("triple", func() { b *= 3 })
-	publish := g.Node("publish", func() { fmt.Println(a + b) })
-	g.Edge(fetch, double)
-	g.Edge(fetch, triple)
-	g.Edge(double, publish)
-	g.Edge(triple, publish)
-	if err := g.Run(parallel.WithThreads(4)); err != nil {
-		fmt.Println("cycle:", err)
-	}
-	// Output: 13
 }

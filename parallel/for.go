@@ -36,9 +36,10 @@ func For(lo, hi int, body func(i int), opts ...Opt) {
 // ForRange is the range-chunk variant of For: body(lo, hi) receives whole
 // sub-ranges instead of single indices, one call per scheduling unit —
 // one block per worker under Static, one claim under Dynamic and Guided
-// (up to four grains, see WithGrain), one chunk per draw under Steal. Use it when the body amortizes per-call work over a
-// range (slice kernels, SIMD-friendly inner loops): it is For with the
-// per-index indirect call hoisted out.
+// (up to four grains, see WithGrain), one chunk per draw under Steal. Use
+// it when the body amortizes per-call work over a range (slice kernels,
+// SIMD-friendly inner loops): it is For with the per-index indirect call
+// hoisted out.
 func ForRange(lo, hi int, body func(lo, hi int), opts ...Opt) {
 	runFor(sched.Space{Lo: lo, Hi: hi, Step: 1}, opts, nil, body)
 }
@@ -79,9 +80,9 @@ func runFor(sp sched.Space, opts []Opt, idx func(int), rng func(int, int)) {
 		// Adaptive state must survive entry recycling: key by the body's
 		// code location instead of the pooled entry.
 		if idx != nil {
-			e.key = stableKey(idx, 0)
+			e.key = stableKey(idx)
 		} else {
-			e.key = stableKey(rng, 0)
+			e.key = stableKey(rng)
 		}
 	}
 	rt.RegionArg(width, forBody, e)

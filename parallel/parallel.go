@@ -1,10 +1,10 @@
 // Package parallel is AOmpLib's generic algorithms layer: type-parameterized
-// building blocks — For, Reduce, Scan, Sort, Pipeline, FlowGraph — in the
-// "specify tasks, not threads" style of oneTBB, implemented directly on the
-// runtime in internal/rt. Where the aomplib facade mirrors OpenMP (regions
-// and directives woven around methods), this package is for call sites that
-// just want a loop, a reduction or a streaming pipeline run in parallel,
-// with the decomposition, scheduling and joining handled by the library.
+// building blocks — For, ForRange, Reduce, Sort — in the "specify tasks,
+// not threads" style of oneTBB, implemented directly on the runtime in
+// internal/rt. Where the aomplib facade mirrors OpenMP (regions and
+// directives woven around methods), this package is for call sites that
+// just want a loop, a reduction or a sort run in parallel, with the
+// decomposition, scheduling and joining handled by the library.
 //
 // Everything here executes on the existing runtime machinery: hot teams
 // (leased, admission-controlled worker pools — a parallel.For at top level
@@ -15,9 +15,9 @@
 // emits the same region/work/task events the woven aspects do, so Chrome
 // traces show generic loops alongside @For loops).
 //
-// Determinism: Reduce and Scan decompose the input by a grain that depends
-// only on the input length (or WithGrain), never on the team width or on
-// timing, and combine the per-chunk partials in a fixed tree order. For a
+// Determinism: Reduce decomposes the input by a grain that depends only on
+// the input length (or WithGrain), never on the team width or on timing,
+// and combines the per-chunk partials in a fixed tree order. For a
 // given input and grain the exact sequence of combine calls is therefore
 // identical at every width — including width 1 — which makes
 // floating-point results reproducible run-to-run and width-to-width.
@@ -78,9 +78,6 @@ const (
 	// interning lookup); per-call overhead is still far below one region
 	// entry.
 	Adaptive Schedule = sched.Adaptive
-	// Auto and WeightedSteal are the former names of Adaptive and Steal.
-	Auto          Schedule = sched.Auto
-	WeightedSteal Schedule = sched.WeightedSteal
 )
 
 // config carries the resolved options of one algorithm call.
@@ -100,7 +97,7 @@ type Opt func(*config)
 func WithThreads(n int) Opt { return func(c *config) { c.threads = n } }
 
 // WithSchedule selects the loop schedule for this call (default Static).
-// Reduce and Scan schedule over the chunk space, so dynamic kinds balance
+// Reduce schedules over the chunk space, so dynamic kinds balance
 // chunk-level skew without changing the deterministic combine shape. It
 // panics on a kind that is not a schedule, and on the case-specific kind,
 // which needs a ScheduleFunc this package has no option for.
@@ -113,8 +110,8 @@ func WithSchedule(s Schedule) Opt {
 }
 
 // WithGrain sets the decomposition grain: the chunk of the Dynamic, Guided
-// and Steal loop schedules, the per-partial chunk length of Reduce and
-// Scan, the task grain of nested For calls, and the serial cutoff of Sort.
+// and Steal loop schedules, the per-partial chunk length of Reduce, the
+// task grain of nested For calls, and the serial cutoff of Sort.
 // For Dynamic and Guided loops it is the balance unit and the least a
 // worker takes at a time, not a bound on the range a ForRange body
 // receives: the body runs once per claim, up to 4n indices under Dynamic.
@@ -134,7 +131,7 @@ func apply(opts []Opt) config {
 }
 
 // applyInto folds opts into a caller-owned (pooled) config, keeping the
-// hot For/Reduce/Scan dispatch paths allocation-free: escape analysis
+// hot For/Reduce dispatch paths allocation-free: escape analysis
 // pins a stack config passed to opaque option funcs to the heap, so the
 // destination lives inside the recycled entry struct instead.
 func applyInto(c *config, opts []Opt) {
@@ -163,24 +160,23 @@ func (c config) width(n int) int {
 }
 
 // loopKey is the adaptive-state identity of one loop: the code pointer of
-// its body function plus a phase tag (Scan's two passes learn separately).
-// Pooled entry structs are recycled between unrelated loops, so the entry
-// pointer — the encounter key for every other schedule — would conflate
-// adaptive state; the body's code location is stable across calls instead.
+// its body function. Pooled entry structs are recycled between unrelated
+// loops, so the entry pointer — the encounter key for every other schedule
+// — would conflate adaptive state; the body's code location is stable
+// across calls instead.
 // Two closures created at the same source location share a key (they are
 // "the same loop" for tuning purposes); distinct call sites never collide.
-// Comparable by value, so a freshly built key finds the state an earlier
-// call registered.
-type loopKey struct {
-	pc    uintptr
-	phase uint8
-}
+// A function inlined into several callers compiles its closures once per
+// inlined copy, so each copy is a call site of its own. Comparable by
+// value, so a freshly built key finds the state an earlier call
+// registered.
+type loopKey struct{ pc uintptr }
 
 // stableKey builds the adaptive-state key for a loop body fn (any func
 // value). Boxing fn and the returned key allocates a few words — the
 // documented cost of the Adaptive dispatch path.
-func stableKey(fn any, phase uint8) any {
-	return loopKey{pc: reflect.ValueOf(fn).Pointer(), phase: phase}
+func stableKey(fn any) any {
+	return loopKey{pc: reflect.ValueOf(fn).Pointer()}
 }
 
 // entryPools caches one sync.Pool of region-argument structs per

@@ -79,7 +79,7 @@ func Reduce[T any](lo, hi int, identity T, leaf func(lo, hi int, acc T) T, combi
 		if e.kind == sched.Adaptive {
 			// Key the learning by the leaf's code location — pooled entries
 			// are recycled between unrelated reductions.
-			e.key = stableKey(leaf, 0)
+			e.key = stableKey(leaf)
 		}
 		rt.RegionArg(width, e.body, e)
 	}
