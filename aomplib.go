@@ -132,29 +132,25 @@ var MustParsePointcut = pointcut.MustParse
 type Schedule = sched.Kind
 
 // Work-sharing schedules (paper Table 1: staticBlock, staticCyclic,
-// dynamic; guided, steal, runtime, adaptive and case-specific are the
-// documented extensions). Dynamic and Guided call the for method once per
-// claim on one shared cursor — four chunks while more than four per worker
-// remain, then one; Guided: the remainder over twice the team width — so
-// the chunk (ForAspect.Chunk) is the balance unit, and the range a call
-// receives may span four. Steal carves one contiguous range per worker,
-// sized by each worker's measured speed (an EWMA trained on the hot team
-// across loop encounters; equal ranges until then), and lets workers that
-// run dry steal half the most loaded sibling's remainder (the
-// nonmonotonic:dynamic analogue): dynamic-grade balancing with
-// static-grade dispensing cost, and slow workers — efficiency cores,
-// throttled cores, noisy neighbours — are handed less work up front.
-// Runtime resolves to the process-wide default set with SetDefaultSchedule
-// (the OMP_SCHEDULE analogue). Adaptive is the feedback-driven kind: the
-// first encounter of a construct is decided from the loop's shape
-// (StaticBlock below 64 iterations per worker, Guided otherwise), every
-// later one re-decides kind and chunk from the previous encounter's
-// measured imbalance; ParseSchedule still accepts the former names "auto"
-// and "weightedSteal" for Adaptive and Steal. On a team of one (Threads(1),
-// or a region narrowed to one worker) the four dispensing kinds — Dynamic,
-// Guided, Steal, Adaptive, and Runtime when it reads one of them — run the
-// loop as one StaticBlock: one call over the whole range, no end barrier,
-// Chunk ignored.
+// dynamic; guided, steal, adaptive and case-specific are the documented
+// extensions). The schedule is the one the @For construct names: nothing
+// process-wide overrides it. Dynamic and Guided call the for method once
+// per claim on one shared cursor — four chunks while more than four per
+// worker remain, then one; Guided: the remainder over twice the team width
+// — so the chunk (ForAspect.Chunk) is the balance unit, and the range a
+// call receives may span four. Steal starts every worker on its
+// StaticBlock range and lets workers that run dry steal half the most
+// loaded sibling's remainder (the nonmonotonic:dynamic analogue):
+// dynamic-grade balancing with static-grade dispensing cost. Adaptive is
+// the feedback-driven kind: the first encounter of a construct is decided
+// from the loop's shape (StaticBlock below 64 iterations per worker,
+// Guided otherwise), every later one re-decides kind and chunk from the
+// previous encounter's measured imbalance; ParseSchedule still accepts the
+// former names "auto" and "weightedSteal" for Adaptive and Steal. On a team
+// of one (Threads(1), or a region narrowed to one worker) the four
+// dispensing kinds — Dynamic, Guided, Steal, Adaptive — run the loop as one
+// StaticBlock: one call over the whole range, no end barrier, Chunk
+// ignored.
 const (
 	StaticBlock  = sched.StaticBlock
 	StaticCyclic = sched.StaticCyclic
@@ -162,7 +158,6 @@ const (
 	Guided       = sched.Guided
 	Steal        = sched.Steal
 	CaseSpecific = sched.Custom
-	Runtime      = sched.Runtime
 	Adaptive     = sched.Adaptive
 )
 
@@ -170,14 +165,6 @@ const (
 // "adaptive", ...) to its Schedule, erroring with the valid list on unknown
 // names — the parser behind benchmark flags like jgfbench -schedule.
 var ParseSchedule = sched.ParseKind
-
-// SetDefaultSchedule sets the process-wide schedule that @For constructs
-// declared with the Runtime kind resolve to. It returns the previous
-// default; Runtime and CaseSpecific are rejected.
-func SetDefaultSchedule(k Schedule) (Schedule, error) { return sched.SetDefault(k) }
-
-// DefaultSchedule returns the process-wide default schedule.
-func DefaultSchedule() Schedule { return sched.Default() }
 
 // ScheduleFunc is the case-specific schedule extension point.
 type ScheduleFunc = sched.ScheduleFunc

@@ -200,7 +200,11 @@ func TestProfilingWovenRegions(t *testing.T) {
 // non-test .go file of the module outside the facade's own aomplib.go and
 // diag.go.
 func TestFacadeKnobsHaveCallers(t *testing.T) {
-	for _, name := range funcsWithoutCallers(t, ".", "aomplib", isKnob) {
+	unused, n := funcsWithoutCallers(t, ".", "aomplib", isKnob)
+	if n == 0 {
+		t.Fatal("found no facade knobs to census: the census is looking in the wrong place")
+	}
+	for _, name := range unused {
 		t.Errorf("facade knob %s has no caller outside tests: delete it", name)
 	}
 }
@@ -208,12 +212,19 @@ func TestFacadeKnobsHaveCallers(t *testing.T) {
 // TestInternalKnobsHaveCallers applies the same rule to the packages the
 // facade's knobs delegate to: an exported Set*/Enable* func of internal/rt,
 // internal/obs or internal/sched needs a non-test caller outside its own
-// package.
+// package. A package may have no knob at all (internal/sched has none),
+// but the three together must have some.
 func TestInternalKnobsHaveCallers(t *testing.T) {
+	total := 0
 	for _, pkg := range []string{"internal/rt", "internal/obs", "internal/sched"} {
-		for _, name := range funcsWithoutCallers(t, pkg, "aomplib/"+pkg, isKnob) {
+		unused, n := funcsWithoutCallers(t, pkg, "aomplib/"+pkg, isKnob)
+		total += n
+		for _, name := range unused {
 			t.Errorf("%s.%s has no caller outside tests and its own package: delete it", pkg, name)
 		}
+	}
+	if total == 0 {
+		t.Fatal("found no internal knobs to census: the census is looking in the wrong place")
 	}
 }
 
@@ -224,7 +235,11 @@ func TestInternalKnobsHaveCallers(t *testing.T) {
 // own tests and demos.
 func TestParallelEntryPointsHaveCallers(t *testing.T) {
 	notOption := func(name string) bool { return !strings.HasPrefix(name, "With") }
-	for _, name := range funcsWithoutCallers(t, "parallel", "aomplib/parallel", notOption, "examples") {
+	unused, n := funcsWithoutCallers(t, "parallel", "aomplib/parallel", notOption, "examples")
+	if n == 0 {
+		t.Fatal("found no parallel entry points to census: the census is looking in the wrong place")
+	}
+	for _, name := range unused {
 		t.Errorf("parallel.%s has no caller outside tests and examples: delete it", name)
 	}
 }
@@ -237,16 +252,19 @@ func isKnob(name string) bool {
 // funcsWithoutCallers returns the exported top-level funcs of the package
 // in dir (import path importPath) whose name satisfies want and that no
 // non-test .go file of the module references outside dir and outside the
-// directory trees in skip.
-func funcsWithoutCallers(t *testing.T, dir, importPath string, want func(string) bool, skip ...string) []string {
+// directory trees in skip, and how many funcs it took the census of. A
+// directory with no non-test .go file is a fatal error.
+func funcsWithoutCallers(t *testing.T, dir, importPath string, want func(string) bool, skip ...string) ([]string, int) {
 	t.Helper()
 	fset := token.NewFileSet()
 	own, _ := filepath.Glob(filepath.Join(dir, "*.go"))
 	callers := map[string]int{} // knob -> references outside its package
+	parsed := 0
 	for _, path := range own {
 		if strings.HasSuffix(path, "_test.go") {
 			continue
 		}
+		parsed++
 		f, err := parser.ParseFile(fset, path, nil, 0)
 		if err != nil {
 			t.Fatal(err)
@@ -261,8 +279,8 @@ func funcsWithoutCallers(t *testing.T, dir, importPath string, want func(string)
 			}
 		}
 	}
-	if len(callers) == 0 {
-		t.Fatalf("found no funcs to census in %s: the census is looking in the wrong place", dir)
+	if parsed == 0 {
+		t.Fatalf("found no Go files in %s: the census is looking in the wrong place", dir)
 	}
 
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
@@ -313,5 +331,5 @@ func funcsWithoutCallers(t *testing.T, dir, importPath string, want func(string)
 			unused = append(unused, name)
 		}
 	}
-	return unused
+	return unused, len(callers)
 }

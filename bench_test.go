@@ -451,8 +451,9 @@ func BenchmarkAblation_Barrier(b *testing.B) {
 // BenchmarkAblation_ConstructInstance measures the per-encounter
 // bookkeeping of work-sharing constructs: b.N encounters of one construct,
 // keyed by pointer as the aspects key theirs, each met by both workers of
-// the team. ns/op is the team's time per encounter (CI holds it within 3x
-// a barrier phase); ns/worker-encounter is one worker's side of it.
+// the team. ns/op is the team's time per encounter (CI holds it within
+// 1.4x Ablation_CompositeOpHandSolo); ns/worker-encounter is one worker's
+// side of it.
 func BenchmarkAblation_ConstructInstance(b *testing.B) {
 	b.ReportAllocs()
 	const workers = 2

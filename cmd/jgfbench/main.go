@@ -36,6 +36,7 @@ import (
 	"aomplib/internal/jgf/series"
 	"aomplib/internal/jgf/sor"
 	"aomplib/internal/jgf/sparse"
+	"aomplib/internal/sched"
 )
 
 type bench struct {
@@ -51,7 +52,10 @@ type bench struct {
 	par func(threads int) harness.Instance
 }
 
-func suite(size string) []bench {
+// suite builds the benchmark list at the given size. k is the loop
+// schedule of the kernels that take one (Crypt, LUFact, Series, SOR); the
+// others keep the schedules their aspects name.
+func suite(size string, k aomplib.Schedule) []bench {
 	pick := func(test, a, b any) any {
 		switch size {
 		case "A":
@@ -70,6 +74,7 @@ func suite(size string) []bench {
 	mp := pick(moldyn.SizeTest, moldyn.SizeA, moldyn.SizeB).(moldyn.Params)
 	qp := pick(montecarlo.SizeTest, montecarlo.SizeA, montecarlo.SizeB).(montecarlo.Params)
 	rp := pick(raytracer.SizeTest, raytracer.SizeA, raytracer.SizeB).(raytracer.Params)
+	sp.Schedule, cp.Schedule, lp.Schedule, op.Schedule = k, k, k, k
 
 	return []bench{
 		{name: "Crypt", seq: func() harness.Instance { return crypt.NewSeq(cp) },
@@ -169,9 +174,8 @@ type jsonResult struct {
 // jsonSchedStats is the scheduling-mechanism slice of the metrics
 // registry, included in the report when the run was traced (-trace
 // enables the registry for the run and reports its delta). It is what
-// lets an asymmetry A/B compare mechanisms, not just wall time: a weighted
-// carve that works shows up as fewer loop-range steals than the uniform
-// carve under the same throttle.
+// lets an asymmetry A/B compare mechanisms, not just wall time: how many
+// loop ranges a schedule had to steal under the same throttle.
 type jsonSchedStats struct {
 	StealAttempts uint64 `json:"steal_attempts"`
 	Steals        uint64 `json:"steals"`
@@ -181,9 +185,9 @@ type jsonSchedStats struct {
 
 // jsonReport is the -json output: enough metadata to compare runs across
 // commits (the CI perf trajectory) plus every measurement. HotTeams and
-// Schedule record the runtime configuration of the run — numbers measured
-// with pooled teams or a non-default schedule must not be compared
-// against runs without them.
+// Schedule record the configuration of the run (Schedule: the kind the
+// Crypt, LUFact, Series and SOR kernels ran) — numbers measured with pooled
+// teams or another schedule must not be compared against runs without them.
 type jsonReport struct {
 	Schema     int             `json:"schema"`
 	Size       string          `json:"size"`
@@ -210,8 +214,8 @@ func main() {
 	jsonPath := flag.String("json", "", "write machine-readable results to this file")
 	tracePath := flag.String("trace", "",
 		"record the whole run and write a Chrome trace (load at ui.perfetto.dev) to this file")
-	schedule := flag.String("schedule", "",
-		"process-wide default schedule resolved by @For(schedule=runtime) constructs\n"+
+	schedule := flag.String("schedule", "staticBlock",
+		"loop schedule of the Crypt, LUFact, Series and SOR kernels\n"+
 			"(staticBlock, staticCyclic, dynamic, guided, steal, adaptive;\n"+
 			"former names: auto = adaptive, weightedSteal = steal)")
 	hotTeams := flag.Bool("hotteams", true, "reuse pooled worker teams across region entries")
@@ -236,16 +240,17 @@ func main() {
 		fmt.Fprintf(os.Stderr, "jgfbench: -reps must be > 0 (got %d): a run with zero repetitions measures nothing\n", *reps)
 		os.Exit(2)
 	}
-	if *schedule != "" {
-		k, err := aomplib.ParseSchedule(*schedule)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "jgfbench: -schedule: %v\n", err)
-			os.Exit(2)
+	kind, err := aomplib.ParseSchedule(*schedule)
+	if err != nil || kind == aomplib.CaseSpecific {
+		var valid []string
+		for _, k := range sched.Kinds() {
+			if k != sched.Custom {
+				valid = append(valid, k.String())
+			}
 		}
-		if _, err := aomplib.SetDefaultSchedule(k); err != nil {
-			fmt.Fprintf(os.Stderr, "jgfbench: -schedule=%s: %v\n", k, err)
-			os.Exit(2)
-		}
+		fmt.Fprintf(os.Stderr, "jgfbench: -schedule=%s: not a kernel schedule (valid: %s)\n",
+			*schedule, strings.Join(valid, ", "))
+		os.Exit(2)
 	}
 	aomplib.SetHotTeams(*hotTeams)
 
@@ -256,7 +261,7 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	benches := suite(*size)
+	benches := suite(*size, kind)
 	filter := parseOnly(*only, benches)
 
 	table := harness.NewTable()
@@ -336,7 +341,7 @@ func main() {
 	}
 
 	if *jsonPath != "" {
-		if err := writeJSON(*jsonPath, *size, *asym, threads, *reps, schedStats, all, seqSecs); err != nil {
+		if err := writeJSON(*jsonPath, *size, *asym, kind, threads, *reps, schedStats, all, seqSecs); err != nil {
 			fmt.Fprintf(os.Stderr, "jgfbench: writing %s: %v\n", *jsonPath, err)
 			os.Exit(1)
 		}
@@ -348,7 +353,7 @@ func main() {
 	}
 }
 
-func writeJSON(path, size, asym string, threads []int, reps int,
+func writeJSON(path, size, asym string, kind aomplib.Schedule, threads []int, reps int,
 	schedStats *jsonSchedStats, all []harness.Measurement, seqSecs map[string]float64) error {
 	rep := jsonReport{
 		Schema:     3,
@@ -358,7 +363,7 @@ func writeJSON(path, size, asym string, threads []int, reps int,
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		GoVersion:  runtime.Version(),
 		HotTeams:   aomplib.HotTeamsEnabled(),
-		Schedule:   aomplib.DefaultSchedule().String(),
+		Schedule:   kind.String(),
 		Asym:       asym,
 		Timestamp:  time.Now().UTC().Format(time.RFC3339),
 		SchedStats: schedStats,

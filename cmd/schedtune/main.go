@@ -227,9 +227,9 @@ func reduce(kind string, evs []traceEvent) loopReport {
 }
 
 // advise maps a schedule group's measured imbalance onto the runtime's
-// adaptation policy: skewed loops move to the steal schedule, whose ranges
-// are already carved by measured speed (or refine their chunk if already on
-// a balancing schedule), balanced loops may coarsen, and the hysteresis
+// adaptation policy: skewed loops move to the steal schedule, whose thieves
+// rebalance ranges (or refine their chunk if already on a balancing
+// schedule), balanced loops may coarsen, and the hysteresis
 // band keeps what works. A group with no measurable imbalance gets no
 // advice rather than a guess.
 func advise(kind string, imb, high, low float64) string {

@@ -54,30 +54,17 @@ func TestFacadeHotTeamKnobs(t *testing.T) {
 	}
 }
 
-// ParseSchedule and SetDefaultSchedule drive the runtime schedule kind
-// from flags (jgfbench -schedule); the facade must round-trip names and
-// reject non-defaultable kinds.
+// ParseSchedule turns a flag value (jgfbench -schedule) into the kind a
+// loop is bound with; the facade must round-trip names and reject unknown
+// ones, "runtime" included: no process-wide default exists to defer to.
 func TestFacadeScheduleKnobs(t *testing.T) {
-	orig := aomplib.DefaultSchedule()
-	defer aomplib.SetDefaultSchedule(orig) //nolint:errcheck
-
 	k, err := aomplib.ParseSchedule("guided")
 	if err != nil || k != aomplib.Guided {
 		t.Fatalf("ParseSchedule(guided) = %v, %v", k, err)
 	}
-	if _, err := aomplib.ParseSchedule("nope"); err == nil {
-		t.Fatal("unknown schedule parsed")
-	}
-	if prev, err := aomplib.SetDefaultSchedule(aomplib.Guided); err != nil || prev != orig {
-		t.Fatalf("SetDefaultSchedule = %v, %v", prev, err)
-	}
-	if aomplib.DefaultSchedule() != aomplib.Guided {
-		t.Fatalf("DefaultSchedule = %v", aomplib.DefaultSchedule())
-	}
-	if _, err := aomplib.SetDefaultSchedule(aomplib.Runtime); err == nil {
-		t.Fatal("Runtime accepted as its own default")
-	}
-	if _, err := aomplib.SetDefaultSchedule(aomplib.CaseSpecific); err == nil {
-		t.Fatal("CaseSpecific accepted as process default")
+	for _, name := range []string{"nope", "runtime"} {
+		if _, err := aomplib.ParseSchedule(name); err == nil {
+			t.Fatalf("schedule name %q parsed", name)
+		}
 	}
 }

@@ -118,3 +118,45 @@ func TestDepFnPanicContained(t *testing.T) {
 		return ""
 	})
 }
+
+// TestWorkerValuePanicContained: a @ThreadLocalField InitFresh factory that
+// panics on worker 1 of four, through the sole-WorkerValuer fast path (the
+// thread-local advice alone on the accessor, answered without a Call) and
+// through a stacked chain (a second advice reifies the call). Each worker
+// adds its id+1 to its copy and @Reduce folds the copies into the total.
+func TestWorkerValuePanicContained(t *testing.T) {
+	for _, stacked := range []bool{false, true} {
+		t.Run(fmt.Sprintf("stacked=%v", stacked), func(t *testing.T) {
+			pinWidth(t)
+			const width = 4
+			p := weaver.NewProgram("worker-value-panic")
+			cls := p.Class("L")
+			var total int64
+			acc := cls.ValueProc("acc", func() any { return &total })
+			merge := cls.Proc("merge", func() {})
+			run := cls.Proc("run", func() {
+				*acc().(*int64) += int64(rt.Current().ID + 1)
+				merge()
+			})
+			var bad atomic.Bool
+			tl := NewThreadLocal("call(* L.acc(..))", "acc").InitFresh(func() any {
+				if rt.Current().ID == 1 && bad.Load() {
+					panic("bad local")
+				}
+				return new(int64)
+			})
+			p.Use(ParallelRegion("call(* L.run(..))").Threads(width), tl,
+				ReducePoint("call(* L.merge(..))", tl, func(local any) { total += *local.(*int64) }))
+			if stacked {
+				p.Use(passThrough("call(* L.acc(..))"))
+			}
+			p.MustWeave()
+			wantCallbackPanicContained(t, &bad, "bad local", func() { total = 0; run() }, func() string {
+				if want := int64(width * (width + 1) / 2); total != want {
+					return fmt.Sprintf("total %d, want %d", total, want)
+				}
+				return ""
+			})
+		})
+	}
+}

@@ -70,11 +70,11 @@ func (a *ForAspect) NoWait() *ForAspect { f := false; a.wait = &f; return a }
 func (a *ForAspect) Wait() *ForAspect { tr := true; a.wait = &tr; return a }
 
 // implicitBarrier decides the end-of-construct barrier for the schedule an
-// encounter resolved to (Runtime and Adaptive resolve per encounter, so the
-// decision cannot be precomputed from the declared kind). Steal barriers
-// like dynamic: workers finish at data-dependent points after range
-// migration, so code after the construct may not assume its own static
-// share ran last.
+// encounter resolved to (width, trip count and Adaptive's feedback decide
+// per encounter, so it cannot be precomputed from the declared kind).
+// Steal barriers like dynamic: workers finish at data-dependent points
+// after range migration, so code after the construct may not assume its
+// own static share ran last.
 func (a *ForAspect) implicitBarrier(k sched.Kind) bool {
 	if a.wait != nil {
 		return *a.wait
@@ -111,11 +111,10 @@ func (a *ForAspect) Bindings() []weaver.Binding {
 					return
 				}
 				sp := sched.Space{Lo: c.Lo, Hi: c.Hi, Step: c.Step}
-				// Runtime follows the process default, Adaptive the
-				// construct's learned state. Resolution happens once per
-				// encounter inside the team-shared state (the first arriving
-				// worker decides), so a concurrent SetDefaultSchedule can
-				// never split one encounter across two schedules and
+				// Adaptive follows the construct's learned state.
+				// Resolution happens once per encounter inside the
+				// team-shared state (the first arriving worker decides), so
+				// one encounter can never split across two schedules and
 				// desynchronise the implicit barrier, which follows fc.Kind.
 				fc := rt.BeginFor(w, a, sp, a.kind, a.chunk, a.custom)
 				k := fc.Kind

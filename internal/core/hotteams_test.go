@@ -106,37 +106,32 @@ func TestHotTeamsThreadLocalFreshPerLease(t *testing.T) {
 	}
 }
 
-// A @For bound to the Runtime schedule follows the process-wide default
-// per entry, covering every iteration exactly once under each resolved
-// schedule — including Adaptive's shape rule.
+// A @For on a hot team resolves its bound schedule on every entry,
+// covering every iteration exactly once under each kind — including
+// Adaptive's shape rule on the first entry and its feedback on the next.
 func TestForRuntimeScheduleResolvesPerEntry(t *testing.T) {
-	origKind := sched.Default()
-	defer sched.SetDefault(origKind) //nolint:errcheck
-
-	const n, threads = 300, 3
-	p := weaver.NewProgram("rs")
-	hits := make([]atomic.Int32, n)
-	loop := p.Class("R").ForProc("loop", func(lo, hi, step int) {
-		for i := lo; i < hi; i += step {
-			hits[i].Add(1)
-		}
-	})
-	run := p.Class("R").Proc("run", func() { loop(0, n, 1) })
-	p.Use(ParallelRegion("call(* R.run(..))").Threads(threads))
-	p.Use(ForShare("call(* R.loop(..))").Schedule(sched.Runtime))
-	p.MustWeave()
-
+	const n, threads, entries = 300, 3, 3
 	for _, k := range []sched.Kind{sched.StaticBlock, sched.StaticCyclic, sched.Dynamic, sched.Guided, sched.Steal, sched.Adaptive} {
-		if _, err := sched.SetDefault(k); err != nil {
-			t.Fatal(err)
-		}
-		for i := range hits {
-			hits[i].Store(0)
-		}
-		run()
-		for i := range hits {
-			if hits[i].Load() != 1 {
-				t.Fatalf("schedule %v: iteration %d ran %d times", k, i, hits[i].Load())
+		p := weaver.NewProgram("rs")
+		hits := make([]atomic.Int32, n)
+		loop := p.Class("R").ForProc("loop", func(lo, hi, step int) {
+			for i := lo; i < hi; i += step {
+				hits[i].Add(1)
+			}
+		})
+		run := p.Class("R").Proc("run", func() { loop(0, n, 1) })
+		p.Use(ParallelRegion("call(* R.run(..))").Threads(threads))
+		p.Use(ForShare("call(* R.loop(..))").Schedule(k))
+		p.MustWeave()
+		for e := 0; e < entries; e++ {
+			for i := range hits {
+				hits[i].Store(0)
+			}
+			run()
+			for i := range hits {
+				if hits[i].Load() != 1 {
+					t.Fatalf("schedule %v entry %d: iteration %d ran %d times", k, e, i, hits[i].Load())
+				}
 			}
 		}
 	}

@@ -48,15 +48,8 @@ func TestStealScheduleMatchesSequential(t *testing.T) {
 }
 
 // TestStealScheduleAnnotationStyle drives the same schedule through the
-// annotation front end, including the runtime-default route a
-// `jgfbench -schedule steal` sweep takes.
+// annotation front end.
 func TestStealScheduleAnnotationStyle(t *testing.T) {
-	prev, err := sched.SetDefault(sched.Steal)
-	if err != nil {
-		t.Fatalf("sched.SetDefault(steal): %v", err)
-	}
-	defer sched.SetDefault(prev) //nolint:errcheck // restoring a valid kind
-
 	const n = 100
 	p := weaver.NewProgram("t")
 	var sum atomic.Int64
@@ -67,12 +60,12 @@ func TestStealScheduleAnnotationStyle(t *testing.T) {
 	})
 	region := p.Class("App").Proc("region", func() { loop(0, n, 1) })
 	p.MustAnnotate("App.region", Parallel{Threads: 3})
-	p.MustAnnotate("App.loop", For{Schedule: sched.Runtime})
+	p.MustAnnotate("App.loop", For{Schedule: sched.Steal})
 	p.Use(AnnotationAspects(p)...)
 	p.MustWeave()
 	region()
 	if want := int64(n * (n - 1) / 2); sum.Load() != want {
-		t.Fatalf("steal-by-runtime sum = %d, want %d", sum.Load(), want)
+		t.Fatalf("annotated steal sum = %d, want %d", sum.Load(), want)
 	}
 }
 

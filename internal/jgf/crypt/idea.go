@@ -164,6 +164,9 @@ func cipherBlock(src, dst []byte, z *[52]uint16) {
 type Params struct {
 	// N is the plaintext length in bytes.
 	N int
+	// Schedule is the @For schedule of the Aomp version; the zero value is
+	// sched.StaticBlock, the kernel's block distribution.
+	Schedule sched.Kind
 }
 
 // JGF problem sizes.
@@ -325,7 +328,7 @@ func (in *aompInstance) Setup() {
 		dec(0, in.c.nblocks, 1)
 	})
 	prog.Use(core.ParallelRegion("call(* Crypt.run(..))").Threads(in.threads))
-	prog.Use(core.ForShare("call(* Crypt.encryptBlocks(..)) || call(* Crypt.decryptBlocks(..))").Schedule(sched.Runtime))
+	prog.Use(core.ForShare("call(* Crypt.encryptBlocks(..)) || call(* Crypt.decryptBlocks(..))").Schedule(in.p.Schedule))
 	prog.Use(core.BarrierAfterPoint("call(* Crypt.encryptBlocks(..))"))
 	prog.MustWeave()
 }

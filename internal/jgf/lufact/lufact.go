@@ -24,6 +24,9 @@ import (
 type Params struct {
 	// N is the matrix dimension.
 	N int
+	// Schedule is the @For schedule of the Aomp version; the zero value is
+	// sched.StaticBlock, the kernel's block distribution.
+	Schedule sched.Kind
 }
 
 // JGF problem sizes.
@@ -329,7 +332,7 @@ func (in *aompInstance) Setup() {
 	}
 
 	prog.Use(core.ParallelRegion("call(* Linpack.dgefa(..))").Threads(in.threads))
-	prog.Use(core.ForShare("call(* Linpack.reduceAllCols(..))").Schedule(sched.Runtime))
+	prog.Use(core.ForShare("call(* Linpack.reduceAllCols(..))").Schedule(in.p.Schedule))
 	prog.Use(core.MasterSection("call(* Linpack.interchange(..)) || call(* Linpack.dscal(..))"))
 	prog.Use(core.BarrierBeforePoint("call(* Linpack.interchange(..))"))
 	prog.Use(core.BarrierAfterPoint(

@@ -21,6 +21,9 @@ import (
 type Params struct {
 	// N is the number of Fourier coefficient pairs.
 	N int
+	// Schedule is the loop schedule of the Aomp and Parallel versions; the
+	// zero value is sched.StaticBlock, the kernel's block distribution.
+	Schedule sched.Kind
 }
 
 // JGF problem sizes (size A is 10000 coefficients).
@@ -204,7 +207,7 @@ func (in *aompInstance) Setup() {
 	build := cls.ForProc("buildCoeffs", in.s.BuildCoeffs)
 	in.run = cls.Proc("run", func() { build(0, in.s.n, 1) })
 	prog.Use(core.ParallelRegion("call(* Series.run(..))").Threads(in.threads))
-	prog.Use(core.ForShare("call(* Series.buildCoeffs(..))").Schedule(sched.Runtime))
+	prog.Use(core.ForShare("call(* Series.buildCoeffs(..))").Schedule(in.p.Schedule))
 	prog.MustWeave()
 }
 
@@ -219,8 +222,8 @@ type parInstance struct {
 }
 
 // NewParallel returns the generic-algorithms version: the same base
-// program driven by parallel.ForRange instead of woven aspects. Schedule
-// Runtime matches the Aomp binding, so -schedule sweeps cover both.
+// program driven by parallel.ForRange instead of woven aspects, under the
+// same Params.Schedule as the Aomp version.
 func NewParallel(p Params, threads int) harness.Instance {
 	return &parInstance{p: p, threads: threads}
 }
@@ -228,7 +231,7 @@ func NewParallel(p Params, threads int) harness.Instance {
 func (in *parInstance) Setup() {
 	in.s = New(in.p)
 	in.opts = []parallel.Opt{
-		parallel.WithThreads(in.threads), parallel.WithSchedule(parallel.Runtime),
+		parallel.WithThreads(in.threads), parallel.WithSchedule(in.p.Schedule),
 	}
 }
 

@@ -24,6 +24,9 @@ import (
 type Params struct {
 	// M, N are the grid dimensions; Iters the number of full sweeps.
 	M, N, Iters int
+	// Schedule is the loop schedule of the Aomp and Parallel versions; the
+	// zero value is sched.StaticBlock, the kernel's block distribution.
+	Schedule sched.Kind
 }
 
 // JGF problem sizes (100 iterations over square grids).
@@ -180,7 +183,7 @@ func (in *aompInstance) Setup() {
 		}
 	})
 	prog.Use(core.ParallelRegion("call(* SOR.run(..))").Threads(in.threads))
-	prog.Use(core.ForShare("call(* SOR.relax*(..))").Schedule(sched.Runtime))
+	prog.Use(core.ForShare("call(* SOR.relax*(..))").Schedule(in.p.Schedule))
 	prog.Use(core.BarrierAfterPoint("call(* SOR.relax*(..))"))
 	prog.MustWeave()
 }
@@ -295,8 +298,8 @@ type parInstance struct {
 // NewParallel returns the generic-algorithms version: each colour phase
 // of each sweep is one parallel.ForRange over the rows — the region join
 // is the inter-phase barrier, where the Aomp version holds one region
-// open and weaves explicit barriers. Schedule Runtime matches the Aomp
-// binding so -schedule sweeps cover both.
+// open and weaves explicit barriers. It runs under the same
+// Params.Schedule as the Aomp version.
 func NewParallel(p Params, threads int) harness.Instance {
 	return &parInstance{p: p, threads: threads}
 }
@@ -304,7 +307,7 @@ func NewParallel(p Params, threads int) harness.Instance {
 func (in *parInstance) Setup() {
 	in.s = New(in.p)
 	in.opts = []parallel.Opt{
-		parallel.WithThreads(in.threads), parallel.WithSchedule(parallel.Runtime),
+		parallel.WithThreads(in.threads), parallel.WithSchedule(in.p.Schedule),
 	}
 }
 

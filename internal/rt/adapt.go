@@ -8,85 +8,9 @@ import (
 	"aomplib/internal/sched"
 )
 
-// This file holds the asymmetry- and feedback-aware half of loop
-// scheduling: per-worker throughput estimates (the weights every steal
-// encounter carves its ranges by), per-construct adaptive state (the
-// memory behind sched.Adaptive: the shape rule on first sight, measured
-// imbalance afterwards).
-//
-// The estimator follows Saez et al. (arXiv:2402.07664): on asymmetric
-// multicores the useful per-worker signal is relative retired-work rate,
-// and an EWMA over recent loop shares tracks it closely enough to carve
-// static ranges by — the residual error is what the steal half of the
-// schedule mops up.
-
-// speedAlpha is the EWMA smoothing factor for worker speed estimates.
-// 1/4 reaches ~90% of a step change in 8 encounters — fast enough to track
-// DVFS/contention shifts, smooth enough that one noisy share (a GC pause,
-// a preemption) cannot flip the carve.
-const speedAlpha = 0.25
-
-// Speed returns the worker's measured loop throughput estimate in
-// iterations per nanosecond, or 0 while untrained. Safe from any
-// goroutine; only the worker itself writes it.
-func (w *Worker) Speed() float64 {
-	return math.Float64frombits(w.speed.Load())
-}
-
-// updateSpeed folds one finished loop share (iters iterations in ns
-// nanoseconds) into the worker's speed EWMA. Called by the owner only
-// (EndFor), so the read-modify-write needs no CAS: a plain load and store
-// on the worker's own padded line, preserving the 0 allocs/op dispatch
-// gates.
-func (w *Worker) updateSpeed(iters, ns int64) {
-	if iters <= 0 || ns <= 0 {
-		return
-	}
-	r := float64(iters) / float64(ns)
-	old := math.Float64frombits(w.speed.Load())
-	if old > 0 {
-		r = old + speedAlpha*(r-old)
-	}
-	w.speed.Store(math.Float64bits(r))
-}
-
-// speedWeights fills c's scratch weight buffer with every worker's speed
-// estimate, for carving a steal encounter's ranges. It returns nil —
-// meaning "carve uniformly" — when no worker is trained yet. Workers
-// without an estimate of their own (a worker whose whole static share was
-// stolen before it ran executes zero iterations and learns nothing) are
-// assumed average: they get the mean of the trained speeds, not a
-// near-zero weight that would starve them on their first real encounter.
-// Called only while initialising an encounter of c (forShared.init); the
-// buffer is reused across encounters and never retained by the dispenser.
-func (t *Team) speedWeights(c *construct) []float64 {
-	if cap(c.weights) < t.Size {
-		c.weights = make([]float64, t.Size)
-	}
-	ws := c.weights[:t.Size]
-	var sum float64
-	trained := 0
-	for i, w := range t.workers {
-		s := w.Speed()
-		if s > 0 {
-			sum += s
-			trained++
-		}
-		ws[i] = s
-	}
-	if trained == 0 {
-		return nil
-	}
-	if trained < len(ws) {
-		mean := sum / float64(trained)
-		for i, s := range ws {
-			if !(s > 0) {
-				ws[i] = mean
-			}
-		}
-	}
-	return ws
-}
+// This file holds the feedback-aware half of loop scheduling: the
+// per-construct adaptive state behind sched.Adaptive (the shape rule on
+// first sight, measured imbalance afterwards).
 
 // Adaptation thresholds on the imbalance ratio (slowest worker's share
 // time over the mean). Above adaptImbHigh the encounter wasted >25% of the
@@ -167,8 +91,8 @@ var adaptMeasurable = func(teamSize int) bool {
 // adaptMeasurable) it gets static block regardless, because dispensing
 // overhead cannot be repaid when the workers time-share the CPUs and the
 // feedback below is blind there. Measured re-encounters act on the
-// imbalance: too skewed → move to steal, whose speed-weighted carve absorbs
-// the asymmetry, or halve the chunk if already balancing (finer grain gives
+// imbalance: too skewed → move to steal, whose thieves absorb the
+// asymmetry, or halve the chunk if already balancing (finer grain gives
 // thieves more rebalancing currency); well balanced → drop back to static
 // dispatch if the loop never needed balancing, else coarsen the chunk
 // (cheaper dispatch either way); in between → keep what works.
@@ -198,8 +122,8 @@ func (st *loopAdapt) resolve(size, n, chunk int) (sched.Kind, int) {
 		case imb > 0 && imb < adaptImbLow:
 			if !st.skewed && k != sched.StaticBlock && k != sched.StaticCyclic {
 				// Balanced and never needed balancing: pay zero dispatch.
-				// Static encounters keep measuring imbalance (Next counts
-				// static shares like any other), so the loop upgrades
+				// Static encounters keep measuring imbalance (EndFor
+				// times every adaptive share), so the loop upgrades
 				// back the moment skew appears.
 				k = sched.StaticBlock
 			} else if next := c * 2; next <= n/(2*size) {

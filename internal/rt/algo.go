@@ -20,15 +20,13 @@ type SpanFunc func(sub sched.Space, arg any)
 
 // ForSpan executes worker w's share of sp under kind, invoking run for
 // each sub-range the schedule assigns to w. kind must be concrete or
-// Adaptive (the caller resolves Runtime once, before the region, so one
-// loop can never split across two schedules; Adaptive resolves inside the
-// team-shared encounter state, uniformly for the whole team, from the
-// previous encounter's measurement). A declared static kind runs the
-// worker's arithmetic share directly — no encounter, no shared state, no
-// allocation — which is what keeps the parallel.For dispatch gate at
+// Adaptive, which resolves inside the team-shared encounter state,
+// uniformly for the whole team, from the previous encounter's measurement.
+// A declared static kind runs the worker's arithmetic share directly — no
+// encounter, no shared state, no allocation — which is what keeps the parallel.For dispatch gate at
 // 0 allocs/op. Every other kind takes the loop driver the woven @For
 // construct uses (BeginFor, Next until false, EndFor), so it inherits
-// range stealing, speed-estimate training and the obs work/steal events:
+// range stealing, adaptive feedback and the obs work/steal events:
 // run is invoked once per sub-range Next serves — under Dynamic and Guided
 // once per claim, up to dispenseBatchChunks chunks away from the loop tail.
 // On a team of one every dispensing kind resolves to StaticBlock

@@ -23,7 +23,9 @@
 //     worker's static share, a custom schedule's parts, a dynamic/guided
 //     claim or a steal chunk, for the woven @For and ForSpan alike
 //     (ForSpan runs a declared static kind as pure arithmetic, with no
-//     encounter). SpawnRange decomposes a range into stealable tasks by
+//     encounter). The schedule is the one the loop names; steal carves
+//     the static-block partition, and only an adaptive encounter reads
+//     the clock, to time its shares for the next encounter's decision. SpawnRange decomposes a range into stealable tasks by
 //     recursive binary splitting. These are the primitives the public
 //     parallel package builds its algorithms on.
 //   - Observability. Every interesting transition reports into

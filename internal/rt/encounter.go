@@ -117,8 +117,7 @@ type construct struct {
 	key   any
 	slots [encRing]encSlot
 
-	adapt   loopAdapt
-	weights []float64 // scratch for carving a steal encounter's ranges
+	adapt loopAdapt
 
 	mu          sync.Mutex // guards re-arming locals for a new lease
 	localsEpoch atomic.Uint64

@@ -138,8 +138,7 @@ func TestSingleOfOne(t *testing.T) {
 }
 
 // TestForOfOne: a dynamic loop on a team of one resolves to one static
-// block covering the whole space, and reads no clock — the worker's speed
-// estimate stays untrained.
+// block covering the whole space, and reads no clock.
 func TestForOfOne(t *testing.T) {
 	defer resetPool(t)()
 	key := new(int)
@@ -150,6 +149,9 @@ func TestForOfOne(t *testing.T) {
 			if fc.Kind != sched.StaticBlock {
 				t.Errorf("%v on one worker ran as %v, want staticBlock", kind, fc.Kind)
 			}
+			if !fc.start.IsZero() {
+				t.Errorf("%v on one worker read the clock", kind)
+			}
 			if got, _, _ := fc.Next(); got != sp {
 				t.Errorf("the block of one worker is %v, want %v", got, sp)
 			}
@@ -157,9 +159,6 @@ func TestForOfOne(t *testing.T) {
 				t.Errorf("%v on one worker served a second sub-range", kind)
 			}
 			fc.EndFor()
-		}
-		if s := w.Speed(); s != 0 {
-			t.Errorf("a team of one trained its worker's speed to %g", s)
 		}
 	})
 }

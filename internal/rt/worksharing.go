@@ -21,12 +21,10 @@ type ForContext struct {
 	Worker *Worker
 	slot   *encSlot // the encounter's slot, held until EndFor; slot.fs is the shared state
 
-	// start/iters bracket this worker's share for the speed estimator:
-	// BeginFor stamps start, Next accumulates iters, and EndFor folds
-	// iters/elapsed into the worker's speed EWMA (adapt.go). Worker-local
-	// plain fields — no atomics, no allocation. A team of one reads no clock.
+	// start stamps the beginning of this worker's share when the encounter
+	// is adaptive, whose imbalance measurement is its only reader (EndFor).
+	// No other encounter reads the clock.
 	start time.Time
-	iters int64
 
 	// parts is what Next serves to a static or custom encounter, one part
 	// at a time: the worker's arithmetic share (held in one) or its
@@ -34,12 +32,10 @@ type ForContext struct {
 	parts []sched.Space
 	one   [1]sched.Space
 	part  int
-
-	// The context fills three whole cache lines. Next writes iters and part
-	// as it serves, and a team-mate's context allocated next to this one
-	// would otherwise share a line with them (on a 2-vCPU x86 host a woven
-	// static @For encounter measured ≈ 10 % slower, a dynamic one ≈ 20 %).
-	_ [56]byte
+	// The context is exactly two cache lines. Next writes part as it
+	// serves, and a team-mate's context allocated next to this one would
+	// otherwise share a line with it (on a 2-vCPU x86 host a woven dynamic
+	// @For encounter measured ≈ 20 % slower when it did).
 }
 
 // dispenseBatchChunks is how many chunks a dynamic claim takes away from
@@ -49,11 +45,10 @@ const dispenseBatchChunks = 4
 // forShared is the team-shared state of one for-construct encounter,
 // initialised in place in the encounter's slot by the first arriver.
 type forShared struct {
-	// kind is the schedule this encounter resolved to. Indirect kinds
-	// (sched.Runtime, sched.Adaptive) are resolved exactly once, by the
-	// first arriving worker, and shared here — so a concurrent change of
-	// the process-wide default can never split one encounter across two
-	// schedules (which would desynchronise the implicit barrier).
+	// kind is the schedule this encounter resolved to. Adaptive is
+	// resolved exactly once, by the first arriving worker, and shared here
+	// — so one encounter never splits across two schedules (which would
+	// desynchronise the implicit barrier).
 	kind sched.Kind
 	disp sched.Dispenser // dynamic/guided only
 	// sdisp serves steal encounters. It is allocated on the slot's first
@@ -78,7 +73,7 @@ type forShared struct {
 
 // init arms fs for one encounter of construct c, on the first arriver,
 // which owns the slot until it publishes. Encounters of one construct
-// initialise one after another, so c's adaptive state and scratch need no lock.
+// initialise one after another, so c's adaptive state needs no lock.
 func (fs *forShared) init(t *Team, c *construct, sp sched.Space, kind sched.Kind, chunk int) {
 	n := sp.Count()
 	fs.adapt, fs.onext = nil, sp.Lo
@@ -97,7 +92,7 @@ func (fs *forShared) init(t *Team, c *construct, sp sched.Space, kind sched.Kind
 		if fs.sdisp == nil {
 			fs.sdisp = new(sched.StealDispenser)
 		}
-		fs.sdisp.Reset(sp, chunk, t.Size, t.speedWeights(c))
+		fs.sdisp.Reset(sp, chunk, t.Size)
 	}
 }
 
@@ -124,15 +119,14 @@ func (fs *forShared) publishImbalance(size int) {
 // BeginFor establishes the work-sharing context for one encounter of the
 // construct identified by key on worker w. kind/chunk select the schedule;
 // custom is the ScheduleFunc of a Custom kind (nil for every other kind).
-// Indirect kinds (Runtime, Adaptive) resolve once per encounter in the
-// shared state, and the resolved kind is published as ForContext.Kind.
-// Adaptive resolves through the construct's persistent adaptive state
-// (adapt.go), so the schedule each encounter runs under is fed by the
-// imbalance the previous one measured. The worker draws its share with
-// Next until it reports false, then finishes with EndFor.
-// Contexts are recycled through a worker-private free list, so
-// steady-state encounters of for constructs allocate nothing on the
-// worker side.
+// Adaptive resolves once per encounter in the shared state, and the
+// resolved kind is published as ForContext.Kind. It resolves through the
+// construct's persistent adaptive state (adapt.go), so the schedule each
+// encounter runs under is fed by the imbalance the previous one measured.
+// The worker draws its share with Next until it reports false, then
+// finishes with EndFor. Contexts are recycled through a worker-private
+// free list, so steady-state encounters of for constructs allocate nothing
+// on the worker side.
 func BeginFor(w *Worker, key any, sp sched.Space, kind sched.Kind, chunk int, custom sched.ScheduleFunc) *ForContext {
 	t := w.Team
 	s, c, first := w.encounter(key)
@@ -156,7 +150,7 @@ func BeginFor(w *Worker, key any, sp sched.Space, kind sched.Kind, chunk int, cu
 	case sched.Custom:
 		fc.parts = custom(w.ID, t.Size, sp)
 	}
-	if t.Size > 1 {
+	if shared.adapt != nil {
 		fc.start = time.Now()
 	}
 	w.activeFor = append(w.activeFor, fc)
@@ -214,7 +208,6 @@ func (fc *ForContext) Next() (sched.Space, int, bool) {
 			sub := fc.parts[fc.part]
 			fc.part++
 			if n := sub.Count(); n > 0 {
-				fc.iters += int64(n)
 				return sub, n, true
 			}
 		}
@@ -222,25 +215,19 @@ func (fc *ForContext) Next() (sched.Space, int, bool) {
 	if !ok {
 		return sched.Space{}, 0, false
 	}
-	fc.iters += to - from
 	return fc.Space.Slice(int(from), int(to)), int(to - from), true
 }
 
 // EndFor pops the work-sharing context from the worker, folds the share's
-// measured throughput into the worker's speed estimate and the encounter's
-// imbalance measurement, hands the slot back and recycles the context.
+// time into an adaptive encounter's imbalance measurement, hands the slot
+// back and recycles the context.
 func (fc *ForContext) EndFor() {
 	w := fc.Worker
 	if n := len(w.activeFor); n > 0 && w.activeFor[n-1] == fc {
 		w.activeFor = w.activeFor[:n-1]
 		fs := &fc.slot.fs
-		// A team of one has no team-mate to balance against: no clock.
-		if w.Team.Size > 1 {
-			elapsed := int64(time.Since(fc.start))
-			w.updateSpeed(fc.iters, elapsed)
-			if fs.adapt != nil {
-				fs.noteDone(elapsed)
-			}
+		if fs.adapt != nil {
+			fs.noteDone(int64(time.Since(fc.start)))
 		}
 		if fc.slot.unref() {
 			if fs.adapt != nil {

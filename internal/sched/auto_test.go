@@ -13,7 +13,6 @@ func TestKindStringCoversAllKinds(t *testing.T) {
 		Guided:       "guided",
 		Steal:        "steal",
 		Custom:       "caseSpecific",
-		Runtime:      "runtime",
 		Adaptive:     "adaptive",
 	}
 	if len(Kinds()) != len(want) {
@@ -47,6 +46,12 @@ func TestParseKindRoundTrips(t *testing.T) {
 			t.Errorf("ParseKind(%q) = %v, %v; want %v", name, got, err, want)
 		}
 	}
+	// "runtime" named the deleted process-default kind; it must not parse.
+	for _, name := range []string{"fancy", "runtime"} {
+		if _, err := ParseKind(name); err == nil {
+			t.Fatalf("schedule name %q parsed", name)
+		}
+	}
 	if _, err := ParseKind("fancy"); err == nil {
 		t.Fatal("unknown schedule name parsed")
 	} else if !strings.Contains(err.Error(), "staticBlock") {
@@ -54,48 +59,15 @@ func TestParseKindRoundTrips(t *testing.T) {
 	}
 }
 
-func TestSetDefaultGuardsAndSwaps(t *testing.T) {
-	orig := Default()
-	defer SetDefault(orig) //nolint:errcheck // restoring a previously valid kind
-	if prev, err := SetDefault(Guided); err != nil || prev != orig {
-		t.Fatalf("SetDefault(Guided) = %v, %v", prev, err)
-	}
-	if Default() != Guided {
-		t.Fatalf("Default() = %v after SetDefault(Guided)", Default())
-	}
-	if _, err := SetDefault(Runtime); err == nil {
-		t.Fatal("Runtime accepted as its own default")
-	}
-	if _, err := SetDefault(Custom); err == nil {
-		t.Fatal("Custom accepted as process default")
-	}
-	if _, err := SetDefault(Kind(42)); err == nil {
-		t.Fatal("unknown kind accepted as process default")
-	}
-	if Default() != Guided {
-		t.Fatalf("rejected SetDefault mutated the default: %v", Default())
-	}
-}
-
+// TestResolveRuntimeAndAuto pins what Resolve leaves of the indirect kind:
+// Auto (Adaptive) is left to the runtime on a team and static by blocks on
+// one worker, and concrete kinds pass through.
 func TestResolveRuntimeAndAuto(t *testing.T) {
-	orig := Default()
-	defer SetDefault(orig) //nolint:errcheck
-	if _, err := SetDefault(StaticCyclic); err != nil {
-		t.Fatal(err)
+	if got := Resolve(Auto, 1000, 4); got != Adaptive {
+		t.Fatalf("Auto resolved to %v, want adaptive left to the runtime", got)
 	}
-	if got := Resolve(Runtime, 1000, 4); got != StaticCyclic {
-		t.Fatalf("Runtime resolved to %v, want staticCyclic", got)
-	}
-	// Runtime -> Auto: the default may itself be Auto, which is Adaptive and
-	// resolves as Adaptive does.
-	if _, err := SetDefault(Auto); err != nil {
-		t.Fatal(err)
-	}
-	if got := Resolve(Runtime, 1000, 4); got != Adaptive {
-		t.Fatalf("Runtime->Auto resolved to %v, want adaptive left to the runtime", got)
-	}
-	if got := Resolve(Runtime, 1000, 1); got != StaticBlock {
-		t.Fatalf("Runtime->Auto on one worker resolved to %v, want staticBlock", got)
+	if got := Resolve(Auto, 1000, 1); got != StaticBlock {
+		t.Fatalf("Auto on one worker resolved to %v, want staticBlock", got)
 	}
 	// Concrete kinds pass through untouched.
 	for _, k := range []Kind{StaticBlock, StaticCyclic, Dynamic, Guided, Steal, Custom} {
@@ -135,36 +107,26 @@ func TestResolveAutoBoundaryTripCounts(t *testing.T) {
 
 // TestResolveTable runs every kind over widths {0, 1, 2} and trip counts up
 // to one past the packable steal range. On at most one worker every
-// dispensing kind (dynamic, guided, steal, adaptive — and runtime once it
-// reads a dispensing default) is one static block at any count; Custom and
-// StaticCyclic are never rewritten; on a team Steal and Adaptive fall back
-// past the packable range.
+// dispensing kind (dynamic, guided, steal, adaptive) is one static block at
+// any count; Custom and StaticCyclic are never rewritten; on a team Steal
+// and Adaptive fall back past the packable range.
 func TestResolveTable(t *testing.T) {
-	orig := Default()
-	defer SetDefault(orig) //nolint:errcheck
 	type row struct {
 		name                     string
-		kind, def                Kind // def: the process default Runtime reads
+		kind                     Kind
 		solo, team, teamOverflow Kind // ≤ 1 worker; 2 workers within / past stealMaxCount
 	}
 	rows := []row{
-		{"staticBlock", StaticBlock, StaticBlock, StaticBlock, StaticBlock, StaticBlock},
-		{"staticCyclic", StaticCyclic, StaticBlock, StaticCyclic, StaticCyclic, StaticCyclic},
-		{"dynamic", Dynamic, StaticBlock, StaticBlock, Dynamic, Dynamic},
-		{"guided", Guided, StaticBlock, StaticBlock, Guided, Guided},
-		{"steal", Steal, StaticBlock, StaticBlock, Steal, Dynamic},
-		{"caseSpecific", Custom, StaticBlock, Custom, Custom, Custom},
-		{"adaptive", Adaptive, StaticBlock, StaticBlock, Adaptive, Guided},
-		{"runtime→steal", Runtime, Steal, StaticBlock, Steal, Dynamic},
-		{"runtime→guided", Runtime, Guided, StaticBlock, Guided, Guided},
-		{"runtime→staticCyclic", Runtime, StaticCyclic, StaticCyclic, StaticCyclic, StaticCyclic},
-		{"runtime→adaptive", Runtime, Adaptive, StaticBlock, Adaptive, Guided},
+		{"staticBlock", StaticBlock, StaticBlock, StaticBlock, StaticBlock},
+		{"staticCyclic", StaticCyclic, StaticCyclic, StaticCyclic, StaticCyclic},
+		{"dynamic", Dynamic, StaticBlock, Dynamic, Dynamic},
+		{"guided", Guided, StaticBlock, Guided, Guided},
+		{"steal", Steal, StaticBlock, Steal, Dynamic},
+		{"caseSpecific", Custom, Custom, Custom, Custom},
+		{"adaptive", Adaptive, StaticBlock, Adaptive, Guided},
 	}
 	counts := []int{0, 1, 2, 1024, stealMaxCount, stealMaxCount + 1}
 	for _, r := range rows {
-		if _, err := SetDefault(r.def); err != nil {
-			t.Fatal(err)
-		}
 		for _, nthreads := range []int{0, 1, 2} {
 			for _, count := range counts {
 				want := r.solo

@@ -2,11 +2,11 @@
 // work-sharing construct (paper §III.C/§IV). Four mechanisms serve them:
 // static arithmetic (static by blocks, static cyclic), one shared cursor
 // (Dispenser: dynamic and guided), carve-and-steal (StealDispenser: one
-// speed-weighted range per worker, dry workers steal from the most loaded
+// static-block range per worker, dry workers steal from the most loaded
 // sibling), and case-specific user schedules such as the one the Sparse
-// benchmark requires (paper Table 2, "FOR (Case Specific)"). Two indirect
-// kinds pick among them: Runtime (the process default) and Adaptive
-// (learned per construct by the runtime).
+// benchmark requires (paper Table 2, "FOR (Case Specific)"). One indirect
+// kind picks among them: Adaptive, learned per construct by the runtime.
+// Every other kind is the one the loop's construct names.
 //
 // A for method exposes its loop as the triple (start, end, step) in its
 // first three int parameters; schedulers rewrite that triple per worker.
@@ -16,7 +16,7 @@
 // with testing/quick.
 //
 // The package also carries the policy knobs shared by the facade and the
-// parallel algorithms layer: Kind (with Resolve/ParseKind for the
-// runtime/adaptive bindings and the former names) and AutoGrain, the
+// parallel algorithms layer: Kind (with Resolve for what width and trip
+// count decide, ParseKind for names and the former names) and AutoGrain, the
 // default task grain used when a caller does not pick one.
 package sched

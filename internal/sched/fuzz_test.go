@@ -10,7 +10,8 @@ import (
 // as an error (never a panic, never a silent zero Kind masquerading as
 // StaticBlock), an accepted input must be its kind's name or one of the
 // kind's former names, case-insensitively, and every kind's name must
-// parse back to the kind. Run as a short -fuzztime smoke in CI; the corpus
+// parse back to the kind; "runtime", the name of the deleted process-default
+// kind, is garbage like any other. Run as a short -fuzztime smoke in CI; the corpus
 // seeds cover every canonical and former name plus near-miss mutations.
 func FuzzParseKind(f *testing.F) {
 	for _, k := range Kinds() {
@@ -36,6 +37,10 @@ func FuzzParseKind(f *testing.F) {
 	f.Add("adaptive ")
 	f.Add("adapt")
 	f.Add("adaptivesteal")
+	// The deleted process-default kind's name, which must no longer parse.
+	f.Add("runtime")
+	f.Add("RUNTIME")
+	f.Add("runtimex")
 	f.Fuzz(func(t *testing.T, s string) {
 		k, err := ParseKind(s)
 		if err != nil {
@@ -43,6 +48,9 @@ func FuzzParseKind(f *testing.F) {
 				t.Fatalf("ParseKind(%q) error lost its shape: %v", s, err)
 			}
 			return
+		}
+		if strings.EqualFold(s, "runtime") {
+			t.Fatalf("ParseKind(%q) = %v, want an error", s, k)
 		}
 		named := strings.EqualFold(s, k.String())
 		for _, fn := range formerNames {

@@ -426,7 +426,7 @@ func TestSplitGrainEdgeCases(t *testing.T) {
 
 func TestStealDispenserSequentialCoverage(t *testing.T) {
 	sp := Space{3, 40, 2}
-	d := newSteal(sp, 3, 4, nil)
+	d := newSteal(sp, 3, 4)
 	var got []int
 	for {
 		from, to, victim, _, ok := d.Next(0)
@@ -452,7 +452,7 @@ func TestStealDispenserSequentialCoverage(t *testing.T) {
 func TestStealDispenserStealsOnExhaustion(t *testing.T) {
 	// Worker 0 drains the whole space alone: everything beyond its own
 	// static block must arrive via steals, reported with a victim slot.
-	d := newSteal(Space{0, 64, 1}, 4, 4, nil)
+	d := newSteal(Space{0, 64, 1}, 4, 4)
 	covered := make([]int, 64)
 	steals := 0
 	for {
@@ -487,7 +487,7 @@ func TestStealDispenserConcurrentExactlyOnce(t *testing.T) {
 	f := func(count uint16, chunk uint8, nth uint8) bool {
 		n := int(count % 2000)
 		workers := int(nth%8) + 1
-		d := newSteal(Space{0, n, 1}, int(chunk%9), workers, nil)
+		d := newSteal(Space{0, n, 1}, int(chunk%9), workers)
 		hits := make([]int32, n)
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
@@ -520,12 +520,12 @@ func TestStealDispenserConcurrentExactlyOnce(t *testing.T) {
 
 func TestStealDispenserEdgeCases(t *testing.T) {
 	// Empty space: immediately exhausted for every worker.
-	d := newSteal(Space{5, 5, 1}, 1, 3, nil)
+	d := newSteal(Space{5, 5, 1}, 1, 3)
 	if _, _, _, _, ok := d.Next(1); ok {
 		t.Fatal("empty space dispensed work")
 	}
 	// Fewer iterations than workers: the tail slots start empty and steal.
-	d = newSteal(Space{0, 2, 1}, 1, 8, nil)
+	d = newSteal(Space{0, 2, 1}, 1, 8)
 	total := 0
 	for id := 7; id >= 0; id-- {
 		for {
@@ -538,17 +538,6 @@ func TestStealDispenserEdgeCases(t *testing.T) {
 	}
 	if total != 2 {
 		t.Fatalf("dispensed %d iterations, want 2", total)
-	}
-}
-
-func TestSetDefaultAcceptsSteal(t *testing.T) {
-	orig := Default()
-	defer SetDefault(orig) //nolint:errcheck // restoring a previously valid kind
-	if _, err := SetDefault(Steal); err != nil {
-		t.Fatalf("SetDefault(Steal): %v", err)
-	}
-	if got := Resolve(Runtime, 100, 4); got != Steal {
-		t.Fatalf("Runtime resolved to %v with steal default", got)
 	}
 }
 

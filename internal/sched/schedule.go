@@ -27,22 +27,17 @@ const (
 	// Guided hands out exponentially shrinking claims (remaining/2N,
 	// floored at the chunk size) from the same cursor.
 	Guided
-	// Steal carves one contiguous iteration range per worker, sized by the
-	// workers' measured speeds (the StaticBlock partition until the team has
-	// a speed history), and lets workers that exhaust their range steal half
-	// the remainder of the most loaded sibling (LLVM's static_steal; OpenMP
-	// 5's nonmonotonic:dynamic permits exactly this reordering). Owners draw
+	// Steal carves one contiguous iteration range per worker (the
+	// StaticBlock partition), and lets workers that exhaust their range
+	// steal half the remainder of the most loaded sibling (LLVM's
+	// static_steal; OpenMP 5's nonmonotonic:dynamic permits exactly this
+	// reordering). Owners draw
 	// chunks from their own cache line, so the per-chunk CAS of Dynamic
 	// never becomes a team-wide contention point; balancing costs one extra
 	// CAS only when a range actually runs dry.
 	Steal
 	// Custom delegates to a user ScheduleFunc (case-specific schedule).
 	Custom
-	// Runtime defers the choice to the process-wide default schedule
-	// (SetDefault) — the OMP_SCHEDULE analogue. Sweeping schedules from a
-	// benchmark flag needs no aspect changes: bind Runtime, set the
-	// default per run.
-	Runtime
 	// Adaptive lets the runtime choose per construct encounter: the first
 	// sight of a loop is decided from its shape (static by blocks when the
 	// trip count is small relative to the team, guided otherwise), later
@@ -51,20 +46,15 @@ const (
 	Adaptive
 )
 
-// Auto and WeightedSteal are the former names of the kinds that absorbed
-// them: Auto was Adaptive's first-sight rule, WeightedSteal is how Steal
-// always carves.
-const (
-	Auto          = Adaptive
-	WeightedSteal = Steal
-)
+// Auto is the former name of Adaptive, which absorbed its first-sight rule.
+const Auto = Adaptive
 
 // formerNames are the schedule names ParseKind still accepts for kinds that
 // were merged into a neighbour.
 var formerNames = [...]struct {
 	name string
 	kind Kind
-}{{"auto", Auto}, {"weightedSteal", WeightedSteal}}
+}{{"auto", Auto}, {"weightedSteal", Steal}}
 
 // String implements fmt.Stringer; names match the paper's annotations.
 func (k Kind) String() string {
@@ -81,8 +71,6 @@ func (k Kind) String() string {
 		return "steal"
 	case Custom:
 		return "caseSpecific"
-	case Runtime:
-		return "runtime"
 	case Adaptive:
 		return "adaptive"
 	default:
@@ -93,7 +81,7 @@ func (k Kind) String() string {
 // Kinds lists every named schedule in declaration order, for flag help,
 // parser errors and validation.
 func Kinds() []Kind {
-	return []Kind{StaticBlock, StaticCyclic, Dynamic, Guided, Steal, Custom, Runtime, Adaptive}
+	return []Kind{StaticBlock, StaticCyclic, Dynamic, Guided, Steal, Custom, Adaptive}
 }
 
 // ParseKind resolves a schedule name — as produced by Kind.String, or a
@@ -115,43 +103,14 @@ func ParseKind(s string) (Kind, error) {
 	return 0, fmt.Errorf("sched: unknown schedule %q (valid: %s)", s, strings.Join(names, ", "))
 }
 
-// defaultKind is the process-wide schedule behind Runtime. The zero value
-// is StaticBlock — OpenMP's default — so unset means "static by blocks".
-var defaultKind atomic.Int32
-
-// Default returns the process-wide default schedule that Runtime resolves
-// to.
-func Default() Kind { return Kind(defaultKind.Load()) }
-
-// SetDefault sets the process-wide default schedule, returning the
-// previous one. Runtime (a self-reference) and Custom (it cannot carry the
-// required ScheduleFunc through a process-wide knob) are rejected.
-func SetDefault(k Kind) (Kind, error) {
-	switch k {
-	case StaticBlock, StaticCyclic, Dynamic, Guided, Steal, Adaptive:
-		return Kind(defaultKind.Swap(int32(k))), nil
-	case Runtime:
-		return Default(), fmt.Errorf("sched: runtime cannot be its own default")
-	case Custom:
-		return Default(), fmt.Errorf("sched: caseSpecific needs a ScheduleFunc and cannot be the process default")
-	}
-	return Default(), fmt.Errorf("sched: unknown schedule Kind(%d)", int(k))
-}
-
-// Resolve maps Runtime to the process-wide default, then settles what width
-// and trip count alone decide. On one worker every dispensing kind (Dynamic,
+// Resolve settles what width and trip count alone decide. On one worker every dispensing kind (Dynamic,
 // Guided, Steal, Adaptive) is StaticBlock: a lone worker runs every
 // iteration in order under any of them, so the loop is one block with no
 // dispenser and no end barrier. A trip count past what the steal dispenser
 // can pack sends Steal to Dynamic and Adaptive to Guided. Custom and
 // StaticCyclic are returned as they are. A remaining Adaptive is resolved
-// by the runtime's encounter state (rt.BeginFor). Runtime reads the mutable
-// default, so callers that need one decision per team encounter must call
-// Resolve once and share the result, as rt.BeginFor does.
+// by the runtime's encounter state (rt.BeginFor).
 func Resolve(k Kind, count, nthreads int) Kind {
-	if k == Runtime {
-		k = Default()
-	}
 	switch {
 	case nthreads <= 1 && (k == Dynamic || k == Guided || k == Steal || k == Adaptive):
 		return StaticBlock
@@ -354,46 +313,24 @@ type StealDispenser struct {
 }
 
 // Reset re-arms d in place for a loop over sp on nthreads workers, carving
-// one contiguous range per worker in proportion to weights (measured worker
-// speeds): a worker twice as fast starts with twice the iterations, so the
-// slow sibling is not handed work it must be robbed of later. Cut i is the
-// rounded cumulative share n·(w_0+…+w_{i-1})/Σw, so each range is within
-// one iteration of proportional. Weights that are nil, of the wrong length,
-// or unusable (any non-finite or non-positive value) give the balanced
-// StaticBlock carve. chunk < 1 is treated as 1. sp.Count() must not exceed
-// 2^31-1 — Resolve sends longer Steal loops to Dynamic. The slot array is
-// reused when it is large enough, so re-arming allocates nothing. The
-// caller must own d exclusively, as for Dispenser.Reset.
-func (d *StealDispenser) Reset(sp Space, chunk, nthreads int, weights []float64) {
+// the StaticBlock partition: one contiguous range per worker, sizes within
+// one iteration of each other. chunk < 1 is treated as 1. sp.Count() must
+// not exceed 2^31-1 — Resolve sends longer Steal loops to Dynamic. The slot
+// array is reused when it is large enough, so re-arming allocates nothing.
+// The caller must own d exclusively, as for Dispenser.Reset.
+func (d *StealDispenser) Reset(sp Space, chunk, nthreads int) {
 	nthreads = max(1, nthreads)
 	if cap(d.slots) < nthreads {
 		d.slots = make([]stealSlot, nthreads)
 	}
 	d.slots, d.chunk = d.slots[:nthreads], int64(max(1, chunk))
 	n := sp.Count()
-	var sum float64
-	usable := len(weights) == nthreads
-	for _, w := range weights {
-		if !(w > 0) || w > 1e300 { // catches NaN, ±Inf, zero, negatives
-			usable = false
-			break
-		}
-		sum += w
-	}
 	per, rem := n/nthreads, n%nthreads
-	var cum float64
 	lo := 0
 	for id := range d.slots {
 		hi := lo + per
 		if id < rem {
 			hi++
-		}
-		if usable {
-			cum += weights[id]
-			hi = min(max(int(float64(n)*(cum/sum)+0.5), lo), n)
-		}
-		if id == nthreads-1 {
-			hi = n
 		}
 		d.slots[id].bounds.Store(packRange(int64(lo), int64(hi)))
 		lo = hi

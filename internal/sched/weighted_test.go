@@ -1,7 +1,6 @@
 package sched
 
 import (
-	"math"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -9,9 +8,9 @@ import (
 
 // newSteal returns a steal dispenser armed by Reset, the way rt arms the
 // one an encounter slot keeps.
-func newSteal(sp Space, chunk, nthreads int, weights []float64) *StealDispenser {
+func newSteal(sp Space, chunk, nthreads int) *StealDispenser {
 	d := new(StealDispenser)
-	d.Reset(sp, chunk, nthreads, weights)
+	d.Reset(sp, chunk, nthreads)
 	return d
 }
 
@@ -26,81 +25,56 @@ func ranges(d *StealDispenser) [][2]int {
 	return out
 }
 
-// carveCases is the weight table the speed carve is pinned on. Usable
-// weights — uniform or skewed — carve within one iteration of proportional;
-// nil weights and every unusable shape carve the balanced StaticBlock
-// partition. A case's nthreads is the team the weights are offered to.
-var carveCases = []struct {
+// skewCases are the starts the steal tests drain from: the balanced carve,
+// then skewed by drawing pre[i] chunks from worker i's own range before
+// anyone steals (a worker that ran ahead of its siblings).
+var skewCases = []struct {
 	name     string
-	weights  []float64
 	nthreads int
-	usable   bool
+	pre      []int
 }{
-	{"nil", nil, 3, false},
-	{"uniform", []float64{1, 1, 1}, 3, true},
-	{"skewed", []float64{4, 1, 2, 1}, 4, true},
-	{"loaded-last", []float64{1, 2, 7}, 3, true},
-	{"tiny", []float64{1e-9, 3e-9}, 2, true},
-	{"one-worker", []float64{5}, 1, true},
-	{"wrong-length", []float64{1, 2}, 3, false},
-	{"negative", []float64{1, -1, 1}, 3, false},
-	{"zero", []float64{1, 0, 1}, 3, false},
-	{"NaN", []float64{1, math.NaN(), 1}, 3, false},
-	{"+Inf", []float64{1, math.Inf(1), 1}, 3, false},
-	{"overflow", []float64{1e301, 1e301, 1e301}, 3, false},
+	{"one-worker", 1, []int{0}},
+	{"balanced-2", 2, []int{0, 0}},
+	{"balanced-3", 3, []int{0, 0, 0}},
+	{"ahead-middle", 3, []int{0, 10, 0}},
+	{"loaded-first-sibling", 4, []int{0, 0, 20, 5}},
+	{"tie-after-drain", 4, []int{0, 24, 0, 0}},
+	{"all-ahead", 4, []int{3, 7, 11, 2}},
 }
 
 var carveCounts = []int{0, 1, 2, 10, 80, 800, 1001}
 
-// TestWeightedCutsProportional pins the carve math on usable weights: the
-// ranges are a contiguous exact partition of [0, n) in worker order, and
-// each is within one iteration of its ideal n·w_i/Σw (cut i is the rounded
-// cumulative share).
-func TestWeightedCutsProportional(t *testing.T) {
-	for _, c := range carveCases {
-		if !c.usable {
-			continue
-		}
-		var sum float64
-		for _, w := range c.weights {
-			sum += w
-		}
-		for _, n := range carveCounts {
-			rs := ranges(newSteal(Space{0, n, 1}, 1, c.nthreads, c.weights))
-			next := 0
-			for i, r := range rs {
-				if r[0] != next || r[1] < r[0] {
-					t.Fatalf("%s n=%d: ranges %v are not a contiguous partition", c.name, n, rs)
-				}
-				next = r[1]
-				if ideal := float64(n) * c.weights[i] / sum; math.Abs(float64(r[1]-r[0])-ideal) > 1 {
-					t.Errorf("%s n=%d: worker %d holds %d iterations, ideal %.1f", c.name, n, i, r[1]-r[0], ideal)
-				}
+// predrain draws pre[i] chunks from worker i's own range in worker order,
+// counting each dispensed index in hits. A worker whose range runs dry stops
+// early rather than steal, so the skew is built from local claims only.
+func predrain(d *StealDispenser, pre []int, hits []int32) {
+	for id, k := range pre {
+		for ; k > 0; k-- {
+			lo, hi := unpackRange(d.slots[id].bounds.Load())
+			if lo >= hi {
+				break
 			}
-			if next != n {
-				t.Fatalf("%s n=%d: ranges %v end at %d", c.name, n, rs, next)
+			from, to, _, _, _ := d.Next(id)
+			for i := from; i < to; i++ {
+				hits[i]++
 			}
 		}
 	}
 }
 
-// TestWeightedCutsFallsBackBalanced pins the unusable-weights contract:
-// nil, mis-sized, non-finite, non-positive, or overflowing weights must all
-// carve exactly the StaticBlock partition — never a panic, never a skewed
-// carve from garbage.
-func TestWeightedCutsFallsBackBalanced(t *testing.T) {
-	for _, c := range carveCases {
-		if c.usable {
-			continue
-		}
+// TestStealCarveIsBlockPartition pins the carve: Reset lays out exactly the
+// StaticBlock partition of [0, n), one contiguous range per worker in
+// worker order, at every width and trip count.
+func TestStealCarveIsBlockPartition(t *testing.T) {
+	for _, width := range []int{1, 2, 3, 4, 7} {
 		for _, n := range carveCounts {
 			sp := Space{0, n, 1}
-			rs := ranges(newSteal(sp, 1, c.nthreads, c.weights))
+			rs := ranges(newSteal(sp, 1, width))
 			lo := 0
 			for id, r := range rs {
-				hi := lo + Block(sp, c.nthreads, id).Count()
+				hi := lo + Block(sp, width, id).Count()
 				if r != [2]int{lo, hi} {
-					t.Fatalf("%s n=%d: ranges %v, want the StaticBlock partition", c.name, n, rs)
+					t.Fatalf("width %d n=%d: ranges %v, want the StaticBlock partition", width, n, rs)
 				}
 				lo = hi
 			}
@@ -110,11 +84,9 @@ func TestWeightedCutsFallsBackBalanced(t *testing.T) {
 
 // TestStealDispenserWeightedProportionalCarve pins the carve as a worker
 // sees it through Next: draining only its own range (victim -1 means the
-// local slot served), it gets its proportional share before the first
-// steal.
+// local slot served), it gets its static block before the first steal.
 func TestStealDispenserWeightedProportionalCarve(t *testing.T) {
-	// weights 3:1 over 80 iterations → worker 1's own range ≈ 20.
-	d := newSteal(Space{0, 80, 1}, 1, 2, []float64{3, 1})
+	d := newSteal(Space{0, 80, 1}, 1, 2)
 	own := 0
 	for {
 		from, to, victim, _, ok := d.Next(1)
@@ -123,21 +95,22 @@ func TestStealDispenserWeightedProportionalCarve(t *testing.T) {
 		}
 		own += int(to - from)
 	}
-	if own < 19 || own > 21 {
-		t.Fatalf("worker 1 owned %d of 80 iterations, want ≈20 under weights 3:1", own)
+	if own != 40 {
+		t.Fatalf("worker 1 owned %d of 80 iterations before stealing, want its block of 40", own)
 	}
 }
 
 // TestStealDispenserWeightedStealsMostLoaded pins the victim policy on
-// every carve: a dry worker's steal scans every sibling and halves the one
+// every start: a dry worker's steal scans every sibling and halves the one
 // holding the largest remainder (the lowest id among equals), not the
 // first non-empty slot.
 func TestStealDispenserWeightedStealsMostLoaded(t *testing.T) {
-	for _, c := range carveCases {
+	for _, c := range skewCases {
 		if c.nthreads < 2 {
 			continue
 		}
-		d := newSteal(Space{0, 100, 1}, 1, c.nthreads, c.weights)
+		d := newSteal(Space{0, 100, 1}, 1, c.nthreads)
+		predrain(d, c.pre, make([]int32, 100))
 		want, most := -1, 0
 		for i, r := range ranges(d)[1:] {
 			if r[1]-r[0] > most {
@@ -163,10 +136,12 @@ func TestStealDispenserWeightedStealsMostLoaded(t *testing.T) {
 	}
 }
 
-// drainConcurrently runs one goroutine per worker against d and reports
+// drainConcurrently draws pre[i] chunks from each worker i's own range
+// (nil: none), then runs one goroutine per worker against d, and reports
 // whether every index of [0, n) was dispensed exactly once.
-func drainConcurrently(d *StealDispenser, n, workers int) bool {
+func drainConcurrently(d *StealDispenser, n, workers int, pre []int) bool {
 	hits := make([]int32, n)
+	predrain(d, pre, hits)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -202,15 +177,15 @@ func remaining(d *StealDispenser) int {
 	return r
 }
 
-// Property: the carve preserves the exactly-once guarantee under concurrent
-// draining — for every weight case at several counts and chunks, and for
-// arbitrary weights, chunks and team sizes. A skewed carve changes who
-// starts with what, never coverage.
+// Property: stealing preserves the exactly-once guarantee under concurrent
+// draining — from every start at several counts and chunks, and from
+// arbitrary skewed starts, chunks and team sizes. A skewed start changes
+// who steals what, never coverage.
 func TestStealDispenserWeightedConcurrentExactlyOnce(t *testing.T) {
-	for _, c := range carveCases {
+	for _, c := range skewCases {
 		for _, n := range carveCounts {
 			for _, chunk := range []int{0, 1, 3, 8} {
-				if !drainConcurrently(newSteal(Space{0, n, 1}, chunk, c.nthreads, c.weights), n, c.nthreads) {
+				if !drainConcurrently(newSteal(Space{0, n, 1}, chunk, c.nthreads), n, c.nthreads, c.pre) {
 					t.Fatalf("%s n=%d chunk=%d: an iteration was not dispensed exactly once", c.name, n, chunk)
 				}
 			}
@@ -219,11 +194,11 @@ func TestStealDispenserWeightedConcurrentExactlyOnce(t *testing.T) {
 	f := func(count uint16, chunk uint8, nth uint8, seeds [8]uint16) bool {
 		n := int(count % 2000)
 		workers := int(nth%8) + 1
-		ws := make([]float64, workers)
-		for i := range ws {
-			ws[i] = float64(seeds[i]%16) + 0.25
+		pre := make([]int, workers)
+		for i := range pre {
+			pre[i] = int(seeds[i] % 64)
 		}
-		return drainConcurrently(newSteal(Space{0, n, 1}, int(chunk%9), workers, ws), n, workers)
+		return drainConcurrently(newSteal(Space{0, n, 1}, int(chunk%9), workers), n, workers, pre)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -235,23 +210,22 @@ func TestStealDispenserWeightedConcurrentExactlyOnce(t *testing.T) {
 // while the team fits the slot array, a narrower or wider team re-carves
 // correctly, and every re-armed loop still covers each iteration once.
 func TestStealDispenserResetReusesSlots(t *testing.T) {
-	d := newSteal(Space{0, 64, 1}, 4, 4, nil)
-	if !drainConcurrently(d, 64, 4) {
+	d := newSteal(Space{0, 64, 1}, 4, 4)
+	if !drainConcurrently(d, 64, 4, nil) {
 		t.Fatal("first loop not covered exactly once")
 	}
-	ws := []float64{1, 2, 3, 4}
-	if a := testing.AllocsPerRun(100, func() { d.Reset(Space{0, 50, 1}, 2, 4, ws) }); a != 0 {
+	if a := testing.AllocsPerRun(100, func() { d.Reset(Space{0, 50, 1}, 2, 4) }); a != 0 {
 		t.Fatalf("re-arming in place allocated %.1f times", a)
 	}
-	if !drainConcurrently(d, 50, 4) {
+	if !drainConcurrently(d, 50, 4, []int{5, 0, 2, 0}) {
 		t.Fatal("re-armed loop not covered exactly once")
 	}
 	for _, width := range []int{2, 8, 3} {
-		d.Reset(Space{0, 37, 1}, 1, width, nil)
+		d.Reset(Space{0, 37, 1}, 1, width)
 		if len(d.slots) != width {
 			t.Fatalf("width %d: %d slots", width, len(d.slots))
 		}
-		if !drainConcurrently(d, 37, width) {
+		if !drainConcurrently(d, 37, width, nil) {
 			t.Fatalf("width %d: re-armed loop not covered exactly once", width)
 		}
 	}

@@ -479,7 +479,7 @@ type WovenMethod struct {
 type AdviceInfo struct {
 	// Aspect is the deploying aspect's name.
 	Aspect string
-	// Advice is the advice name (e.g. "parallel", "for(runtime)").
+	// Advice is the advice name (e.g. "parallel", "for(staticBlock)").
 	Advice string
 	// Pointcut is the source form of the matcher that selected the
 	// joinpoint.

@@ -58,14 +58,10 @@ const (
 	// Guided hands out exponentially shrinking claims — large early, one
 	// grain at the tail — trading contention against tail imbalance.
 	Guided Schedule = sched.Guided
-	// Steal gives every worker a private contiguous range, sized by the
-	// workers' measured speeds (trained automatically on hot teams; equal
-	// ranges until then), and lets idle workers steal the back half of the
-	// most loaded sibling's remainder with a single CAS.
+	// Steal gives every worker a private contiguous range — its Static
+	// block — and lets idle workers steal the back half of the most loaded
+	// sibling's remainder with a single CAS.
 	Steal Schedule = sched.Steal
-	// Runtime defers to the process-wide default schedule
-	// (aomplib.SetDefaultSchedule).
-	Runtime Schedule = sched.Runtime
 	// Adaptive re-tunes the schedule kind and chunk on every encounter of
 	// the same loop: the first from the loop's shape (static below 64
 	// iterations per worker, guided otherwise), later ones from the

@@ -19,7 +19,7 @@ var sizes = []int{0, 1, 2, 3, 7, 16, 100, 1000, 4096}
 
 var schedules = []parallel.Schedule{
 	parallel.Static, parallel.Cyclic, parallel.Dynamic,
-	parallel.Guided, parallel.Steal, parallel.Runtime, parallel.Adaptive,
+	parallel.Guided, parallel.Steal, parallel.Adaptive,
 }
 
 func TestForCoversEveryIndexOnce(t *testing.T) {
@@ -189,9 +189,9 @@ func TestReduceDeterministicAcrossWidths(t *testing.T) {
 }
 
 // TestReduceBitEqualAcrossWidthsAdaptive pins the determinism guarantee
-// where it is hardest to keep: the self-tuning schedules re-carve the
-// iteration space between encounters (steal ranges move with measured
-// speeds, adaptive state re-tunes chunk and kind), yet the fixed combine
+// where it is hardest to keep: the balancing schedules move the iteration
+// space between workers (steal ranges migrate to thieves, adaptive state
+// re-tunes chunk and kind between encounters), yet the fixed combine
 // tree must make float64 results bit-equal across widths and encounters.
 // Each configuration runs several encounters under one stable construct
 // identity so re-tunes actually happen mid-test.

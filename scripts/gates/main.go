@@ -77,7 +77,7 @@ var table = []row{
 	{"encounter", core, "Encounter_ThreadLocalGet", 0, weaver, "WovenCallWorkerAdviceInRegion", 0.9, 5, gate, "a sole-stage thread-local get reifies no Call: 0.52–0.75× on 2 vCPUs, the reified one was 1.2–1.4×"},
 	{"encounter", core, "Encounter_ThreadLocalGetStacked", 0, "", "", 0, 1, gate, "the same get with a second advice stacked, reified"},
 	{"encounter", core, "Encounter_Reduce", 0, "", "", 0, 1, gate, "thread-local access + @Reduce: one barrier, the merge inside it"},
-	{"encounter", root, "Ablation_ConstructInstance", 0, rtPkg, "BarrierPhase/w=2", 3, 5, gate, "rt bookkeeping of one encounter: ≈1.3–1.7× a phase of the same team, the map-and-mutex path ≈4.4×"},
+	{"encounter", root, "Ablation_ConstructInstance", 0, root, "Ablation_CompositeOpHandSolo", 1.4, 5, gate, "rt bookkeeping of one encounter at T=2 over a one-goroutine yardstick, which has no cross-vCPU handoff and so no fast mode: 0.63–0.81× with share clocks, 0.39–0.49× without; the map-and-mutex path ≈2×"},
 	{"composite", root, "Ablation_CompositeOp", 0, "", "", 0, 1, gate, "finegrain's op: region, dynamic @For, @Reduce, barrier, @Single, two @Task, @TaskWait"},
 	{"team of one", root, "Ablation_CompositeOpSolo", 0, root, "Ablation_CompositeOp", 0.35, 5, gate, "a pooled team of one pays for no team-mates: 0.28–0.31×, 0.40× with a claim-by-claim loop"},
 	{"team of one", root, "Ablation_CompositeOpNarrowed", 0, root, "Ablation_CompositeOpHandSolo", 2.0, 5, gate, "the op narrowed vs by hand on one goroutine: 1.38–1.66× on 2 vCPUs, plus a 0.35 margin"},
