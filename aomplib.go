@@ -182,7 +182,8 @@ var ParallelRegion = core.ParallelRegion
 var ForShare = core.ForShare
 
 // TaskSpawn spawns matched methods as new activities (@Task). Attach
-// dependence clauses with .Depend (@Depend).
+// dependence clauses with .Depend (@Depend). On a team of one a task
+// without clauses runs at its spawn (DESIGN.md §4).
 var TaskSpawn = core.TaskSpawn
 
 // TaskWaitPoint makes matched methods join points for spawned activities
@@ -195,7 +196,8 @@ var TaskWaitPoint = core.TaskWaitPoint
 var TaskGroupSection = core.TaskGroupSection
 
 // TaskLoopShare decomposes matched for methods into deferred,
-// work-stealable tasks (@TaskLoop).
+// work-stealable tasks (@TaskLoop); on a team of one the space runs in one
+// call.
 var TaskLoopShare = core.TaskLoopShare
 
 // FutureTaskSpawn runs matched value-returning methods asynchronously
@@ -344,7 +346,8 @@ func Level() int { return rt.Level() }
 // TaskYield is an explicit task scheduling point: the calling worker
 // executes up to n queued deferred tasks of its team (its own first, then
 // stolen from siblings) and reports how many ran. Outside parallel regions
-// it is a no-op — tasks spawned there run on their own goroutines.
+// it is a no-op — tasks spawned there run on their own goroutines — and so
+// it is on a team of one, whose tasks without @Depend ran at their spawn.
 func TaskYield(n int) int { return rt.TaskYield(n) }
 
 // DefaultThreads returns the team size of a region that does not set one:

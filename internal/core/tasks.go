@@ -76,7 +76,9 @@ func (d Depend) empty() bool { return len(d.In) == 0 && len(d.Out) == 0 && len(d
 // call (@Task), usable inside or outside parallel regions. Completion is
 // joined at a @TaskWait point or, inside a region, at the region's end.
 // With dependence clauses attached (Depend), the spawn is ordered after
-// the previously spawned tasks its clauses conflict with.
+// the previously spawned tasks its clauses conflict with. On a team of one
+// a task without clauses is undeferred: it runs at its spawn
+// (rt.Undeferred).
 type TaskAspect struct {
 	name    string
 	matcher weaver.Matcher
@@ -105,8 +107,9 @@ func (a *TaskAspect) Bindings() []weaver.Binding {
 		name = "task+depend"
 	}
 	adv := advice{
-		name: name,
-		prec: PrecTask,
+		name:        name,
+		prec:        PrecTask,
+		needsWorker: true,
 		validate: func(jp *weaver.Joinpoint) error {
 			if jp.Kind() == weaver.ValueKind {
 				return fmt.Errorf("@Task on value-returning %s: use @FutureTask", jp.FQN())
@@ -115,18 +118,24 @@ func (a *TaskAspect) Bindings() []weaver.Binding {
 		},
 		wrap: func(jp *weaver.Joinpoint, next weaver.HandlerFunc) weaver.HandlerFunc {
 			if deps.empty() {
-				// The task runs a pooled copy of the call (the spawner's is
-				// recycled when it returns) through run, built once per weave:
-				// a spawn allocates neither the copy nor a closure.
+				// On a team of one the task runs at its spawn, on the
+				// spawner's Call. A deferred task runs a pooled copy of the
+				// call (the spawner's is recycled when it returns) through
+				// run, built once per weave: a spawn allocates neither the
+				// copy nor a closure.
 				run := func(arg any) {
 					tc := arg.(*weaver.Call)
 					next(tc)
 					weaver.PutCall(tc)
 				}
 				return func(c *weaver.Call) {
+					if rt.Undeferred(c.Worker) {
+						next(c)
+						return
+					}
 					tc := weaver.GetCall()
 					*tc = *c
-					rt.SpawnArg(run, tc)
+					rt.SpawnArg(c.Worker, run, tc)
 				}
 			}
 			return func(c *weaver.Call) {
@@ -225,8 +234,9 @@ func (a *FutureTaskAspect) Bindings() []weaver.Binding {
 		name = "futureTask+depend"
 	}
 	adv := advice{
-		name: name,
-		prec: PrecTask,
+		name:        name,
+		prec:        PrecTask,
+		needsWorker: true,
 		validate: func(jp *weaver.Joinpoint) error {
 			if jp.Kind() != weaver.ValueKind {
 				return fmt.Errorf("@FutureTask requires a value-returning method, got %s %s", jp.Kind(), jp.FQN())
@@ -236,8 +246,13 @@ func (a *FutureTaskAspect) Bindings() []weaver.Binding {
 		wrap: func(jp *weaver.Joinpoint, next weaver.HandlerFunc) weaver.HandlerFunc {
 			if deps.empty() {
 				return func(c *weaver.Call) {
+					if rt.Undeferred(c.Worker) {
+						next(c)
+						c.Ret = rt.ResolvedFuture(c.Ret)
+						return
+					}
 					tc := *c
-					c.Ret = rt.SpawnFuture(func() any {
+					c.Ret = rt.SpawnFuture(c.Worker, func() any {
 						next(&tc)
 						return tc.Ret
 					})
@@ -353,20 +368,20 @@ func (a *TaskLoopAspect) Bindings() []weaver.Binding {
 		},
 		wrap: func(jp *weaver.Joinpoint, next weaver.HandlerFunc) weaver.HandlerFunc {
 			return func(c *weaver.Call) {
+				if c.Worker == nil || c.Worker.Team.Size == 1 {
+					// Outside a region, or on a team of one whose tasks
+					// would run at their spawn: run the space inline.
+					next(c)
+					return
+				}
 				space := sched.Space{Lo: c.Lo, Hi: c.Hi, Step: c.Step}
 				var parts []sched.Space
 				if grain > 0 {
 					parts = space.SplitGrain(grain)
 				} else {
-					teamSize := 1
-					if c.Worker != nil {
-						teamSize = c.Worker.Team.Size
-					}
-					parts = space.Split(4 * teamSize)
+					parts = space.Split(4 * c.Worker.Team.Size)
 				}
-				if c.Worker == nil || len(parts) <= 1 {
-					// Outside a region (or trivially small): sequential
-					// semantics, run the space inline.
+				if len(parts) <= 1 {
 					next(c)
 					return
 				}

@@ -297,7 +297,7 @@ func SpawnDep(body func(), d Deps) {
 // of running the producer early.
 func SpawnFutureDep(fn func() any, d Deps) *Future {
 	if d.empty() {
-		return SpawnFuture(fn)
+		return SpawnFuture(Current(), fn)
 	}
 	f := NewFuture()
 	resolve := func() {

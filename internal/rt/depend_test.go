@@ -453,7 +453,7 @@ func TestFutureSubSpawnAcrossNestedTeam(t *testing.T) {
 			if w.ID != 0 {
 				return
 			}
-			f := SpawnFuture(func() any {
+			f := SpawnFuture(Current(), func() any {
 				Spawn(func() { sub.Store(true) })
 				return 1
 			})

@@ -81,6 +81,10 @@ func TestLevelOutsideRegions(t *testing.T) {
 	}
 }
 
+// TaskYield runs up to n queued tasks of the caller's team. A team of one
+// has none to run: its depend-free tasks ran at their spawn. The count is
+// checked on a team of two whose second worker waits in the team barrier,
+// which runs no tasks, so the two queued tasks stay with their spawner.
 func TestTaskYield(t *testing.T) {
 	if TaskYield(4) != 0 {
 		t.Fatal("TaskYield outside region ran tasks")
@@ -89,12 +93,31 @@ func TestTaskYield(t *testing.T) {
 		var ran atomic.Int32
 		Spawn(func() { ran.Add(1) })
 		Spawn(func() { ran.Add(1) })
+		if ran.Load() != 2 {
+			t.Errorf("team of one: %d of 2 tasks ran at their spawn", ran.Load())
+		}
+		if got := TaskYield(8); got != 0 {
+			t.Errorf("team of one: TaskYield ran %d tasks, want none queued", got)
+		}
+	})
+	Region(2, func(w *Worker) {
+		if w.ID != 0 {
+			w.Team.Barrier().Wait()
+			return
+		}
+		var ran atomic.Int32
+		Spawn(func() { ran.Add(1) })
+		Spawn(func() { ran.Add(1) })
+		if ran.Load() != 0 {
+			t.Errorf("team of two: %d tasks ran before a scheduling point", ran.Load())
+		}
 		if got := TaskYield(1); got != 1 || ran.Load() != 1 {
 			t.Errorf("TaskYield(1) ran %d tasks (%d executed)", got, ran.Load())
 		}
 		if got := TaskYield(8); got != 1 || ran.Load() != 2 {
 			t.Errorf("second TaskYield ran %d tasks (%d executed)", got, ran.Load())
 		}
+		w.Team.Barrier().Wait()
 	})
 }
 
@@ -138,16 +161,25 @@ func TestRegionSurvivesForeignProfilerLabels(t *testing.T) {
 
 // A future spawned on an enclosing team and demanded inside a nested
 // region must not deadlock: the getter claims and executes the queued
-// producer directly when team-deque helping cannot reach it. The inner
-// team is a single worker, making the hang — absent the claim path —
-// deterministic.
+// producer directly when team-deque helping cannot reach it. The outer
+// team has two workers, so the producer is deferred, and the second waits
+// in the team barrier, which runs no tasks; the inner team is a single
+// worker. That makes the hang — absent the claim path — deterministic.
 func TestFutureGetAcrossNestedRegion(t *testing.T) {
 	var got atomic.Int64
-	Region(1, func(ow *Worker) {
-		f := SpawnFuture(func() any { return 40 + 2 })
+	Region(2, func(ow *Worker) {
+		if ow.ID != 0 {
+			ow.Team.Barrier().Wait()
+			return
+		}
+		f := SpawnFuture(ow, func() any { return 40 + 2 })
+		if f.Resolved() {
+			t.Error("a team of two resolved its future at the spawn")
+		}
 		Region(1, func(iw *Worker) {
 			got.Store(int64(f.Get().(int)))
 		})
+		ow.Team.Barrier().Wait()
 	})
 	if got.Load() != 42 {
 		t.Fatalf("future across nested region = %d, want 42", got.Load())
@@ -167,7 +199,7 @@ func TestQueuedFutureResolvesDespiteRegionPanic(t *testing.T) {
 		}()
 		Region(2, func(w *Worker) {
 			if w.ID == 0 {
-				f = SpawnFuture(func() any { return "late" })
+				f = SpawnFuture(Current(), func() any { return "late" })
 			}
 			// Every worker panics, so every quiesce is skipped and only
 			// the master's end-of-region safety drain can run the task.

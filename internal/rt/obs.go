@@ -48,11 +48,16 @@ func stampTask(h *obs.Sinks, t *task, w *Worker, kind obs.TaskKind) {
 	h.TaskCreate(w.gid, t.traceID, kind)
 }
 
-// emitInlineTask reports a task that never enters a deque — out-of-region
-// spawns running on their own goroutines.
-func emitInlineTask() {
+// emitInlineTask reports a task that never enters a deque: an undeferred
+// one, run at its spawn on w's team of one, or one spawned outside a region
+// (w nil, or its team completed) running on its own goroutine.
+func emitInlineTask(w *Worker) {
 	if h := obs.Active(); h != nil {
-		h.TaskInline(curGID(), nextTaskTraceID())
+		gid := obs.NoWorker
+		if w != nil {
+			gid = w.gid
+		}
+		h.TaskInline(gid, nextTaskTraceID())
 	}
 }
 

@@ -42,7 +42,7 @@ func taskGroupStress(seed uint64, rounds int) string {
 	parent := func(any) {
 		ran.Add(1)
 		spawned.Add(1)
-		SpawnArg(leaf, nil)
+		SpawnArg(Current(), leaf, nil)
 	}
 	for r := range rounds {
 		// Inside a region.
@@ -52,9 +52,9 @@ func taskGroupStress(seed uint64, rounds int) string {
 				for range rng.IntN(4) {
 					spawned.Add(1)
 					if rng.IntN(3) == 0 {
-						SpawnArg(parent, nil)
+						SpawnArg(w, parent, nil)
 					} else {
-						SpawnArg(leaf, nil)
+						SpawnArg(w, leaf, nil)
 					}
 				}
 				switch rng.IntN(3) {
@@ -62,7 +62,7 @@ func taskGroupStress(seed uint64, rounds int) string {
 					TaskWait()
 				case 1:
 					yields := rng.IntN(3)
-					f := SpawnFuture(func() any {
+					f := SpawnFuture(Current(), func() any {
 						for range yields {
 							runtime.Gosched()
 						}
@@ -111,7 +111,7 @@ func taskGroupStress(seed uint64, rounds int) string {
 		}
 		for range rng.IntN(3) {
 			spawned.Add(1)
-			SpawnArg(leaf, nil)
+			SpawnArg(nil, leaf, nil)
 		}
 		TaskWait()
 		g.Wait()

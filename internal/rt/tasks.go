@@ -234,7 +234,8 @@ func TaskWait() {
 // TaskYield is an explicit task scheduling point: the calling worker
 // executes up to n queued tasks of its team (its own first, then stolen).
 // It reports how many ran. Outside a parallel region it is a no-op — tasks
-// spawned there run on their own goroutines already.
+// spawned there run on their own goroutines already — and so it is on a
+// team of one, whose depend-free tasks ran at their spawn.
 func TaskYield(n int) int {
 	w := Current()
 	if w == nil {
@@ -254,26 +255,47 @@ func TaskYield(n int) int {
 	return ran
 }
 
+// Undeferred reports whether a depend-free task spawned on w runs at its
+// spawn, on the spawner's goroutine: w's team is a team of one that has not
+// completed. OpenMP lets the encountering thread execute a task
+// immediately instead of deferring it (5.2 §12.5, undeferred tasks), and
+// with no team-mate to hand it to deferral only adds cost. A true answer
+// records the spawn (EvTaskInline), so the caller must then run the task.
+func Undeferred(w *Worker) bool {
+	if w == nil || w.Team.Size != 1 || w.Team.completed.Load() {
+		return false
+	}
+	emitInlineTask(w)
+	return true
+}
+
 // Spawn runs body asynchronously under the caller's task scope (@Task).
 //
-// Inside a parallel region the task is deferred: it is queued on the
-// calling worker's deque and executed at the next task scheduling point by
-// a team worker — possibly a different one than the spawner, exactly as an
-// OpenMP task may be executed by any thread of the team. The task observes
-// the worker context of its executor. Outside any region (or once the
-// spawning team has completed) the task runs on its own goroutine under
-// the global scope.
-func Spawn(body func()) { SpawnArg(plainTask, body) }
+// Inside a parallel region of two or more workers the task is deferred: it
+// is queued on the calling worker's deque and executed at the next task
+// scheduling point by a team worker — possibly a different one than the
+// spawner, exactly as an OpenMP task may be executed by any thread of the
+// team. The task observes the worker context of its executor. On a team of
+// one it is undeferred: body runs before Spawn returns, and a panic in it
+// surfaces at the spawn. Outside any region (or once the spawning team has
+// completed) the task runs on its own goroutine under the global scope.
+func Spawn(body func()) { SpawnArg(Current(), plainTask, body) }
 
 // plainTask adapts a closure to the argument-carrying form without
 // allocating (func values are pointer-shaped), like plainBody for regions.
 func plainTask(arg any) { arg.(func())() }
 
-// SpawnArg is Spawn with the task's state threaded through an explicit
-// argument: fn is typically a static function and arg a pooled per-spawn
-// record, so spawning needs no closure — the RegionArg split, for tasks.
-func SpawnArg(fn func(any), arg any) {
-	if w := Current(); w != nil && !w.Team.completed.Load() {
+// SpawnArg is Spawn from worker w (the caller's, as Current reports it;
+// nil outside a region), with the task's state threaded through an
+// explicit argument: fn is typically a static function and arg a pooled
+// per-spawn record, so spawning needs no closure — the RegionArg split, for
+// tasks.
+func SpawnArg(w *Worker, fn func(any), arg any) {
+	if Undeferred(w) {
+		fn(arg)
+		return
+	}
+	if w != nil && !w.Team.completed.Load() {
 		g := w.spawnGroup()
 		g.Add(1)
 		t := newTask(fn, arg, g, w)
@@ -296,7 +318,7 @@ func SpawnArg(fn func(any), arg any) {
 		t.decRef()
 		return
 	}
-	emitInlineTask()
+	emitInlineTask(w)
 	globalTasks.Add(1)
 	go func() {
 		defer globalTasks.Done()
@@ -316,28 +338,32 @@ type Future struct {
 // NewFuture returns an unresolved future.
 func NewFuture() *Future { return &Future{done: make(chan struct{})} }
 
+// closed is the done channel of every future resolved at its creation.
+var closed = func() chan struct{} { c := make(chan struct{}); close(c); return c }()
+
 // ResolvedFuture returns a future already holding v; its getter never
 // blocks. It backs the sequential semantics of @FutureTask methods whose
-// aspect is unplugged.
-func ResolvedFuture(v any) *Future {
-	f := NewFuture()
-	f.val = v
-	close(f.done)
-	return f
-}
+// aspect is unplugged, and undeferred producers on a team of one.
+func ResolvedFuture(v any) *Future { return &Future{done: closed, val: v} }
 
-// SpawnFuture runs fn asynchronously under the caller's task scope and
-// returns a Future resolved with its result. Inside a region the task is
-// deferred to the team's deques like Spawn; the future's getter is a
-// scheduling point, so a worker that demands the value executes queued
-// tasks (including, typically, this one) instead of deadlocking on it.
-func SpawnFuture(fn func() any) *Future {
+// SpawnFuture runs fn asynchronously under the task scope of worker w (the
+// caller's, as Current reports it; nil outside a region) and returns a
+// Future resolved with its result. Inside a region of two or more workers
+// the task is deferred to the team's deques like Spawn; the future's getter
+// is a scheduling point, so a worker that demands the value executes queued
+// tasks (including, typically, this one) instead of deadlocking on it. On a
+// team of one fn runs at the spawn and the future returned is already
+// resolved.
+func SpawnFuture(w *Worker, fn func() any) *Future {
+	if Undeferred(w) {
+		return ResolvedFuture(fn())
+	}
 	f := NewFuture()
 	resolve := func() {
 		f.val = fn()
 		close(f.done)
 	}
-	if w := Current(); w != nil && !w.Team.completed.Load() {
+	if w != nil && !w.Team.completed.Load() {
 		g := w.spawnGroup()
 		g.Add(1)
 		t := &task{fn: plainTask, arg: resolve, group: g, spawner: w} // retained by f: never pooled
@@ -353,7 +379,7 @@ func SpawnFuture(fn func() any) *Future {
 		}
 		return f
 	}
-	emitInlineTask()
+	emitInlineTask(w)
 	globalTasks.Add(1)
 	go func() {
 		defer globalTasks.Done()

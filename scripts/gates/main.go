@@ -80,8 +80,7 @@ var table = []row{
 	{"encounter", root, "Ablation_ConstructInstance", 0, root, "Ablation_CompositeOpHandSolo", 1.4, 5, gate, "rt bookkeeping of one encounter at T=2 over a one-goroutine yardstick, which has no cross-vCPU handoff and so no fast mode: 0.63–0.81× with share clocks, 0.39–0.49× without; the map-and-mutex path ≈2×"},
 	{"composite", root, "Ablation_CompositeOp", 0, "", "", 0, 1, gate, "finegrain's op: region, dynamic @For, @Reduce, barrier, @Single, two @Task, @TaskWait"},
 	{"team of one", root, "Ablation_CompositeOpSolo", 0, root, "Ablation_CompositeOp", 0.35, 5, gate, "a pooled team of one pays for no team-mates: 0.28–0.31×, 0.40× with a claim-by-claim loop"},
-	{"team of one", root, "Ablation_CompositeOpNarrowed", 0, root, "Ablation_CompositeOpHandSolo", 2.0, 5, gate, "the op narrowed vs by hand on one goroutine: 1.38–1.66× on 2 vCPUs, plus a 0.35 margin"},
-	{"team of one", root, "Ablation_CompositeOpNarrowed", none, root, "Ablation_CompositeOpHandSolo", 1.2, 5, target, "ROADMAP item 3: width 1 at the cost of hand-written width 1"},
+	{"team of one", root, "Ablation_CompositeOpNarrowed", 0, root, "Ablation_CompositeOpHandSolo", 1.2, 5, gate, "the op narrowed vs by hand on one goroutine: width 1 at the cost of hand-written width 1, its tasks undeferred"},
 	{"region", root, "Overhead_RegionEntry", 0, "", "", 0, 1, gate, "hot teams keep warm region entry, facade dispatch included, allocation-free"},
 	{"region", rtPkg, "RegionEntryWarm", 0, "", "", 0, 1, gate, "the runtime's warm region entry"},
 	{"team of one", rtPkg, "RegionEntryWarmGrain", 0, "", "", 0, 1, gate, "an empty region with a width record, run narrow on the record's team of one"},
