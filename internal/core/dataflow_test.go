@@ -1,10 +1,12 @@
 package core
 
 import (
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"aomplib/internal/rt"
 	"aomplib/internal/weaver"
 )
 
@@ -244,5 +246,76 @@ func TestTaskLoopRequiresForMethod(t *testing.T) {
 	prog.Use(AnnotationAspects(prog)...)
 	if err := prog.Weave(); err == nil {
 		t.Fatal("weave accepted @TaskLoop on a non-for method")
+	}
+}
+
+// raceBuild reports whether the test binary runs under the race detector,
+// whose sync.Pool drops a share of its Puts at random: pooled paths then
+// allocate, so an allocation count is not asserted there.
+func raceBuild() bool {
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "-race" {
+				return s.Value == "true"
+			}
+		}
+	}
+	return false
+}
+
+// TestTaskDependSpawnAllocatesNothing: a woven @Task + @Depend spawn draws
+// its Call copy and task from pools and hands the worker the chain already
+// looked up, so a width-2 region whose worker 0 spawns 100 dependent tasks
+// and waits allocates nothing in the steady state — with a static clause
+// and with a DepFn clause resolved into pooled scratch. The tasks still run
+// in dependence order.
+func TestTaskDependSpawnAllocatesNothing(t *testing.T) {
+	pinWidth(t)
+	const spawns = 100
+	var cell int
+	var cells [4]int
+	for _, tc := range []struct {
+		name string
+		deps Depend
+	}{
+		{"static", Depend{InOut: []any{&cell}}},
+		{"depfn", Depend{InOut: []any{DepFn(func(k int) any { return &cells[k%len(cells)] })}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := weaver.NewProgram("depalloc")
+			cls := p.Class("D")
+			var last [len(cells)]int
+			ordered := true
+			step := cls.KeyedProc("step", func(k int) {
+				if k < last[k%len(cells)] {
+					ordered = false
+				}
+				last[k%len(cells)] = k
+			})
+			wait := cls.Proc("wait", func() {})
+			run := cls.Proc("run", func() {
+				if rt.ThreadID() != 0 {
+					return
+				}
+				for k := 0; k < spawns; k++ {
+					step(k)
+				}
+				wait()
+			})
+			p.Use(ParallelRegion("call(* D.run(..))").Threads(2))
+			p.Use(TaskSpawn("call(* D.step(..))").Depend(tc.deps))
+			p.Use(TaskWaitPoint("call(* D.wait(..))"))
+			p.MustWeave()
+			allocs := testing.AllocsPerRun(20, func() {
+				last = [len(cells)]int{}
+				run()
+			})
+			if !ordered {
+				t.Error("dependent tasks ran out of spawn order")
+			}
+			if n := allocs / spawns; allocs != 0 && !raceBuild() {
+				t.Errorf("%v allocs per run of %d dependent spawns (%.2f per spawn), want 0", allocs, spawns, n)
+			}
+		})
 	}
 }

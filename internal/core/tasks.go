@@ -16,7 +16,7 @@ import (
 type DepFn func(key int) any
 
 // depScratch holds the per-spawn resolution of dynamic clauses. The
-// runtime consumes the clause slices synchronously (SpawnDep copies the
+// runtime consumes the clause slices synchronously (a spawn copies the
 // keys into its tracker before returning), so the buffers are recycled
 // immediately after the spawn — dataflow spawning through the weaver does
 // not allocate a fresh clause set per task.
@@ -27,8 +27,12 @@ type depScratch struct {
 var depScratchPool = sync.Pool{New: func() any { return new(depScratch) }}
 
 // release clears the key references (addresses must not be pinned past
-// the spawn) and returns the buffers to the pool.
+// the spawn) and returns the buffers to the pool. A nil scratch (static
+// clauses) has nothing to release.
 func (s *depScratch) release() {
+	if s == nil {
+		return
+	}
 	clear(s.in[:cap(s.in)])
 	clear(s.out[:cap(s.out)])
 	clear(s.inout[:cap(s.inout)])
@@ -117,34 +121,27 @@ func (a *TaskAspect) Bindings() []weaver.Binding {
 			return nil
 		},
 		wrap: func(jp *weaver.Joinpoint, next weaver.HandlerFunc) weaver.HandlerFunc {
-			if deps.empty() {
-				// On a team of one the task runs at its spawn, on the
-				// spawner's Call. A deferred task runs a pooled copy of the
-				// call (the spawner's is recycled when it returns) through
-				// run, built once per weave: a spawn allocates neither the
-				// copy nor a closure.
-				run := func(arg any) {
-					tc := arg.(*weaver.Call)
-					next(tc)
-					weaver.PutCall(tc)
-				}
-				return func(c *weaver.Call) {
-					if rt.Undeferred(c.Worker) {
-						next(c)
-						return
-					}
-					tc := weaver.GetCall()
-					*tc = *c
-					rt.SpawnArg(c.Worker, run, tc)
-				}
+			// On a team of one a task without clauses runs at its spawn, on
+			// the spawner's Call. Any other task runs a pooled copy of the
+			// call (the spawner's is recycled when it returns) through run,
+			// built once per weave: a spawn allocates neither the copy nor
+			// a closure.
+			undeferrable := deps.empty()
+			run := func(arg any) {
+				tc := arg.(*weaver.Call)
+				next(tc)
+				weaver.PutCall(tc)
 			}
 			return func(c *weaver.Call) {
-				tc := *c
-				d, scratch := resolveDeps(deps, c)
-				rt.SpawnDep(func() { next(&tc) }, d)
-				if scratch != nil {
-					scratch.release()
+				if undeferrable && rt.Undeferred(c.Worker) {
+					next(c)
+					return
 				}
+				d, scratch := resolveDeps(deps, c)
+				tc := weaver.GetCall()
+				*tc = *c
+				rt.SpawnArg(c.Worker, run, tc, d)
+				scratch.release()
 			}
 		},
 	}
@@ -244,30 +241,23 @@ func (a *FutureTaskAspect) Bindings() []weaver.Binding {
 			return nil
 		},
 		wrap: func(jp *weaver.Joinpoint, next weaver.HandlerFunc) weaver.HandlerFunc {
-			if deps.empty() {
-				return func(c *weaver.Call) {
-					if rt.Undeferred(c.Worker) {
-						next(c)
-						c.Ret = rt.ResolvedFuture(c.Ret)
-						return
-					}
-					tc := *c
-					c.Ret = rt.SpawnFuture(c.Worker, func() any {
-						next(&tc)
-						return tc.Ret
-					})
-				}
-			}
+			undeferrable := deps.empty()
 			return func(c *weaver.Call) {
-				tc := *c
-				d, scratch := resolveDeps(deps, c)
-				c.Ret = rt.SpawnFutureDep(func() any {
-					next(&tc)
-					return tc.Ret
-				}, d)
-				if scratch != nil {
-					scratch.release()
+				if undeferrable && rt.Undeferred(c.Worker) {
+					next(c)
+					c.Ret = rt.ResolvedFuture(c.Ret)
+					return
 				}
+				d, scratch := resolveDeps(deps, c)
+				tc := weaver.GetCall()
+				*tc = *c
+				c.Ret = rt.SpawnFuture(c.Worker, func() any {
+					next(tc)
+					v := tc.Ret
+					weaver.PutCall(tc)
+					return v
+				}, d)
+				scratch.release()
 			}
 		},
 	}

@@ -1,8 +1,8 @@
 // Package graph explores the paper's stated current work: "the
 // investigation of the feasibility of this approach in more irregular
 // algorithms (e.g., graph based)" (§VII). It provides a CSR directed
-// graph with a power-law synthetic generator, plus PageRank and BFS
-// kernels written as sequential base programs with for methods — the
+// graph with a power-law synthetic generator, plus a PageRank kernel
+// written as a sequential base program with for methods — the
 // highly skewed per-vertex work is exactly the case where AOmpLib's
 // pluggable scheduling policies (dynamic/guided vs static) matter.
 package graph
@@ -94,36 +94,5 @@ func NewPowerLaw(n, avgDeg int, seed int64) *Graph {
 			g.Adj[e] = int(r.NextIntN(int32(n)))
 		}
 	}
-	return g
-}
-
-// NewGrid generates an n×n grid graph (4-neighbourhood) — the regular
-// counterpart used to contrast schedules.
-func NewGrid(side int) *Graph {
-	n := side * side
-	g := &Graph{N: n, RowStart: make([]int, n+1), OutDeg: make([]int, n)}
-	var adj []int
-	at := func(r, c int) int { return r*side + c }
-	for r := 0; r < side; r++ {
-		for c := 0; c < side; c++ {
-			v := at(r, c)
-			g.RowStart[v] = len(adj)
-			if r > 0 {
-				adj = append(adj, at(r-1, c))
-			}
-			if r < side-1 {
-				adj = append(adj, at(r+1, c))
-			}
-			if c > 0 {
-				adj = append(adj, at(r, c-1))
-			}
-			if c < side-1 {
-				adj = append(adj, at(r, c+1))
-			}
-			g.OutDeg[v] = len(adj) - g.RowStart[v]
-		}
-	}
-	g.RowStart[n] = len(adj)
-	g.Adj = adj
 	return g
 }

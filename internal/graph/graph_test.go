@@ -187,3 +187,34 @@ func TestGridPageRankUniform(t *testing.T) {
 		t.Fatalf("symmetric vertices differ: %v vs %v", a, b)
 	}
 }
+
+// NewGrid generates an n×n grid graph (4-neighbourhood): a regular graph
+// whose structure the tests can check by hand.
+func NewGrid(side int) *Graph {
+	n := side * side
+	g := &Graph{N: n, RowStart: make([]int, n+1), OutDeg: make([]int, n)}
+	var adj []int
+	at := func(r, c int) int { return r*side + c }
+	for r := 0; r < side; r++ {
+		for c := 0; c < side; c++ {
+			v := at(r, c)
+			g.RowStart[v] = len(adj)
+			if r > 0 {
+				adj = append(adj, at(r-1, c))
+			}
+			if r < side-1 {
+				adj = append(adj, at(r+1, c))
+			}
+			if c > 0 {
+				adj = append(adj, at(r, c-1))
+			}
+			if c < side-1 {
+				adj = append(adj, at(r, c+1))
+			}
+			g.OutDeg[v] = len(adj) - g.RowStart[v]
+		}
+	}
+	g.RowStart[n] = len(adj)
+	g.Adj = adj
+	return g
+}

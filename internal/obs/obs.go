@@ -18,7 +18,8 @@ const NoWorker WorkerID = -1
 type TaskKind uint8
 
 // Task kinds: deferred deque tasks (@Task), future-backed tasks
-// (@FutureTask), and their dependence-clause variants (@Depend).
+// (@FutureTask), and their dependence-clause variants (@Depend), each its
+// base kind plus TaskDependent.
 const (
 	TaskDeferred TaskKind = iota
 	TaskFuture
@@ -142,8 +143,9 @@ func (s *Sinks) AdmitGrant(tenant uint64, waitNs int64) {
 	}
 }
 
-// TaskCreate fires when a task is queued on a deque or parked in the
-// dependence tracker.
+// TaskCreate fires when a task is deferred: queued on a deque, parked in
+// the dependence tracker, or started on its own goroutine outside a
+// region.
 func (s *Sinks) TaskCreate(w WorkerID, task uint64, kind TaskKind) {
 	if c := s.tr; c != nil {
 		c.record(w, Event{Kind: EvTaskCreate, Task: task, Arg: uint64(kind)})
@@ -177,9 +179,8 @@ func (s *Sinks) TaskComplete(w WorkerID, task uint64) {
 	}
 }
 
-// TaskInline fires instead of the create/schedule/complete triple for a
-// task that never enters a deque: an out-of-region spawn running on its
-// own goroutine.
+// TaskInline fires instead of the create/schedule/complete triple for an
+// undeferred task: one run at its spawn, on a team of one.
 func (s *Sinks) TaskInline(w WorkerID, task uint64) {
 	if c := s.tr; c != nil {
 		c.record(w, Event{Kind: EvTaskInline, Task: task})

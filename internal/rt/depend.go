@@ -69,6 +69,15 @@ func newDepTracker() *depTracker {
 // released tasks run on their own goroutines, like all out-of-region tasks.
 var globalDeps = newDepTracker()
 
+// tracker returns the dependence tracker of w's team, or globalDeps for a
+// nil w (outside a region).
+func (w *Worker) tracker() *depTracker {
+	if w == nil {
+		return globalDeps
+	}
+	return w.Team.depTracker()
+}
+
 func (tr *depTracker) getNode(t *task) *depNode {
 	if n := len(tr.freeNodes); n > 0 {
 		nd := tr.freeNodes[n-1]
@@ -132,7 +141,7 @@ func edge(pred, n *depNode) {
 // task is immediately runnable; if not, the task has been parked (the
 // tracker inherits the queue reference) and will be released to the
 // spawner's deque when its last predecessor retires.
-func (tr *depTracker) enqueue(t *task, d Deps) bool {
+func (tr *depTracker) enqueue(t *task, d *Deps) bool {
 	tr.mu.Lock()
 	n := tr.getNode(t)
 	t.node = n
@@ -239,99 +248,15 @@ func (tr *depTracker) releaseLocked(t *task) {
 		return
 	}
 	if t.claim() {
-		go func() {
-			t.exec()
-			t.decRef()
-		}()
+		goExec(t)
 	}
 }
 
 // SpawnDep runs body asynchronously under the caller's task scope, ordered
 // after the previously spawned tasks its dependence clauses conflict with
-// (@Task + @Depend). With empty clauses it is exactly Spawn.
-func SpawnDep(body func(), d Deps) {
-	if d.empty() {
-		Spawn(body)
-		return
-	}
-	if w := Current(); w != nil && !w.Team.completed.Load() {
-		g := w.spawnGroup()
-		g.Add(1)
-		t := newTask(plainTask, body, g, w)
-		if h := obs.Active(); h != nil {
-			stampTask(h, t, w, obs.TaskDependent)
-		}
-		if w.Team.depTracker().enqueue(t, d) {
-			w.deque.push(t)
-			g.notify()
-			if w.Team.completed.Load() && t.claim() {
-				// Team died between the entry check and the push; the
-				// spawner's reference transfers to the rescue goroutine.
-				go func() {
-					t.exec()
-					t.decRef()
-				}()
-				return
-			}
-		}
-		t.decRef()
-		return
-	}
-	globalTasks.Add(1)
-	t := newTask(plainTask, body, globalTasks, nil)
-	if globalDeps.enqueue(t, d) && t.claim() {
-		// The tracker/queue reference transfers to the goroutine; the
-		// spawner reference is dropped below.
-		go func() {
-			t.exec()
-			t.decRef()
-		}()
-	}
-	t.decRef()
-}
-
-// SpawnFutureDep is SpawnFuture with dependence clauses: the future's
-// producer runs after its predecessors, and the getter remains a safe
-// synchronisation point — a getter reaching a still-parked producer helps
-// execute other tasks (including, transitively, the predecessors) instead
-// of running the producer early.
-func SpawnFutureDep(fn func() any, d Deps) *Future {
-	if d.empty() {
-		return SpawnFuture(Current(), fn)
-	}
-	f := NewFuture()
-	resolve := func() {
-		f.val = fn()
-		close(f.done)
-	}
-	if w := Current(); w != nil && !w.Team.completed.Load() {
-		g := w.spawnGroup()
-		g.Add(1)
-		t := &task{fn: plainTask, arg: resolve, group: g, spawner: w} // retained by f: never pooled
-		t.refs.Store(2)
-		f.task = t
-		if h := obs.Active(); h != nil {
-			stampTask(h, t, w, obs.TaskFutureDependent)
-		}
-		if w.Team.depTracker().enqueue(t, d) {
-			w.deque.push(t)
-			g.notify()
-			if w.Team.completed.Load() && t.claim() {
-				go t.exec()
-				return f
-			}
-		}
-		return f
-	}
-	globalTasks.Add(1)
-	t := &task{fn: plainTask, arg: resolve, group: globalTasks}
-	t.refs.Store(2)
-	f.task = t
-	if globalDeps.enqueue(t, d) && t.claim() {
-		go t.exec()
-	}
-	return f
-}
+// (@Task + @Depend): SpawnArg from the caller's worker. With empty clauses
+// it is exactly Spawn.
+func SpawnDep(body func(), d Deps) { SpawnArg(Current(), plainTask, body, d) }
 
 // TaskGroupScope executes body and then waits for every task spawned in
 // its dynamic extent — including tasks spawned by those tasks — to

@@ -234,7 +234,7 @@ func TestFutureDependGet(t *testing.T) {
 			return
 		}
 		SpawnDep(func() { x = 41 }, Deps{Out: []any{&x}})
-		f := SpawnFutureDep(func() any { return x + 1 }, Deps{In: []any{&x}})
+		f := SpawnFuture(Current(), func() any { return x + 1 }, Deps{In: []any{&x}})
 		if got := f.Get(); got != 42 {
 			t.Errorf("future resolved to %v, want 42", got)
 		}
@@ -251,7 +251,7 @@ func TestFutureDependAcrossNestedTeam(t *testing.T) {
 		Region(1, func(w *Worker) {
 			var x int
 			SpawnDep(func() { x = 10 }, Deps{Out: []any{&x}})
-			f := SpawnFutureDep(func() any { return x * 2 }, Deps{In: []any{&x}})
+			f := SpawnFuture(Current(), func() any { return x * 2 }, Deps{In: []any{&x}})
 			Region(1, func(iw *Worker) {
 				if got := f.Get(); got != 20 {
 					t.Errorf("future resolved to %v, want 20", got)
@@ -456,7 +456,7 @@ func TestFutureSubSpawnAcrossNestedTeam(t *testing.T) {
 			f := SpawnFuture(Current(), func() any {
 				Spawn(func() { sub.Store(true) })
 				return 1
-			})
+			}, Deps{})
 			Region(1, func(*Worker) {
 				if got := f.Get(); got != 1 {
 					t.Errorf("future = %v, want 1", got)

@@ -18,10 +18,11 @@ const (
 	taskParked  = 2
 )
 
-// task is one deferred activity spawned by @Task or @FutureTask inside a
-// parallel region. It is queued on the spawning worker's deque and executed
-// by whichever team worker reaches it first — the spawner at a scheduling
-// point, or a sibling that steals it. state makes execution claimable out
+// task is one deferred activity spawned by @Task or @FutureTask (spawn,
+// tasks.go). Inside a parallel region it is queued on the spawning
+// worker's deque and executed by whichever team worker reaches it first —
+// the spawner at a scheduling point, or a sibling that steals it; outside
+// one it runs on its own goroutine. state makes execution claimable out
 // of band: a future's getter (possibly on a different, nested team) or a
 // straggler spawner can take ownership directly, and whoever later pops the
 // queued reference finds it already claimed and skips it.
@@ -62,28 +63,32 @@ func (t *task) run() bool {
 
 // exec executes an already-claimed task, guaranteeing — even if the body
 // panics (the panic then propagates to the executing worker, where the
-// region machinery re-raises it on the master) — that the task retires its
-// dependence node, releasing successors, and signals its group. Schedule
-// and complete events bracket the execution on the executing context's
-// track; the complete fires after retirement, so dependence-release events
-// order inside the task's slice.
+// region machinery re-raises it on the master) — that the task retires.
+// Schedule and complete events bracket the execution on the executing
+// context's track.
 func (t *task) exec() {
-	if h := obs.Active(); h != nil {
-		gid, id := curGID(), t.traceID
-		h.TaskSchedule(gid, id)
-		defer h.TaskComplete(gid, id)
+	h, gid := obs.Active(), obs.NoWorker
+	if h != nil {
+		gid = curGID()
+		h.TaskSchedule(gid, t.traceID)
 	}
-	defer t.retire()
+	defer t.retire(h, gid)
 	t.fn(t.arg)
 }
 
 // retire completes the task's bookkeeping: successors of its dependence
-// node are released, then the group is signalled. Runs exactly once per
-// executed task (claim won exactly once), panic or not.
-func (t *task) retire() {
+// node are released, the complete event fires — after the releases, so
+// they order inside the task's slice — and then the group is signalled, so
+// a join that returns has seen every completion it waited for counted.
+// Runs exactly once per executed task (claim won exactly once), panic or
+// not.
+func (t *task) retire(h *obs.Sinks, gid obs.WorkerID) {
 	if n := t.node; n != nil {
 		t.node = nil
 		n.tr.retire(n)
+	}
+	if h != nil {
+		h.TaskComplete(gid, t.traceID)
 	}
 	t.group.Done()
 }

@@ -10,9 +10,11 @@
 //     steady-state entry is allocation-free. Multi-tenant admission
 //     control arbitrates the pool across concurrent clients (FIFO
 //     fairness with per-tenant quotas and reject/timeout degradation).
-//   - Tasks. Spawn/SpawnDep push closures onto per-worker Chase-Lev
-//     deques; idle workers steal. SpawnDep orders tasks by declared
-//     Deps (in/out/inout addresses) on the dependence tracker; task
+//   - Tasks. SpawnArg and SpawnFuture (Spawn and SpawnDep are the closure
+//     forms) share one deferral routine: a task goes onto the spawning
+//     worker's deque, where idle workers steal it, or waits on the
+//     dependence tracker until its Deps (in/out/inout addresses) are
+//     satisfied, or, outside a region, runs on its own goroutine. Task
 //     groups and futures provide the joining constructs.
 //   - Synchronisation. A tree barrier that spins for as long as a park
 //     has been measured to cost, then parks,

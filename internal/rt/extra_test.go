@@ -6,14 +6,34 @@ import (
 	"testing"
 )
 
+// TestTaskScopeSelection: a task joins the global group outside a region,
+// the team group inside one, and the innermost @TaskGroup scope inside
+// that — each counts it pending until it has run.
 func TestTaskScopeSelection(t *testing.T) {
-	if TaskScope() != globalTasks {
-		t.Fatal("sequential TaskScope is not the global group")
+	hold := make(chan struct{})
+	before := globalTasks.Pending()
+	Spawn(func() { <-hold })
+	if n := globalTasks.Pending(); n != before+1 {
+		t.Errorf("an out-of-region spawn left the global group at %d pending, want %d", n, before+1)
 	}
+	close(hold)
+	TaskWait()
 	Region(2, func(w *Worker) {
-		if TaskScope() != w.Team.Tasks() {
-			t.Error("in-region TaskScope is not the team group")
+		if w.ID != 0 {
+			return
 		}
+		hold := make(chan struct{})
+		Spawn(func() { <-hold })
+		if n := w.Team.Tasks().Pending(); n != 1 {
+			t.Errorf("an in-region spawn left the team group at %d pending, want 1", n)
+		}
+		TaskGroupScope(func() {
+			Spawn(func() { <-hold })
+			if n := w.curGroup.Load().Pending(); n != 1 {
+				t.Errorf("a scoped spawn left its scope at %d pending, want 1", n)
+			}
+			close(hold)
+		})
 	})
 }
 

@@ -172,7 +172,7 @@ func TestFutureGetAcrossNestedRegion(t *testing.T) {
 			ow.Team.Barrier().Wait()
 			return
 		}
-		f := SpawnFuture(ow, func() any { return 40 + 2 })
+		f := SpawnFuture(ow, func() any { return 40 + 2 }, Deps{})
 		if f.Resolved() {
 			t.Error("a team of two resolved its future at the spawn")
 		}
@@ -199,7 +199,7 @@ func TestQueuedFutureResolvesDespiteRegionPanic(t *testing.T) {
 		}()
 		Region(2, func(w *Worker) {
 			if w.ID == 0 {
-				f = SpawnFuture(Current(), func() any { return "late" })
+				f = SpawnFuture(Current(), func() any { return "late" }, Deps{})
 			}
 			// Every worker panics, so every quiesce is skipped and only
 			// the master's end-of-region safety drain can run the task.

@@ -41,24 +41,16 @@ func curGID() obs.WorkerID {
 // trace track its events land on.
 func (w *Worker) ObsID() obs.WorkerID { return w.gid }
 
-// stampTask assigns t a trace identity and reports its creation. h is
-// non-nil (the caller already gated on it).
-func stampTask(h *obs.Sinks, t *task, w *Worker, kind obs.TaskKind) {
-	t.traceID = nextTaskTraceID()
-	h.TaskCreate(w.gid, t.traceID, kind)
-}
-
-// emitInlineTask reports a task that never enters a deque: an undeferred
-// one, run at its spawn on w's team of one, or one spawned outside a region
-// (w nil, or its team completed) running on its own goroutine.
-func emitInlineTask(w *Worker) {
-	if h := obs.Active(); h != nil {
-		gid := obs.NoWorker
-		if w != nil {
-			gid = w.gid
-		}
-		h.TaskInline(gid, nextTaskTraceID())
+// stampTask assigns t a trace identity and reports its creation on its
+// spawner's track (NoWorker outside a region). h is non-nil (the caller
+// already gated on it).
+func stampTask(h *obs.Sinks, t *task, kind obs.TaskKind) {
+	gid := obs.NoWorker
+	if w := t.spawner; w != nil {
+		gid = w.gid
 	}
+	t.traceID = nextTaskTraceID()
+	h.TaskCreate(gid, t.traceID, kind)
 }
 
 // ObsID reports the team's process-unique observability identity.

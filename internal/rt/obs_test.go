@@ -46,10 +46,8 @@ func TestObsEmitCoverage(t *testing.T) {
 		}
 		TaskWait()
 	})
-	// Out-of-region spawn: the inline-task path.
-	done := make(chan struct{})
-	Spawn(func() { close(done) })
-	<-done
+	// A spawn on a team of one: the inline-task path.
+	Region(1, func(*Worker) { Spawn(func() {}) })
 
 	m, st := obs.ReadMetrics(), obs.ReadStats()
 	delta := func(name string, now, then uint64) {
@@ -102,6 +100,49 @@ func TestObsEmitCoverage(t *testing.T) {
 
 // The pool must attribute cold spawns with hot teams off to the Disabled
 // counter, not Misses.
+// TestOutOfRegionTasksCounted: a task spawned outside any region — with
+// clauses or without, future or not — is one create event, one executed
+// slice and one spawned and one completed task, so completed never runs
+// ahead of spawned, and TaskWait returns with every completion counted.
+func TestOutOfRegionTasksCounted(t *testing.T) {
+	defer obs.EnableMetrics(obs.EnableMetrics(true))
+	defer obs.EnableTracing(obs.EnableTracing(false))
+	const chain = 5
+	before := obs.ReadMetrics()
+	var x int
+	evs := recordTrace(t, func() {
+		for i := 0; i < chain; i++ {
+			SpawnDep(func() { x++ }, Deps{InOut: []any{&x}})
+		}
+		f := SpawnFuture(nil, func() any { return x }, Deps{In: []any{&x}})
+		if v := f.Get(); v != chain {
+			t.Errorf("the dependent future read %v, want %d", v, chain)
+		}
+		Spawn(func() {})
+		TaskWait()
+	})
+	const n = chain + 2
+	m := obs.ReadMetrics()
+	if s, c := m.TasksSpawned-before.TasksSpawned, m.TasksCompleted-before.TasksCompleted; s != n || c != n {
+		t.Errorf("%d out-of-region tasks counted %d spawned, %d completed", n, s, c)
+	}
+	creates, slices := 0, 0
+	for _, ev := range evs {
+		if ev.Name == "spawn" && ev.Args["kind"] != nil {
+			creates++
+		}
+		if strings.HasPrefix(ev.Name, "task ") {
+			slices++
+		}
+	}
+	if creates != n || slices != n {
+		t.Errorf("the trace holds %d creates and %d task slices, want %d of each", creates, slices, n)
+	}
+	if k := countEvents(evs, "inline task"); k != 0 {
+		t.Errorf("the trace holds %d inline tasks, want 0: out-of-region tasks are deferred to goroutines", k)
+	}
+}
+
 func TestPoolStatsDisabledCounter(t *testing.T) {
 	prev := SetHotTeams(false)
 	defer SetHotTeams(prev)

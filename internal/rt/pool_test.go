@@ -139,7 +139,7 @@ func TestHotTeamPanicRetiresNeverRecycles(t *testing.T) {
 		Region(2, func(w *Worker) {
 			if w.ID == 0 {
 				poisoned = w.Team
-				f = SpawnFuture(Current(), func() any { return "still resolves" })
+				f = SpawnFuture(Current(), func() any { return "still resolves" }, Deps{})
 			}
 			w.Team.Barrier().Wait()
 			panic("lease boom")
@@ -206,7 +206,7 @@ func TestHotTeamPoolConcurrentStress(t *testing.T) {
 				Region(teamSize, func(w *Worker) {
 					if w.ID == 0 {
 						Spawn(func() { tasksRun.Add(1) })
-						f = SpawnFuture(Current(), func() any { return w.Team.Epoch() })
+						f = SpawnFuture(Current(), func() any { return w.Team.Epoch() }, Deps{})
 					}
 					w.Team.Barrier().Wait()
 				})

@@ -388,7 +388,7 @@ func TestSpawnInsideRegionJoinsAtRegionEnd(t *testing.T) {
 }
 
 func TestFutureResolution(t *testing.T) {
-	f := SpawnFuture(Current(), func() any { return 42 })
+	f := SpawnFuture(Current(), func() any { return 42 }, Deps{})
 	if got := f.Get(); got != 42 {
 		t.Fatalf("future = %v, want 42", got)
 	}

@@ -42,7 +42,7 @@ func taskGroupStress(seed uint64, rounds int) string {
 	parent := func(any) {
 		ran.Add(1)
 		spawned.Add(1)
-		SpawnArg(Current(), leaf, nil)
+		SpawnArg(Current(), leaf, nil, Deps{})
 	}
 	for r := range rounds {
 		// Inside a region.
@@ -52,9 +52,9 @@ func taskGroupStress(seed uint64, rounds int) string {
 				for range rng.IntN(4) {
 					spawned.Add(1)
 					if rng.IntN(3) == 0 {
-						SpawnArg(w, parent, nil)
+						SpawnArg(w, parent, nil, Deps{})
 					} else {
-						SpawnArg(w, leaf, nil)
+						SpawnArg(w, leaf, nil, Deps{})
 					}
 				}
 				switch rng.IntN(3) {
@@ -67,7 +67,7 @@ func taskGroupStress(seed uint64, rounds int) string {
 							runtime.Gosched()
 						}
 						return yields
-					})
+					}, Deps{})
 					if got := f.Get(); got != yields {
 						panic("future resolved to the wrong value")
 					}
@@ -111,7 +111,7 @@ func taskGroupStress(seed uint64, rounds int) string {
 		}
 		for range rng.IntN(3) {
 			spawned.Add(1)
-			SpawnArg(nil, leaf, nil)
+			SpawnArg(nil, leaf, nil, Deps{})
 		}
 		TaskWait()
 		g.Wait()

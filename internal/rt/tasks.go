@@ -184,11 +184,11 @@ var globalTasks = NewTaskGroup()
 // are excluded: the future retains its task pointer indefinitely.
 var taskPool = sync.Pool{New: func() any { return new(task) }}
 
-// newTask draws a pooled task carrying two references: the queue (deque or
-// dependence tracker) slot and the spawner's temporary hold.
-func newTask(fn func(any), arg any, g *TaskGroup, w *Worker) *task {
+// newTask draws a pooled task carrying two references: the queue (deque,
+// dependence tracker or goroutine) slot and the spawner's temporary hold.
+func newTask(fn func(any), arg any) *task {
 	t := taskPool.Get().(*task)
-	t.fn, t.arg, t.group, t.spawner = fn, arg, g, w
+	t.fn, t.arg = fn, arg
 	t.pooled = true
 	t.refs.Store(2)
 	t.state.Store(taskReady)
@@ -204,14 +204,61 @@ func (w *Worker) spawnGroup() *TaskGroup {
 	return w.Team.Tasks()
 }
 
-// TaskScope returns the task group governing the caller: the innermost
-// @TaskGroup scope or team group inside a region, the process-wide group
-// outside.
-func TaskScope() *TaskGroup {
-	if w := Current(); w != nil {
-		return w.spawnGroup()
+// spawn defers t, which holds its two references, under the task scope of
+// worker w — the one deferral routine behind every spawner. On a live
+// team the task joins w's group and tracker; outside a region (w nil, or
+// its team completed) it joins globalTasks and globalDeps. A task whose
+// clauses are unsatisfied parks in the tracker, which keeps the queue
+// reference until releaseLocked makes it runnable. A ready team task is
+// pushed to w's deque; a ready out-of-region task is claimed and run on
+// its own goroutine. d is nil for a task without clauses; kind is
+// TaskDeferred or TaskFuture, and clauses make it the dependent variant.
+func spawn(w *Worker, t *task, d *Deps, kind obs.TaskKind) {
+	if w != nil && w.Team.completed.Load() {
+		w = nil
 	}
-	return globalTasks
+	g := globalTasks
+	if w != nil {
+		g = w.spawnGroup()
+	}
+	t.group, t.spawner = g, w
+	g.Add(1)
+	if h := obs.Active(); h != nil {
+		if d != nil {
+			kind += obs.TaskDependent
+		}
+		stampTask(h, t, kind)
+	}
+	switch {
+	case d != nil && !w.tracker().enqueue(t, d):
+		// Parked: the tracker holds the queue reference.
+	case w == nil:
+		// The goroutine is the task's queue and takes its reference;
+		// nobody else has seen t, so the claim wins.
+		t.claim()
+		goExec(t)
+	default:
+		w.deque.push(t)
+		g.notify()
+		// The team may have completed (and drained) between the check
+		// above and the push; reclaim the task so it cannot be stranded on
+		// a dead team's deque. The spawner's reference transfers to the
+		// rescue goroutine.
+		if w.Team.completed.Load() && t.claim() {
+			goExec(t)
+			return
+		}
+	}
+	t.decRef()
+}
+
+// goExec runs an already-claimed task on its own goroutine, which then
+// drops the reference it was handed.
+func goExec(t *task) {
+	go func() {
+		t.exec()
+		t.decRef()
+	}()
 }
 
 // TaskWait joins all outstanding tasks of the caller's scope (@TaskWait).
@@ -255,75 +302,55 @@ func TaskYield(n int) int {
 	return ran
 }
 
-// Undeferred reports whether a depend-free task spawned on w runs at its
-// spawn, on the spawner's goroutine: w's team is a team of one that has not
-// completed. OpenMP lets the encountering thread execute a task
+// Undeferred reports whether a task without clauses spawned on w runs at
+// its spawn, on the spawner's goroutine: w's team is a team of one that
+// has not completed. OpenMP lets the encountering thread execute a task
 // immediately instead of deferring it (5.2 §12.5, undeferred tasks), and
 // with no team-mate to hand it to deferral only adds cost. A true answer
-// records the spawn (EvTaskInline), so the caller must then run the task.
+// records the spawn (an inline task event), so the caller must then run
+// the task.
 func Undeferred(w *Worker) bool {
 	if w == nil || w.Team.Size != 1 || w.Team.completed.Load() {
 		return false
 	}
-	emitInlineTask(w)
+	if h := obs.Active(); h != nil {
+		h.TaskInline(w.gid, nextTaskTraceID())
+	}
 	return true
 }
 
-// Spawn runs body asynchronously under the caller's task scope (@Task).
-//
-// Inside a parallel region of two or more workers the task is deferred: it
-// is queued on the calling worker's deque and executed at the next task
-// scheduling point by a team worker — possibly a different one than the
-// spawner, exactly as an OpenMP task may be executed by any thread of the
-// team. The task observes the worker context of its executor. On a team of
-// one it is undeferred: body runs before Spawn returns, and a panic in it
-// surfaces at the spawn. Outside any region (or once the spawning team has
-// completed) the task runs on its own goroutine under the global scope.
-func Spawn(body func()) { SpawnArg(Current(), plainTask, body) }
+// Spawn runs body asynchronously under the caller's task scope (@Task):
+// SpawnArg from the caller's worker, without clauses.
+func Spawn(body func()) { SpawnArg(Current(), plainTask, body, Deps{}) }
 
 // plainTask adapts a closure to the argument-carrying form without
 // allocating (func values are pointer-shaped), like plainBody for regions.
 func plainTask(arg any) { arg.(func())() }
 
-// SpawnArg is Spawn from worker w (the caller's, as Current reports it;
-// nil outside a region), with the task's state threaded through an
-// explicit argument: fn is typically a static function and arg a pooled
-// per-spawn record, so spawning needs no closure — the RegionArg split, for
-// tasks.
-func SpawnArg(w *Worker, fn func(any), arg any) {
-	if Undeferred(w) {
+// SpawnArg runs fn(arg) asynchronously under the task scope of worker w
+// (the caller's, as Current reports it; nil outside a region), ordered
+// after the previously spawned tasks its dependence clauses d conflict
+// with (@Task, @Depend). fn is typically a static function and arg a
+// pooled per-spawn record, so spawning needs no closure — the RegionArg
+// split, for tasks.
+//
+// Inside a parallel region of two or more workers the task is deferred: it
+// is queued on w's deque (or parked in the team's dependence tracker until
+// its predecessors retire) and executed at a task scheduling point by a
+// team worker — possibly a different one than the spawner, exactly as an
+// OpenMP task may be executed by any thread of the team. The task observes
+// the worker context of its executor. On a team of one a task without
+// clauses is undeferred: fn runs before SpawnArg returns, and a panic in it
+// surfaces at the spawn. Outside any region (or once the spawning team has
+// completed) the task runs on its own goroutine under the global scope.
+func SpawnArg(w *Worker, fn func(any), arg any, d Deps) {
+	if !d.empty() {
+		spawn(w, newTask(fn, arg), &d, obs.TaskDeferred)
+	} else if Undeferred(w) {
 		fn(arg)
-		return
+	} else {
+		spawn(w, newTask(fn, arg), nil, obs.TaskDeferred)
 	}
-	if w != nil && !w.Team.completed.Load() {
-		g := w.spawnGroup()
-		g.Add(1)
-		t := newTask(fn, arg, g, w)
-		if h := obs.Active(); h != nil {
-			stampTask(h, t, w, obs.TaskDeferred)
-		}
-		w.deque.push(t)
-		g.notify()
-		// The team may have completed (and drained) between the check
-		// above and the push; reclaim the task and run it asynchronously
-		// so it cannot be stranded on a dead team's deque. The spawner's
-		// reference transfers to the rescue goroutine.
-		if w.Team.completed.Load() && t.claim() {
-			go func() {
-				t.exec()
-				t.decRef()
-			}()
-			return
-		}
-		t.decRef()
-		return
-	}
-	emitInlineTask(w)
-	globalTasks.Add(1)
-	go func() {
-		defer globalTasks.Done()
-		fn(arg)
-	}()
 }
 
 // Future is the synchronisation object behind @FutureTask/@FutureResult:
@@ -346,45 +373,30 @@ var closed = func() chan struct{} { c := make(chan struct{}); close(c); return c
 // aspect is unplugged, and undeferred producers on a team of one.
 func ResolvedFuture(v any) *Future { return &Future{done: closed, val: v} }
 
-// SpawnFuture runs fn asynchronously under the task scope of worker w (the
-// caller's, as Current reports it; nil outside a region) and returns a
-// Future resolved with its result. Inside a region of two or more workers
-// the task is deferred to the team's deques like Spawn; the future's getter
-// is a scheduling point, so a worker that demands the value executes queued
-// tasks (including, typically, this one) instead of deadlocking on it. On a
-// team of one fn runs at the spawn and the future returned is already
-// resolved.
-func SpawnFuture(w *Worker, fn func() any) *Future {
-	if Undeferred(w) {
-		return ResolvedFuture(fn())
+// SpawnFuture is SpawnArg for a value: it returns a Future resolved with
+// fn's result (@FutureTask). The future's getter is a scheduling point, so
+// a worker that demands the value executes queued tasks (including,
+// typically, this one) instead of deadlocking on it; a getter reaching a
+// producer still parked behind its clauses helps run other tasks
+// (transitively, the predecessors) instead of running it early. On a team
+// of one a producer without clauses runs at the spawn and the future
+// returned is already resolved.
+func SpawnFuture(w *Worker, fn func() any, d Deps) *Future {
+	clauses := &d
+	if d.empty() {
+		if Undeferred(w) {
+			return ResolvedFuture(fn())
+		}
+		clauses = nil
 	}
 	f := NewFuture()
-	resolve := func() {
+	t := &task{fn: plainTask, arg: func() { // retained by f: never pooled
 		f.val = fn()
 		close(f.done)
-	}
-	if w != nil && !w.Team.completed.Load() {
-		g := w.spawnGroup()
-		g.Add(1)
-		t := &task{fn: plainTask, arg: resolve, group: g, spawner: w} // retained by f: never pooled
-		t.refs.Store(2)
-		f.task = t
-		if h := obs.Active(); h != nil {
-			stampTask(h, t, w, obs.TaskFuture)
-		}
-		w.deque.push(t)
-		g.notify()
-		if w.Team.completed.Load() && t.claim() {
-			go t.exec()
-		}
-		return f
-	}
-	emitInlineTask(w)
-	globalTasks.Add(1)
-	go func() {
-		defer globalTasks.Done()
-		resolve()
-	}()
+	}}
+	t.refs.Store(2)
+	f.task = t
+	spawn(w, t, clauses, obs.TaskFuture)
 	return f
 }
 

@@ -27,13 +27,13 @@ func TestUndeferredTaskRunsAtSpawn(t *testing.T) {
 			note("d")
 		})
 		note("e")
-		SpawnArg(w, func(arg any) { note(arg.(string)) }, "f")
-		f := SpawnFuture(Current(), func() any { note("g"); return 7 })
+		SpawnArg(w, func(arg any) { note(arg.(string)) }, "f", Deps{})
+		f := SpawnFuture(Current(), func() any { note("g"); return 7 }, Deps{})
 		if !f.Resolved() {
 			t.Error("a team of one's future was not resolved at its spawn")
 		}
 		note("h")
-		if n := TaskScope().Pending(); n != 0 {
+		if n := w.spawnGroup().Pending(); n != 0 {
 			t.Errorf("%d tasks pending after undeferred spawns", n)
 		}
 		if v := f.Get(); v != 7 {
@@ -85,8 +85,8 @@ func TestUndeferredTaskCounted(t *testing.T) {
 	evs := recordTrace(t, func() {
 		Region(1, func(w *Worker) {
 			Spawn(func() { Spawn(func() {}) })
-			SpawnArg(w, func(any) {}, nil)
-			SpawnFuture(Current(), func() any { return nil }).Get()
+			SpawnArg(w, func(any) {}, nil, Deps{})
+			SpawnFuture(Current(), func() any { return nil }, Deps{}).Get()
 			TaskWait()
 		})
 	})
