@@ -190,16 +190,6 @@ var TaskSpawn = core.TaskSpawn
 // (@TaskWait).
 var TaskWaitPoint = core.TaskWaitPoint
 
-// TaskGroupSection scopes matched methods as task groups (@TaskGroup):
-// the method joins every task spawned in its dynamic extent before
-// returning.
-var TaskGroupSection = core.TaskGroupSection
-
-// TaskLoopShare decomposes matched for methods into deferred,
-// work-stealable tasks (@TaskLoop); on a team of one the space runs in one
-// call.
-var TaskLoopShare = core.TaskLoopShare
-
 // FutureTaskSpawn runs matched value-returning methods asynchronously
 // behind a Future (@FutureTask). Attach dependence clauses with .Depend.
 var FutureTaskSpawn = core.FutureTaskSpawn
@@ -264,8 +254,6 @@ type (
 	TaskAspect = core.TaskAspect
 	// FutureTaskAspect is FutureTaskSpawn's aspect type (carries .Depend).
 	FutureTaskAspect = core.FutureTaskAspect
-	// TaskLoopAspect is TaskLoopShare's aspect type (.Grainsize/.Collapse).
-	TaskLoopAspect = core.TaskLoopAspect
 	// ThreadLocalAspect is NewThreadLocal's aspect type.
 	ThreadLocalAspect = core.ThreadLocalAspect
 	// RWAspect is ReadersWriter's aspect type.
@@ -289,12 +277,6 @@ type (
 	// DepFn computes a dependence address from a keyed method's key at
 	// spawn time (dynamic @Depend clause element).
 	DepFn = core.DepFn
-	// TaskGroup makes the method a scoped wait for the tasks spawned in
-	// its dynamic extent — @TaskGroup.
-	TaskGroup = core.TaskGroup
-	// TaskLoop decomposes a for method into deferred tasks —
-	// @TaskLoop[(grainsize=n)].
-	TaskLoop = core.TaskLoop
 	// TaskWait joins spawned activities — @TaskWait.
 	TaskWait = core.TaskWait
 	// FutureTask spawns a value-returning method — @FutureTask.

@@ -6,8 +6,9 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
-	"maps"
+	"os"
 	"path/filepath"
+	"regexp"
 	"runtime"
 	"runtime/pprof"
 	"slices"
@@ -244,6 +245,98 @@ func TestParallelEntryPointsHaveCallers(t *testing.T) {
 	}
 }
 
+// TestFacadeConstructsHaveCallers holds the facade's constructs to the
+// same rule. The census is every name of package aomplib that aliases a
+// core construct constructor (var X = core.X) or a core annotation type
+// (type X = core.X, aspect types aside); TraceSpans is instrumentation
+// (DESIGN.md §8), not a construct. A reference counts as aomplib.X or
+// core.X from a non-test .go file outside internal/core and the facade's
+// own files. A paper construct — one named in a row of DESIGN.md §2 not
+// marked "ext." — may be called from an examples/ program; an extension
+// needs a kernel, a tool or bench/.
+func TestFacadeConstructsHaveCallers(t *testing.T) {
+	names := coreAliases(t, ".")
+	if len(names) == 0 {
+		t.Fatal("found no facade constructs to census: the census is looking in the wrong place")
+	}
+	paper := paperConstructs(t, "DESIGN.md")
+	imports := []string{"aomplib", "aomplib/internal/core"}
+	anywhere := references(t, ".", imports, "internal/core")
+	outsideExamples := references(t, ".", imports, "internal/core", "examples")
+	for _, name := range names {
+		switch {
+		case paper[name] && anywhere[name] == 0:
+			t.Errorf("paper construct %s has no caller outside tests: call it from a kernel, a tool, bench/ or an examples/ program", name)
+		case !paper[name] && outsideExamples[name] == 0:
+			t.Errorf("extension %s has no caller outside tests and examples/: call it from a kernel, a tool or bench/, or delete it", name)
+		}
+	}
+}
+
+// coreAliases returns the names the package in dir declares as aliases of
+// package core: var X = core.X, and type X = core.X for every X that does
+// not end in "Aspect". TraceSpans is left out (TestFacadeConstructsHaveCallers).
+func coreAliases(t *testing.T, dir string) []string {
+	t.Helper()
+	var names []string
+	for _, f := range parseDir(t, dir) {
+		for _, d := range f.Decls {
+			gd, ok := d.(*ast.GenDecl)
+			if !ok {
+				continue
+			}
+			for _, spec := range gd.Specs {
+				var name string
+				var rhs ast.Expr
+				switch sp := spec.(type) {
+				case *ast.ValueSpec:
+					if len(sp.Names) == 1 && len(sp.Values) == 1 {
+						name, rhs = sp.Names[0].Name, sp.Values[0]
+					}
+				case *ast.TypeSpec:
+					if sp.Assign.IsValid() && !strings.HasSuffix(sp.Name.Name, "Aspect") {
+						name, rhs = sp.Name.Name, sp.Type
+					}
+				}
+				if sel, ok := rhs.(*ast.SelectorExpr); ok && name != "TraceSpans" {
+					if id, ok := sel.X.(*ast.Ident); ok && id.Name == "core" && sel.Sel.Name == name {
+						names = append(names, name)
+					}
+				}
+			}
+		}
+	}
+	return names
+}
+
+// paperConstructs returns the identifiers named in the rows of the design
+// document's §2 construct table that are not marked "ext.".
+func paperConstructs(t *testing.T, design string) map[string]bool {
+	t.Helper()
+	text, err := os.ReadFile(design)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, sec, ok := strings.Cut(string(text), "\n## 2. ")
+	if !ok {
+		t.Fatalf("%s has no §2", design)
+	}
+	sec, _, _ = strings.Cut(sec, "\n## ")
+	ident := regexp.MustCompile(`[A-Z][A-Za-z0-9]*`)
+	paper := map[string]bool{}
+	for _, line := range strings.Split(sec, "\n") {
+		if strings.HasPrefix(line, "|") && !strings.Contains(line, "ext.") {
+			for _, name := range ident.FindAllString(line, -1) {
+				paper[name] = true
+			}
+		}
+	}
+	if len(paper) == 0 {
+		t.Fatalf("%s §2 names no paper construct", design)
+	}
+	return paper
+}
+
 // isKnob reports whether name is a process-global switch: Set* or Enable*.
 func isKnob(name string) bool {
 	return strings.HasPrefix(name, "Set") || strings.HasPrefix(name, "Enable")
@@ -256,33 +349,54 @@ func isKnob(name string) bool {
 // directory with no non-test .go file is a fatal error.
 func funcsWithoutCallers(t *testing.T, dir, importPath string, want func(string) bool, skip ...string) ([]string, int) {
 	t.Helper()
-	fset := token.NewFileSet()
-	own, _ := filepath.Glob(filepath.Join(dir, "*.go"))
-	callers := map[string]int{} // knob -> references outside its package
-	parsed := 0
-	for _, path := range own {
+	var names []string
+	for _, f := range parseDir(t, dir) {
+		for _, d := range f.Decls {
+			if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv == nil && fd.Name.IsExported() && want(fd.Name.Name) {
+				names = append(names, fd.Name.Name)
+			}
+		}
+	}
+	refs := references(t, dir, []string{importPath}, skip...)
+	slices.Sort(names)
+	var unused []string
+	for _, name := range names {
+		if refs[name] == 0 {
+			unused = append(unused, name)
+		}
+	}
+	return unused, len(names)
+}
+
+// parseDir parses the non-test .go files of dir; finding none is a fatal
+// error.
+func parseDir(t *testing.T, dir string) []*ast.File {
+	t.Helper()
+	paths, _ := filepath.Glob(filepath.Join(dir, "*.go"))
+	var files []*ast.File
+	for _, path := range paths {
 		if strings.HasSuffix(path, "_test.go") {
 			continue
 		}
-		parsed++
-		f, err := parser.ParseFile(fset, path, nil, 0)
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, d := range f.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok || fd.Recv != nil || !fd.Name.IsExported() {
-				continue
-			}
-			if want(fd.Name.Name) {
-				callers[fd.Name.Name] = 0
-			}
-		}
+		files = append(files, f)
 	}
-	if parsed == 0 {
+	if len(files) == 0 {
 		t.Fatalf("found no Go files in %s: the census is looking in the wrong place", dir)
 	}
+	return files
+}
 
+// references counts, per exported name, the selector expressions pkg.Name
+// in the non-test .go files of the module that import one of importPaths
+// as pkg, outside the files of dir itself and the directory trees in skip.
+func references(t *testing.T, dir string, importPaths []string, skip ...string) map[string]int {
+	t.Helper()
+	refs := map[string]int{}
+	fset := token.NewFileSet()
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -301,21 +415,22 @@ func funcsWithoutCallers(t *testing.T, dir, importPath string, want func(string)
 		if err != nil {
 			return err
 		}
-		local := "" // the name the package is imported under, if it is
+		local := map[string]bool{} // the names the packages are imported under
 		for _, imp := range f.Imports {
-			if imp.Path.Value == `"`+importPath+`"` {
-				local = filepath.Base(importPath)
-				if imp.Name != nil {
-					local = imp.Name.Name
+			for _, ip := range importPaths {
+				if imp.Path.Value == `"`+ip+`"` {
+					name := filepath.Base(ip)
+					if imp.Name != nil {
+						name = imp.Name.Name
+					}
+					local[name] = true
 				}
 			}
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
-			if x, ok := n.(*ast.SelectorExpr); ok && local != "" {
-				if id, ok := x.X.(*ast.Ident); ok && id.Name == local {
-					if _, ok := callers[x.Sel.Name]; ok {
-						callers[x.Sel.Name]++
-					}
+			if x, ok := n.(*ast.SelectorExpr); ok {
+				if id, ok := x.X.(*ast.Ident); ok && local[id.Name] {
+					refs[x.Sel.Name]++
 				}
 			}
 			return true
@@ -325,11 +440,5 @@ func funcsWithoutCallers(t *testing.T, dir, importPath string, want func(string)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var unused []string
-	for _, name := range slices.Sorted(maps.Keys(callers)) {
-		if callers[name] == 0 {
-			unused = append(unused, name)
-		}
-	}
-	return unused, len(callers)
+	return refs
 }

@@ -487,19 +487,14 @@ func BenchmarkAblation_CompositeOpSolo(b *testing.B) { benchCompositeOp(b, 1, tr
 // BenchmarkAblation_CompositeOpNarrowed is the composite op as finegrain
 // runs it: Threads(2), width unpinned, warmed until the region's width
 // record has learned that one worker is faster, so entries run on the
-// record's own team of one. It reports the share of ops that ran narrow
-// and fails below 0.98 — full-width probes of the losing arm back off to
-// one entry in 1024, and one disturbed sample must not undo that. CI
-// holds it at 0 allocs/op and within a margin of CompositeOpHandSolo.
+// record's own team of one. It reports the share of ops that ran narrow;
+// scripts/gates holds every timed run at ≥ 0.98 — full-width probes of the
+// losing arm back off to one entry in 1024, and one disturbed sample must
+// not undo that — and at 0 allocs/op, within a margin of
+// CompositeOpHandSolo.
 func BenchmarkAblation_CompositeOpNarrowed(b *testing.B) {
 	narrow := benchCompositeOp(b, 2, false)
-	share := float64(narrow) / float64(b.N)
-	b.ReportMetric(share, "narrow-share")
-	// Below 100 ops one due probe is over 1% of the sample: only the
-	// framework's calibration runs are that short.
-	if b.N >= 100 && share < 0.98 {
-		b.Fatalf("%d of %d ops ran on one worker (%.3f), want at least 0.98", narrow, b.N, share)
-	}
+	b.ReportMetric(float64(narrow)/float64(b.N), "narrow-share")
 }
 
 // benchCompositeOp times the composite op on a region of the given width,

@@ -85,8 +85,8 @@ func ExampleFuture() {
 }
 
 // Example_dataflow shows @Task + @Depend: two stages per cell, ordered by
-// address-keyed dependence clauses instead of barriers, under a @TaskGroup
-// that joins the whole pipeline before the region's master proceeds.
+// address-keyed dependence clauses instead of barriers; region end joins
+// the whole pipeline before run returns.
 func Example_dataflow() {
 	prog := aomplib.NewProgram("dataflow")
 	cls := prog.Class("Pipe")
@@ -102,7 +102,7 @@ func Example_dataflow() {
 	})
 
 	cellKey := aomplib.DepFn(func(k int) any { return &cells[k] })
-	prog.MustAnnotate("Pipe.run", aomplib.Parallel{Threads: 4}, aomplib.Single{}, aomplib.TaskGroup{})
+	prog.MustAnnotate("Pipe.run", aomplib.Parallel{Threads: 4}, aomplib.Single{})
 	prog.MustAnnotate("Pipe.stageA", aomplib.Task{}, aomplib.Depend{Out: []any{cellKey}})
 	prog.MustAnnotate("Pipe.stageB", aomplib.Task{}, aomplib.Depend{InOut: []any{cellKey}})
 	prog.Use(aomplib.AnnotationAspects(prog)...)

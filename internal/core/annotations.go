@@ -60,33 +60,6 @@ type Depend struct {
 // AnnotationName implements weaver.Annotation.
 func (Depend) AnnotationName() string { return "Depend" }
 
-// TaskGroup scopes the method as a task group — @TaskGroup: the method
-// returns only when every task spawned in its dynamic extent (descendants
-// included) has completed. A scoped wait, unlike the team-wide @TaskWait.
-type TaskGroup struct{}
-
-// AnnotationName implements weaver.Annotation.
-func (TaskGroup) AnnotationName() string { return "TaskGroup" }
-
-// TaskLoop decomposes a for method into deferred tasks —
-// @TaskLoop[(grainsize=n)]: the iteration space is split into balanced
-// parts spawned as work-stealable tasks, and the call joins them before
-// returning. Execute it from a single caller (@Single/@Master); the team
-// picks the parts up at scheduling points.
-type TaskLoop struct {
-	// Grainsize is the minimum iterations per task (0: four parts per
-	// team worker).
-	Grainsize int
-	// Collapse records how many perfectly nested loops the linearized
-	// iteration space covers (the M2FOR refactoring linearizes nested
-	// loops at registration); the decomposition operates on the
-	// linearized space either way.
-	Collapse int
-}
-
-// AnnotationName implements weaver.Annotation.
-func (TaskLoop) AnnotationName() string { return "TaskLoop" }
-
 // TaskWait makes the method a join point for spawned activities — @TaskWait.
 type TaskWait struct {
 	// After joins after the body instead of before it.
@@ -266,11 +239,6 @@ func AnnotationAspects(p *weaver.Program) []weaver.Aspect {
 				if !jp.HasAnnotation("Task") && !jp.HasAnnotation("FutureTask") {
 					panic(fmt.Sprintf("core: @Depend on %s without @Task or @FutureTask", jp.FQN()))
 				}
-			case TaskGroup:
-				out = append(out, named(newTaskGroup(weaver.Exact(jp)), "@TaskGroup", jp))
-			case TaskLoop:
-				asp := newTaskLoop(weaver.Exact(jp)).Grainsize(a.Grainsize).Collapse(a.Collapse)
-				out = append(out, named(asp, "@TaskLoop", jp))
 			case TaskWait:
 				asp := newTaskWait(weaver.Exact(jp))
 				if a.After {

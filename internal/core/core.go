@@ -41,10 +41,8 @@ const (
 	PrecParallel    = 100
 	PrecTaskWait    = 96
 	PrecTask        = 95
-	PrecTaskGroup   = 93 // inside @Task: a spawned task's body opens the scope
 	PrecBarrier     = 90
 	PrecReduce      = 85
-	PrecTaskLoop    = 81 // outside @For: a shared sub-range may be task-decomposed
 	PrecFor         = 80
 	PrecMaster      = 70
 	PrecSingle      = 70

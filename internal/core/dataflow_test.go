@@ -3,7 +3,6 @@ package core
 import (
 	"runtime/debug"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"aomplib/internal/rt"
@@ -127,125 +126,6 @@ func TestFutureTaskDependAnnotation(t *testing.T) {
 	run()
 	if got != 42 {
 		t.Fatalf("dependent future resolved to %v, want 42", got)
-	}
-}
-
-// TestTaskGroupAnnotationScopes: a @TaskGroup method joins its own spawned
-// tasks (and their descendants) before returning.
-func TestTaskGroupAnnotationScopes(t *testing.T) {
-	prog := weaver.NewProgram("tg")
-	cls := prog.Class("TG")
-	var inner atomic.Int32
-	leaf := cls.Proc("leaf", func() { inner.Add(1) })
-	var sawAllInside atomic.Bool
-	group := cls.Proc("group", func() {
-		for i := 0; i < 10; i++ {
-			leaf()
-		}
-	})
-	run := cls.Proc("run", func() {
-		group()
-		if inner.Load() == 10 {
-			sawAllInside.Store(true)
-		}
-	})
-	prog.MustAnnotate("TG.run", Parallel{Threads: 3}, Single{})
-	prog.MustAnnotate("TG.group", TaskGroup{})
-	prog.MustAnnotate("TG.leaf", Task{})
-	prog.Use(AnnotationAspects(prog)...)
-	prog.MustWeave()
-	run()
-	if !sawAllInside.Load() {
-		t.Fatalf("@TaskGroup returned before its %d tasks completed (saw %d)", 10, inner.Load())
-	}
-}
-
-// TestTaskLoopCoversSpaceOnce: @TaskLoop executes every iteration exactly
-// once and joins before returning.
-func TestTaskLoopCoversSpaceOnce(t *testing.T) {
-	const n = 1000
-	prog := weaver.NewProgram("tl")
-	cls := prog.Class("TL")
-	hits := make([]atomic.Int32, n)
-	loop := cls.ForProc("loop", func(lo, hi, step int) {
-		for i := lo; i < hi; i += step {
-			hits[i].Add(1)
-		}
-	})
-	run := cls.Proc("run", func() { loop(0, n, 1) })
-	prog.MustAnnotate("TL.run", Parallel{Threads: 4}, Single{})
-	prog.MustAnnotate("TL.loop", TaskLoop{Grainsize: 64})
-	prog.Use(AnnotationAspects(prog)...)
-	prog.MustWeave()
-	run()
-	for i := range hits {
-		if got := hits[i].Load(); got != 1 {
-			t.Fatalf("iteration %d executed %d times, want 1", i, got)
-		}
-	}
-}
-
-// TestTaskLoopPartCount: grainsize controls the decomposition (parts hold
-// at least grainsize iterations).
-func TestTaskLoopPartCount(t *testing.T) {
-	prog := weaver.NewProgram("tlg")
-	cls := prog.Class("TL")
-	var parts atomic.Int32
-	var iters atomic.Int32
-	loop := cls.ForProc("loop", func(lo, hi, step int) {
-		parts.Add(1)
-		iters.Add(int32(hi - lo))
-		if hi-lo < 10 {
-			t.Errorf("part [%d,%d) smaller than grainsize 10", lo, hi)
-		}
-	})
-	run := cls.Proc("run", func() { loop(0, 100, 1) })
-	prog.MustAnnotate("TL.run", Parallel{Threads: 2}, Single{})
-	prog.MustAnnotate("TL.loop", TaskLoop{Grainsize: 10})
-	prog.Use(AnnotationAspects(prog)...)
-	prog.MustWeave()
-	run()
-	if got := parts.Load(); got != 10 {
-		t.Fatalf("taskloop split into %d parts, want 10", got)
-	}
-	if got := iters.Load(); got != 100 {
-		t.Fatalf("taskloop covered %d iterations, want 100", got)
-	}
-}
-
-// TestTaskLoopSequentialOutsideRegion: without a worker context the woven
-// method runs inline, preserving sequential semantics.
-func TestTaskLoopSequentialOutsideRegion(t *testing.T) {
-	prog := weaver.NewProgram("tls")
-	cls := prog.Class("TL")
-	var calls, total int
-	loop := cls.ForProc("loop", func(lo, hi, step int) {
-		calls++
-		for i := lo; i < hi; i += step {
-			total += i
-		}
-	})
-	prog.MustAnnotate("TL.loop", TaskLoop{Grainsize: 5})
-	prog.Use(AnnotationAspects(prog)...)
-	prog.MustWeave()
-	loop(0, 10, 1)
-	if calls != 1 {
-		t.Fatalf("outside a region the loop body ran %d times, want 1 inline call", calls)
-	}
-	if total != 45 {
-		t.Fatalf("total = %d, want 45", total)
-	}
-}
-
-// TestTaskLoopRequiresForMethod: weaving @TaskLoop onto a plain proc fails.
-func TestTaskLoopRequiresForMethod(t *testing.T) {
-	prog := weaver.NewProgram("tlbad")
-	cls := prog.Class("TL")
-	cls.Proc("notAForMethod", func() {})
-	prog.MustAnnotate("TL.notAForMethod", TaskLoop{})
-	prog.Use(AnnotationAspects(prog)...)
-	if err := prog.Weave(); err == nil {
-		t.Fatal("weave accepted @TaskLoop on a non-for method")
 	}
 }
 

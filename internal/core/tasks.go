@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"aomplib/internal/rt"
-	"aomplib/internal/sched"
 	"aomplib/internal/weaver"
 )
 
@@ -263,133 +262,3 @@ func (a *FutureTaskAspect) Bindings() []weaver.Binding {
 	}
 	return []weaver.Binding{{Matcher: a.matcher, Advice: adv}}
 }
-
-// TaskGroupAspect scopes matched methods as task groups (@TaskGroup): the
-// method does not return until every task spawned in its dynamic extent —
-// including tasks spawned by those tasks — has completed. Unlike @TaskWait
-// it joins only the scope's own tasks, so independent groups proceed
-// without a team-wide quiescence point.
-type TaskGroupAspect struct {
-	name    string
-	matcher weaver.Matcher
-}
-
-// TaskGroupSection binds @TaskGroup to the methods selected by pc.
-func TaskGroupSection(pc string) *TaskGroupAspect { return newTaskGroup(mustPC(pc)) }
-
-func newTaskGroup(m weaver.Matcher) *TaskGroupAspect {
-	return &TaskGroupAspect{name: "TaskGroup", matcher: m}
-}
-
-// Named renames the aspect module.
-func (a *TaskGroupAspect) Named(name string) *TaskGroupAspect { a.name = name; return a }
-
-// AspectName implements weaver.Aspect.
-func (a *TaskGroupAspect) AspectName() string { return a.name }
-
-// Bindings implements weaver.Aspect.
-func (a *TaskGroupAspect) Bindings() []weaver.Binding {
-	adv := advice{
-		name: "taskgroup",
-		prec: PrecTaskGroup,
-		wrap: func(jp *weaver.Joinpoint, next weaver.HandlerFunc) weaver.HandlerFunc {
-			return func(c *weaver.Call) {
-				rt.TaskGroupScope(func() { next(c) })
-			}
-		},
-	}
-	return []weaver.Binding{{Matcher: a.matcher, Advice: adv}}
-}
-
-// TaskLoopAspect decomposes matched for methods into deferred tasks
-// (@TaskLoop): the iteration space is split into balanced parts, each part
-// is spawned as a task load-balanced by work stealing, and the call
-// returns when all parts have completed (an implicit task group). Unlike
-// @For — whose caller is the whole team, each worker taking a share — a
-// taskloop is executed by its single caller (typically under @Single or
-// @Master) and the team picks the parts up at scheduling points.
-type TaskLoopAspect struct {
-	name      string
-	matcher   weaver.Matcher
-	grainsize int
-	collapse  int
-}
-
-// TaskLoopShare binds @TaskLoop to the for methods selected by pc.
-func TaskLoopShare(pc string) *TaskLoopAspect { return newTaskLoop(mustPC(pc)) }
-
-func newTaskLoop(m weaver.Matcher) *TaskLoopAspect {
-	return &TaskLoopAspect{name: "TaskLoop", matcher: m}
-}
-
-// Named renames the aspect module.
-func (a *TaskLoopAspect) Named(name string) *TaskLoopAspect { a.name = name; return a }
-
-// Grainsize sets the minimum iterations per spawned task; 0 (the default)
-// splits the space into four parts per team worker.
-func (a *TaskLoopAspect) Grainsize(n int) *TaskLoopAspect { a.grainsize = n; return a }
-
-// Collapse declares how many perfectly nested loops the method's
-// linearized iteration space covers. The M2FOR refactoring exposes one
-// (start, end, step) triple, so collapsing happens at registration — the
-// for method receives the linearized space — and Collapse records the
-// intent for weave reports and validation; the decomposition always
-// operates on the linearized space.
-func (a *TaskLoopAspect) Collapse(n int) *TaskLoopAspect { a.collapse = n; return a }
-
-// Bindings implements weaver.Aspect.
-func (a *TaskLoopAspect) Bindings() []weaver.Binding {
-	grain, collapse := a.grainsize, a.collapse
-	adv := advice{
-		name:        "taskloop",
-		prec:        PrecTaskLoop,
-		needsWorker: true,
-		validate: func(jp *weaver.Joinpoint) error {
-			if jp.Kind() != weaver.ForKind {
-				return fmt.Errorf("@TaskLoop requires a for method, got %s %s", jp.Kind(), jp.FQN())
-			}
-			if grain < 0 {
-				return fmt.Errorf("@TaskLoop on %s: negative grainsize %d", jp.FQN(), grain)
-			}
-			if collapse < 0 {
-				return fmt.Errorf("@TaskLoop on %s: negative collapse %d", jp.FQN(), collapse)
-			}
-			return nil
-		},
-		wrap: func(jp *weaver.Joinpoint, next weaver.HandlerFunc) weaver.HandlerFunc {
-			return func(c *weaver.Call) {
-				if c.Worker == nil || c.Worker.Team.Size == 1 {
-					// Outside a region, or on a team of one whose tasks
-					// would run at their spawn: run the space inline.
-					next(c)
-					return
-				}
-				space := sched.Space{Lo: c.Lo, Hi: c.Hi, Step: c.Step}
-				var parts []sched.Space
-				if grain > 0 {
-					parts = space.SplitGrain(grain)
-				} else {
-					parts = space.Split(4 * c.Worker.Team.Size)
-				}
-				if len(parts) <= 1 {
-					next(c)
-					return
-				}
-				rt.TaskGroupScope(func() {
-					for _, p := range parts {
-						p := p
-						tc := *c
-						rt.Spawn(func() {
-							tc.Lo, tc.Hi, tc.Step = p.Lo, p.Hi, p.Step
-							next(&tc)
-						})
-					}
-				})
-			}
-		},
-	}
-	return []weaver.Binding{{Matcher: a.matcher, Advice: adv}}
-}
-
-// AspectName implements weaver.Aspect.
-func (a *TaskLoopAspect) AspectName() string { return a.name }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"strings"
-	"sync/atomic"
 	"testing"
 
 	"aomplib/internal/rt"
@@ -76,53 +75,5 @@ func TestUndeferredTaskAdvicePanics(t *testing.T) {
 	}()
 	if reached {
 		t.Error("the spawner went on past a task that panicked at its spawn")
-	}
-}
-
-// TestTaskLoopOnTeamOfOne: @TaskLoop on a team of one — a Threads(1) region,
-// then a Threads(2) region once it has narrowed — runs every iteration
-// exactly once, in one call over the whole space, as outside a region.
-func TestTaskLoopOnTeamOfOne(t *testing.T) {
-	const n, entries = 64, 400
-	for _, threads := range []int{1, 2} {
-		p := weaver.NewProgram("taskloop1")
-		cls := p.Class("TL")
-		hits := make([]atomic.Int32, n)
-		var calls atomic.Int32
-		var width int
-		loop := cls.ForProc("loop", func(lo, hi, step int) {
-			calls.Add(1)
-			for i := lo; i < hi; i += step {
-				hits[i].Add(1)
-			}
-		})
-		run := cls.Proc("run", func() { width = rt.NumThreads(); loop(0, n, 1) })
-		p.Use(ParallelRegion("call(* TL.run(..))").Threads(threads), SingleSection("call(* TL.run(..))"))
-		p.Use(TaskLoopShare("call(* TL.loop(..))"))
-		p.MustWeave()
-		checked := false
-		for e := 0; e < entries && !checked; e++ {
-			calls.Store(0)
-			for i := range hits {
-				hits[i].Store(0)
-			}
-			run()
-			for i := range hits {
-				if h := hits[i].Load(); h != 1 {
-					t.Fatalf("Threads(%d) entry %d (width %d): iteration %d ran %d times", threads, e, width, i, h)
-				}
-			}
-			if width == 1 {
-				checked = true
-				if c := calls.Load(); c != 1 {
-					t.Fatalf("Threads(%d) entry %d: a team of one made %d loop calls, want 1 inline call", threads, e, c)
-				}
-			}
-		}
-		if !checked {
-			// As in TestNarrowedEntryIsSequential: with the portable gls
-			// backend a tiny region may never narrow.
-			t.Logf("Threads(%d): the region never ran on one worker in %d entries", threads, entries)
-		}
 	}
 }

@@ -260,7 +260,7 @@ func SpawnDep(body func(), d Deps) { SpawnArg(Current(), plainTask, body, d) }
 
 // TaskGroupScope executes body and then waits for every task spawned in
 // its dynamic extent — including tasks spawned by those tasks — to
-// complete (@TaskGroup). The wait runs even when body panics, so no task
+// complete (OpenMP's taskgroup). The wait runs even when body panics, so no task
 // outlives its scope; the waiting worker helps execute queued team tasks,
 // like every scheduling point. Outside parallel regions the scope degrades
 // to a global task join, matching @TaskWait.

@@ -402,7 +402,7 @@ func TestDependStress(t *testing.T) {
 
 // TestTaskGroupScopeTasksAreStolen: scope tasks count toward the team
 // group (the parent chain), so teammates parked in the region-end join
-// wake up and steal them — a @TaskLoop must not serialize on its caller.
+// wake up and steal them — a parallel.For must not serialize on its caller.
 func TestTaskGroupScopeTasksAreStolen(t *testing.T) {
 	var byOthers atomic.Int32
 	spawned := make(chan struct{})

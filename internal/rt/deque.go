@@ -207,7 +207,7 @@ func (w *Worker) findTask() *task {
 
 // runTask executes t on w with the task's group adopted as the worker's
 // current spawn scope, so activities spawned by the task body join the
-// group the task belongs to (@TaskGroup includes descendant tasks). It
+// group the task belongs to (a TaskGroupScope includes descendant tasks). It
 // reports whether this caller executed the task.
 //
 // Adoption is strictly same-team: when a task of an enclosing team is

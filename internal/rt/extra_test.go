@@ -7,7 +7,7 @@ import (
 )
 
 // TestTaskScopeSelection: a task joins the global group outside a region,
-// the team group inside one, and the innermost @TaskGroup scope inside
+// the team group inside one, and the innermost TaskGroupScope inside
 // that — each counts it pending until it has run.
 func TestTaskScopeSelection(t *testing.T) {
 	hold := make(chan struct{})

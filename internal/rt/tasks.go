@@ -37,7 +37,7 @@ type TaskGroup struct {
 	mu       sync.Mutex
 	cond     sync.Cond
 
-	// parent chains a @TaskGroup scope to its enclosing scope and,
+	// parent chains a TaskGroupScope to its enclosing scope and,
 	// ultimately, the team group: every Add/Done/notify propagates up, so
 	// scope tasks keep the team group pending and idle teammates — parked
 	// in the region-end join on the team group — wake up and steal them.
@@ -196,7 +196,7 @@ func newTask(fn func(any), arg any) *task {
 }
 
 // spawnGroup returns the group new tasks of this worker join: the
-// innermost @TaskGroup scope when one is active, the team group otherwise.
+// innermost TaskGroupScope when one is active, the team group otherwise.
 func (w *Worker) spawnGroup() *TaskGroup {
 	if g := w.curGroup.Load(); g != nil {
 		return g

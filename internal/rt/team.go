@@ -169,7 +169,7 @@ type Worker struct {
 	activeFor []*ForContext // stack: nested work-sharing contexts
 	fcFree    []*ForContext // recycled work-sharing contexts
 
-	// curGroup is the innermost @TaskGroup scope active on this worker;
+	// curGroup is the innermost TaskGroupScope active on this worker;
 	// spawned tasks join it instead of the team group, and executing a
 	// task adopts its group so descendants join the same scope. Atomic
 	// because goroutines with inherited worker context may share w.

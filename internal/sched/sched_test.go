@@ -314,114 +314,6 @@ func TestDispenserChunkFloor(t *testing.T) {
 	}
 }
 
-// Property: Split covers every iteration exactly once, for any space and
-// part count, with balanced parts.
-func TestSplitCoversExactlyOnce(t *testing.T) {
-	f := func(lo int8, count uint8, step int8, parts uint8) bool {
-		st := int(step)
-		if st == 0 {
-			st = 1
-		}
-		sp := Space{Lo: int(lo), Hi: int(lo) + int(count)*st, Step: st}
-		want := sp.Values()
-		var got []int
-		minSize, maxSize := 1<<30, 0
-		for _, sub := range sp.Split(int(parts)%9 + 1) {
-			c := sub.Count()
-			if c == 0 {
-				return false // empty parts must be omitted
-			}
-			if c < minSize {
-				minSize = c
-			}
-			if c > maxSize {
-				maxSize = c
-			}
-			got = append(got, sub.Values()...)
-		}
-		if len(want) == 0 {
-			return got == nil
-		}
-		if maxSize-minSize > 1 {
-			return false // parts must be balanced
-		}
-		if len(got) != len(want) {
-			return false
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSplitEdgeCases(t *testing.T) {
-	if got := (Space{0, 0, 1}).Split(4); got != nil {
-		t.Fatalf("empty space split = %v", got)
-	}
-	if got := (Space{0, 3, 1}).Split(10); len(got) != 3 {
-		t.Fatalf("oversplit produced %d parts, want 3", len(got))
-	}
-	if got := (Space{0, 10, 1}).Split(0); len(got) != 1 || got[0] != (Space{0, 10, 1}) {
-		t.Fatalf("Split(0) = %v, want whole space", got)
-	}
-}
-
-func TestSplitGrainCoverageAndBounds(t *testing.T) {
-	f := func(lo int8, count uint8, step uint8, grain uint8) bool {
-		s := Space{Lo: int(lo), Hi: int(lo) + int(count)*int(step%7+1), Step: int(step%7 + 1)}
-		g := int(grain%9) + 1
-		parts := s.SplitGrain(g)
-		// Exactly-once coverage.
-		seen := map[int]int{}
-		for _, p := range parts {
-			for _, v := range p.Values() {
-				seen[v]++
-			}
-		}
-		for _, v := range s.Values() {
-			if seen[v] != 1 {
-				return false
-			}
-		}
-		if len(seen) != s.Count() {
-			return false
-		}
-		// Grainsize bounds: every part holds in [grain, 2*grain), except a
-		// single part covering a space smaller than grain.
-		for _, p := range parts {
-			n := p.Count()
-			if len(parts) == 1 && s.Count() < g {
-				continue
-			}
-			if n < g || n >= 2*g {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSplitGrainEdgeCases(t *testing.T) {
-	if got := (Space{0, 0, 1}).SplitGrain(4); got != nil {
-		t.Fatalf("empty space = %v", got)
-	}
-	if got := (Space{0, 3, 1}).SplitGrain(10); len(got) != 1 || got[0].Count() != 3 {
-		t.Fatalf("undersized space = %v, want one whole part", got)
-	}
-	if got := (Space{0, 10, 1}).SplitGrain(0); len(got) != 10 {
-		t.Fatalf("grain 0 should clamp to 1, got %v", got)
-	}
-}
-
 // ------------------------------------------------------ steal schedule --
 
 func TestStealDispenserSequentialCoverage(t *testing.T) {

@@ -64,50 +64,6 @@ func (s Space) Slice(from, to int) Space {
 	return Space{Lo: s.At(from), Hi: s.At(to-1) + sign(s.Step), Step: s.Step}
 }
 
-// Split partitions the space into at most n balanced sub-spaces that
-// together cover every iteration exactly once (block sizes differ by at
-// most one; empty sub-spaces are omitted, so fewer than n parts are
-// returned when the space has fewer than n iterations). It is the building
-// block for taskloop-style decompositions — each part can be spawned as a
-// deferred task and load-balanced by work stealing — and for custom
-// schedules.
-func (s Space) Split(n int) []Space {
-	if n < 1 {
-		n = 1
-	}
-	total := s.Count()
-	if total == 0 {
-		return nil
-	}
-	if n > total {
-		n = total
-	}
-	out := make([]Space, 0, n)
-	for id := 0; id < n; id++ {
-		sub := Block(s, n, id)
-		if sub.Count() > 0 {
-			out = append(out, sub)
-		}
-	}
-	return out
-}
-
-// SplitGrain partitions the space into balanced sub-spaces of at least
-// grain iterations each (the last may round up: parts hold between grain
-// and 2·grain-1 iterations, OpenMP taskloop grainsize semantics). A space
-// smaller than grain yields a single part. It is the @TaskLoop(grainsize)
-// decomposition primitive.
-func (s Space) SplitGrain(grain int) []Space {
-	if grain < 1 {
-		grain = 1
-	}
-	n := s.Count() / grain
-	if n < 1 {
-		n = 1
-	}
-	return s.Split(n)
-}
-
 // Values expands the space into the explicit list of loop values.
 // Intended for tests and small spaces only.
 func (s Space) Values() []int {

@@ -82,10 +82,10 @@ func TestStealCarveIsBlockPartition(t *testing.T) {
 	}
 }
 
-// TestStealDispenserWeightedProportionalCarve pins the carve as a worker
+// TestStealDispenserOwnBlockFirst pins the carve as a worker
 // sees it through Next: draining only its own range (victim -1 means the
 // local slot served), it gets its static block before the first steal.
-func TestStealDispenserWeightedProportionalCarve(t *testing.T) {
+func TestStealDispenserOwnBlockFirst(t *testing.T) {
 	d := newSteal(Space{0, 80, 1}, 1, 2)
 	own := 0
 	for {
@@ -100,11 +100,11 @@ func TestStealDispenserWeightedProportionalCarve(t *testing.T) {
 	}
 }
 
-// TestStealDispenserWeightedStealsMostLoaded pins the victim policy on
+// TestStealDispenserStealsMostLoaded pins the victim policy on
 // every start: a dry worker's steal scans every sibling and halves the one
 // holding the largest remainder (the lowest id among equals), not the
 // first non-empty slot.
-func TestStealDispenserWeightedStealsMostLoaded(t *testing.T) {
+func TestStealDispenserStealsMostLoaded(t *testing.T) {
 	for _, c := range skewCases {
 		if c.nthreads < 2 {
 			continue
@@ -181,7 +181,7 @@ func remaining(d *StealDispenser) int {
 // draining — from every start at several counts and chunks, and from
 // arbitrary skewed starts, chunks and team sizes. A skewed start changes
 // who steals what, never coverage.
-func TestStealDispenserWeightedConcurrentExactlyOnce(t *testing.T) {
+func TestStealDispenserSkewedConcurrentExactlyOnce(t *testing.T) {
 	for _, c := range skewCases {
 		for _, n := range carveCounts {
 			for _, chunk := range []int{0, 1, 3, 8} {

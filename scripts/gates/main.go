@@ -9,8 +9,10 @@
 // Each package runs one `go test -bench -benchmem` per run count, the
 // largest best-of-N of the rows naming a benchmark. A ratio is fastest run
 // over the baseline's fastest, so the clock cancels out; an allocs bound
-// holds in every run. `Task*` names every benchmark with that prefix (at
-// least one). A `gate` row that misses its bound fails; a `target` row
+// holds in every run, and so does a floor on a metric the benchmark
+// reports (floors): only timed runs print a result line, so calibration
+// rounds are never judged. `Task*` names every benchmark with that prefix
+// (at least one). A `gate` row that misses its bound fails; a `target` row
 // only prints, so making it a gate is a one-word change.
 //
 // Exit codes: 0 pass, 1 gate failure, 2 unusable input — `go test` failed
@@ -26,6 +28,7 @@ import (
 	"fmt"
 	"io"
 	"maps"
+	"math"
 	"os"
 	"os/exec"
 	"regexp"
@@ -98,9 +101,24 @@ var table = []row{
 	{"parallel", parPkg, "ParallelForSteal", 0, "", "", 0, 1, gate, "the steal dispenser is re-armed in its encounter slot, not allocated"},
 }
 
+// floors holds every timed run of a benchmark to a least value of one of
+// its custom metrics.
+var floors = map[key]floor{
+	{root, "Ablation_CompositeOpNarrowed"}: {"narrow-share", 0.98},
+}
+
 type (
-	// result is one run of one benchmark.
-	result struct{ ns, allocs float64 }
+	// result is one run of one benchmark: ns/op, allocs/op and the custom
+	// metrics by unit.
+	result struct {
+		ns, allocs float64
+		metrics    map[string]float64
+	}
+	// floor is a least value of a custom metric, by unit.
+	floor struct {
+		unit string
+		min  float64
+	}
 	// key is a package and a benchmark name without its -GOMAXPROCS suffix.
 	key     struct{ pkg, name string }
 	results map[key][]result
@@ -221,7 +239,7 @@ func parse(out string) (map[string][]result, error) {
 		case f[0] == "FAIL" || strings.Contains(line, "--- FAIL") || strings.HasPrefix(f[0], "panic:"):
 			return nil, fmt.Errorf("a benchmark failed: %q", line)
 		case strings.HasPrefix(f[0], "Benchmark"):
-			r, ok := result{ns: -1, allocs: -1}, len(f)%2 == 0
+			r, ok := result{ns: -1, allocs: -1, metrics: map[string]float64{}}, len(f)%2 == 0
 			for i := 2; ok && i < len(f); i += 2 {
 				v, err := strconv.ParseFloat(f[i], 64)
 				ok = err == nil
@@ -230,6 +248,9 @@ func parse(out string) (map[string][]result, error) {
 					r.ns = v
 				case "allocs/op":
 					r.allocs = v
+				case "B/op":
+				default:
+					r.metrics[f[i+1]] = v
 				}
 			}
 			if !ok || r.ns < 0 || r.allocs < 0 {
@@ -253,6 +274,18 @@ func judge(r row, res results) verdict {
 		worst := slices.MaxFunc(runs, func(a, b result) int { return cmp.Compare(a.allocs, b.allocs) }).allocs
 		parts = append(parts, fmt.Sprintf("%g allocs/op (≤ %d)", worst, r.allocs))
 		ok = worst <= float64(r.allocs)
+	}
+	if f, has := floors[key{r.pkg, r.bench}]; has {
+		least := math.Inf(1)
+		for _, run := range runs {
+			v, reported := run.metrics[f.unit]
+			if !reported {
+				return verdict{"MISSING", fmt.Sprintf("a run of %s reports no %s", r.bench, f.unit)}
+			}
+			least = min(least, v)
+		}
+		parts = append(parts, fmt.Sprintf("%g %s (≥ %g)", least, f.unit, f.min))
+		ok = ok && least >= f.min
 	}
 	if r.ratio > 0 {
 		base, err := find(res, r.basePkg, r.base, r.best)

@@ -76,12 +76,13 @@ func TestParseReadsUnitsNotPositions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	per := func(unit string, v float64) map[string]float64 { return map[string]float64{unit: v} }
 	want := map[string][]result{
-		"Overhead_RegionEntry":         {{2752, 0}, {1391, 0}},
-		"Overhead_RegionEntryTraced":   {{2079, 0}, {3030, 0}},
-		"Overhead_RegionEntryMetrics":  {{2363, 0}, {2656, 0}},
-		"Ablation_ConstructInstance":   {{1039, 0}, {739.2, 0}},
-		"Ablation_CompositeOpNarrowed": {{2407, 0}, {1300, 0}},
+		"Overhead_RegionEntry":         {{2752, 0, nil}, {1391, 0, nil}},
+		"Overhead_RegionEntryTraced":   {{2079, 0, nil}, {3030, 0, nil}},
+		"Overhead_RegionEntryMetrics":  {{2363, 0, nil}, {2656, 0, nil}},
+		"Ablation_ConstructInstance":   {{1039, 0, per("ns/worker-encounter", 513.8)}, {739.2, 0, per("ns/worker-encounter", 366.1)}},
+		"Ablation_CompositeOpNarrowed": {{2407, 0, per("narrow-share", 1)}, {1300, 0, per("narrow-share", 0.995)}},
 	}
 	if fmt.Sprint(runs) != fmt.Sprint(want) {
 		t.Errorf("parsed %v, want %v", runs, want)
@@ -100,8 +101,8 @@ func TestPatternSelectsExactlyTheNames(t *testing.T) {
 
 // TestFixtureVerdicts: names match exactly (Overhead_RegionEntry is not
 // judged by its Metrics sibling's allocations), a ratio is fastest over
-// fastest, an allocs bound holds in every run, and a missed target does
-// not fail the command.
+// fastest, an allocs bound and a floor hold in every run, and a missed
+// target does not fail the command.
 func TestFixtureVerdicts(t *testing.T) {
 	out := map[string]string{
 		root:  strings.Replace(rootOutput, "2656 ns/op	       1 B/op	       0 allocs/op", "2656 ns/op	       1 B/op	       1 allocs/op", 1),
@@ -112,12 +113,13 @@ func TestFixtureVerdicts(t *testing.T) {
 		{"encounter", root, "Ablation_ConstructInstance", 0, rtPkg, "BarrierPhase/w=2", 3, 2, gate, ""},
 		{"trace", root, "Overhead_RegionEntryTraced", none, root, "Overhead_RegionEntry", 1.10, 2, target, ""},
 		{"metrics", root, "Overhead_RegionEntryMetrics", 0, "", "", 0, 2, gate, ""},
+		{"team of one", root, "Ablation_CompositeOpNarrowed", 0, "", "", 0, 2, gate, ""},
 	}
 	words, text, code := runGates(t, rows, fixed(out))
-	if want := []string{"PASS", "PASS", "TARGET", "FAIL"}; fmt.Sprint(words) != fmt.Sprint(want) || code != 1 {
+	if want := []string{"PASS", "PASS", "TARGET", "FAIL", "PASS"}; fmt.Sprint(words) != fmt.Sprint(want) || code != 1 {
 		t.Errorf("verdicts %v, exit %d; want %v, exit 1:\n%s", words, code, want, text)
 	}
-	for _, want := range []string{"2.13× BarrierPhase/w=2 (≤ 3×)", "1.49× Overhead_RegionEntry (≤ 1.1×)", "1 allocs/op (≤ 0)"} {
+	for _, want := range []string{"2.13× BarrierPhase/w=2 (≤ 3×)", "1.49× Overhead_RegionEntry (≤ 1.1×)", "1 allocs/op (≤ 0)", "0.995 narrow-share (≥ 0.98)"} {
 		if !strings.Contains(text, want) {
 			t.Errorf("output lacks %q:\n%s", want, text)
 		}
@@ -136,6 +138,7 @@ func TestUnusableInputExits2(t *testing.T) {
 	}{
 		{"b.Fatalf", narrowed, fixed(map[string]string{root: failed}), "a benchmark failed"},
 		{"no -benchmem columns", narrowed, fixed(map[string]string{root: "BenchmarkAblation_CompositeOpNarrowed-2  200  1300 ns/op  0.9950 narrow-share\n"}), "run without -benchmem"},
+		{"floor metric absent", narrowed, fixed(map[string]string{root: "BenchmarkAblation_CompositeOpNarrowed-2  200  1300 ns/op  0 B/op  0 allocs/op\n"}), "reports no narrow-share"},
 		{"go test error", narrowed, func(string, int, []string) (string, error) { return "", errors.New("exit status 1") }, "exit status 1"},
 		{"Task* matches nothing", []row{{"task", rtPkg, "Task*", 0, "", "", 0, 1, gate, ""}}, fixed(map[string]string{rtPkg: rtOutput}), "no Task* in the output"},
 		{"baseline absent", []row{{"encounter", root, "Ablation_ConstructInstance", 0, rtPkg, "BarrierPhase/w=4", 3, 2, gate, ""}},
@@ -204,13 +207,19 @@ func TestGateBenchmarksExist(t *testing.T) {
 			t.Errorf("%s row %s: no baseline func Benchmark%s in %s", r.layer, r.bench, r.base, r.basePkg)
 		}
 	}
+	for k := range floors {
+		if !slices.ContainsFunc(table, func(r row) bool { return r.pkg == k.pkg && r.bench == k.name }) {
+			t.Errorf("the %s floor of %s %s belongs to no row, so nothing judges it", floors[k].unit, k.pkg, k.name)
+		}
+	}
 }
 
 // synthetic prints go test output for every row's benchmarks: count runs
-// each at 1000 ns/op and 0 allocs/op unless ns or lastAllocs (the last
-// run's allocs/op) say otherwise, both keyed by package and name. Task*
-// stands for the package's real Task funcs.
-type synthetic struct{ ns, lastAllocs map[string]float64 }
+// each at 1000 ns/op, 0 allocs/op and a floored metric at its floor unless
+// ns, lastAllocs or lastMetric (the last run's allocs/op and floored
+// metric) say otherwise, all keyed by package and name. Task* stands for
+// the package's real Task funcs.
+type synthetic struct{ ns, lastAllocs, lastMetric map[string]float64 }
 
 func (s synthetic) bench(t *testing.T) benchFunc {
 	return func(pkg string, count int, names []string) (string, error) {
@@ -225,12 +234,20 @@ func (s synthetic) bench(t *testing.T) benchFunc {
 				if !ok {
 					ns = 1000
 				}
+				f, floored := floors[key{pkg, n}]
 				for i := 1; i <= count; i++ {
-					allocs := 0.0
+					allocs, metric := 0.0, ""
 					if i == count {
 						allocs = s.lastAllocs[pkg+" "+n]
 					}
-					fmt.Fprintf(&b, "Benchmark%s-2\t    1000\t%12g ns/op\t       0 B/op\t%8g allocs/op\n", n, ns, allocs)
+					if floored {
+						v, ok := s.lastMetric[pkg+" "+n]
+						if !ok || i < count {
+							v = f.min
+						}
+						metric = fmt.Sprintf("\t%8g %s", v, f.unit)
+					}
+					fmt.Fprintf(&b, "Benchmark%s-2\t    1000\t%12g ns/op%s\t       0 B/op\t%8g allocs/op\n", n, ns, metric, allocs)
 				}
 			}
 		}
@@ -239,11 +256,11 @@ func (s synthetic) bench(t *testing.T) benchFunc {
 }
 
 // TestEveryRowCanFail feeds the real table synthetic runs in which exactly
-// one bound of one row is missed, for every bound of every row: that row
-// alone must fail (exit 1) if it is a gate, or read TARGET (exit 0) if it
-// is a target. No row passes vacuously.
+// one bound of one row is missed, for every bound of every row — a floor
+// in the last run only: that row alone must fail (exit 1) if it is a gate,
+// or read TARGET (exit 0) if it is a target. No row passes vacuously.
 func TestEveryRowCanFail(t *testing.T) {
-	pass := synthetic{ns: map[string]float64{}, lastAllocs: map[string]float64{}}
+	pass := synthetic{ns: map[string]float64{}, lastAllocs: map[string]float64{}, lastMetric: map[string]float64{}}
 	for _, r := range table {
 		k := r.pkg + " " + r.bench
 		if old, ok := pass.ns[k]; r.ratio > 0 && (!ok || r.ratio*500 < old) {
@@ -261,14 +278,18 @@ func TestEveryRowCanFail(t *testing.T) {
 	for i, r := range table {
 		var broken []synthetic
 		if r.allocs != none {
-			s := synthetic{maps.Clone(pass.ns), map[string]float64{}}
+			s := synthetic{maps.Clone(pass.ns), map[string]float64{}, pass.lastMetric}
 			names := matching(t, r.pkg, r.bench)
 			s.lastAllocs[r.pkg+" "+names[len(names)-1]] = float64(r.allocs + 1)
 			broken = append(broken, s)
 		}
 		if r.ratio > 0 {
-			s := synthetic{maps.Clone(pass.ns), pass.lastAllocs}
+			s := synthetic{maps.Clone(pass.ns), pass.lastAllocs, pass.lastMetric}
 			s.ns[r.pkg+" "+r.bench] = r.ratio * 1010
+			broken = append(broken, s)
+		}
+		if f, ok := floors[key{r.pkg, r.bench}]; ok {
+			s := synthetic{pass.ns, pass.lastAllocs, map[string]float64{r.pkg + " " + r.bench: f.min - 0.01}}
 			broken = append(broken, s)
 		}
 		for _, s := range broken {
@@ -292,10 +313,10 @@ func TestEveryRowCanFail(t *testing.T) {
 // markdown renders rows as DESIGN.md's layer-budget table.
 func markdown(rows []row) string {
 	var b strings.Builder
-	b.WriteString("| layer | package | benchmark | allocs ≤ | baseline | ratio ≤ | best of | status | why |\n")
-	b.WriteString("|---|---|---|---:|---|---:|---:|---|---|\n")
+	b.WriteString("| layer | package | benchmark | allocs ≤ | baseline | ratio ≤ | floor | best of | status | why |\n")
+	b.WriteString("|---|---|---|---:|---|---:|---|---:|---|---|\n")
 	for _, r := range rows {
-		allocs, base, ratio := "—", "—", "—"
+		allocs, base, ratio, least := "—", "—", "—", "—"
 		if r.allocs != none {
 			allocs = strconv.Itoa(r.allocs)
 		}
@@ -305,8 +326,11 @@ func markdown(rows []row) string {
 				base += " (`" + r.basePkg + "`)"
 			}
 		}
-		fmt.Fprintf(&b, "| %s | `%s` | `%s` | %s | %s | %s | %d | %s | %s |\n",
-			r.layer, r.pkg, r.bench, allocs, base, ratio, r.best, r.status, r.why)
+		if f, ok := floors[key{r.pkg, r.bench}]; ok {
+			least = fmt.Sprintf("%s ≥ %g", f.unit, f.min)
+		}
+		fmt.Fprintf(&b, "| %s | `%s` | `%s` | %s | %s | %s | %s | %d | %s | %s |\n",
+			r.layer, r.pkg, r.bench, allocs, base, ratio, least, r.best, r.status, r.why)
 	}
 	return b.String()
 }
