@@ -466,9 +466,10 @@ type TenantAdmissionStats = rt.TenantAdmissionStats
 // ------------------------------------------------------------- tracing --
 
 // EnableTracing turns the built-in runtime tracer on or off — the
-// runtime reports region forks, hot-team leases, task lifecycles, steals,
-// barrier waits and dependence releases into it — and returns whether it
-// was previously on. The tracer records a
+// runtime reports region entries with their team leases, worker shares,
+// task lifecycles, steals, barrier waits and dependence releases into it,
+// one record per slice written when the slice ends — and returns whether
+// it was previously on. The tracer records a
 // timeline once StartTrace starts buffering; it counts nothing — event
 // counts and latencies come from EnableMetrics and ReadMetrics. Disabled
 // (the default), every emit point costs one atomic load and a predicted
@@ -486,7 +487,8 @@ func StartTrace() { obs.StartTrace() }
 // StopTrace ends the recording and writes the timeline as Chrome
 // trace-event JSON to the writer — load it at ui.perfetto.dev: one track
 // per worker, nested region/work/task slices, barrier-wait slices, and
-// flow arrows from task spawn (and dependence release) to task run.
+// flow arrows from task spawn (and dependence release) to task run. A
+// slice still open at StopTrace is not in the trace.
 func StopTrace(w io.Writer) error { return obs.StopTrace(w) }
 
 // RuntimeStats snapshots the runtime's own tallies: the hot-team pool's
@@ -514,11 +516,3 @@ type RuntimeSnapshot struct {
 
 // TraceStats is the tracer's ring accounting (RuntimeSnapshot.Trace).
 type TraceStats = obs.Stats
-
-// TraceSpans builds a tracing aspect: matched methods become named spans
-// on the recording trace — instrumentation woven into the base program
-// like any other crosscutting concern, and unplugged the same way.
-var TraceSpans = core.TraceSpans
-
-// TraceAspect is TraceSpans' aspect type.
-type TraceAspect = core.TraceAspect

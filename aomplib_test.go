@@ -248,8 +248,7 @@ func TestParallelEntryPointsHaveCallers(t *testing.T) {
 // TestFacadeConstructsHaveCallers holds the facade's constructs to the
 // same rule. The census is every name of package aomplib that aliases a
 // core construct constructor (var X = core.X) or a core annotation type
-// (type X = core.X, aspect types aside); TraceSpans is instrumentation
-// (DESIGN.md §8), not a construct. A reference counts as aomplib.X or
+// (type X = core.X, aspect types aside). A reference counts as aomplib.X or
 // core.X from a non-test .go file outside internal/core and the facade's
 // own files. A paper construct — one named in a row of DESIGN.md §2 not
 // marked "ext." — may be called from an examples/ program; an extension
@@ -275,7 +274,7 @@ func TestFacadeConstructsHaveCallers(t *testing.T) {
 
 // coreAliases returns the names the package in dir declares as aliases of
 // package core: var X = core.X, and type X = core.X for every X that does
-// not end in "Aspect". TraceSpans is left out (TestFacadeConstructsHaveCallers).
+// not end in "Aspect".
 func coreAliases(t *testing.T, dir string) []string {
 	t.Helper()
 	var names []string
@@ -298,7 +297,7 @@ func coreAliases(t *testing.T, dir string) []string {
 						name, rhs = sp.Name.Name, sp.Type
 					}
 				}
-				if sel, ok := rhs.(*ast.SelectorExpr); ok && name != "TraceSpans" {
+				if sel, ok := rhs.(*ast.SelectorExpr); ok {
 					if id, ok := sel.X.(*ast.Ident); ok && id.Name == "core" && sel.Sel.Name == name {
 						names = append(names, name)
 					}

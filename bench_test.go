@@ -337,8 +337,7 @@ func BenchmarkOverhead_RegionEntryTraced(b *testing.B) {
 // BenchmarkOverhead_RegionEntryMetrics is the warm entry with the
 // always-on metrics registry recording — the CI gate asserting that
 // production telemetry adds no allocations to the facade region-entry
-// path (the record path is preallocated padded atomics and lossy pairing
-// tables).
+// path (the record path is preallocated padded atomics).
 func BenchmarkOverhead_RegionEntryMetrics(b *testing.B) {
 	prev := aomplib.EnableMetrics(true)
 	defer aomplib.EnableMetrics(prev)

@@ -245,11 +245,11 @@ func TestDiagnosticsTraceLeavesProgramTrace(t *testing.T) {
 		t.Fatalf("program trace is not valid JSON: %v", err)
 	}
 	for _, ev := range trace.TraceEvents {
-		if ev.Name == "region fork" && ev.Args["size"] == float64(3) {
+		if ev.Name == "region" && ev.Args["size"] == float64(3) {
 			return
 		}
 	}
-	t.Fatal("the program's trace lost its region fork to the endpoint's capture")
+	t.Fatal("the program's trace lost its region slice to the endpoint's capture")
 }
 
 // ServeDiagnostics must bind a working listener serving Handler's routes,

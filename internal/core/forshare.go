@@ -39,8 +39,8 @@ func (a *ForAspect) Named(name string) *ForAspect { a.name = name; return a }
 // Schedule selects the scheduling policy — @For(schedule=...). On a team of
 // one a dispensing kind (dynamic, guided, steal, adaptive, and runtime when
 // it reads one) resolves to static by blocks: the method runs once over the
-// whole range with no end barrier, and ForContext.Kind and the WorkBegin
-// event report staticBlock.
+// whole range with no end barrier, and ForContext.Kind and the Work
+// record report staticBlock.
 func (a *ForAspect) Schedule(k sched.Kind) *ForAspect { a.kind = k; return a }
 
 // Chunk sets the chunk of the dynamic, guided and steal schedules (default

@@ -23,9 +23,9 @@ func pinWidth(t testing.TB) {
 	t.Cleanup(func() { fixedWidth = prev })
 }
 
-// traceForkSizes runs fn under a fresh trace and counts its region forks
+// traceForkSizes runs fn under a fresh trace and counts its region slices
 // by team size. It fails t if the rings dropped any event, which could
-// hide a narrow fork.
+// hide a narrow entry.
 func traceForkSizes(t testing.TB, fn func()) map[int]int {
 	t.Helper()
 	defer obs.EnableTracing(obs.EnableTracing(false))
@@ -52,7 +52,7 @@ func traceForkSizes(t testing.TB, fn func()) map[int]int {
 	}
 	forks := map[int]int{}
 	for _, ev := range trace.TraceEvents {
-		if ev.Name == "region fork" {
+		if ev.Name == "region" {
 			forks[ev.Args.Size]++
 		}
 	}

@@ -15,17 +15,16 @@ import (
 //
 //   - one track (tid) per worker, named "worker N", plus a shared track
 //     for events emitted outside any worker context;
-//   - begin/end record pairs (implicit task, work-sharing, task execution,
-//     user spans) become nested "X" duration slices — pairing is defensive,
-//     so a trace cut mid-region still exports properly nested slices;
-//   - barrier arrive/depart pairs become wait slices spanning the time the
-//     worker was blocked;
+//   - each slice record (region, implicit task, work-sharing share, task
+//     run, barrier wait) becomes one "X" duration slice;
 //   - task spawn→run and dependence release→run become flow arrows;
-//   - region fork/join, team lease/retire, steals and inline tasks become
-//     instants.
+//   - team retires, steals and inline tasks become instants.
 //
-// The export runs entirely off the hot path, after StopTrace has drained
-// the rings.
+// Slices are written when they end, so nesting comes from their times:
+// per track they are sorted by start, and a slice that outlives the slice
+// enclosing it — two goroutines that inherited one worker context emit
+// on one track — is clipped to that slice's end. The export runs entirely
+// off the hot path, after StopTrace has drained the rings.
 
 const chromePid = 1
 
@@ -65,39 +64,24 @@ func trackName(w WorkerID) string {
 // usec converts trace nanoseconds to the microsecond float ts Chrome uses.
 func usec(ns int64) float64 { return float64(ns) / 1e3 }
 
-// openSpan is one stack frame of the begin/end pairing. startNs keeps the
-// exact begin time: durations are computed in integer nanoseconds and only
-// then converted, so nested slices cannot leak past their parents through
-// float rounding.
-type openSpan struct {
-	ev      chromeEvent // slice under construction; Ts set, Dur pending
-	startNs int64
-	end     EventKind // record kind that closes it
-	key     uint64    // task id / span name id that must match (0 = any)
-}
-
-// writeChromeTrace converts drained records to trace JSON. c resolves
-// interned span names and contributes the stats snapshot.
+// writeChromeTrace converts drained records to trace JSON; c contributes
+// the stats snapshot.
 func writeChromeTrace(w io.Writer, c *collector, events []Event) error {
 	byTrack := map[WorkerID][]Event{}
-	var maxTs int64
 	for _, ev := range events {
 		byTrack[ev.Worker] = append(byTrack[ev.Worker], ev)
-		if ev.When > maxTs {
-			maxTs = ev.When
-		}
 	}
 
-	// Pass 1: flow endpoints. A task's schedule record anchors the arrow
-	// heads for its spawn and (if any) dependence-release arrows; arrows
-	// are emitted only when both ends exist in the trace. Flow ids share
-	// the task id space: spawn arrows use task<<1, release arrows task<<1|1.
-	scheduled := map[uint64]bool{}
+	// Flow endpoints: a task's run slice anchors the arrow heads for its
+	// spawn and (if any) dependence-release arrows; arrows are emitted
+	// only when both ends exist in the trace. Flow ids share the task id
+	// space: spawn arrows use task<<1, release arrows task<<1|1.
+	ran := map[uint64]bool{}
 	released := map[uint64]bool{}
 	for _, ev := range events {
 		switch ev.Kind {
-		case EvTaskSchedule:
-			scheduled[ev.Task] = true
+		case EvTaskRun:
+			ran[ev.Task] = true
 		case EvDepRelease:
 			released[ev.Task] = true
 		}
@@ -123,119 +107,81 @@ func writeChromeTrace(w io.Writer, c *collector, events []Event) error {
 			chromeEvent{Name: "thread_sort_index", Ph: "M", Pid: chromePid, Tid: tid,
 				Args: map[string]any{"sort_index": tid}})
 
+		// By start, and at equal starts the longer first, so a slice
+		// follows every slice that encloses it.
 		evs := byTrack[tr]
-		sort.SliceStable(evs, func(i, j int) bool { return evs[i].When < evs[j].When })
+		sort.SliceStable(evs, func(i, j int) bool {
+			if evs[i].Start != evs[j].Start {
+				return evs[i].Start < evs[j].Start
+			}
+			return evs[i].When > evs[j].When
+		})
 
-		var stack []openSpan
-		push := func(ev chromeEvent, startNs int64, end EventKind, key uint64) {
-			stack = append(stack, openSpan{ev: ev, startNs: startNs, end: end, key: key})
+		// ends holds the ends of the slices enclosing the current one.
+		// Times are integer nanoseconds until the slice is emitted, so a
+		// clipped slice cannot leak past its parent through float rounding.
+		var ends []int64
+		slice := func(ev Event, name, cat string, args map[string]any) chromeEvent {
+			start := max(ev.Start, 0) // began before StartTrace
+			for len(ends) > 0 && ends[len(ends)-1] <= start {
+				ends = ends[:len(ends)-1]
+			}
+			end := max(ev.When, start)
+			if len(ends) > 0 {
+				end = min(end, ends[len(ends)-1])
+			}
+			ends = append(ends, end)
+			out = append(out, chromeEvent{Name: name, Cat: cat, Ph: "X", Ts: usec(start),
+				Dur: usec(end - start), Pid: chromePid, Tid: tid, Args: args})
+			return out[len(out)-1]
 		}
-		// close pops frames until one matching (kind, key); frames above
-		// it — and, when no frame matches, nothing — are closed at ts.
-		// Closing strictly from the top keeps every emitted slice properly
-		// nested even when begins and ends were recorded unbalanced (trace
-		// cut mid-construct, hooks toggled mid-region).
-		closeSpan := func(kind EventKind, key uint64, ts int64) {
-			match := -1
-			for i := len(stack) - 1; i >= 0; i-- {
-				if stack[i].end == kind && (stack[i].key == 0 || key == 0 || stack[i].key == key) {
-					match = i
-					break
-				}
+		instant := func(name, cat string, ts int64, args map[string]any) {
+			out = append(out, chromeEvent{Name: name, Cat: cat, Ph: "i", S: "t",
+				Ts: usec(max(ts, 0)), Pid: chromePid, Tid: tid, Args: args})
+		}
+		flow := func(name, cat, ph string, ts float64, id uint64) {
+			ev := chromeEvent{Name: name, Cat: cat, Ph: ph, Ts: ts, Pid: chromePid, Tid: tid, ID: id}
+			if ph == "f" {
+				ev.BP = "e" // the arrow head binds to the enclosing slice
 			}
-			if match < 0 {
-				return
-			}
-			for i := len(stack) - 1; i >= match; i-- {
-				sp := stack[i]
-				sp.ev.Dur = usec(max(ts-sp.startNs, 0))
-				out = append(out, sp.ev)
-			}
-			stack = stack[:match]
+			out = append(out, ev)
 		}
 
 		for _, ev := range evs {
-			ts := usec(ev.When)
 			switch ev.Kind {
-			case EvImplicitBegin:
-				push(chromeEvent{Name: fmt.Sprintf("parallel L%d", ev.Level), Cat: "region",
-					Ph: "X", Ts: ts, Pid: chromePid, Tid: tid,
-					Args: map[string]any{"team": ev.Team, "level": ev.Level}}, ev.When, EvImplicitEnd, ev.Team)
-			case EvImplicitEnd:
-				closeSpan(EvImplicitEnd, ev.Team, ev.When)
-			case EvWorkBegin:
-				push(chromeEvent{Name: "for (" + sched.Kind(ev.Arg).String() + ")", Cat: "work",
-					Ph: "X", Ts: ts, Pid: chromePid, Tid: tid}, ev.When, EvWorkEnd, ev.Team)
-			case EvWorkEnd:
-				closeSpan(EvWorkEnd, ev.Team, ev.When)
-			case EvTaskSchedule:
-				push(chromeEvent{Name: fmt.Sprintf("task %d", ev.Task), Cat: "task",
-					Ph: "X", Ts: ts, Pid: chromePid, Tid: tid,
-					Args: map[string]any{"task": ev.Task}}, ev.When, EvTaskComplete, ev.Task)
-				// Arrow heads bind to this slice (bp "e": enclosing slice).
-				out = append(out, chromeEvent{Name: "spawn", Cat: "taskflow", Ph: "f", BP: "e",
-					Ts: ts, Pid: chromePid, Tid: tid, ID: ev.Task << 1})
+			case EvRegion:
+				slice(ev, "region", "region", map[string]any{"team": ev.Team, "size": uint32(ev.Arg),
+					"level": ev.Level, "lease": LeaseKind(ev.Arg >> 32).String()})
+			case EvImplicit:
+				slice(ev, fmt.Sprintf("parallel L%d", ev.Level), "region",
+					map[string]any{"team": ev.Team, "level": ev.Level})
+			case EvWork:
+				slice(ev, "for ("+sched.Kind(ev.Arg).String()+")", "work", nil)
+			case EvBarrier:
+				slice(ev, "barrier", "barrier", map[string]any{"team": ev.Team})
+			case EvTaskRun:
+				s := slice(ev, fmt.Sprintf("task %d", ev.Task), "task", map[string]any{"task": ev.Task})
+				flow("spawn", "taskflow", "f", s.Ts, ev.Task<<1)
 				if released[ev.Task] {
-					out = append(out, chromeEvent{Name: "dep release", Cat: "depflow", Ph: "f", BP: "e",
-						Ts: ts, Pid: chromePid, Tid: tid, ID: ev.Task<<1 | 1})
+					flow("dep release", "depflow", "f", s.Ts, ev.Task<<1|1)
 				}
-			case EvTaskComplete:
-				closeSpan(EvTaskComplete, ev.Task, ev.When)
-			case EvSpanBegin:
-				push(chromeEvent{Name: c.spanName(uint32(ev.Task)), Cat: "span",
-					Ph: "X", Ts: ts, Pid: chromePid, Tid: tid}, ev.When, EvSpanEnd, ev.Task)
-			case EvSpanEnd:
-				closeSpan(EvSpanEnd, ev.Task, ev.When)
-			case EvBarrierArrive:
-				push(chromeEvent{Name: "barrier", Cat: "barrier",
-					Ph: "X", Ts: ts, Pid: chromePid, Tid: tid,
-					Args: map[string]any{"team": ev.Team}}, ev.When, EvBarrierDepart, ev.Team)
-			case EvBarrierDepart:
-				closeSpan(EvBarrierDepart, ev.Team, ev.When)
 			case EvTaskCreate:
-				out = append(out, chromeEvent{Name: "spawn", Cat: "task", Ph: "i", S: "t",
-					Ts: ts, Pid: chromePid, Tid: tid,
-					Args: map[string]any{"task": ev.Task, "kind": TaskKind(ev.Arg).String()}})
-				if scheduled[ev.Task] {
-					out = append(out, chromeEvent{Name: "spawn", Cat: "taskflow", Ph: "s",
-						Ts: ts, Pid: chromePid, Tid: tid, ID: ev.Task << 1})
+				instant("spawn", "task", ev.When, map[string]any{"task": ev.Task, "kind": TaskKind(ev.Arg).String()})
+				if ran[ev.Task] {
+					flow("spawn", "taskflow", "s", usec(max(ev.When, 0)), ev.Task<<1)
 				}
 			case EvDepRelease:
-				out = append(out, chromeEvent{Name: "dep release", Cat: "dep", Ph: "i", S: "t",
-					Ts: ts, Pid: chromePid, Tid: tid, Args: map[string]any{"task": ev.Task}})
-				if scheduled[ev.Task] {
-					out = append(out, chromeEvent{Name: "dep release", Cat: "depflow", Ph: "s",
-						Ts: ts, Pid: chromePid, Tid: tid, ID: ev.Task<<1 | 1})
+				instant("dep release", "dep", ev.When, map[string]any{"task": ev.Task})
+				if ran[ev.Task] {
+					flow("dep release", "depflow", "s", usec(max(ev.When, 0)), ev.Task<<1|1)
 				}
-			case EvRegionFork:
-				out = append(out, chromeEvent{Name: "region fork", Cat: "region", Ph: "i", S: "t",
-					Ts: ts, Pid: chromePid, Tid: tid,
-					Args: map[string]any{"team": ev.Team, "size": ev.Arg, "level": ev.Level}})
-			case EvRegionJoin:
-				out = append(out, chromeEvent{Name: "region join", Cat: "region", Ph: "i", S: "t",
-					Ts: ts, Pid: chromePid, Tid: tid, Args: map[string]any{"team": ev.Team}})
-			case EvTeamLease:
-				hit := ev.Arg>>32 != 0
-				out = append(out, chromeEvent{Name: "team lease", Cat: "pool", Ph: "i", S: "t",
-					Ts: ts, Pid: chromePid, Tid: tid,
-					Args: map[string]any{"team": ev.Team, "size": uint32(ev.Arg), "pool_hit": hit}})
 			case EvTeamRetire:
-				out = append(out, chromeEvent{Name: "team retire", Cat: "pool", Ph: "i", S: "t",
-					Ts: ts, Pid: chromePid, Tid: tid, Args: map[string]any{"team": ev.Team}})
+				instant("team retire", "pool", ev.When, map[string]any{"team": ev.Team})
 			case EvStealSuccess:
-				out = append(out, chromeEvent{Name: "steal", Cat: "steal", Ph: "i", S: "t",
-					Ts: ts, Pid: chromePid, Tid: tid,
-					Args: map[string]any{"task": ev.Task, "victim": int32(uint32(ev.Arg))}})
+				instant("steal", "steal", ev.When, map[string]any{"task": ev.Task, "victim": int32(uint32(ev.Arg))})
 			case EvTaskInline:
-				out = append(out, chromeEvent{Name: "inline task", Cat: "task", Ph: "i", S: "t",
-					Ts: ts, Pid: chromePid, Tid: tid, Args: map[string]any{"task": ev.Task}})
+				instant("inline task", "task", ev.When, map[string]any{"task": ev.Task})
 			}
-		}
-		// Close anything the trace cut off, at the trace end.
-		for i := len(stack) - 1; i >= 0; i-- {
-			sp := stack[i]
-			sp.ev.Dur = usec(max(maxTs-sp.startNs, 0))
-			out = append(out, sp.ev)
 		}
 	}
 
@@ -265,6 +211,21 @@ func (k TaskKind) String() string {
 		return "dependent"
 	case TaskFutureDependent:
 		return "future+dependent"
+	}
+	return "unknown"
+}
+
+// String names a LeaseKind for trace args.
+func (k LeaseKind) String() string {
+	switch k {
+	case LeaseCold:
+		return "cold"
+	case LeaseHit:
+		return "pool hit"
+	case LeaseSolo:
+		return "solo"
+	case LeaseBypass:
+		return "bypass"
 	}
 	return "unknown"
 }

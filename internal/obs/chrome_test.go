@@ -83,25 +83,18 @@ func TestChromeExportStructure(t *testing.T) {
 	h := c.hooks()
 	c.start()
 
-	spanID := c.intern("Demo.run")
-	h.TeamLease(NoWorker, 1, 2, true)
-	h.RegionFork(0, 1, 1, 2)
-	h.ImplicitBegin(0, 1, 1)
-	h.ImplicitBegin(1, 1, 1)
-	h.SpanBegin(0, spanID)
-	h.WorkBegin(0, 1, 0)
-	h.WorkEnd(0, 1)
-	h.TaskCreate(0, 42, TaskDependent)
+	// at(n) is the boundary reading n µs into the trace.
+	epoch := c.epoch.Load()
+	at := func(us int64) int64 { return epoch + us*1000 }
+	h.Work(0, 1, 0, at(3), at(4))
+	h.TaskCreate(0, 42, TaskDependent, at(5))
 	h.DepRelease(0, 42)
 	h.StealSuccess(1, 42, 0)
-	h.TaskSchedule(1, 42)
-	h.TaskComplete(1, 42)
-	h.BarrierArrive(0, 1)
-	h.BarrierDepart(0, 1, 1500)
-	h.SpanEnd(0, spanID)
-	h.ImplicitEnd(1, 1)
-	h.ImplicitEnd(0, 1)
-	h.RegionJoin(0, 1, 1)
+	h.TaskRun(1, 42, at(5), at(6), at(7))
+	h.Barrier(0, 1, at(8), at(10))
+	h.Implicit(1, 1, 1, at(2), at(11))
+	h.Implicit(0, 1, 1, at(2), at(12))
+	h.Region(0, 1, 1, 2, LeaseHit, at(1), at(13))
 	h.TeamRetire(1, 2)
 
 	tr := exportTrace(t, c, c.stop())
@@ -124,6 +117,9 @@ func TestChromeExportStructure(t *testing.T) {
 			flowsF = append(flowsF, ev.ID)
 		case "X":
 			xNames[ev.Name] = true
+			if ev.Name == "region" && (ev.Args["size"] != float64(2) || ev.Args["lease"] != "pool hit") {
+				t.Fatalf("region slice args %v, want size 2 and lease \"pool hit\"", ev.Args)
+			}
 		}
 	}
 	for _, want := range []string{"worker 0", "worker 1", "(outside regions)"} {
@@ -131,7 +127,7 @@ func TestChromeExportStructure(t *testing.T) {
 			t.Fatalf("missing track %q (have %v)", want, names)
 		}
 	}
-	for _, want := range []string{"parallel L1", "Demo.run", "barrier", "task 42"} {
+	for _, want := range []string{"region", "parallel L1", "for (staticBlock)", "barrier", "task 42"} {
 		if !xNames[want] {
 			t.Fatalf("missing slice %q (have %v)", want, xNames)
 		}
@@ -157,43 +153,36 @@ func TestChromeExportStructure(t *testing.T) {
 	checkNesting(t, tr.TraceEvents)
 }
 
-// A trace cut mid-construct (begins without ends) must still export with
-// every slice closed and properly nested.
-func TestChromeExportClosesUnbalanced(t *testing.T) {
+// A slice that began before StartTrace is exported from the trace start,
+// and one that outlives the slice enclosing it on its track (two
+// goroutines sharing one inherited worker context) is clipped to that
+// slice's end.
+func TestChromeExportClipsSlices(t *testing.T) {
 	c := newCollector(64, 128)
 	h := c.hooks()
 	c.start()
-	h.ImplicitBegin(0, 1, 1)
-	h.WorkBegin(0, 1, 0)
-	h.TaskSchedule(0, 7)
-	// deliberately no ends; one later event moves the trace clock forward
-	h.TaskCreate(1, 8, TaskDeferred)
+	epoch := c.epoch.Load()
+	at := func(us int64) int64 { return epoch + us*1000 }
+	h.Implicit(0, 1, 1, at(-5), at(10))
+	h.TaskRun(0, 7, 0, at(2), at(15))
+	h.Barrier(0, 1, at(3), at(4))
 
 	tr := exportTrace(t, c, c.stop())
+	want := map[string][2]float64{"parallel L1": {0, 10}, "task 7": {2, 8}, "barrier": {3, 1}}
 	x := 0
 	for _, ev := range tr.TraceEvents {
-		if ev.Ph == "X" {
-			x++
-			if ev.Dur <= 0 {
-				t.Fatalf("unclosed slice %q exported without a duration", ev.Name)
-			}
+		if ev.Ph != "X" {
+			continue
+		}
+		x++
+		if w, ok := want[ev.Name]; !ok || ev.Ts != w[0] || ev.Dur != w[1] {
+			t.Errorf("slice %q at %v for %v µs, want %v", ev.Name, ev.Ts, ev.Dur, w)
 		}
 	}
-	if x != 3 {
-		t.Fatalf("exported %d slices, want 3 (implicit, work, task)", x)
+	if x != len(want) {
+		t.Fatalf("exported %d slices, want %d", x, len(want))
 	}
 	checkNesting(t, tr.TraceEvents)
-
-	// Ends without begins are dropped, not mis-paired.
-	c.start()
-	h.WorkEnd(0, 1)
-	h.TaskComplete(0, 9)
-	tr = exportTrace(t, c, c.stop())
-	for _, ev := range tr.TraceEvents {
-		if ev.Ph == "X" {
-			t.Fatalf("stray end exported a slice: %+v", ev)
-		}
-	}
 }
 
 // An empty trace must still be a valid, loadable file.

@@ -39,8 +39,8 @@ type histShard struct {
 	_padding [24]byte
 }
 
-// record files one nanosecond sample. Negative samples (clock anomalies,
-// mispaired lossy lookups) are discarded rather than wrapped.
+// record files one nanosecond sample. Negative samples (clock anomalies)
+// are discarded rather than wrapped.
 func (h *histShard) record(ns int64) {
 	if ns < 0 {
 		return
@@ -84,55 +84,6 @@ type metricShard struct {
 	_padding    [64]byte
 }
 
-// pairSlot is one entry of a lossy open-addressed pairing table (see
-// pairTable).
-type pairSlot struct {
-	key atomic.Uint64
-	ns  atomic.Uint64
-}
-
-// pairTable matches begin events to end events across goroutines without
-// allocating: begin stores (key, timestamp) at key&mask, end claims the
-// slot back if the key still matches. Collisions overwrite — the table is
-// a sampling device for histograms, not an exact join — and a claim whose
-// key was overwritten simply contributes no sample. Keys are runtime
-// trace ids (teams, tasks), which start at 1, so 0 means empty.
-type pairTable struct {
-	slots []pairSlot
-	mask  uint64
-}
-
-func newPairTable(capacity int) *pairTable {
-	n := 1
-	for n < capacity {
-		n <<= 1
-	}
-	return &pairTable{slots: make([]pairSlot, n), mask: uint64(n - 1)}
-}
-
-// put files the begin timestamp for key. The ns store is ordered before
-// the key store (Go atomics are sequentially consistent), so a take that
-// observes the key observes its timestamp.
-func (p *pairTable) put(key uint64, ns int64) {
-	s := &p.slots[key&p.mask]
-	s.ns.Store(uint64(ns))
-	s.key.Store(key)
-}
-
-// take claims the begin timestamp for key, reporting whether the slot
-// still held it (false after a collision overwrote the entry).
-func (p *pairTable) take(key uint64) (int64, bool) {
-	s := &p.slots[key&p.mask]
-	if s.key.Load() != key {
-		return 0, false
-	}
-	ns := int64(s.ns.Load())
-	if !s.key.CompareAndSwap(key, 0) {
-		return 0, false
-	}
-	return ns, true
-}
-
 // metricsRegistry is the process-wide metrics state. All storage is
 // allocated at construction; the record path only indexes into it.
 type metricsRegistry struct {
@@ -142,20 +93,13 @@ type metricsRegistry struct {
 	// a single shard keeps it simple — the admission path already takes
 	// the controller mutex, so one more shared line is not the bottleneck.
 	admitWait histShard
-
-	regionTimes *pairTable // team tid -> region fork ns
-	spawnTimes  *pairTable // task trace id -> spawn ns
 }
 
 func newMetricsRegistry(shards int) *metricsRegistry {
 	if shards < 2 {
 		shards = 2
 	}
-	return &metricsRegistry{
-		shards:      make([]metricShard, shards),
-		regionTimes: newPairTable(1024),
-		spawnTimes:  newPairTable(4096),
-	}
+	return &metricsRegistry{shards: make([]metricShard, shards)}
 }
 
 // shard folds a WorkerID onto its metric shard, exactly like the tracer

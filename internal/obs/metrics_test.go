@@ -21,24 +21,21 @@ func (m *metricsRegistry) hooks() *Sinks { return &Sinks{m: m} }
 // determinism test runs it with different attributions and expects
 // identical merged snapshots.
 func drive(h *Sinks, w WorkerID, tn uint64, base uint64) {
-	h.RegionFork(w, base+1, 0, 4)
-	h.RegionJoin(w, base+1, 0)
-	h.TaskCreate(w, base+2, TaskDeferred)
-	h.TaskSchedule(w, base+2)
-	h.TaskComplete(w, base+2)
+	h.Region(w, base+1, 0, 4, LeaseHit, 100, 4100)
+	h.TaskCreate(w, base+2, TaskDeferred, 200)
+	h.TaskRun(w, base+2, 200, 900, 0)
 	h.TaskInline(w, base+3)
 	h.StealAttempt(w)
 	h.StealSuccess(w, base+2, w+1)
 	h.StealScan(w, 3)
-	h.BarrierDepart(w, base+1, 1500)
-	h.WorkBegin(w, base+1, 1)
+	h.Barrier(w, base+1, 2000, 3500)
+	h.Work(w, base+1, 1, 0, 0)
 	h.AdmitGrant(tn, 700)
 }
 
 // Merged snapshots must not depend on which worker (and thus which shard)
-// recorded which sample: shard merging is plain addition. Region and
-// spawn latencies are wall-clock deltas, so only their counts are
-// compared; every other field must match bit for bit.
+// recorded which sample: shard merging is plain addition, so every field,
+// latency histograms included, must match bit for bit.
 func TestMetricsShardMergeDeterminism(t *testing.T) {
 	spreads := [][]WorkerID{
 		{0, 0, 0, 0, 0, 0},        // all on one shard
@@ -46,39 +43,28 @@ func TestMetricsShardMergeDeterminism(t *testing.T) {
 		{NoWorker, 9, 9, 2, 0, 5}, // shared ring slot + repeats
 		{63, 64, 65, 0, 1, 2},     // beyond the shard bound: folded
 	}
-	normalize := func(s MetricsSnapshot) (MetricsSnapshot, uint64, uint64) {
-		regionCnt, spawnCnt := s.RegionLatency.Count, s.SpawnLatency.Count
-		s.RegionLatency = HistogramSnapshot{}
-		s.SpawnLatency = HistogramSnapshot{}
-		return s, regionCnt, spawnCnt
-	}
 	var want MetricsSnapshot
-	var wantRegion, wantSpawn uint64
 	for i, workers := range spreads {
 		m := newMetricsRegistry(8)
 		h := m.hooks()
 		for j, w := range workers {
 			drive(h, w, uint64(j%3), uint64(j)*10)
 		}
-		got, regionCnt, spawnCnt := normalize(m.snapshot())
+		got := m.snapshot()
 		if i == 0 {
-			want, wantRegion, wantSpawn = got, regionCnt, spawnCnt
+			want = got
 			continue
 		}
 		if fmt.Sprintf("%+v", got) != fmt.Sprintf("%+v", want) {
 			t.Fatalf("spread %d produced a different snapshot:\n got %+v\nwant %+v", i, got, want)
 		}
-		if regionCnt != wantRegion || spawnCnt != wantSpawn {
-			t.Fatalf("spread %d latency counts differ: region %d/%d spawn %d/%d",
-				i, regionCnt, wantRegion, spawnCnt, wantSpawn)
-		}
 	}
 	if want.RegionEntries != 6 || want.TasksSpawned != 12 || want.TasksCompleted != 12 {
 		t.Fatalf("counter totals wrong: %+v", want)
 	}
-	if wantRegion != 6 || want.BarrierWait.Count != 6 {
-		t.Fatalf("histogram counts wrong: region=%d barrier=%d",
-			wantRegion, want.BarrierWait.Count)
+	if want.RegionLatency.SumNs != 6*4000 || want.SpawnLatency.SumNs != 6*700 || want.BarrierWait.SumNs != 6*1500 {
+		t.Fatalf("latency sums wrong: region=%d spawn=%d barrier=%d",
+			want.RegionLatency.SumNs, want.SpawnLatency.SumNs, want.BarrierWait.SumNs)
 	}
 }
 
@@ -150,11 +136,11 @@ func TestMetricsConcurrentRecordVsSnapshot(t *testing.T) {
 			defer wg.Done()
 			w := WorkerID(g)
 			for i := 0; i < iters; i++ {
-				h.TaskCreate(w, uint64(g*iters+i+1), TaskDeferred)
-				h.TaskComplete(w, uint64(g*iters+i+1))
+				h.TaskCreate(w, uint64(g*iters+i+1), TaskDeferred, 1)
+				h.TaskRun(w, uint64(g*iters+i+1), 1, 2, 0)
 				h.StealAttempt(w)
 				h.StealSuccess(w, uint64(g*iters+i+1), w)
-				h.BarrierDepart(w, 1, int64(i))
+				h.Barrier(w, 1, 0, int64(i))
 				h.AdmitGrant(uint64(g), 0)
 			}
 		}(g)
@@ -212,9 +198,8 @@ func TestCollectorConcurrentRecordVsStats(t *testing.T) {
 			w := WorkerID(g)
 			for i := 0; i < iters; i++ {
 				id := uint64(g*iters + i + 1)
-				h.RegionFork(w, id, 1, 2)
-				h.TaskCreate(w, id, TaskDeferred)
-				h.RegionJoin(w, id, 1)
+				h.Region(w, id, 1, 2, LeaseCold, 1, 2)
+				h.TaskCreate(w, id, TaskDeferred, 1)
 			}
 		}(g)
 	}
@@ -223,31 +208,9 @@ func TestCollectorConcurrentRecordVsStats(t *testing.T) {
 	snaps.Wait()
 
 	s := c.stats()
-	const total = goroutines * iters * 3
+	const total = goroutines * iters * 2
 	if s.EventsRecorded+s.EventsDropped != total {
 		t.Fatalf("quiesced stats %+v: recorded + dropped != %d emitted", s, total)
-	}
-}
-
-// The lossy pairing table must pair when unmolested, lose on collision,
-// and never return another key's timestamp.
-func TestPairTableLossyPairing(t *testing.T) {
-	p := newPairTable(16)
-	p.put(5, 100)
-	if ns, ok := p.take(5); !ok || ns != 100 {
-		t.Fatalf("take(5) = %d,%v want 100,true", ns, ok)
-	}
-	if _, ok := p.take(5); ok {
-		t.Fatal("second take of the same key must miss")
-	}
-	// 5 and 5+16 collide; the later put owns the slot.
-	p.put(5, 100)
-	p.put(5+16, 200)
-	if _, ok := p.take(5); ok {
-		t.Fatal("overwritten key must miss, not alias the new entry")
-	}
-	if ns, ok := p.take(5 + 16); !ok || ns != 200 {
-		t.Fatalf("surviving key lost: %d,%v", ns, ok)
 	}
 }
 
@@ -258,10 +221,9 @@ func TestExpositionRoundTrip(t *testing.T) {
 	defer EnableMetrics(prevEnabled)
 	h := &Sinks{m: metrics}
 
-	h.RegionFork(1, 777001, 0, 4)
-	h.RegionJoin(1, 777001, 0)
+	h.Region(1, 777001, 0, 4, LeaseHit, 0, 1500)
 	h.AdmitGrant(242, 900)
-	h.WorkBegin(1, 777001, 0)
+	h.Work(1, 777001, 0, 0, 0)
 
 	var buf bytes.Buffer
 	extra := Family{Name: "aomp_roundtrip_gauge", Help: "test gauge", Type: "gauge",

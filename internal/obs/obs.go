@@ -27,12 +27,28 @@ const (
 	TaskFutureDependent
 )
 
+// LeaseKind says how a region entry obtained its team.
+type LeaseKind uint8
+
+// Lease kinds: a cold spawn (pool empty or hot teams off), a hot-team pool
+// hit, a narrowed entry's team of one, and an admission-degraded entry's
+// team of one that bypasses the pool.
+const (
+	LeaseCold LeaseKind = iota
+	LeaseHit
+	LeaseSolo
+	LeaseBypass
+)
+
 // Sinks is what the runtime's emit points report into: the built-in
 // tracer and the metrics registry, either of which may be absent. Each
 // method is one runtime event; it records a timeline entry when the tracer
-// is on and updates the registry's shard when metrics are on. Methods run
-// inline on the emitting goroutine, often inside the runtime's hottest
-// loops, and neither block nor allocate. A published Sinks is immutable.
+// is on and updates the registry's shard when metrics are on. An event
+// with a duration is one call when the slice ends: the caller passes the
+// start it read and the end, both Now readings, and the tracer and the
+// registry share them. Methods run inline on the emitting goroutine, often
+// inside the runtime's hottest loops, and neither block nor allocate. A
+// published Sinks is immutable.
 type Sinks struct {
 	tr *collector
 	m  *metricsRegistry
@@ -74,55 +90,26 @@ func update(set func(*Sinks)) (prev Sinks) {
 // first when building the event costs a lookup, a clock read or a defer.
 func (s *Sinks) Tracing() bool { return s != nil && s.tr != nil }
 
-// RegionFork fires on the master as a parallel region starts, before any
-// worker wakes.
-func (s *Sinks) RegionFork(master WorkerID, team uint64, level, size int) {
+// Region fires once per region entry, at the join, on the master's track:
+// [start, end] spans the team's lease, the fork and the join. size is the
+// width the entry ran at and lease how it obtained its team.
+func (s *Sinks) Region(master WorkerID, team uint64, level, size int, lease LeaseKind, start, end int64) {
 	if c := s.tr; c != nil {
-		c.record(master, Event{Kind: EvRegionFork, Team: team, Arg: uint64(size), Level: uint8(level)})
+		c.record(master, Event{Kind: EvRegion, Team: team, Arg: uint64(lease)<<32 | uint64(uint32(size)), Level: uint8(level)}, start, end)
 	}
 	if m := s.m; m != nil {
-		m.shard(master).regionEntries.Add(1)
-		m.regionTimes.put(team, monotonicNs())
+		sh := m.shard(master)
+		sh.regionEntries.Add(1)
+		sh.regionLat.record(end - start)
 	}
 }
 
-// RegionJoin fires after the region fully joined.
-func (s *Sinks) RegionJoin(master WorkerID, team uint64, level int) {
+// Implicit fires as one worker finishes its share of a region entry
+// (OMPT's implicit task): every worker of the team, master included.
+// Tracer only.
+func (s *Sinks) Implicit(w WorkerID, team uint64, level int, start, end int64) {
 	if c := s.tr; c != nil {
-		c.record(master, Event{Kind: EvRegionJoin, Team: team, Level: uint8(level)})
-	}
-	if m := s.m; m != nil {
-		if t0, ok := m.regionTimes.take(team); ok {
-			m.shard(master).regionLat.record(monotonicNs() - t0)
-		}
-	}
-}
-
-// ImplicitBegin and ImplicitEnd bracket one worker's share of a region
-// entry (OMPT's implicit task): every worker of the team fires the pair,
-// master included. Tracer only.
-func (s *Sinks) ImplicitBegin(w WorkerID, team uint64, level int) {
-	if c := s.tr; c != nil {
-		c.record(w, Event{Kind: EvImplicitBegin, Team: team, Level: uint8(level)})
-	}
-}
-
-// ImplicitEnd closes ImplicitBegin's share. Tracer only.
-func (s *Sinks) ImplicitEnd(w WorkerID, team uint64) {
-	if c := s.tr; c != nil {
-		c.record(w, Event{Kind: EvImplicitEnd, Team: team})
-	}
-}
-
-// TeamLease fires when a region entry obtains its team; hit reports
-// whether the hot-team pool served it. Tracer only.
-func (s *Sinks) TeamLease(w WorkerID, team uint64, size int, hit bool) {
-	if c := s.tr; c != nil {
-		var h uint64
-		if hit {
-			h = 1
-		}
-		c.record(w, Event{Kind: EvTeamLease, Team: team, Arg: h<<32 | uint64(uint32(size))})
+		c.record(w, Event{Kind: EvImplicit, Team: team, Level: uint8(level)}, start, end)
 	}
 }
 
@@ -130,7 +117,7 @@ func (s *Sinks) TeamLease(w WorkerID, team uint64, size int, hit bool) {
 // pool drain). Tracer only.
 func (s *Sinks) TeamRetire(team uint64, size int) {
 	if c := s.tr; c != nil {
-		c.record(NoWorker, Event{Kind: EvTeamRetire, Team: team, Arg: uint64(size)})
+		c.instant(NoWorker, Event{Kind: EvTeamRetire, Team: team, Arg: uint64(size)})
 	}
 }
 
@@ -145,45 +132,38 @@ func (s *Sinks) AdmitGrant(tenant uint64, waitNs int64) {
 
 // TaskCreate fires when a task is deferred: queued on a deque, parked in
 // the dependence tracker, or started on its own goroutine outside a
-// region.
-func (s *Sinks) TaskCreate(w WorkerID, task uint64, kind TaskKind) {
+// region. at is its creation time, which the task keeps for TaskRun.
+func (s *Sinks) TaskCreate(w WorkerID, task uint64, kind TaskKind, at int64) {
 	if c := s.tr; c != nil {
-		c.record(w, Event{Kind: EvTaskCreate, Task: task, Arg: uint64(kind)})
+		c.record(w, Event{Kind: EvTaskCreate, Task: task, Arg: uint64(kind)}, at, at)
 	}
 	if m := s.m; m != nil {
 		m.shard(w).tasksSpawned.Add(1)
-		m.spawnTimes.put(task, monotonicNs())
 	}
 }
 
-// TaskSchedule and TaskComplete bracket a task's execution on the
-// executing worker, which may differ from the spawner.
-func (s *Sinks) TaskSchedule(w WorkerID, task uint64) {
+// TaskRun fires as a deferred task retires, on the worker that ran it,
+// which may differ from the spawner. created is its TaskCreate time (0
+// when it was created with every consumer off: no spawn latency then) and
+// [start, end] its execution; end is read only for the tracer.
+func (s *Sinks) TaskRun(w WorkerID, task uint64, created, start, end int64) {
 	if c := s.tr; c != nil {
-		c.record(w, Event{Kind: EvTaskSchedule, Task: task})
+		c.record(w, Event{Kind: EvTaskRun, Task: task}, start, end)
 	}
 	if m := s.m; m != nil {
-		if t0, ok := m.spawnTimes.take(task); ok {
-			m.shard(w).spawnLat.record(monotonicNs() - t0)
+		sh := m.shard(w)
+		if created != 0 {
+			sh.spawnLat.record(start - created)
 		}
+		sh.tasksCompleted.Add(1)
 	}
 }
 
-// TaskComplete closes TaskSchedule's slice.
-func (s *Sinks) TaskComplete(w WorkerID, task uint64) {
-	if c := s.tr; c != nil {
-		c.record(w, Event{Kind: EvTaskComplete, Task: task})
-	}
-	if m := s.m; m != nil {
-		m.shard(w).tasksCompleted.Add(1)
-	}
-}
-
-// TaskInline fires instead of the create/schedule/complete triple for an
-// undeferred task: one run at its spawn, on a team of one.
+// TaskInline fires instead of the create/run pair for an undeferred task:
+// one run at its spawn, on a team of one.
 func (s *Sinks) TaskInline(w WorkerID, task uint64) {
 	if c := s.tr; c != nil {
-		c.record(w, Event{Kind: EvTaskInline, Task: task})
+		c.instant(w, Event{Kind: EvTaskInline, Task: task})
 	}
 	if m := s.m; m != nil {
 		sh := m.shard(w)
@@ -204,7 +184,7 @@ func (s *Sinks) StealAttempt(w WorkerID) {
 // steal).
 func (s *Sinks) StealSuccess(w WorkerID, task uint64, victim WorkerID) {
 	if c := s.tr; c != nil {
-		c.record(w, Event{Kind: EvStealSuccess, Task: task, Arg: uint64(uint32(victim))})
+		c.instant(w, Event{Kind: EvStealSuccess, Task: task, Arg: uint64(uint32(victim))})
 	}
 	if m := s.m; m != nil {
 		m.shard(w).steals.Add(1)
@@ -219,23 +199,16 @@ func (s *Sinks) StealScan(w WorkerID, probes int) {
 	}
 }
 
-// BarrierArrive fires as a worker reaches a team barrier. Tracer only.
-func (s *Sinks) BarrierArrive(w WorkerID, team uint64) {
+// Barrier fires as a worker is released from a team barrier: [start, end]
+// is the time it waited.
+func (s *Sinks) Barrier(w WorkerID, team uint64, start, end int64) {
 	if c := s.tr; c != nil {
-		c.record(w, Event{Kind: EvBarrierArrive, Team: team})
-	}
-}
-
-// BarrierDepart fires as the worker is released, carrying the nanoseconds
-// it spent waiting.
-func (s *Sinks) BarrierDepart(w WorkerID, team uint64, waitNs int64) {
-	if c := s.tr; c != nil {
-		c.record(w, Event{Kind: EvBarrierDepart, Team: team, Arg: uint64(waitNs)})
+		c.record(w, Event{Kind: EvBarrier, Team: team}, start, end)
 	}
 	if m := s.m; m != nil {
 		sh := m.shard(w)
 		sh.barrierWaits.Add(1)
-		sh.barrierWait.record(waitNs)
+		sh.barrierWait.record(end - start)
 	}
 }
 
@@ -243,15 +216,16 @@ func (s *Sinks) BarrierDepart(w WorkerID, team uint64, waitNs int64) {
 // releases a parked dependent task to a deque. Tracer only.
 func (s *Sinks) DepRelease(w WorkerID, task uint64) {
 	if c := s.tr; c != nil {
-		c.record(w, Event{Kind: EvDepRelease, Task: task})
+		c.instant(w, Event{Kind: EvDepRelease, Task: task})
 	}
 }
 
-// WorkBegin fires as a worker begins its share of a work-sharing
-// encounter (@For); kind is the resolved sched.Kind.
-func (s *Sinks) WorkBegin(w WorkerID, team uint64, kind uint8) {
+// Work fires as a worker finishes its share of a work-sharing encounter
+// (@For); kind is the resolved sched.Kind and [start, end] the share,
+// read only for the tracer (zero otherwise).
+func (s *Sinks) Work(w WorkerID, team uint64, kind uint8, start, end int64) {
 	if c := s.tr; c != nil {
-		c.record(w, Event{Kind: EvWorkBegin, Team: team, Arg: uint64(kind)})
+		c.record(w, Event{Kind: EvWork, Team: team, Arg: uint64(kind)}, start, end)
 	}
 	if m := s.m; m != nil {
 		k := int(kind)
@@ -259,28 +233,5 @@ func (s *Sinks) WorkBegin(w WorkerID, team uint64, kind uint8) {
 			k = schedKinds - 1
 		}
 		m.shard(w).loopShares[k].Add(1)
-	}
-}
-
-// WorkEnd closes WorkBegin's share. Tracer only.
-func (s *Sinks) WorkEnd(w WorkerID, team uint64) {
-	if c := s.tr; c != nil {
-		c.record(w, Event{Kind: EvWorkEnd, Team: team})
-	}
-}
-
-// SpanBegin and SpanEnd bracket a user-defined span; the TraceSpans
-// aspect emits them around matched method calls. name is an id interned
-// with InternName. Tracer only.
-func (s *Sinks) SpanBegin(w WorkerID, name uint32) {
-	if c := s.tr; c != nil {
-		c.record(w, Event{Kind: EvSpanBegin, Task: uint64(name)})
-	}
-}
-
-// SpanEnd closes SpanBegin's span. Tracer only.
-func (s *Sinks) SpanEnd(w WorkerID, name uint32) {
-	if c := s.tr; c != nil {
-		c.record(w, Event{Kind: EvSpanEnd, Task: uint64(name)})
 	}
 }

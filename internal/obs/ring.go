@@ -9,42 +9,36 @@ import (
 // EventKind tags one trace record.
 type EventKind uint8
 
-// Event kinds recorded by the built-in tracer. Begin/End pairs become
-// nested duration slices in the Chrome export; the rest become instants,
-// flow endpoints or derived spans (barrier waits).
+// Event kinds recorded by the built-in tracer. A kind with a duration is
+// one record written when its slice ends, which the Chrome export renders
+// as a slice; the rest become instants or flow endpoints.
 const (
-	EvRegionFork EventKind = iota + 1
-	EvRegionJoin
-	EvImplicitBegin
-	EvImplicitEnd
-	EvTeamLease
+	EvRegion EventKind = iota + 1
+	EvImplicit
 	EvTeamRetire
 	EvTaskCreate
-	EvTaskSchedule
-	EvTaskComplete
+	EvTaskRun
 	EvTaskInline
 	EvStealSuccess
-	EvBarrierArrive
-	EvBarrierDepart
+	EvBarrier
 	EvDepRelease
-	EvWorkBegin
-	EvWorkEnd
-	EvSpanBegin
-	EvSpanEnd
+	EvWork
 )
 
-// Event is one fixed-size trace record. Fields are kind-specific: Task
-// carries a task trace id, an interned span name, or a victim worker id;
-// Arg carries wait nanoseconds, team sizes, schedule kinds or hit flags.
-// Records are plain data — workers write them into preallocated ring slots
-// and the drain copies them out, so nothing here may hold a pointer.
+// Event is one fixed-size trace record: a slice [Start, When] or, with
+// Start == When, an instant. Fields are kind-specific: Task carries a task
+// trace id; Arg carries team sizes and lease kinds, schedule kinds, task
+// kinds or a victim worker id. Records are plain data — workers write them
+// into preallocated ring slots and the drain copies them out, so nothing
+// here may hold a pointer.
 type Event struct {
-	When   int64 // ns since the trace epoch
+	Start  int64 // ns since the trace epoch; negative if it began before
+	When   int64 // ns since the trace epoch: the slice's end, or the instant
 	Team   uint64
 	Task   uint64
 	Arg    uint64
-	Kind   EventKind
 	Worker WorkerID
+	Kind   EventKind
 	Level  uint8
 }
 

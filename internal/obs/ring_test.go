@@ -7,7 +7,16 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 )
+
+// A record stays 48 bytes with its slice start: DefaultRingCapacity's
+// per-worker memory bound assumes it.
+func TestEventIs48Bytes(t *testing.T) {
+	if size := unsafe.Sizeof(Event{}); size != 48 {
+		t.Fatalf("Event is %d bytes, want 48", size)
+	}
+}
 
 // The ring must fill to capacity, drop (and count) the overflow, and reuse
 // its slots ring-wise across drains — wraparound is masked indexing over a
@@ -190,9 +199,9 @@ func TestCollectorRoutingAndReset(t *testing.T) {
 	c := newCollector(32, 128)
 	h := c.hooks()
 	c.start()
-	h.TaskCreate(3, 1, TaskDeferred)
-	h.TaskCreate(7, 2, TaskDeferred)
-	h.TaskCreate(NoWorker, 3, TaskDeferred)
+	h.TaskCreate(3, 1, TaskDeferred, Now())
+	h.TaskCreate(7, 2, TaskDeferred, Now())
+	h.TaskCreate(NoWorker, 3, TaskDeferred, Now())
 	if got := c.stats().EventsRecorded; got != 3 {
 		t.Fatalf("EventsRecorded = %d, want 3", got)
 	}
@@ -211,7 +220,7 @@ func TestCollectorRoutingAndReset(t *testing.T) {
 	}
 	// start discards anything recorded since the stop.
 	c.state.Store(recording)
-	h.TaskCreate(3, 4, TaskDeferred)
+	h.TaskCreate(3, 4, TaskDeferred, Now())
 	c.start()
 	if evs := c.stop(); len(evs) != 0 {
 		t.Fatalf("start did not discard stale records: %d left", len(evs))
@@ -227,7 +236,7 @@ func TestRingPoolBounded(t *testing.T) {
 	c.start()
 	const workers = 40
 	for w := WorkerID(0); w < workers; w++ {
-		h.TaskCreate(w, uint64(w)+1, TaskDeferred)
+		h.TaskCreate(w, uint64(w)+1, TaskDeferred, Now())
 	}
 	if n := len(*c.rings.Load()); n > 4 {
 		t.Fatalf("ring pool grew to %d rings, bound is 4", n)
@@ -250,7 +259,7 @@ func TestStatsRingAccounting(t *testing.T) {
 	h := c.hooks()
 	c.start()
 	for i := 0; i < 20; i++ {
-		h.TaskCreate(1, uint64(i+1), TaskDeferred) // capacity 8: 12 drops
+		h.TaskCreate(1, uint64(i+1), TaskDeferred, Now()) // capacity 8: 12 drops
 	}
 	st := c.stats()
 	if st.EventsDropped != 12 || st.RingDrops != 12 {
@@ -265,7 +274,7 @@ func TestStatsRingAccounting(t *testing.T) {
 		t.Fatalf("RingDrops lost the pre-reset drops: %d, want 12", st.RingDrops)
 	}
 	for i := 0; i < 10; i++ {
-		h.TaskCreate(1, uint64(i+1), TaskDeferred) // 2 more drops
+		h.TaskCreate(1, uint64(i+1), TaskDeferred, Now()) // 2 more drops
 	}
 	if st = c.stats(); st.RingDrops != 14 {
 		t.Fatalf("RingDrops = %d, want 14 (cumulative across traces)", st.RingDrops)
@@ -276,26 +285,9 @@ func TestStatsRingAccounting(t *testing.T) {
 	if st.WorkersFolded != 0 {
 		t.Fatalf("WorkersFolded = %d before any fold", st.WorkersFolded)
 	}
-	h.TaskCreate(10, 99, TaskDeferred) // idx 11 folds (bound 4)
+	h.TaskCreate(10, 99, TaskDeferred, Now()) // idx 11 folds (bound 4)
 	if st = c.stats(); st.WorkersFolded != 8 {
 		t.Fatalf("WorkersFolded = %d, want 8 (raw indices 4..11 share rings)", st.WorkersFolded)
-	}
-}
-
-func TestInternNameStable(t *testing.T) {
-	c := newCollector(8, 128)
-	a, b := c.intern("Demo.run"), c.intern("Demo.loop")
-	if a == b {
-		t.Fatal("distinct names share an id")
-	}
-	if c.intern("Demo.run") != a {
-		t.Fatal("intern is not idempotent")
-	}
-	if c.spanName(a) != "Demo.run" || c.spanName(b) != "Demo.loop" {
-		t.Fatalf("spanName round-trip failed: %q %q", c.spanName(a), c.spanName(b))
-	}
-	if c.spanName(999) == "" {
-		t.Fatal("unknown id must resolve to a placeholder, not empty")
 	}
 }
 
@@ -320,7 +312,7 @@ func TestCollectorFoldedConcurrentDrainReconciles(t *testing.T) {
 			defer wg.Done()
 			defer done.Add(1)
 			for i := 0; i < perWorker; i++ {
-				h.TaskCreate(w, next.Add(1), TaskDeferred)
+				h.TaskCreate(w, next.Add(1), TaskDeferred, Now())
 			}
 		}(WorkerID(w))
 	}
@@ -374,7 +366,7 @@ func TestCollectorFoldedConcurrentDrainReconciles(t *testing.T) {
 	// scheduler-dependent, so identity is asserted here deterministically.)
 	ids = map[WorkerID]bool{}
 	for w := 0; w < workersN; w++ {
-		h.TaskCreate(WorkerID(w), next.Add(1), TaskDeferred)
+		h.TaskCreate(WorkerID(w), next.Add(1), TaskDeferred, Now())
 	}
 	for _, r := range *c.rings.Load() {
 		for _, ev := range r.drain() {

@@ -71,18 +71,13 @@ type collector struct {
 	// workers shared rings.
 	droppedCum atomic.Uint64
 	foldedMax  atomic.Int64
-
-	// names interns user-span labels; ids index list.
-	namesMu sync.RWMutex
-	byName  map[string]uint32
-	names   []string
 }
 
 func newCollector(ringCap, maxRings int) *collector {
 	if maxRings < 2 {
 		maxRings = 2
 	}
-	c := &collector{ringCap: ringCap, maxRings: maxRings, byName: map[string]uint32{}}
+	c := &collector{ringCap: ringCap, maxRings: maxRings}
 	c.rings.Store(&[]*ring{})
 	return c
 }
@@ -98,15 +93,16 @@ func defaultMaxRings() int {
 	return n
 }
 
-// clock is the trace timebase. time.Since carries the monotonic reading,
-// costs ~25ns and allocates nothing — fine for an emit point that already
-// writes a 48-byte record.
+// processEpoch anchors Now; time.Since carries the monotonic reading.
 var processEpoch = time.Now()
 
-func monotonicNs() int64 { return int64(time.Since(processEpoch)) }
-
-// now returns nanoseconds since the trace epoch.
-func (c *collector) now() int64 { return monotonicNs() - c.epoch.Load() }
+// Now reads the runtime's one monotonic clock: nanoseconds since the
+// process started. It costs ~25 ns and allocates nothing. The runtime
+// reads it once per slice boundary and passes the readings to Sinks, so
+// the tracer, the metrics registry and the runtime's own timing (a
+// Grain's width record, barrier spin budgets, admission waits) share one
+// timebase.
+func Now() int64 { return int64(time.Since(processEpoch)) }
 
 // ring returns the event buffer for w, creating it on first use (the only
 // allocating path; it runs at most maxRings times per collector, never in
@@ -146,15 +142,24 @@ func (c *collector) ring(w WorkerID) *ring {
 	return grown[idx]
 }
 
-// record appends one event if a trace is recording.
-func (c *collector) record(w WorkerID, ev Event) {
+// record appends one event spanning the Now readings [start, end] if a
+// trace is recording.
+func (c *collector) record(w WorkerID, ev Event, start, end int64) {
 	if c.state.Load() != recording {
 		return
 	}
-	ev.When = c.now()
-	ev.Worker = w
+	epoch := c.epoch.Load()
+	ev.Start, ev.When, ev.Worker = start-epoch, end-epoch, w
 	if c.ring(w).append(ev) {
 		c.recorded.Add(1)
+	}
+}
+
+// instant records ev at the current time if a trace is recording.
+func (c *collector) instant(w WorkerID, ev Event) {
+	if c.state.Load() == recording {
+		now := Now()
+		c.record(w, ev, now, now)
 	}
 }
 
@@ -183,7 +188,7 @@ func (c *collector) begin() {
 		c.droppedCum.Add(r.dropped.Load())
 		r.reset()
 	}
-	c.epoch.Store(monotonicNs())
+	c.epoch.Store(Now())
 	c.state.Store(recording)
 }
 
@@ -217,44 +222,16 @@ func (c *collector) stats() Stats {
 	}
 }
 
-// intern returns the stable id of a span name, assigning one on first use.
-func (c *collector) intern(name string) uint32 {
-	c.namesMu.RLock()
-	id, ok := c.byName[name]
-	c.namesMu.RUnlock()
-	if ok {
-		return id
-	}
-	c.namesMu.Lock()
-	defer c.namesMu.Unlock()
-	if id, ok := c.byName[name]; ok {
-		return id
-	}
-	id = uint32(len(c.names))
-	c.names = append(c.names, name)
-	c.byName[name] = id
-	return id
-}
-
-// spanName resolves an interned id (drain side).
-func (c *collector) spanName(id uint32) string {
-	c.namesMu.RLock()
-	defer c.namesMu.RUnlock()
-	if int(id) < len(c.names) {
-		return c.names[id]
-	}
-	return "span"
-}
-
 // ------------------------------------------------------------ public API --
 
 // tracer is the process-wide built-in collector behind EnableTracing,
-// StartTrace, StopTrace, ReadStats and InternName.
+// StartTrace, StopTrace and ReadStats.
 var tracer = newCollector(DefaultRingCapacity, defaultMaxRings())
 
 // EnableTracing turns the built-in tracer on or off and returns whether it
-// was on. The tracer records a timeline and counts nothing: event buffering
-// needs StartTrace, event counts need EnableMetrics. It is independent of
+// was on. The tracer records a timeline, one record per slice written when
+// the slice ends, and counts nothing: event buffering needs StartTrace,
+// event counts need EnableMetrics. It is independent of
 // the metrics registry: turning one on or off never touches the other.
 func EnableTracing(on bool) bool {
 	if !on {
@@ -287,9 +264,11 @@ func TryStartTrace() bool {
 
 // StopTrace ends the recording started by StartTrace, drains the ring
 // buffers and writes the trace as Chrome trace-event JSON to w (load it at
-// ui.perfetto.dev or chrome://tracing). The tracer stays installed; use
-// EnableTracing(false) to uninstall it. Without a prior StartTrace it
-// writes a valid empty trace.
+// ui.perfetto.dev or chrome://tracing). A slice is recorded when it ends,
+// so one still open at StopTrace is not in the trace; one that began
+// before StartTrace is clipped to the trace start. The tracer stays
+// installed; use EnableTracing(false) to uninstall it. Without a prior
+// StartTrace it writes a valid empty trace.
 func StopTrace(w io.Writer) error {
 	events := tracer.stop()
 	return writeChromeTrace(w, tracer, events)
@@ -297,8 +276,3 @@ func StopTrace(w io.Writer) error {
 
 // ReadStats snapshots the built-in tracer's ring accounting.
 func ReadStats() Stats { return tracer.stats() }
-
-// InternName returns the stable id the built-in tracer files user spans
-// under — aspects intern their joinpoint names once at weave time and emit
-// the id, keeping the emit path free of string handling.
-func InternName(name string) uint32 { return tracer.intern(name) }

@@ -362,7 +362,7 @@ func TestWorkerRatesAndStealProbes(t *testing.T) {
 			hits := make([]atomic.Int32, n)
 			Region(width, func(w *Worker) {
 				fc := BeginFor(w, "rates-loop", sp, kind, 4, custom)
-				if !fc.start.IsZero() {
+				if fc.start != 0 {
 					t.Errorf("worker %d: a %v encounter read the clock", w.ID, kind)
 				}
 				ran := 0

@@ -289,7 +289,7 @@ func admitRegion() admitGrant {
 		tk.queuedWaits.Add(1)
 	}
 
-	start := time.Now()
+	start := obs.Now()
 	if policy == AdmitTimeout && timeout > 0 {
 		timer := time.NewTimer(timeout)
 		select {
@@ -312,8 +312,7 @@ func admitRegion() admitGrant {
 	} else {
 		<-w.ready
 	}
-	wait := time.Since(start)
-	ns := uint64(wait.Nanoseconds())
+	ns := uint64(obs.Now() - start)
 	ts.recordWait(ns)
 	ts.admitted.Add(1)
 	if tk != nil {

@@ -44,14 +44,20 @@ type SpanFunc func(sub sched.Space, arg any)
 // across several loops insert team barriers themselves.
 func ForSpan(w *Worker, sp sched.Space, kind sched.Kind, key any, chunk int, run SpanFunc, arg any) {
 	if kind == sched.StaticBlock || kind == sched.StaticCyclic {
-		if h := obs.Active(); h != nil {
-			h.WorkBegin(w.gid, w.Team.tid, uint8(kind))
-			if h.Tracing() {
-				defer h.WorkEnd(w.gid, w.Team.tid)
-			}
+		h := obs.Active()
+		var start int64
+		if h.Tracing() {
+			start = obs.Now()
 		}
 		if sub := staticShare(sp, kind, w.Team.Size, w.ID); sub.Count() > 0 {
 			run(sub, arg)
+		}
+		if h != nil {
+			var end int64
+			if h.Tracing() {
+				end = obs.Now()
+			}
+			h.Work(w.gid, w.Team.tid, uint8(kind), start, end)
 		}
 		return
 	}

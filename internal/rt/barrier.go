@@ -65,7 +65,7 @@ type Barrier struct {
 	parked atomic.Int32
 	mu     sync.Mutex
 	cond   *sync.Cond
-	// releasedAt (monoNs, guarded by mu) stamps the last broadcast that
+	// releasedAt (obs.Now, guarded by mu) stamps the last broadcast that
 	// found parked waiters.
 	releasedAt int64
 
@@ -98,11 +98,6 @@ const (
 	// arrivals that would release them. The budget is checked only there.
 	barrierYieldMask = 63
 )
-
-// clockEpoch anchors monoNs; time.Since reads the monotonic clock.
-var clockEpoch = time.Now()
-
-func monoNs() int64 { return int64(time.Since(clockEpoch)) }
 
 // ownerID is the team identity carried by barrier trace events.
 func (b *Barrier) ownerID() uint64 {
@@ -181,17 +176,15 @@ func (b *Barrier) slotOf(w *Worker) int {
 	return -1
 }
 
-// waitTimed wraps the wait with the instrumented arrival: the depart event
-// carries the nanoseconds this caller spent blocked, which the trace
-// renders as a wait slice and metrics file as a barrier wait. The worker
-// lookup and clock reads run only with a consumer on.
+// waitTimed wraps the wait with the instrumented arrival: one record of
+// the time this caller spent blocked, which the trace renders as a wait
+// slice and metrics file as a barrier wait. The worker lookup and the two
+// clock reads run only with a consumer on.
 func (b *Barrier) waitTimed(w *Worker, last func(*Worker)) uint64 {
 	if h := obs.Active(); h != nil {
-		gid := curGID()
-		h.BarrierArrive(gid, b.ownerID())
-		t0 := time.Now()
+		gid, start := curGID(), obs.Now()
 		gen := b.wait(w, last)
-		h.BarrierDepart(gid, b.ownerID(), time.Since(t0).Nanoseconds())
+		h.Barrier(gid, b.ownerID(), start, obs.Now())
 		return gen
 	}
 	return b.wait(w, last)
@@ -252,7 +245,7 @@ func (b *Barrier) release() {
 func (b *Barrier) wakeParked() {
 	if b.parked.Load() != 0 {
 		b.mu.Lock()
-		b.releasedAt = monoNs()
+		b.releasedAt = obs.Now()
 		b.cond.Broadcast()
 		b.mu.Unlock()
 	}
@@ -272,8 +265,8 @@ func (b *Barrier) await(g uint64) {
 		}
 		if i&barrierYieldMask == barrierYieldMask {
 			if i == barrierYieldMask {
-				start = monoNs()
-			} else if monoNs()-start > b.spinNs.Load() {
+				start = obs.Now()
+			} else if obs.Now()-start > b.spinNs.Load() {
 				break
 			}
 			runtime.Gosched()
@@ -284,12 +277,12 @@ func (b *Barrier) await(g uint64) {
 	// Taken under mu: a stamp written after it is a broadcast that found
 	// this waiter asleep, one written before it (a release that landed
 	// before the sleep, or an older one) is stale.
-	parkedAt := monoNs()
+	parkedAt := obs.Now()
 	for t := b.owner; b.gen.Load() == g && !(t != nil && t.failed.Load()); {
 		b.cond.Wait()
 	}
 	if b.gen.Load() != g {
-		b.spinNs.Store(nextSpin(b.spinNs.Load(), parkedAt, b.releasedAt, monoNs()))
+		b.spinNs.Store(nextSpin(b.spinNs.Load(), parkedAt, b.releasedAt, obs.Now()))
 	}
 	b.mu.Unlock()
 	b.parked.Add(-1)
@@ -299,10 +292,10 @@ func (b *Barrier) await(g uint64) {
 }
 
 // nextSpin is the spin budget after a park that began at parkedAt and
-// ended at now, the last waking broadcast stamped releasedAt (all monoNs).
-// The wake latency now-releasedAt moves the budget a quarter of the way
-// toward itself, within the clamps. A stale stamp (before the park) or a
-// non-positive latency teaches nothing.
+// ended at now, the last waking broadcast stamped releasedAt (all obs.Now
+// readings). The wake latency now-releasedAt moves the budget a quarter of
+// the way toward itself, within the clamps. A stale stamp (before the
+// park) or a non-positive latency teaches nothing.
 func nextSpin(budget, parkedAt, releasedAt, now int64) int64 {
 	lat := now - releasedAt
 	if releasedAt < parkedAt || lat <= 0 {

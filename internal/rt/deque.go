@@ -38,6 +38,7 @@ type task struct {
 	spawner *Worker  // deque that receives the task when released; nil = global scope
 	node    *depNode // dependence bookkeeping; nil for depend-free tasks
 	traceID uint64   // observability identity (flow arrows); 0 with telemetry off
+	created int64    // obs.Now at creation, for the spawn latency; 0 with telemetry off
 	state   atomic.Int32
 	refs    atomic.Int32
 	pooled  bool
@@ -64,31 +65,34 @@ func (t *task) run() bool {
 // exec executes an already-claimed task, guaranteeing — even if the body
 // panics (the panic then propagates to the executing worker, where the
 // region machinery re-raises it on the master) — that the task retires.
-// Schedule and complete events bracket the execution on the executing
-// context's track.
+// With a consumer on, start is the execution's first boundary read.
 func (t *task) exec() {
 	h, gid := obs.Active(), obs.NoWorker
+	var start int64
 	if h != nil {
-		gid = curGID()
-		h.TaskSchedule(gid, t.traceID)
+		gid, start = curGID(), obs.Now()
 	}
-	defer t.retire(h, gid)
+	defer t.retire(h, gid, start)
 	t.fn(t.arg)
 }
 
 // retire completes the task's bookkeeping: successors of its dependence
-// node are released, the complete event fires — after the releases, so
-// they order inside the task's slice — and then the group is signalled, so
-// a join that returns has seen every completion it waited for counted.
-// Runs exactly once per executed task (claim won exactly once), panic or
-// not.
-func (t *task) retire(h *obs.Sinks, gid obs.WorkerID) {
+// node are released, the run is reported — after the releases, so they
+// order inside the task's slice — on the executing context's track, and
+// then the group is signalled, so a join that returns has seen every
+// completion it waited for counted. Runs exactly once per executed task
+// (claim won exactly once), panic or not.
+func (t *task) retire(h *obs.Sinks, gid obs.WorkerID, start int64) {
 	if n := t.node; n != nil {
 		t.node = nil
 		n.tr.retire(n)
 	}
 	if h != nil {
-		h.TaskComplete(gid, t.traceID)
+		var end int64
+		if h.Tracing() {
+			end = obs.Now()
+		}
+		h.TaskRun(gid, t.traceID, t.created, start, end)
 	}
 	t.group.Done()
 }
@@ -97,7 +101,7 @@ func (t *task) retire(h *obs.Sinks, gid obs.WorkerID) {
 func (t *task) decRef() {
 	if t.refs.Add(-1) == 0 && t.pooled {
 		t.fn, t.arg, t.group, t.spawner, t.node = nil, nil, nil, nil, nil
-		t.traceID = 0
+		t.traceID, t.created = 0, 0
 		t.state.Store(taskReady)
 		taskPool.Put(t)
 	}

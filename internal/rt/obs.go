@@ -37,21 +37,14 @@ func curGID() obs.WorkerID {
 	return obs.NoWorker
 }
 
-// ObsID reports the worker's process-unique observability identity — the
-// trace track its events land on.
-func (w *Worker) ObsID() obs.WorkerID { return w.gid }
-
-// stampTask assigns t a trace identity and reports its creation on its
-// spawner's track (NoWorker outside a region). h is non-nil (the caller
-// already gated on it).
+// stampTask assigns t a trace identity and a creation time and reports
+// its creation on its spawner's track (NoWorker outside a region). h is
+// non-nil (the caller already gated on it).
 func stampTask(h *obs.Sinks, t *task, kind obs.TaskKind) {
 	gid := obs.NoWorker
 	if w := t.spawner; w != nil {
 		gid = w.gid
 	}
-	t.traceID = nextTaskTraceID()
-	h.TaskCreate(gid, t.traceID, kind)
+	t.traceID, t.created = nextTaskTraceID(), obs.Now()
+	h.TaskCreate(gid, t.traceID, kind, t.created)
 }
-
-// ObsID reports the team's process-unique observability identity.
-func (t *Team) ObsID() uint64 { return t.tid }

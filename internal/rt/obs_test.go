@@ -17,8 +17,8 @@ import (
 // A region exercising every construct must light up the corresponding
 // metrics counters and trace events, and the drained trace must be valid
 // Chrome JSON. Counts come from the registry; events that only the
-// timeline carries (joins, leases, inline tasks, dependence releases)
-// come from the drained trace.
+// timeline carries (region slices with their leases, inline tasks,
+// dependence releases) come from the drained trace.
 func TestObsEmitCoverage(t *testing.T) {
 	prevM := obs.EnableMetrics(true)
 	defer obs.EnableMetrics(prevM)
@@ -91,7 +91,7 @@ func TestObsEmitCoverage(t *testing.T) {
 	if tracks < 4 {
 		t.Fatalf("trace has %d worker tracks, want >= 4 (one per team worker)", tracks)
 	}
-	for _, want := range []string{"region join", "team lease", "inline task", "dep release"} {
+	for _, want := range []string{"region", "inline task", "dep release"} {
 		if !names[want] {
 			t.Errorf("trace has no %q event", want)
 		}
@@ -213,7 +213,7 @@ func TestObsConsumersIndependent(t *testing.T) {
 	forks := func(evs []traceEvent) int {
 		n := 0
 		for _, ev := range evs {
-			if ev.Name == "region fork" && ev.Args["size"] == float64(2) {
+			if ev.Name == "region" && ev.Args["size"] == float64(2) {
 				n++
 			}
 		}
@@ -232,7 +232,7 @@ func TestObsConsumersIndependent(t *testing.T) {
 		t.Errorf("both on: RegionEntries moved by %d, want 1", d)
 	}
 	if n := forks(evs); n != 1 {
-		t.Errorf("both on: the trace holds %d region forks of size 2, want 1", n)
+		t.Errorf("both on: the trace holds %d region slices of size 2, want 1", n)
 	}
 
 	var frozen string
@@ -242,7 +242,7 @@ func TestObsConsumersIndependent(t *testing.T) {
 		region()
 	})
 	if n := forks(evs); n != 1 {
-		t.Errorf("metrics off: the trace holds %d region forks of size 2, want 1", n)
+		t.Errorf("metrics off: the trace holds %d region slices of size 2, want 1", n)
 	}
 	if now := counters(); now != frozen {
 		t.Errorf("the tracer alone moved the metrics:\n was %s\n now %s", frozen, now)
@@ -260,6 +260,99 @@ func TestObsConsumersIndependent(t *testing.T) {
 	if now := obs.ReadStats().EventsRecorded; now != recorded {
 		t.Errorf("metrics alone recorded trace events: %d -> %d", recorded, now)
 	}
+}
+
+// TestTracedRegionRecordsOnePerSlice: a warm traced width-2 region is three
+// records — its region slice and each worker's implicit slice — each
+// written once, when its slice ends.
+func TestTracedRegionRecordsOnePerSlice(t *testing.T) {
+	defer resetPool(t)()
+	defer obs.EnableTracing(obs.EnableTracing(false))
+	body := func(*Worker) {}
+	Region(2, body) // the pool now holds a warm team of two
+	obs.StartTrace()
+	Region(2, body) // every worker's ring exists
+	before := obs.ReadStats().EventsRecorded
+	Region(2, body)
+	if d := obs.ReadStats().EventsRecorded - before; d != 3 {
+		t.Errorf("a warm traced width-2 region recorded %d events, want 3", d)
+	}
+	obs.StopTrace(io.Discard)
+}
+
+// TestMetricsLatenciesExact: every deferred task's spawn→run latency and
+// every region's latency is one histogram sample, however many are in
+// flight at once: the samples are timed from the task and the region entry
+// themselves, not paired through a table.
+func TestMetricsLatenciesExact(t *testing.T) {
+	defer obs.EnableMetrics(obs.EnableMetrics(true))
+	const tasks = 5000
+	before := obs.ReadMetrics()
+	spawned := make(chan struct{})
+	Region(2, func(w *Worker) {
+		if w.ID != 0 {
+			<-spawned // no team-mate runs a task before all are queued
+			return
+		}
+		for i := 0; i < tasks; i++ {
+			Spawn(func() {})
+		}
+		close(spawned)
+		TaskWait()
+	})
+	m := obs.ReadMetrics()
+	if d := m.SpawnLatency.Count - before.SpawnLatency.Count; d != tasks {
+		t.Errorf("%d tasks in flight at once left %d spawn-latency samples, want %d", tasks, d, tasks)
+	}
+	if d, want := m.RegionLatency.Count-before.RegionLatency.Count, m.RegionEntries-before.RegionEntries; d != want || d == 0 {
+		t.Errorf("%d region entries left %d region-latency samples", want, d)
+	}
+}
+
+// TestRegionSliceLeaseKinds: each way of entering a region — a narrowed
+// entry on its record's team of one, a pool hit, a cold lease with hot
+// teams off, an entry degraded by admission — exports exactly one region
+// slice with the width it ran at and how it obtained its team.
+func TestRegionSliceLeaseKinds(t *testing.T) {
+	defer resetPool(t)()
+	defer obs.EnableTracing(obs.EnableTracing(false))
+	body := func(*Worker, any) {}
+	check := func(name string, size float64, lease string, enter func()) {
+		t.Helper()
+		var regions []traceEvent
+		for _, ev := range recordTrace(t, enter) {
+			if ev.Name == "region" {
+				regions = append(regions, ev)
+			}
+		}
+		if len(regions) != 1 || regions[0].Args["size"] != size || regions[0].Args["lease"] != lease {
+			t.Errorf("%s: region slices %v, want one of size %v leased %q", name, regions, size, lease)
+		}
+	}
+
+	g := new(Grain)
+	g.full.Store(1000) // a short region whose hand-off is all of it
+	g.hand.Store(1000)
+	check("narrowed", 1, "solo", func() { g.RegionArg(2, body, nil) })
+
+	RegionArg(2, body, nil)
+	check("pool hit", 2, "pool hit", func() { RegionArg(2, body, nil) })
+
+	prev := SetHotTeams(false)
+	check("hot teams off", 2, "cold", func() { RegionArg(2, body, nil) })
+	SetHotTeams(prev)
+
+	admissionTestSetup(t, 1, AdmitReject, 0)
+	release := make(chan struct{})
+	started, done := occupyRegion(t, "lease-hold", release)
+	<-started
+	check("degraded", 1, "bypass", func() {
+		tok := EnterTenant("lease-shed")
+		RegionArg(2, body, nil)
+		tok.Exit()
+	})
+	close(release)
+	<-done
 }
 
 // The CI allocation gates for the tracing-enabled emit path: a warm region
@@ -317,8 +410,7 @@ func BenchmarkTaskSpawnWaitTraced(b *testing.B) {
 // The CI allocation gates for the metrics-enabled emit path mirror the
 // traced ones: with the always-on registry recording, a warm region entry
 // and the task spawn path must stay 0 allocs/op — the registry's record
-// path is preallocated padded atomics and lossy pairing tables, nothing
-// allocating.
+// path is preallocated padded atomics, nothing allocating.
 
 func BenchmarkRegionEntryWarmMetrics(b *testing.B) {
 	prev := SetHotTeams(true)

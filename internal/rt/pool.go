@@ -227,12 +227,13 @@ func drainPool() {
 }
 
 // acquireTeam leases a cached team of exactly n workers, or cold-spawns
-// one. Leasing never blocks: when the cache has no team of the right size
-// (pool exhausted, or nesting overflowed it), the entry pays the cold
-// spawn — so nested leases cannot deadlock by construction.
-func acquireTeam(n int) *Team {
+// one, and reports which. Leasing never blocks: when the cache has no
+// team of the right size (pool exhausted, or nesting overflowed it), the
+// entry pays the cold spawn — so nested leases cannot deadlock by
+// construction.
+func acquireTeam(n int) (*Team, obs.LeaseKind) {
 	statLeases.Add(1)
-	hit := false
+	lease := obs.LeaseCold
 	var t *Team
 	if HotTeamsEnabled() {
 		poolMu.Lock()
@@ -240,7 +241,7 @@ func acquireTeam(n int) *Team {
 		poolMu.Unlock()
 		if t != nil {
 			statHits.Add(1)
-			hit = true
+			lease = obs.LeaseHit
 		} else {
 			statMisses.Add(1)
 		}
@@ -250,23 +251,7 @@ func acquireTeam(n int) *Team {
 	if t == nil {
 		t = newTeam(n)
 	}
-	if h := obs.Active(); h.Tracing() {
-		h.TeamLease(curGID(), t.tid, n, hit)
-	}
-	return t
-}
-
-// bypassTeam cold-spawns a team that never touches the pool — the
-// degraded path of admission control (admission.go). It is excluded from
-// the pool's lease counters (it holds no lease; AdmissionStats.Degraded
-// accounts for it) but still emits the TeamLease trace event so timelines
-// stay coherent.
-func bypassTeam(n int) *Team {
-	t := newTeam(n)
-	if h := obs.Active(); h.Tracing() {
-		h.TeamLease(curGID(), t.tid, n, false)
-	}
-	return t
+	return t, lease
 }
 
 // releaseTeam parks a cleanly-finished team in the pool, or destroys it

@@ -47,9 +47,9 @@ func TestBarrierOfOne(t *testing.T) {
 }
 
 // TestBarrierOfOneCounts: the shortcut sits below the instrumented arrival,
-// so with metrics and the tracer on every wait of a team of one is still a
-// counted barrier wait (its depart) and a "barrier" slice in the trace (its
-// arrive).
+// so with metrics and the tracer on every wait of a team of one is still
+// one barrier record: a counted barrier wait and a "barrier" slice in the
+// trace.
 func TestBarrierOfOneCounts(t *testing.T) {
 	defer resetPool(t)()
 	const phases = 50
@@ -149,7 +149,7 @@ func TestForOfOne(t *testing.T) {
 			if fc.Kind != sched.StaticBlock {
 				t.Errorf("%v on one worker ran as %v, want staticBlock", kind, fc.Kind)
 			}
-			if !fc.start.IsZero() {
+			if fc.start != 0 {
 				t.Errorf("%v on one worker read the clock", kind)
 			}
 			if got, _, _ := fc.Next(); got != sp {

@@ -309,26 +309,29 @@ func (g *Grain) RegionArg(n int, body func(w *Worker, arg any), arg any) {
 			defer admitExit(grant.tenant)
 		}
 	}
+	// The entry's two boundary reads, start here and end at the join, are
+	// shared by the width record, the metrics registry and the tracer.
+	h := obs.Active()
 	var start int64
-	if ge.k > 0 {
-		start = monoNs()
+	if ge.k > 0 || h != nil {
+		start = obs.Now()
 	}
 	var t *Team
+	lease := obs.LeaseBypass
 	switch {
 	case ge.narrow:
+		lease = obs.LeaseSolo
 		if t = g.solo.Swap(nil); t == nil {
 			t = newTeam(1)
 		}
 	case pooled:
-		t = acquireTeam(n)
+		t, lease = acquireTeam(n)
 	default:
-		t = bypassTeam(n)
+		// Degraded admission entry: a cold team that bypasses the pool.
+		t = newTeam(n)
 	}
 	t.beginLease(parent, level, body, arg)
 	t.timeWake = ge.k > 0
-	if h := obs.Active(); h != nil {
-		h.RegionFork(t.workers[0].gid, t.tid, level, n)
-	}
 	finished := false
 	defer func() {
 		if !finished {
@@ -343,7 +346,9 @@ func (g *Grain) RegionArg(n int, body func(w *Worker, arg any), arg any) {
 			// and leave completed=false on an undrainable team.
 			defer func() {
 				t.completed.Store(true)
-				t.emitRegionJoin(level)
+				if h != nil {
+					h.Region(t.workers[0].gid, t.tid, level, n, lease, start, obs.Now())
+				}
 				t.endLease()
 				retireTeam(t)
 			}()
@@ -361,7 +366,13 @@ func (g *Grain) RegionArg(n int, body func(w *Worker, arg any), arg any) {
 	hand := t.wokeAt.Load() - start
 	finished = true
 	t.completed.Store(true)
-	t.emitRegionJoin(level)
+	var end int64
+	if ge.k > 0 || h != nil {
+		end = obs.Now()
+	}
+	if h != nil {
+		h.Region(t.workers[0].gid, t.tid, level, n, lease, start, end)
+	}
 	panicked, panicVal := t.panicked.Load(), t.panicVal
 	t.endLease()
 	switch {
@@ -382,14 +393,7 @@ func (g *Grain) RegionArg(n int, body func(w *Worker, arg any), arg any) {
 		panic(panicVal)
 	}
 	if ge.k > 0 {
-		g.done(ge, monoNs()-start, hand)
-	}
-}
-
-// emitRegionJoin reports the region's full join.
-func (t *Team) emitRegionJoin(level int) {
-	if h := obs.Active(); h != nil {
-		h.RegionJoin(t.workers[0].gid, t.tid, level)
+		g.done(ge, end-start, hand)
 	}
 }
 
@@ -464,10 +468,10 @@ func (t *Team) runWorker(w *Worker) {
 		glsContexts.Add(-1)
 	}()
 	if h := obs.Active(); h.Tracing() {
-		// The end emit is deferred so a panicking or Goexit-ing share still
-		// closes its slice; the drain tolerates the missing end either way.
-		h.ImplicitBegin(w.gid, t.tid, t.Level())
-		defer h.ImplicitEnd(w.gid, t.tid)
+		// Deferred, so a panicking or Goexit-ing share still records its
+		// slice.
+		start, level := obs.Now(), t.Level()
+		defer func() { h.Implicit(w.gid, t.tid, level, start, obs.Now()) }()
 	}
 	t.body(w, t.arg)
 	// Implicit region-end join for deferred tasks: each worker helps
@@ -487,7 +491,7 @@ func (t *Team) runWorker(w *Worker) {
 func (t *Team) workerLoop(w *Worker) {
 	for range w.wake {
 		if t.timeWake {
-			t.wokeAt.Store(monoNs())
+			t.wokeAt.Store(obs.Now())
 		}
 		roundDone := false
 		func() {

@@ -3,7 +3,6 @@ package rt
 import (
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"aomplib/internal/obs"
 	"aomplib/internal/sched"
@@ -21,10 +20,11 @@ type ForContext struct {
 	Worker *Worker
 	slot   *encSlot // the encounter's slot, held until EndFor; slot.fs is the shared state
 
-	// start stamps the beginning of this worker's share when the encounter
-	// is adaptive, whose imbalance measurement is its only reader (EndFor).
-	// No other encounter reads the clock.
-	start time.Time
+	// start stamps the beginning of this worker's share (an obs.Now
+	// reading) when the encounter is adaptive, whose imbalance measurement
+	// reads it, or the tracer is on, whose work slice shares it. No other
+	// encounter reads the clock.
+	start int64
 
 	// parts is what Next serves to a static or custom encounter, one part
 	// at a time: the worker's arithmetic share (held in one) or its
@@ -36,6 +36,7 @@ type ForContext struct {
 	// serves, and a team-mate's context allocated next to this one would
 	// otherwise share a line with it (on a 2-vCPU x86 host a woven dynamic
 	// @For encounter measured ≈ 20 % slower when it did).
+	_ [16]byte
 }
 
 // dispenseBatchChunks is how many chunks a dynamic claim takes away from
@@ -150,13 +151,10 @@ func BeginFor(w *Worker, key any, sp sched.Space, kind sched.Kind, chunk int, cu
 	case sched.Custom:
 		fc.parts = custom(w.ID, t.Size, sp)
 	}
-	if shared.adapt != nil {
-		fc.start = time.Now()
+	if shared.adapt != nil || obs.Active().Tracing() {
+		fc.start = obs.Now()
 	}
 	w.activeFor = append(w.activeFor, fc)
-	if h := obs.Active(); h != nil {
-		h.WorkBegin(w.gid, t.tid, uint8(shared.kind))
-	}
 	return fc
 }
 
@@ -219,15 +217,23 @@ func (fc *ForContext) Next() (sched.Space, int, bool) {
 }
 
 // EndFor pops the work-sharing context from the worker, folds the share's
-// time into an adaptive encounter's imbalance measurement, hands the slot
-// back and recycles the context.
+// time into an adaptive encounter's imbalance measurement, reports the
+// share, hands the slot back and recycles the context.
 func (fc *ForContext) EndFor() {
 	w := fc.Worker
 	if n := len(w.activeFor); n > 0 && w.activeFor[n-1] == fc {
 		w.activeFor = w.activeFor[:n-1]
 		fs := &fc.slot.fs
+		h := obs.Active()
+		var end int64
+		if fs.adapt != nil || h.Tracing() {
+			end = obs.Now()
+		}
 		if fs.adapt != nil {
-			fs.noteDone(int64(time.Since(fc.start)))
+			fs.noteDone(end - fc.start)
+		}
+		if h != nil {
+			h.Work(w.gid, w.Team.tid, uint8(fc.Kind), fc.start, end)
 		}
 		if fc.slot.unref() {
 			if fs.adapt != nil {
@@ -237,9 +243,6 @@ func (fc *ForContext) EndFor() {
 		}
 		fc.slot = nil
 		w.fcFree = append(w.fcFree, fc)
-		if h := obs.Active(); h.Tracing() {
-			h.WorkEnd(w.gid, w.Team.tid)
-		}
 	}
 }
 
