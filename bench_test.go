@@ -7,6 +7,7 @@
 //	go test -bench=Table2                    # Table 2 (weave introspection)
 //	go test -bench=Overhead                  # §IV weaving/runtime overheads
 //	go test -bench=Ablation                  # schedule/barrier ablations
+//	go test -bench=Schedule_                 # SOR, LUFact under four schedules
 //
 // Benchmark sizes are scaled for CI (seconds, not minutes); cmd/jgfbench
 // and cmd/moldynstudy run the full paper sizes.
@@ -437,6 +438,37 @@ func BenchmarkAblation_Schedule_Guided(b *testing.B) {
 func BenchmarkAblation_Schedule_Steal(b *testing.B) {
 	benchScheduleAblation(b, sched.Steal, 16)
 }
+
+// benchSchedule times a woven Aomp kernel at its test size under one loop
+// schedule, at full width: scripts/gates holds adaptive to at most 1.2× each
+// hand-picked kind, so self-tuning is never the schedule to turn off.
+func benchSchedule(b *testing.B, inst harness.Instance) {
+	pinRegionWidth(b)
+	benchInstance(b, inst)
+}
+
+func sorUnder(k sched.Kind) harness.Instance {
+	p := sor.SizeTest
+	p.Schedule = k
+	return sor.NewAomp(p, threads())
+}
+
+func lufactUnder(k sched.Kind) harness.Instance {
+	p := lufact.SizeTest
+	p.Schedule = k
+	return lufact.NewAomp(p, threads())
+}
+
+func BenchmarkSchedule_SOR_StaticBlock(b *testing.B) { benchSchedule(b, sorUnder(sched.StaticBlock)) }
+func BenchmarkSchedule_SOR_Dynamic(b *testing.B)     { benchSchedule(b, sorUnder(sched.Dynamic)) }
+func BenchmarkSchedule_SOR_Steal(b *testing.B)       { benchSchedule(b, sorUnder(sched.Steal)) }
+func BenchmarkSchedule_SOR_Adaptive(b *testing.B)    { benchSchedule(b, sorUnder(sched.Adaptive)) }
+func BenchmarkSchedule_LUFact_StaticBlock(b *testing.B) {
+	benchSchedule(b, lufactUnder(sched.StaticBlock))
+}
+func BenchmarkSchedule_LUFact_Dynamic(b *testing.B)  { benchSchedule(b, lufactUnder(sched.Dynamic)) }
+func BenchmarkSchedule_LUFact_Steal(b *testing.B)    { benchSchedule(b, lufactUnder(sched.Steal)) }
+func BenchmarkSchedule_LUFact_Adaptive(b *testing.B) { benchSchedule(b, lufactUnder(sched.Adaptive)) }
 
 // BenchmarkAblation_Barrier measures the team barrier round trip.
 func BenchmarkAblation_Barrier(b *testing.B) {

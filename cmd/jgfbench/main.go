@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -173,9 +172,10 @@ type jsonResult struct {
 
 // jsonSchedStats is the scheduling-mechanism slice of the metrics
 // registry, included in the report when the run was traced (-trace
-// enables the registry for the run and reports its delta). It is what
-// lets an asymmetry A/B compare mechanisms, not just wall time: how many
-// loop ranges a schedule had to steal under the same throttle.
+// enables the registry for the run and reports its delta): the tracer
+// counts nothing, so a traced run's barrier wait comes from here, and a
+// zero barrier_wait_ns on a run that meets team barriers means the
+// registry was not wired to the run.
 type jsonSchedStats struct {
 	StealAttempts uint64 `json:"steal_attempts"`
 	Steals        uint64 `json:"steals"`
@@ -197,7 +197,6 @@ type jsonReport struct {
 	GoVersion  string          `json:"go_version"`
 	HotTeams   bool            `json:"hot_teams"`
 	Schedule   string          `json:"schedule"`
-	Asym       string          `json:"asym,omitempty"`
 	Timestamp  string          `json:"timestamp"`
 	SchedStats *jsonSchedStats `json:"sched_stats,omitempty"`
 	Results    []jsonResult    `json:"results"`
@@ -219,11 +218,6 @@ func main() {
 			"(staticBlock, staticCyclic, dynamic, guided, steal, adaptive;\n"+
 			"former names: auto = adaptive, weightedSteal = steal)")
 	hotTeams := flag.Bool("hotteams", true, "reuse pooled worker teams across region entries")
-	asym := flag.String("asym", "",
-		"simulate an asymmetric machine: comma-separated worker:spins pairs\n"+
-			"(e.g. 0:300 makes the worker with team ID 0 execute 300 extra\n"+
-			"busy-work units per @For iteration of the woven Aomp and Aomp-DF\n"+
-			"versions, roughly modelling a slow core)")
 	flag.Parse()
 
 	if flag.NArg() > 0 {
@@ -255,12 +249,6 @@ func main() {
 	aomplib.SetHotTeams(*hotTeams)
 
 	threads := parseThreads(*threadsFlag)
-	throttle, err := parseAsym(*asym, slices.Max(threads))
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "jgfbench: %v\n", err)
-		flag.Usage()
-		os.Exit(2)
-	}
 	benches := suite(*size, kind)
 	filter := parseOnly(*only, benches)
 
@@ -286,10 +274,10 @@ func main() {
 				fmt.Fprintf(os.Stderr, "running %s (MT, %d threads)...\n", b.name, t)
 				add(harness.Measure(b.name, harness.MT, t, b.mt(t), *reps))
 				fmt.Fprintf(os.Stderr, "running %s (Aomp, %d threads)...\n", b.name, t)
-				add(harness.Measure(b.name, harness.Aomp, t, throttle.deploy(b.aomp(t)), *reps))
+				add(harness.Measure(b.name, harness.Aomp, t, b.aomp(t), *reps))
 				if b.dep != nil {
 					fmt.Fprintf(os.Stderr, "running %s (Aomp-DF, %d threads)...\n", b.name, t)
-					add(harness.Measure(b.name, harness.AompDep, t, throttle.deploy(b.dep(t)), *reps))
+					add(harness.Measure(b.name, harness.AompDep, t, b.dep(t), *reps))
 				}
 				if b.par != nil {
 					fmt.Fprintf(os.Stderr, "running %s (Parallel, %d threads)...\n", b.name, t)
@@ -341,7 +329,7 @@ func main() {
 	}
 
 	if *jsonPath != "" {
-		if err := writeJSON(*jsonPath, *size, *asym, kind, threads, *reps, schedStats, all, seqSecs); err != nil {
+		if err := writeJSON(*jsonPath, *size, kind, threads, *reps, schedStats, all, seqSecs); err != nil {
 			fmt.Fprintf(os.Stderr, "jgfbench: writing %s: %v\n", *jsonPath, err)
 			os.Exit(1)
 		}
@@ -353,10 +341,10 @@ func main() {
 	}
 }
 
-func writeJSON(path, size, asym string, kind aomplib.Schedule, threads []int, reps int,
+func writeJSON(path, size string, kind aomplib.Schedule, threads []int, reps int,
 	schedStats *jsonSchedStats, all []harness.Measurement, seqSecs map[string]float64) error {
 	rep := jsonReport{
-		Schema:     3,
+		Schema:     4,
 		Size:       size,
 		Threads:    threads,
 		Reps:       reps,
@@ -364,7 +352,6 @@ func writeJSON(path, size, asym string, kind aomplib.Schedule, threads []int, re
 		GoVersion:  runtime.Version(),
 		HotTeams:   aomplib.HotTeamsEnabled(),
 		Schedule:   kind.String(),
-		Asym:       asym,
 		Timestamp:  time.Now().UTC().Format(time.RFC3339),
 		SchedStats: schedStats,
 	}

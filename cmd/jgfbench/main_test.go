@@ -54,35 +54,3 @@ func TestUnknownSizeRejected(t *testing.T) {
 		}
 	}
 }
-
-// TestAsymRejected: an -asym pair naming a worker no team of the run has,
-// or a spin count the throttle cannot hold, must exit 2 with usage rather
-// than run unthrottled (or truncated) under a report that records the
-// asymmetry — and must not size anything by the worker ID first.
-func TestAsymRejected(t *testing.T) {
-	if args := os.Getenv("JGFBENCH_ASYM_ARGS"); args != "" {
-		os.Args = append([]string{"jgfbench", "-size=test", "-reps=1", "-only=crypt"}, strings.Fields(args)...)
-		main()
-		return
-	}
-	for _, tc := range []struct{ args, want string }{
-		{"-threads=1,2 -asym=5:300", "worker 5 is in no team"},
-		{"-threads=1 -asym=4000000000:1", "worker 4000000000 is in no team"},
-		{"-threads=1 -asym=0:5000000000", "5000000000 spins exceeds"},
-	} {
-		t.Run(tc.args, func(t *testing.T) {
-			cmd := exec.Command(os.Args[0], "-test.run=^TestAsymRejected$")
-			cmd.Env = append(os.Environ(), "JGFBENCH_ASYM_ARGS="+tc.args)
-			out, err := cmd.CombinedOutput()
-			var exit *exec.ExitError
-			if !errors.As(err, &exit) || exit.ExitCode() != 2 {
-				t.Fatalf("jgfbench %s: %v, want exit status 2; output:\n%.400s", tc.args, err, out)
-			}
-			for _, want := range []string{tc.want, "-asym", "-threads"} {
-				if !strings.Contains(string(out), want) {
-					t.Fatalf("jgfbench %s: output lacks %q:\n%.400s", tc.args, want, out)
-				}
-			}
-		})
-	}
-}

@@ -6,14 +6,16 @@
 //
 //	go run ./scripts/gates      (from the module root; no flags)
 //
-// Each package runs one `go test -bench -benchmem` per run count, the
-// largest best-of-N of the rows naming a benchmark. A ratio is fastest run
-// over the baseline's fastest, so the clock cancels out; an allocs bound
-// holds in every run, and so does a floor on a metric the benchmark
-// reports (floors): only timed runs print a result line, so calibration
-// rounds are never judged. `Task*` names every benchmark with that prefix
-// (at least one). A `gate` row that misses its bound fails; a `target` row
-// only prints, so making it a gate is a one-word change.
+// A benchmark runs as many times as the largest best-of-N of the rows
+// naming it, one run per round: each round is one `go test -bench
+// -benchmem` of every package with a benchmark still to run, so a ratio's
+// benchmark and baseline alternate instead of timing their runs apart. A
+// ratio is fastest run over the baseline's fastest, so the clock cancels
+// out; an allocs bound holds in every run, and so does a floor on a metric
+// the benchmark reports (floors): only timed runs print a result line, so
+// calibration rounds are never judged. `Task*` names every benchmark with
+// that prefix (at least one). A `gate` row that misses its bound fails; a
+// `target` row only prints, so making it a gate is a one-word change.
 //
 // Exit codes: 0 pass, 1 gate failure, 2 unusable input — `go test` failed
 // or printed FAIL, a line did not parse, or a benchmark is absent or ran
@@ -84,6 +86,12 @@ var table = []row{
 	{"composite", root, "Ablation_CompositeOp", 0, "", "", 0, 1, gate, "finegrain's op: region, dynamic @For, @Reduce, barrier, @Single, two @Task, @TaskWait"},
 	{"team of one", root, "Ablation_CompositeOpSolo", 0, root, "Ablation_CompositeOp", 0.35, 5, gate, "a pooled team of one pays for no team-mates: 0.28–0.31×, 0.40× with a claim-by-claim loop"},
 	{"team of one", root, "Ablation_CompositeOpNarrowed", 0, root, "Ablation_CompositeOpHandSolo", 1.2, 5, gate, "the op narrowed vs by hand on one goroutine: width 1 at the cost of hand-written width 1, its tasks undeferred"},
+	{"schedule", root, "Schedule_SOR_Adaptive", none, root, "Schedule_SOR_StaticBlock", 1.2, 5, gate, "the woven SOR kernel self-tuned costs at most a fifth more than under a hand-picked kind: static blocks"},
+	{"schedule", root, "Schedule_SOR_Adaptive", none, root, "Schedule_SOR_Dynamic", 1.2, 5, gate, "SOR, dynamic"},
+	{"schedule", root, "Schedule_SOR_Adaptive", none, root, "Schedule_SOR_Steal", 1.2, 5, gate, "SOR, steal"},
+	{"schedule", root, "Schedule_LUFact_Adaptive", none, root, "Schedule_LUFact_StaticBlock", 1.2, 5, gate, "LUFact's shrinking elimination loop, static blocks"},
+	{"schedule", root, "Schedule_LUFact_Adaptive", none, root, "Schedule_LUFact_Dynamic", 1.2, 5, gate, "LUFact, dynamic"},
+	{"schedule", root, "Schedule_LUFact_Adaptive", none, root, "Schedule_LUFact_Steal", 1.2, 5, gate, "LUFact, steal"},
 	{"region", root, "Overhead_RegionEntry", 0, "", "", 0, 1, gate, "hot teams keep warm region entry, facade dispatch included, allocation-free"},
 	{"region", rtPkg, "RegionEntryWarm", 0, "", "", 0, 1, gate, "the runtime's warm region entry"},
 	{"team of one", rtPkg, "RegionEntryWarmGrain", 0, "", "", 0, 1, gate, "an empty region with a width record, run narrow on the record's team of one"},
@@ -122,8 +130,8 @@ type (
 	// key is a package and a benchmark name without its -GOMAXPROCS suffix.
 	key     struct{ pkg, name string }
 	results map[key][]result
-	// benchFunc runs names in pkg count times and returns go test's output.
-	benchFunc func(pkg string, count int, names []string) (string, error)
+	// benchFunc runs names in pkg once and returns go test's output.
+	benchFunc func(pkg string, names []string) (string, error)
 	// verdict is one row's outcome: PASS, FAIL, TARGET (a target missed)
 	// or MISSING (unusable input).
 	verdict struct{ word, measured string }
@@ -160,11 +168,11 @@ func gates(w io.Writer, rows []row, bench benchFunc) int {
 	return code
 }
 
-func goTest(pkg string, count int, names []string) (string, error) {
+func goTest(pkg string, names []string) (string, error) {
 	pat := pattern(names)
-	fmt.Printf("$ go test -run '^$' -bench '%s' -benchmem -count %d %s\n", pat, count, pkg)
+	fmt.Printf("$ go test -run '^$' -bench '%s' -benchmem %s\n", pat, pkg)
 	var out bytes.Buffer
-	cmd := exec.Command("go", "test", "-run", "^$", "-bench", pat, "-benchmem", "-count", strconv.Itoa(count), pkg)
+	cmd := exec.Command("go", "test", "-run", "^$", "-bench", pat, "-benchmem", pkg)
 	cmd.Stdout = io.MultiWriter(os.Stdout, &out)
 	cmd.Stderr = cmd.Stdout
 	err := cmd.Run()
@@ -189,37 +197,36 @@ func pattern(names []string) string {
 	return strings.Join(alts, "|")
 }
 
-// runAll runs every benchmark the rows name, as benchmark or baseline.
-// The largest run count goes first, so both sides of every ratio run
-// within seconds of each other.
+// runAll runs every benchmark the rows name, as benchmark or baseline, in
+// rounds: round i runs, package by package, each benchmark that some row
+// wants more than i runs of.
 func runAll(rows []row, bench benchFunc) (results, error) {
-	count := map[key]int{}
+	count, rounds := map[key]int{}, 0
 	for _, r := range rows {
+		rounds = max(rounds, r.best)
 		count[key{r.pkg, r.bench}] = max(count[key{r.pkg, r.bench}], r.best)
 		if r.ratio > 0 {
 			count[key{r.basePkg, r.base}] = max(count[key{r.basePkg, r.base}], r.best)
 		}
 	}
-	type group struct {
-		count int
-		pkg   string
-	}
-	names := map[group][]string{}
-	for k, n := range count {
-		names[group{n, k.pkg}] = append(names[group{n, k.pkg}], k.name)
-	}
 	res := results{}
-	for _, g := range slices.SortedFunc(maps.Keys(names), func(a, b group) int {
-		return cmp.Or(b.count-a.count, cmp.Compare(a.pkg, b.pkg))
-	}) {
-		slices.Sort(names[g])
-		out, err := bench(g.pkg, g.count, names[g])
-		got, perr := parse(out)
-		if err = errors.Join(err, perr); err != nil {
-			return nil, fmt.Errorf("go test %s: %v", g.pkg, err)
+	for round := 0; round < rounds; round++ {
+		names := map[string][]string{}
+		for k, n := range count {
+			if n > round {
+				names[k.pkg] = append(names[k.pkg], k.name)
+			}
 		}
-		for name, rs := range got {
-			res[key{g.pkg, name}] = append(res[key{g.pkg, name}], rs...)
+		for _, pkg := range slices.Sorted(maps.Keys(names)) {
+			slices.Sort(names[pkg])
+			out, err := bench(pkg, names[pkg])
+			got, perr := parse(out)
+			if err = errors.Join(err, perr); err != nil {
+				return nil, fmt.Errorf("go test %s: %v", pkg, err)
+			}
+			for name, rs := range got {
+				res[key{pkg, name}] = append(res[key{pkg, name}], rs...)
+			}
 		}
 	}
 	return res, nil

@@ -52,7 +52,19 @@ ok  	aomplib/internal/rt	0.004s
 
 // fixed answers every go test of a package with that package's output.
 func fixed(outputs map[string]string) benchFunc {
-	return func(pkg string, _ int, _ []string) (string, error) { return outputs[pkg], nil }
+	return func(pkg string, _ []string) (string, error) { return outputs[pkg], nil }
+}
+
+// onlyFirst answers the first go test with out and every later one with
+// no result lines.
+func onlyFirst(out string) benchFunc {
+	calls := 0
+	return func(string, []string) (string, error) {
+		if calls++; calls > 1 {
+			return "PASS\n", nil
+		}
+		return out, nil
+	}
 }
 
 // runGates runs gates over rows and returns each row's verdict word, the
@@ -126,6 +138,38 @@ func TestFixtureVerdicts(t *testing.T) {
 	}
 }
 
+// TestRunsAlternate: a row with best of N gets one go test per round for N
+// rounds, and each round runs every package still owing a run, so a
+// ratio's benchmark and baseline (in one package or two) alternate.
+func TestRunsAlternate(t *testing.T) {
+	rows := []row{
+		{"r", root, "A", none, root, "B", 2, 3, gate, ""},
+		{"c", core, "C", none, weaver, "D", 2, 2, gate, ""},
+		{"a", rtPkg, "E", 0, "", "", 0, 1, gate, ""},
+	}
+	var calls []string
+	bench := func(pkg string, names []string) (string, error) {
+		calls = append(calls, pkg+" "+strings.Join(names, ","))
+		var b strings.Builder
+		for _, n := range names {
+			fmt.Fprintf(&b, "Benchmark%s-2\t1\t1000 ns/op\t0 B/op\t0 allocs/op\n", n)
+		}
+		return b.String(), nil
+	}
+	words, text, code := runGates(t, rows, bench)
+	if code != 0 || fmt.Sprint(words) != "[PASS PASS PASS]" {
+		t.Fatalf("verdicts %v, exit %d:\n%s", words, code, text)
+	}
+	want := []string{
+		". A,B", core + " C", rtPkg + " E", weaver + " D",
+		". A,B", core + " C", weaver + " D",
+		". A,B",
+	}
+	if !slices.Equal(calls, want) {
+		t.Errorf("go test calls\n%s\nwant\n%s", strings.Join(calls, "\n"), strings.Join(want, "\n"))
+	}
+}
+
 func TestUnusableInputExits2(t *testing.T) {
 	const failed = "BenchmarkAblation_CompositeOpNarrowed-2   \t--- FAIL: BenchmarkAblation_CompositeOpNarrowed-2\n" +
 		"    bench_test.go:501: 150 of 200 ops ran on one worker (0.750), want at least 0.98\nFAIL\nexit status 1\nFAIL\taomplib\t0.050s\n"
@@ -139,11 +183,11 @@ func TestUnusableInputExits2(t *testing.T) {
 		{"b.Fatalf", narrowed, fixed(map[string]string{root: failed}), "a benchmark failed"},
 		{"no -benchmem columns", narrowed, fixed(map[string]string{root: "BenchmarkAblation_CompositeOpNarrowed-2  200  1300 ns/op  0.9950 narrow-share\n"}), "run without -benchmem"},
 		{"floor metric absent", narrowed, fixed(map[string]string{root: "BenchmarkAblation_CompositeOpNarrowed-2  200  1300 ns/op  0 B/op  0 allocs/op\n"}), "reports no narrow-share"},
-		{"go test error", narrowed, func(string, int, []string) (string, error) { return "", errors.New("exit status 1") }, "exit status 1"},
+		{"go test error", narrowed, func(string, []string) (string, error) { return "", errors.New("exit status 1") }, "exit status 1"},
 		{"Task* matches nothing", []row{{"task", rtPkg, "Task*", 0, "", "", 0, 1, gate, ""}}, fixed(map[string]string{rtPkg: rtOutput}), "no Task* in the output"},
 		{"baseline absent", []row{{"encounter", root, "Ablation_ConstructInstance", 0, rtPkg, "BarrierPhase/w=4", 3, 2, gate, ""}},
 			fixed(map[string]string{root: rootOutput, rtPkg: rtOutput}), "no BarrierPhase/w=4"},
-		{"fewer runs than best of", []row{{"region", rtPkg, "RegionEntryWarm", 0, "", "", 0, 5, gate, ""}}, fixed(map[string]string{rtPkg: rtOutput}), "ran 1 times, want 5"},
+		{"fewer runs than best of", []row{{"region", rtPkg, "RegionEntryWarm", 0, "", "", 0, 5, gate, ""}}, onlyFirst(rtOutput), "ran 1 times, want 5"},
 	}
 	for _, c := range cases {
 		_, text, code := runGates(t, c.rows, c.bench)
@@ -214,15 +258,16 @@ func TestGateBenchmarksExist(t *testing.T) {
 	}
 }
 
-// synthetic prints go test output for every row's benchmarks: count runs
-// each at 1000 ns/op, 0 allocs/op and a floored metric at its floor unless
-// ns, lastAllocs or lastMetric (the last run's allocs/op and floored
-// metric) say otherwise, all keyed by package and name. Task* stands for
-// the package's real Task funcs.
-type synthetic struct{ ns, lastAllocs, lastMetric map[string]float64 }
+// synthetic prints go test output for every row's benchmarks: one run
+// each per go test, at 1000 ns/op, 0 allocs/op and a floored metric at its
+// floor unless ns, firstAllocs or firstMetric (the first run's allocs/op
+// and floored metric) say otherwise, all keyed by package and name. Task*
+// stands for the package's real Task funcs.
+type synthetic struct{ ns, firstAllocs, firstMetric map[string]float64 }
 
 func (s synthetic) bench(t *testing.T) benchFunc {
-	return func(pkg string, count int, names []string) (string, error) {
+	ran := map[string]bool{}
+	return func(pkg string, names []string) (string, error) {
 		var b strings.Builder
 		for _, name := range names {
 			expanded := []string{name}
@@ -230,25 +275,24 @@ func (s synthetic) bench(t *testing.T) benchFunc {
 				expanded = matching(t, pkg, name)
 			}
 			for _, n := range expanded {
-				ns, ok := s.ns[pkg+" "+n]
+				k := pkg + " " + n
+				ns, ok := s.ns[k]
 				if !ok {
 					ns = 1000
 				}
-				f, floored := floors[key{pkg, n}]
-				for i := 1; i <= count; i++ {
-					allocs, metric := 0.0, ""
-					if i == count {
-						allocs = s.lastAllocs[pkg+" "+n]
-					}
-					if floored {
-						v, ok := s.lastMetric[pkg+" "+n]
-						if !ok || i < count {
-							v = f.min
-						}
-						metric = fmt.Sprintf("\t%8g %s", v, f.unit)
-					}
-					fmt.Fprintf(&b, "Benchmark%s-2\t    1000\t%12g ns/op%s\t       0 B/op\t%8g allocs/op\n", n, ns, metric, allocs)
+				allocs, metric := 0.0, ""
+				if !ran[k] {
+					allocs = s.firstAllocs[k]
 				}
+				if f, floored := floors[key{pkg, n}]; floored {
+					v, ok := s.firstMetric[k]
+					if !ok || ran[k] {
+						v = f.min
+					}
+					metric = fmt.Sprintf("\t%8g %s", v, f.unit)
+				}
+				ran[k] = true
+				fmt.Fprintf(&b, "Benchmark%s-2\t    1000\t%12g ns/op%s\t       0 B/op\t%8g allocs/op\n", n, ns, metric, allocs)
 			}
 		}
 		return b.String(), nil
@@ -256,11 +300,13 @@ func (s synthetic) bench(t *testing.T) benchFunc {
 }
 
 // TestEveryRowCanFail feeds the real table synthetic runs in which exactly
-// one bound of one row is missed, for every bound of every row — a floor
-// in the last run only: that row alone must fail (exit 1) if it is a gate,
-// or read TARGET (exit 0) if it is a target. No row passes vacuously.
+// one bound of one row is missed, for every bound of every row — an allocs
+// bound or a floor in the first run only, a ratio through the baseline when
+// another row times the same benchmark: that row alone must fail (exit 1)
+// if it is a gate, or read TARGET (exit 0) if it is a target. No row
+// passes vacuously.
 func TestEveryRowCanFail(t *testing.T) {
-	pass := synthetic{ns: map[string]float64{}, lastAllocs: map[string]float64{}, lastMetric: map[string]float64{}}
+	pass := synthetic{ns: map[string]float64{}, firstAllocs: map[string]float64{}, firstMetric: map[string]float64{}}
 	for _, r := range table {
 		k := r.pkg + " " + r.bench
 		if old, ok := pass.ns[k]; r.ratio > 0 && (!ok || r.ratio*500 < old) {
@@ -278,18 +324,23 @@ func TestEveryRowCanFail(t *testing.T) {
 	for i, r := range table {
 		var broken []synthetic
 		if r.allocs != none {
-			s := synthetic{maps.Clone(pass.ns), map[string]float64{}, pass.lastMetric}
+			s := synthetic{maps.Clone(pass.ns), map[string]float64{}, pass.firstMetric}
 			names := matching(t, r.pkg, r.bench)
-			s.lastAllocs[r.pkg+" "+names[len(names)-1]] = float64(r.allocs + 1)
+			s.firstAllocs[r.pkg+" "+names[len(names)-1]] = float64(r.allocs + 1)
 			broken = append(broken, s)
 		}
 		if r.ratio > 0 {
-			s := synthetic{maps.Clone(pass.ns), pass.lastAllocs, pass.lastMetric}
-			s.ns[r.pkg+" "+r.bench] = r.ratio * 1010
+			s := synthetic{maps.Clone(pass.ns), pass.firstAllocs, pass.firstMetric}
+			k := r.pkg + " " + r.bench
+			if slices.ContainsFunc(table, func(o row) bool { return o != r && o.ratio > 0 && o.pkg == r.pkg && o.bench == r.bench }) {
+				s.ns[r.basePkg+" "+r.base] = pass.ns[k] / (r.ratio * 1.01)
+			} else {
+				s.ns[k] = r.ratio * 1010
+			}
 			broken = append(broken, s)
 		}
 		if f, ok := floors[key{r.pkg, r.bench}]; ok {
-			s := synthetic{pass.ns, pass.lastAllocs, map[string]float64{r.pkg + " " + r.bench: f.min - 0.01}}
+			s := synthetic{pass.ns, pass.firstAllocs, map[string]float64{r.pkg + " " + r.bench: f.min - 0.01}}
 			broken = append(broken, s)
 		}
 		for _, s := range broken {
