@@ -441,10 +441,27 @@ func BenchmarkAblation_Schedule_Steal(b *testing.B) {
 
 // benchSchedule times a woven Aomp kernel at its test size under one loop
 // schedule, at full width: scripts/gates holds adaptive to at most 1.2× each
-// hand-picked kind, so self-tuning is never the schedule to turn off.
+// hand-picked kind, so self-tuning is never the schedule to turn off. The
+// kernel is woven once and its data reseeded, untimed, between iterations,
+// so adaptive's per-construct state carries across kernels as it does in
+// a long-running program, and the last kernel is validated.
 func benchSchedule(b *testing.B, inst harness.Instance) {
 	pinRegionWidth(b)
-	benchInstance(b, inst)
+	inst.Setup()
+	r := inst.(interface{ Reseed() })
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i > 0 {
+			b.StopTimer()
+			r.Reseed()
+			b.StartTimer()
+		}
+		inst.Kernel()
+	}
+	b.StopTimer()
+	if err := inst.Validate(); err != nil {
+		b.Fatalf("validation: %v", err)
+	}
 }
 
 func sorUnder(k sched.Kind) harness.Instance {
@@ -459,16 +476,19 @@ func lufactUnder(k sched.Kind) harness.Instance {
 	return lufact.NewAomp(p, threads())
 }
 
+// Source order is run order: each Adaptive benchmark runs next to its
+// static-block baseline, the tightest of its three rows, so the two are
+// timed a second apart rather than three.
 func BenchmarkSchedule_SOR_StaticBlock(b *testing.B) { benchSchedule(b, sorUnder(sched.StaticBlock)) }
+func BenchmarkSchedule_SOR_Adaptive(b *testing.B)    { benchSchedule(b, sorUnder(sched.Adaptive)) }
 func BenchmarkSchedule_SOR_Dynamic(b *testing.B)     { benchSchedule(b, sorUnder(sched.Dynamic)) }
 func BenchmarkSchedule_SOR_Steal(b *testing.B)       { benchSchedule(b, sorUnder(sched.Steal)) }
-func BenchmarkSchedule_SOR_Adaptive(b *testing.B)    { benchSchedule(b, sorUnder(sched.Adaptive)) }
 func BenchmarkSchedule_LUFact_StaticBlock(b *testing.B) {
 	benchSchedule(b, lufactUnder(sched.StaticBlock))
 }
+func BenchmarkSchedule_LUFact_Adaptive(b *testing.B) { benchSchedule(b, lufactUnder(sched.Adaptive)) }
 func BenchmarkSchedule_LUFact_Dynamic(b *testing.B)  { benchSchedule(b, lufactUnder(sched.Dynamic)) }
 func BenchmarkSchedule_LUFact_Steal(b *testing.B)    { benchSchedule(b, lufactUnder(sched.Steal)) }
-func BenchmarkSchedule_LUFact_Adaptive(b *testing.B) { benchSchedule(b, lufactUnder(sched.Adaptive)) }
 
 // BenchmarkAblation_Barrier measures the team barrier round trip.
 func BenchmarkAblation_Barrier(b *testing.B) {

@@ -343,6 +343,15 @@ func (in *aompInstance) Setup() {
 func (in *aompInstance) Kernel()         { in.run() }
 func (in *aompInstance) Validate() error { return in.lp.validate() }
 
+// Reseed restores the matrix Setup built and keeps its woven program, so
+// that repeated kernels run on one weave. The kernel factors a in place
+// and solves into x, leaving b as it was.
+func (in *aompInstance) Reseed() {
+	for j, col := range in.lp.a0 {
+		copy(in.lp.a[j], col)
+	}
+}
+
 // Program exposes the woven program to the Table 2 tooling and jgfbench.
 func (in *aompInstance) Program() *weaver.Program { return in.prog }
 

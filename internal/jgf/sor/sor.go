@@ -194,6 +194,10 @@ func (in *aompInstance) Kernel() {
 }
 func (in *aompInstance) Validate() error { return in.s.validate() }
 
+// Reseed restores the grid Setup built and keeps its woven program, so
+// that repeated kernels run on one weave.
+func (in *aompInstance) Reseed() { in.s = New(in.p) }
+
 // Program exposes the woven program to the Table 2 tooling and jgfbench.
 func (in *aompInstance) Program() *weaver.Program { return in.prog }
 

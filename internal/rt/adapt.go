@@ -23,6 +23,21 @@ const (
 	adaptImbLow  = 1.08
 )
 
+// adaptSkewRun is how many timed encounters in a row must read skewed to
+// move a loop to steal: one alone is as often a worker descheduled for a
+// few microseconds as an asymmetry (on 2 vCPUs, one woven SOR encounter
+// in 4–12).
+const adaptSkewRun = 2
+
+// adaptWindow is how many timed encounters off steal loopAdapt.base
+// remembers.
+const adaptWindow = 8
+
+// adaptSampleEvery: off steal, one encounter in adaptSampleEvery times its
+// shares. Timing costs each worker two clock reads and two atomics on a
+// shared line, 5–7 % of a woven SOR encounter on 2 vCPUs.
+const adaptSampleEvery = 4
+
 // shapeGuidedMin is the per-worker trip count from which a loop seen for
 // the first time is dispensed guided: below it the loop is too short for
 // chunk dispensing to pay for the balancing it buys.
@@ -35,34 +50,57 @@ func adaptDefaultChunk(n, nthreads int) int { return max(1, n/(nthreads*8)) }
 
 // loopAdapt is the persistent adaptive state of one for construct on one
 // team, held in the construct's record: the schedule it resolved to last,
-// and the imbalance that encounter measured. kind/chunk/count/rounds are
-// touched only while an encounter initialises (forShared.init, one at a
-// time per construct); imb is written by the encounter's last-finishing
-// worker, possibly while the next encounter initialises, hence atomic.
+// and what that encounter measured. Every field but last is touched only
+// while an encounter initialises (forShared.init, one at a time per
+// construct); last is written by the encounter's last-finishing worker,
+// possibly while the next encounter initialises, hence atomic.
 type loopAdapt struct {
 	kind   sched.Kind // concrete kind the last encounter ran under
 	chunk  int
 	count  int    // trip count the state was tuned for
 	rounds uint64 // encounters observed
-	// skewed latches once any encounter measured high imbalance: a loop
-	// that needed balancing once may need it again, so balanced
-	// re-encounters then coarsen the chunk instead of dropping all the
-	// way back to static dispatch (which would oscillate under
-	// asymmetry: uniform static carve → skew → steal → balanced →
-	// static → skew …).
-	skewed bool
-	imb    atomic.Uint64 // float64 bits: last max/mean share-time ratio
+	tuned  uint64 // the round that last tuned from shape
+	skews  int    // skewed encounters in a row, off steal
+	// recent rings the critical path (slowest share, ns) of the last
+	// adaptWindow timed encounters off steal; next is its write index.
+	recent [adaptWindow]int64
+	next   int
+	// last packs one finished encounter's critical path (high 32 bits)
+	// and mean share time (low 32), in ns saturating at 2³²−1, so one load
+	// reads both. resolve consumes it: an encounter that starts before the
+	// previous one finished finds 0 and keeps the last resolution.
+	last atomic.Uint64
 }
 
-// imbalance returns the last published imbalance ratio, or 0 when no
-// encounter has completed yet.
-func (a *loopAdapt) imbalance() float64 {
-	return math.Float64frombits(a.imb.Load())
+// publish records the just-finished encounter's critical path and mean
+// share time.
+func (a *loopAdapt) publish(crit, mean int64) {
+	sat := func(ns int64) uint64 { return uint64(min(max(ns, 0), math.MaxUint32)) }
+	a.last.Store(sat(crit)<<32 | sat(mean))
 }
 
-// publish records the imbalance the just-finished encounter measured.
-func (a *loopAdapt) publish(imb float64) {
-	a.imb.Store(math.Float64bits(imb))
+// base is the least critical path in recent: what the loop takes off
+// steal, a descheduled worker's spike or two filtered out. A steal
+// encounter slower than base returns the loop to static blocks, since
+// stealing must pay for its dispatch (and for the implicit barrier its
+// encounters add, which no share clock sees) with the skew it removes.
+// Under an asymmetry that came to stay every entry is skewed, and steal,
+// which balances it, stays.
+func (a *loopAdapt) base() int64 {
+	b := int64(math.MaxInt64)
+	for _, ns := range a.recent {
+		if ns > 0 {
+			b = min(b, ns)
+		}
+	}
+	return b
+}
+
+// measured takes the measurement publish left, or zeros when no encounter
+// has finished since the last call.
+func (a *loopAdapt) measured() (crit, mean int64) {
+	v := a.last.Swap(0)
+	return int64(v >> 32), int64(v & math.MaxUint32)
 }
 
 // adaptMeasurable reports whether per-share wall times can measure
@@ -91,14 +129,23 @@ var adaptMeasurable = func(teamSize int) bool {
 // adaptMeasurable) it gets static block regardless, because dispensing
 // overhead cannot be repaid when the workers time-share the CPUs and the
 // feedback below is blind there. Measured re-encounters act on the
-// imbalance: too skewed → move to steal, whose thieves absorb the
-// asymmetry, or halve the chunk if already balancing (finer grain gives
-// thieves more rebalancing currency); well balanced → drop back to static
-// dispatch if the loop never needed balancing, else coarsen the chunk
-// (cheaper dispatch either way); in between → keep what works.
-func (st *loopAdapt) resolve(size, n, chunk int) (sched.Kind, int) {
+// imbalance: adaptSkewRun skewed ones in a row move the loop to steal,
+// whose thieves absorb the asymmetry; a balanced guided loop drops to
+// static dispatch; in between, keep what works. On steal, a skewed
+// encounter halves the chunk (finer grain gives thieves more rebalancing
+// currency), a balanced one doubles it (cheaper dispatch), and one slower
+// than base returns the loop to static blocks.
+//
+// timed reports whether the encounter times its shares for the next:
+// every steal encounter, so that a move which does not pay is undone at
+// once; off steal, the second encounter after a re-tune from shape and
+// every adaptSampleEvery-th after it. A re-tuned encounter is not timed
+// (LUFact's shrinking loop re-tunes on every one and would time every
+// share for nothing), nor is any on an oversubscribed team.
+func (st *loopAdapt) resolve(size, n, chunk int) (k sched.Kind, c int, timed bool) {
 	st.rounds++
-	k, c := st.kind, st.chunk
+	k, c, timed = st.kind, st.chunk, true
+	crit, mean := st.measured()
 	switch {
 	case st.rounds == 1 || st.count != n:
 		// First sight, or the loop changed shape: tune from shape alone.
@@ -106,34 +153,45 @@ func (st *loopAdapt) resolve(size, n, chunk int) (sched.Kind, int) {
 		if adaptMeasurable(size) && n >= size*shapeGuidedMin {
 			k = sched.Guided
 		}
+		st.skews, st.recent, st.tuned, timed = 0, [adaptWindow]int64{}, st.rounds, false
 	case !adaptMeasurable(size):
-		// Imbalance is unmeasurable here (see adaptMeasurable): keep the
-		// last resolution rather than re-tune on scheduler noise.
+		// Unmeasurable: keep the last resolution rather than re-tune on
+		// scheduler noise.
+		timed = false
+	case mean == 0:
+		// No encounter finished since the last resolution: keep it.
+	case k == sched.Steal:
+		switch imb := float64(crit) / float64(mean); {
+		case crit > st.base():
+			k, c = sched.StaticBlock, chunk
+		case imb > adaptImbHigh && c > 1:
+			c /= 2
+		case imb < adaptImbLow && c*2 <= n/(2*size):
+			// Capped so every worker still sees two chunks' worth of
+			// rebalancing slack.
+			c *= 2
+		}
 	default:
-		switch imb := st.imbalance(); {
-		case imb > adaptImbHigh:
-			st.skewed = true
-			if k != sched.Steal && k != sched.Dynamic {
-				k = sched.Steal
-				c = adaptDefaultChunk(n, size)
-			} else if c > 1 {
-				c /= 2
-			}
-		case imb > 0 && imb < adaptImbLow:
-			if !st.skewed && k != sched.StaticBlock && k != sched.StaticCyclic {
-				// Balanced and never needed balancing: pay zero dispatch.
-				// Static encounters keep measuring imbalance (EndFor
-				// times every adaptive share), so the loop upgrades
-				// back the moment skew appears.
+		st.recent[st.next] = crit
+		st.next = (st.next + 1) % adaptWindow
+		switch imb := float64(crit) / float64(mean); {
+		case imb <= adaptImbHigh:
+			st.skews = 0
+			if imb < adaptImbLow && k == sched.Guided {
+				// Balanced under a dispensing kind: pay zero dispatch.
+				// Static encounters keep being sampled, so the loop
+				// upgrades once skew persists.
 				k = sched.StaticBlock
-			} else if next := c * 2; next <= n/(2*size) {
-				// Balanced but once-skewed (or already static): coarsen
-				// dispatch instead, capped so every worker still sees two
-				// chunks' worth of rebalancing slack.
-				c = next
+			}
+		default:
+			if st.skews++; st.skews >= adaptSkewRun {
+				k, c, st.skews = sched.Steal, adaptDefaultChunk(n, size), 0
 			}
 		}
 	}
 	st.kind, st.chunk, st.count = k, c, n
-	return k, c
+	if k != sched.Steal && (st.rounds-st.tuned)%adaptSampleEvery != 1 {
+		timed = false
+	}
+	return k, c, timed
 }

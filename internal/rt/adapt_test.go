@@ -13,7 +13,7 @@ import (
 // adaptResolve drives the resolver the way forShared.init does.
 func adaptResolve(t *Team, key any, _ sched.Kind, n, chunk int) (sched.Kind, int, *loopAdapt) {
 	st := &t.construct(key).adapt
-	k, c := st.resolve(t.Size, n, chunk)
+	k, c, _ := st.resolve(t.Size, n, chunk)
 	return k, c, st
 }
 
@@ -27,10 +27,16 @@ func forceMeasurable(t *testing.T) {
 	t.Cleanup(func() { adaptMeasurable = prev })
 }
 
+// measure publishes an encounter whose slowest share took imb times the
+// mean share of 1 µs.
+func measure(st *loopAdapt, imb float64) { st.publish(int64(imb*1000), 1000) }
+
 // TestAdaptResolvePolicy pins the feedback policy state machine: first
-// sight tunes from shape, a skewed encounter moves to steal and then
-// refines the chunk, a balanced one coarsens it (capped), and the
-// hysteresis band changes nothing.
+// sight tunes from shape, one skewed encounter is noise, adaptSkewRun in a
+// row move to steal, which then refines the chunk while skewed, coarsens
+// it (capped) while balanced and keeps it in the hysteresis band, and an
+// encounter that stole more slowly than the loop ran before returns it to
+// static blocks.
 func TestAdaptResolvePolicy(t *testing.T) {
 	defer resetPool(t)()
 	forceMeasurable(t)
@@ -43,31 +49,54 @@ func TestAdaptResolvePolicy(t *testing.T) {
 		t.Fatalf("first sight resolved to %v chunk %d, want shape rule guided chunk 0", k, c)
 	}
 
-	st.publish(2.0) // skewed → upgrade to steal at the default grain
+	measure(st, 2.0) // one skewed encounter: noise, keep
+	if k1, _, _ := adaptResolve(team, key, sched.Adaptive, n, 0); k1 != sched.Guided {
+		t.Fatalf("one skewed re-encounter resolved to %v, want to keep Guided", k1)
+	}
+	measure(st, 2.0) // the second in a row → upgrade to steal at the default grain
 	k2, c2, _ := adaptResolve(team, key, sched.Adaptive, n, 0)
 	if k2 != sched.Steal || c2 != adaptDefaultChunk(n, 4) {
-		t.Fatalf("skewed re-encounter: %v chunk %d, want Steal chunk %d", k2, c2, adaptDefaultChunk(n, 4))
+		t.Fatalf("skewed re-encounters: %v chunk %d, want Steal chunk %d", k2, c2, adaptDefaultChunk(n, 4))
 	}
 
-	st.publish(2.0) // still skewed while balancing → refine grain
+	measure(st, 2.0) // still skewed while balancing → refine grain
 	if k3, c3, _ := adaptResolve(team, key, sched.Adaptive, n, 0); k3 != sched.Steal || c3 != c2/2 {
-		t.Fatalf("second skewed re-encounter: %v chunk %d, want Steal chunk %d", k3, c3, c2/2)
+		t.Fatalf("skewed steal re-encounter: %v chunk %d, want Steal chunk %d", k3, c3, c2/2)
 	}
 
-	st.publish(1.0) // balanced after skew → coarsen, bounded by n/(2*Size)
+	measure(st, 1.0) // balanced after skew → coarsen, bounded by n/(2*Size)
 	if _, c4, _ := adaptResolve(team, key, sched.Adaptive, n, 0); c4 != c2 {
 		t.Fatalf("balanced re-encounter chunk %d, want doubled back to %d", c4, c2)
 	}
 
-	st.publish(1.15) // hysteresis band → keep
+	measure(st, 1.15) // hysteresis band → keep
 	if k5, c5, _ := adaptResolve(team, key, sched.Adaptive, n, 0); k5 != sched.Steal || c5 != c2 {
 		t.Fatalf("hysteresis re-encounter: %v chunk %d, want unchanged Steal %d", k5, c5, c2)
 	}
 
+	// Every steal encounter is timed, so a move that does not pay is
+	// undone at the next.
+	measure(st, 1.15)
+	if k, _, timed := st.resolve(4, n, 0); k != sched.Steal || !timed {
+		t.Fatalf("steal re-encounter: %v timed %v, want Steal timed", k, timed)
+	}
+
+	// No encounter finished since the last resolution: keep it.
+	if k6, c6, _ := adaptResolve(team, key, sched.Adaptive, n, 0); k6 != sched.Steal || c6 != c2 {
+		t.Fatalf("unmeasured re-encounter: %v chunk %d, want unchanged Steal %d", k6, c6, c2)
+	}
+
+	// A balanced steal encounter slower than the skewed ones it replaced
+	// (2 µs): stealing does not pay, back to static blocks.
+	st.publish(2500, 2400)
+	if k7, c7, _ := adaptResolve(team, key, sched.Adaptive, n, 0); k7 != sched.StaticBlock || c7 != 0 {
+		t.Fatalf("slow steal re-encounter: %v chunk %d, want StaticBlock chunk 0", k7, c7)
+	}
+
 	// A reshaped loop (new trip count) re-tunes from shape, not stale state.
-	st.publish(2.0)
-	if k6, c6, _ := adaptResolve(team, key, sched.Adaptive, 4*n, 0); k6 != sched.Guided || c6 != 0 {
-		t.Fatalf("reshaped loop resolved to %v chunk %d, want fresh shape rule guided", k6, c6)
+	measure(st, 2.0)
+	if k8, c8, _ := adaptResolve(team, key, sched.Adaptive, 4*n, 0); k8 != sched.Guided || c8 != 0 {
+		t.Fatalf("reshaped loop resolved to %v chunk %d, want fresh shape rule guided", k8, c8)
 	}
 }
 
@@ -77,7 +106,9 @@ func TestAdaptResolvePolicy(t *testing.T) {
 // and one iteration per worker included, dispensing can never pay there —
 // guided from the first count that clears it, and static by blocks at any
 // count on a team whose imbalance is unmeasurable. The declared chunk
-// passes through.
+// passes through. A first sight does not time its shares; on a measurable
+// team the next encounter at the same trip count does, and then one in
+// adaptSampleEvery.
 func TestAdaptFirstSightShapeRule(t *testing.T) {
 	defer resetPool(t)()
 	cases := []struct {
@@ -100,17 +131,24 @@ func TestAdaptFirstSightShapeRule(t *testing.T) {
 	t.Cleanup(func() { adaptMeasurable = prev })
 	for i, c := range cases {
 		adaptMeasurable = func(int) bool { return c.measurable }
-		team := captureTeam(c.size)
-		if k, chunk, _ := adaptResolve(team, i, sched.Adaptive, c.n, 7); k != c.want || chunk != 7 {
-			t.Errorf("size=%d n=%d measurable=%v: first sight %v chunk %d, want %v chunk 7",
-				c.size, c.n, c.measurable, k, chunk, c.want)
+		st := &captureTeam(c.size).construct(i).adapt
+		if k, chunk, timed := st.resolve(c.size, c.n, 7); k != c.want || chunk != 7 || timed {
+			t.Errorf("size=%d n=%d measurable=%v: first sight %v chunk %d timed %v, want %v chunk 7 untimed",
+				c.size, c.n, c.measurable, k, chunk, timed, c.want)
+		}
+		for r := 2; r <= 2+adaptSampleEvery; r++ {
+			want := c.measurable && (r == 2 || r == 2+adaptSampleEvery)
+			if _, _, timed := st.resolve(c.size, c.n, 7); timed != want {
+				t.Errorf("size=%d n=%d measurable=%v: encounter %d at the same trip count timed %v, want %v",
+					c.size, c.n, c.measurable, r, timed, want)
+			}
 		}
 	}
 }
 
 // TestAdaptResolveAutoUpgrades pins Auto as Adaptive's former name: a loop
 // declared Auto runs through the construct's adaptive state — its first
-// sight keeps the shape rule, a measured skewed re-encounter upgrades it to
+// sight keeps the shape rule, measured skewed re-encounters upgrade it to
 // steal, and a balanced one keeps it there — and through ForSpan every
 // encounter lands in that state.
 func TestAdaptResolveAutoUpgrades(t *testing.T) {
@@ -124,11 +162,14 @@ func TestAdaptResolveAutoUpgrades(t *testing.T) {
 	if k != sched.Guided {
 		t.Fatalf("Auto first sight resolved to %v, want shape rule guided", k)
 	}
-	st.publish(3.0)
-	if k2, _, _ := adaptResolve(team, key, sched.Auto, n, 0); k2 != sched.Steal {
+	for i := 0; i < adaptSkewRun; i++ {
+		measure(st, 3.0)
+		adaptResolve(team, key, sched.Auto, n, 0)
+	}
+	if k2 := st.kind; k2 != sched.Steal {
 		t.Fatalf("Auto after measured imbalance resolved to %v, want Steal", k2)
 	}
-	st.publish(1.0)
+	measure(st, 1.0)
 	if k3, _, _ := adaptResolve(team, key, sched.Auto, n, 0); k3 != sched.Steal {
 		t.Fatalf("balanced Auto re-encounter fell back to %v, want to keep Steal", k3)
 	}
@@ -226,8 +267,10 @@ func TestHotTeamAdaptiveStatePersistsAcrossLeases(t *testing.T) {
 
 // TestAdaptResolveBalancedDowngradesToStatic pins the downgrade path: a
 // loop whose shape heuristic picked a dispensing schedule (here Guided)
-// and that measures balanced — without ever having been skewed — drops
-// to static dispatch, and upgrades to steal the moment skew appears.
+// and that measures balanced drops to static dispatch, and upgrades to
+// steal once skew persists. A steal loop that balances the skew away stays
+// there while it beats the static encounters — flipping it back to an
+// equal carve would oscillate under asymmetry.
 func TestAdaptResolveBalancedDowngradesToStatic(t *testing.T) {
 	defer resetPool(t)()
 	forceMeasurable(t)
@@ -237,19 +280,20 @@ func TestAdaptResolveBalancedDowngradesToStatic(t *testing.T) {
 	if k != sched.Guided {
 		t.Fatalf("first sight of a 1024-trip loop resolved to %v, want shape heuristic Guided", k)
 	}
-	st.publish(1.0)
+	measure(st, 1.0)
 	if k, _, _ := adaptResolve(team, key, sched.Adaptive, 1024, 0); k != sched.StaticBlock {
-		t.Fatalf("balanced never-skewed loop resolved to %v, want StaticBlock", k)
+		t.Fatalf("balanced loop resolved to %v, want StaticBlock", k)
 	}
-	st.publish(2.0)
-	if k, _, _ := adaptResolve(team, key, sched.Adaptive, 1024, 0); k != sched.Steal {
-		t.Fatalf("skew on a downgraded loop resolved to %v, want Steal", k)
+	for i := 0; i < adaptSkewRun; i++ {
+		measure(st, 2.0)
+		adaptResolve(team, key, sched.Adaptive, 1024, 0)
 	}
-	// Once skewed, balanced re-encounters must NOT flip back to static —
-	// that would oscillate under asymmetry.
-	st.publish(1.0)
+	if st.kind != sched.Steal {
+		t.Fatalf("persistent skew on a downgraded loop resolved to %v, want Steal", st.kind)
+	}
+	measure(st, 1.0) // balanced at half the skewed critical path
 	if k, _, _ := adaptResolve(team, key, sched.Adaptive, 1024, 0); k != sched.Steal {
-		t.Fatalf("balanced once-skewed loop resolved to %v, want to stay Steal", k)
+		t.Fatalf("balanced steal loop faster than static resolved to %v, want to stay Steal", k)
 	}
 }
 
@@ -269,7 +313,7 @@ func TestAdaptResolveUnmeasurableKeepsState(t *testing.T) {
 	if k != sched.StaticBlock {
 		t.Fatalf("oversubscribed first sight resolved to %v, want cheapest dispatch StaticBlock", k)
 	}
-	st.publish(3.9) // time-sharing artifact, not real imbalance
+	measure(st, 3.9) // time-sharing artifact, not real imbalance
 	if k2, c2, _ := adaptResolve(team, key, sched.Adaptive, 1024, 0); k2 != k || c2 != c {
 		t.Fatalf("unmeasurable re-encounter re-tuned to %v chunk %d from %v chunk %d", k2, c2, k, c)
 	}

@@ -21,9 +21,9 @@ type ForContext struct {
 	slot   *encSlot // the encounter's slot, held until EndFor; slot.fs is the shared state
 
 	// start stamps the beginning of this worker's share (an obs.Now
-	// reading) when the encounter is adaptive, whose imbalance measurement
-	// reads it, or the tracer is on, whose work slice shares it. No other
-	// encounter reads the clock.
+	// reading) when the encounter is a timed adaptive one, whose imbalance
+	// measurement reads it, or the tracer is on, whose work slice shares
+	// it. No other encounter reads the clock.
 	start int64
 
 	// parts is what Next serves to a static or custom encounter, one part
@@ -58,10 +58,11 @@ type forShared struct {
 	sdisp *sched.StealDispenser
 
 	// adapt links the encounter to its construct's persistent adaptive
-	// state; nil when the construct is not adaptively scheduled. The
+	// state; nil when the construct is not adaptively scheduled or the
+	// encounter is not timed (loopAdapt.resolve). The
 	// imbalance measurement below feeds it: each worker folds its share
 	// time into maxNs/sumNs at EndFor, and the last one to release the
-	// slot publishes max/mean — the ratio the next encounter re-tunes on.
+	// slot publishes max and mean, which the next encounter re-tunes on.
 	adapt *loopAdapt
 	maxNs atomic.Int64
 	sumNs atomic.Int64
@@ -80,10 +81,12 @@ func (fs *forShared) init(t *Team, c *construct, sp sched.Space, kind sched.Kind
 	fs.adapt, fs.onext = nil, sp.Lo
 	kind = sched.Resolve(kind, n, t.Size)
 	if kind == sched.Adaptive {
-		kind, chunk = c.adapt.resolve(t.Size, n, chunk)
-		fs.adapt = &c.adapt
-		fs.maxNs.Store(0)
-		fs.sumNs.Store(0)
+		var timed bool
+		if kind, chunk, timed = c.adapt.resolve(t.Size, n, chunk); timed {
+			fs.adapt = &c.adapt
+			fs.maxNs.Store(0)
+			fs.sumNs.Store(0)
+		}
 	}
 	fs.kind = kind
 	switch kind {
@@ -109,11 +112,12 @@ func (fs *forShared) noteDone(elapsed int64) {
 	fs.sumNs.Add(elapsed)
 }
 
-// publishImbalance hands the finished encounter's max/mean share time to
-// the adaptive state; called by the last of the team's size workers out.
+// publishImbalance hands the finished encounter's slowest and mean share
+// time to the adaptive state; called by the last of the team's size
+// workers out.
 func (fs *forShared) publishImbalance(size int) {
 	if mean := fs.sumNs.Load() / int64(size); mean > 0 {
-		fs.adapt.publish(float64(fs.maxNs.Load()) / float64(mean))
+		fs.adapt.publish(fs.maxNs.Load(), mean)
 	}
 }
 
