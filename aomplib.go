@@ -353,23 +353,24 @@ func HotTeamsEnabled() bool { return rt.HotTeamsEnabled() }
 func SetPoolSize(maxIdleWorkers int) int { return rt.SetPoolSize(maxIdleWorkers) }
 
 // PoolStats snapshots the hot-team pool — the observability hook for
-// tuning SetPoolSize. Counter fields are cumulative since process start:
+// tuning SetPoolSize:
 //
-//   - Leases: parallel region entries (every entry leases a team);
-//   - Hits: entries served by a cached pool team;
-//   - Misses: entries that cold-spawned a team with hot teams enabled
-//     (pool empty for that size, or nesting overflowed it);
-//   - Disabled: entries that cold-spawned because hot teams were off;
-//   - Recycled: clean entries that returned their team to the pool;
+//   - Leases: region entries that leased a team from the pool machinery,
+//     served by a cached team or cold-spawned (a narrowed entry runs on
+//     its own team of one and an admission-degraded entry bypasses the
+//     pool; neither is a lease);
+//   - Hits: leases served by a cached pool team;
 //   - Retired: teams destroyed after a panic or a dead worker — poisoned
 //     state is never recycled;
 //   - Evicted: healthy teams dropped because the pool was full, shrunk by
 //     SetPoolSize, or disabled by SetHotTeams(false).
 //
-// Instantaneous fields describe the moment of the call: IdleTeams and
-// IdleWorkers are what is parked right now, MaxIdleWorkers the current
-// capacity bound. Hits+Misses+Disabled == Leases, and every lease ends in
-// exactly one of Recycled, Retired or Evicted once its region completes.
+// Leases and Hits are views of the metrics registry's region entries by
+// lease kind (ReadMetrics().Leases), so they count only while
+// EnableMetrics is on; Retired and Evicted are cumulative since process
+// start. Instantaneous fields describe the moment of the call: IdleTeams
+// and IdleWorkers are what is parked right now, MaxIdleWorkers the current
+// capacity bound.
 func PoolStats() TeamPoolStats { return rt.ReadPoolStats() }
 
 // TeamPoolStats is the snapshot type returned by PoolStats.
@@ -403,10 +404,6 @@ const (
 // entry pays one extra atomic load — the allocation-free warm path is
 // unchanged.
 func SetAdmissionControl(on bool) bool { return rt.SetAdmissionControl(on) }
-
-// AdmissionEnabled reports whether top-level region entries pass through
-// admission control.
-func AdmissionEnabled() bool { return rt.AdmissionEnabled() }
 
 // SetAdmitPolicy sets the admission backpressure policy and the queue-wait
 // timeout (meaningful for AdmitTimeout; 0 keeps the current one),
@@ -476,9 +473,6 @@ type TenantAdmissionStats = rt.TenantAdmissionStats
 // branch, so the allocation-free hot paths are unchanged.
 func EnableTracing(on bool) bool { return obs.EnableTracing(on) }
 
-// TracingEnabled reports whether the built-in tracer is on.
-func TracingEnabled() bool { return obs.TracingEnabled() }
-
 // StartTrace begins recording runtime events into lock-free per-worker
 // ring buffers, enabling the tracer if needed and discarding any previous
 // trace.
@@ -490,29 +484,3 @@ func StartTrace() { obs.StartTrace() }
 // flow arrows from task spawn (and dependence release) to task run. A
 // slice still open at StopTrace is not in the trace.
 func StopTrace(w io.Writer) error { return obs.StopTrace(w) }
-
-// RuntimeStats snapshots the runtime's own tallies: the hot-team pool's
-// lease counters, the admission controller's queue state and per-tenant
-// counters, and the tracer's ring accounting (Trace) — RingDrops (events
-// shed cumulatively across traces), TraceRings (buffers allocated) and
-// WorkersFolded (workers sharing rings past the ring bound), so a quiet
-// trace is distinguishable from one that silently dropped its events.
-// Event counts and latencies are ReadMetrics'.
-func RuntimeStats() RuntimeSnapshot {
-	return RuntimeSnapshot{Trace: obs.ReadStats(), Pool: rt.ReadPoolStats(), Admission: rt.ReadAdmissionStats()}
-}
-
-// RuntimeSnapshot is the aggregate returned by RuntimeStats.
-type RuntimeSnapshot struct {
-	// Trace is the built-in tracer's ring accounting (zero until
-	// StartTrace has recorded).
-	Trace TraceStats
-	// Pool is the hot-team pool snapshot, always live.
-	Pool TeamPoolStats
-	// Admission is the multi-tenant admission snapshot, always live
-	// (zero-counter when admission control has never been enabled).
-	Admission AdmissionSnapshot
-}
-
-// TraceStats is the tracer's ring accounting (RuntimeSnapshot.Trace).
-type TraceStats = obs.Stats

@@ -210,6 +210,21 @@ func TestFacadeKnobsHaveCallers(t *testing.T) {
 	}
 }
 
+// TestFacadeReadersHaveCallers holds the facade's readers to the same
+// rule: every exported func of package aomplib named Read*, Write*, *Stats
+// or *Enabled must be referenced from a non-test .go file of the module
+// outside aomplib.go and diag.go. A reader only tests call is a second
+// view of a count some other reader already serves.
+func TestFacadeReadersHaveCallers(t *testing.T) {
+	unused, n := funcsWithoutCallers(t, ".", "aomplib", isReader)
+	if n == 0 {
+		t.Fatal("found no facade readers to census: the census is looking in the wrong place")
+	}
+	for _, name := range unused {
+		t.Errorf("facade reader %s has no caller outside tests: delete it", name)
+	}
+}
+
 // TestInternalKnobsHaveCallers applies the same rule to the packages the
 // facade's knobs delegate to: an exported Set*/Enable* func of internal/rt,
 // internal/obs or internal/sched needs a non-test caller outside its own
@@ -339,6 +354,13 @@ func paperConstructs(t *testing.T, design string) map[string]bool {
 // isKnob reports whether name is a process-global switch: Set* or Enable*.
 func isKnob(name string) bool {
 	return strings.HasPrefix(name, "Set") || strings.HasPrefix(name, "Enable")
+}
+
+// isReader reports whether name reads runtime state: Read*, Write*,
+// *Stats or *Enabled.
+func isReader(name string) bool {
+	return strings.HasPrefix(name, "Read") || strings.HasPrefix(name, "Write") ||
+		strings.HasSuffix(name, "Stats") || strings.HasSuffix(name, "Enabled")
 }
 
 // funcsWithoutCallers returns the exported top-level funcs of the package

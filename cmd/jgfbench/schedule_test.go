@@ -82,6 +82,47 @@ func TestScheduleReachesKernels(t *testing.T) {
 	}
 }
 
+// TestPhaseBarriersPerSchedule: the woven SOR and LUFact kernels end each
+// phase at their own barrier alone, whatever their loop's schedule. At
+// width 2 a dispensing kind's run passes exactly as many barriers as a
+// staticBlock run, so its @For adds no implicit barrier of its own.
+func TestPhaseBarriersPerSchedule(t *testing.T) {
+	prevWidth := fixedRegionWidth
+	fixedRegionWidth = true
+	defer func() { fixedRegionWidth = prevWidth }()
+	defer aomplib.EnableMetrics(aomplib.EnableMetrics(true))
+
+	waits := func(name string, k sched.Kind) uint64 {
+		for _, b := range suite("test", k) {
+			if b.name != name {
+				continue
+			}
+			in := b.aomp(2)
+			in.Setup()
+			before := aomplib.ReadMetrics().BarrierWait.Count
+			in.Kernel()
+			n := aomplib.ReadMetrics().BarrierWait.Count - before
+			if err := in.Validate(); err != nil {
+				t.Fatalf("%s %v: %v", name, k, err)
+			}
+			return n
+		}
+		t.Fatalf("no %s in the suite", name)
+		return 0
+	}
+	for _, name := range []string{"SOR", "LUFact"} {
+		want := waits(name, sched.StaticBlock)
+		if want == 0 {
+			t.Fatalf("%s staticBlock passed no barrier", name)
+		}
+		for _, k := range []sched.Kind{sched.Dynamic, sched.Guided, sched.Steal} {
+			if got := waits(name, k); got != want {
+				t.Errorf("%s %v passed %d barriers, staticBlock %d", name, k, got, want)
+			}
+		}
+	}
+}
+
 // TestScheduleFlag: -schedule names the kernels' loop schedule. "runtime"
 // (the deleted process-default kind) and "caseSpecific" (it needs a
 // ScheduleFunc a flag cannot carry) exit 2 with the valid list, and the

@@ -3,7 +3,6 @@ package aomplib
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"math"
 	"net"
 	"net/http"
@@ -31,9 +30,6 @@ import (
 // compose with the tracer: enabling one never evicts the other.
 func EnableMetrics(on bool) bool { return obs.EnableMetrics(on) }
 
-// MetricsEnabled reports whether the metrics registry is recording.
-func MetricsEnabled() bool { return obs.MetricsEnabled() }
-
 // ReadMetrics merges the registry's shards into one point-in-time
 // snapshot. Safe from any goroutine at any time; counters are cumulative
 // since the first EnableMetrics and never reset.
@@ -53,12 +49,6 @@ type MetricsHistogramBucket = obs.HistogramBucket
 // MetricsSnapshot.
 type ScheduleShareCount = obs.ScheduleShareCount
 
-// WriteMetricsText renders the metrics registry as Prometheus text
-// exposition (content type "text/plain; version=0.0.4") — what the
-// /metrics endpoint serves, exposed directly for servers that register
-// runtime metrics with their own exposition plumbing.
-func WriteMetricsText(w io.Writer) error { return obs.WriteMetricsText(w, runtimeGauges()...) }
-
 // -------------------------------------------------------- HTTP surface --
 
 // Handler returns the diagnostics HTTP handler, enabling the metrics
@@ -68,9 +58,9 @@ func WriteMetricsText(w io.Writer) error { return obs.WriteMetricsText(w, runtim
 //	/metrics                Prometheus text exposition: the metrics
 //	                        registry plus live pool, admission,
 //	                        per-tenant and trace-ring families;
-//	/debug/aomp/stats       RuntimeStats() and ReadMetrics() as JSON
-//	                        (pool, admission, trace rings; counts and
-//	                        latencies);
+//	/debug/aomp/stats       JSON {pool, admission, trace, metrics}:
+//	                        PoolStats(), AdmissionStats(), the tracer's
+//	                        ring accounting and ReadMetrics();
 //	/debug/aomp/trace?sec=N Chrome trace of the next N seconds
 //	                        (default 2, clamped to [0.1, 30]); 503 while
 //	                        any trace is recording, the program's own
@@ -107,7 +97,7 @@ func ServeDiagnostics(addr string) (*http.Server, error) {
 // admission tallies (a row for every known tenant, zeros included) and
 // trace-ring accounting, sampled at scrape time.
 func runtimeGauges() []obs.Family {
-	rs := RuntimeStats()
+	pool, adm, tr := PoolStats(), AdmissionStats(), obs.ReadStats()
 	gauge := func(name, help string, v float64) obs.Family {
 		return obs.Family{Name: "aomp_" + name, Help: help, Type: "gauge",
 			Samples: []obs.Sample{{Value: v}}}
@@ -118,7 +108,7 @@ func runtimeGauges() []obs.Family {
 	}
 	tenants := func(name, help string, v func(TenantAdmissionStats) uint64) obs.Family {
 		f := obs.Family{Name: "aomp_" + name, Help: help, Type: "counter"}
-		for _, t := range rs.Admission.Tenants {
+		for _, t := range adm.Tenants {
 			f.Samples = append(f.Samples, obs.Sample{
 				Labels: []obs.Label{{Name: "tenant", Value: t.Name}}, Value: float64(v(t))})
 		}
@@ -133,16 +123,13 @@ func runtimeGauges() []obs.Family {
 			func(t TenantAdmissionStats) uint64 { return t.Rejected }),
 		tenants("tenant_timeouts_total", "Refusals per tenant due to a queue-wait timeout.",
 			func(t TenantAdmissionStats) uint64 { return t.TimedOut }),
-		counter("pool_leases_total", "Team leases served by the hot-team pool machinery.", rs.Pool.Leases),
-		counter("pool_hits_total", "Leases served by a cached pool team.", rs.Pool.Hits),
-		gauge("pool_idle_teams", "Teams parked in the hot-team pool right now.", float64(rs.Pool.IdleTeams)),
-		gauge("pool_idle_workers", "Workers parked in the hot-team pool right now.", float64(rs.Pool.IdleWorkers)),
-		gauge("admission_queue_depth", "Admission waiters queued right now.", float64(rs.Admission.QueueDepth)),
-		gauge("admission_held_slots", "Admission lease slots granted right now.", float64(rs.Admission.Held)),
-		counter("admission_degraded_total", "Region entries that ran serialized without a lease.", rs.Admission.Degraded),
-		counter("trace_ring_drops_total", "Trace events dropped by full or draining ring buffers.", rs.Trace.RingDrops),
-		gauge("trace_rings", "Trace ring buffers allocated by the built-in tracer.", float64(rs.Trace.TraceRings)),
-		gauge("trace_workers_folded", "Workers folded onto shared trace rings (id beyond the ring bound).", float64(rs.Trace.WorkersFolded)),
+		gauge("pool_idle_teams", "Teams parked in the hot-team pool right now.", float64(pool.IdleTeams)),
+		gauge("pool_idle_workers", "Workers parked in the hot-team pool right now.", float64(pool.IdleWorkers)),
+		gauge("admission_queue_depth", "Admission waiters queued right now.", float64(adm.QueueDepth)),
+		gauge("admission_held_slots", "Admission lease slots granted right now.", float64(adm.Held)),
+		counter("trace_ring_drops_total", "Trace events dropped by full or draining ring buffers.", tr.RingDrops),
+		gauge("trace_rings", "Trace ring buffers allocated by the built-in tracer.", float64(tr.TraceRings)),
+		gauge("trace_workers_folded", "Workers folded onto shared trace rings (id beyond the ring bound).", float64(tr.WorkersFolded)),
 	}
 }
 
@@ -159,9 +146,11 @@ func serveStats(w http.ResponseWriter, r *http.Request) {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	enc.Encode(struct {
-		Runtime RuntimeSnapshot `json:"runtime"`
-		Metrics MetricsSnapshot `json:"metrics"`
-	}{RuntimeStats(), ReadMetrics()})
+		Pool      TeamPoolStats     `json:"pool"`
+		Admission AdmissionSnapshot `json:"admission"`
+		Trace     obs.Stats         `json:"trace"`
+		Metrics   MetricsSnapshot   `json:"metrics"`
+	}{PoolStats(), AdmissionStats(), obs.ReadStats(), ReadMetrics()})
 }
 
 func serveTrace(w http.ResponseWriter, r *http.Request) {
@@ -185,7 +174,7 @@ func serveTrace(w http.ResponseWriter, r *http.Request) {
 	// recording, so it never discards or ends the program's own trace, and
 	// restores the tracer's on/off state afterwards: a server that keeps
 	// the tracer off should not find it on because somebody curled a trace.
-	wasEnabled := TracingEnabled()
+	wasEnabled := obs.TracingEnabled()
 	if !obs.TryStartTrace() {
 		http.Error(w, "a trace is already recording", http.StatusServiceUnavailable)
 		return

@@ -15,7 +15,8 @@ import (
 
 // The diagnostics handler's /metrics output must pass the strict
 // exposition lint and carry both registry counters and the live runtime
-// gauges, with real traffic reflected in the values.
+// gauges, with real traffic reflected in the values. Each count is
+// exported once: no family restates another.
 func TestDiagnosticsMetricsEndpoint(t *testing.T) {
 	srv := httptest.NewServer(Handler())
 	defer srv.Close()
@@ -53,18 +54,32 @@ func TestDiagnosticsMetricsEndpoint(t *testing.T) {
 			t.Fatalf("/metrics missing family %s:\n%s", fam, text)
 		}
 	}
-	// Handler() enabled metrics, so the region above must have counted.
-	var entries float64
+	for _, fam := range []string{
+		"aomp_pool_leases_total",
+		"aomp_pool_hits_total",
+		"aomp_barrier_waits_total",
+		"aomp_admission_degraded_total",
+	} {
+		if strings.Contains(text, fam) {
+			t.Fatalf("/metrics restates another family's count as %s:\n%s", fam, text)
+		}
+	}
+	// Handler() enabled metrics, so the pooled region above must have
+	// counted as a hit or a cold lease.
+	var leased float64
 	for _, line := range strings.Split(text, "\n") {
-		if v, ok := strings.CutPrefix(line, "aomp_region_entries_total "); ok {
-			entries, err = strconv.ParseFloat(strings.TrimSpace(v), 64)
-			if err != nil {
-				t.Fatalf("unparseable region entries %q", v)
+		for _, lease := range []string{"hit", "cold"} {
+			if v, ok := strings.CutPrefix(line, `aomp_region_entries_total{lease="`+lease+`"} `); ok {
+				n, err := strconv.ParseFloat(strings.TrimSpace(v), 64)
+				if err != nil {
+					t.Fatalf("unparseable region entries %q", v)
+				}
+				leased += n
 			}
 		}
 	}
-	if entries < 1 {
-		t.Fatalf("aomp_region_entries_total = %v after a region ran", entries)
+	if leased < 1 {
+		t.Fatalf("aomp_region_entries_total{lease=hit|cold} = %v after a region ran", leased)
 	}
 }
 
@@ -119,57 +134,49 @@ func TestDiagnosticsMetricsTenantRows(t *testing.T) {
 	}
 }
 
-// /debug/aomp/stats must serve the combined runtime + metrics snapshot as
-// JSON, including the tracer's ring accounting.
+// /debug/aomp/stats must serve {pool, admission, trace, metrics} as JSON,
+// each a live view: a traced pooled region moves the tracer's ring
+// accounting and the pool's leases.
 func TestDiagnosticsStatsEndpoint(t *testing.T) {
 	srv := httptest.NewServer(Handler())
 	defer srv.Close()
 	defer EnableMetrics(false)
-
-	resp, err := srv.Client().Get(srv.URL + "/debug/aomp/stats")
-	if err != nil {
-		t.Fatalf("GET stats: %v", err)
-	}
-	defer resp.Body.Close()
-	var payload struct {
-		Runtime struct {
-			Trace struct {
-				RingDrops     *uint64 `json:"RingDrops"`
-				TraceRings    *int    `json:"TraceRings"`
-				WorkersFolded *int    `json:"WorkersFolded"`
-			}
-		} `json:"runtime"`
-		Metrics map[string]any `json:"metrics"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&payload); err != nil {
-		t.Fatalf("stats is not valid JSON: %v", err)
-	}
-	if payload.Runtime.Trace.RingDrops == nil || payload.Runtime.Trace.TraceRings == nil ||
-		payload.Runtime.Trace.WorkersFolded == nil {
-		t.Fatal("stats JSON missing the ring-accounting fields")
-	}
-	if payload.Metrics == nil {
-		t.Fatal("stats JSON missing the metrics snapshot")
-	}
-}
-
-// RuntimeStats gathers tracer ring accounting with pool counters.
-func TestRuntimeSnapshotAggregates(t *testing.T) {
 	StartTrace()
 	defer EnableTracing(false)
-	before := RuntimeStats()
-	p := NewProgram("t")
-	region := p.Class("Demo").Proc("run", func() {})
-	p.Use(ParallelRegion("call(* Demo.run(..))").Threads(2))
-	p.MustWeave()
-	region()
-	st := RuntimeStats()
-	if st.Trace.EventsRecorded <= before.Trace.EventsRecorded {
-		t.Fatalf("Trace.EventsRecorded did not advance: %d -> %d",
-			before.Trace.EventsRecorded, st.Trace.EventsRecorded)
+
+	type payload struct {
+		Pool      *TeamPoolStats     `json:"pool"`
+		Admission *AdmissionSnapshot `json:"admission"`
+		Trace     *obs.Stats         `json:"trace"`
+		Metrics   *MetricsSnapshot   `json:"metrics"`
 	}
-	if st.Pool.Leases <= before.Pool.Leases {
-		t.Fatalf("Pool.Leases did not advance: %d -> %d", before.Pool.Leases, st.Pool.Leases)
+	get := func() payload {
+		t.Helper()
+		resp, err := srv.Client().Get(srv.URL + "/debug/aomp/stats")
+		if err != nil {
+			t.Fatalf("GET stats: %v", err)
+		}
+		defer resp.Body.Close()
+		var p payload
+		if err := json.NewDecoder(resp.Body).Decode(&p); err != nil {
+			t.Fatalf("stats is not valid JSON: %v", err)
+		}
+		if p.Pool == nil || p.Admission == nil || p.Trace == nil || p.Metrics == nil {
+			t.Fatalf("stats JSON lacks a section: %+v", p)
+		}
+		return p
+	}
+	before := get()
+	rt.Region(2, func(w *rt.Worker) {})
+	after := get()
+	if after.Trace.EventsRecorded <= before.Trace.EventsRecorded {
+		t.Errorf("trace.EventsRecorded did not advance: %d -> %d", before.Trace.EventsRecorded, after.Trace.EventsRecorded)
+	}
+	if after.Pool.Leases != before.Pool.Leases+1 {
+		t.Errorf("pool.Leases %d -> %d, want one more", before.Pool.Leases, after.Pool.Leases)
+	}
+	if after.Metrics.RegionEntries != before.Metrics.RegionEntries+1 {
+		t.Errorf("metrics.RegionEntries %d -> %d, want one more", before.Metrics.RegionEntries, after.Metrics.RegionEntries)
 	}
 }
 
@@ -180,7 +187,7 @@ func TestDiagnosticsTraceEndpoint(t *testing.T) {
 	defer srv.Close()
 	defer EnableMetrics(false)
 
-	wasEnabled := TracingEnabled()
+	wasEnabled := obs.TracingEnabled()
 	resp, err := srv.Client().Get(srv.URL + "/debug/aomp/trace?sec=0.01") // clamped to 0.1
 	if err != nil {
 		t.Fatalf("GET trace: %v", err)
@@ -193,8 +200,8 @@ func TestDiagnosticsTraceEndpoint(t *testing.T) {
 	if !json.Valid(body) {
 		t.Fatalf("trace is not valid JSON: %.200s", body)
 	}
-	if TracingEnabled() != wasEnabled {
-		t.Fatalf("trace capture leaked tracer state: was %v, now %v", wasEnabled, TracingEnabled())
+	if obs.TracingEnabled() != wasEnabled {
+		t.Fatalf("trace capture leaked tracer state: was %v, now %v", wasEnabled, obs.TracingEnabled())
 	}
 
 	// Not a number, or a number the [0.1, 30] clamp cannot order.

@@ -60,13 +60,13 @@ func main() {
 	wg.Wait()
 
 	st := aomplib.AdmissionStats()
-	fmt.Printf("policy=%s slots=%d  admitted=%d queued=%d degraded=%d (timeouts=%d)\n",
-		st.Policy, st.MaxTeams, st.Admitted, st.Queued, st.Degraded, st.TimedOut)
+	fmt.Printf("policy=%s slots=%d  admitted=%d queued=%d rejected=%d (timeouts=%d)\n",
+		st.Policy, st.MaxTeams, st.Admitted, st.Queued, st.Rejected, st.TimedOut)
 	for _, ts := range st.Tenants {
-		if ts.Admitted+ts.Degraded == 0 {
+		if ts.Admitted+ts.Rejected == 0 {
 			continue
 		}
-		fmt.Printf("  %-10s admitted=%4d degraded=%4d maxWait=%v\n",
-			ts.Name, ts.Admitted, ts.Degraded, time.Duration(ts.MaxWaitNs))
+		fmt.Printf("  %-10s admitted=%4d rejected=%4d maxWait=%v\n",
+			ts.Name, ts.Admitted, ts.Rejected, time.Duration(ts.MaxWaitNs))
 	}
 }

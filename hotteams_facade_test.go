@@ -31,6 +31,7 @@ func TestFacadeHotTeamKnobs(t *testing.T) {
 	prog.MustWeave()
 
 	const want = 999 * 1000 / 2
+	defer aomplib.EnableMetrics(aomplib.EnableMetrics(true)) // PoolStats' leases are registry counts
 	before := aomplib.PoolStats()
 	for _, hot := range []bool{true, false, true} {
 		aomplib.SetHotTeams(hot)

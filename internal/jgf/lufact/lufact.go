@@ -332,7 +332,9 @@ func (in *aompInstance) Setup() {
 	}
 
 	prog.Use(core.ParallelRegion("call(* Linpack.dgefa(..))").Threads(in.threads))
-	prog.Use(core.ForShare("call(* Linpack.reduceAllCols(..))").Schedule(in.p.Schedule))
+	// NoWait: the barrier after reduceAllCols ends the phase, so a
+	// dispensing schedule's implicit one would be a second wait.
+	prog.Use(core.ForShare("call(* Linpack.reduceAllCols(..))").Schedule(in.p.Schedule).NoWait())
 	prog.Use(core.MasterSection("call(* Linpack.interchange(..)) || call(* Linpack.dscal(..))"))
 	prog.Use(core.BarrierBeforePoint("call(* Linpack.interchange(..))"))
 	prog.Use(core.BarrierAfterPoint(

@@ -183,7 +183,9 @@ func (in *aompInstance) Setup() {
 		}
 	})
 	prog.Use(core.ParallelRegion("call(* SOR.run(..))").Threads(in.threads))
-	prog.Use(core.ForShare("call(* SOR.relax*(..))").Schedule(in.p.Schedule))
+	// NoWait: the explicit barrier ends each colour phase, so a dispensing
+	// schedule's implicit one would be a second wait per phase.
+	prog.Use(core.ForShare("call(* SOR.relax*(..))").Schedule(in.p.Schedule).NoWait())
 	prog.Use(core.BarrierAfterPoint("call(* SOR.relax*(..))"))
 	prog.MustWeave()
 }

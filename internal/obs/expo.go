@@ -129,10 +129,16 @@ func WriteMetricsText(w io.Writer, extra ...Family) error {
 	snap := ReadMetrics()
 	bw := bufio.NewWriter(w)
 
-	writeFamily(bw, counterFamily(metricPrefix+"region_entries_total",
-		"Parallel region entries observed by the metrics registry.", snap.RegionEntries))
-	writeFamily(bw, counterFamily(metricPrefix+"barrier_waits_total",
-		"Barrier passages observed.", snap.BarrierWaits))
+	entries := Family{Name: metricPrefix + "region_entries_total",
+		Help: "Parallel region entries by how each got its team: pool hit, cold spawn, narrowed (solo), admission-degraded (bypass).",
+		Type: "counter"}
+	for _, l := range []struct {
+		name string
+		n    uint64
+	}{{"hit", snap.Leases.Hit}, {"cold", snap.Leases.Cold}, {"solo", snap.Leases.Solo}, {"bypass", snap.Leases.Bypass}} {
+		entries.Samples = append(entries.Samples, Sample{Labels: []Label{{Name: "lease", Value: l.name}}, Value: float64(l.n)})
+	}
+	writeFamily(bw, entries)
 	writeFamily(bw, counterFamily(metricPrefix+"steal_attempts_total",
 		"Empty-deque probes of sibling task deques.", snap.StealAttempts))
 	writeFamily(bw, counterFamily(metricPrefix+"steals_total",

@@ -39,12 +39,10 @@ type histShard struct {
 	_padding [24]byte
 }
 
-// record files one nanosecond sample. Negative samples (clock anomalies)
-// are discarded rather than wrapped.
+// record files one nanosecond sample. A negative sample (a clock anomaly)
+// files as 0, so a histogram's count is its event count.
 func (h *histShard) record(ns int64) {
-	if ns < 0 {
-		return
-	}
+	ns = max(ns, 0)
 	b := bits.Len64(uint64(ns))
 	if b > histSlots {
 		b = histSlots
@@ -62,6 +60,10 @@ func bucketUpperNs(i int) int64 {
 	return int64(1)<<uint(i) - 1
 }
 
+// leaseKinds is the number of LeaseKind values, one region-entry counter
+// each.
+const leaseKinds = int(LeaseBypass) + 1
+
 // schedKinds bounds the per-schedule loop-share counter vector. Larger
 // kind values (future schedules, corrupt emits) fold onto the last slot.
 const schedKinds = 16
@@ -69,8 +71,7 @@ const schedKinds = 16
 // metricShard is one worker's slice of every sharded metric, padded so
 // two shards never share a cache line head or tail.
 type metricShard struct {
-	regionEntries  atomic.Uint64
-	barrierWaits   atomic.Uint64
+	regionEntries  [leaseKinds]atomic.Uint64
 	stealAttempts  atomic.Uint64
 	steals         atomic.Uint64
 	stealProbes    atomic.Uint64
@@ -146,19 +147,31 @@ type ScheduleShareCount struct {
 	Shares   uint64 `json:"shares"`
 }
 
+// LeaseCounts splits region entries by how each obtained its team
+// (LeaseKind). Hit and Cold are the hot-team pool's leases.
+type LeaseCounts struct {
+	Hit    uint64 `json:"hit"`
+	Cold   uint64 `json:"cold"`
+	Solo   uint64 `json:"solo"`
+	Bypass uint64 `json:"bypass"`
+}
+
 // MetricsSnapshot is the merged view of the always-on metrics registry.
 // Counters are cumulative since EnableMetrics first turned the registry
-// on; they are never reset.
+// on; they are never reset. RegionEntries and BarrierWaits are the counts
+// of RegionLatency and BarrierWait: every entry and every barrier passage
+// is one sample.
 type MetricsSnapshot struct {
 	Enabled bool `json:"enabled"`
 
-	RegionEntries  uint64 `json:"region_entries"`
-	BarrierWaits   uint64 `json:"barrier_waits"`
-	StealAttempts  uint64 `json:"steal_attempts"`
-	Steals         uint64 `json:"steals"`
-	StealProbes    uint64 `json:"steal_probes"`
-	TasksSpawned   uint64 `json:"tasks_spawned"`
-	TasksCompleted uint64 `json:"tasks_completed"`
+	RegionEntries  uint64      `json:"region_entries"`
+	Leases         LeaseCounts `json:"leases"`
+	BarrierWaits   uint64      `json:"barrier_waits"`
+	StealAttempts  uint64      `json:"steal_attempts"`
+	Steals         uint64      `json:"steals"`
+	StealProbes    uint64      `json:"steal_probes"`
+	TasksSpawned   uint64      `json:"tasks_spawned"`
+	TasksCompleted uint64      `json:"tasks_completed"`
 
 	LoopShares []ScheduleShareCount `json:"loop_shares,omitempty"`
 
@@ -213,17 +226,20 @@ func (m *metricsRegistry) snapshotHist(name string, sel func(*metricShard) *hist
 // any shard of its bound keeps completed ≤ spawned and steals ≤ attempts in
 // every snapshot.
 func (m *metricsRegistry) snapshot() MetricsSnapshot {
-	out := MetricsSnapshot{Enabled: MetricsEnabled()}
+	sinks := active.Load()
+	out := MetricsSnapshot{Enabled: sinks != nil && sinks.m == m}
 	for i := range m.shards {
 		s := &m.shards[i]
 		out.TasksCompleted += s.tasksCompleted.Load()
 		out.Steals += s.steals.Load()
 	}
 	var loop [schedKinds]uint64
+	var leases [leaseKinds]uint64
 	for i := range m.shards {
 		s := &m.shards[i]
-		out.RegionEntries += s.regionEntries.Load()
-		out.BarrierWaits += s.barrierWaits.Load()
+		for k := range s.regionEntries {
+			leases[k] += s.regionEntries[k].Load()
+		}
 		out.StealAttempts += s.stealAttempts.Load()
 		out.StealProbes += s.stealProbes.Load()
 		out.TasksSpawned += s.tasksSpawned.Load()
@@ -238,8 +254,10 @@ func (m *metricsRegistry) snapshot() MetricsSnapshot {
 			})
 		}
 	}
+	out.Leases = LeaseCounts{Hit: leases[LeaseHit], Cold: leases[LeaseCold], Solo: leases[LeaseSolo], Bypass: leases[LeaseBypass]}
 	out.RegionLatency = m.snapshotHist("region_latency", func(s *metricShard) *histShard { return &s.regionLat })
 	out.BarrierWait = m.snapshotHist("barrier_wait", func(s *metricShard) *histShard { return &s.barrierWait })
+	out.RegionEntries, out.BarrierWaits = out.RegionLatency.Count, out.BarrierWait.Count
 	out.AdmitWait = m.snapshotHist("admit_wait", nil)
 	out.SpawnLatency = m.snapshotHist("spawn_latency", func(s *metricShard) *histShard { return &s.spawnLat })
 	return out
@@ -270,12 +288,6 @@ func EnableMetrics(on bool) bool {
 			s.m = metrics
 		}
 	}).m != nil
-}
-
-// MetricsEnabled reports whether the metrics registry is recording.
-func MetricsEnabled() bool {
-	s := active.Load()
-	return s != nil && s.m != nil
 }
 
 // ReadMetrics merges every shard of the metrics registry into one

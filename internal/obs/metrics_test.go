@@ -59,7 +59,7 @@ func TestMetricsShardMergeDeterminism(t *testing.T) {
 			t.Fatalf("spread %d produced a different snapshot:\n got %+v\nwant %+v", i, got, want)
 		}
 	}
-	if want.RegionEntries != 6 || want.TasksSpawned != 12 || want.TasksCompleted != 12 {
+	if want.RegionEntries != 6 || want.Leases.Hit != 6 || want.BarrierWaits != 6 || want.TasksSpawned != 12 || want.TasksCompleted != 12 {
 		t.Fatalf("counter totals wrong: %+v", want)
 	}
 	if want.RegionLatency.SumNs != 6*4000 || want.SpawnLatency.SumNs != 6*700 || want.BarrierWait.SumNs != 6*1500 {
@@ -76,15 +76,15 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 		h.record(ns)
 	}
 	// Expected buckets: 0 -> b0; 1 -> b1; 2,3 -> b2; 4 -> b3;
-	// 1023 -> b10; 1024 -> b11; -5 discarded.
-	wantCounts := map[int]uint64{0: 1, 1: 1, 2: 2, 3: 1, 10: 1, 11: 1}
+	// 1023 -> b10; 1024 -> b11; -5 files as 0, in b0.
+	wantCounts := map[int]uint64{0: 2, 1: 1, 2: 2, 3: 1, 10: 1, 11: 1}
 	for i := 0; i <= histSlots; i++ {
 		if got := h.counts[i].Load(); got != wantCounts[i] {
 			t.Fatalf("bucket %d (le %dns) = %d, want %d", i, bucketUpperNs(i), got, wantCounts[i])
 		}
 	}
 	if got := h.sumNs.Load(); got != 0+1+2+3+4+1023+1024 {
-		t.Fatalf("sum = %d, want %d (negative sample must be discarded)", got, 2057)
+		t.Fatalf("sum = %d, want %d (a negative sample must add 0)", got, 2057)
 	}
 	// Upper bounds: bucket i covers values with bit length i, so the
 	// inclusive bound is 2^i - 1.
@@ -221,7 +221,10 @@ func TestExpositionRoundTrip(t *testing.T) {
 	defer EnableMetrics(prevEnabled)
 	h := &Sinks{m: metrics}
 
+	before := ReadMetrics()
 	h.Region(1, 777001, 0, 4, LeaseHit, 0, 1500)
+	h.Region(1, 777002, 0, 1, LeaseSolo, 0, 500)
+	h.Region(1, 777003, 0, 1, LeaseSolo, 0, 500)
 	h.AdmitGrant(242, 900)
 	h.Work(1, 777001, 0, 0, 0)
 
@@ -235,8 +238,13 @@ func TestExpositionRoundTrip(t *testing.T) {
 	if err := LintExposition(strings.NewReader(text)); err != nil {
 		t.Fatalf("own exposition fails own lint: %v\n%s", err, text)
 	}
+	snap := ReadMetrics()
 	for _, want := range []string{
-		"aomp_region_entries_total ",
+		fmt.Sprintf(`aomp_region_entries_total{lease="hit"} %d`, before.Leases.Hit+1),
+		fmt.Sprintf(`aomp_region_entries_total{lease="solo"} %d`, before.Leases.Solo+2),
+		fmt.Sprintf(`aomp_region_entries_total{lease="cold"} %d`, snap.Leases.Cold),
+		fmt.Sprintf(`aomp_region_entries_total{lease="bypass"} %d`, snap.Leases.Bypass),
+		fmt.Sprintf("aomp_region_latency_seconds_count %d", snap.RegionEntries),
 		"aomp_admission_wait_seconds_count ",
 		`aomp_region_latency_seconds_bucket{le="+Inf"} `,
 		"aomp_region_latency_seconds_count ",

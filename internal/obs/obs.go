@@ -99,7 +99,7 @@ func (s *Sinks) Region(master WorkerID, team uint64, level, size int, lease Leas
 	}
 	if m := s.m; m != nil {
 		sh := m.shard(master)
-		sh.regionEntries.Add(1)
+		sh.regionEntries[lease].Add(1)
 		sh.regionLat.record(end - start)
 	}
 }
@@ -206,9 +206,7 @@ func (s *Sinks) Barrier(w WorkerID, team uint64, start, end int64) {
 		c.record(w, Event{Kind: EvBarrier, Team: team}, start, end)
 	}
 	if m := s.m; m != nil {
-		sh := m.shard(w)
-		sh.barrierWaits.Add(1)
-		sh.barrierWait.record(end - start)
+		m.shard(w).barrierWait.record(end - start)
 	}
 }
 

@@ -362,10 +362,6 @@ func SetAdmissionControl(on bool) bool {
 	return prev
 }
 
-// AdmissionEnabled reports whether top-level region entries pass through
-// admission control.
-func AdmissionEnabled() bool { return admissionOn.Load() }
-
 // SetAdmitPolicy sets the backpressure policy (and the queue-wait timeout,
 // meaningful for AdmitTimeout), returning the previous pair. A freshly
 // relaxed policy does not re-evaluate waiters already queued.
@@ -450,7 +446,7 @@ type TenantToken struct {
 
 	admitted    atomic.Uint32
 	queuedWaits atomic.Uint32
-	rejected    atomic.Uint32 // also Degraded: every refusal runs serialized
+	rejected    atomic.Uint32 // also Degraded(): every refusal runs serialized
 	timedOut    atomic.Uint32
 }
 
@@ -508,9 +504,8 @@ type TenantAdmissionStats struct {
 
 	Admitted  uint64 // leases granted
 	Queued    uint64 // entries that waited in the queue (granted or timed out)
-	Rejected  uint64 // lease requests refused
+	Rejected  uint64 // lease requests refused; each ran serialized
 	TimedOut  uint64 // refusals due to queue-wait timeout
-	Degraded  uint64 // entries that ran serialized
 	WaitNs    uint64 // total queue-wait nanoseconds
 	MaxWaitNs uint64 // longest single queue wait
 }
@@ -518,8 +513,8 @@ type TenantAdmissionStats struct {
 // AdmissionStats is a snapshot of the admission controller: configuration,
 // instantaneous queue state, cumulative counters, and the per-tenant
 // breakdown (sorted by name). Counter invariants: Admitted = FastAdmits +
-// grants-after-queueing, Degraded == Rejected (every refusal degrades),
-// and each tenant's Held never exceeds its Quota when one is set.
+// grants-after-queueing, every refusal (Rejected) ran serialized, and each
+// tenant's Held never exceeds its Quota when one is set.
 type AdmissionStats struct {
 	Enabled    bool
 	Policy     AdmitPolicy
@@ -536,7 +531,6 @@ type AdmissionStats struct {
 	Admitted   uint64
 	Rejected   uint64
 	TimedOut   uint64
-	Degraded   uint64
 	WaitNs     uint64
 	MaxWaitNs  uint64
 
@@ -562,7 +556,6 @@ func ReadAdmissionStats() AdmissionStats {
 
 	c.tenantsMu.Lock()
 	for _, t := range c.tenants {
-		rejected := t.rejected.Load()
 		ts := TenantAdmissionStats{
 			Name:      t.name,
 			ID:        t.id,
@@ -570,9 +563,8 @@ func ReadAdmissionStats() AdmissionStats {
 			Held:      int(t.held.Load()),
 			Admitted:  t.admitted.Load(),
 			Queued:    t.queued.Load(),
-			Rejected:  rejected,
+			Rejected:  t.rejected.Load(),
 			TimedOut:  t.timedOut.Load(),
-			Degraded:  rejected,
 			WaitNs:    t.waitNs.Load(),
 			MaxWaitNs: t.maxWait.Load(),
 		}
@@ -585,7 +577,6 @@ func ReadAdmissionStats() AdmissionStats {
 		st.MaxWaitNs = max(st.MaxWaitNs, ts.MaxWaitNs)
 	}
 	c.tenantsMu.Unlock()
-	st.Degraded = st.Rejected
 	sort.Slice(st.Tenants, func(i, j int) bool { return st.Tenants[i].Name < st.Tenants[j].Name })
 	return st
 }

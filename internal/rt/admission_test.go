@@ -436,12 +436,11 @@ func TestHotTeamAdmissionStressOversubscribed(t *testing.T) {
 		sum.Queued += ts.Queued
 		sum.Rejected += ts.Rejected
 		sum.TimedOut += ts.TimedOut
-		sum.Degraded += ts.Degraded
 		sum.WaitNs += ts.WaitNs
 		sum.MaxWaitNs = max(sum.MaxWaitNs, ts.MaxWaitNs)
 	}
 	got := TenantAdmissionStats{Admitted: st.Admitted, Queued: st.Queued, Rejected: st.Rejected,
-		TimedOut: st.TimedOut, Degraded: st.Degraded, WaitNs: st.WaitNs, MaxWaitNs: st.MaxWaitNs}
+		TimedOut: st.TimedOut, WaitNs: st.WaitNs, MaxWaitNs: st.MaxWaitNs}
 	if got != sum {
 		t.Fatalf("admission totals %+v, want the sums over tenants %+v", got, sum)
 	}

@@ -98,8 +98,6 @@ func TestObsEmitCoverage(t *testing.T) {
 	}
 }
 
-// The pool must attribute cold spawns with hot teams off to the Disabled
-// counter, not Misses.
 // TestOutOfRegionTasksCounted: a task spawned outside any region — with
 // clauses or without, future or not — is one create event, one executed
 // slice and one spawned and one completed task, so completed never runs
@@ -143,17 +141,63 @@ func TestOutOfRegionTasksCounted(t *testing.T) {
 	}
 }
 
-func TestPoolStatsDisabledCounter(t *testing.T) {
+// TestRegionEntriesByLeaseKind: with metrics on, each count is kept once.
+// Every region entry is one region-latency sample, counted under the lease
+// kind it ran with: the first entry of a width spawns cold, later ones hit
+// the pool, a narrowed entry runs solo, hot teams off spawn cold and an
+// entry admission refuses bypasses the pool. The pool's Leases and Hits are
+// the hit and cold counts, so a narrowed entry leases no team. Every
+// barrier passage is one barrier-wait sample.
+func TestRegionEntriesByLeaseKind(t *testing.T) {
+	defer resetPool(t)()
+	defer obs.EnableMetrics(obs.EnableMetrics(true))
+	body := func(*Worker, any) {}
+	g := new(Grain)
+	g.full.Store(1000) // a short region whose hand-off is all of it
+	g.hand.Store(1000)
+	m0, p0 := obs.ReadMetrics(), ReadPoolStats()
+
+	RegionArg(2, body, nil)
+	RegionArg(2, body, nil)
+	RegionArg(2, body, nil)
+	g.RegionArg(2, body, nil)
 	prev := SetHotTeams(false)
-	defer SetHotTeams(prev)
-	before := ReadPoolStats()
-	Region(2, func(w *Worker) {})
-	st := ReadPoolStats()
-	if st.Disabled != before.Disabled+1 {
-		t.Fatalf("Disabled = %d, want %d", st.Disabled, before.Disabled+1)
+	RegionArg(2, body, nil)
+	SetHotTeams(prev)
+	const phases = 3
+	Region(2, func(w *Worker) {
+		for range phases {
+			w.Team.Barrier().Wait()
+		}
+	})
+	admissionTestSetup(t, 1, AdmitReject, 0)
+	release := make(chan struct{})
+	started, done := occupyRegion(t, "lease-hold", release)
+	<-started
+	tok := EnterTenant("lease-shed")
+	RegionArg(2, body, nil)
+	tok.Exit()
+	close(release)
+	<-done
+
+	m, p := obs.ReadMetrics(), ReadPoolStats()
+	l := obs.LeaseCounts{
+		Hit: m.Leases.Hit - m0.Leases.Hit, Cold: m.Leases.Cold - m0.Leases.Cold,
+		Solo: m.Leases.Solo - m0.Leases.Solo, Bypass: m.Leases.Bypass - m0.Leases.Bypass,
 	}
-	if st.Misses != before.Misses {
-		t.Fatalf("Misses advanced (%d -> %d) for a disabled-pool entry", before.Misses, st.Misses)
+	// Cold: the first entry, the entry with hot teams off and the barrier
+	// region (re-enabling drained the pool); the occupying region hits.
+	if want := (obs.LeaseCounts{Hit: 3, Cold: 3, Solo: 1, Bypass: 1}); l != want {
+		t.Errorf("region entries by lease %+v, want %+v", l, want)
+	}
+	if d, want := m.RegionEntries-m0.RegionEntries, l.Hit+l.Cold+l.Solo+l.Bypass; d != want || m.RegionLatency.Count-m0.RegionLatency.Count != want {
+		t.Errorf("%d entries by lease, %d region entries, %d region-latency samples", want, d, m.RegionLatency.Count-m0.RegionLatency.Count)
+	}
+	if d, h := p.Leases-p0.Leases, p.Hits-p0.Hits; d != l.Hit+l.Cold || h != l.Hit {
+		t.Errorf("pool leases %d and hits %d, want %d and %d", d, h, l.Hit+l.Cold, l.Hit)
+	}
+	if d := m.BarrierWaits - m0.BarrierWaits; d != 2*phases || m.BarrierWait.Count-m0.BarrierWait.Count != d {
+		t.Errorf("%d barrier passages counted %d waits and %d wait samples", 2*phases, d, m.BarrierWait.Count-m0.BarrierWait.Count)
 	}
 }
 
@@ -304,7 +348,8 @@ func TestMetricsLatenciesExact(t *testing.T) {
 	if d := m.SpawnLatency.Count - before.SpawnLatency.Count; d != tasks {
 		t.Errorf("%d tasks in flight at once left %d spawn-latency samples, want %d", tasks, d, tasks)
 	}
-	if d, want := m.RegionLatency.Count-before.RegionLatency.Count, m.RegionEntries-before.RegionEntries; d != want || d == 0 {
+	l, l0 := m.Leases, before.Leases
+	if d, want := m.RegionLatency.Count-before.RegionLatency.Count, l.Hit+l.Cold+l.Solo+l.Bypass-(l0.Hit+l0.Cold+l0.Solo+l0.Bypass); d != want || d == 0 {
 		t.Errorf("%d region entries left %d region-latency samples", want, d)
 	}
 }

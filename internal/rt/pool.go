@@ -49,29 +49,23 @@ var (
 	poolLimit int
 )
 
-// Pool statistics. Monotonic counters are atomics because retire/evict
-// events happen outside poolMu.
+// Team retirements and evictions, the pool's only counts of its own. They
+// are atomics because they happen outside poolMu, and off the warm path.
 var (
-	statLeases   atomic.Uint64
-	statHits     atomic.Uint64
-	statMisses   atomic.Uint64
-	statDisabled atomic.Uint64
-	statRetired  atomic.Uint64
-	statEvicted  atomic.Uint64
-	statRecycled atomic.Uint64
+	statRetired atomic.Uint64
+	statEvicted atomic.Uint64
 )
 
-// PoolStats is a snapshot of the hot-team pool, for observability.
-// Counters are cumulative since process start; Idle*/MaxIdleWorkers
-// describe the instant of the call.
+// PoolStats is a snapshot of the hot-team pool, for observability. Leases
+// and Hits are views of the metrics registry's region entries by lease
+// kind, so they count only while metrics are on (obs.EnableMetrics);
+// Retired and Evicted are cumulative since process start; Idle* and
+// MaxIdleWorkers describe the instant of the call.
 type PoolStats struct {
-	Leases   uint64 // region entries
-	Hits     uint64 // entries served by a cached team
-	Misses   uint64 // entries that cold-spawned with hot teams enabled
-	Disabled uint64 // entries that cold-spawned because hot teams were off
-	Recycled uint64 // clean entries that returned their team to the pool
-	Retired  uint64 // teams destroyed after a panic or a dead worker
-	Evicted  uint64 // healthy teams dropped: pool full, shrunk, or disabled
+	Leases  uint64 // pooled region entries: hits and cold spawns
+	Hits    uint64 // entries served by a cached team
+	Retired uint64 // teams destroyed after a panic or a dead worker
+	Evicted uint64 // healthy teams dropped: pool full, shrunk, or disabled
 
 	IdleTeams      int // teams parked in the pool right now
 	IdleWorkers    int // workers parked in the pool right now
@@ -80,14 +74,12 @@ type PoolStats struct {
 
 // ReadPoolStats snapshots the pool.
 func ReadPoolStats() PoolStats {
+	l := obs.ReadMetrics().Leases
 	st := PoolStats{
-		Leases:   statLeases.Load(),
-		Hits:     statHits.Load(),
-		Misses:   statMisses.Load(),
-		Disabled: statDisabled.Load(),
-		Recycled: statRecycled.Load(),
-		Retired:  statRetired.Load(),
-		Evicted:  statEvicted.Load(),
+		Leases:  l.Hit + l.Cold,
+		Hits:    l.Hit,
+		Retired: statRetired.Load(),
+		Evicted: statEvicted.Load(),
 	}
 	poolMu.Lock()
 	for _, ts := range poolIdle {
@@ -125,8 +117,7 @@ func SetPoolSize(maxIdleWorkers int) int {
 	evicted := evictOverLocked()
 	poolMu.Unlock()
 	for _, t := range evicted {
-		statEvicted.Add(1)
-		t.destroy()
+		evictTeam(t)
 	}
 	return prev
 }
@@ -221,8 +212,7 @@ func drainPool() {
 	poolWorkers = 0
 	poolMu.Unlock()
 	for _, t := range all {
-		statEvicted.Add(1)
-		t.destroy()
+		evictTeam(t)
 	}
 }
 
@@ -232,26 +222,15 @@ func drainPool() {
 // entry pays the cold spawn — so nested leases cannot deadlock by
 // construction.
 func acquireTeam(n int) (*Team, obs.LeaseKind) {
-	statLeases.Add(1)
-	lease := obs.LeaseCold
-	var t *Team
 	if HotTeamsEnabled() {
 		poolMu.Lock()
-		t = popSizeLocked(n)
+		t := popSizeLocked(n)
 		poolMu.Unlock()
 		if t != nil {
-			statHits.Add(1)
-			lease = obs.LeaseHit
-		} else {
-			statMisses.Add(1)
+			return t, obs.LeaseHit
 		}
-	} else {
-		statDisabled.Add(1)
 	}
-	if t == nil {
-		t = newTeam(n)
-	}
-	return t, lease
+	return newTeam(n), obs.LeaseCold
 }
 
 // releaseTeam parks a cleanly-finished team in the pool, or destroys it
@@ -292,13 +271,15 @@ func releaseTeam(t *Team) {
 	}
 	poolMu.Unlock()
 	for _, e := range evicted {
-		statEvicted.Add(1)
-		e.destroy()
+		evictTeam(e)
 	}
-	if parked {
-		statRecycled.Add(1)
-		return
+	if !parked {
+		evictTeam(t)
 	}
+}
+
+// evictTeam destroys a healthy team the pool has no room for.
+func evictTeam(t *Team) {
 	statEvicted.Add(1)
 	t.destroy()
 }

@@ -5,6 +5,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"aomplib/internal/obs"
 )
 
 // resetPool gives a test a deterministic pool: hot teams on, cache empty.
@@ -29,6 +31,8 @@ func captureTeam(n int) *Team {
 
 func TestHotTeamReusedAcrossRegions(t *testing.T) {
 	defer resetPool(t)()
+	defer obs.EnableMetrics(obs.EnableMetrics(true))
+	hits := ReadPoolStats().Hits
 	t1 := captureTeam(3)
 	e1 := t1.Epoch()
 	t2 := captureTeam(3)
@@ -39,8 +43,8 @@ func TestHotTeamReusedAcrossRegions(t *testing.T) {
 		t.Fatalf("epoch did not advance across leases: %d -> %d", e1, t2.Epoch())
 	}
 	st := ReadPoolStats()
-	if st.Hits == 0 {
-		t.Fatal("pool recorded no hit for the warm entry")
+	if st.Hits != hits+1 {
+		t.Fatalf("pool recorded %d hits for one warm entry, want 1", st.Hits-hits)
 	}
 	if st.IdleTeams == 0 {
 		t.Fatal("team was not parked back in the pool")
