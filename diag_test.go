@@ -180,6 +180,29 @@ func TestDiagnosticsStatsEndpoint(t *testing.T) {
 	}
 }
 
+// A woven parallel region moves both runtime aggregates the stats endpoint
+// serves: the tracer's ring accounting and the pool's leases (a view of
+// the metrics registry, so metrics are on for the run).
+func TestRuntimeSnapshotAggregates(t *testing.T) {
+	defer EnableMetrics(EnableMetrics(true))
+	StartTrace()
+	defer EnableTracing(false)
+	beforeTrace, beforePool := obs.ReadStats(), PoolStats()
+	p := NewProgram("t")
+	region := p.Class("Demo").Proc("run", func() {})
+	p.Use(ParallelRegion("call(* Demo.run(..))").Threads(2))
+	p.MustWeave()
+	region()
+	trace, pool := obs.ReadStats(), PoolStats()
+	if trace.EventsRecorded <= beforeTrace.EventsRecorded {
+		t.Fatalf("Trace.EventsRecorded did not advance: %d -> %d",
+			beforeTrace.EventsRecorded, trace.EventsRecorded)
+	}
+	if pool.Leases <= beforePool.Leases {
+		t.Fatalf("Pool.Leases did not advance: %d -> %d", beforePool.Leases, pool.Leases)
+	}
+}
+
 // /debug/aomp/trace must capture a bounded window, restore the tracer's
 // prior on/off state and reject malformed durations.
 func TestDiagnosticsTraceEndpoint(t *testing.T) {
