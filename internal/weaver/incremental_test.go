@@ -239,7 +239,9 @@ func runDiffScript(t *testing.T, seed int64, ops int) {
 			}
 			matched := 0
 			for _, jp := range live.p.Joinpoints() {
-				if matchesAny(aspects, jp) {
+				if slices.ContainsFunc(aspects, func(a Aspect) bool {
+					return slices.ContainsFunc(a.Bindings(), func(b Binding) bool { return b.Matcher.Matches(jp) })
+				}) {
 					matched++
 				}
 			}
@@ -258,7 +260,11 @@ func runDiffScript(t *testing.T, seed int64, ops int) {
 			name := aspectNames[rng.Intn(len(aspectNames))]
 			desc = "RemoveAspect " + name
 			next.aspects = slices.DeleteFunc(next.aspects, func(da diffAspect) bool { return da.name == name })
+			carrying, before := reportCarrying(live.p.Report(), name), live.p.ChainRebuilds()
 			live.p.RemoveAspect(name)
+			if got := live.p.ChainRebuilds() - before; got != uint64(carrying) {
+				fail("RemoveAspect rebuilt %d chains, want the %d that carried the aspect", got, carrying)
+			}
 		case 3: // per-method toggle
 			name, on := aspectNames[rng.Intn(len(aspectNames))], rng.Intn(2) == 0
 			fqns := []string{pickFQN()}
@@ -271,8 +277,13 @@ func runDiffScript(t *testing.T, seed int64, ops int) {
 				valid = valid && reportCarries(live.p.Report(), fqn, name)
 				next.enabled[adviceKey{name, fqn}] = on
 			}
+			before := live.p.ChainRebuilds()
 			if err := live.p.SetAdviceEnabled(name, on, fqns...); (err == nil) != valid {
 				fail("SetAdviceEnabled err=%v, want valid=%v", err, valid)
+			}
+			if distinct := len(slices.Compact(slices.Sorted(slices.Values(fqns)))); valid &&
+				live.p.ChainRebuilds()-before != uint64(distinct) {
+				fail("SetAdviceEnabled rebuilt %d chains, want one per distinct method (%d)", live.p.ChainRebuilds()-before, distinct)
 			}
 			if !valid {
 				next = model
@@ -349,6 +360,17 @@ func panics(f func()) (panicked bool) {
 	defer func() { panicked = recover() != nil }()
 	f()
 	return false
+}
+
+// reportCarrying counts the methods whose weave carries the aspect.
+func reportCarrying(report []WovenMethod, aspect string) int {
+	n := 0
+	for _, wm := range report {
+		if slices.ContainsFunc(wm.Details, func(d AdviceInfo) bool { return d.Aspect == aspect }) {
+			n++
+		}
+	}
+	return n
 }
 
 func reportCarries(report []WovenMethod, fqn, aspect string) bool {

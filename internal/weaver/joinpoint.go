@@ -103,6 +103,7 @@ func (c *Class) isA(typeName string) bool {
 type Joinpoint struct {
 	class       *Class
 	name        string
+	fqn         string // "Class.method", built once at registration
 	kind        Kind
 	annotations []Annotation
 }
@@ -136,7 +137,7 @@ func (j *Joinpoint) ClassIsA(typeName string) bool { return j.class.isA(typeName
 func (j *Joinpoint) Kind() Kind { return j.kind }
 
 // FQN returns "Class.method".
-func (j *Joinpoint) FQN() string { return j.class.name + "." + j.name }
+func (j *Joinpoint) FQN() string { return j.fqn }
 
 // Annotations returns the annotations attached to the joinpoint.
 func (j *Joinpoint) Annotations() []Annotation { return j.annotations }

@@ -1,8 +1,10 @@
 package weaver
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"sync"
 
 	"aomplib/internal/rt"
@@ -19,12 +21,17 @@ import (
 // Every reconfiguration is a chain swap: once Weave has run, the program
 // stays woven, and Use, RemoveAspect, SetAdviceEnabled, Annotate and late
 // method registration rebuild exactly the chains they affect — all of them
-// or, when an advice rejects a joinpoint, none. A call runs on the chain
-// it loaded; calls that load a method's chain after the reconfiguration
-// returns see the new weave. A top-level parallel region runs against one
-// weave: a reconfiguration issued outside any region waits for the
-// program's regions in flight, so its latency is bounded by the longest of
-// them; one issued from inside a region takes effect at once.
+// or, when an advice rejects a joinpoint, none. Each affected method's
+// advice list is derived from its current one where the verb allows:
+// toggles restate enable flags and RemoveAspect filters, matching no
+// pointcut; Use matches only the new aspects and merges their advice in.
+// Weave, Annotate and late registration match every aspect. A call runs on
+// the chain it loaded; calls that load a method's chain after the
+// reconfiguration returns see the new weave. A top-level parallel region
+// runs against one weave: a reconfiguration issued outside any region
+// waits for the program's regions in flight, so its latency is bounded by
+// the longest of them; one issued from inside a region takes effect at
+// once.
 type Program struct {
 	name string
 
@@ -134,13 +141,13 @@ func (c *Class) register(name string, kind Kind, body HandlerFunc) *Method {
 	if _, dup := p.byFQN[fqn]; dup {
 		panic(fmt.Sprintf("weaver: method %s registered twice", fqn))
 	}
-	m := &Method{jp: &Joinpoint{class: c, name: name, kind: kind}, body: body}
+	m := &Method{jp: &Joinpoint{class: c, name: name, fqn: fqn, kind: kind}, body: body}
 	m.reset()
 	if p.woven {
 		// Late registration into a woven program: the new method joins the
 		// weave immediately, like a class loaded into a woven application,
 		// and is not registered if an advice rejects it.
-		if err := p.reweaveLocked([]*Method{m}); err != nil {
+		if err := p.reweaveLocked([]*Method{m}, p.matchAllLocked); err != nil {
 			panic(fmt.Sprintf("weaver: weaving late-registered method %s: %v", fqn, err))
 		}
 	}
@@ -164,7 +171,7 @@ func (p *Program) Annotate(fqn string, annotations ...Annotation) error {
 	prev := m.jp.annotations
 	m.jp.annotations = append(prev, annotations...)
 	if p.woven {
-		if err := p.reweaveLocked([]*Method{m}); err != nil {
+		if err := p.reweaveLocked([]*Method{m}, p.matchAllLocked); err != nil {
 			m.jp.annotations = prev
 			return err
 		}
@@ -198,10 +205,13 @@ func (p *Program) Joinpoints() []*Joinpoint {
 }
 
 // Use deploys aspect modules. On an unwoven program the change takes
-// effect at the next Weave; on a woven program exactly the methods some
-// binding of the new aspects matches are re-woven. If an advice rejects one
-// of them, Use undeploys the new aspects, leaves every chain as it was and
-// panics — there is no error path to the caller.
+// effect at the next Weave; on a woven program the new aspects' pointcuts
+// are tested once against every registered joinpoint, and exactly the
+// methods they match are re-woven: their advice is validated and merged by
+// precedence into each method's current list, after the advice already
+// there on ties. If an advice rejects one of them, Use undeploys the new
+// aspects, leaves every chain as it was and panics — there is no error
+// path to the caller.
 func (p *Program) Use(aspects ...Aspect) {
 	defer p.unlock(p.lock())
 	n := len(p.aspects)
@@ -210,47 +220,35 @@ func (p *Program) Use(aspects ...Aspect) {
 		return
 	}
 	var affected []*Method
+	var next [][]appliedAdvice
 	for _, m := range p.methods {
-		if matchesAny(aspects, m.jp) {
-			affected = append(affected, m)
+		cur := m.current.Load().applied
+		applied, err := p.matchLocked(m, aspects, cur)
+		if err != nil {
+			p.aspects = p.aspects[:n]
+			panic(fmt.Sprintf("weaver: incremental Use: %v", err))
+		}
+		if len(applied) > len(cur) {
+			affected, next = append(affected, m), append(next, applied)
 		}
 	}
-	if err := p.reweaveLocked(affected); err != nil {
-		p.aspects = p.aspects[:n]
-		panic(fmt.Sprintf("weaver: incremental Use: %v", err))
-	}
-}
-
-func matchesAny(aspects []Aspect, jp *Joinpoint) bool {
-	for _, a := range aspects {
-		for _, b := range a.Bindings() {
-			if b.Matcher.Matches(jp) {
-				return true
-			}
-		}
-	}
-	return false
+	p.reweaveLocked(affected, func(i int, _ *Method) ([]appliedAdvice, error) { return next[i], nil })
 }
 
 // RemoveAspect undeploys all aspects with the given name. On a woven
-// program only the methods whose current chain contains the aspect's
-// advice are re-woven.
+// program the methods whose current chain carries the aspect's advice are
+// re-woven from their lists with that advice filtered out.
 func (p *Program) RemoveAspect(name string) {
 	defer p.unlock(p.lock())
-	prev := p.aspects
-	p.aspects = nil
-	for _, a := range prev {
-		if a.AspectName() != name {
-			p.aspects = append(p.aspects, a)
-		}
-	}
-	if !p.woven || len(p.aspects) == len(prev) {
+	n := len(p.aspects)
+	p.aspects = slices.DeleteFunc(p.aspects, func(a Aspect) bool { return a.AspectName() == name })
+	if !p.woven || len(p.aspects) == n {
 		return
 	}
-	if err := p.reweaveLocked(p.carryingLocked(name)); err != nil {
-		p.aspects = prev
-		panic(fmt.Sprintf("weaver: incremental RemoveAspect: %v", err))
-	}
+	p.reweaveLocked(p.carryingLocked(name), func(_ int, m *Method) ([]appliedAdvice, error) {
+		return slices.DeleteFunc(slices.Clone(m.current.Load().applied),
+			func(ad appliedAdvice) bool { return ad.aspect == name }), nil
+	})
 }
 
 // carryingLocked returns the methods whose current chain carries the
@@ -294,11 +292,15 @@ func (p *Program) adviceEnabledLocked(aspect, fqn string) bool {
 	return !p.aspectOff[aspect]
 }
 
-// matchLocked evaluates every deployed aspect against one method and
-// returns the matching advice, outermost (highest precedence) first.
-func (p *Program) matchLocked(m *Method) ([]appliedAdvice, error) {
-	var applied []appliedAdvice
-	for _, a := range p.aspects {
+// matchLocked tests aspects against one method and returns its advice
+// list: the matching advice, validated, merged into base (which it does
+// not modify) and ordered outermost (highest precedence) first. The sort
+// is stable and base comes first, so on ties base's advice stays outside
+// the new, as earlier deployment does. With nothing matched it returns
+// base itself.
+func (p *Program) matchLocked(m *Method, aspects []Aspect, base []appliedAdvice) ([]appliedAdvice, error) {
+	applied := base[:len(base):len(base)] // the first append copies
+	for _, a := range aspects {
 		for _, b := range a.Bindings() {
 			if !b.Matcher.Matches(m.jp) {
 				continue
@@ -312,26 +314,34 @@ func (p *Program) matchLocked(m *Method) ([]appliedAdvice, error) {
 				aspect:   a.AspectName(),
 				advice:   b.Advice,
 				pointcut: b.Matcher.String(),
-				enabled:  p.adviceEnabledLocked(a.AspectName(), m.jp.FQN()),
+				enabled:  p.adviceEnabledLocked(a.AspectName(), m.jp.fqn),
 			})
 		}
 	}
-	// Stable sort: outermost (highest precedence) first.
-	sort.SliceStable(applied, func(i, j int) bool {
-		return applied[i].advice.Precedence() > applied[j].advice.Precedence()
-	})
+	if len(applied) > len(base) {
+		slices.SortStableFunc(applied, func(x, y appliedAdvice) int {
+			return cmp.Compare(y.advice.Precedence(), x.advice.Precedence())
+		})
+	}
 	return applied, nil
 }
 
-// composeChain builds the woven pipeline for m from its enabled advice;
-// disabled advice is left out and stays listed in applied for reports. A
+// matchAllLocked derives a method's list from scratch: every deployed
+// aspect, matched and validated. Weave, Annotate and late registration
+// use it, as their inputs change what matches.
+func (p *Program) matchAllLocked(_ int, m *Method) ([]appliedAdvice, error) {
+	return p.matchLocked(m, p.aspects, nil)
+}
+
+// composeChain builds ch's woven pipeline for m from the enabled advice of
+// ch.applied; disabled advice is left out and stays listed for reports. A
 // chain with no stage is direct: entry points bypass it for the registered
 // body. A chain whose one stage is a WorkerValuer's records it for the
 // Call-free entry of value methods (Method.runValue).
-func composeChain(m *Method, applied []appliedAdvice) *chain {
-	ch := &chain{handler: m.body, direct: true, applied: applied}
-	for i := len(applied) - 1; i >= 0; i-- { // wrap innermost-first
-		ad := applied[i]
+func composeChain(m *Method, ch *chain) {
+	ch.handler, ch.direct = m.body, true
+	for i := len(ch.applied) - 1; i >= 0; i-- { // wrap innermost-first
+		ad := ch.applied[i]
 		if !ad.enabled {
 			continue
 		}
@@ -347,23 +357,23 @@ func composeChain(m *Method, applied []appliedAdvice) *chain {
 			ch.forks = true
 		}
 	}
-	return ch
 }
 
-// reweaveLocked is the one re-weave routine: it matches and validates every
-// method in ms, then composes their chains, then swaps them in. A
-// validation failure returns before the first swap, so it changes nothing.
-func (p *Program) reweaveLocked(ms []*Method) error {
-	applied := make([][]appliedAdvice, len(ms))
-	for i, m := range ms {
-		var err error
-		if applied[i], err = p.matchLocked(m); err != nil {
-			return err
-		}
-	}
+// reweaveLocked is the one re-weave routine: derive returns the next
+// advice list of ms[i], then every chain is composed, then all are swapped
+// in. A derivation error returns before the first swap, so it changes
+// nothing.
+func (p *Program) reweaveLocked(ms []*Method, derive func(i int, m *Method) ([]appliedAdvice, error)) error {
 	chains := make([]*chain, len(ms))
 	for i, m := range ms {
-		chains[i] = composeChain(m, applied[i])
+		applied, err := derive(i, m)
+		if err != nil {
+			return err
+		}
+		chains[i] = &chain{applied: applied}
+	}
+	for i, m := range ms {
+		composeChain(m, chains[i])
 	}
 	for i, m := range ms {
 		m.current.Store(chains[i])
@@ -381,7 +391,7 @@ func (p *Program) reweaveLocked(ms []*Method) error {
 // reconfigurations re-weave incrementally.
 func (p *Program) Weave() error {
 	defer p.unlock(p.lock())
-	if err := p.reweaveLocked(p.methods); err != nil {
+	if err := p.reweaveLocked(p.methods, p.matchAllLocked); err != nil {
 		return err
 	}
 	p.woven = true
@@ -409,25 +419,23 @@ func (p *Program) Unweave() {
 // SetAdviceEnabled toggles the named aspect's advice without undeploying
 // it. With no fqns the toggle is aspect-wide (and sticks as the default for
 // methods woven later); otherwise it applies to the named "Class.method"
-// joinpoints, which must currently carry the aspect's advice. The affected
-// chains are recomposed with disabled advice left out and swapped in: calls
-// that load a method's chain after SetAdviceEnabled returns see the toggle,
-// a call already inside the old chain finishes on it. Returns an error on
-// unknown methods or methods the aspect is not applied to, before any
-// toggle is recorded.
+// joinpoints, which must currently carry the aspect's advice (a name given
+// twice counts once). Each affected method's advice list is copied with the
+// aspect's enable flags restated — no pointcut is matched and no advice
+// validated — and its chain is recomposed, with disabled advice left out,
+// and swapped in: calls that load a method's chain after SetAdviceEnabled
+// returns see the toggle, a call already inside the old chain finishes on
+// it. Returns an error on unknown methods or methods the aspect is not
+// applied to, before any toggle is recorded.
 func (p *Program) SetAdviceEnabled(aspect string, enabled bool, fqns ...string) error {
 	defer p.unlock(p.lock())
+	var affected []*Method
 	if len(fqns) == 0 {
 		p.aspectOff[aspect] = !enabled
-		for k := range p.enabled {
-			if k.aspect == aspect {
-				delete(p.enabled, k)
-			}
-		}
-		return p.reweaveLocked(p.carryingLocked(aspect))
+		maps.DeleteFunc(p.enabled, func(k adviceKey, _ bool) bool { return k.aspect == aspect })
+		affected = p.carryingLocked(aspect)
 	}
-	affected := make([]*Method, len(fqns))
-	for i, fqn := range fqns {
+	for _, fqn := range fqns {
 		m := p.byFQN[fqn]
 		if m == nil {
 			return fmt.Errorf("weaver: SetAdviceEnabled: unknown method %q", fqn)
@@ -435,12 +443,22 @@ func (p *Program) SetAdviceEnabled(aspect string, enabled bool, fqns ...string) 
 		if !chainHasAspect(m.current.Load(), aspect) {
 			return fmt.Errorf("weaver: SetAdviceEnabled: aspect %q not applied to %q", aspect, fqn)
 		}
-		affected[i] = m
+		if !slices.Contains(affected, m) {
+			affected = append(affected, m)
+		}
 	}
 	for _, fqn := range fqns {
 		p.enabled[adviceKey{aspect, fqn}] = enabled
 	}
-	return p.reweaveLocked(affected)
+	return p.reweaveLocked(affected, func(_ int, m *Method) ([]appliedAdvice, error) {
+		applied := slices.Clone(m.current.Load().applied)
+		for i := range applied {
+			if applied[i].aspect == aspect {
+				applied[i].enabled = p.adviceEnabledLocked(aspect, m.jp.fqn)
+			}
+		}
+		return applied, nil
+	})
 }
 
 // AdviceEnabled reports the enable state of one aspect on one joinpoint.
@@ -511,6 +529,6 @@ func (p *Program) Report() []WovenMethod {
 		}
 		out = append(out, wm)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].FQN < out[j].FQN })
+	slices.SortFunc(out, func(x, y WovenMethod) int { return cmp.Compare(x.FQN, y.FQN) })
 	return out
 }

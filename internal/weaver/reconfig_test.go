@@ -3,6 +3,7 @@ package weaver
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -500,5 +501,80 @@ func BenchmarkWovenCallDisabledAdvice(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m()
+	}
+}
+
+// countingMatcher counts the joinpoints it is asked about.
+type countingMatcher struct {
+	Matcher
+	n *int
+}
+
+func (m countingMatcher) Matches(s pointcut.Subject) bool { *m.n++; return m.Matcher.Matches(s) }
+
+// countingValidator counts the joinpoints it validates.
+type countingValidator struct {
+	adviceFunc
+	n *int
+}
+
+func (a countingValidator) ValidateJP(*Joinpoint) error { *a.n++; return nil }
+
+// countedBinding binds a pass-through advice through pc, counting its
+// matcher's and its validator's calls.
+func countedBinding(pc string, prec int, matches, validations *int) Binding {
+	return Binding{Matcher: countingMatcher{pointcut.MustParse(pc), matches},
+		Advice: countingValidator{passAdvice(pc, prec, false), validations}}
+}
+
+// Reconfiguration edits a method's advice list instead of re-deriving it:
+// toggles and RemoveAspect match and validate nothing, and Use matches only
+// the new aspects' bindings, each once per joinpoint.
+func TestReconfigurationMatchesOnlyNewAspects(t *testing.T) {
+	p := NewProgram("test")
+	for _, c := range []string{"C0", "C1"} {
+		for _, m := range []string{"m1", "m2", "m10", "n"} {
+			p.Class(c).Proc(m, func() {})
+		}
+	}
+	var deployedMatches, deployedValidations, newMatches, newValidations int
+	p.Use(&SimpleAspect{Name: "Count", Bind: []Binding{
+		countedBinding("call(* C*.m*(..))", 10, &deployedMatches, &deployedValidations)}})
+	p.MustWeave()
+	wild := &SimpleAspect{Name: "Wild", Bind: []Binding{
+		countedBinding("call(* *.m1*(..))", 20, &newMatches, &newValidations),
+		countedBinding("call(* C1.*(..))", 10, &newMatches, &newValidations)}}
+	check := func(verb string, matches, validations int) {
+		t.Helper()
+		if deployedMatches != 0 || deployedValidations != 0 || newMatches != matches || newValidations != validations {
+			t.Fatalf("%s: deployed aspect matched %d and validated %d times, new one %d and %d; want 0, 0, %d, %d",
+				verb, deployedMatches, deployedValidations, newMatches, newValidations, matches, validations)
+		}
+		deployedMatches, deployedValidations, newMatches, newValidations = 0, 0, 0, 0
+	}
+	deployedMatches, deployedValidations = 0, 0 // Weave matches everything; the counts start here
+
+	if err := p.SetAdviceEnabled("Count", false, "C0.m1", "C1.m2"); err != nil {
+		t.Fatal(err)
+	}
+	check("per-method SetAdviceEnabled", 0, 0)
+	if err := p.SetAdviceEnabled("Count", true); err != nil {
+		t.Fatal(err)
+	}
+	check("aspect-wide SetAdviceEnabled", 0, 0)
+	p.Use(wild)
+	// Two bindings over 8 joinpoints; m1 and m10 of both classes and the
+	// four C1 methods are validated.
+	check("Use", 2*8, 4+4)
+	if err := p.SetAdviceEnabled("Wild", false, "C1.n"); err != nil {
+		t.Fatal(err)
+	}
+	check("per-method SetAdviceEnabled of the new aspect", 0, 0)
+	p.RemoveAspect("Wild")
+	check("RemoveAspect", 0, 0)
+	p.RemoveAspect("Count")
+	check("RemoveAspect of every advice", 0, 0)
+	if rep := p.Report(); slices.ContainsFunc(rep, func(wm WovenMethod) bool { return len(wm.Advice) != 0 }) {
+		t.Fatalf("advice left after removing every aspect: %+v", rep)
 	}
 }
