@@ -343,7 +343,7 @@ func (p *parser) parseSignature() (node, error) {
 	if p.lex.peek().kind == tokRParen {
 		p.lex.next()
 		sig.args = []string{} // exactly zero args
-		return sig, nil
+		return &sig, nil
 	}
 	var args []string
 	for {
@@ -372,5 +372,5 @@ func (p *parser) parseSignature() (node, error) {
 	} else {
 		sig.args = args
 	}
-	return sig, nil
+	return &sig, nil
 }

@@ -53,13 +53,17 @@ type diffAspect struct {
 	binds []diffBinding
 }
 
+// diffModel's enabled holds the per-method toggles still in force, and
+// aspectOff the aspect-wide disables.
 type diffModel struct {
 	methods   []diffMethod
 	aspects   []diffAspect
-	enabled   map[adviceKey]bool
+	enabled   map[toggleKey]bool
 	aspectOff map[string]bool
 	woven     bool
 }
+
+type toggleKey struct{ aspect, fqn string }
 
 func (m *diffModel) clone() *diffModel {
 	c := &diffModel{
@@ -158,9 +162,26 @@ func (m *diffModel) build() (*diffProgram, error) {
 	for _, da := range m.aspects {
 		d.p.Use(d.aspect(da))
 	}
-	d.p.enabled, d.p.aspectOff = maps.Clone(m.enabled), maps.Clone(m.aspectOff)
-	if m.woven {
-		return d, d.p.Weave()
+	for name, off := range m.aspectOff {
+		if err := d.p.SetAdviceEnabled(name, !off); err != nil {
+			return d, err
+		}
+	}
+	if !m.woven {
+		return d, nil
+	}
+	if err := d.p.Weave(); err != nil {
+		return d, err
+	}
+	// A per-method toggle restates the advice its method carries; one
+	// whose aspect no longer matches there waits for it to match again.
+	for k, on := range m.enabled {
+		if !reportCarries(d.p.Report(), k.fqn, k.aspect) {
+			continue
+		}
+		if err := d.p.SetAdviceEnabled(k.aspect, on, k.fqn); err != nil {
+			return d, err
+		}
 	}
 	return d, nil
 }
@@ -188,7 +209,7 @@ func TestIncrementalEqualsFromScratch(t *testing.T) {
 
 func runDiffScript(t *testing.T, seed int64, ops int) {
 	rng := rand.New(rand.NewSource(seed))
-	model := &diffModel{enabled: map[adviceKey]bool{}, aspectOff: map[string]bool{}}
+	model := &diffModel{enabled: map[toggleKey]bool{}, aspectOff: map[string]bool{}}
 	live := newDiffProgram()
 	for i, c := range diffClasses {
 		dm := diffMethod{class: c, name: []string{"m1", "run", "loop", "m1x"}[i], kind: Kind(i % 3)}
@@ -275,7 +296,7 @@ func runDiffScript(t *testing.T, seed int64, ops int) {
 			valid := true
 			for _, fqn := range fqns {
 				valid = valid && reportCarries(live.p.Report(), fqn, name)
-				next.enabled[adviceKey{name, fqn}] = on
+				next.enabled[toggleKey{name, fqn}] = on
 			}
 			before := live.p.ChainRebuilds()
 			if err := live.p.SetAdviceEnabled(name, on, fqns...); (err == nil) != valid {
@@ -291,7 +312,7 @@ func runDiffScript(t *testing.T, seed int64, ops int) {
 		case 4: // aspect-wide toggle
 			name, on := aspectNames[rng.Intn(len(aspectNames))], rng.Intn(2) == 0
 			desc = fmt.Sprintf("SetAdviceEnabled %s %v (aspect-wide)", name, on)
-			maps.DeleteFunc(next.enabled, func(k adviceKey, _ bool) bool { return k.aspect == name })
+			maps.DeleteFunc(next.enabled, func(k toggleKey, _ bool) bool { return k.aspect == name })
 			next.aspectOff[name] = !on
 			if err := live.p.SetAdviceEnabled(name, on); err != nil {
 				fail("%v", err)

@@ -49,15 +49,20 @@ func (k Kind) String() string {
 	}
 }
 
+// forArgs and keyedArgs are shared by every joinpoint of their kind, so
+// matching a signature's argument list allocates nothing.
+var forArgs, keyedArgs = []string{"int", "int", "int"}, []string{"int"}
+
 // argKinds reports the exposed parameter kinds used for pointcut matching.
+// The slice is shared and read-only.
 func (k Kind) argKinds() []string {
 	switch k {
 	case ForKind:
-		return []string{"int", "int", "int"}
+		return forArgs
 	case KeyedKind:
-		return []string{"int"}
+		return keyedArgs
 	default:
-		return []string{}
+		return nil
 	}
 }
 
@@ -114,7 +119,8 @@ func (j *Joinpoint) ClassName() string { return j.class.name }
 // MethodName implements pointcut.Subject.
 func (j *Joinpoint) MethodName() string { return j.name }
 
-// ArgKinds implements pointcut.Subject.
+// ArgKinds implements pointcut.Subject. The slice is shared by every
+// joinpoint of its kind: callers must not modify it.
 func (j *Joinpoint) ArgKinds() []string { return j.kind.argKinds() }
 
 // ReturnsValue implements pointcut.Subject.

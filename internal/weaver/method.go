@@ -54,7 +54,8 @@ func PutCall(c *Call) {
 }
 
 // chain is an immutable woven pipeline, swapped atomically so weaving and
-// unweaving are safe while calls are in flight.
+// unweaving are safe while calls are in flight. It carries only what a call
+// reads; the advice list it was composed from lives on its Method.
 type chain struct {
 	handler HandlerFunc
 	// direct marks a chain with no stage — never woven, unwoven, no
@@ -70,12 +71,9 @@ type chain struct {
 	// chain runs through its program's fork gate.
 	forks bool
 	// sole is set when a value chain's only stage is a WorkerValuer:
-	// ValueProc's entry answers from it. (Behind a pointer: every re-weave
-	// allocates a chain, few have one.)
+	// ValueProc's entry answers from it. (Behind a pointer: every woven
+	// composition allocates a chain, few have one.)
 	sole *WorkerValuer
-	// applied lists the matched advice outermost-first, disabled advice
-	// included, for weave reports.
-	applied []appliedAdvice
 }
 
 type appliedAdvice struct {
@@ -84,16 +82,32 @@ type appliedAdvice struct {
 	// pointcut is the source form of the matcher that selected the
 	// joinpoint, surfaced by Report for -explain tooling.
 	pointcut string
-	// enabled reports whether the advice was composed into the chain.
+	// enabled reports whether the advice is composed into the chain.
 	enabled bool
 }
 
+// toggle is a per-method SetAdviceEnabled: it outlives the advice it
+// restates, so an aspect deployed again, or a method woven again, keeps it.
+type toggle struct {
+	aspect string
+	on     bool
+}
+
 // Method is a registered joinpoint together with its body and current
-// woven chain.
+// woven chain. The advice list and toggles are reconfiguration state,
+// guarded by the program's lock; a call reads neither.
 type Method struct {
 	jp      *Joinpoint
 	body    HandlerFunc
 	current atomic.Pointer[chain]
+	// direct is the method's chain with no stage, built once at
+	// registration and stored by Unweave and by any composition with no
+	// enabled advice.
+	direct *chain
+	// applied lists the matched advice outermost-first, disabled advice
+	// included, for composition and weave reports.
+	applied []appliedAdvice
+	toggles []toggle
 }
 
 // JP returns the method's joinpoint.
@@ -137,10 +151,6 @@ func (m *Method) runValue(ch *chain, body func() any) any {
 		return (*ch.sole).WorkerValue(w)
 	}
 	return body()
-}
-
-func (m *Method) reset() {
-	m.current.Store(&chain{handler: m.body, direct: true})
 }
 
 // Proc registers a plain method and returns its woven entry point. The

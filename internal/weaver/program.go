@@ -3,7 +3,6 @@ package weaver
 import (
 	"cmp"
 	"fmt"
-	"maps"
 	"slices"
 	"sync"
 
@@ -21,17 +20,18 @@ import (
 // Every reconfiguration is a chain swap: once Weave has run, the program
 // stays woven, and Use, RemoveAspect, SetAdviceEnabled, Annotate and late
 // method registration rebuild exactly the chains they affect — all of them
-// or, when an advice rejects a joinpoint, none. Each affected method's
-// advice list is derived from its current one where the verb allows:
-// toggles restate enable flags and RemoveAspect filters, matching no
-// pointcut; Use matches only the new aspects and merges their advice in.
-// Weave, Annotate and late registration match every aspect. A call runs on
-// the chain it loaded; calls that load a method's chain after the
-// reconfiguration returns see the new weave. A top-level parallel region
-// runs against one weave: a reconfiguration issued outside any region
-// waits for the program's regions in flight, so its latency is bounded by
-// the longest of them; one issued from inside a region takes effect at
-// once.
+// or, when an advice rejects a joinpoint, none. Each method keeps its
+// advice list and toggles under the program lock, and the verbs edit them
+// in place: toggles flip enable flags and RemoveAspect filters, matching no
+// pointcut; Use matches only the new aspects and merges their advice in;
+// Weave, Annotate and late registration match every aspect. A composition
+// allocates only the chain it swaps in, none when no advice is enabled: the
+// method's direct chain, built at registration. A call runs on the chain it
+// loaded; calls that load a method's chain after the reconfiguration
+// returns see the new weave. A top-level parallel region runs against one
+// weave: a reconfiguration issued outside any region waits for the
+// program's regions in flight, so its latency is bounded by the longest of
+// them; one issued from inside a region takes effect at once.
 type Program struct {
 	name string
 
@@ -41,9 +41,8 @@ type Program struct {
 	byFQN   map[string]*Method
 	aspects []Aspect
 
-	// enabled records per-(aspect, fqn) toggles; aspectOff the aspect-wide
-	// default for pairs without one. Both are inputs to composition.
-	enabled   map[adviceKey]bool
+	// aspectOff records aspect-wide disables: the enable state of an
+	// aspect's advice on a method with no toggle of its own for it.
 	aspectOff map[string]bool
 
 	// woven flips to true at the first Weave and back to false at Unweave;
@@ -60,16 +59,12 @@ type Program struct {
 	gate sync.RWMutex
 }
 
-// adviceKey identifies one aspect's advice on one joinpoint.
-type adviceKey struct{ aspect, fqn string }
-
 // NewProgram creates an empty program registry.
 func NewProgram(name string) *Program {
 	return &Program{
 		name:      name,
 		classes:   make(map[string]*Class),
 		byFQN:     make(map[string]*Method),
-		enabled:   make(map[adviceKey]bool),
 		aspectOff: make(map[string]bool),
 	}
 }
@@ -142,14 +137,18 @@ func (c *Class) register(name string, kind Kind, body HandlerFunc) *Method {
 		panic(fmt.Sprintf("weaver: method %s registered twice", fqn))
 	}
 	m := &Method{jp: &Joinpoint{class: c, name: name, fqn: fqn, kind: kind}, body: body}
-	m.reset()
+	m.direct = &chain{handler: body, direct: true}
+	m.current.Store(m.direct)
 	if p.woven {
 		// Late registration into a woven program: the new method joins the
 		// weave immediately, like a class loaded into a woven application,
 		// and is not registered if an advice rejects it.
-		if err := p.reweaveLocked([]*Method{m}, p.matchAllLocked); err != nil {
+		applied, err := p.matchAllLocked(m)
+		if err != nil {
 			panic(fmt.Sprintf("weaver: weaving late-registered method %s: %v", fqn, err))
 		}
+		m.applied = applied
+		p.recomposeLocked(m)
 	}
 	p.methods = append(p.methods, m)
 	p.byFQN[fqn] = m
@@ -171,10 +170,13 @@ func (p *Program) Annotate(fqn string, annotations ...Annotation) error {
 	prev := m.jp.annotations
 	m.jp.annotations = append(prev, annotations...)
 	if p.woven {
-		if err := p.reweaveLocked([]*Method{m}, p.matchAllLocked); err != nil {
+		applied, err := p.matchAllLocked(m)
+		if err != nil {
 			m.jp.annotations = prev
 			return err
 		}
+		m.applied = applied
+		p.recomposeLocked(m)
 	}
 	return nil
 }
@@ -206,12 +208,13 @@ func (p *Program) Joinpoints() []*Joinpoint {
 
 // Use deploys aspect modules. On an unwoven program the change takes
 // effect at the next Weave; on a woven program the new aspects' pointcuts
-// are tested once against every registered joinpoint, and exactly the
-// methods they match are re-woven: their advice is validated and merged by
-// precedence into each method's current list, after the advice already
-// there on ties. If an advice rejects one of them, Use undeploys the new
-// aspects, leaves every chain as it was and panics — there is no error
-// path to the caller.
+// are tested once against every registered joinpoint and their advice is
+// validated, and only then is each matched method's advice list edited:
+// the new advice is appended and the list stable-sorted by precedence, so
+// it lands after the advice already there on ties, and exactly those
+// methods are re-woven. If an advice rejects one of them, Use undeploys the
+// new aspects, leaves every list and chain as it was and panics — there is
+// no error path to the caller.
 func (p *Program) Use(aspects ...Aspect) {
 	defer p.unlock(p.lock())
 	n := len(p.aspects)
@@ -219,25 +222,28 @@ func (p *Program) Use(aspects ...Aspect) {
 	if !p.woven {
 		return
 	}
-	var affected []*Method
-	var next [][]appliedAdvice
-	for _, m := range p.methods {
-		cur := m.current.Load().applied
-		applied, err := p.matchLocked(m, aspects, cur)
-		if err != nil {
+	var news []appliedAdvice
+	ends := make([]int, len(p.methods)+1) // news[ends[i]:ends[i+1]] is p.methods[i]'s
+	for i, m := range p.methods {
+		var err error
+		if news, err = p.matchLocked(m, aspects, news); err != nil {
 			p.aspects = p.aspects[:n]
 			panic(fmt.Sprintf("weaver: incremental Use: %v", err))
 		}
-		if len(applied) > len(cur) {
-			affected, next = append(affected, m), append(next, applied)
+		ends[i+1] = len(news)
+	}
+	for i, m := range p.methods {
+		if ends[i+1] > ends[i] {
+			m.applied = append(m.applied, news[ends[i]:ends[i+1]]...)
+			slices.SortStableFunc(m.applied, byPrecedence)
+			p.recomposeLocked(m)
 		}
 	}
-	p.reweaveLocked(affected, func(i int, _ *Method) ([]appliedAdvice, error) { return next[i], nil })
 }
 
 // RemoveAspect undeploys all aspects with the given name. On a woven
-// program the methods whose current chain carries the aspect's advice are
-// re-woven from their lists with that advice filtered out.
+// program the aspect's advice is filtered out of each method's list in
+// place, and the methods that carried it are re-woven.
 func (p *Program) RemoveAspect(name string) {
 	defer p.unlock(p.lock())
 	n := len(p.aspects)
@@ -245,31 +251,13 @@ func (p *Program) RemoveAspect(name string) {
 	if !p.woven || len(p.aspects) == n {
 		return
 	}
-	p.reweaveLocked(p.carryingLocked(name), func(_ int, m *Method) ([]appliedAdvice, error) {
-		return slices.DeleteFunc(slices.Clone(m.current.Load().applied),
-			func(ad appliedAdvice) bool { return ad.aspect == name }), nil
-	})
-}
-
-// carryingLocked returns the methods whose current chain carries the
-// aspect's advice.
-func (p *Program) carryingLocked(aspect string) []*Method {
-	var out []*Method
 	for _, m := range p.methods {
-		if chainHasAspect(m.current.Load(), aspect) {
-			out = append(out, m)
+		k := len(m.applied)
+		m.applied = slices.DeleteFunc(m.applied, func(ad appliedAdvice) bool { return ad.aspect == name })
+		if len(m.applied) < k {
+			p.recomposeLocked(m)
 		}
 	}
-	return out
-}
-
-func chainHasAspect(ch *chain, name string) bool {
-	for _, ad := range ch.applied {
-		if ad.aspect == name {
-			return true
-		}
-	}
-	return false
 }
 
 // Aspects returns the names of deployed aspects in deployment order.
@@ -283,23 +271,22 @@ func (p *Program) Aspects() []string {
 	return names
 }
 
-// adviceEnabledLocked reports one aspect's enable state on one joinpoint:
-// its per-method toggle if it has one, else the aspect-wide default.
-func (p *Program) adviceEnabledLocked(aspect, fqn string) bool {
-	if on, ok := p.enabled[adviceKey{aspect, fqn}]; ok {
-		return on
+// adviceEnabledLocked reports one aspect's enable state on m: its
+// per-method toggle if it has one, else the aspect-wide default.
+func (p *Program) adviceEnabledLocked(m *Method, aspect string) bool {
+	for _, t := range m.toggles {
+		if t.aspect == aspect {
+			return t.on
+		}
 	}
 	return !p.aspectOff[aspect]
 }
 
-// matchLocked tests aspects against one method and returns its advice
-// list: the matching advice, validated, merged into base (which it does
-// not modify) and ordered outermost (highest precedence) first. The sort
-// is stable and base comes first, so on ties base's advice stays outside
-// the new, as earlier deployment does. With nothing matched it returns
-// base itself.
-func (p *Program) matchLocked(m *Method, aspects []Aspect, base []appliedAdvice) ([]appliedAdvice, error) {
-	applied := base[:len(base):len(base)] // the first append copies
+// matchLocked appends to dst the advice of the aspects whose pointcuts
+// match m, validated, in deployment order and with its enable state. It
+// edits no method, so a verb runs it over every method it affects before
+// it edits the first list.
+func (p *Program) matchLocked(m *Method, aspects []Aspect, dst []appliedAdvice) ([]appliedAdvice, error) {
 	for _, a := range aspects {
 		for _, b := range a.Bindings() {
 			if !b.Matcher.Matches(m.jp) {
@@ -310,76 +297,64 @@ func (p *Program) matchLocked(m *Method, aspects []Aspect, base []appliedAdvice)
 					return nil, fmt.Errorf("weaver: aspect %q: %w", a.AspectName(), err)
 				}
 			}
-			applied = append(applied, appliedAdvice{
+			dst = append(dst, appliedAdvice{
 				aspect:   a.AspectName(),
 				advice:   b.Advice,
 				pointcut: b.Matcher.String(),
-				enabled:  p.adviceEnabledLocked(a.AspectName(), m.jp.fqn),
+				enabled:  p.adviceEnabledLocked(m, a.AspectName()),
 			})
 		}
 	}
-	if len(applied) > len(base) {
-		slices.SortStableFunc(applied, func(x, y appliedAdvice) int {
-			return cmp.Compare(y.advice.Precedence(), x.advice.Precedence())
-		})
-	}
-	return applied, nil
+	return dst, nil
 }
 
 // matchAllLocked derives a method's list from scratch: every deployed
-// aspect, matched and validated. Weave, Annotate and late registration
-// use it, as their inputs change what matches.
-func (p *Program) matchAllLocked(_ int, m *Method) ([]appliedAdvice, error) {
-	return p.matchLocked(m, p.aspects, nil)
+// aspect, matched and validated, in precedence order. Weave, Annotate and
+// late registration use it, as their inputs change what matches.
+func (p *Program) matchAllLocked(m *Method) ([]appliedAdvice, error) {
+	applied, err := p.matchLocked(m, p.aspects, nil)
+	slices.SortStableFunc(applied, byPrecedence)
+	return applied, err
 }
 
-// composeChain builds ch's woven pipeline for m from the enabled advice of
-// ch.applied; disabled advice is left out and stays listed for reports. A
-// chain with no stage is direct: entry points bypass it for the registered
-// body. A chain whose one stage is a WorkerValuer's records it for the
-// Call-free entry of value methods (Method.runValue).
-func composeChain(m *Method, ch *chain) {
-	ch.handler, ch.direct = m.body, true
-	for i := len(ch.applied) - 1; i >= 0; i-- { // wrap innermost-first
-		ad := ch.applied[i]
+// byPrecedence orders advice outermost (highest precedence) first. Sorts
+// are stable, so ties keep list order: earlier deployment stays outside.
+func byPrecedence(x, y appliedAdvice) int {
+	return cmp.Compare(y.advice.Precedence(), x.advice.Precedence())
+}
+
+// recomposeLocked composes m's chain from the enabled advice of m.applied
+// (disabled advice is left out and stays listed for reports), swaps it in
+// and counts one rebuild. With no enabled advice the chain is m.direct:
+// entry points bypass it for the registered body. A chain whose one stage
+// is a WorkerValuer's records it for the Call-free entry of value methods
+// (Method.runValue). Composition cannot fail: a verb runs every fallible
+// step before its first recomposition, so a rejection changes nothing.
+func (p *Program) recomposeLocked(m *Method) {
+	ch := m.direct
+	for i := len(m.applied) - 1; i >= 0; i-- { // wrap innermost-first
+		ad := m.applied[i]
 		if !ad.enabled {
 			continue
 		}
-		if ch.sole = nil; ch.direct && m.jp.kind == ValueKind { // the first stage: sole so far
-			if v, ok := ad.advice.(WorkerValuer); ok {
-				ch.sole = &v
+		if ch.direct { // the first stage: sole so far
+			ch = &chain{handler: m.body}
+			if m.jp.kind == ValueKind {
+				if v, ok := ad.advice.(WorkerValuer); ok {
+					ch.sole = &v
+				}
 			}
+		} else {
+			ch.sole = nil
 		}
 		ch.handler = ad.advice.Wrap(m.jp, ch.handler)
-		ch.direct = false
 		ch.needsWorker = ch.needsWorker || ad.advice.NeedsWorker()
 		if f, ok := ad.advice.(Forker); ok && f.Forks() {
 			ch.forks = true
 		}
 	}
-}
-
-// reweaveLocked is the one re-weave routine: derive returns the next
-// advice list of ms[i], then every chain is composed, then all are swapped
-// in. A derivation error returns before the first swap, so it changes
-// nothing.
-func (p *Program) reweaveLocked(ms []*Method, derive func(i int, m *Method) ([]appliedAdvice, error)) error {
-	chains := make([]*chain, len(ms))
-	for i, m := range ms {
-		applied, err := derive(i, m)
-		if err != nil {
-			return err
-		}
-		chains[i] = &chain{applied: applied}
-	}
-	for i, m := range ms {
-		composeChain(m, chains[i])
-	}
-	for i, m := range ms {
-		m.current.Store(chains[i])
-	}
-	p.rebuilds += uint64(len(ms))
-	return nil
+	m.current.Store(ch)
+	p.rebuilds++
 }
 
 // Weave (re)builds every method's advice chain from the deployed aspects.
@@ -391,8 +366,16 @@ func (p *Program) reweaveLocked(ms []*Method, derive func(i int, m *Method) ([]a
 // reconfigurations re-weave incrementally.
 func (p *Program) Weave() error {
 	defer p.unlock(p.lock())
-	if err := p.reweaveLocked(p.methods, p.matchAllLocked); err != nil {
-		return err
+	lists := make([][]appliedAdvice, len(p.methods))
+	for i, m := range p.methods {
+		var err error
+		if lists[i], err = p.matchAllLocked(m); err != nil {
+			return err
+		}
+	}
+	for i, m := range p.methods {
+		m.applied = lists[i]
+		p.recomposeLocked(m)
 	}
 	p.woven = true
 	return nil
@@ -405,60 +388,74 @@ func (p *Program) MustWeave() {
 	}
 }
 
-// Unweave restores every method to its unadvised body: the program runs
-// with its original sequential semantics, and incremental re-weaving stops
-// until the next Weave.
+// Unweave restores every method to its unadvised body, swapping in the
+// direct chain built at its registration and clearing its advice list
+// (its toggles stay): the program runs with its original sequential
+// semantics, and incremental re-weaving stops until the next Weave.
 func (p *Program) Unweave() {
 	defer p.unlock(p.lock())
 	for _, m := range p.methods {
-		m.reset()
+		m.applied = nil
+		m.current.Store(m.direct)
 	}
 	p.woven = false
 }
 
 // SetAdviceEnabled toggles the named aspect's advice without undeploying
-// it. With no fqns the toggle is aspect-wide (and sticks as the default for
-// methods woven later); otherwise it applies to the named "Class.method"
-// joinpoints, which must currently carry the aspect's advice (a name given
-// twice counts once). Each affected method's advice list is copied with the
-// aspect's enable flags restated — no pointcut is matched and no advice
-// validated — and its chain is recomposed, with disabled advice left out,
-// and swapped in: calls that load a method's chain after SetAdviceEnabled
-// returns see the toggle, a call already inside the old chain finishes on
-// it. Returns an error on unknown methods or methods the aspect is not
-// applied to, before any toggle is recorded.
+// it. With no fqns the toggle is aspect-wide: it clears the aspect's
+// per-method toggles and sticks as the default for methods woven later.
+// Otherwise it applies to the named "Class.method" joinpoints, which must
+// currently carry the aspect's advice (a name given twice counts once), and
+// is recorded on each method, where it outlives a RemoveAspect or an
+// Unweave. Each affected method's advice list has the aspect's enable flags
+// flipped in place — no pointcut is matched and no advice validated — and
+// its chain is recomposed, with disabled advice left out, and swapped in:
+// calls that load a method's chain after SetAdviceEnabled returns see the
+// toggle, a call already inside the old chain finishes on it. Returns an
+// error on unknown methods or methods the aspect is not applied to, before
+// any toggle is recorded.
 func (p *Program) SetAdviceEnabled(aspect string, enabled bool, fqns ...string) error {
 	defer p.unlock(p.lock())
-	var affected []*Method
-	if len(fqns) == 0 {
-		p.aspectOff[aspect] = !enabled
-		maps.DeleteFunc(p.enabled, func(k adviceKey, _ bool) bool { return k.aspect == aspect })
-		affected = p.carryingLocked(aspect)
-	}
 	for _, fqn := range fqns {
 		m := p.byFQN[fqn]
 		if m == nil {
 			return fmt.Errorf("weaver: SetAdviceEnabled: unknown method %q", fqn)
 		}
-		if !chainHasAspect(m.current.Load(), aspect) {
+		if !slices.ContainsFunc(m.applied, func(ad appliedAdvice) bool { return ad.aspect == aspect }) {
 			return fmt.Errorf("weaver: SetAdviceEnabled: aspect %q not applied to %q", aspect, fqn)
 		}
-		if !slices.Contains(affected, m) {
-			affected = append(affected, m)
-		}
 	}
-	for _, fqn := range fqns {
-		p.enabled[adviceKey{aspect, fqn}] = enabled
-	}
-	return p.reweaveLocked(affected, func(_ int, m *Method) ([]appliedAdvice, error) {
-		applied := slices.Clone(m.current.Load().applied)
-		for i := range applied {
-			if applied[i].aspect == aspect {
-				applied[i].enabled = p.adviceEnabledLocked(aspect, m.jp.fqn)
+	if len(fqns) == 0 {
+		p.aspectOff[aspect] = !enabled
+		for _, m := range p.methods {
+			m.toggles = slices.DeleteFunc(m.toggles, func(t toggle) bool { return t.aspect == aspect })
+			if m.restate(aspect, enabled) {
+				p.recomposeLocked(m)
 			}
 		}
-		return applied, nil
-	})
+		return nil
+	}
+	for i, fqn := range fqns {
+		if slices.Contains(fqns[:i], fqn) {
+			continue
+		}
+		m := p.byFQN[fqn]
+		m.toggles = append(slices.DeleteFunc(m.toggles, func(t toggle) bool { return t.aspect == aspect }), toggle{aspect, enabled})
+		m.restate(aspect, enabled)
+		p.recomposeLocked(m)
+	}
+	return nil
+}
+
+// restate sets the enable flag of the aspect's advice in m's list and
+// reports whether the list carries any.
+func (m *Method) restate(aspect string, on bool) (carries bool) {
+	for i := range m.applied {
+		if m.applied[i].aspect == aspect {
+			m.applied[i].enabled, carries = on, true
+		}
+	}
+	return carries
 }
 
 // AdviceEnabled reports the enable state of one aspect on one joinpoint.
@@ -467,7 +464,10 @@ func (p *Program) SetAdviceEnabled(aspect string, enabled bool, fqns ...string) 
 func (p *Program) AdviceEnabled(aspect, fqn string) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.adviceEnabledLocked(aspect, fqn)
+	if m := p.byFQN[fqn]; m != nil {
+		return p.adviceEnabledLocked(m, aspect)
+	}
+	return !p.aspectOff[aspect]
 }
 
 // ChainRebuilds returns the number of chain compositions performed since
@@ -518,7 +518,7 @@ func (p *Program) Report() []WovenMethod {
 		for _, a := range m.jp.annotations {
 			wm.Annotations = append(wm.Annotations, a.AnnotationName())
 		}
-		for _, ap := range m.current.Load().applied {
+		for _, ap := range m.applied {
 			wm.Advice = append(wm.Advice, ap.aspect+"/"+ap.advice.AdviceName())
 			wm.Details = append(wm.Details, AdviceInfo{
 				Aspect:   ap.aspect,

@@ -3,6 +3,7 @@ package weaver
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -217,12 +218,11 @@ func TestDisabledChainCollapses(t *testing.T) {
 	if err := p.SetAdviceEnabled("asp", false); err != nil {
 		t.Fatal(err)
 	}
-	ch := meth.current.Load()
-	if ch.needsWorker {
+	if meth.current.Load().needsWorker {
 		t.Fatal("collapsed chain still resolves workers")
 	}
-	if len(ch.applied) != 1 {
-		t.Fatalf("applied list must keep disabled advice for reports, got %d", len(ch.applied))
+	if len(meth.applied) != 1 {
+		t.Fatalf("applied list must keep disabled advice for reports, got %d", len(meth.applied))
 	}
 }
 
@@ -323,7 +323,7 @@ func TestIncrementalUseRebuildsOnlyMatchedMethods(t *testing.T) {
 			t.Errorf("chain %s changed=%v, want %v", fqn, changed, wantChanged)
 		}
 	}
-	if len(p.Method("A.hit").current.Load().applied) != 1 {
+	if len(p.Method("A.hit").applied) != 1 {
 		t.Fatal("incremental Use did not apply advice")
 	}
 }
@@ -351,7 +351,7 @@ func TestIncrementalRemoveAspectRebuildsOnlyWovenMethods(t *testing.T) {
 			t.Errorf("chain %s rebuild state wrong", fqn)
 		}
 	}
-	if len(p.Method("A.hit").current.Load().applied) != 0 {
+	if len(p.Method("A.hit").applied) != 0 {
 		t.Fatal("RemoveAspect left advice applied")
 	}
 	ahit()
@@ -576,5 +576,88 @@ func TestReconfigurationMatchesOnlyNewAspects(t *testing.T) {
 	check("RemoveAspect of every advice", 0, 0)
 	if rep := p.Report(); slices.ContainsFunc(rep, func(wm WovenMethod) bool { return len(wm.Advice) != 0 }) {
 		t.Fatalf("advice left after removing every aspect: %+v", rep)
+	}
+}
+
+// A toggle allocates only the chain it swaps in: switching a method's only
+// advice off swaps in the direct chain built at its registration, and
+// allocates nothing, per method or aspect-wide.
+func TestToggleOffSwapsInDirectChain(t *testing.T) {
+	p := NewProgram("test")
+	p.Class("A").Proc("m", func() {})
+	p.Use(&SimpleAspect{Name: "asp", Bind: []Binding{
+		bind("call(* A.m(..))", passAdvice("pass", 1, false))}})
+	p.MustWeave()
+	m := p.Method("A.m")
+	if m.current.Load() == m.direct {
+		t.Fatal("a woven method runs its direct chain")
+	}
+	for _, fqns := range [][]string{{"A.m"}, nil} {
+		off := func() {
+			if err := p.SetAdviceEnabled("asp", false, fqns...); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if n := testing.AllocsPerRun(100, off); n != 0 {
+			t.Errorf("toggling off %v allocates %v", fqns, n)
+		}
+		if m.current.Load() != m.direct {
+			t.Errorf("toggling off %v did not swap in the direct chain", fqns)
+		}
+		if err := p.SetAdviceEnabled("asp", true, fqns...); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// Unweave swaps in every method's direct chain and allocates nothing per
+// method.
+func TestUnweaveAllocatesNothingPerMethod(t *testing.T) {
+	p, fqns, _ := reconfigProgram()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	p.Unweave()
+	runtime.ReadMemStats(&after)
+	if n := after.Mallocs - before.Mallocs; n >= uint64(len(fqns)) {
+		t.Errorf("Unweave of %d methods allocated %d times", len(fqns), n)
+	}
+	for _, m := range p.methods {
+		if m.current.Load() != m.direct || len(m.applied) != 0 {
+			t.Fatalf("%s keeps advice after Unweave", m.jp.FQN())
+		}
+	}
+}
+
+// Pointcut matching copies and allocates nothing, over every joinpoint kind
+// and every pointcut form, argument lists included.
+func TestPointcutMatchAllocatesNothing(t *testing.T) {
+	p := NewProgram("test")
+	a := p.Class("A", Implements("Shape"))
+	a.Proc("run", func() {})
+	a.ForProc("loop", func(lo, hi, step int) {})
+	a.KeyedProc("at", func(key int) {})
+	a.ValueProc("get", func() any { return nil })
+	p.MustAnnotate("A.run", testAnno{})
+	var pcs []*pointcut.Pointcut
+	for _, src := range []string{
+		"call(* A.loop(int, int, int))",
+		"call(void *.*(int))",
+		"call(* A.*())",
+		"call(int A.get(..))",
+		"call(* Shape+.*(*, ..))",
+		"call(@Marked * *(..)) || annotation(@Marked)",
+		"within(A) && !call(* *.g*(..))",
+	} {
+		pcs = append(pcs, pointcut.MustParse(src))
+	}
+	jps := p.Joinpoints()
+	if n := testing.AllocsPerRun(100, func() {
+		for _, pc := range pcs {
+			for _, jp := range jps {
+				pc.Matches(jp)
+			}
+		}
+	}); n != 0 {
+		t.Errorf("matching %d pointcuts against %d joinpoints allocates %v", len(pcs), len(jps), n)
 	}
 }

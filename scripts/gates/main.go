@@ -70,7 +70,9 @@ var table = []row{
 	{"chain", weaver, "WovenCallEnabledAdvice", 0, "", "", 0, 1, gate, "a live chain reifies a pooled Call"},
 	{"unplugged", weaver, "UnwovenCall", 0, "", "", 0, 1, gate, "an unwoven method is direct: its entry point calls the registered body, no Call"},
 	{"unplugged", weaver, "WovenCallDisabledAdvice", 0, "", "", 0, 1, gate, "a chain whose every advice is disabled is direct too"},
-	{"reconfig", weaver, "ReconfigToggle", 4, "", "", 0, 1, gate, "a per-method toggle copies one advice list with its flags restated and composes one chain, matching no pointcut: 6 when it re-derived the list"},
+	{"reconfig", weaver, "ReconfigToggle", 1, "", "", 0, 1, gate, "a per-method toggle flips flags in the method's own list and allocates only the chain it swaps in, none when it swaps in the direct chain: 4 when it copied the list"},
+	{"reconfig", weaver, "ReconfigUseRemove", 147, "", "", 0, 1, gate, "Use appends the wildcard's advice to 28 lists in place and RemoveAspect filters them, each composing one chain per method: 216 when each verb copied the lists"},
+	{"reconfig", weaver, "ReconfigWeave", 193, "", "", 0, 1, gate, "Unweave stores each method's direct chain; Weave matches one list and composes one chain per method: 257 when Unweave allocated a direct chain per method"},
 	{"unplugged", root, "Overhead_UnwovenMethod", none, root, "Overhead_DirectCall", 6, 5, gate, "a registered but unwoven method costs at most six plain closure calls"},
 	{"unplugged", root, "Overhead_RegionEntryDisabled", none, root, "Overhead_DirectCall", 6, 5, gate, "so does a region entry with its advice switched off"},
 	{"encounter", core, "Encounter_Single", 0, "", "", 0, 1, gate, "meeting a woven construct in an open region takes no lock, no map, no allocation"},
