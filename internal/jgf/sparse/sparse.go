@@ -9,6 +9,7 @@ package sparse
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"aomplib/internal/core"
@@ -47,6 +48,13 @@ type Sparse struct {
 
 // New builds the base program with a deterministic random matrix.
 func New(p Params) *Sparse {
+	s := generate(p)
+	s.sortByRow()
+	return s
+}
+
+// generate draws the matrix's triplets, in generation order, and x.
+func generate(p Params) *Sparse {
 	s := &Sparse{
 		n: p.N, nz: p.NZ, iters: p.Iters,
 		row: make([]int, p.NZ), col: make([]int, p.NZ), val: make([]float64, p.NZ),
@@ -61,35 +69,34 @@ func New(p Params) *Sparse {
 	for i := 0; i < p.N; i++ {
 		s.x[i] = r.NextDouble()
 	}
-	// Sort triplets by (row, col) so each row is contiguous — the JGF
-	// kernel relies on row-major traversal.
-	idx := make([]int, p.NZ)
-	for i := range idx {
-		idx[i] = i
+	return s
+}
+
+// sortByRow orders the triplets by row, so each row is contiguous — the
+// JGF kernel relies on row-major traversal — and by column within a row,
+// and builds rowStart. A counting pass by row places each triplet in its
+// row, where an insertion by column moves it past the few placed before
+// it: linear in nz, and equal (row, col) pairs keep generation order.
+func (s *Sparse) sortByRow() {
+	s.rowStart = make([]int, s.n+1)
+	for _, r := range s.row {
+		s.rowStart[r+1]++
 	}
-	sort.Slice(idx, func(a, b int) bool {
-		ia, ib := idx[a], idx[b]
-		if s.row[ia] != s.row[ib] {
-			return s.row[ia] < s.row[ib]
+	for r := 0; r < s.n; r++ {
+		s.rowStart[r+1] += s.rowStart[r]
+	}
+	next := slices.Clone(s.rowStart[:s.n])
+	rr, cc, vv := make([]int, s.nz), make([]int, s.nz), make([]float64, s.nz)
+	for i, r := range s.row {
+		k := next[r]
+		next[r]++
+		rr[k], cc[k], vv[k] = r, s.col[i], s.val[i]
+		for ; k > s.rowStart[r] && cc[k-1] > cc[k]; k-- {
+			cc[k-1], cc[k] = cc[k], cc[k-1]
+			vv[k-1], vv[k] = vv[k], vv[k-1]
 		}
-		return s.col[ia] < s.col[ib]
-	})
-	rr := make([]int, p.NZ)
-	cc := make([]int, p.NZ)
-	vv := make([]float64, p.NZ)
-	for i, j := range idx {
-		rr[i], cc[i], vv[i] = s.row[j], s.col[j], s.val[j]
 	}
 	s.row, s.col, s.val = rr, cc, vv
-	s.rowStart = make([]int, p.N+1)
-	pos := 0
-	for rrow := 0; rrow <= p.N; rrow++ {
-		for pos < p.NZ && s.row[pos] < rrow {
-			pos++
-		}
-		s.rowStart[rrow] = pos
-	}
-	return s
 }
 
 // MultiplyRows is the for method over *row* indices [lo,hi): y[r] is

@@ -1,6 +1,8 @@
 package sparse
 
 import (
+	"cmp"
+	"slices"
 	"testing"
 
 	"aomplib/internal/jgf/harness"
@@ -50,6 +52,49 @@ func TestRowStartMonotone(t *testing.T) {
 	}
 	if s.rowStart[s.n] != s.nz {
 		t.Fatalf("rowStart[n] = %d, want %d", s.rowStart[s.n], s.nz)
+	}
+}
+
+// sortByRow leaves every row contiguous with its columns ascending, keeps
+// equal (row, col) pairs in generation order and loses or invents no
+// triplet. The generated matrix is squeezed into few rows and columns so
+// that ties are common; each value is its generation index.
+func TestSortByRowIsStableRowMajor(t *testing.T) {
+	p := Params{N: 40, NZ: 4000}
+	s := generate(p)
+	for i := range s.col {
+		s.col[i] %= 8
+		s.val[i] = float64(i)
+	}
+	type triplet struct {
+		row, col int
+		val      float64
+	}
+	var want []triplet
+	for i := range s.row {
+		want = append(want, triplet{s.row[i], s.col[i], s.val[i]})
+	}
+	s.sortByRow()
+	var got []triplet
+	for r := 0; r < p.N; r++ {
+		for k := s.rowStart[r]; k < s.rowStart[r+1]; k++ {
+			if s.row[k] != r {
+				t.Fatalf("triplet %d has row %d inside row %d's range", k, s.row[k], r)
+			}
+			if k > s.rowStart[r] && (s.col[k-1] > s.col[k] || s.col[k-1] == s.col[k] && s.val[k-1] > s.val[k]) {
+				t.Fatalf("row %d: (col %d, generated %v) before (col %d, generated %v)", r, s.col[k-1], s.val[k-1], s.col[k], s.val[k])
+			}
+		}
+	}
+	if s.rowStart[0] != 0 || s.rowStart[p.N] != p.NZ {
+		t.Fatalf("rows span [%d, %d), want [0, %d)", s.rowStart[0], s.rowStart[p.N], p.NZ)
+	}
+	for k := range s.row {
+		got = append(got, triplet{s.row[k], s.col[k], s.val[k]})
+	}
+	slices.SortFunc(got, func(x, y triplet) int { return cmp.Compare(x.val, y.val) })
+	if !slices.Equal(got, want) {
+		t.Fatal("the sorted triplets are not the generated ones")
 	}
 }
 

@@ -75,7 +75,13 @@ type Binding struct {
 type Aspect interface {
 	// AspectName identifies the module for reports and removal.
 	AspectName() string
-	// Bindings returns the module's pointcut→advice bindings.
+	// Bindings returns the module's pointcut→advice bindings. A weaving
+	// verb (Weave, Use on a woven program, Annotate, late registration)
+	// calls it once per aspect it matches and shares the advice values
+	// among every method that verb matches; each verb calls it afresh, so
+	// an aspect configured between verbs weaves as configured. State that
+	// belongs to one joinpoint is made in Advice.Wrap, which runs once per
+	// method at every composition, never in Bindings.
 	Bindings() []Binding
 }
 

@@ -79,6 +79,7 @@ type chain struct {
 type appliedAdvice struct {
 	aspect string
 	advice Advice
+	prec   int // advice.Precedence(), read once when it was matched
 	// pointcut is the source form of the matcher that selected the
 	// joinpoint, surfaced by Report for -explain tooling.
 	pointcut string

@@ -23,15 +23,17 @@ import (
 // or, when an advice rejects a joinpoint, none. Each method keeps its
 // advice list and toggles under the program lock, and the verbs edit them
 // in place: toggles flip enable flags and RemoveAspect filters, matching no
-// pointcut; Use matches only the new aspects and merges their advice in;
-// Weave, Annotate and late registration match every aspect. A composition
-// allocates only the chain it swaps in, none when no advice is enabled: the
-// method's direct chain, built at registration. A call runs on the chain it
-// loaded; calls that load a method's chain after the reconfiguration
-// returns see the new weave. A top-level parallel region runs against one
-// weave: a reconfiguration issued outside any region waits for the
-// program's regions in flight, so its latency is bounded by the longest of
-// them; one issued from inside a region takes effect at once.
+// pointcut; Use matches only the new aspects and inserts their advice;
+// Weave, Annotate and late registration match every aspect. A verb calls
+// each aspect it matches through Bindings once (bindingsLocked). A
+// composition allocates only the chain it swaps in, none when no advice is
+// enabled: the method's direct chain, built at registration. A call runs on
+// the chain it loaded; calls that load a method's chain after the
+// reconfiguration returns see the new weave. A top-level parallel region
+// runs against one weave: a reconfiguration issued outside any region
+// waits for the program's regions in flight, so its latency is bounded by
+// the longest of them; one issued from inside a region takes effect at
+// once.
 type Program struct {
 	name string
 
@@ -50,6 +52,13 @@ type Program struct {
 	woven bool
 	// rebuilds counts chain compositions, pinning incrementality in tests.
 	rebuilds uint64
+	// Scratch the weaving verbs reuse under the lock: the bindings a verb
+	// read (bindingsLocked), and Use's matches, news[ends[i]:ends[i+1]]
+	// being the new advice matched on methods[i]. A verb clears what it
+	// read before it returns, so the scratch holds no advice.
+	binds []bound
+	news  []appliedAdvice
+	ends  []int
 
 	// gate makes each top-level region run against one weave: team-mates
 	// load the chains of the methods they call separately, and a swap
@@ -143,7 +152,9 @@ func (c *Class) register(name string, kind Kind, body HandlerFunc) *Method {
 		// Late registration into a woven program: the new method joins the
 		// weave immediately, like a class loaded into a woven application,
 		// and is not registered if an advice rejects it.
-		applied, err := p.matchAllLocked(m)
+		binds := p.bindingsLocked(p.aspects)
+		defer clear(binds)
+		applied, err := p.matchAllLocked(m, binds)
 		if err != nil {
 			panic(fmt.Sprintf("weaver: weaving late-registered method %s: %v", fqn, err))
 		}
@@ -170,7 +181,9 @@ func (p *Program) Annotate(fqn string, annotations ...Annotation) error {
 	prev := m.jp.annotations
 	m.jp.annotations = append(prev, annotations...)
 	if p.woven {
-		applied, err := p.matchAllLocked(m)
+		binds := p.bindingsLocked(p.aspects)
+		defer clear(binds)
+		applied, err := p.matchAllLocked(m, binds)
 		if err != nil {
 			m.jp.annotations = prev
 			return err
@@ -210,11 +223,10 @@ func (p *Program) Joinpoints() []*Joinpoint {
 // effect at the next Weave; on a woven program the new aspects' pointcuts
 // are tested once against every registered joinpoint and their advice is
 // validated, and only then is each matched method's advice list edited:
-// the new advice is appended and the list stable-sorted by precedence, so
-// it lands after the advice already there on ties, and exactly those
-// methods are re-woven. If an advice rejects one of them, Use undeploys the
-// new aspects, leaves every list and chain as it was and panics — there is
-// no error path to the caller.
+// each new advice is inserted at its precedence, after the advice already
+// there on ties, and exactly those methods are re-woven. If an advice
+// rejects one of them, Use undeploys the new aspects, leaves every list and
+// chain as it was and panics — there is no error path to the caller.
 func (p *Program) Use(aspects ...Aspect) {
 	defer p.unlock(p.lock())
 	n := len(p.aspects)
@@ -222,23 +234,33 @@ func (p *Program) Use(aspects ...Aspect) {
 	if !p.woven {
 		return
 	}
-	var news []appliedAdvice
-	ends := make([]int, len(p.methods)+1) // news[ends[i]:ends[i+1]] is p.methods[i]'s
-	for i, m := range p.methods {
+	binds := p.bindingsLocked(aspects)
+	defer clear(binds)
+	news, ends := p.news[:0], append(p.ends[:0], 0)
+	for _, m := range p.methods {
 		var err error
-		if news, err = p.matchLocked(m, aspects, news); err != nil {
+		if news, err = p.matchLocked(m, binds, news); err != nil {
 			p.aspects = p.aspects[:n]
+			clear(news)
 			panic(fmt.Sprintf("weaver: incremental Use: %v", err))
 		}
-		ends[i+1] = len(news)
+		ends = append(ends, len(news))
 	}
 	for i, m := range p.methods {
-		if ends[i+1] > ends[i] {
-			m.applied = append(m.applied, news[ends[i]:ends[i+1]]...)
-			slices.SortStableFunc(m.applied, byPrecedence)
+		added := news[ends[i]:ends[i+1]]
+		for _, ad := range added {
+			j := len(m.applied) // the list is sorted: land after every tie
+			for j > 0 && m.applied[j-1].prec < ad.prec {
+				j--
+			}
+			m.applied = slices.Insert(m.applied, j, ad)
+		}
+		if len(added) > 0 {
 			p.recomposeLocked(m)
 		}
 	}
+	clear(news)
+	p.news, p.ends = news, ends
 }
 
 // RemoveAspect undeploys all aspects with the given name. On a woven
@@ -251,10 +273,10 @@ func (p *Program) RemoveAspect(name string) {
 	if !p.woven || len(p.aspects) == n {
 		return
 	}
+	carried := func(ad appliedAdvice) bool { return ad.aspect == name }
 	for _, m := range p.methods {
-		k := len(m.applied)
-		m.applied = slices.DeleteFunc(m.applied, func(ad appliedAdvice) bool { return ad.aspect == name })
-		if len(m.applied) < k {
+		if slices.ContainsFunc(m.applied, carried) {
+			m.applied = slices.DeleteFunc(m.applied, carried)
 			p.recomposeLocked(m)
 		}
 	}
@@ -282,45 +304,63 @@ func (p *Program) adviceEnabledLocked(m *Method, aspect string) bool {
 	return !p.aspectOff[aspect]
 }
 
-// matchLocked appends to dst the advice of the aspects whose pointcuts
+// bound is one binding of a deployed aspect as a verb read it.
+type bound struct {
+	aspect string
+	prec   int
+	Binding
+}
+
+// bindingsLocked calls each aspect's Bindings once, for one verb, which
+// matches the result against every method it affects: one advice value
+// serves every method it matches (see Aspect).
+func (p *Program) bindingsLocked(aspects []Aspect) []bound {
+	binds := p.binds[:0]
+	for _, a := range aspects {
+		name := a.AspectName()
+		for _, b := range a.Bindings() {
+			binds = append(binds, bound{name, b.Advice.Precedence(), b})
+		}
+	}
+	p.binds = binds
+	return binds
+}
+
+// matchLocked appends to dst the advice of the bindings whose pointcuts
 // match m, validated, in deployment order and with its enable state. It
 // edits no method, so a verb runs it over every method it affects before
 // it edits the first list.
-func (p *Program) matchLocked(m *Method, aspects []Aspect, dst []appliedAdvice) ([]appliedAdvice, error) {
-	for _, a := range aspects {
-		for _, b := range a.Bindings() {
-			if !b.Matcher.Matches(m.jp) {
-				continue
-			}
-			if v, ok := b.Advice.(Validator); ok {
-				if err := v.ValidateJP(m.jp); err != nil {
-					return nil, fmt.Errorf("weaver: aspect %q: %w", a.AspectName(), err)
-				}
-			}
-			dst = append(dst, appliedAdvice{
-				aspect:   a.AspectName(),
-				advice:   b.Advice,
-				pointcut: b.Matcher.String(),
-				enabled:  p.adviceEnabledLocked(m, a.AspectName()),
-			})
+func (p *Program) matchLocked(m *Method, binds []bound, dst []appliedAdvice) ([]appliedAdvice, error) {
+	for _, b := range binds {
+		if !b.Matcher.Matches(m.jp) {
+			continue
 		}
+		if v, ok := b.Advice.(Validator); ok {
+			if err := v.ValidateJP(m.jp); err != nil {
+				return nil, fmt.Errorf("weaver: aspect %q: %w", b.aspect, err)
+			}
+		}
+		dst = append(dst, appliedAdvice{
+			aspect:   b.aspect,
+			advice:   b.Advice,
+			prec:     b.prec,
+			pointcut: b.Matcher.String(),
+			enabled:  p.adviceEnabledLocked(m, b.aspect),
+		})
 	}
 	return dst, nil
 }
 
 // matchAllLocked derives a method's list from scratch: every deployed
-// aspect, matched and validated, in precedence order. Weave, Annotate and
-// late registration use it, as their inputs change what matches.
-func (p *Program) matchAllLocked(m *Method) ([]appliedAdvice, error) {
-	applied, err := p.matchLocked(m, p.aspects, nil)
-	slices.SortStableFunc(applied, byPrecedence)
+// aspect's bindings, matched and validated, in precedence order. Weave,
+// Annotate and late registration use it, as their inputs change what
+// matches.
+func (p *Program) matchAllLocked(m *Method, binds []bound) ([]appliedAdvice, error) {
+	applied, err := p.matchLocked(m, binds, nil)
+	// Outermost (highest precedence) first; the sort is stable, so ties
+	// keep deployment order: earlier deployment stays outside.
+	slices.SortStableFunc(applied, func(x, y appliedAdvice) int { return cmp.Compare(y.prec, x.prec) })
 	return applied, err
-}
-
-// byPrecedence orders advice outermost (highest precedence) first. Sorts
-// are stable, so ties keep list order: earlier deployment stays outside.
-func byPrecedence(x, y appliedAdvice) int {
-	return cmp.Compare(y.advice.Precedence(), x.advice.Precedence())
 }
 
 // recomposeLocked composes m's chain from the enabled advice of m.applied
@@ -366,10 +406,12 @@ func (p *Program) recomposeLocked(m *Method) {
 // reconfigurations re-weave incrementally.
 func (p *Program) Weave() error {
 	defer p.unlock(p.lock())
+	binds := p.bindingsLocked(p.aspects)
+	defer clear(binds)
 	lists := make([][]appliedAdvice, len(p.methods))
 	for i, m := range p.methods {
 		var err error
-		if lists[i], err = p.matchAllLocked(m); err != nil {
+		if lists[i], err = p.matchAllLocked(m, binds); err != nil {
 			return err
 		}
 	}

@@ -661,3 +661,57 @@ func TestPointcutMatchAllocatesNothing(t *testing.T) {
 		t.Errorf("matching %d pointcuts against %d joinpoints allocates %v", len(pcs), len(jps), n)
 	}
 }
+
+// readCountingAspect counts its Bindings calls and builds a fresh advice,
+// named after its current tag, at each one, as the core aspects do.
+type readCountingAspect struct {
+	name, tag string
+	reads     int
+}
+
+func (a *readCountingAspect) AspectName() string { return a.name }
+func (a *readCountingAspect) Bindings() []Binding {
+	a.reads++
+	return []Binding{bind("call(* *.m*(..))", passAdvice(a.tag, 10, false))}
+}
+
+// Each weaving verb reads each aspect it matches through Bindings exactly
+// once, however many methods it matches, and reads afresh: an aspect
+// configured between two verbs weaves as configured at the second.
+func TestVerbsReadBindingsOncePerAspect(t *testing.T) {
+	p := NewProgram("test")
+	for i := 0; i < 16; i++ {
+		p.Class(fmt.Sprintf("C%d", i/4)).Proc(fmt.Sprintf("m%d", i%4), func() {})
+	}
+	a, b, c := &readCountingAspect{name: "A", tag: "a1"}, &readCountingAspect{name: "B", tag: "b"}, &readCountingAspect{name: "C", tag: "c"}
+	check := func(verb string, want ...int) {
+		t.Helper()
+		if got := []int{a.reads, b.reads, c.reads}; !slices.Equal(got, want) {
+			t.Fatalf("%s: Bindings read %v times per aspect (A, B, C), want %v", verb, got, want)
+		}
+		a.reads, b.reads, c.reads = 0, 0, 0
+	}
+	p.Use(a, b)
+	check("Use on an unwoven program", 0, 0, 0)
+	a.tag = "a2"
+	p.MustWeave()
+	check("Weave of 16 methods", 1, 1, 0)
+	if got := p.Report()[0].Advice; !slices.Equal(got, []string{"A/a2", "B/b"}) {
+		t.Fatalf("Weave wove %v, want the aspect as configured before it: [A/a2 B/b]", got)
+	}
+	p.Use(c)
+	check("Use on a woven program", 0, 0, 1)
+	p.MustAnnotate("C0.m0", testAnno{})
+	check("Annotate", 1, 1, 1)
+	p.Class("C9").Proc("m0", func() {})
+	check("late registration", 1, 1, 1)
+	if err := p.SetAdviceEnabled("A", false, "C0.m1"); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.SetAdviceEnabled("B", false); err != nil {
+		t.Fatal(err)
+	}
+	p.RemoveAspect("C")
+	p.Unweave()
+	check("toggles, RemoveAspect and Unweave", 0, 0, 0)
+}
