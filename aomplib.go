@@ -145,12 +145,10 @@ type Schedule = sched.Kind
 // the feedback-driven kind: the first encounter of a construct is decided
 // from the loop's shape (StaticBlock below 64 iterations per worker,
 // Guided otherwise), every later one re-decides kind and chunk from the
-// previous encounter's measured imbalance; ParseSchedule still accepts the
-// former names "auto" and "weightedSteal" for Adaptive and Steal. On a team
-// of one (Threads(1), or a region narrowed to one worker) the four
-// dispensing kinds — Dynamic, Guided, Steal, Adaptive — run the loop as one
-// StaticBlock: one call over the whole range, no end barrier, Chunk
-// ignored.
+// previous encounter's measured imbalance. On a team of one (Threads(1),
+// or a region narrowed to one worker) the four dispensing kinds — Dynamic,
+// Guided, Steal, Adaptive — run the loop as one StaticBlock: one call over
+// the whole range, no end barrier, Chunk ignored.
 const (
 	StaticBlock  = sched.StaticBlock
 	StaticCyclic = sched.StaticCyclic
@@ -183,7 +181,7 @@ var ForShare = core.ForShare
 
 // TaskSpawn spawns matched methods as new activities (@Task). Attach
 // dependence clauses with .Depend (@Depend). On a team of one a task
-// without clauses runs at its spawn (DESIGN.md §4).
+// without clauses runs at its spawn (DESIGN.md §5).
 var TaskSpawn = core.TaskSpawn
 
 // TaskWaitPoint makes matched methods join points for spawned activities
@@ -437,7 +435,7 @@ func SetTenantQuota(name string, maxConcurrent int) int {
 // admission accounting and returns the token; call its Exit when the
 // request scope ends. Parallel regions entered in the token's scope are
 // arbitrated against the tenant's quota and record their outcomes —
-// Admitted, Queued, Rejected, TimedOut, Degraded — on the token, so a
+// Admitted, Queued, Rejected, TimedOut — on the token, so a
 // request handler can tell afterwards whether it should shed load:
 //
 //	tok := aomplib.EnterTenant(customerID)

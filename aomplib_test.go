@@ -2,6 +2,7 @@ package aomplib_test
 
 import (
 	"bytes"
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -349,6 +350,163 @@ func paperConstructs(t *testing.T, design string) map[string]bool {
 		t.Fatalf("%s §2 names no paper construct", design)
 	}
 	return paper
+}
+
+// The line budgets of the two documents a reader starts from. DESIGN.md
+// says what each mechanism does, its invariant and its budget; README.md
+// how to use and run the library. Measurements go to perf/ instead.
+const (
+	designMaxLines = 500
+	readmeMaxLines = 300
+)
+
+// TestDocsWithinLineBudgets holds DESIGN.md and README.md to their budgets.
+func TestDocsWithinLineBudgets(t *testing.T) {
+	for doc, most := range map[string]int{"DESIGN.md": designMaxLines, "README.md": readmeMaxLines} {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := bytes.Count(text, []byte("\n")); n > most {
+			t.Errorf("%s has %d lines, over its budget of %d", doc, n, most)
+		}
+	}
+}
+
+// TestDesignReferencesResolve: every reference to a section of DESIGN.md
+// (see designRefErrors) in the Go sources, README.md, the CI workflow and
+// the verify skill, and every "§N" inside DESIGN.md itself, names a section
+// that exists; a quoted name after a number ("§4, \"A team of one\"") must
+// appear in that section.
+func TestDesignReferencesResolve(t *testing.T) {
+	design, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	docs := []string{"README.md", ".github/workflows/ci.yml", ".claude/skills/verify/SKILL.md"}
+	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir() && path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata"):
+			return filepath.SkipDir
+		case strings.HasSuffix(path, ".go"):
+			docs = append(docs, path)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, doc := range docs {
+		text, err := os.ReadFile(doc)
+		if os.IsNotExist(err) && strings.HasPrefix(doc, ".claude") {
+			continue
+		} else if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range designRefErrors(string(design), string(text), false) {
+			t.Errorf("%s: %s", doc, e)
+		}
+	}
+	for _, e := range designRefErrors(string(design), string(design), true) {
+		t.Errorf("DESIGN.md: %s", e)
+	}
+}
+
+// TestDesignReferencesCatchDangling: the checker reports a planted
+// reference to a missing section, name or quoted heading.
+func TestDesignReferencesCatchDangling(t *testing.T) {
+	design := "## 1. Layers\n\n### A team of one\n\n## 2. Layer budgets (`x`)\n"
+	// Spelled apart so that this file holds no reference itself.
+	const doc, short = "DESIGN" + ".md §", "DESIGN" + " §"
+	ok := "see " + doc + "1, \"A team of one\", " + short + "2 and " + doc + " Layer budgets hold"
+	if errs := designRefErrors(design, ok, false); len(errs) != 0 {
+		t.Fatalf("valid references reported: %v", errs)
+	}
+	for _, bad := range []string{
+		doc + "3", short + "1, §9", doc + "2, \"A team of one\"",
+		doc + " Budgets", "(DESIGN" + ".md\n// §7)",
+	} {
+		if len(designRefErrors(design, bad, false)) == 0 {
+			t.Errorf("dangling reference %q not reported", bad)
+		}
+	}
+	if len(designRefErrors(design, "as in §5", true)) == 0 {
+		t.Error("dangling §5 inside the design not reported")
+	}
+}
+
+var (
+	designSection = regexp.MustCompile(`(?m)^## (\d+)\. (.*)$`)
+	designHeading = regexp.MustCompile(`(?m)^#{2,3} (?:\d+\. )?(.*)$`)
+	// A break inside a comment ("DESIGN.md\n// §4") reads as a space.
+	refBreak  = regexp.MustCompile(`\s*\n\s*(?://|#)?\s*`)
+	designRef = regexp.MustCompile(`DESIGN(?:\.md)?(?:'s)? §`)
+	refNumber = regexp.MustCompile(`^§(\d+)(?:, "([^"]+)")?`)
+	refMore   = regexp.MustCompile(`^(?:,| and) `)
+	bareRef   = regexp.MustCompile(`§(\d+)`)
+)
+
+// designRefErrors lists the references in text that name no section of
+// design. Outside the design a reference is "DESIGN.md" or "DESIGN"
+// followed by §N (more may follow: ", §M", " and §M") or by "§ " and the
+// start of a heading's title; inside it (self), every §N is one.
+func designRefErrors(design, text string, self bool) []string {
+	sections := map[string]string{}
+	for _, m := range designSection.FindAllStringSubmatchIndex(design, -1) {
+		end := strings.Index(design[m[1]:], "\n## ")
+		if end < 0 {
+			end = len(design) - m[1]
+		}
+		sections[design[m[2]:m[3]]] = design[m[1] : m[1]+end]
+	}
+	var titles []string // without a trailing "(…)"
+	for _, h := range designHeading.FindAllStringSubmatch(design, -1) {
+		title, _, _ := strings.Cut(h[1], " (")
+		titles = append(titles, title)
+	}
+	var errs []string
+	check := func(num, quoted string) {
+		body, ok := sections[num]
+		switch {
+		case !ok:
+			errs = append(errs, "no section §"+num)
+		case quoted != "" && !strings.Contains(body, quoted):
+			errs = append(errs, fmt.Sprintf("§%s has no %q", num, quoted))
+		}
+	}
+	if self {
+		for _, m := range bareRef.FindAllStringSubmatch(text, -1) {
+			check(m[1], "")
+		}
+		return errs
+	}
+	text = refBreak.ReplaceAllString(text, " ")
+	for _, loc := range designRef.FindAllStringIndex(text, -1) {
+		rest := text[loc[1]-len("§"):]
+		if name, ok := strings.CutPrefix(rest, "§ "); ok {
+			if !slices.ContainsFunc(titles, func(t string) bool { return strings.HasPrefix(name, t) }) {
+				errs = append(errs, "no section § "+name[:min(len(name), 30)])
+			}
+			continue
+		}
+		for {
+			m := refNumber.FindStringSubmatch(rest)
+			if m == nil {
+				errs = append(errs, "unreadable reference "+rest[:min(len(rest), 20)])
+				break
+			}
+			check(m[1], m[2])
+			rest = rest[len(m[0]):]
+			sep := refMore.FindString(rest)
+			if sep == "" || !strings.HasPrefix(rest[len(sep):], "§") {
+				break
+			}
+			rest = rest[len(sep):]
+		}
+	}
+	return errs
 }
 
 // isKnob reports whether name is a process-global switch: Set* or Enable*.

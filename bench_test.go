@@ -1,6 +1,6 @@
 // Benchmarks regenerating every table and figure of the paper's evaluation
 // (§V), plus the overhead ablations backing §IV's "very low run-time
-// overhead" claim and the design decisions listed in DESIGN.md §6.
+// overhead" claim and the alternatives DESIGN.md §10 lists as rejected.
 //
 //	go test -bench=Figure13 -benchmem        # Figure 13 (JGF vs Aomp)
 //	go test -bench=Figure15                  # Figure 15 (MolDyn strategies)
@@ -384,7 +384,7 @@ func BenchmarkOverhead_PointcutMatch(b *testing.B) {
 	}
 }
 
-// ------------------------------------------------ ablations (DESIGN §6) --
+// ----------------------------------------------- ablations (DESIGN §10) --
 
 // imbalancedLoop builds a region+for program over a triangular workload
 // (cost of iteration i proportional to n-i), the shape of LUFact's

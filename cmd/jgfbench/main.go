@@ -215,8 +215,7 @@ func main() {
 		"record the whole run and write a Chrome trace (load at ui.perfetto.dev) to this file")
 	schedule := flag.String("schedule", "staticBlock",
 		"loop schedule of the Crypt, LUFact, Series and SOR kernels\n"+
-			"(staticBlock, staticCyclic, dynamic, guided, steal, adaptive;\n"+
-			"former names: auto = adaptive, weightedSteal = steal)")
+			"(staticBlock, staticCyclic, dynamic, guided, steal, adaptive)")
 	hotTeams := flag.Bool("hotteams", true, "reuse pooled worker teams across region entries")
 	flag.Parse()
 

@@ -72,9 +72,6 @@ func TestRunSweepRejectShedsWithoutDeadlock(t *testing.T) {
 	if p.Rejected == 0 {
 		t.Fatal("saturated reject sweep shed nothing")
 	}
-	if p.Degraded < p.Rejected {
-		t.Fatalf("rejected requests must degrade, not vanish: rejected=%d degraded=%d", p.Rejected, p.Degraded)
-	}
 	if len(p.Starved) > 0 {
 		t.Fatalf("degraded service still starved %v (fairness %.3f)", p.Starved, p.Fairness)
 	}

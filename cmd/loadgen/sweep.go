@@ -70,7 +70,6 @@ type TenantPoint struct {
 	Queued   int     `json:"queued"`
 	Rejected int     `json:"rejected"`
 	TimedOut int     `json:"timed_out"`
-	Degraded int     `json:"degraded"`
 }
 
 // Point is one offered-load level of the sweep.
@@ -86,7 +85,6 @@ type Point struct {
 	Queued           int     `json:"queued"`
 	Rejected         int     `json:"rejected"`
 	TimedOut         int     `json:"timed_out"`
-	Degraded         int     `json:"degraded"`
 	RejectionRate    float64 `json:"rejection_rate"`
 	// Fairness is min/max tenant throughput: 1.0 is perfectly fair, and a
 	// tenant below FairMin of the best tenant counts as starved.
@@ -134,7 +132,6 @@ type outcome struct {
 	queued   bool
 	rejected bool
 	timedOut bool
-	degraded bool
 }
 
 // clientStats accumulates one closed-loop client's outcomes (merged per
@@ -144,7 +141,6 @@ type clientStats struct {
 	queued   int
 	rejected int
 	timedOut int
-	degraded int
 }
 
 func (s *clientStats) add(o outcome) {
@@ -157,9 +153,6 @@ func (s *clientStats) add(o outcome) {
 	}
 	if o.timedOut {
 		s.timedOut++
-	}
-	if o.degraded {
-		s.degraded++
 	}
 }
 
@@ -214,7 +207,6 @@ func serveOne(tenant string, work func()) outcome {
 		queued:   tok.Queued() > 0,
 		rejected: tok.Rejected() > 0,
 		timedOut: tok.TimedOut() > 0,
-		degraded: tok.Degraded() > 0,
 	}
 }
 
@@ -382,7 +374,6 @@ func summarize(cfg Config, perTenant int, elapsed time.Duration, stats []clientS
 			tp.Queued += s.queued
 			tp.Rejected += s.rejected
 			tp.TimedOut += s.timedOut
-			tp.Degraded += s.degraded
 			lats = append(lats, s.lats...)
 		}
 		sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
@@ -394,7 +385,6 @@ func summarize(cfg Config, perTenant int, elapsed time.Duration, stats []clientS
 		pt.Queued += tp.Queued
 		pt.Rejected += tp.Rejected
 		pt.TimedOut += tp.TimedOut
-		pt.Degraded += tp.Degraded
 		pt.Tenants = append(pt.Tenants, tp)
 	}
 	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
@@ -445,7 +435,6 @@ func startHTTPServer(cfg Config, kernels []func()) (*http.Server, func(int, stri
 		Queued   bool  `json:"queued"`
 		Rejected bool  `json:"rejected"`
 		TimedOut bool  `json:"timed_out"`
-		Degraded bool  `json:"degraded"`
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/run", func(w http.ResponseWriter, r *http.Request) {
@@ -466,7 +455,7 @@ func startHTTPServer(cfg Config, kernels []func()) (*http.Server, func(int, stri
 		}
 		json.NewEncoder(w).Encode(wire{
 			LatNs: int64(o.lat), Queued: o.queued,
-			Rejected: o.rejected, TimedOut: o.timedOut, Degraded: o.degraded,
+			Rejected: o.rejected, TimedOut: o.timedOut,
 		})
 	})
 	if cfg.Metrics {
@@ -504,7 +493,7 @@ func startHTTPServer(cfg Config, kernels []func()) (*http.Server, func(int, stri
 		// End-to-end latency, so queueing and transport are both in it.
 		return outcome{
 			lat: time.Since(start), queued: w.Queued,
-			rejected: w.Rejected, timedOut: w.TimedOut, degraded: w.Degraded,
+			rejected: w.Rejected, timedOut: w.TimedOut,
 		}, nil
 	}
 	return srv, request, nil

@@ -64,19 +64,6 @@ func TestParallelRegionDefaultAndOverride(t *testing.T) {
 	}
 }
 
-func TestParallelRegionThreadsFunc(t *testing.T) {
-	p := weaver.NewProgram("t")
-	var count atomic.Int32
-	region := p.Class("App").Proc("region", func() { count.Add(1) })
-	n := 4
-	p.Use(ParallelRegion("call(* App.region(..))").ThreadsFunc(func() int { return n }))
-	p.MustWeave()
-	region()
-	if count.Load() != 4 {
-		t.Fatalf("ThreadsFunc not honoured: %d", count.Load())
-	}
-}
-
 // forCoverage runs a region+for with the given schedule and verifies
 // every iteration executes exactly once.
 func forCoverage(t *testing.T, cfg func(*ForAspect) *ForAspect, lo, hi, step, threads int) {

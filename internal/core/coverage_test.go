@@ -184,28 +184,6 @@ func TestAnnotationCustomSchedule(t *testing.T) {
 	}
 }
 
-func TestSharedLockCritical(t *testing.T) {
-	p := weaver.NewProgram("t")
-	cls := p.Class("A")
-	counter := 0
-	inc1 := cls.Proc("inc1", func() { counter++ })
-	inc2 := cls.Proc("inc2", func() { counter++ })
-	region := cls.Proc("region", func() {
-		for i := 0; i < 200; i++ {
-			inc1()
-			inc2()
-		}
-	})
-	p.Use(ParallelRegion("call(* A.region(..))").Threads(4))
-	// One aspect instance, one shared lock across both methods.
-	p.Use(CriticalSection("call(* A.inc1(..)) || call(* A.inc2(..))").SharedLock())
-	p.MustWeave()
-	region()
-	if counter != 4*400 {
-		t.Fatalf("counter = %d, want %d", counter, 4*400)
-	}
-}
-
 func TestForWaitForcesBarrierForStatic(t *testing.T) {
 	// With .Wait(), no explicit BarrierAfter is needed: the phases of a
 	// two-step pipeline stay ordered.

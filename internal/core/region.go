@@ -13,10 +13,9 @@ import (
 // It is the analogue of extending the abstract aspect ParallelRegion and
 // defining its parallelMethod() pointcut (paper Fig. 4).
 type ParallelRegionAspect struct {
-	name      string
-	matcher   weaver.Matcher
-	threads   int
-	threadsFn func() int
+	name    string
+	matcher weaver.Matcher
+	threads int
 }
 
 // ParallelRegion binds a parallel region to the methods selected by the
@@ -41,14 +40,6 @@ func (a *ParallelRegionAspect) Named(name string) *ParallelRegionAspect {
 // a team costs) runs on one, and NumThreads reports the width it ran at.
 func (a *ParallelRegionAspect) Threads(n int) *ParallelRegionAspect {
 	a.threads = n
-	return a
-}
-
-// ThreadsFunc derives the team size at region entry — the analogue of
-// overriding int numThreads() in a concrete aspect. Like Threads, the size
-// is a ceiling.
-func (a *ParallelRegionAspect) ThreadsFunc(fn func() int) *ParallelRegionAspect {
-	a.threadsFn = fn
 	return a
 }
 
@@ -118,9 +109,6 @@ func (a *ParallelRegionAspect) Bindings() []weaver.Binding {
 			}
 			return func(c *weaver.Call) {
 				n := a.threads
-				if a.threadsFn != nil {
-					n = a.threadsFn()
-				}
 				if n <= 0 {
 					n = rt.DefaultThreads()
 				}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
 
 	"aomplib/internal/rt"
 	"aomplib/internal/weaver"
@@ -76,24 +75,22 @@ type criticalMode int
 const (
 	criticalCaptured criticalMode = iota // lock of the target joinpoint
 	criticalNamed                        // process-wide named lock
-	criticalShared                       // one lock per aspect instance
 	criticalPerKey                       // lock table indexed by the method key
 )
 
 // CriticalAspect restricts matched method executions to one activity at a
 // time (@Critical). Its scope is "all threads in the system", not one
-// team. Four lock disciplines are supported, mirroring the paper:
+// team. Three lock disciplines are supported, mirroring the paper:
 // captured (per target, the default — criticalUsingCapturedLock), named
-// (@Critical(id=...)), shared (one lock per aspect —
-// criticalUsingSharedLock) and per-key (a case-specific table enabling
-// e.g. one lock per particle, Fig. 15 "Locks").
+// (@Critical(id=...), which also shares one lock across every method an
+// aspect matches) and per-key (a case-specific table enabling e.g. one
+// lock per particle, Fig. 15 "Locks").
 type CriticalAspect struct {
-	name       string
-	matcher    weaver.Matcher
-	mode       criticalMode
-	id         string
-	sharedLock sync.Mutex
-	table      *rt.LockTable
+	name    string
+	matcher weaver.Matcher
+	mode    criticalMode
+	id      string
+	table   *rt.LockTable
 }
 
 // CriticalSection binds mutual exclusion to the methods selected by pc,
@@ -111,13 +108,6 @@ func (a *CriticalAspect) Named(name string) *CriticalAspect { a.name = name; ret
 // type-unrelated objects".
 func (a *CriticalAspect) ID(id string) *CriticalAspect {
 	a.mode, a.id = criticalNamed, id
-	return a
-}
-
-// SharedLock makes all joinpoints matched by this aspect instance share a
-// single lock (criticalUsingSharedLock).
-func (a *CriticalAspect) SharedLock() *CriticalAspect {
-	a.mode = criticalShared
 	return a
 }
 
@@ -152,12 +142,6 @@ func (a *CriticalAspect) Bindings() []weaver.Binding {
 				return func(c *weaver.Call) {
 					l.Lock()
 					defer l.Unlock()
-					next(c)
-				}
-			case criticalShared:
-				return func(c *weaver.Call) {
-					a.sharedLock.Lock()
-					defer a.sharedLock.Unlock()
 					next(c)
 				}
 			case criticalPerKey:

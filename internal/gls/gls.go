@@ -34,9 +34,14 @@ package gls
 import (
 	"bytes"
 	"runtime"
+	"sync"
 )
 
 var goroutinePrefix = []byte("goroutine ")
+
+// stackBufs holds Goid's header buffers: runtime.Stack's buffer escapes,
+// so a buffer on Goid's own stack would be a heap allocation per call.
+var stackBufs = sync.Pool{New: func() any { return new([64]byte) }}
 
 // Goid returns the runtime id of the calling goroutine, parsed from the
 // runtime.Stack header line ("goroutine <id> [running]:"), which is stable
@@ -44,7 +49,7 @@ var goroutinePrefix = []byte("goroutine ")
 // portable backend and by diagnostics; the identifier is only ever a map
 // key — no scheduling decision depends on it.
 func Goid() int64 {
-	var stack [64]byte
+	stack := stackBufs.Get().(*[64]byte)
 	n := runtime.Stack(stack[:], false)
 	buf := stack[:n]
 	if !bytes.HasPrefix(buf, goroutinePrefix) {
@@ -55,6 +60,7 @@ func Goid() int64 {
 	for i := 0; i < len(buf) && buf[i] >= '0' && buf[i] <= '9'; i++ {
 		id = id*10 + int64(buf[i]-'0')
 	}
+	stackBufs.Put(stack)
 	if id == 0 {
 		panic("gls: cannot parse goroutine id from runtime.Stack header")
 	}

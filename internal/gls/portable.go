@@ -14,9 +14,17 @@ import "sync"
 // uncontended for the team sizes the library targets (≤ hundreds).
 const shardCount = 64
 
+// spareStacks bounds each shard's free list of emptied stacks.
+const spareStacks = 8
+
+// A shard drops a goroutine's entry when its stack empties, so the map
+// holds live bindings only, and keeps the emptied stack for the next
+// goroutine's first Push: a steady stream of short-lived bindings (task
+// executors, region workers) allocates nothing.
 type shard struct {
-	mu sync.RWMutex
-	m  map[int64][]any
+	mu    sync.RWMutex
+	m     map[int64][]any
+	spare [][]any
 }
 
 // Store maps the current goroutine to a stack of values.
@@ -69,7 +77,12 @@ func (s *Store) Push(v any) {
 	id := Goid()
 	sh := s.shardFor(id)
 	sh.mu.Lock()
-	sh.m[id] = append(sh.m[id], v)
+	stack, ok := sh.m[id]
+	if !ok && len(sh.spare) > 0 {
+		stack = sh.spare[len(sh.spare)-1]
+		sh.spare = sh.spare[:len(sh.spare)-1]
+	}
+	sh.m[id] = append(stack, v)
 	sh.mu.Unlock()
 }
 
@@ -85,8 +98,12 @@ func (s *Store) Pop() {
 		sh.mu.Unlock()
 		panic("gls: Pop without matching Push")
 	}
+	stack[len(stack)-1] = nil
 	if len(stack) == 1 {
 		delete(sh.m, id)
+		if len(sh.spare) < spareStacks {
+			sh.spare = append(sh.spare, stack[:0])
+		}
 	} else {
 		sh.m[id] = stack[:len(stack)-1]
 	}

@@ -436,17 +436,17 @@ var tenantStore = gls.NewStore()
 // goroutine by EnterTenant. Region entries in its scope are arbitrated
 // against the token's tenant and record their outcomes on the token, so a
 // request handler can tell afterwards whether its regions were granted a
-// lease, queued first, or degraded. A woven region that runs on one worker
-// because that measures faster (Grain) is granted, not degraded. Outcome counters are cumulative over
-// the token's lifetime (atomics: inherited bindings may enter regions
-// concurrently).
+// lease, queued first, or refused. A woven region that runs on one worker
+// because that measures faster (Grain) is granted, not refused. Outcome
+// counters are cumulative over the token's lifetime (atomics: inherited
+// bindings may enter regions concurrently).
 type TenantToken struct {
 	st  *tenantState
 	tok gls.Token
 
 	admitted    atomic.Uint32
 	queuedWaits atomic.Uint32
-	rejected    atomic.Uint32 // also Degraded(): every refusal runs serialized
+	rejected    atomic.Uint32
 	timedOut    atomic.Uint32
 }
 
@@ -489,8 +489,9 @@ func (tk *TenantToken) Rejected() int { return int(tk.rejected.Load()) }
 // timeouts.
 func (tk *TenantToken) TimedOut() int { return int(tk.timedOut.Load()) }
 
-// Degraded reports how many region entries in this token's scope ran
-// serialized on the calling goroutine instead of on a full team.
+// Degraded returns Rejected: every refused entry runs serialized.
+//
+// Deprecated: use Rejected.
 func (tk *TenantToken) Degraded() int { return int(tk.rejected.Load()) }
 
 // --------------------------------------------------------------- stats --

@@ -79,9 +79,9 @@ func TestAdmissionFastPathGrantAndToken(t *testing.T) {
 	if got := tok.Admitted(); got != 1 {
 		t.Fatalf("token Admitted = %d, want 1", got)
 	}
-	if tok.Queued() != 0 || tok.Rejected() != 0 || tok.Degraded() != 0 {
-		t.Fatalf("unexpected token outcomes: queued=%d rejected=%d degraded=%d",
-			tok.Queued(), tok.Rejected(), tok.Degraded())
+	if tok.Queued() != 0 || tok.Rejected() != 0 {
+		t.Fatalf("unexpected token outcomes: queued=%d rejected=%d",
+			tok.Queued(), tok.Rejected())
 	}
 	after := ReadAdmissionStats()
 	if after.Admitted-before.Admitted < 1 || after.FastAdmits-before.FastAdmits < 1 {
@@ -211,8 +211,8 @@ func TestAdmissionRejectDegradesServesSerialized(t *testing.T) {
 	if width != 1 {
 		t.Fatalf("rejected region ran with %d threads, want serialized 1", width)
 	}
-	if tok.Rejected() != 1 || tok.Degraded() != 1 {
-		t.Fatalf("token outcomes: rejected=%d degraded=%d, want 1/1", tok.Rejected(), tok.Degraded())
+	if tok.Rejected() != 1 {
+		t.Fatalf("token outcomes: rejected=%d, want 1", tok.Rejected())
 	}
 	close(rel)
 	<-done
@@ -236,8 +236,8 @@ func TestAdmissionTimeoutDegrades(t *testing.T) {
 	if width != 1 {
 		t.Fatalf("timed-out region ran with %d threads, want serialized 1", width)
 	}
-	if tok.TimedOut() != 1 || tok.Degraded() != 1 {
-		t.Fatalf("token outcomes: timedOut=%d degraded=%d, want 1/1", tok.TimedOut(), tok.Degraded())
+	if tok.TimedOut() != 1 || tok.Rejected() != 1 {
+		t.Fatalf("token outcomes: timedOut=%d rejected=%d, want 1/1", tok.TimedOut(), tok.Rejected())
 	}
 	if st := ReadAdmissionStats(); st.QueueDepth != 0 {
 		t.Fatalf("timed-out waiter left in queue: depth %d", st.QueueDepth)

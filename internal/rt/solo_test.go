@@ -7,7 +7,7 @@ import (
 	"aomplib/internal/sched"
 )
 
-// A team of one pays for no team-mates (DESIGN.md §15, "A team of one"):
+// A team of one pays for no team-mates (DESIGN.md §4, "A team of one"):
 // its barrier completes on arrival, its void single claims without an
 // encounter slot, and its loops read no clock. These tests pin what each
 // shortcut still keeps.

@@ -8,7 +8,7 @@ import (
 	"aomplib/internal/obs"
 )
 
-// On a team of one a depend-free task is undeferred (DESIGN.md §4,
+// On a team of one a depend-free task is undeferred (DESIGN.md §5,
 // "Undeferred on a team of one"): it runs at its spawn, on the spawner's
 // goroutine, and a task it spawns runs inside it. These tests pin that
 // contract; each fails on a runtime that defers such tasks again.

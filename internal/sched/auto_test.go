@@ -40,14 +40,7 @@ func TestParseKindRoundTrips(t *testing.T) {
 			t.Errorf("ParseKind(%q) = %v, %v; want %v", strings.ToUpper(k.String()), upper, err, k)
 		}
 	}
-	// The former names parse to the kinds that absorbed them, in any case.
-	for name, want := range map[string]Kind{"auto": Adaptive, "AUTO": Adaptive, "weightedSteal": Steal, "weightedsteal": Steal} {
-		if got, err := ParseKind(name); err != nil || got != want {
-			t.Errorf("ParseKind(%q) = %v, %v; want %v", name, got, err, want)
-		}
-	}
-	// "runtime" named the deleted process-default kind; it must not parse.
-	for _, name := range []string{"fancy", "runtime"} {
+	for _, name := range append([]string{"fancy"}, retiredNames...) {
 		if _, err := ParseKind(name); err == nil {
 			t.Fatalf("schedule name %q parsed", name)
 		}

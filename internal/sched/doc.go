@@ -17,6 +17,6 @@
 //
 // The package also carries the policy knobs shared by the facade and the
 // parallel algorithms layer: Kind (with Resolve for what width and trip
-// count decide, ParseKind for names and the former names) and AutoGrain, the
+// count decide, ParseKind for names) and AutoGrain, the
 // default task grain used when a caller does not pick one.
 package sched

@@ -6,23 +6,22 @@ import (
 	"testing"
 )
 
+// retiredNames are the names of kinds that were deleted ("runtime") or
+// merged into a neighbour ("auto" into adaptive, "weightedSteal" into
+// steal); none of them parses.
+var retiredNames = []string{"runtime", "auto", "weightedSteal"}
+
 // FuzzParseKind feeds ParseKind arbitrary strings: garbage must come back
 // as an error (never a panic, never a silent zero Kind masquerading as
-// StaticBlock), an accepted input must be its kind's name or one of the
-// kind's former names, case-insensitively, and every kind's name must
-// parse back to the kind; "runtime", the name of the deleted process-default
-// kind, is garbage like any other. Run as a short -fuzztime smoke in CI; the corpus
-// seeds cover every canonical and former name plus near-miss mutations.
+// StaticBlock), an accepted input must be its kind's name,
+// case-insensitively, and every kind's name must parse back to the kind;
+// the retired names are garbage like any other. Run as a short -fuzztime
+// smoke in CI; the corpus seeds cover every name plus near-miss mutations.
 func FuzzParseKind(f *testing.F) {
 	for _, k := range Kinds() {
 		f.Add(k.String())
 		f.Add(strings.ToUpper(k.String()))
 		f.Add(k.String() + "x")
-	}
-	for _, fn := range formerNames {
-		f.Add(fn.name)
-		f.Add(strings.ToUpper(fn.name))
-		f.Add(fn.name + "x")
 	}
 	f.Add("")
 	f.Add("static")
@@ -37,10 +36,11 @@ func FuzzParseKind(f *testing.F) {
 	f.Add("adaptive ")
 	f.Add("adapt")
 	f.Add("adaptivesteal")
-	// The deleted process-default kind's name, which must no longer parse.
-	f.Add("runtime")
-	f.Add("RUNTIME")
-	f.Add("runtimex")
+	for _, gone := range retiredNames {
+		f.Add(gone)
+		f.Add(strings.ToUpper(gone))
+		f.Add(gone + "x")
+	}
 	f.Fuzz(func(t *testing.T, s string) {
 		k, err := ParseKind(s)
 		if err != nil {
@@ -49,15 +49,8 @@ func FuzzParseKind(f *testing.F) {
 			}
 			return
 		}
-		if strings.EqualFold(s, "runtime") {
-			t.Fatalf("ParseKind(%q) = %v, want an error", s, k)
-		}
-		named := strings.EqualFold(s, k.String())
-		for _, fn := range formerNames {
-			named = named || (fn.kind == k && strings.EqualFold(s, fn.name))
-		}
-		if !named {
-			t.Fatalf("ParseKind(%q) = %v, which neither it nor a former name of it matches", s, k)
+		if !strings.EqualFold(s, k.String()) {
+			t.Fatalf("ParseKind(%q) = %v, whose name it does not match", s, k)
 		}
 		if rk, rerr := ParseKind(k.String()); rerr != nil || rk != k {
 			t.Fatalf("round-trip failed: ParseKind(%q) = %v, %v; want %v", k.String(), rk, rerr, k)

@@ -46,15 +46,9 @@ const (
 	Adaptive
 )
 
-// Auto is the former name of Adaptive, which absorbed its first-sight rule.
+// Auto is Adaptive under the name it had before it absorbed its
+// first-sight rule; the name no longer parses.
 const Auto = Adaptive
-
-// formerNames are the schedule names ParseKind still accepts for kinds that
-// were merged into a neighbour.
-var formerNames = [...]struct {
-	name string
-	kind Kind
-}{{"auto", Auto}, {"weightedSteal", Steal}}
 
 // String implements fmt.Stringer; names match the paper's annotations.
 func (k Kind) String() string {
@@ -84,9 +78,9 @@ func Kinds() []Kind {
 	return []Kind{StaticBlock, StaticCyclic, Dynamic, Guided, Steal, Custom, Adaptive}
 }
 
-// ParseKind resolves a schedule name — as produced by Kind.String, or a
-// former name ("auto", "weightedSteal"), case-insensitively — back to its
-// Kind. Unknown names error with the valid list.
+// ParseKind resolves a schedule name, as produced by Kind.String and
+// case-insensitively, back to its Kind. Unknown names error with the
+// valid list.
 func ParseKind(s string) (Kind, error) {
 	names := make([]string, 0, len(Kinds()))
 	for _, k := range Kinds() {
@@ -94,11 +88,6 @@ func ParseKind(s string) (Kind, error) {
 			return k, nil
 		}
 		names = append(names, k.String())
-	}
-	for _, f := range formerNames {
-		if strings.EqualFold(s, f.name) {
-			return f.kind, nil
-		}
 	}
 	return 0, fmt.Errorf("sched: unknown schedule %q (valid: %s)", s, strings.Join(names, ", "))
 }
