@@ -132,32 +132,34 @@ var MustParsePointcut = pointcut.MustParse
 type Schedule = sched.Kind
 
 // Work-sharing schedules (paper Table 1: staticBlock, staticCyclic,
-// dynamic; guided, steal, adaptive and case-specific are the documented
+// dynamic; guided, adaptive and case-specific are the documented
 // extensions). The schedule is the one the @For construct names: nothing
 // process-wide overrides it. Dynamic and Guided call the for method once
 // per claim on one shared cursor — four chunks while more than four per
 // worker remain, then one; Guided: the remainder over twice the team width
 // — so the chunk (ForAspect.Chunk) is the balance unit, and the range a
-// call receives may span four. Steal starts every worker on its
-// StaticBlock range and lets workers that run dry steal half the most
-// loaded sibling's remainder (the nonmonotonic:dynamic analogue):
-// dynamic-grade balancing with static-grade dispensing cost. Adaptive is
-// the feedback-driven kind: the first encounter of a construct is decided
-// from the loop's shape (StaticBlock below 64 iterations per worker,
-// Guided otherwise), every later one re-decides kind and chunk from the
-// previous encounter's measured imbalance. On a team of one (Threads(1),
-// or a region narrowed to one worker) the four dispensing kinds — Dynamic,
-// Guided, Steal, Adaptive — run the loop as one StaticBlock: one call over
-// the whole range, no end barrier, Chunk ignored.
+// call receives may span four. Adaptive is the feedback-driven kind: the
+// first encounter of a construct is decided from the loop's shape
+// (StaticBlock below 64 iterations per worker, Guided otherwise), every
+// later one re-decides kind and chunk from the previous encounter's
+// measured imbalance. On a team of one (Threads(1), or a region narrowed
+// to one worker) the three dispensing kinds — Dynamic, Guided, Adaptive —
+// run the loop as one StaticBlock: one call over the whole range, no end
+// barrier, Chunk ignored.
 const (
 	StaticBlock  = sched.StaticBlock
 	StaticCyclic = sched.StaticCyclic
 	Dynamic      = sched.Dynamic
 	Guided       = sched.Guided
-	Steal        = sched.Steal
 	CaseSpecific = sched.Custom
 	Adaptive     = sched.Adaptive
 )
+
+// Steal is Dynamic under the name of the carve-and-steal schedule it
+// replaced; the name "steal" no longer parses.
+//
+// Deprecated: use Dynamic.
+const Steal = Dynamic
 
 // ParseSchedule resolves a schedule name ("staticBlock", "dynamic",
 // "adaptive", ...) to its Schedule, erroring with the valid list on unknown

@@ -7,13 +7,15 @@
 //	go test -bench=Table2                    # Table 2 (weave introspection)
 //	go test -bench=Overhead                  # §IV weaving/runtime overheads
 //	go test -bench=Ablation                  # schedule/barrier ablations
-//	go test -bench=Schedule_                 # SOR, LUFact under four schedules
+//	go test -bench=Schedule_                 # SOR, LUFact, PageRank by schedule
 //
 // Benchmark sizes are scaled for CI (seconds, not minutes); cmd/jgfbench
 // and cmd/moldynstudy run the full paper sizes.
 package aomplib_test
 
 import (
+	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -435,9 +437,6 @@ func BenchmarkAblation_Schedule_Dynamic16(b *testing.B) {
 func BenchmarkAblation_Schedule_Guided(b *testing.B) {
 	benchScheduleAblation(b, sched.Guided, 1)
 }
-func BenchmarkAblation_Schedule_Steal(b *testing.B) {
-	benchScheduleAblation(b, sched.Steal, 16)
-}
 
 // benchSchedule times a woven Aomp kernel at its test size under one loop
 // schedule, at full width: scripts/gates holds adaptive to at most 1.2× each
@@ -476,19 +475,74 @@ func lufactUnder(k sched.Kind) harness.Instance {
 	return lufact.NewAomp(p, threads())
 }
 
-// Source order is run order: each Adaptive benchmark runs next to its
-// static-block baseline, the tightest of its three rows, so the two are
-// timed a second apart rather than three.
+// pagerankInst is PageRank over serve-mix's graph (1500 vertices,
+// power-law out-degrees, two iterations per kernel) woven once under one
+// schedule of its vertex loop: the graph kernel serve-mix runs, beside
+// the two JGF ones. Reseed puts the ranks back to uniform, so every kernel
+// does the same work, and Validate checks the last one against the
+// sequential run.
+type pagerankInst struct {
+	kind  sched.Kind
+	chunk int
+	g     *graph.Graph
+	pr    *graph.PageRank
+	run   func()
+}
+
+func pagerankUnder(k sched.Kind, chunk int) harness.Instance {
+	return &pagerankInst{kind: k, chunk: chunk}
+}
+
+func (p *pagerankInst) Setup() {
+	p.g = graph.NewPowerLaw(1500, 8, 1)
+	p.pr = graph.NewPageRank(p.g, 0.85, 2)
+	p.run, _ = graph.BuildAomp(p.pr, threads(), p.kind, p.chunk)
+}
+
+func (p *pagerankInst) Kernel() { p.run() }
+
+func (p *pagerankInst) Reseed() {
+	r := p.pr.Ranks()
+	for v := range r {
+		r[v] = 1 / float64(len(r))
+	}
+}
+
+func (p *pagerankInst) Validate() error {
+	want := graph.NewPageRank(p.g, 0.85, 2)
+	want.RunSeq()
+	for v, r := range p.pr.Ranks() {
+		if math.Abs(r-want.Ranks()[v]) > 1e-12 {
+			return fmt.Errorf("rank[%d] = %v, sequential %v", v, r, want.Ranks()[v])
+		}
+	}
+	return nil
+}
+
+// Source order is run order: each Adaptive benchmark runs right after its
+// static-block baseline, the tightest of its rows, so the two are timed a
+// second apart. PageRank's dynamic and guided chunks are the ones
+// serve-mix and BenchmarkExtension_PageRank_Guided use.
 func BenchmarkSchedule_SOR_StaticBlock(b *testing.B) { benchSchedule(b, sorUnder(sched.StaticBlock)) }
 func BenchmarkSchedule_SOR_Adaptive(b *testing.B)    { benchSchedule(b, sorUnder(sched.Adaptive)) }
 func BenchmarkSchedule_SOR_Dynamic(b *testing.B)     { benchSchedule(b, sorUnder(sched.Dynamic)) }
-func BenchmarkSchedule_SOR_Steal(b *testing.B)       { benchSchedule(b, sorUnder(sched.Steal)) }
 func BenchmarkSchedule_LUFact_StaticBlock(b *testing.B) {
 	benchSchedule(b, lufactUnder(sched.StaticBlock))
 }
 func BenchmarkSchedule_LUFact_Adaptive(b *testing.B) { benchSchedule(b, lufactUnder(sched.Adaptive)) }
 func BenchmarkSchedule_LUFact_Dynamic(b *testing.B)  { benchSchedule(b, lufactUnder(sched.Dynamic)) }
-func BenchmarkSchedule_LUFact_Steal(b *testing.B)    { benchSchedule(b, lufactUnder(sched.Steal)) }
+func BenchmarkSchedule_PageRank_StaticBlock(b *testing.B) {
+	benchSchedule(b, pagerankUnder(sched.StaticBlock, 0))
+}
+func BenchmarkSchedule_PageRank_Adaptive(b *testing.B) {
+	benchSchedule(b, pagerankUnder(sched.Adaptive, 0))
+}
+func BenchmarkSchedule_PageRank_Dynamic(b *testing.B) {
+	benchSchedule(b, pagerankUnder(sched.Dynamic, 64))
+}
+func BenchmarkSchedule_PageRank_Guided(b *testing.B) {
+	benchSchedule(b, pagerankUnder(sched.Guided, 16))
+}
 
 // BenchmarkAblation_Barrier measures the team barrier round trip.
 func BenchmarkAblation_Barrier(b *testing.B) {

@@ -179,7 +179,6 @@ type jsonResult struct {
 type jsonSchedStats struct {
 	StealAttempts uint64 `json:"steal_attempts"`
 	Steals        uint64 `json:"steals"`
-	StealProbes   uint64 `json:"steal_probes"`
 	BarrierWaitNs uint64 `json:"barrier_wait_ns"`
 }
 
@@ -215,7 +214,7 @@ func main() {
 		"record the whole run and write a Chrome trace (load at ui.perfetto.dev) to this file")
 	schedule := flag.String("schedule", "staticBlock",
 		"loop schedule of the Crypt, LUFact, Series and SOR kernels\n"+
-			"(staticBlock, staticCyclic, dynamic, guided, steal, adaptive)")
+			"(staticBlock, staticCyclic, dynamic, guided, adaptive)")
 	hotTeams := flag.Bool("hotteams", true, "reuse pooled worker teams across region entries")
 	flag.Parse()
 
@@ -297,7 +296,6 @@ func main() {
 			schedStats = &jsonSchedStats{
 				StealAttempts: m.StealAttempts - before.StealAttempts,
 				Steals:        m.Steals - before.Steals,
-				StealProbes:   m.StealProbes - before.StealProbes,
 				BarrierWaitNs: m.BarrierWait.SumNs - before.BarrierWait.SumNs,
 			}
 		}
@@ -343,7 +341,7 @@ func main() {
 func writeJSON(path, size string, kind aomplib.Schedule, threads []int, reps int,
 	schedStats *jsonSchedStats, all []harness.Measurement, seqSecs map[string]float64) error {
 	rep := jsonReport{
-		Schema:     4,
+		Schema:     5,
 		Size:       size,
 		Threads:    threads,
 		Reps:       reps,

@@ -43,7 +43,7 @@ func TestScheduleReachesKernels(t *testing.T) {
 	defer func() { fixedRegionWidth = prevWidth }()
 	defer aomplib.EnableMetrics(aomplib.EnableMetrics(true))
 
-	kinds := []sched.Kind{sched.StaticBlock, sched.StaticCyclic, sched.Dynamic, sched.Guided, sched.Steal, sched.Adaptive}
+	kinds := []sched.Kind{sched.StaticBlock, sched.StaticCyclic, sched.Dynamic, sched.Guided, sched.Adaptive}
 	for _, k := range kinds {
 		for _, b := range suite("test", k) {
 			rows := map[string]func(int) harness.Instance{}
@@ -115,7 +115,7 @@ func TestPhaseBarriersPerSchedule(t *testing.T) {
 		if want == 0 {
 			t.Fatalf("%s staticBlock passed no barrier", name)
 		}
-		for _, k := range []sched.Kind{sched.Dynamic, sched.Guided, sched.Steal} {
+		for _, k := range []sched.Kind{sched.Dynamic, sched.Guided} {
 			if got := waits(name, k); got != want {
 				t.Errorf("%s %v passed %d barriers, staticBlock %d", name, k, got, want)
 			}
@@ -124,8 +124,8 @@ func TestPhaseBarriersPerSchedule(t *testing.T) {
 }
 
 // TestScheduleFlag: -schedule names the kernels' loop schedule. "runtime"
-// (the deleted process-default kind) and "caseSpecific" (it needs a
-// ScheduleFunc a flag cannot carry) exit 2 with the valid list, and the
+// and "steal" (deleted kinds) and "caseSpecific" (it needs a ScheduleFunc
+// a flag cannot carry) exit 2 with the valid list, and the
 // -json report records the kind the kernels ran.
 func TestScheduleFlag(t *testing.T) {
 	if args := os.Getenv("JGFBENCH_SCHEDULE_ARGS"); args != "" {
@@ -138,13 +138,13 @@ func TestScheduleFlag(t *testing.T) {
 		cmd.Env = append(os.Environ(), "JGFBENCH_SCHEDULE_ARGS="+args)
 		return cmd.CombinedOutput()
 	}
-	for _, name := range []string{"runtime", "caseSpecific"} {
+	for _, name := range []string{"runtime", "steal", "caseSpecific"} {
 		out, err := run("-schedule=" + name)
 		var exit *exec.ExitError
 		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
 			t.Fatalf("jgfbench -schedule=%s: %v, want exit status 2; output:\n%.400s", name, err, out)
 		}
-		const valid = "valid: staticBlock, staticCyclic, dynamic, guided, steal, adaptive)"
+		const valid = "valid: staticBlock, staticCyclic, dynamic, guided, adaptive)"
 		if !strings.Contains(string(out), valid) {
 			t.Fatalf("jgfbench -schedule=%s: output lacks %q:\n%.400s", name, valid, out)
 		}

@@ -22,13 +22,13 @@ import (
 const n = 1 << 16
 
 func main() {
-	// For: data-parallel fill. The schedule is pluggable; steal handles
-	// the skewed per-index cost of the sin/exp mix gracefully.
+	// For: data-parallel fill. The schedule is pluggable; dynamic's
+	// shared cursor balances the skewed per-index cost of the sin/exp mix.
 	xs := make([]float64, n)
 	parallel.For(0, n, func(i int) {
 		x := float64(i) / n
 		xs[i] = math.Sin(13*x) * math.Exp(-x)
-	}, parallel.WithSchedule(parallel.Steal))
+	}, parallel.WithSchedule(parallel.Dynamic))
 
 	// Reduce: the combine tree is fixed by the input length, so this
 	// float sum is bit-identical at every team width.

@@ -639,3 +639,47 @@ func max(a, b int) int {
 	}
 	return b
 }
+
+// TestOrderedDynamicManyEncountersRace hammers the lazily-allocated
+// ordered condition variable: every encounter of the for construct builds
+// a fresh shared state whose cond is allocated by whichever worker's
+// ordered section arrives first, under a dynamic schedule so arrival order
+// is nondeterministic. Run under -race this is the allocation-race check
+// the single-encounter ordered test cannot provide.
+func TestOrderedDynamicManyEncountersRace(t *testing.T) {
+	const n, encounters = 32, 25
+	p := weaver.NewProgram("t")
+	var mu sync.Mutex
+	var order []int
+	emit := p.Class("App").KeyedProc("emit", func(i int) {
+		mu.Lock()
+		order = append(order, i)
+		mu.Unlock()
+	})
+	loop := p.Class("App").ForProc("loop", func(lo, hi, step int) {
+		for i := lo; i < hi; i += step {
+			emit(i)
+		}
+	})
+	region := p.Class("App").Proc("region", func() {
+		for k := 0; k < encounters; k++ {
+			loop(0, n, 1)
+			// The dynamic schedule's implicit barrier pairs each encounter
+			// before the next begins, so the global emit sequence is the
+			// concatenation of per-encounter sequential orders.
+		}
+	})
+	p.Use(ParallelRegion("call(* App.region(..))").Threads(4))
+	p.Use(ForShare("call(* App.loop(..))").Schedule(sched.Dynamic))
+	p.Use(OrderedSection("call(* App.emit(..))"))
+	p.MustWeave()
+	region()
+	if len(order) != n*encounters {
+		t.Fatalf("emitted %d values, want %d", len(order), n*encounters)
+	}
+	for j, v := range order {
+		if v != j%n {
+			t.Fatalf("order[%d] = %d, want %d — ordered violated", j, v, j%n)
+		}
+	}
+}

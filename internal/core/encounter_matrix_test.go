@@ -142,10 +142,10 @@ func TestExactlyOnceMatrix(t *testing.T) {
 	pinWidth(t)
 	small := loopShape{n: 37, chunk: 3, step: 1}
 	// Every schedule by name, as a flag or config spells it. The names of
-	// kinds merged into a neighbour no longer parse; their cells run the
-	// kind that absorbed each, where a config spelled the old way now
-	// has to point.
-	kinds := map[string]sched.Kind{"auto": sched.Adaptive, "weightedSteal": sched.Steal}
+	// kinds merged into a neighbour or deleted no longer parse; their cells
+	// run the kind a config spelled the old way now has to point at
+	// (weightedSteal went into steal, and steal's loops into dynamic).
+	kinds := map[string]sched.Kind{"auto": sched.Adaptive, "weightedSteal": sched.Dynamic, "steal": sched.Dynamic}
 	for name := range kinds {
 		if _, err := sched.ParseKind(name); err == nil {
 			t.Fatalf("retired schedule name %q parsed", name)

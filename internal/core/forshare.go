@@ -37,14 +37,13 @@ func newForShare(m weaver.Matcher) *ForAspect {
 func (a *ForAspect) Named(name string) *ForAspect { a.name = name; return a }
 
 // Schedule selects the scheduling policy — @For(schedule=...). On a team of
-// one a dispensing kind (dynamic, guided, steal, adaptive, and runtime when
-// it reads one) resolves to static by blocks: the method runs once over the
-// whole range with no end barrier, and ForContext.Kind and the Work
-// record report staticBlock.
+// one a dispensing kind (dynamic, guided, adaptive) resolves to static by
+// blocks: the method runs once over the whole range with no end barrier,
+// and ForContext.Kind and the Work record report staticBlock.
 func (a *ForAspect) Schedule(k sched.Kind) *ForAspect { a.kind = k; return a }
 
-// Chunk sets the chunk of the dynamic, guided and steal schedules (default
-// 1, "for simplicity the chunk size was defined as one"): the balance unit
+// Chunk sets the chunk of the dynamic and guided schedules (default 1,
+// "for simplicity the chunk size was defined as one"): the balance unit
 // and the least a worker takes at a time — not a bound on the range one
 // call receives. The method runs once per claim on the shared cursor, and a
 // dynamic claim is four chunks while more than four per worker remain (one
@@ -72,14 +71,11 @@ func (a *ForAspect) Wait() *ForAspect { tr := true; a.wait = &tr; return a }
 // implicitBarrier decides the end-of-construct barrier for the schedule an
 // encounter resolved to (width, trip count and Adaptive's feedback decide
 // per encounter, so it cannot be precomputed from the declared kind).
-// Steal barriers like dynamic: workers finish at data-dependent points
-// after range migration, so code after the construct may not assume its
-// own static share ran last.
 func (a *ForAspect) implicitBarrier(k sched.Kind) bool {
 	if a.wait != nil {
 		return *a.wait
 	}
-	return k == sched.Dynamic || k == sched.Guided || k == sched.Steal
+	return k == sched.Dynamic || k == sched.Guided
 }
 
 // AspectName implements weaver.Aspect.

@@ -111,7 +111,7 @@ func TestHotTeamsThreadLocalFreshPerLease(t *testing.T) {
 // Adaptive's shape rule on the first entry and its feedback on the next.
 func TestForRuntimeScheduleResolvesPerEntry(t *testing.T) {
 	const n, threads, entries = 300, 3, 3
-	for _, k := range []sched.Kind{sched.StaticBlock, sched.StaticCyclic, sched.Dynamic, sched.Guided, sched.Steal, sched.Adaptive} {
+	for _, k := range []sched.Kind{sched.StaticBlock, sched.StaticCyclic, sched.Dynamic, sched.Guided, sched.Adaptive} {
 		p := weaver.NewProgram("rs")
 		hits := make([]atomic.Int32, n)
 		loop := p.Class("R").ForProc("loop", func(lo, hi, step int) {

@@ -142,9 +142,7 @@ func WriteMetricsText(w io.Writer, extra ...Family) error {
 	writeFamily(bw, counterFamily(metricPrefix+"steal_attempts_total",
 		"Empty-deque probes of sibling task deques.", snap.StealAttempts))
 	writeFamily(bw, counterFamily(metricPrefix+"steals_total",
-		"Probes that took a task or a loop range.", snap.Steals))
-	writeFamily(bw, counterFamily(metricPrefix+"steal_probes_total",
-		"Sibling slots examined by loop-range steal scans.", snap.StealProbes))
+		"Probes that took a task.", snap.Steals))
 	writeFamily(bw, counterFamily(metricPrefix+"tasks_spawned_total",
 		"Tasks queued on deques, parked on dependences, or inlined.", snap.TasksSpawned))
 	writeFamily(bw, counterFamily(metricPrefix+"tasks_completed_total",

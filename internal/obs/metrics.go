@@ -74,7 +74,6 @@ type metricShard struct {
 	regionEntries  [leaseKinds]atomic.Uint64
 	stealAttempts  atomic.Uint64
 	steals         atomic.Uint64
-	stealProbes    atomic.Uint64
 	tasksSpawned   atomic.Uint64
 	tasksCompleted atomic.Uint64
 	loopShares     [schedKinds]atomic.Uint64
@@ -169,7 +168,6 @@ type MetricsSnapshot struct {
 	BarrierWaits   uint64      `json:"barrier_waits"`
 	StealAttempts  uint64      `json:"steal_attempts"`
 	Steals         uint64      `json:"steals"`
-	StealProbes    uint64      `json:"steal_probes"`
 	TasksSpawned   uint64      `json:"tasks_spawned"`
 	TasksCompleted uint64      `json:"tasks_completed"`
 
@@ -241,7 +239,6 @@ func (m *metricsRegistry) snapshot() MetricsSnapshot {
 			leases[k] += s.regionEntries[k].Load()
 		}
 		out.StealAttempts += s.stealAttempts.Load()
-		out.StealProbes += s.stealProbes.Load()
 		out.TasksSpawned += s.tasksSpawned.Load()
 		for k := range s.loopShares {
 			loop[k] += s.loopShares[k].Load()

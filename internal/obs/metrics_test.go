@@ -27,7 +27,6 @@ func drive(h *Sinks, w WorkerID, tn uint64, base uint64) {
 	h.TaskInline(w, base+3)
 	h.StealAttempt(w)
 	h.StealSuccess(w, base+2, w+1)
-	h.StealScan(w, 3)
 	h.Barrier(w, base+1, 2000, 3500)
 	h.Work(w, base+1, 1, 0, 0)
 	h.AdmitGrant(tn, 700)

@@ -180,22 +180,13 @@ func (s *Sinks) StealAttempt(w WorkerID) {
 	}
 }
 
-// StealSuccess fires when a probe takes a task (task 0 marks a loop-range
-// steal).
+// StealSuccess fires when a probe takes a task.
 func (s *Sinks) StealSuccess(w WorkerID, task uint64, victim WorkerID) {
 	if c := s.tr; c != nil {
 		c.instant(w, Event{Kind: EvStealSuccess, Task: task, Arg: uint64(uint32(victim))})
 	}
 	if m := s.m; m != nil {
 		m.shard(w).steals.Add(1)
-	}
-}
-
-// StealScan fires when a loop-range steal scan completes, carrying the
-// number of sibling slots probed. Metrics only.
-func (s *Sinks) StealScan(w WorkerID, probes int) {
-	if m := s.m; m != nil {
-		m.shard(w).stealProbes.Add(uint64(probes))
 	}
 }
 

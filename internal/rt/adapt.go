@@ -24,16 +24,16 @@ const (
 )
 
 // adaptSkewRun is how many timed encounters in a row must read skewed to
-// move a loop to steal: one alone is as often a worker descheduled for a
+// move a loop to dynamic: one alone is as often a worker descheduled for a
 // few microseconds as an asymmetry (on 2 vCPUs, one woven SOR encounter
 // in 4–12).
 const adaptSkewRun = 2
 
-// adaptWindow is how many timed encounters off steal loopAdapt.base
+// adaptWindow is how many timed encounters off dynamic loopAdapt.base
 // remembers.
 const adaptWindow = 8
 
-// adaptSampleEvery: off steal, one encounter in adaptSampleEvery times its
+// adaptSampleEvery: off dynamic, one encounter in adaptSampleEvery times its
 // shares. Timing costs each worker two clock reads and two atomics on a
 // shared line, 5–7 % of a woven SOR encounter on 2 vCPUs.
 const adaptSampleEvery = 4
@@ -43,9 +43,10 @@ const adaptSampleEvery = 4
 // chunk dispensing to pay for the balancing it buys.
 const shapeGuidedMin = 64
 
-// adaptDefaultChunk picks the steal-chunk size for an adaptively scheduled
-// loop: 8 chunks per worker balances steal granularity (a thief can take
-// meaningful work) against dispatch cost.
+// adaptDefaultChunk picks the dynamic chunk for an adaptively scheduled
+// loop that measured skewed: 8 chunks per worker balances rebalancing
+// slack (a worker that runs dry still finds meaningful claims) against
+// dispatch cost.
 func adaptDefaultChunk(n, nthreads int) int { return max(1, n/(nthreads*8)) }
 
 // loopAdapt is the persistent adaptive state of one for construct on one
@@ -60,9 +61,9 @@ type loopAdapt struct {
 	count  int    // trip count the state was tuned for
 	rounds uint64 // encounters observed
 	tuned  uint64 // the round that last tuned from shape
-	skews  int    // skewed encounters in a row, off steal
+	skews  int    // skewed encounters in a row, off dynamic
 	// recent rings the critical path (slowest share, ns) of the last
-	// adaptWindow timed encounters off steal; next is its write index.
+	// adaptWindow timed encounters off dynamic; next is its write index.
 	recent [adaptWindow]int64
 	next   int
 	// last packs one finished encounter's critical path (high 32 bits)
@@ -80,11 +81,11 @@ func (a *loopAdapt) publish(crit, mean int64) {
 }
 
 // base is the least critical path in recent: what the loop takes off
-// steal, a descheduled worker's spike or two filtered out. A steal
+// dynamic, a descheduled worker's spike or two filtered out. A dynamic
 // encounter slower than base returns the loop to static blocks, since
-// stealing must pay for its dispatch (and for the implicit barrier its
+// dispensing must pay for its claims (and for the implicit barrier its
 // encounters add, which no share clock sees) with the skew it removes.
-// Under an asymmetry that came to stay every entry is skewed, and steal,
+// Under an asymmetry that came to stay every entry is skewed, and dynamic,
 // which balances it, stays.
 func (a *loopAdapt) base() int64 {
 	b := int64(math.MaxInt64)
@@ -109,7 +110,7 @@ func (a *loopAdapt) measured() (crit, mean int64) {
 // share's elapsed time includes the time the worker spent descheduled
 // while its siblings ran — balanced loops then measure imbalance ratios
 // approaching the team size, and re-tuning on that noise makes every
-// loop converge to fine-grained stealing it doesn't need. In that
+// loop converge to fine-grained dispensing it doesn't need. In that
 // regime the adaptive state keeps whatever it last resolved to. A var
 // so tests can force the measured path on single-CPU machines.
 var adaptMeasurable = func(teamSize int) bool {
@@ -119,8 +120,7 @@ var adaptMeasurable = func(teamSize int) bool {
 // resolve resolves one encounter of an Adaptive for construct on a team of
 // size workers to a concrete schedule, updating the construct's persistent
 // state. forShared.init calls it only for what sched.Resolve left
-// Adaptive: a team of two or more and a trip count the steal dispenser can
-// pack.
+// Adaptive: a team of two or more.
 //
 // Policy: the first sight of a loop (or a reshaped trip count) gets the
 // shape rule — static by blocks below shapeGuidedMin iterations per worker,
@@ -129,16 +129,16 @@ var adaptMeasurable = func(teamSize int) bool {
 // adaptMeasurable) it gets static block regardless, because dispensing
 // overhead cannot be repaid when the workers time-share the CPUs and the
 // feedback below is blind there. Measured re-encounters act on the
-// imbalance: adaptSkewRun skewed ones in a row move the loop to steal,
-// whose thieves absorb the asymmetry; a balanced guided loop drops to
-// static dispatch; in between, keep what works. On steal, a skewed
-// encounter halves the chunk (finer grain gives thieves more rebalancing
-// currency), a balanced one doubles it (cheaper dispatch), and one slower
-// than base returns the loop to static blocks.
+// imbalance: adaptSkewRun skewed ones in a row move the loop to dynamic,
+// whose shared cursor absorbs the asymmetry; a balanced guided loop drops
+// to static dispatch; in between, keep what works. On dynamic, a skewed
+// encounter halves the chunk (finer grain gives the cursor more
+// rebalancing currency), a balanced one doubles it (cheaper dispatch), and
+// one slower than base returns the loop to static blocks.
 //
 // timed reports whether the encounter times its shares for the next:
-// every steal encounter, so that a move which does not pay is undone at
-// once; off steal, the second encounter after a re-tune from shape and
+// every dynamic encounter, so that a move which does not pay is undone at
+// once; off dynamic, the second encounter after a re-tune from shape and
 // every adaptSampleEvery-th after it. A re-tuned encounter is not timed
 // (LUFact's shrinking loop re-tunes on every one and would time every
 // share for nothing), nor is any on an oversubscribed team.
@@ -160,7 +160,7 @@ func (st *loopAdapt) resolve(size, n, chunk int) (k sched.Kind, c int, timed boo
 		timed = false
 	case mean == 0:
 		// No encounter finished since the last resolution: keep it.
-	case k == sched.Steal:
+	case k == sched.Dynamic:
 		switch imb := float64(crit) / float64(mean); {
 		case crit > st.base():
 			k, c = sched.StaticBlock, chunk
@@ -185,12 +185,12 @@ func (st *loopAdapt) resolve(size, n, chunk int) (k sched.Kind, c int, timed boo
 			}
 		default:
 			if st.skews++; st.skews >= adaptSkewRun {
-				k, c, st.skews = sched.Steal, adaptDefaultChunk(n, size), 0
+				k, c, st.skews = sched.Dynamic, adaptDefaultChunk(n, size), 0
 			}
 		}
 	}
 	st.kind, st.chunk, st.count = k, c, n
-	if k != sched.Steal && (st.rounds-st.tuned)%adaptSampleEvery != 1 {
+	if k != sched.Dynamic && (st.rounds-st.tuned)%adaptSampleEvery != 1 {
 		timed = false
 	}
 	return k, c, timed

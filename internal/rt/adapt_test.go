@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"aomplib/internal/obs"
 	"aomplib/internal/sched"
@@ -33,10 +34,10 @@ func measure(st *loopAdapt, imb float64) { st.publish(int64(imb*1000), 1000) }
 
 // TestAdaptResolvePolicy pins the feedback policy state machine: first
 // sight tunes from shape, one skewed encounter is noise, adaptSkewRun in a
-// row move to steal, which then refines the chunk while skewed, coarsens
-// it (capped) while balanced and keeps it in the hysteresis band, and an
-// encounter that stole more slowly than the loop ran before returns it to
-// static blocks.
+// row move to dynamic, which then refines the chunk while skewed, coarsens
+// it (capped) while balanced and keeps it in the hysteresis band, and a
+// dynamic encounter slower than the loop ran before returns it to static
+// blocks.
 func TestAdaptResolvePolicy(t *testing.T) {
 	defer resetPool(t)()
 	forceMeasurable(t)
@@ -53,15 +54,15 @@ func TestAdaptResolvePolicy(t *testing.T) {
 	if k1, _, _ := adaptResolve(team, key, sched.Adaptive, n, 0); k1 != sched.Guided {
 		t.Fatalf("one skewed re-encounter resolved to %v, want to keep Guided", k1)
 	}
-	measure(st, 2.0) // the second in a row → upgrade to steal at the default grain
+	measure(st, 2.0) // the second in a row → dynamic at the default grain
 	k2, c2, _ := adaptResolve(team, key, sched.Adaptive, n, 0)
-	if k2 != sched.Steal || c2 != adaptDefaultChunk(n, 4) {
-		t.Fatalf("skewed re-encounters: %v chunk %d, want Steal chunk %d", k2, c2, adaptDefaultChunk(n, 4))
+	if k2 != sched.Dynamic || c2 != adaptDefaultChunk(n, 4) {
+		t.Fatalf("skewed re-encounters: %v chunk %d, want Dynamic chunk %d", k2, c2, adaptDefaultChunk(n, 4))
 	}
 
 	measure(st, 2.0) // still skewed while balancing → refine grain
-	if k3, c3, _ := adaptResolve(team, key, sched.Adaptive, n, 0); k3 != sched.Steal || c3 != c2/2 {
-		t.Fatalf("skewed steal re-encounter: %v chunk %d, want Steal chunk %d", k3, c3, c2/2)
+	if k3, c3, _ := adaptResolve(team, key, sched.Adaptive, n, 0); k3 != sched.Dynamic || c3 != c2/2 {
+		t.Fatalf("skewed dynamic re-encounter: %v chunk %d, want Dynamic chunk %d", k3, c3, c2/2)
 	}
 
 	measure(st, 1.0) // balanced after skew → coarsen, bounded by n/(2*Size)
@@ -70,27 +71,27 @@ func TestAdaptResolvePolicy(t *testing.T) {
 	}
 
 	measure(st, 1.15) // hysteresis band → keep
-	if k5, c5, _ := adaptResolve(team, key, sched.Adaptive, n, 0); k5 != sched.Steal || c5 != c2 {
-		t.Fatalf("hysteresis re-encounter: %v chunk %d, want unchanged Steal %d", k5, c5, c2)
+	if k5, c5, _ := adaptResolve(team, key, sched.Adaptive, n, 0); k5 != sched.Dynamic || c5 != c2 {
+		t.Fatalf("hysteresis re-encounter: %v chunk %d, want unchanged Dynamic %d", k5, c5, c2)
 	}
 
-	// Every steal encounter is timed, so a move that does not pay is
+	// Every dynamic encounter is timed, so a move that does not pay is
 	// undone at the next.
 	measure(st, 1.15)
-	if k, _, timed := st.resolve(4, n, 0); k != sched.Steal || !timed {
-		t.Fatalf("steal re-encounter: %v timed %v, want Steal timed", k, timed)
+	if k, _, timed := st.resolve(4, n, 0); k != sched.Dynamic || !timed {
+		t.Fatalf("dynamic re-encounter: %v timed %v, want Dynamic timed", k, timed)
 	}
 
 	// No encounter finished since the last resolution: keep it.
-	if k6, c6, _ := adaptResolve(team, key, sched.Adaptive, n, 0); k6 != sched.Steal || c6 != c2 {
-		t.Fatalf("unmeasured re-encounter: %v chunk %d, want unchanged Steal %d", k6, c6, c2)
+	if k6, c6, _ := adaptResolve(team, key, sched.Adaptive, n, 0); k6 != sched.Dynamic || c6 != c2 {
+		t.Fatalf("unmeasured re-encounter: %v chunk %d, want unchanged Dynamic %d", k6, c6, c2)
 	}
 
-	// A balanced steal encounter slower than the skewed ones it replaced
-	// (2 µs): stealing does not pay, back to static blocks.
+	// A balanced dynamic encounter slower than the skewed ones it replaced
+	// (2 µs): dispensing does not pay, back to static blocks.
 	st.publish(2500, 2400)
 	if k7, c7, _ := adaptResolve(team, key, sched.Adaptive, n, 0); k7 != sched.StaticBlock || c7 != 0 {
-		t.Fatalf("slow steal re-encounter: %v chunk %d, want StaticBlock chunk 0", k7, c7)
+		t.Fatalf("slow dynamic re-encounter: %v chunk %d, want StaticBlock chunk 0", k7, c7)
 	}
 
 	// A reshaped loop (new trip count) re-tunes from shape, not stale state.
@@ -149,7 +150,7 @@ func TestAdaptFirstSightShapeRule(t *testing.T) {
 // TestAdaptResolveAutoUpgrades pins Auto as Adaptive's former name: a loop
 // declared Auto runs through the construct's adaptive state — its first
 // sight keeps the shape rule, measured skewed re-encounters upgrade it to
-// steal, and a balanced one keeps it there — and through ForSpan every
+// dynamic, and a balanced one keeps it there — and through ForSpan every
 // encounter lands in that state.
 func TestAdaptResolveAutoUpgrades(t *testing.T) {
 	defer resetPool(t)()
@@ -166,12 +167,12 @@ func TestAdaptResolveAutoUpgrades(t *testing.T) {
 		measure(st, 3.0)
 		adaptResolve(team, key, sched.Auto, n, 0)
 	}
-	if k2 := st.kind; k2 != sched.Steal {
-		t.Fatalf("Auto after measured imbalance resolved to %v, want Steal", k2)
+	if k2 := st.kind; k2 != sched.Dynamic {
+		t.Fatalf("Auto after measured imbalance resolved to %v, want Dynamic", k2)
 	}
 	measure(st, 1.0)
-	if k3, _, _ := adaptResolve(team, key, sched.Auto, n, 0); k3 != sched.Steal {
-		t.Fatalf("balanced Auto re-encounter fell back to %v, want to keep Steal", k3)
+	if k3, _, _ := adaptResolve(team, key, sched.Auto, n, 0); k3 != sched.Dynamic {
+		t.Fatalf("balanced Auto re-encounter fell back to %v, want to keep Dynamic", k3)
 	}
 
 	var ran *Team
@@ -268,9 +269,9 @@ func TestHotTeamAdaptiveStatePersistsAcrossLeases(t *testing.T) {
 // TestAdaptResolveBalancedDowngradesToStatic pins the downgrade path: a
 // loop whose shape heuristic picked a dispensing schedule (here Guided)
 // and that measures balanced drops to static dispatch, and upgrades to
-// steal once skew persists. A steal loop that balances the skew away stays
-// there while it beats the static encounters — flipping it back to an
-// equal carve would oscillate under asymmetry.
+// dynamic once skew persists. A dynamic loop that balances the skew away
+// stays there while it beats the static encounters — flipping it back to
+// an equal carve would oscillate under asymmetry.
 func TestAdaptResolveBalancedDowngradesToStatic(t *testing.T) {
 	defer resetPool(t)()
 	forceMeasurable(t)
@@ -288,12 +289,12 @@ func TestAdaptResolveBalancedDowngradesToStatic(t *testing.T) {
 		measure(st, 2.0)
 		adaptResolve(team, key, sched.Adaptive, 1024, 0)
 	}
-	if st.kind != sched.Steal {
-		t.Fatalf("persistent skew on a downgraded loop resolved to %v, want Steal", st.kind)
+	if st.kind != sched.Dynamic {
+		t.Fatalf("persistent skew on a downgraded loop resolved to %v, want Dynamic", st.kind)
 	}
 	measure(st, 1.0) // balanced at half the skewed critical path
-	if k, _, _ := adaptResolve(team, key, sched.Adaptive, 1024, 0); k != sched.Steal {
-		t.Fatalf("balanced steal loop faster than static resolved to %v, want to stay Steal", k)
+	if k, _, _ := adaptResolve(team, key, sched.Adaptive, 1024, 0); k != sched.Dynamic {
+		t.Fatalf("balanced dynamic loop faster than static resolved to %v, want to stay Dynamic", k)
 	}
 }
 
@@ -301,7 +302,7 @@ func TestAdaptResolveBalancedDowngradesToStatic(t *testing.T) {
 // when the team time-shares fewer CPUs than it has workers, per-share
 // wall times read as massive imbalance on perfectly balanced loops, so
 // the resolver must ignore the signal and keep its last resolution
-// instead of converging every loop onto fine-grained stealing.
+// instead of converging every loop onto fine-grained dispensing.
 func TestAdaptResolveUnmeasurableKeepsState(t *testing.T) {
 	defer resetPool(t)()
 	prev := adaptMeasurable
@@ -378,12 +379,14 @@ func TestHotTeamAdaptiveChurnStress(t *testing.T) {
 	}
 }
 
-// TestWorkerRatesAndStealProbes drives every concrete kind through
+// TestWorkerRatesAndNoLoopSteals drives every concrete kind through
 // BeginFor/Next/EndFor on each worker of a fresh team: every iteration runs
 // exactly once, a static worker runs exactly its share, no encounter of a
-// concrete kind reads the clock (only adaptive ones time their shares), and
-// a steal loop feeds the registry's probes-per-steal counter.
-func TestWorkerRatesAndStealProbes(t *testing.T) {
+// concrete kind reads the clock (only adaptive ones time their shares),
+// and no loop encounter emits a steal event. Task stealing still does:
+// the last subtest holds a task owner back until a team-mate has stolen
+// from its deque, and both steal counts move.
+func TestWorkerRatesAndNoLoopSteals(t *testing.T) {
 	prevM := obs.EnableMetrics(true)
 	defer obs.EnableMetrics(prevM)
 	const n, width = 4096, 4
@@ -394,7 +397,7 @@ func TestWorkerRatesAndStealProbes(t *testing.T) {
 		h := b.Count() / 2
 		return []sched.Space{b.Slice(0, h), b.Slice(h, h), b.Slice(h, b.Count())}
 	}
-	kinds := []sched.Kind{sched.StaticBlock, sched.StaticCyclic, sched.Dynamic, sched.Guided, sched.Steal, sched.Custom}
+	kinds := []sched.Kind{sched.StaticBlock, sched.StaticCyclic, sched.Dynamic, sched.Guided, sched.Custom}
 	for _, kind := range kinds {
 		t.Run(kind.String(), func(t *testing.T) {
 			defer resetPool(t)()
@@ -428,9 +431,35 @@ func TestWorkerRatesAndStealProbes(t *testing.T) {
 					t.Fatalf("iteration %d ran %d times", i, h)
 				}
 			}
-			if kind == sched.Steal && obs.ReadMetrics().StealProbes == before.StealProbes {
-				t.Error("steal loop recorded no steal probes")
+			if m := obs.ReadMetrics(); m.StealAttempts != before.StealAttempts || m.Steals != before.Steals {
+				t.Errorf("a %v loop emitted steal events: attempts %d -> %d, steals %d -> %d",
+					kind, before.StealAttempts, m.StealAttempts, before.Steals, m.Steals)
 			}
 		})
 	}
+	t.Run("tasks", func(t *testing.T) {
+		defer resetPool(t)()
+		before := obs.ReadMetrics()
+		Region(2, func(w *Worker) {
+			if w.ID == 0 {
+				for i := 0; i < 32; i++ {
+					Spawn(func() {})
+				}
+			}
+			w.Team.Barrier().Wait()
+			if w.ID == 0 {
+				// Worker 1 reaches the region-end join and steals; hold
+				// worker 0 back so it does not drain its own deque first.
+				deadline := time.Now().Add(10 * time.Second)
+				for obs.ReadMetrics().Steals == before.Steals && time.Now().Before(deadline) {
+					runtime.Gosched()
+				}
+			}
+		})
+		m := obs.ReadMetrics()
+		if m.StealAttempts == before.StealAttempts || m.Steals == before.Steals {
+			t.Errorf("task steals did not count: attempts %d -> %d, steals %d -> %d",
+				before.StealAttempts, m.StealAttempts, before.Steals, m.Steals)
+		}
+	})
 }

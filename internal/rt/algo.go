@@ -9,7 +9,7 @@ import (
 // (package aomplib/parallel): a loop runner that executes one worker's
 // share of an iteration space under any schedule, and a splittable-range
 // task spawner for composable nested parallelism. Both reuse the existing
-// machinery — deques, steal schedule, hot teams, obs events — rather than
+// machinery — deques, dispensers, hot teams, obs events — rather than
 // introducing a second scheduler.
 
 // SpanFunc executes one dispensed sub-range of a loop. The arg parameter
@@ -26,7 +26,7 @@ type SpanFunc func(sub sched.Space, arg any)
 // encounter, no shared state, no allocation — which is what keeps the parallel.For dispatch gate at
 // 0 allocs/op. Every other kind takes the loop driver the woven @For
 // construct uses (BeginFor, Next until false, EndFor), so it inherits
-// range stealing, adaptive feedback and the obs work/steal events:
+// cursor dispensing, adaptive feedback and the obs work events:
 // run is invoked once per sub-range Next serves — under Dynamic and Guided
 // once per claim, up to dispenseBatchChunks chunks away from the loop tail.
 // On a team of one every dispensing kind resolves to StaticBlock

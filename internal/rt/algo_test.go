@@ -12,7 +12,7 @@ import (
 // schedule kind ForSpan accepts, including strided static-cyclic assignments.
 func TestForSpanCoversEverySchedule(t *testing.T) {
 	kinds := []sched.Kind{
-		sched.StaticBlock, sched.StaticCyclic, sched.Dynamic, sched.Guided, sched.Steal, sched.Adaptive,
+		sched.StaticBlock, sched.StaticCyclic, sched.Dynamic, sched.Guided, sched.Adaptive,
 	}
 	for _, kind := range kinds {
 		for _, width := range []int{1, 2, 4, 7} {

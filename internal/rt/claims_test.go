@@ -89,7 +89,7 @@ func TestDispenseServesWholeClaims(t *testing.T) {
 // claim size negative, move the cursor backwards and livelock the team.
 func TestHugeChunkTerminates(t *testing.T) {
 	const n = 100
-	for _, kind := range []sched.Kind{sched.Dynamic, sched.Guided, sched.Steal} {
+	for _, kind := range []sched.Kind{sched.Dynamic, sched.Guided} {
 		for _, chunk := range []int{math.MaxInt, math.MaxInt / 2, math.MaxInt/4 + 1, math.MaxInt / 4, 1 << 40} {
 			var ran atomic.Int32
 			paths := map[string]func(){

@@ -22,12 +22,12 @@
 //     inside one region stay matched across workers with no lock, map or
 //     allocation), and named/per-object critical-lock registries.
 //   - Loop dispatch. ForContext.Next is the one loop driver: it serves a
-//     worker's static share, a custom schedule's parts, a dynamic/guided
-//     claim or a steal chunk, for the woven @For and ForSpan alike
-//     (ForSpan runs a declared static kind as pure arithmetic, with no
-//     encounter). The schedule is the one the loop names; steal carves
-//     the static-block partition, and only an adaptive encounter reads
-//     the clock, to time its shares for the next encounter's decision. SpawnRange decomposes a range into stealable tasks by
+//     worker's static share, a custom schedule's parts or a dynamic/guided
+//     claim, for the woven @For and ForSpan alike (ForSpan runs a
+//     declared static kind as pure arithmetic, with no encounter). The
+//     schedule is the one the loop names, and only an adaptive encounter
+//     reads the clock, to time its shares for the next encounter's
+//     decision. SpawnRange decomposes a range into stealable tasks by
 //     recursive binary splitting. These are the primitives the public
 //     parallel package builds its algorithms on.
 //   - Observability. Every interesting transition reports into

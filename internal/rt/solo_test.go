@@ -144,7 +144,7 @@ func TestForOfOne(t *testing.T) {
 	key := new(int)
 	sp := sched.Space{Lo: 0, Hi: 1024, Step: 1}
 	Region(1, func(w *Worker) {
-		for _, kind := range []sched.Kind{sched.Dynamic, sched.Guided, sched.Steal, sched.Adaptive} {
+		for _, kind := range []sched.Kind{sched.Dynamic, sched.Guided, sched.Adaptive} {
 			fc := BeginFor(w, key, sp, kind, 16, nil)
 			if fc.Kind != sched.StaticBlock {
 				t.Errorf("%v on one worker ran as %v, want staticBlock", kind, fc.Kind)

@@ -147,27 +147,6 @@ func BenchmarkDispenseBatchedFor(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*workers), "ns/iteration")
 }
 
-// BenchmarkStealDispense drives the steal schedule end to end at the
-// dispenser level: statically carved per-worker ranges, owner claims on
-// private cache lines, range stealing on exhaustion.
-func BenchmarkStealDispense(b *testing.B) {
-	const workers = 4
-	b.ReportAllocs()
-	sp := sched.Space{Lo: 0, Hi: b.N * workers, Step: 1}
-	Region(workers, func(w *Worker) {
-		fc := BeginFor(w, "bench-steal", sp, sched.Steal, 1, nil)
-		if fc.Kind != sched.Steal {
-			b.Errorf("resolved to %v, want steal", fc.Kind)
-		}
-		for {
-			if _, _, ok := fc.Next(); !ok {
-				break
-			}
-		}
-		fc.EndFor()
-	})
-}
-
 // BenchmarkNamedLockLookup measures the @Critical(id=...) registry under
 // concurrent lookups of distinct ids: every lookup takes the one read lock.
 // Steady-state woven critical sections never reach it (the advice caches

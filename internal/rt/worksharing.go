@@ -52,10 +52,6 @@ type forShared struct {
 	// desynchronise the implicit barrier).
 	kind sched.Kind
 	disp sched.Dispenser // dynamic/guided only
-	// sdisp serves steal encounters. It is allocated on the slot's first
-	// steal encounter and re-armed in place on every later one, so a steady
-	// state steal loop allocates nothing.
-	sdisp *sched.StealDispenser
 
 	// adapt links the encounter to its construct's persistent adaptive
 	// state; nil when the construct is not adaptively scheduled or the
@@ -89,14 +85,8 @@ func (fs *forShared) init(t *Team, c *construct, sp sched.Space, kind sched.Kind
 		}
 	}
 	fs.kind = kind
-	switch kind {
-	case sched.Dynamic, sched.Guided:
+	if kind == sched.Dynamic || kind == sched.Guided {
 		fs.disp.Reset(sp, chunk, kind == sched.Guided, t.Size)
-	case sched.Steal:
-		if fs.sdisp == nil {
-			fs.sdisp = new(sched.StealDispenser)
-		}
-		fs.sdisp.Reset(sp, chunk, t.Size)
 	}
 }
 
@@ -177,47 +167,24 @@ func staticShare(sp sched.Space, kind sched.Kind, size, id int) sched.Space {
 // worker's share once and a custom schedule each of its non-empty parts.
 // Dynamic and guided serve whole claims on the shared cursor: the claim is
 // the unit of dispatch, spanning dispenseBatchChunks chunks away from the
-// loop tail (sched.Dispenser.NextBatch). Steal serves chunks of the
-// worker's own carved range while it lasts (the locality order), then
-// chunks stolen off the most loaded sibling, reported through the steal
-// events task stealing emits: a fruitless scan reports a bare attempt,
-// and any scan its probe count.
+// loop tail (sched.Dispenser.NextBatch).
 func (fc *ForContext) Next() (sched.Space, int, bool) {
-	var from, to int64
-	var ok bool
-	switch fc.Kind {
-	case sched.Dynamic, sched.Guided:
-		from, to, ok = fc.slot.fs.disp.NextBatch(dispenseBatchChunks)
-	case sched.Steal:
-		w := fc.Worker
-		var victim, probes int
-		from, to, victim, probes, ok = fc.slot.fs.sdisp.Next(w.ID)
-		if victim >= 0 || !ok {
-			if h := obs.Active(); h != nil {
-				h.StealAttempt(w.gid)
-				if probes > 0 {
-					h.StealScan(w.gid, probes)
-				}
-				if victim >= 0 && victim < len(w.Team.workers) {
-					// Loop-range steals have no task identity; 0 marks them
-					// in the shared steal event stream.
-					h.StealSuccess(w.gid, 0, w.Team.workers[victim].gid)
-				}
-			}
+	if fc.Kind == sched.Dynamic || fc.Kind == sched.Guided {
+		from, to, ok := fc.slot.fs.disp.NextBatch(dispenseBatchChunks)
+		if !ok {
+			return sched.Space{}, 0, false
 		}
-	default: // static or custom: the parts BeginFor laid out
-		for fc.part < len(fc.parts) {
-			sub := fc.parts[fc.part]
-			fc.part++
-			if n := sub.Count(); n > 0 {
-				return sub, n, true
-			}
+		return fc.Space.Slice(int(from), int(to)), int(to - from), true
+	}
+	// Static or custom: the parts BeginFor laid out.
+	for fc.part < len(fc.parts) {
+		sub := fc.parts[fc.part]
+		fc.part++
+		if n := sub.Count(); n > 0 {
+			return sub, n, true
 		}
 	}
-	if !ok {
-		return sched.Space{}, 0, false
-	}
-	return fc.Space.Slice(int(from), int(to)), int(to - from), true
+	return sched.Space{}, 0, false
 }
 
 // EndFor pops the work-sharing context from the worker, folds the share's

@@ -11,7 +11,6 @@ func TestKindStringCoversAllKinds(t *testing.T) {
 		StaticCyclic: "staticCyclic",
 		Dynamic:      "dynamic",
 		Guided:       "guided",
-		Steal:        "steal",
 		Custom:       "caseSpecific",
 		Adaptive:     "adaptive",
 	}
@@ -63,7 +62,7 @@ func TestResolveRuntimeAndAuto(t *testing.T) {
 		t.Fatalf("Auto on one worker resolved to %v, want staticBlock", got)
 	}
 	// Concrete kinds pass through untouched.
-	for _, k := range []Kind{StaticBlock, StaticCyclic, Dynamic, Guided, Steal, Custom} {
+	for _, k := range []Kind{StaticBlock, StaticCyclic, Dynamic, Guided, Custom} {
 		if got := Resolve(k, 5, 2); got != k {
 			t.Errorf("Resolve(%v) rewrote a concrete kind to %v", k, got)
 		}
@@ -71,12 +70,13 @@ func TestResolveRuntimeAndAuto(t *testing.T) {
 }
 
 // TestResolveAutoBoundaryTripCounts pins what Resolve still decides for
-// Auto (Adaptive) from width and trip count alone: one worker or a
-// degenerate team is static by blocks at any count, a team of two or more
-// leaves every packable count to the runtime's encounter state — empty and
-// single-iteration loops included; the first-sight shape rule lives there —
-// and one iteration past the packable range goes guided.
+// Auto (Adaptive) from width alone: one worker or a degenerate team is
+// static by blocks at any count, and a team of two or more leaves every
+// count to the runtime's encounter state — empty and single-iteration
+// loops included (the first-sight shape rule lives there), and counts past
+// 32 bits too.
 func TestResolveAutoBoundaryTripCounts(t *testing.T) {
+	const huge = 1 << 40
 	cases := []struct {
 		count, nthreads int
 		want            Kind
@@ -84,12 +84,11 @@ func TestResolveAutoBoundaryTripCounts(t *testing.T) {
 		{count: 0, nthreads: 1, want: StaticBlock},
 		{count: 1 << 20, nthreads: 1, want: StaticBlock},
 		{count: 1 << 20, nthreads: 0, want: StaticBlock}, // degenerate team
-		{count: stealMaxCount + 1, nthreads: 1, want: StaticBlock},
+		{count: huge, nthreads: 1, want: StaticBlock},
 		{count: 0, nthreads: 8, want: Adaptive},
 		{count: 1, nthreads: 8, want: Adaptive},
 		{count: 8, nthreads: 8, want: Adaptive},
-		{count: stealMaxCount, nthreads: 2, want: Adaptive},
-		{count: stealMaxCount + 1, nthreads: 2, want: Guided},
+		{count: huge, nthreads: 2, want: Adaptive},
 	}
 	for _, c := range cases {
 		if got := Resolve(Auto, c.count, c.nthreads); got != c.want {
@@ -98,36 +97,32 @@ func TestResolveAutoBoundaryTripCounts(t *testing.T) {
 	}
 }
 
-// TestResolveTable runs every kind over widths {0, 1, 2} and trip counts up
-// to one past the packable steal range. On at most one worker every
-// dispensing kind (dynamic, guided, steal, adaptive) is one static block at
-// any count; Custom and StaticCyclic are never rewritten; on a team Steal
-// and Adaptive fall back past the packable range.
+// TestResolveTable runs every kind over widths {0, 1, 2} and trip counts
+// from 0 past 32 bits. On at most one worker every dispensing kind
+// (dynamic, guided, adaptive) is one static block at any count; Custom and
+// StaticCyclic are never rewritten; on a team no kind is rewritten, at any
+// count.
 func TestResolveTable(t *testing.T) {
 	type row struct {
-		name                     string
-		kind                     Kind
-		solo, team, teamOverflow Kind // ≤ 1 worker; 2 workers within / past stealMaxCount
+		name       string
+		kind       Kind
+		solo, team Kind // ≤ 1 worker; 2 workers
 	}
 	rows := []row{
-		{"staticBlock", StaticBlock, StaticBlock, StaticBlock, StaticBlock},
-		{"staticCyclic", StaticCyclic, StaticCyclic, StaticCyclic, StaticCyclic},
-		{"dynamic", Dynamic, StaticBlock, Dynamic, Dynamic},
-		{"guided", Guided, StaticBlock, Guided, Guided},
-		{"steal", Steal, StaticBlock, Steal, Dynamic},
-		{"caseSpecific", Custom, Custom, Custom, Custom},
-		{"adaptive", Adaptive, StaticBlock, Adaptive, Guided},
+		{"staticBlock", StaticBlock, StaticBlock, StaticBlock},
+		{"staticCyclic", StaticCyclic, StaticCyclic, StaticCyclic},
+		{"dynamic", Dynamic, StaticBlock, Dynamic},
+		{"guided", Guided, StaticBlock, Guided},
+		{"caseSpecific", Custom, Custom, Custom},
+		{"adaptive", Adaptive, StaticBlock, Adaptive},
 	}
-	counts := []int{0, 1, 2, 1024, stealMaxCount, stealMaxCount + 1}
+	counts := []int{0, 1, 2, 1024, 1<<31 - 1, 1 << 31, 1 << 40}
 	for _, r := range rows {
 		for _, nthreads := range []int{0, 1, 2} {
 			for _, count := range counts {
 				want := r.solo
 				if nthreads > 1 {
 					want = r.team
-					if count > stealMaxCount {
-						want = r.teamOverflow
-					}
 				}
 				if got := Resolve(r.kind, count, nthreads); got != want {
 					t.Errorf("%s: Resolve(count %d, %d workers) = %v, want %v", r.name, count, nthreads, got, want)
@@ -161,18 +156,5 @@ func TestAutoGrain(t *testing.T) {
 	// Large inputs scale the grain so the piece count stays put.
 	if AutoGrain(1<<24) <= AutoGrain(1<<16) {
 		t.Error("AutoGrain does not grow with the input")
-	}
-}
-
-// TestResolveStealOverflowFallsBack pins the packed-range guard: loops
-// whose trip count cannot be packed into 32-bit bounds resolve to Dynamic
-// (uniformly across a team — Resolve is pure), everything below passes
-// through.
-func TestResolveStealOverflowFallsBack(t *testing.T) {
-	if got := Resolve(Steal, stealMaxCount, 4); got != Steal {
-		t.Errorf("Resolve(Steal, max, 4) = %v, want Steal", got)
-	}
-	if got := Resolve(Steal, stealMaxCount+1, 4); got != Dynamic {
-		t.Errorf("Resolve(Steal, max+1, 4) = %v, want Dynamic fallback", got)
 	}
 }

@@ -6,10 +6,11 @@ import (
 	"testing"
 )
 
-// retiredNames are the names of kinds that were deleted ("runtime") or
-// merged into a neighbour ("auto" into adaptive, "weightedSteal" into
-// steal); none of them parses.
-var retiredNames = []string{"runtime", "auto", "weightedSteal"}
+// retiredNames are the names of kinds that were deleted ("runtime",
+// "steal") or merged into a neighbour ("auto" into adaptive,
+// "weightedSteal" into steal, and so now into dynamic); none of them
+// parses.
+var retiredNames = []string{"runtime", "auto", "weightedSteal", "steal"}
 
 // FuzzParseKind feeds ParseKind arbitrary strings: garbage must come back
 // as an error (never a panic, never a silent zero Kind masquerading as

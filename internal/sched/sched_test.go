@@ -314,125 +314,6 @@ func TestDispenserChunkFloor(t *testing.T) {
 	}
 }
 
-// ------------------------------------------------------ steal schedule --
-
-func TestStealDispenserSequentialCoverage(t *testing.T) {
-	sp := Space{3, 40, 2}
-	d := newSteal(sp, 3, 4)
-	var got []int
-	for {
-		from, to, victim, _, ok := d.Next(0)
-		if !ok {
-			break
-		}
-		if to-from > 3 {
-			t.Fatalf("chunk [%d,%d) exceeds chunk size 3", from, to)
-		}
-		_ = victim
-		for i := from; i < to; i++ {
-			got = append(got, sp.At(int(i)))
-		}
-	}
-	if !sameMultiset(got, sp.Values()) {
-		t.Fatalf("steal coverage = %v, want %v", got, sp.Values())
-	}
-	if remaining(d) != 0 {
-		t.Fatalf("remaining = %d after drain", remaining(d))
-	}
-}
-
-func TestStealDispenserStealsOnExhaustion(t *testing.T) {
-	// Worker 0 drains the whole space alone: everything beyond its own
-	// static block must arrive via steals, reported with a victim slot.
-	d := newSteal(Space{0, 64, 1}, 4, 4)
-	covered := make([]int, 64)
-	steals := 0
-	for {
-		from, to, victim, _, ok := d.Next(0)
-		if !ok {
-			break
-		}
-		if victim >= 0 {
-			if victim == 0 || victim >= 4 {
-				t.Fatalf("victim slot %d out of range", victim)
-			}
-			steals++
-		}
-		for i := from; i < to; i++ {
-			covered[i]++
-		}
-	}
-	for i, c := range covered {
-		if c != 1 {
-			t.Fatalf("iteration %d dispensed %d times", i, c)
-		}
-	}
-	if steals == 0 {
-		t.Fatal("lone worker drained 4 ranges without a single steal")
-	}
-}
-
-// Property: under concurrent draining with per-worker slots, every
-// iteration index is dispensed exactly once for any space, chunk and team
-// size, and a worker that runs dry migrates onto siblings' ranges.
-func TestStealDispenserConcurrentExactlyOnce(t *testing.T) {
-	f := func(count uint16, chunk uint8, nth uint8) bool {
-		n := int(count % 2000)
-		workers := int(nth%8) + 1
-		d := newSteal(Space{0, n, 1}, int(chunk%9), workers)
-		hits := make([]int32, n)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(id int) {
-				defer wg.Done()
-				for {
-					from, to, _, _, ok := d.Next(id)
-					if !ok {
-						return
-					}
-					for i := from; i < to; i++ {
-						hits[i]++ // each index owned by one goroutine
-					}
-				}
-			}(w)
-		}
-		wg.Wait()
-		for _, h := range hits {
-			if h != 1 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestStealDispenserEdgeCases(t *testing.T) {
-	// Empty space: immediately exhausted for every worker.
-	d := newSteal(Space{5, 5, 1}, 1, 3)
-	if _, _, _, _, ok := d.Next(1); ok {
-		t.Fatal("empty space dispensed work")
-	}
-	// Fewer iterations than workers: the tail slots start empty and steal.
-	d = newSteal(Space{0, 2, 1}, 1, 8)
-	total := 0
-	for id := 7; id >= 0; id-- {
-		for {
-			from, to, _, _, ok := d.Next(id)
-			if !ok {
-				break
-			}
-			total += int(to - from)
-		}
-	}
-	if total != 2 {
-		t.Fatalf("dispensed %d iterations, want 2", total)
-	}
-}
-
 // checkClaimShape draws every claim of a (n, chunk, T, guided) loop and
 // asserts the claim rule documented on NextBatch: claims tile [0,n) in
 // cursor order (the cursor never moves backwards); every claim but the one

@@ -27,15 +27,6 @@ const (
 	// Guided hands out exponentially shrinking claims (remaining/2N,
 	// floored at the chunk size) from the same cursor.
 	Guided
-	// Steal carves one contiguous iteration range per worker (the
-	// StaticBlock partition), and lets workers that exhaust their range
-	// steal half the remainder of the most loaded sibling (LLVM's
-	// static_steal; OpenMP 5's nonmonotonic:dynamic permits exactly this
-	// reordering). Owners draw
-	// chunks from their own cache line, so the per-chunk CAS of Dynamic
-	// never becomes a team-wide contention point; balancing costs one extra
-	// CAS only when a range actually runs dry.
-	Steal
 	// Custom delegates to a user ScheduleFunc (case-specific schedule).
 	Custom
 	// Adaptive lets the runtime choose per construct encounter: the first
@@ -61,8 +52,6 @@ func (k Kind) String() string {
 		return "dynamic"
 	case Guided:
 		return "guided"
-	case Steal:
-		return "steal"
 	case Custom:
 		return "caseSpecific"
 	case Adaptive:
@@ -75,7 +64,7 @@ func (k Kind) String() string {
 // Kinds lists every named schedule in declaration order, for flag help,
 // parser errors and validation.
 func Kinds() []Kind {
-	return []Kind{StaticBlock, StaticCyclic, Dynamic, Guided, Steal, Custom, Adaptive}
+	return []Kind{StaticBlock, StaticCyclic, Dynamic, Guided, Custom, Adaptive}
 }
 
 // ParseKind resolves a schedule name, as produced by Kind.String and
@@ -92,23 +81,16 @@ func ParseKind(s string) (Kind, error) {
 	return 0, fmt.Errorf("sched: unknown schedule %q (valid: %s)", s, strings.Join(names, ", "))
 }
 
-// Resolve settles what width and trip count alone decide. On one worker every dispensing kind (Dynamic,
-// Guided, Steal, Adaptive) is StaticBlock: a lone worker runs every
-// iteration in order under any of them, so the loop is one block with no
-// dispenser and no end barrier. A trip count past what the steal dispenser
-// can pack sends Steal to Dynamic and Adaptive to Guided. Custom and
-// StaticCyclic are returned as they are. A remaining Adaptive is resolved
-// by the runtime's encounter state (rt.BeginFor).
-func Resolve(k Kind, count, nthreads int) Kind {
-	switch {
-	case nthreads <= 1 && (k == Dynamic || k == Guided || k == Steal || k == Adaptive):
+// Resolve settles what width alone decides: on one worker every
+// dispensing kind (Dynamic, Guided, Adaptive) is StaticBlock, since a lone
+// worker runs every iteration in order under any of them, so the loop is
+// one block with no dispenser and no end barrier. Every other kind, and
+// every kind on a team, is returned as it is; a remaining Adaptive is
+// resolved by the runtime's encounter state (rt.BeginFor). The trip count
+// decides nothing; it stays in the signature for callers that pass it.
+func Resolve(k Kind, _, nthreads int) Kind {
+	if nthreads <= 1 && (k == Dynamic || k == Guided || k == Adaptive) {
 		return StaticBlock
-	case count <= stealMaxCount:
-		return k
-	case k == Steal:
-		return Dynamic
-	case k == Adaptive:
-		return Guided
 	}
 	return k
 }
@@ -265,137 +247,4 @@ func (d *Dispenser) Remaining() int64 {
 		return 0
 	}
 	return r
-}
-
-// ------------------------------------------------------ steal schedule --
-
-// stealMaxCount bounds the trip count the steal dispenser can represent:
-// (lo, hi) iteration indices share one 64-bit word, 32 bits each, so a
-// range splits — owner claim from the front, thief claim from the back —
-// with a single CAS and no lock.
-const stealMaxCount = 1<<31 - 1
-
-// stealSlot is one worker's remaining range, alone on its cache line:
-// owners hammer their own slot, and only an out-of-work thief's CAS ever
-// pulls the line away.
-type stealSlot struct {
-	bounds atomic.Uint64 // hi<<32 | lo, iteration indices
-	_      [56]byte
-}
-
-func packRange(lo, hi int64) uint64 { return uint64(hi)<<32 | uint64(lo) }
-func unpackRange(v uint64) (lo, hi int64) {
-	return int64(v & 0xffffffff), int64(v >> 32)
-}
-
-// StealDispenser is the shared state behind the Steal schedule: one
-// contiguous range per worker, materialised as per-worker atomic words.
-// Owners draw chunks from the front of their own range; a worker whose
-// range is exhausted steals the back half of the most loaded sibling's
-// range and installs it as its new local range (LLVM static_steal).
-// Iterations are executed exactly once: a range lives in exactly one slot,
-// and every split is a single CAS on that slot. The zero value is ready for
-// Reset.
-type StealDispenser struct {
-	slots []stealSlot
-	chunk int64
-}
-
-// Reset re-arms d in place for a loop over sp on nthreads workers, carving
-// the StaticBlock partition: one contiguous range per worker, sizes within
-// one iteration of each other. chunk < 1 is treated as 1. sp.Count() must
-// not exceed 2^31-1 — Resolve sends longer Steal loops to Dynamic. The slot
-// array is reused when it is large enough, so re-arming allocates nothing.
-// The caller must own d exclusively, as for Dispenser.Reset.
-func (d *StealDispenser) Reset(sp Space, chunk, nthreads int) {
-	nthreads = max(1, nthreads)
-	if cap(d.slots) < nthreads {
-		d.slots = make([]stealSlot, nthreads)
-	}
-	d.slots, d.chunk = d.slots[:nthreads], int64(max(1, chunk))
-	n := sp.Count()
-	per, rem := n/nthreads, n%nthreads
-	lo := 0
-	for id := range d.slots {
-		hi := lo + per
-		if id < rem {
-			hi++
-		}
-		d.slots[id].bounds.Store(packRange(int64(lo), int64(hi)))
-		lo = hi
-	}
-}
-
-// Next reserves the next chunk for worker id (0 ≤ id < nthreads),
-// returning iteration-index bounds [from, to). victim is the slot a range
-// was stolen from when this call had to steal (the worker's own range had
-// run dry), -1 otherwise; probes counts the sibling slots examined while
-// stealing (0 when the local range served — the locality order is always
-// self first, remote only when dry), so callers can observe fruitless scan
-// length; ok is false when no work is left anywhere the worker could see.
-// A false ok is conservative: a range being migrated by a concurrent thief
-// can be missed, which costs balance, never coverage — the thief that owns
-// it will execute it.
-func (d *StealDispenser) Next(id int) (from, to int64, victim, probes int, ok bool) {
-	victim = -1
-	self := &d.slots[id]
-	for {
-		for {
-			v := self.bounds.Load()
-			lo, hi := unpackRange(v)
-			if lo >= hi {
-				break
-			}
-			take := min(d.chunk, hi-lo)
-			if self.bounds.CompareAndSwap(v, packRange(lo+take, hi)) {
-				return lo, lo + take, victim, probes, true
-			}
-		}
-		lo, hi, vi, pr := d.stealFrom(id)
-		probes += pr
-		if vi < 0 {
-			return 0, 0, victim, probes, false
-		}
-		victim = vi
-		// The slot's owner is the only goroutine that writes an empty
-		// slot, and thieves skip empty slots, so this plain store cannot
-		// clobber a concurrent claim.
-		self.bounds.Store(packRange(lo, hi))
-	}
-}
-
-// stealFrom scans every slot but id and splits off the back half of the
-// largest remaining range — or all of it when less than one chunk would
-// remain, so the victim is never left a sub-chunk stub. Under asymmetry the
-// largest remainder marks the worker most in need of help, and halving it
-// moves the most work per steal. It returns the stolen bounds, the victim's
-// slot, and the number of slots probed; it retries while some victim
-// visibly holds work (a failed CAS means another worker made progress, so
-// the loop is lock-free) and reports victim -1 once every slot scanned was
-// empty.
-func (d *StealDispenser) stealFrom(id int) (lo, hi int64, victim, probes int) {
-	for {
-		best, bestVal := -1, uint64(0)
-		var vlo, vhi int64
-		for i := range d.slots {
-			if i == id {
-				continue // never steal from yourself
-			}
-			probes++
-			val := d.slots[i].bounds.Load()
-			if l, h := unpackRange(val); h-l > vhi-vlo {
-				best, bestVal, vlo, vhi = i, val, l, h
-			}
-		}
-		if best < 0 {
-			return 0, 0, -1, probes
-		}
-		take := (vhi - vlo + 1) / 2
-		if vhi-vlo-take < d.chunk {
-			take = vhi - vlo
-		}
-		if d.slots[best].bounds.CompareAndSwap(bestVal, packRange(vlo, vhi-take)) {
-			return vhi - take, vhi, best, probes
-		}
-	}
 }

@@ -56,20 +56,3 @@ func BenchmarkOverhead_ParallelReduce(b *testing.B) {
 	}
 	benchSink[0] = res
 }
-
-func BenchmarkParallelForSteal(b *testing.B) {
-	opts := []parallel.Opt{
-		parallel.WithThreads(4), parallel.WithSchedule(parallel.Steal), parallel.WithGrain(64),
-	}
-	body := func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			benchSink[i]++
-		}
-	}
-	parallel.ForRange(0, len(benchSink), body, opts...)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		parallel.ForRange(0, len(benchSink), body, opts...)
-	}
-}

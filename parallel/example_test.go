@@ -23,7 +23,7 @@ func ExampleForRange() {
 		for i := lo; i < hi; i++ {
 			data[i] = float64(i) * 0.5
 		}
-	}, parallel.WithThreads(4), parallel.WithSchedule(parallel.Steal))
+	}, parallel.WithThreads(4), parallel.WithSchedule(parallel.Dynamic))
 	fmt.Println(data[10], data[999])
 	// Output: 5 499.5
 }

@@ -10,8 +10,8 @@
 // (leased, admission-controlled worker pools — a parallel.For at top level
 // is a warm region entry with zero steady-state allocations), the
 // work-stealing task deques (nested calls decompose onto the current team
-// instead of spawning a new one), the loop schedules of internal/sched
-// including the steal schedule, and the obs emit points (every construct
+// instead of spawning a new one), the loop schedules of internal/sched,
+// and the obs emit points (every construct
 // emits the same region/work/task events the woven aspects do, so Chrome
 // traces show generic loops alongside @For loops).
 //
@@ -58,10 +58,6 @@ const (
 	// Guided hands out exponentially shrinking claims — large early, one
 	// grain at the tail — trading contention against tail imbalance.
 	Guided Schedule = sched.Guided
-	// Steal gives every worker a private contiguous range — its Static
-	// block — and lets idle workers steal the back half of the most loaded
-	// sibling's remainder with a single CAS.
-	Steal Schedule = sched.Steal
 	// Adaptive re-tunes the schedule kind and chunk on every encounter of
 	// the same loop: the first from the loop's shape (static below 64
 	// iterations per worker, guided otherwise), later ones from the
@@ -105,8 +101,8 @@ func WithSchedule(s Schedule) Opt {
 	return func(c *config) { c.sched = s }
 }
 
-// WithGrain sets the decomposition grain: the chunk of the Dynamic, Guided
-// and Steal loop schedules, the per-partial chunk length of Reduce, the
+// WithGrain sets the decomposition grain: the chunk of the Dynamic and
+// Guided loop schedules, the per-partial chunk length of Reduce, the
 // task grain of nested For calls, and the serial cutoff of Sort.
 // For Dynamic and Guided loops it is the balance unit and the least a
 // worker takes at a time, not a bound on the range a ForRange body

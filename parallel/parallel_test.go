@@ -19,7 +19,7 @@ var sizes = []int{0, 1, 2, 3, 7, 16, 100, 1000, 4096}
 
 var schedules = []parallel.Schedule{
 	parallel.Static, parallel.Cyclic, parallel.Dynamic,
-	parallel.Guided, parallel.Steal, parallel.Adaptive,
+	parallel.Guided, parallel.Adaptive,
 }
 
 func TestForCoversEveryIndexOnce(t *testing.T) {
@@ -190,8 +190,8 @@ func TestReduceDeterministicAcrossWidths(t *testing.T) {
 
 // TestReduceBitEqualAcrossWidthsAdaptive pins the determinism guarantee
 // where it is hardest to keep: the balancing schedules move the iteration
-// space between workers (steal ranges migrate to thieves, adaptive state
-// re-tunes chunk and kind between encounters), yet the fixed combine
+// space between workers (dynamic claims go to whoever asks first, adaptive
+// state re-tunes chunk and kind between encounters), yet the fixed combine
 // tree must make float64 results bit-equal across widths and encounters.
 // Each configuration runs several encounters under one stable construct
 // identity so re-tunes actually happen mid-test.
@@ -210,7 +210,7 @@ func TestReduceBitEqualAcrossWidthsAdaptive(t *testing.T) {
 	}
 	add := func(a, b float64) float64 { return a + b }
 	ref := parallel.Reduce(0, n, 0.0, leaf, add, parallel.WithThreads(1))
-	for _, s := range []parallel.Schedule{parallel.Adaptive, parallel.Steal} {
+	for _, s := range []parallel.Schedule{parallel.Adaptive, parallel.Dynamic} {
 		for _, width := range widths {
 			for e := 0; e < encounters; e++ {
 				got := parallel.Reduce(0, n, 0.0, leaf, add,

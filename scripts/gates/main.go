@@ -80,7 +80,6 @@ var table = []row{
 	{"encounter", core, "Encounter_MasterValue", 0, "", "", 0, 1, gate, "value @Master: the claimer's result reaches every worker"},
 	{"encounter", core, "Encounter_ForDynamic16", 0, "", "", 0, 1, gate, "@For is gated under every kind ForContext.Next serves: dynamic,16"},
 	{"encounter", core, "Encounter_ForGuided", 0, "", "", 0, 1, gate, "@For, guided"},
-	{"encounter", core, "Encounter_ForSteal", 0, "", "", 0, 1, gate, "@For, steal"},
 	{"encounter", core, "Encounter_ForStatic", 0, "", "", 0, 1, gate, "@For, static block"},
 	{"encounter", core, "Encounter_ForCyclic", 0, "", "", 0, 1, gate, "@For, static cyclic"},
 	{"encounter", core, "Encounter_ThreadLocalGet", 0, weaver, "WovenCallWorkerAdviceInRegion", 0.9, 5, gate, "a sole-stage thread-local get reifies no Call: 0.52–0.75× on 2 vCPUs, the reified one was 1.2–1.4×"},
@@ -92,10 +91,10 @@ var table = []row{
 	{"team of one", root, "Ablation_CompositeOpNarrowed", 0, root, "Ablation_CompositeOpHandSolo", 1.2, 5, gate, "the op narrowed vs by hand on one goroutine: width 1 at the cost of hand-written width 1, its tasks undeferred"},
 	{"schedule", root, "Schedule_SOR_Adaptive", none, root, "Schedule_SOR_StaticBlock", 1.2, 5, gate, "the woven SOR kernel self-tuned costs at most a fifth more than under a hand-picked kind: static blocks"},
 	{"schedule", root, "Schedule_SOR_Adaptive", none, root, "Schedule_SOR_Dynamic", 1.2, 5, gate, "SOR, dynamic"},
-	{"schedule", root, "Schedule_SOR_Adaptive", none, root, "Schedule_SOR_Steal", 1.2, 5, gate, "SOR, steal"},
 	{"schedule", root, "Schedule_LUFact_Adaptive", none, root, "Schedule_LUFact_StaticBlock", 1.2, 5, gate, "LUFact's shrinking elimination loop, static blocks"},
 	{"schedule", root, "Schedule_LUFact_Adaptive", none, root, "Schedule_LUFact_Dynamic", 1.2, 5, gate, "LUFact, dynamic"},
-	{"schedule", root, "Schedule_LUFact_Adaptive", none, root, "Schedule_LUFact_Steal", 1.2, 5, gate, "LUFact, steal"},
+	{"schedule", root, "Schedule_PageRank_Adaptive", none, root, "Schedule_PageRank_StaticBlock", 1.2, 5, gate, "PageRank over serve-mix's power-law graph, the kernel serve-mix runs: static blocks"},
+	{"schedule", root, "Schedule_PageRank_Adaptive", none, root, "Schedule_PageRank_Dynamic", 1.2, 5, gate, "PageRank, dynamic,64 as serve-mix runs it"},
 	{"region", root, "Overhead_RegionEntry", 0, "", "", 0, 1, gate, "hot teams keep warm region entry, facade dispatch included, allocation-free"},
 	{"region", rtPkg, "RegionEntryWarm", 0, "", "", 0, 1, gate, "the runtime's warm region entry"},
 	{"team of one", rtPkg, "RegionEntryWarmGrain", 0, "", "", 0, 1, gate, "an empty region with a width record, run narrow on the record's team of one"},
@@ -110,7 +109,6 @@ var table = []row{
 	{"parallel", parPkg, "Overhead_ParallelFor", 0, "", "", 0, 1, gate, "pooled region arguments and entry structs, cached dictionary closures"},
 	{"parallel", parPkg, "Overhead_ParallelForIndex", 0, "", "", 0, 1, gate, "the index form of For"},
 	{"parallel", parPkg, "Overhead_ParallelReduce", 0, "", "", 0, 1, gate, "Reduce's entry"},
-	{"parallel", parPkg, "ParallelForSteal", 0, "", "", 0, 1, gate, "the steal dispenser is re-armed in its encounter slot, not allocated"},
 }
 
 // floors holds every timed run of a benchmark to a least value of one of
