@@ -19,15 +19,7 @@ import (
 	"time"
 
 	"aomplib"
-	"aomplib/internal/jgf/crypt"
-	"aomplib/internal/jgf/harness"
-	"aomplib/internal/jgf/lufact"
 	"aomplib/internal/jgf/moldyn"
-	"aomplib/internal/jgf/montecarlo"
-	"aomplib/internal/jgf/raytracer"
-	"aomplib/internal/jgf/series"
-	"aomplib/internal/jgf/sor"
-	"aomplib/internal/jgf/sparse"
 )
 
 // TestPublicAPIQuickstart runs the README's quickstart through the facade.
@@ -102,58 +94,17 @@ func TestPublicAPIRuntimeHelpers(t *testing.T) {
 	}
 }
 
-// TestSuiteIntegration runs every benchmark's three versions end to end at
-// test size through the harness — the Figure 13 pipeline in miniature —
-// and requires every validation to pass and every speed-up to be sane.
-func TestSuiteIntegration(t *testing.T) {
-	type versions struct {
-		name string
-		seq  harness.Instance
-		mt   harness.Instance
-		aomp harness.Instance
-	}
-	const threads = 2
-	suite := []versions{
-		{"Crypt", crypt.NewSeq(crypt.SizeTest), crypt.NewMT(crypt.SizeTest, threads), crypt.NewAomp(crypt.SizeTest, threads)},
-		{"LUFact", lufact.NewSeq(lufact.SizeTest), lufact.NewMT(lufact.SizeTest, threads), lufact.NewAomp(lufact.SizeTest, threads)},
-		{"Series", series.NewSeq(series.SizeTest), series.NewMT(series.SizeTest, threads), series.NewAomp(series.SizeTest, threads)},
-		{"SOR", sor.NewSeq(sor.SizeTest), sor.NewMT(sor.SizeTest, threads), sor.NewAomp(sor.SizeTest, threads)},
-		{"Sparse", sparse.NewSeq(sparse.SizeTest), sparse.NewMT(sparse.SizeTest, threads), sparse.NewAomp(sparse.SizeTest, threads)},
-		{"MolDyn", moldyn.NewSeq(moldyn.SizeTest), moldyn.NewMT(moldyn.SizeTest, threads), moldyn.NewAomp(moldyn.SizeTest, threads, moldyn.ThreadLocalStrategy)},
-		{"MonteCarlo", montecarlo.NewSeq(montecarlo.SizeTest), montecarlo.NewMT(montecarlo.SizeTest, threads), montecarlo.NewAomp(montecarlo.SizeTest, threads)},
-		{"RayTracer", raytracer.NewSeq(raytracer.SizeTest), raytracer.NewMT(raytracer.SizeTest, threads), raytracer.NewAomp(raytracer.SizeTest, threads)},
-	}
-	table := harness.NewTable()
-	for _, v := range suite {
-		for _, run := range []struct {
-			version harness.Version
-			inst    harness.Instance
-		}{{harness.Seq, v.seq}, {harness.MT, v.mt}, {harness.Aomp, v.aomp}} {
-			m := harness.Measure(v.name, run.version, threads, run.inst, 1)
-			if m.Err != nil {
-				t.Fatalf("%s/%s: %v", v.name, run.version, m.Err)
-			}
-			if m.Seconds <= 0 {
-				t.Fatalf("%s/%s: non-positive time", v.name, run.version)
-			}
-			table.Add(m)
-		}
-	}
-	// Every benchmark must have produced an Aomp/MT delta.
-	if deltas := table.Deltas(threads); len(deltas) != len(suite) {
-		t.Fatalf("deltas incomplete: %v", deltas)
-	}
-}
-
 // TestMolDynStrategiesIntegration runs the Figure 15 variants end to end.
 func TestMolDynStrategiesIntegration(t *testing.T) {
 	p := moldyn.SizeTest
 	for _, s := range []moldyn.Strategy{
 		moldyn.ThreadLocalStrategy, moldyn.CriticalStrategy, moldyn.LockPerParticleStrategy,
 	} {
-		m := harness.Measure("MolDyn", harness.Version(s.String()), 2, moldyn.NewAomp(p, 2, s), 1)
-		if m.Err != nil {
-			t.Fatalf("strategy %v: %v", s, m.Err)
+		in := moldyn.NewAomp(p, 2, s)
+		in.Setup()
+		in.Kernel()
+		if err := in.Validate(); err != nil {
+			t.Fatalf("strategy %v: %v", s, err)
 		}
 	}
 }
@@ -411,6 +362,33 @@ func TestDesignReferencesResolve(t *testing.T) {
 	}
 	for _, e := range designRefErrors(string(design), string(design), true) {
 		t.Errorf("DESIGN.md: %s", e)
+	}
+}
+
+// TestReadmeFigure13MatchesPerf: README's Figure 13 table is exactly the
+// committed size-A table in perf/figure13.md, row for row.
+func TestReadmeFigure13MatchesPerf(t *testing.T) {
+	perf, err := os.ReadFile(filepath.Join("perf", "figure13.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	readme, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var table strings.Builder
+	for _, line := range strings.SplitAfter(string(perf), "\n") {
+		if strings.HasPrefix(line, "|") {
+			table.WriteString(line)
+		} else if table.Len() > 0 {
+			break
+		}
+	}
+	if table.Len() == 0 {
+		t.Fatal("perf/figure13.md holds no table")
+	}
+	if !strings.Contains(string(readme), "\n"+table.String()) {
+		t.Errorf("README.md's Figure 13 table differs from perf/figure13.md's; it should read:\n\n%s", table.String())
 	}
 }
 

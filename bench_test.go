@@ -1,16 +1,14 @@
-// Benchmarks regenerating every table and figure of the paper's evaluation
-// (§V), plus the overhead ablations backing §IV's "very low run-time
-// overhead" claim and the alternatives DESIGN.md §10 lists as rejected.
+// Benchmarks regenerating the paper's Table 2 (§V), plus the overhead
+// ablations backing §IV's "very low run-time overhead" claim and the
+// alternatives DESIGN.md §10 lists as rejected.
 //
-//	go test -bench=Figure13 -benchmem        # Figure 13 (JGF vs Aomp)
-//	go test -bench=Figure15                  # Figure 15 (MolDyn strategies)
 //	go test -bench=Table2                    # Table 2 (weave introspection)
 //	go test -bench=Overhead                  # §IV weaving/runtime overheads
 //	go test -bench=Ablation                  # schedule/barrier ablations
 //	go test -bench=Schedule_                 # SOR, LUFact, PageRank by schedule
 //
-// Benchmark sizes are scaled for CI (seconds, not minutes); cmd/jgfbench
-// and cmd/moldynstudy run the full paper sizes.
+// Figures 13 and 15 are cmd/jgfbench's and cmd/moldynstudy's, timed in
+// paired rounds (perf/figure13.md, perf/figure15.md).
 package aomplib_test
 
 import (
@@ -25,15 +23,9 @@ import (
 	"aomplib"
 	"aomplib/internal/evolib"
 	"aomplib/internal/graph"
-	"aomplib/internal/jgf/crypt"
 	"aomplib/internal/jgf/harness"
 	"aomplib/internal/jgf/lufact"
-	"aomplib/internal/jgf/moldyn"
-	"aomplib/internal/jgf/montecarlo"
-	"aomplib/internal/jgf/raytracer"
-	"aomplib/internal/jgf/series"
 	"aomplib/internal/jgf/sor"
-	"aomplib/internal/jgf/sparse"
 	"aomplib/internal/rt"
 	"aomplib/internal/sched"
 	"aomplib/internal/weaver"
@@ -78,122 +70,6 @@ func emptyRegion(b *testing.B) (enter func(), checkWidth func()) {
 			b.Fatalf("the region forked %d workers, want %d", got, threads())
 		}
 	}
-}
-
-// benchInstance measures inst.Kernel with per-iteration Setup excluded.
-func benchInstance(b *testing.B, inst harness.Instance) {
-	b.Helper()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		inst.Setup()
-		b.StartTimer()
-		inst.Kernel()
-	}
-	b.StopTimer()
-	if err := inst.Validate(); err != nil {
-		b.Fatalf("validation: %v", err)
-	}
-}
-
-// -------------------------------------------------- Figure 13 (E1) -----
-
-// Bench sizes: large enough that kernels dominate, small enough for CI.
-var (
-	f13Series = series.Params{N: 1500}
-	f13Crypt  = crypt.Params{N: 1_500_000}
-	f13LUFact = lufact.Params{N: 350}
-	f13SOR    = sor.Params{M: 500, N: 500, Iters: 60}
-	f13Sparse = sparse.Params{N: 25_000, NZ: 125_000, Iters: 100}
-	f13MolDyn = moldyn.Params{MM: 7, Moves: 8}
-	f13MC     = montecarlo.Params{Runs: 3_000, Steps: 500}
-	f13RT     = raytracer.Params{Width: 100, Height: 100}
-)
-
-func BenchmarkFigure13_Crypt_Seq(b *testing.B)  { benchInstance(b, crypt.NewSeq(f13Crypt)) }
-func BenchmarkFigure13_Crypt_MT(b *testing.B)   { benchInstance(b, crypt.NewMT(f13Crypt, threads())) }
-func BenchmarkFigure13_Crypt_Aomp(b *testing.B) { benchInstance(b, crypt.NewAomp(f13Crypt, threads())) }
-
-func BenchmarkFigure13_LUFact_Seq(b *testing.B) { benchInstance(b, lufact.NewSeq(f13LUFact)) }
-func BenchmarkFigure13_LUFact_MT(b *testing.B)  { benchInstance(b, lufact.NewMT(f13LUFact, threads())) }
-func BenchmarkFigure13_LUFact_Aomp(b *testing.B) {
-	benchInstance(b, lufact.NewAomp(f13LUFact, threads()))
-}
-
-func BenchmarkFigure13_Series_Seq(b *testing.B) { benchInstance(b, series.NewSeq(f13Series)) }
-func BenchmarkFigure13_Series_MT(b *testing.B)  { benchInstance(b, series.NewMT(f13Series, threads())) }
-func BenchmarkFigure13_Series_Aomp(b *testing.B) {
-	benchInstance(b, series.NewAomp(f13Series, threads()))
-}
-
-// The Par rows run the generic-algorithms (package parallel) version of
-// the kernel against the woven Aomp one: same base program, dispatch via
-// parallel.ForRange instead of @For advice.
-func BenchmarkFigure13_Series_Par(b *testing.B) {
-	benchInstance(b, series.NewParallel(f13Series, threads()))
-}
-
-func BenchmarkFigure13_SOR_Seq(b *testing.B)  { benchInstance(b, sor.NewSeq(f13SOR)) }
-func BenchmarkFigure13_SOR_MT(b *testing.B)   { benchInstance(b, sor.NewMT(f13SOR, threads())) }
-func BenchmarkFigure13_SOR_Aomp(b *testing.B) { benchInstance(b, sor.NewAomp(f13SOR, threads())) }
-func BenchmarkFigure13_SOR_Par(b *testing.B)  { benchInstance(b, sor.NewParallel(f13SOR, threads())) }
-
-func BenchmarkFigure13_Sparse_Seq(b *testing.B) { benchInstance(b, sparse.NewSeq(f13Sparse)) }
-func BenchmarkFigure13_Sparse_MT(b *testing.B)  { benchInstance(b, sparse.NewMT(f13Sparse, threads())) }
-func BenchmarkFigure13_Sparse_Aomp(b *testing.B) {
-	benchInstance(b, sparse.NewAomp(f13Sparse, threads()))
-}
-
-func BenchmarkFigure13_MolDyn_Seq(b *testing.B) { benchInstance(b, moldyn.NewSeq(f13MolDyn)) }
-func BenchmarkFigure13_MolDyn_MT(b *testing.B)  { benchInstance(b, moldyn.NewMT(f13MolDyn, threads())) }
-func BenchmarkFigure13_MolDyn_Aomp(b *testing.B) {
-	benchInstance(b, moldyn.NewAomp(f13MolDyn, threads(), moldyn.ThreadLocalStrategy))
-}
-
-func BenchmarkFigure13_MonteCarlo_Seq(b *testing.B) { benchInstance(b, montecarlo.NewSeq(f13MC)) }
-func BenchmarkFigure13_MonteCarlo_MT(b *testing.B) {
-	benchInstance(b, montecarlo.NewMT(f13MC, threads()))
-}
-func BenchmarkFigure13_MonteCarlo_Aomp(b *testing.B) {
-	benchInstance(b, montecarlo.NewAomp(f13MC, threads()))
-}
-
-func BenchmarkFigure13_RayTracer_Seq(b *testing.B) { benchInstance(b, raytracer.NewSeq(f13RT)) }
-func BenchmarkFigure13_RayTracer_MT(b *testing.B) {
-	benchInstance(b, raytracer.NewMT(f13RT, threads()))
-}
-func BenchmarkFigure13_RayTracer_Aomp(b *testing.B) {
-	benchInstance(b, raytracer.NewAomp(f13RT, threads()))
-}
-
-// -------------------------------------------------- Figure 15 (E3) -----
-
-func benchMolDynStrategy(b *testing.B, mm int, s moldyn.Strategy) {
-	benchInstance(b, moldyn.NewAomp(moldyn.Params{MM: mm, Moves: 5}, threads(), s))
-}
-
-func BenchmarkFigure15_MolDyn_Critical_864(b *testing.B) {
-	benchMolDynStrategy(b, 6, moldyn.CriticalStrategy)
-}
-func BenchmarkFigure15_MolDyn_Locks_864(b *testing.B) {
-	benchMolDynStrategy(b, 6, moldyn.LockPerParticleStrategy)
-}
-func BenchmarkFigure15_MolDyn_ThreadLocal_864(b *testing.B) {
-	benchMolDynStrategy(b, 6, moldyn.ThreadLocalStrategy)
-}
-func BenchmarkFigure15_MolDyn_JGF_864(b *testing.B) {
-	benchInstance(b, moldyn.NewMT(moldyn.Params{MM: 6, Moves: 5}, threads()))
-}
-func BenchmarkFigure15_MolDyn_Critical_2048(b *testing.B) {
-	benchMolDynStrategy(b, 8, moldyn.CriticalStrategy)
-}
-func BenchmarkFigure15_MolDyn_Locks_2048(b *testing.B) {
-	benchMolDynStrategy(b, 8, moldyn.LockPerParticleStrategy)
-}
-func BenchmarkFigure15_MolDyn_ThreadLocal_2048(b *testing.B) {
-	benchMolDynStrategy(b, 8, moldyn.ThreadLocalStrategy)
-}
-func BenchmarkFigure15_MolDyn_JGF_2048(b *testing.B) {
-	benchInstance(b, moldyn.NewMT(moldyn.Params{MM: 8, Moves: 5}, threads()))
 }
 
 // ---------------------------------------------------- Table 2 (E2) -----
@@ -522,7 +398,7 @@ func (p *pagerankInst) Validate() error {
 // Source order is run order: each Adaptive benchmark runs right after its
 // static-block baseline, the tightest of its rows, so the two are timed a
 // second apart. PageRank's dynamic and guided chunks are the ones
-// serve-mix and BenchmarkExtension_PageRank_Guided use.
+// serve-mix uses.
 func BenchmarkSchedule_SOR_StaticBlock(b *testing.B) { benchSchedule(b, sorUnder(sched.StaticBlock)) }
 func BenchmarkSchedule_SOR_Adaptive(b *testing.B)    { benchSchedule(b, sorUnder(sched.Adaptive)) }
 func BenchmarkSchedule_SOR_Dynamic(b *testing.B)     { benchSchedule(b, sorUnder(sched.Dynamic)) }
@@ -696,30 +572,6 @@ func BenchmarkAblation_CompositeOpHandSolo(b *testing.B) {
 }
 
 // ----------------------------------------- §VII extensions (E7/E8) -----
-
-// BenchmarkExtension_PageRank_* compares schedules on the skewed
-// power-law graph — the irregular-algorithm study of the paper's current
-// work, where dynamic/guided should beat static block.
-func benchPageRank(b *testing.B, kind sched.Kind, chunk int) {
-	g := graph.NewPowerLaw(20_000, 10, 2013)
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		pr := graph.NewPageRank(g, 0.85, 10)
-		run, _ := graph.BuildAomp(pr, threads(), kind, chunk)
-		b.StartTimer()
-		run()
-	}
-}
-
-func BenchmarkExtension_PageRank_StaticBlock(b *testing.B) {
-	benchPageRank(b, sched.StaticBlock, 0)
-}
-func BenchmarkExtension_PageRank_Dynamic(b *testing.B) {
-	benchPageRank(b, sched.Dynamic, 64)
-}
-func BenchmarkExtension_PageRank_Guided(b *testing.B) {
-	benchPageRank(b, sched.Guided, 16)
-}
 
 // BenchmarkExtension_Evolution measures one aspect-woven GA run (JECoLi
 // case study).

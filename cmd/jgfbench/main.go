@@ -7,10 +7,14 @@
 // benchmarks with a generic-algorithms port (Series, SOR) run a Parallel
 // version (package parallel's For/ForRange) against the woven Aomp one.
 //
+// Every variant of one benchmark is timed in paired rounds (package
+// harness's Rounds), and each figure is the median and quartiles of
+// per-round quotients, so host drift between rounds cancels out.
+//
 // Usage:
 //
-//	go run ./cmd/jgfbench -size=test -threads=1,2 -reps=3
-//	go run ./cmd/jgfbench -size=A -threads=2 -only=crypt,moldyn
+//	go run ./cmd/jgfbench -size=test -threads=1,2 -rounds=3
+//	go run ./cmd/jgfbench -size=A -threads=1,2 -rounds=10 > perf/figure13.md
 //	go run ./cmd/jgfbench -size=test -threads=1,4 -json=BENCH_ci.json
 package main
 
@@ -18,9 +22,10 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -120,54 +125,51 @@ func parseThreads(s string) []int {
 	return out
 }
 
-// parseOnly validates the -only filter against the suite's benchmark
-// names; an unknown name is a hard error listing the valid ones, not a
-// silent empty run.
-func parseOnly(s string, benches []bench) map[string]bool {
+// parseOnly selects the benchmarks the -only filter names, in suite
+// order, or all of them for an empty filter; an unknown name is a hard
+// error listing the valid ones, not a silent empty run.
+func parseOnly(s string, benches []bench) []bench {
 	valid := make([]string, len(benches))
 	for i, b := range benches {
 		valid[i] = strings.ToLower(b.name)
 	}
 	filter := map[string]bool{}
 	for _, f := range strings.Split(s, ",") {
-		f = strings.TrimSpace(strings.ToLower(f))
-		if f == "" {
+		if f = strings.TrimSpace(strings.ToLower(f)); f == "" {
 			continue
 		}
-		known := false
-		for _, v := range valid {
-			if f == v {
-				known = true
-				break
-			}
-		}
-		if !known {
+		if !slices.Contains(valid, f) {
 			fmt.Fprintf(os.Stderr, "jgfbench: unknown benchmark %q in -only (valid: %s)\n",
 				f, strings.Join(valid, ", "))
 			os.Exit(2)
 		}
 		filter[f] = true
 	}
-	return filter
+	if len(filter) == 0 {
+		return benches
+	}
+	var out []bench
+	for i, b := range benches {
+		if filter[valid[i]] {
+			out = append(out, b)
+		}
+	}
+	return out
 }
 
-// jsonResult is one measurement in the machine-readable report. Seconds
-// is the fastest repetition (the JGF headline); min/max/mean/stddev
-// summarise all repetitions so a noisy run is distinguishable from a slow
-// one when comparing reports across commits.
+// jsonResult is one variant's record in the machine-readable report:
+// every round's Kernel seconds, in round order, and the per-round
+// quotient summaries — Speedup is Seq's seconds over this variant's,
+// OverMT (Aomp rows) this variant's over JGF-MT's at the same team size.
 type jsonResult struct {
-	Benchmark string  `json:"benchmark"`
-	Version   string  `json:"version"`
-	Threads   int     `json:"threads"`
-	Seconds   float64 `json:"seconds"`
-	MinSecs   float64 `json:"min_seconds"`
-	MaxSecs   float64 `json:"max_seconds"`
-	MeanSecs  float64 `json:"mean_seconds"`
-	Stddev    float64 `json:"stddev_seconds"`
-	Reps      int     `json:"reps"`
-	Speedup   float64 `json:"speedup,omitempty"`
-	Valid     bool    `json:"valid"`
-	Error     string  `json:"error,omitempty"`
+	Benchmark string            `json:"benchmark"`
+	Version   string            `json:"version"`
+	Threads   int               `json:"threads"`
+	Seconds   []float64         `json:"seconds"`
+	Speedup   *harness.Quotient `json:"speedup,omitempty"`
+	OverMT    *harness.Quotient `json:"over_mt,omitempty"`
+	Valid     bool              `json:"valid"`
+	Error     string            `json:"error,omitempty"`
 }
 
 // jsonSchedStats is the scheduling-mechanism slice of the metrics
@@ -183,15 +185,15 @@ type jsonSchedStats struct {
 }
 
 // jsonReport is the -json output: enough metadata to compare runs across
-// commits (the CI perf trajectory) plus every measurement. HotTeams and
-// Schedule record the configuration of the run (Schedule: the kind the
+// commits (the CI perf trajectory) plus every variant's rounds. HotTeams
+// and Schedule record the configuration of the run (Schedule: the kind the
 // Crypt, LUFact, Series and SOR kernels ran) — numbers measured with pooled
 // teams or another schedule must not be compared against runs without them.
 type jsonReport struct {
 	Schema     int             `json:"schema"`
 	Size       string          `json:"size"`
 	Threads    []int           `json:"threads"`
-	Reps       int             `json:"reps"`
+	Rounds     int             `json:"rounds"`
 	GOMAXPROCS int             `json:"gomaxprocs"`
 	GoVersion  string          `json:"go_version"`
 	HotTeams   bool            `json:"hot_teams"`
@@ -201,11 +203,95 @@ type jsonReport struct {
 	Results    []jsonResult    `json:"results"`
 }
 
+// kernelRun is one benchmark's variants after all its rounds.
+type kernelRun struct {
+	name string
+	ms   []harness.Measurement
+}
+
+// find returns k's measurement of version at threads (Seq's is at 1), or
+// nil.
+func (k kernelRun) find(version harness.Version, threads int) *harness.Measurement {
+	for i, m := range k.ms {
+		if m.Version == version && m.Threads == threads {
+			return &k.ms[i]
+		}
+	}
+	return nil
+}
+
+// versions labels bench's mt, aomp, dep and par constructors, in order.
+var versions = []harness.Version{harness.MT, harness.Aomp, harness.AompDep, harness.Par}
+
+// runSuite times each benchmark's variants — Seq once, and MT, Aomp and
+// the benchmark's Aomp-DF and Parallel versions at every team size — in
+// rounds paired rounds, one benchmark after another, so only one
+// benchmark's instances are alive at a time. It reports every validation
+// failure on stderr and returns the runs and the number of invalid
+// variants.
+func runSuite(benches []bench, threads []int, rounds int) ([]kernelRun, int) {
+	var runs []kernelRun
+	failures := 0
+	for _, b := range benches {
+		vs := []harness.Variant{{Version: harness.Seq, Threads: 1, Inst: b.seq()}}
+		for _, t := range threads {
+			for v, mk := range []func(int) harness.Instance{b.mt, b.aomp, b.dep, b.par} {
+				if mk != nil {
+					vs = append(vs, harness.Variant{Version: versions[v], Threads: t, Inst: mk(t)})
+				}
+			}
+		}
+		fmt.Fprintf(os.Stderr, "running %s (%d variants x %d rounds)...\n", b.name, len(vs), rounds)
+		ms := harness.Rounds(vs, rounds)
+		for _, m := range ms {
+			if m.Err != nil {
+				fmt.Fprintf(os.Stderr, "VALIDATION FAILURE %s/%s/%dT: %v\n", b.name, m.Version, m.Threads, m.Err)
+				failures++
+			}
+		}
+		runs = append(runs, kernelRun{name: b.name, ms: ms})
+	}
+	return runs, failures
+}
+
+// render writes the Figure 13 table in Markdown: per benchmark and team
+// size, the median Seq time and, as median (P25–P75) of the per-round
+// quotients, each version's speed-up over Seq and Aomp's time over
+// JGF-MT's.
+func render(w io.Writer, runs []kernelRun, threads []int) {
+	fmt.Fprintln(w, "| kernel | T | Seq s | JGF-MT | Aomp | Aomp/MT | Aomp-DF | Parallel |")
+	fmt.Fprintln(w, "|---|---:|---:|---:|---:|---:|---:|---:|")
+	for _, k := range runs {
+		seq := k.find(harness.Seq, 1)
+		// Seq's median seconds: its times as quotients over 1 s.
+		seqMedian := harness.Quotients(seq.Seconds, slices.Repeat([]float64{1}, len(seq.Seconds))).Median
+		cell := func(v harness.Version, t int) string {
+			m := k.find(v, t)
+			switch {
+			case m == nil:
+				return "–"
+			case m.Err != nil || seq.Err != nil:
+				return "INVALID"
+			}
+			return harness.Quotients(seq.Seconds, m.Seconds).Text(2)
+		}
+		for _, t := range threads {
+			overMT := "INVALID"
+			if mt, ao := k.find(harness.MT, t), k.find(harness.Aomp, t); mt.Err == nil && ao.Err == nil {
+				overMT = harness.Quotients(ao.Seconds, mt.Seconds).Text(3)
+			}
+			fmt.Fprintf(w, "| %s | %d | %.3f | %s | %s | %s | %s | %s |\n", k.name, t, seqMedian,
+				cell(harness.MT, t), cell(harness.Aomp, t), overMT,
+				cell(harness.AompDep, t), cell(harness.Par, t))
+		}
+	}
+}
+
 func main() {
 	size := flag.String("size", "test", "problem size: test, A or B")
 	threadsFlag := flag.String("threads", fmt.Sprintf("1,%d", runtime.GOMAXPROCS(0)),
 		"comma-separated team sizes")
-	reps := flag.Int("reps", 3, "kernel repetitions (fastest kept)")
+	rounds := flag.Int("rounds", 5, "paired rounds; each times every variant once, the order rotating")
 	only := flag.String("only", "",
 		"comma-separated benchmark filter\n"+
 			"(valid: crypt, lufact, series, sor, sparse, moldyn, montecarlo, raytracer)")
@@ -228,8 +314,8 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if *reps <= 0 {
-		fmt.Fprintf(os.Stderr, "jgfbench: -reps must be > 0 (got %d): a run with zero repetitions measures nothing\n", *reps)
+	if *rounds <= 0 {
+		fmt.Fprintf(os.Stderr, "jgfbench: -rounds must be > 0 (got %d): a run with zero rounds measures nothing\n", *rounds)
 		os.Exit(2)
 	}
 	kind, err := aomplib.ParseSchedule(*schedule)
@@ -247,43 +333,10 @@ func main() {
 	aomplib.SetHotTeams(*hotTeams)
 
 	threads := parseThreads(*threadsFlag)
-	benches := suite(*size, kind)
-	filter := parseOnly(*only, benches)
+	benches := parseOnly(*only, suite(*size, kind))
 
-	table := harness.NewTable()
-	failures := 0
-	var all []harness.Measurement
-	seqSecs := map[string]float64{}
-	add := func(m harness.Measurement) {
-		table.Add(record(&failures, m))
-		all = append(all, m)
-		if m.Version == harness.Seq {
-			seqSecs[m.Benchmark] = m.Seconds
-		}
-	}
-	runAll := func() {
-		for _, b := range benches {
-			if len(filter) > 0 && !filter[strings.ToLower(b.name)] {
-				continue
-			}
-			fmt.Fprintf(os.Stderr, "running %s (seq)...\n", b.name)
-			add(harness.Measure(b.name, harness.Seq, 1, b.seq(), *reps))
-			for _, t := range threads {
-				fmt.Fprintf(os.Stderr, "running %s (MT, %d threads)...\n", b.name, t)
-				add(harness.Measure(b.name, harness.MT, t, b.mt(t), *reps))
-				fmt.Fprintf(os.Stderr, "running %s (Aomp, %d threads)...\n", b.name, t)
-				add(harness.Measure(b.name, harness.Aomp, t, b.aomp(t), *reps))
-				if b.dep != nil {
-					fmt.Fprintf(os.Stderr, "running %s (Aomp-DF, %d threads)...\n", b.name, t)
-					add(harness.Measure(b.name, harness.AompDep, t, b.dep(t), *reps))
-				}
-				if b.par != nil {
-					fmt.Fprintf(os.Stderr, "running %s (Parallel, %d threads)...\n", b.name, t)
-					add(harness.Measure(b.name, harness.Par, t, b.par(t), *reps))
-				}
-			}
-		}
-	}
+	var runs []kernelRun
+	var failures int
 	var schedStats *jsonSchedStats
 	if *tracePath != "" {
 		traced := func() {
@@ -291,7 +344,7 @@ func main() {
 			// counts are the metrics registry's delta over the run.
 			defer aomplib.EnableMetrics(aomplib.EnableMetrics(true))
 			before := aomplib.ReadMetrics()
-			runAll()
+			runs, failures = runSuite(benches, threads, *rounds)
 			m := aomplib.ReadMetrics()
 			schedStats = &jsonSchedStats{
 				StealAttempts: m.StealAttempts - before.StealAttempts,
@@ -305,28 +358,16 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "jgfbench: wrote %s\n", *tracePath)
 	} else {
-		runAll()
+		runs, failures = runSuite(benches, threads, *rounds)
 	}
 
-	fmt.Printf("\nFigure 13 — speed-up over sequential (size %s, GOMAXPROCS=%d, hotteams=%v)\n\n",
-		*size, runtime.GOMAXPROCS(0), aomplib.HotTeamsEnabled())
-	table.Render(os.Stdout)
-
-	fmt.Printf("\nAomp vs JGF-MT relative time difference (paper: < 1%%):\n")
-	for _, t := range threads {
-		deltas := table.Deltas(t)
-		var names []string
-		for n := range deltas {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		for _, n := range names {
-			fmt.Printf("  %-12s %2d threads: %+6.2f%%\n", n, t, deltas[n]*100)
-		}
-	}
+	fmt.Printf("Figure 13 — speed-up over Seq and Aomp/JGF-MT time, median (P25–P75) of %d paired rounds\n", *rounds)
+	fmt.Printf("(size %s, GOMAXPROCS=%d, hotteams=%v, schedule=%s; paper: Aomp within 1%% of JGF-MT)\n\n",
+		*size, runtime.GOMAXPROCS(0), aomplib.HotTeamsEnabled(), kind)
+	render(os.Stdout, runs, threads)
 
 	if *jsonPath != "" {
-		if err := writeJSON(*jsonPath, *size, kind, threads, *reps, schedStats, all, seqSecs); err != nil {
+		if err := writeJSON(*jsonPath, *size, kind, threads, *rounds, schedStats, runs); err != nil {
 			fmt.Fprintf(os.Stderr, "jgfbench: writing %s: %v\n", *jsonPath, err)
 			os.Exit(1)
 		}
@@ -338,13 +379,13 @@ func main() {
 	}
 }
 
-func writeJSON(path, size string, kind aomplib.Schedule, threads []int, reps int,
-	schedStats *jsonSchedStats, all []harness.Measurement, seqSecs map[string]float64) error {
+func writeJSON(path, size string, kind aomplib.Schedule, threads []int, rounds int,
+	schedStats *jsonSchedStats, runs []kernelRun) error {
 	rep := jsonReport{
-		Schema:     5,
+		Schema:     6,
 		Size:       size,
 		Threads:    threads,
-		Reps:       reps,
+		Rounds:     rounds,
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		GoVersion:  runtime.Version(),
 		HotTeams:   aomplib.HotTeamsEnabled(),
@@ -352,40 +393,33 @@ func writeJSON(path, size string, kind aomplib.Schedule, threads []int, reps int
 		Timestamp:  time.Now().UTC().Format(time.RFC3339),
 		SchedStats: schedStats,
 	}
-	for _, m := range all {
-		r := jsonResult{
-			Benchmark: m.Benchmark,
-			Version:   string(m.Version),
-			Threads:   m.Threads,
-			Seconds:   m.Seconds,
-			MinSecs:   m.Min,
-			MaxSecs:   m.Max,
-			MeanSecs:  m.Mean,
-			Stddev:    m.Stddev,
-			Reps:      m.Reps,
-			Valid:     m.Err == nil,
-		}
-		if m.Err != nil {
-			r.Error = m.Err.Error()
-		}
-		if m.Version != harness.Seq && m.Seconds > 0 {
-			if s, ok := seqSecs[m.Benchmark]; ok {
-				r.Speedup = s / m.Seconds
+	for _, k := range runs {
+		seq := k.find(harness.Seq, 1)
+		for _, m := range k.ms {
+			r := jsonResult{
+				Benchmark: k.name,
+				Version:   string(m.Version),
+				Threads:   m.Threads,
+				Seconds:   m.Seconds,
+				Valid:     m.Err == nil,
 			}
+			if m.Err != nil {
+				r.Error = m.Err.Error()
+			}
+			if m.Version != harness.Seq {
+				q := harness.Quotients(seq.Seconds, m.Seconds)
+				r.Speedup = &q
+			}
+			if m.Version == harness.Aomp {
+				q := harness.Quotients(m.Seconds, k.find(harness.MT, m.Threads).Seconds)
+				r.OverMT = &q
+			}
+			rep.Results = append(rep.Results, r)
 		}
-		rep.Results = append(rep.Results, r)
 	}
 	data, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
 		return err
 	}
 	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-func record(failures *int, m harness.Measurement) harness.Measurement {
-	if m.Err != nil {
-		fmt.Fprintf(os.Stderr, "VALIDATION FAILURE %s/%s: %v\n", m.Benchmark, m.Version, m.Err)
-		*failures++
-	}
-	return m
 }

@@ -129,7 +129,7 @@ func TestPhaseBarriersPerSchedule(t *testing.T) {
 // -json report records the kind the kernels ran.
 func TestScheduleFlag(t *testing.T) {
 	if args := os.Getenv("JGFBENCH_SCHEDULE_ARGS"); args != "" {
-		os.Args = append([]string{"jgfbench", "-size=test", "-threads=1", "-reps=1", "-only=series"}, strings.Fields(args)...)
+		os.Args = append([]string{"jgfbench", "-size=test", "-threads=1", "-rounds=1", "-only=series"}, strings.Fields(args)...)
 		main()
 		return
 	}

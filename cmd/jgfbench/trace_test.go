@@ -125,8 +125,8 @@ func TestTraceSeriesChromeArtifact(t *testing.T) {
 	const threads = 4
 	path := filepath.Join(t.TempDir(), "out.json")
 	err := traceRun(path, func() {
-		m := harness.Measure("Series", harness.Aomp, threads,
-			series.NewAomp(series.SizeTest, threads), 1)
+		m := harness.Rounds([]harness.Variant{
+			{Version: harness.Aomp, Threads: threads, Inst: series.NewAomp(series.SizeTest, threads)}}, 1)[0]
 		if m.Err != nil {
 			t.Errorf("Series validation: %v", m.Err)
 		}
@@ -156,8 +156,8 @@ func TestTraceTaskFlowArrows(t *testing.T) {
 	err := traceRun(path, func() {
 		// The dataflow SOR version spawns @Depend tasks — the workload that
 		// must yield spawn→run flow arrows and dependence-release instants.
-		m := harness.Measure("SOR", harness.AompDep, threads,
-			sor.NewAompDep(sor.SizeTest, threads), 1)
+		m := harness.Rounds([]harness.Variant{
+			{Version: harness.AompDep, Threads: threads, Inst: sor.NewAompDep(sor.SizeTest, threads)}}, 1)[0]
 		if m.Err != nil {
 			t.Errorf("SOR validation: %v", m.Err)
 		}

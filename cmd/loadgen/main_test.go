@@ -2,6 +2,7 @@ package main
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"os/exec"
 	"strings"
@@ -73,7 +74,19 @@ func TestRunSweepRejectShedsWithoutDeadlock(t *testing.T) {
 		t.Fatal("saturated reject sweep shed nothing")
 	}
 	if len(p.Starved) > 0 {
-		t.Fatalf("degraded service still starved %v (fairness %.3f)", p.Starved, p.Fairness)
+		// Keep the evidence of a rare failure: who got what, how slow the
+		// slowest request was, and what the admission controller counted.
+		admitted := map[string]uint64{}
+		for _, ts := range rep.Admission.Tenants {
+			admitted[ts.Name] = ts.Admitted
+		}
+		var tenants strings.Builder
+		for _, tp := range p.Tenants {
+			fmt.Fprintf(&tenants, "\n  %s: %d requests, %d admitted, %d rejected",
+				tp.Name, tp.Requests, admitted[tp.Name], tp.Rejected)
+		}
+		t.Fatalf("degraded service still starved %v (fairness %.3f); max %.2f ms, p99 %.2f ms; admission admitted %d, rejected %d%s",
+			p.Starved, p.Fairness, p.MaxMs, p.P99Ms, rep.Admission.Admitted, rep.Admission.Rejected, tenants.String())
 	}
 }
 

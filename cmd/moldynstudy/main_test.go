@@ -31,7 +31,7 @@ func TestPositionalArgumentRejected(t *testing.T) {
 }
 
 // TestNonPositiveCountsRejected: `-moves 0` used to fail later with a
-// misleading "seq validation failed" and `-reps 0` ran as -reps 1; both
+// misleading "seq validation failed" and `-rounds 0` would time nothing; both
 // must exit 2 with usage before anything runs. The test binary re-executes
 // itself as the command.
 func TestNonPositiveCountsRejected(t *testing.T) {
@@ -40,7 +40,7 @@ func TestNonPositiveCountsRejected(t *testing.T) {
 		main()
 		return
 	}
-	for _, args := range []string{"-mm=2 -moves=0", "-mm=2 -moves=-3", "-mm=2 -moves=1 -reps=0"} {
+	for _, args := range []string{"-mm=2 -moves=0", "-mm=2 -moves=-3", "-mm=2 -moves=1 -rounds=0"} {
 		cmd := exec.Command(os.Args[0], "-test.run=^TestNonPositiveCountsRejected$")
 		cmd.Env = append(os.Environ(), "MOLDYNSTUDY_ARGS="+args)
 		out, err := cmd.CombinedOutput()

@@ -1,12 +1,11 @@
 // PageRank on a power-law graph: the paper's "irregular algorithms"
 // extension (§VII current work).
 //
-// Per-vertex work in the pull-style update is proportional to in-degree,
-// which spans orders of magnitude on a power-law graph — the worst case
-// for static block scheduling and the reason AOmpLib exposes the schedule
-// as a pluggable aspect parameter. This example runs the same base
-// program under all four schedules, verifies the ranks are identical, and
-// prints the timings so the imbalance is visible.
+// Per-vertex work in the pull-style update is proportional to in-degree.
+// The generator skews out-degrees only and picks edge targets uniformly,
+// so in-degrees, and the work per vertex, are near-balanced. This example
+// runs the same base program under all four schedules, verifies the ranks
+// are identical, and prints the timings side by side.
 //
 // Run with:
 //

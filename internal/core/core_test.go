@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -681,5 +682,59 @@ func TestOrderedDynamicManyEncountersRace(t *testing.T) {
 		if v != j%n {
 			t.Fatalf("order[%d] = %d, want %d — ordered violated", j, v, j%n)
 		}
+	}
+}
+
+// TestForShareHugeSpaces: a woven loop whose bounds' difference wraps an
+// int while its trip count fits runs the iterations the unwoven body runs
+// (it used to run none of them), and one whose trip count does not fit in
+// an int panics instead of running nothing.
+func TestForShareHugeSpaces(t *testing.T) {
+	pinWidth(t)
+	var ran, wide atomic.Int64
+	// The body steps without wrapping: i += step past math.MaxInt would.
+	body := func(lo, hi, step int) {
+		if rt.NumThreads() == 2 {
+			wide.Store(1)
+		}
+		for i := lo; i < hi; i += step {
+			ran.Add(1)
+			if uint(hi)-uint(i) <= uint(step) {
+				break
+			}
+		}
+	}
+	const lo, hi, step = -10, math.MaxInt - 5, 1 << 50
+	body(lo, hi, step)
+	if ran.Load() != 8193 {
+		t.Fatalf("unwoven body ran %d iterations, want 8193", ran.Load())
+	}
+	p := weaver.NewProgram("t")
+	loop := p.Class("App").ForProc("loop", body)
+	var bounds [3]int
+	region := p.Class("App").Proc("region", func() { loop(bounds[0], bounds[1], bounds[2]) })
+	p.Use(ParallelRegion("call(* App.region(..))").Threads(2))
+	p.Use(ForShare("call(* App.loop(..))"))
+	p.MustWeave()
+
+	ran.Store(0)
+	bounds = [3]int{lo, hi, step}
+	region()
+	if ran.Load() != 8193 || wide.Load() != 1 {
+		t.Fatalf("woven loop ran %d iterations (width 2: %v), want 8193 at width 2", ran.Load(), wide.Load() == 1)
+	}
+
+	bounds = [3]int{math.MinInt, math.MaxInt, 1}
+	ran.Store(0)
+	func() {
+		defer func() {
+			if err, _ := recover().(error); err == nil || !strings.Contains(err.Error(), "iterations") {
+				t.Fatalf("%v: recovered %v, want the space's Validate error", bounds, err)
+			}
+		}()
+		region()
+	}()
+	if ran.Load() != 0 {
+		t.Fatalf("an uncountable loop ran %d iterations before panicking", ran.Load())
 	}
 }

@@ -2,9 +2,8 @@
 // investigation of the feasibility of this approach in more irregular
 // algorithms (e.g., graph based)" (§VII). It provides a CSR directed
 // graph with a power-law synthetic generator, plus a PageRank kernel
-// written as a sequential base program with for methods — the
-// highly skewed per-vertex work is exactly the case where AOmpLib's
-// pluggable scheduling policies (dynamic/guided vs static) matter.
+// written as a sequential base program with for methods, woven under any
+// of AOmpLib's pluggable loop schedules.
 package graph
 
 import (
@@ -52,10 +51,12 @@ func (g *Graph) Validate() error {
 	return nil
 }
 
-// NewPowerLaw generates a deterministic directed graph with a skewed
-// degree distribution: vertex v receives a share of the 2·avgDeg·n edge
-// endpoints proportional to 1/(v+1) (a Zipf-like head), producing the
-// hub-dominated row lengths that break static block scheduling.
+// NewPowerLaw generates a deterministic directed graph of about avgDeg·n
+// edges whose out-degrees are skewed: vertex v gets a share proportional
+// to 1/(v+1) (a Zipf-like head). Edge targets are uniform, so in-degrees
+// stay near avgDeg. The pull-style UpdateRanks costs each vertex its
+// in-degree, so its iterations are near-balanced on this graph: it does
+// not break static blocks.
 func NewPowerLaw(n, avgDeg int, seed int64) *Graph {
 	r := rng.New(seed)
 	g := &Graph{N: n, RowStart: make([]int, n+1), OutDeg: make([]int, n)}

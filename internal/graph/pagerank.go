@@ -73,7 +73,8 @@ func (pr *PageRank) AccumulateDangling(lo, hi, step int, acc *float64) {
 }
 
 // UpdateRanks is the pull for method over vertices [lo,hi): per-vertex
-// cost is the in-degree, which is wildly skewed on power-law graphs.
+// cost is the in-degree (near-balanced on NewPowerLaw's graphs, whose
+// skew is in out-degree).
 func (pr *PageRank) UpdateRanks(lo, hi, step int) {
 	n := float64(pr.g.N)
 	base := (1-pr.damping)/n + pr.damping*pr.danglingSum/n

@@ -3,14 +3,13 @@
 // in three versions — Seq (the refactored sequential base program), MT
 // (the hand-threaded JGF multi-thread baseline) and Aomp (the same base
 // program composed with AOmpLib aspect modules) — and the harness times
-// kernels, validates results and computes the speed-ups of Figure 13.
+// them in paired rounds, validates every run and summarises per-round
+// quotients, the speed-ups of Figures 13 and 15.
 package harness
 
 import (
 	"fmt"
-	"io"
-	"math"
-	"sort"
+	"slices"
 	"time"
 )
 
@@ -39,152 +38,86 @@ const (
 	Par     Version = "Parallel"
 )
 
-// Measurement is one timed, validated benchmark execution. Seconds is the
-// fastest repetition (the JGF headline number); Min/Max/Mean/Stddev
-// summarise all repetitions so run-to-run noise is visible in reports
-// (Min == Seconds, Stddev is the population deviation, 0 for one rep).
+// Variant is one version of a kernel at one team size, timed by Rounds.
+type Variant struct {
+	Version Version
+	Threads int
+	Inst    Instance
+}
+
+// Measurement is a variant's record over all rounds: Seconds holds one
+// Kernel time per round, in round order, and Err the first Validate
+// failure (nil when every round validated).
 type Measurement struct {
-	Benchmark string
-	Version   Version
-	Threads   int
-	Seconds   float64
-	Min       float64
-	Max       float64
-	Mean      float64
-	Stddev    float64
-	Reps      int
-	Err       error
+	Version Version
+	Threads int
+	Seconds []float64
+	Err     error
 }
 
-// Measure runs inst: one untimed Setup, then reps timed Kernel executions
-// (the fastest is the headline, JGF-style; all repetitions feed the spread
-// statistics), then Validate.
-func Measure(name string, version Version, threads int, inst Instance, reps int) Measurement {
-	if reps < 1 {
-		reps = 1
+// Rounds times one kernel's variants in rounds paired rounds: each round
+// runs every variant once, starting at variant r mod len(variants) so no
+// variant always follows the same neighbour, and each timed Kernel has an
+// untimed Setup before it and an untimed Validate after it. Host drift
+// thus lands on every variant of a round alike, and the per-round
+// quotients (Quotients) cancel it. The result is in variants' order.
+func Rounds(variants []Variant, rounds int) []Measurement {
+	out := make([]Measurement, len(variants))
+	for i, v := range variants {
+		out[i] = Measurement{Version: v.Version, Threads: v.Threads, Seconds: make([]float64, rounds)}
 	}
-	inst.Setup()
-	secs := make([]float64, reps)
-	for r := 0; r < reps; r++ {
-		start := time.Now()
-		inst.Kernel()
-		secs[r] = time.Since(start).Seconds()
-		if r != reps-1 {
-			inst.Setup() // fresh state per repetition
-		}
-	}
-	m := Measurement{
-		Benchmark: name,
-		Version:   version,
-		Threads:   threads,
-		Reps:      reps,
-		Err:       inst.Validate(),
-	}
-	m.Min, m.Max = secs[0], secs[0]
-	sum := 0.0
-	for _, s := range secs {
-		sum += s
-		m.Min = math.Min(m.Min, s)
-		m.Max = math.Max(m.Max, s)
-	}
-	m.Mean = sum / float64(reps)
-	varsum := 0.0
-	for _, s := range secs {
-		varsum += (s - m.Mean) * (s - m.Mean)
-	}
-	m.Stddev = math.Sqrt(varsum / float64(reps))
-	m.Seconds = m.Min
-	return m
-}
-
-// Speedup computes seq.Seconds / m.Seconds.
-func Speedup(seq, m Measurement) float64 {
-	if m.Seconds == 0 {
-		return 0
-	}
-	return seq.Seconds / m.Seconds
-}
-
-// Table renders measurements grouped by benchmark as a Figure 13-style
-// speed-up table: one row per benchmark, one column per (version, threads)
-// pair, values relative to the benchmark's sequential run.
-type Table struct {
-	rows map[string]map[string]Measurement
-	seq  map[string]Measurement
-	cols map[string]bool
-}
-
-// NewTable creates an empty results table.
-func NewTable() *Table {
-	return &Table{
-		rows: map[string]map[string]Measurement{},
-		seq:  map[string]Measurement{},
-		cols: map[string]bool{},
-	}
-}
-
-// Add records a measurement.
-func (t *Table) Add(m Measurement) {
-	if m.Version == Seq {
-		t.seq[m.Benchmark] = m
-		return
-	}
-	key := fmt.Sprintf("%s/%dT", m.Version, m.Threads)
-	t.cols[key] = true
-	if t.rows[m.Benchmark] == nil {
-		t.rows[m.Benchmark] = map[string]Measurement{}
-	}
-	t.rows[m.Benchmark][key] = m
-}
-
-// Render writes the speed-up table to w.
-func (t *Table) Render(w io.Writer) {
-	var cols []string
-	for c := range t.cols {
-		cols = append(cols, c)
-	}
-	sort.Strings(cols)
-	var names []string
-	for n := range t.rows {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-
-	fmt.Fprintf(w, "%-12s %10s", "benchmark", "seq(s)")
-	for _, c := range cols {
-		fmt.Fprintf(w, " %14s", c)
-	}
-	fmt.Fprintln(w)
-	for _, n := range names {
-		seq := t.seq[n]
-		fmt.Fprintf(w, "%-12s %10.3f", n, seq.Seconds)
-		for _, c := range cols {
-			m, ok := t.rows[n][c]
-			switch {
-			case !ok:
-				fmt.Fprintf(w, " %14s", "-")
-			case m.Err != nil:
-				fmt.Fprintf(w, " %14s", "INVALID")
-			default:
-				fmt.Fprintf(w, " %13.2fx", Speedup(seq, m))
+	for r := 0; r < rounds; r++ {
+		for k := range variants {
+			i := (r + k) % len(variants)
+			in := variants[i].Inst
+			in.Setup()
+			start := time.Now()
+			in.Kernel()
+			out[i].Seconds[r] = time.Since(start).Seconds()
+			if err := in.Validate(); err != nil && out[i].Err == nil {
+				out[i].Err = err
 			}
-		}
-		fmt.Fprintln(w)
-	}
-}
-
-// Deltas returns, per benchmark, the relative difference between the Aomp
-// and JGF-MT versions at the given thread count:
-// (tAomp - tMT) / tMT. This quantifies the paper's "performance difference
-// ... is less than 1%" claim.
-func (t *Table) Deltas(threads int) map[string]float64 {
-	out := map[string]float64{}
-	for name, row := range t.rows {
-		mt, ok1 := row[fmt.Sprintf("%s/%dT", MT, threads)]
-		ao, ok2 := row[fmt.Sprintf("%s/%dT", Aomp, threads)]
-		if ok1 && ok2 && mt.Seconds > 0 {
-			out[name] = (ao.Seconds - mt.Seconds) / mt.Seconds
 		}
 	}
 	return out
+}
+
+// Quotient summarises the per-round quotients a[r]/b[r] of two variants
+// timed in the same rounds: their median and quartiles (linear
+// interpolation between order statistics, so an even count's median is
+// the mean of the middle two).
+type Quotient struct {
+	Median float64 `json:"median"`
+	P25    float64 `json:"p25"`
+	P75    float64 `json:"p75"`
+}
+
+// Quotients pairs a and b by round and summarises a[r]/b[r]. Seq's
+// seconds over a variant's are that variant's speed-up; Aomp's over
+// JGF-MT's are the paper's "less than 1%" difference. Rounds past the
+// shorter slice are ignored.
+func Quotients(a, b []float64) Quotient {
+	n := min(len(a), len(b))
+	if n == 0 {
+		return Quotient{}
+	}
+	q := make([]float64, n)
+	for r := range q {
+		q[r] = a[r] / b[r]
+	}
+	slices.Sort(q)
+	at := func(p float64) float64 {
+		pos := p * float64(n-1)
+		lo := int(pos)
+		if lo == n-1 {
+			return q[lo]
+		}
+		return q[lo] + (pos-float64(lo))*(q[lo+1]-q[lo])
+	}
+	return Quotient{Median: at(0.5), P25: at(0.25), P75: at(0.75)}
+}
+
+// Text formats q as "median (P25–P75)" with prec decimals, a table cell.
+func (q Quotient) Text(prec int) string {
+	return fmt.Sprintf("%.*f (%.*f–%.*f)", prec, q.Median, prec, q.P25, prec, q.P75)
 }

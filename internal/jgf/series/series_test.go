@@ -59,11 +59,11 @@ func TestMoreThreadsThanWork(t *testing.T) {
 }
 
 func TestHarnessMeasure(t *testing.T) {
-	m := harness.Measure("series", harness.Aomp, 2, NewAomp(SizeTest, 2), 2)
+	m := harness.Rounds([]harness.Variant{{Version: harness.Aomp, Threads: 2, Inst: NewAomp(SizeTest, 2)}}, 2)[0]
 	if m.Err != nil {
 		t.Fatalf("measurement invalid: %v", m.Err)
 	}
-	if m.Seconds <= 0 {
-		t.Fatal("non-positive time")
+	if len(m.Seconds) != 2 || m.Seconds[0] <= 0 || m.Seconds[1] <= 0 {
+		t.Fatalf("round times %v, want two positive", m.Seconds)
 	}
 }

@@ -86,8 +86,6 @@ func TestSingleThreadAndOddRows(t *testing.T) {
 	runAll(t, Params{M: 33, N: 17, Iters: 5}, 4)
 }
 
-var _ = harness.Seq // keep the harness import for runAll's signature
-
 func TestDataflowVersionAgreesBitwise(t *testing.T) {
 	// Within a colour phase all point updates are independent and each
 	// point's update reads the same neighbour values regardless of block

@@ -25,6 +25,36 @@ func TestSpaceCount(t *testing.T) {
 		{Space{10, 0, -3}, 4}, // 10,7,4,1
 		{Space{0, 10, -1}, 0},
 		{Space{0, 1, 100}, 1},
+		{Space{0, 1, 0}, 0},
+
+		// Boundaries: the bounds' difference or the rounding wraps an int
+		// although the count fits; -1 is a count past math.MaxInt.
+		{Space{0, math.MaxInt, 1}, math.MaxInt},
+		{Space{0, math.MaxInt, 2}, 1 << 62},
+		{Space{0, math.MaxInt, math.MaxInt}, 1},
+		{Space{1, math.MaxInt, math.MaxInt}, 1},
+		{Space{-10, math.MaxInt - 5, 1 << 50}, 8193},
+		{Space{math.MinInt, math.MaxInt, math.MaxInt}, 3}, // MinInt, -1, MaxInt-1
+		{Space{math.MinInt, math.MaxInt, 2}, -1},
+		{Space{math.MinInt, math.MaxInt, 4}, 1 << 62},
+		{Space{math.MinInt, 0, 1}, -1},
+		{Space{math.MinInt, math.MaxInt, 1}, -1},
+		{Space{-1, math.MaxInt, 1}, -1},
+		{Space{math.MaxInt, 0, -2}, 1 << 62},
+		{Space{math.MaxInt, math.MinInt, -1}, -1},
+		{Space{math.MaxInt, math.MinInt, math.MinInt}, 2}, // MaxInt, -1
+		{Space{math.MaxInt, math.MinInt, -math.MaxInt}, 3},
+		{Space{0, math.MinInt, math.MinInt}, 1},
+		{Space{math.MaxInt, -1, -1}, -1},
+		{Space{math.MaxInt, 0, -1}, math.MaxInt},
+		// Empty at the ends of the range, the last two with a difference
+		// that wraps positive.
+		{Space{math.MaxInt, math.MaxInt, 1}, 0},
+		{Space{math.MaxInt, math.MinInt, 1}, 0},
+		{Space{1, math.MinInt, 1}, 0},
+		{Space{math.MinInt, math.MaxInt, -1}, 0},
+		{Space{math.MinInt, math.MinInt, math.MinInt}, 0},
+		{Space{math.MaxInt, math.MinInt, math.MaxInt}, 0},
 	}
 	for _, c := range cases {
 		if got := c.sp.Count(); got != c.want {
@@ -34,11 +64,15 @@ func TestSpaceCount(t *testing.T) {
 }
 
 func TestSpaceValidate(t *testing.T) {
-	if err := (Space{0, 1, 0}).Validate(); err == nil {
-		t.Error("zero step not rejected")
+	for _, sp := range []Space{{0, 1, 0}, {math.MinInt, math.MaxInt, 1}, {math.MaxInt, -1, -1}} {
+		if err := sp.Validate(); err == nil {
+			t.Errorf("%v not rejected", sp)
+		}
 	}
-	if err := (Space{0, 1, 1}).Validate(); err != nil {
-		t.Errorf("valid space rejected: %v", err)
+	for _, sp := range []Space{{0, 1, 1}, {0, math.MaxInt, 1}, {math.MaxInt, math.MinInt, math.MinInt}, {5, 0, 1}} {
+		if err := sp.Validate(); err != nil {
+			t.Errorf("valid space rejected: %v", err)
+		}
 	}
 }
 

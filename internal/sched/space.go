@@ -1,6 +1,9 @@
 package sched
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Space is a half-open loop iteration space: the iterations of
 //
@@ -12,33 +15,40 @@ type Space struct {
 	Lo, Hi, Step int
 }
 
-// Validate reports an error for a malformed space (zero step).
+// Validate reports an error for a malformed space: a zero step, or more
+// iterations than an int counts (Count < 0).
 func (s Space) Validate() error {
-	if s.Step == 0 {
+	switch {
+	case s.Step == 0:
 		return fmt.Errorf("sched: zero step in space %+v", s)
+	case s.Count() < 0:
+		return fmt.Errorf("sched: space %v has more than %d iterations", s, math.MaxInt)
 	}
 	return nil
 }
 
-// Count returns the number of iterations in the space. The unit step —
-// nearly every loop, and every chunk of one — is answered without a division.
+// Count returns the number of iterations in the space, or -1 when that
+// number exceeds math.MaxInt (Validate then errors). The bounds are
+// differenced as unsigned, so no count that fits in an int wraps; a
+// negative step counts as the positive one over the mirrored bounds, and
+// the unit step — nearly every loop, and every chunk of one — needs no
+// division. It stays small enough to inline.
 func (s Space) Count() int {
-	switch {
-	case s.Step == 1:
-		return max(s.Hi-s.Lo, 0)
-	case s.Step > 0:
-		if s.Hi <= s.Lo {
-			return 0
-		}
-		return (s.Hi - s.Lo + s.Step - 1) / s.Step
-	case s.Step < 0:
-		if s.Hi >= s.Lo {
-			return 0
-		}
-		return (s.Lo - s.Hi + (-s.Step) - 1) / (-s.Step)
-	default:
+	lo, hi, step := s.Lo, s.Hi, uint(s.Step)
+	if s.Step < 0 {
+		lo, hi, step = hi, lo, -step
+	}
+	if hi <= lo || step == 0 {
 		return 0
 	}
+	n := uint(hi) - uint(lo)
+	if step != 1 {
+		n = (n-1)/step + 1
+	}
+	if n > math.MaxInt {
+		return -1
+	}
+	return int(n)
 }
 
 // At returns the loop value of the idx-th iteration (0-based). It does not

@@ -28,7 +28,8 @@ type forEntry struct {
 //
 // body must be safe to call concurrently from multiple goroutines for
 // distinct i. A panic in body propagates to the caller after the loop
-// drains, matching the woven @For construct.
+// drains, matching the woven @For construct. A range of more iterations
+// than an int counts (hi − lo past math.MaxInt) panics before any runs.
 func For(lo, hi int, body func(i int), opts ...Opt) {
 	runFor(sched.Space{Lo: lo, Hi: hi, Step: 1}, opts, body, nil)
 }
@@ -48,7 +49,10 @@ func ForRange(lo, hi int, body func(lo, hi int), opts ...Opt) {
 // into the pooled entry's config so the dispatch stays allocation-free.
 func runFor(sp sched.Space, opts []Opt, idx func(int), rng func(int, int)) {
 	n := sp.Count()
-	if n == 0 {
+	if n <= 0 {
+		if n < 0 {
+			panic(sp.Validate()) // more iterations than an int counts
+		}
 		return
 	}
 	e := forPool.Get().(*forEntry)

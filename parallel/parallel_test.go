@@ -1,6 +1,7 @@
 package parallel_test
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"strings"
@@ -88,6 +89,26 @@ func TestForNonZeroBase(t *testing.T) {
 	// Empty and inverted ranges are no-ops.
 	parallel.For(5, 5, func(i int) { t.Errorf("body ran for empty range: i=%d", i) })
 	parallel.For(7, 3, func(i int) { t.Errorf("body ran for inverted range: i=%d", i) })
+	parallel.For(math.MaxInt, math.MinInt, func(i int) { t.Errorf("body ran for inverted range: i=%d", i) })
+}
+
+// TestForUncountableRangePanics: a range of more iterations than an int
+// counts panics with the space's Validate error, from For and ForRange,
+// instead of returning having run nothing.
+func TestForUncountableRangePanics(t *testing.T) {
+	for name, run := range map[string]func(){
+		"For":      func() { parallel.For(math.MinInt, math.MaxInt, func(int) {}) },
+		"ForRange": func() { parallel.ForRange(-1, math.MaxInt, func(int, int) {}) },
+	} {
+		func() {
+			defer func() {
+				if err, _ := recover().(error); err == nil || !strings.Contains(err.Error(), "iterations") {
+					t.Errorf("%s: recovered %v, want the space's Validate error", name, err)
+				}
+			}()
+			run()
+		}()
+	}
 }
 
 func TestNestedForComposes(t *testing.T) {

@@ -100,10 +100,10 @@ var table = []row{
 	{"team of one", rtPkg, "RegionEntryWarmGrain", 0, "", "", 0, 1, gate, "an empty region with a width record, run narrow on the record's team of one"},
 	{"task", rtPkg, "Task*", 0, "", "", 0, 1, gate, "pooled tasks, dependence nodes and objects: spawn, wait and release allocate nothing, with metrics and tracer on too"},
 	{"metrics", root, "Overhead_RegionEntryMetrics", 0, "", "", 0, 1, gate, "recording metrics allocates nothing: preallocated padded shards"},
-	{"metrics", root, "Overhead_RegionEntryMetrics", none, root, "Overhead_RegionEntry", 1.10, 5, target, "ROADMAP item 4: metrics on costs at most a tenth more"},
+	{"metrics", root, "Overhead_RegionEntryMetrics", none, root, "Overhead_RegionEntry", 1.10, 5, target, "ROADMAP item 3: metrics on costs at most a tenth more"},
 	{"metrics", rtPkg, "RegionEntryWarmMetrics", 0, "", "", 0, 1, gate, "each latency sample is one record's start and end, no pairing table"},
 	{"trace", root, "Overhead_RegionEntryTraced", 0, "", "", 0, 1, gate, "tracing writes fixed-size records into preallocated per-worker rings"},
-	{"trace", root, "Overhead_RegionEntryTraced", none, root, "Overhead_RegionEntry", 1.5, 5, target, "ROADMAP item 4: the tracer costs at most half again"},
+	{"trace", root, "Overhead_RegionEntryTraced", none, root, "Overhead_RegionEntry", 1.5, 5, target, "ROADMAP item 3: the tracer costs at most half again"},
 	{"trace", rtPkg, "RegionEntryWarmTraced", 0, "", "", 0, 1, gate, "the trace restarts periodically, so the record path is measured, not the drop path"},
 	{"trace", rtPkg, "RegionEntryWarmTracedMetrics", 0, "", "", 0, 1, gate, "tracer and metrics registry both on"},
 	{"parallel", parPkg, "Overhead_ParallelFor", 0, "", "", 0, 1, gate, "pooled region arguments and entry structs, cached dictionary closures"},
