@@ -14,8 +14,13 @@
 // Usage:
 //
 //	go run ./cmd/jgfbench -size=test -threads=1,2 -rounds=3
-//	go run ./cmd/jgfbench -size=A -threads=1,2 -rounds=10 > perf/figure13.md
+//	go run ./cmd/jgfbench -size=A -threads=1,2 -rounds=10
 //	go run ./cmd/jgfbench -size=test -threads=1,4 -json=BENCH_ci.json
+//
+// The size-A table's rows are pasted into perf/figure13.md and README,
+// which must stay equal (go test -run Figure13 .); their unresolved(host)
+// marks come from comparing two sessions on the same commit, which this
+// command does not print.
 package main
 
 import (

@@ -687,8 +687,9 @@ func TestOrderedDynamicManyEncountersRace(t *testing.T) {
 
 // TestForShareHugeSpaces: a woven loop whose bounds' difference wraps an
 // int while its trip count fits runs the iterations the unwoven body runs
-// (it used to run none of them), and one whose trip count does not fit in
-// an int panics instead of running nothing.
+// under either static kind (it used to run none of them), and one whose
+// trip count does not fit in an int, or whose cyclic shares would stride
+// past one, panics instead of skipping iterations.
 func TestForShareHugeSpaces(t *testing.T) {
 	pinWidth(t)
 	var ran, wide atomic.Int64
@@ -709,32 +710,61 @@ func TestForShareHugeSpaces(t *testing.T) {
 	if ran.Load() != 8193 {
 		t.Fatalf("unwoven body ran %d iterations, want 8193", ran.Load())
 	}
-	p := weaver.NewProgram("t")
-	loop := p.Class("App").ForProc("loop", body)
-	var bounds [3]int
-	region := p.Class("App").Proc("region", func() { loop(bounds[0], bounds[1], bounds[2]) })
-	p.Use(ParallelRegion("call(* App.region(..))").Threads(2))
-	p.Use(ForShare("call(* App.loop(..))"))
-	p.MustWeave()
+	for _, kind := range []sched.Kind{sched.StaticBlock, sched.StaticCyclic} {
+		p := weaver.NewProgram("t")
+		loop := p.Class("App").ForProc("loop", body)
+		var bounds [3]int
+		region := p.Class("App").Proc("region", func() { loop(bounds[0], bounds[1], bounds[2]) })
+		p.Use(ParallelRegion("call(* App.region(..))").Threads(2))
+		p.Use(ForShare("call(* App.loop(..))").Schedule(kind))
+		p.MustWeave()
 
-	ran.Store(0)
-	bounds = [3]int{lo, hi, step}
-	region()
-	if ran.Load() != 8193 || wide.Load() != 1 {
-		t.Fatalf("woven loop ran %d iterations (width 2: %v), want 8193 at width 2", ran.Load(), wide.Load() == 1)
-	}
-
-	bounds = [3]int{math.MinInt, math.MaxInt, 1}
-	ran.Store(0)
-	func() {
-		defer func() {
-			if err, _ := recover().(error); err == nil || !strings.Contains(err.Error(), "iterations") {
-				t.Fatalf("%v: recovered %v, want the space's Validate error", bounds, err)
+		for _, c := range []struct {
+			bounds [3]int
+			want   int64
+		}{
+			{[3]int{lo, hi, step}, 8193},
+			{[3]int{0, math.MaxInt, math.MaxInt}, 1},
+		} {
+			ran.Store(0)
+			wide.Store(0)
+			bounds = c.bounds
+			region()
+			if ran.Load() != c.want || wide.Load() != 1 {
+				t.Fatalf("%v: woven loop %v ran %d iterations (width 2: %v), want %d at width 2",
+					kind, bounds, ran.Load(), wide.Load() == 1, c.want)
 			}
-		}()
-		region()
-	}()
-	if ran.Load() != 0 {
-		t.Fatalf("an uncountable loop ran %d iterations before panicking", ran.Load())
+		}
+
+		panics := []struct {
+			bounds [3]int
+			msg    string
+		}{{[3]int{math.MinInt, math.MaxInt, 1}, "iterations"}}
+		if kind == sched.StaticCyclic {
+			// Worker 0's share is two iterations 2^63 or more apart, while
+			// in the first space worker 1's is one it could run alone:
+			// every worker panics before the encounter, none runs.
+			for _, b := range [][3]int{{math.MinInt, math.MaxInt, math.MaxInt}, {math.MinInt, math.MaxInt, 1 << 62}} {
+				panics = append(panics, struct {
+					bounds [3]int
+					msg    string
+				}{b, "strides"})
+			}
+		}
+		for _, c := range panics {
+			bounds = c.bounds
+			ran.Store(0)
+			func() {
+				defer func() {
+					if err, _ := recover().(error); err == nil || !strings.Contains(err.Error(), c.msg) {
+						t.Fatalf("%v %v: recovered %v, want the space's %q error", kind, bounds, err, c.msg)
+					}
+				}()
+				region()
+			}()
+			if ran.Load() != 0 {
+				t.Fatalf("%v %v: ran %d iterations before panicking", kind, bounds, ran.Load())
+			}
+		}
 	}
 }

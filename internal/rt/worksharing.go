@@ -121,14 +121,20 @@ func (fs *forShared) publishImbalance(size int) {
 // The worker draws its share with Next until it reports false, then
 // finishes with EndFor. Contexts are recycled through a worker-private
 // free list, so steady-state encounters of for constructs allocate nothing
-// on the worker side. A space of more iterations than an int counts
-// panics with sp.Validate's error on every worker, before the encounter,
-// rather than running none of them.
+// on the worker side. A space of more iterations than an int counts, or
+// one whose cyclic shares stride past an int, panics with sp.Validate's
+// or sp.ValidateCyclic's error on every worker, before the encounter,
+// rather than skipping iterations.
 func BeginFor(w *Worker, key any, sp sched.Space, kind sched.Kind, chunk int, custom sched.ScheduleFunc) *ForContext {
+	t := w.Team
 	if sp.Count() < 0 {
 		panic(sp.Validate())
 	}
-	t := w.Team
+	if kind == sched.StaticCyclic {
+		if err := sp.ValidateCyclic(t.Size); err != nil {
+			panic(err)
+		}
+	}
 	s, c, first := w.encounter(key)
 	shared := &s.fs
 	if first {

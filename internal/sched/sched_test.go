@@ -233,6 +233,57 @@ func TestCyclicMoreWorkersThanIterations(t *testing.T) {
 	}
 }
 
+// TestCyclicHugeSteps: a share of one iteration needs no stride, so a
+// cyclic deal whose stride |Step|·nthreads overflows an int still covers
+// every iteration once when no worker holds two; when one does,
+// ValidateCyclic errors and that worker's Cyclic panics with it.
+func TestCyclicHugeSteps(t *testing.T) {
+	for _, c := range []struct {
+		sp   Space
+		n    int
+		want []int // nil: ValidateCyclic errors
+	}{
+		{Space{0, math.MaxInt, math.MaxInt}, 2, []int{0}},
+		{Space{0, math.MaxInt, math.MaxInt}, 1, []int{0}},
+		{Space{math.MaxInt, math.MinInt, math.MinInt}, 2, []int{math.MaxInt, -1}},
+		{Space{math.MinInt, math.MaxInt, math.MaxInt}, 3, []int{math.MinInt, -1, math.MaxInt - 1}},
+		{Space{math.MinInt, math.MaxInt, math.MaxInt}, 2, nil},
+		{Space{math.MinInt, math.MaxInt, 1 << 62}, 2, nil},
+		{Space{math.MaxInt, math.MinInt, -(1 << 62)}, 2, nil},
+		{Space{math.MinInt, math.MaxInt, 1 << 61}, 2, []int{math.MinInt, -3 << 61, -1 << 62, -1 << 61, 0, 1 << 61, 1 << 62, 3 << 61}},
+		{Space{math.MinInt, math.MaxInt, 1 << 61}, 4, nil},
+	} {
+		err := c.sp.ValidateCyclic(c.n)
+		if (err != nil) != (c.want == nil) {
+			t.Errorf("%v over %d: ValidateCyclic = %v", c.sp, c.n, err)
+			continue
+		}
+		if err != nil {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%v over %d: worker 0's Cyclic did not panic", c.sp, c.n)
+					}
+				}()
+				Cyclic(c.sp, c.n, 0)
+			}()
+			continue
+		}
+		if got := collectStatic(Cyclic, c.sp, c.n); !sameMultiset(got, c.want) {
+			t.Errorf("%v over %d: coverage %v, want %v", c.sp, c.n, got, c.want)
+		}
+	}
+	for _, sp := range []Space{{0, 1, 0}, {math.MinInt, math.MaxInt, 1}} {
+		if sp.ValidateCyclic(2) == nil {
+			t.Errorf("%v: ValidateCyclic passed a space Validate rejects", sp)
+		}
+	}
+	// Strides that fit: the whole 8193-iteration space, dealt over two.
+	if got := len(collectStatic(Cyclic, Space{-10, math.MaxInt - 5, 1 << 50}, 2)); got != 8193 {
+		t.Errorf("cyclic coverage of 8193 iterations = %d", got)
+	}
+}
+
 func TestDispenserSequential(t *testing.T) {
 	sp := Space{0, 10, 1}
 	d := NewDispenser(sp, 3, false, 2)

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"strings"
 	"sync/atomic"
@@ -114,7 +115,7 @@ func AutoGrain(n int) int {
 	if n <= 0 {
 		return 1
 	}
-	g := (n + autoGrainPieces - 1) / autoGrainPieces
+	g := (n-1)/autoGrainPieces + 1
 	if g < autoGrainMin {
 		g = autoGrainMin
 	}
@@ -151,15 +152,44 @@ func Block(sp Space, nthreads, id int) Space {
 }
 
 // Cyclic computes the StaticCyclic sub-space for one worker: same bounds,
-// offset start, stride multiplied by the team size.
+// offset start, stride multiplied by the team size. A share of one
+// iteration is that iteration alone, with no stride to form; a share of
+// more whose stride overflows an int is no Space, and Cyclic panics with
+// ValidateCyclic's error (rt.BeginFor checks it before the encounter).
 func Cyclic(sp Space, nthreads, id int) Space {
 	if nthreads <= 0 {
 		nthreads = 1
 	}
-	if id >= sp.Count() {
+	n := sp.Count()
+	if id >= n {
 		return Space{Lo: sp.Lo, Hi: sp.Lo, Step: sp.Step}
 	}
+	if n-id <= nthreads {
+		return sp.Slice(id, id+1)
+	}
+	if err := sp.ValidateCyclic(nthreads); err != nil {
+		panic(err)
+	}
 	return Space{Lo: sp.At(id), Hi: sp.Hi, Step: sp.Step * nthreads}
+}
+
+// ValidateCyclic is Validate for sp dealt round-robin over nthreads
+// workers: it also errors when a worker's share holds two iterations
+// whose distance, |Step|·nthreads, does not fit in an int, since no
+// Space strides that far.
+func (s Space) ValidateCyclic(nthreads int) error {
+	if err := s.Validate(); err != nil {
+		return err
+	}
+	step := uint64(s.Step)
+	if s.Step < 0 {
+		step = -step
+	}
+	hi, stride := bits.Mul64(step, uint64(max(1, nthreads)))
+	if (hi != 0 || stride > math.MaxInt) && s.Count() > nthreads {
+		return fmt.Errorf("sched: space %v dealt cyclically over %d workers strides past an int", s, nthreads)
+	}
+	return nil
 }
 
 // Dispenser is the shared state behind Dynamic and Guided scheduling: a

@@ -99,6 +99,10 @@ func TestForUncountableRangePanics(t *testing.T) {
 	for name, run := range map[string]func(){
 		"For":      func() { parallel.For(math.MinInt, math.MaxInt, func(int) {}) },
 		"ForRange": func() { parallel.ForRange(-1, math.MaxInt, func(int, int) {}) },
+		"Reduce": func() {
+			parallel.Reduce(math.MinInt, math.MaxInt, 0,
+				func(_, _, acc int) int { return acc + 1 }, func(a, b int) int { return a + b })
+		},
 	} {
 		func() {
 			defer func() {
@@ -108,6 +112,30 @@ func TestForUncountableRangePanics(t *testing.T) {
 			}()
 			run()
 		}()
+	}
+}
+
+// TestHugeRangesCoverEveryIteration: ranges whose ends sit at the ends of
+// the int range reach every iteration: the pieces ForRange and Reduce hand
+// their bodies add up to the whole range, with no piece end wrapped past
+// math.MaxInt.
+func TestHugeRangesCoverEveryIteration(t *testing.T) {
+	for _, r := range [][2]int{{0, math.MaxInt}, {math.MinInt, -1}, {math.MaxInt - 1000, math.MaxInt}} {
+		want := r[1] - r[0]
+		var covered atomic.Int64
+		parallel.ForRange(r[0], r[1], func(lo, hi int) { covered.Add(int64(hi - lo)) }, parallel.WithThreads(2))
+		if covered.Load() != int64(want) {
+			t.Errorf("ForRange%v covered %d iterations, want %d", r, covered.Load(), want)
+		}
+		got := parallel.Reduce(r[0], r[1], 0, func(lo, hi, acc int) int {
+			if hi <= lo {
+				t.Errorf("Reduce%v: leaf got [%d, %d)", r, lo, hi)
+			}
+			return acc + (hi - lo)
+		}, func(a, b int) int { return a + b }, parallel.WithThreads(2))
+		if got != want {
+			t.Errorf("Reduce%v covered %d iterations, want %d", r, got, want)
+		}
 	}
 }
 

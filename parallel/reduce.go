@@ -45,8 +45,12 @@ type reduceEntry[T any] struct {
 // region the chunks are evaluated serially on the caller (same shape,
 // no nested region).
 func Reduce[T any](lo, hi int, identity T, leaf func(lo, hi int, acc T) T, combine func(a, b T) T, opts ...Opt) T {
-	n := hi - lo
+	sp := sched.Space{Lo: lo, Hi: hi, Step: 1}
+	n := sp.Count()
 	if n <= 0 {
+		if n < 0 {
+			panic(sp.Validate()) // more iterations than an int counts
+		}
 		return identity
 	}
 	pool := poolOf[reduceEntry[T]]()
@@ -60,7 +64,7 @@ func Reduce[T any](lo, hi int, identity T, leaf func(lo, hi int, acc T) T, combi
 	if grain < 1 {
 		grain = sched.AutoGrain(n)
 	}
-	chunks := (n + grain - 1) / grain
+	chunks := (n-1)/grain + 1
 	e.lo, e.hi, e.grain, e.identity, e.leaf = lo, hi, grain, identity, leaf
 	if cap(e.partials) < chunks {
 		e.partials = make([]T, chunks)
@@ -108,9 +112,9 @@ func reduceSpan[T any](sub sched.Space, arg any) {
 	for i := 0; i < n; i++ {
 		k := sub.At(i)
 		clo := e.lo + k*e.grain
-		chi := clo + e.grain
-		if chi > e.hi {
-			chi = e.hi
+		chi := e.hi
+		if e.hi-clo > e.grain { // clo + grain may pass math.MaxInt
+			chi = clo + e.grain
 		}
 		e.partials[k] = e.leaf(clo, chi, e.identity)
 	}
