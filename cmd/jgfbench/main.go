@@ -17,10 +17,8 @@
 //	go run ./cmd/jgfbench -size=A -threads=1,2 -rounds=10
 //	go run ./cmd/jgfbench -size=test -threads=1,4 -json=BENCH_ci.json
 //
-// The size-A table's rows are pasted into perf/figure13.md and README,
-// which must stay equal (go test -run Figure13 .); their unresolved(host)
-// marks come from comparing two sessions on the same commit, which this
-// command does not print.
+// perf/figure13.md and README hold the size-A rows, pasted by hand with
+// the unresolved(host) marks a second session on the same commit adds.
 package main
 
 import (
@@ -45,7 +43,6 @@ import (
 	"aomplib/internal/jgf/series"
 	"aomplib/internal/jgf/sor"
 	"aomplib/internal/jgf/sparse"
-	"aomplib/internal/sched"
 )
 
 type bench struct {
@@ -65,24 +62,15 @@ type bench struct {
 // schedule of the kernels that take one (Crypt, LUFact, Series, SOR); the
 // others keep the schedules their aspects name.
 func suite(size string, k aomplib.Schedule) []bench {
-	pick := func(test, a, b any) any {
-		switch size {
-		case "A":
-			return a
-		case "B":
-			return b
-		default:
-			return test
-		}
-	}
-	sp := pick(series.SizeTest, series.SizeA, series.SizeB).(series.Params)
-	cp := pick(crypt.SizeTest, crypt.SizeA, crypt.SizeB).(crypt.Params)
-	lp := pick(lufact.SizeTest, lufact.SizeA, lufact.SizeB).(lufact.Params)
-	op := pick(sor.SizeTest, sor.SizeA, sor.SizeB).(sor.Params)
-	pp := pick(sparse.SizeTest, sparse.SizeA, sparse.SizeB).(sparse.Params)
-	mp := pick(moldyn.SizeTest, moldyn.SizeA, moldyn.SizeB).(moldyn.Params)
-	qp := pick(montecarlo.SizeTest, montecarlo.SizeA, montecarlo.SizeB).(montecarlo.Params)
-	rp := pick(raytracer.SizeTest, raytracer.SizeA, raytracer.SizeB).(raytracer.Params)
+	i := map[string]int{"A": 1, "B": 2}[size] // test: 0
+	sp := []series.Params{series.SizeTest, series.SizeA, series.SizeB}[i]
+	cp := []crypt.Params{crypt.SizeTest, crypt.SizeA, crypt.SizeB}[i]
+	lp := []lufact.Params{lufact.SizeTest, lufact.SizeA, lufact.SizeB}[i]
+	op := []sor.Params{sor.SizeTest, sor.SizeA, sor.SizeB}[i]
+	pp := []sparse.Params{sparse.SizeTest, sparse.SizeA, sparse.SizeB}[i]
+	mp := []moldyn.Params{moldyn.SizeTest, moldyn.SizeA, moldyn.SizeB}[i]
+	qp := []montecarlo.Params{montecarlo.SizeTest, montecarlo.SizeA, montecarlo.SizeB}[i]
+	rp := []raytracer.Params{raytracer.SizeTest, raytracer.SizeA, raytracer.SizeB}[i]
 	sp.Schedule, cp.Schedule, lp.Schedule, op.Schedule = k, k, k, k
 
 	return []bench{
@@ -138,24 +126,16 @@ func parseOnly(s string, benches []bench) []bench {
 	for i, b := range benches {
 		valid[i] = strings.ToLower(b.name)
 	}
-	filter := map[string]bool{}
-	for _, f := range strings.Split(s, ",") {
-		if f = strings.TrimSpace(strings.ToLower(f)); f == "" {
-			continue
-		}
+	filter := strings.FieldsFunc(strings.ToLower(s), func(r rune) bool { return r == ',' || r == ' ' })
+	for _, f := range filter {
 		if !slices.Contains(valid, f) {
-			fmt.Fprintf(os.Stderr, "jgfbench: unknown benchmark %q in -only (valid: %s)\n",
-				f, strings.Join(valid, ", "))
+			fmt.Fprintf(os.Stderr, "jgfbench: unknown benchmark %q in -only (valid: %s)\n", f, strings.Join(valid, ", "))
 			os.Exit(2)
 		}
-		filter[f] = true
-	}
-	if len(filter) == 0 {
-		return benches
 	}
 	var out []bench
 	for i, b := range benches {
-		if filter[valid[i]] {
+		if len(filter) == 0 || slices.Contains(filter, valid[i]) {
 			out = append(out, b)
 		}
 	}
@@ -325,14 +305,8 @@ func main() {
 	}
 	kind, err := aomplib.ParseSchedule(*schedule)
 	if err != nil || kind == aomplib.CaseSpecific {
-		var valid []string
-		for _, k := range sched.Kinds() {
-			if k != sched.Custom {
-				valid = append(valid, k.String())
-			}
-		}
-		fmt.Fprintf(os.Stderr, "jgfbench: -schedule=%s: not a kernel schedule (valid: %s)\n",
-			*schedule, strings.Join(valid, ", "))
+		fmt.Fprintf(os.Stderr, "jgfbench: -schedule=%s: not a kernel schedule "+
+			"(valid: staticBlock, staticCyclic, dynamic, guided, adaptive)\n", *schedule)
 		os.Exit(2)
 	}
 	aomplib.SetHotTeams(*hotTeams)

@@ -9,7 +9,7 @@
 // Usage:
 //
 //	go run ./cmd/moldynstudy -mm=6,8 -threads=2 -moves=10
-//	go run ./cmd/moldynstudy -mm=6,8,13 -threads=2 -rounds=10 > perf/figure15.md
+//	go run ./cmd/moldynstudy -mm=6,8,13 -threads=2 -rounds=10   # perf/figure15.md's rows
 //	go run ./cmd/moldynstudy -mm=6,8,13,17 -big -threads=2,4   # paper sweep
 package main
 
@@ -44,15 +44,14 @@ var strategies = []struct {
 	mk   func(p moldyn.Params, t int) harness.Instance
 }{
 	{"JGF", func(p moldyn.Params, t int) harness.Instance { return moldyn.NewMT(p, t) }},
-	{"Critical", func(p moldyn.Params, t int) harness.Instance {
-		return moldyn.NewAomp(p, t, moldyn.CriticalStrategy)
-	}},
-	{"Locks", func(p moldyn.Params, t int) harness.Instance {
-		return moldyn.NewAomp(p, t, moldyn.LockPerParticleStrategy)
-	}},
-	{"AompTL", func(p moldyn.Params, t int) harness.Instance {
-		return moldyn.NewAomp(p, t, moldyn.ThreadLocalStrategy)
-	}},
+	{"Critical", aomp(moldyn.CriticalStrategy)},
+	{"Locks", aomp(moldyn.LockPerParticleStrategy)},
+	{"AompTL", aomp(moldyn.ThreadLocalStrategy)},
+}
+
+// aomp builds the Aomp version woven with strategy s.
+func aomp(s moldyn.Strategy) func(moldyn.Params, int) harness.Instance {
+	return func(p moldyn.Params, t int) harness.Instance { return moldyn.NewAomp(p, t, s) }
 }
 
 func main() {

@@ -127,13 +127,8 @@ func (fs *forShared) publishImbalance(size int) {
 // rather than skipping iterations.
 func BeginFor(w *Worker, key any, sp sched.Space, kind sched.Kind, chunk int, custom sched.ScheduleFunc) *ForContext {
 	t := w.Team
-	if sp.Count() < 0 {
-		panic(sp.Validate())
-	}
-	if kind == sched.StaticCyclic {
-		if err := sp.ValidateCyclic(t.Size); err != nil {
-			panic(err)
-		}
+	if sp.Count() < 0 || kind == sched.StaticCyclic && sp.ValidateCyclic(t.Size) != nil {
+		panic(sp.ValidateCyclic(t.Size)) // Validate's error, or the cyclic stride's
 	}
 	s, c, first := w.encounter(key)
 	shared := &s.fs

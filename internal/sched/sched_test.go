@@ -249,7 +249,8 @@ func TestCyclicHugeSteps(t *testing.T) {
 		{Space{math.MinInt, math.MaxInt, math.MaxInt}, 3, []int{math.MinInt, -1, math.MaxInt - 1}},
 		{Space{math.MinInt, math.MaxInt, math.MaxInt}, 2, nil},
 		{Space{math.MinInt, math.MaxInt, 1 << 62}, 2, nil},
-		{Space{math.MaxInt, math.MinInt, -(1 << 62)}, 2, nil},
+		{Space{math.MaxInt, math.MinInt, -(1 << 62)}, 2, []int{math.MaxInt, math.MaxInt - 1<<62, -1, -1 - 1<<62}}, // stride MinInt fits
+		{Space{math.MaxInt, math.MinInt, -(1 << 62) - 1}, 2, nil},
 		{Space{math.MinInt, math.MaxInt, 1 << 61}, 2, []int{math.MinInt, -3 << 61, -1 << 62, -1 << 61, 0, 1 << 61, 1 << 62, 3 << 61}},
 		{Space{math.MinInt, math.MaxInt, 1 << 61}, 4, nil},
 	} {

@@ -152,19 +152,14 @@ func Block(sp Space, nthreads, id int) Space {
 }
 
 // Cyclic computes the StaticCyclic sub-space for one worker: same bounds,
-// offset start, stride multiplied by the team size. A share of one
-// iteration is that iteration alone, with no stride to form; a share of
-// more whose stride overflows an int is no Space, and Cyclic panics with
-// ValidateCyclic's error (rt.BeginFor checks it before the encounter).
+// offset start, stride multiplied by the team size. With no more
+// iterations than workers a share is one iteration or none and needs no
+// stride; otherwise ValidateCyclic's error is a panic.
 func Cyclic(sp Space, nthreads, id int) Space {
 	if nthreads <= 0 {
 		nthreads = 1
 	}
-	n := sp.Count()
-	if id >= n {
-		return Space{Lo: sp.Lo, Hi: sp.Lo, Step: sp.Step}
-	}
-	if n-id <= nthreads {
+	if sp.Count() <= nthreads {
 		return sp.Slice(id, id+1)
 	}
 	if err := sp.ValidateCyclic(nthreads); err != nil {
@@ -173,23 +168,15 @@ func Cyclic(sp Space, nthreads, id int) Space {
 	return Space{Lo: sp.At(id), Hi: sp.Hi, Step: sp.Step * nthreads}
 }
 
-// ValidateCyclic is Validate for sp dealt round-robin over nthreads
-// workers: it also errors when a worker's share holds two iterations
-// whose distance, |Step|·nthreads, does not fit in an int, since no
-// Space strides that far.
+// ValidateCyclic is Validate for s dealt round-robin over nthreads
+// workers: it also errors when a share holds two iterations Step·nthreads
+// apart and that stride overflows an int.
 func (s Space) ValidateCyclic(nthreads int) error {
-	if err := s.Validate(); err != nil {
-		return err
+	n := max(1, nthreads)
+	if s.Count() > n && (s.Step > math.MaxInt/n || s.Step < math.MinInt/n) {
+		return fmt.Errorf("sched: space %v dealt cyclically over %d workers strides past an int", s, n)
 	}
-	step := uint64(s.Step)
-	if s.Step < 0 {
-		step = -step
-	}
-	hi, stride := bits.Mul64(step, uint64(max(1, nthreads)))
-	if (hi != 0 || stride > math.MaxInt) && s.Count() > nthreads {
-		return fmt.Errorf("sched: space %v dealt cyclically over %d workers strides past an int", s, nthreads)
-	}
-	return nil
+	return s.Validate()
 }
 
 // Dispenser is the shared state behind Dynamic and Guided scheduling: a
