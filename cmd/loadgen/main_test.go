@@ -76,16 +76,18 @@ func TestRunSweepRejectShedsWithoutDeadlock(t *testing.T) {
 	if len(p.Starved) > 0 {
 		// Keep the evidence of a rare failure: who got what, how slow the
 		// slowest request was, and what the admission controller counted.
+		// Its counts are leases over the whole test binary, not this
+		// point's requests.
 		admitted := map[string]uint64{}
 		for _, ts := range rep.Admission.Tenants {
 			admitted[ts.Name] = ts.Admitted
 		}
 		var tenants strings.Builder
 		for _, tp := range p.Tenants {
-			fmt.Fprintf(&tenants, "\n  %s: %d requests, %d admitted, %d rejected",
-				tp.Name, tp.Requests, admitted[tp.Name], tp.Rejected)
+			fmt.Fprintf(&tenants, "\n  %s: %d requests, %d of them rejected; %d leases admitted in the binary",
+				tp.Name, tp.Requests, tp.Rejected, admitted[tp.Name])
 		}
-		t.Fatalf("degraded service still starved %v (fairness %.3f); max %.2f ms, p99 %.2f ms; admission admitted %d, rejected %d%s",
+		t.Fatalf("degraded service still starved %v (fairness %.3f); max %.2f ms, p99 %.2f ms; leases in the binary admitted %d, rejected %d%s",
 			p.Starved, p.Fairness, p.MaxMs, p.P99Ms, rep.Admission.Admitted, rep.Admission.Rejected, tenants.String())
 	}
 }
